@@ -17,8 +17,6 @@ import (
 
 	"nvwa/internal/accel"
 	"nvwa/internal/align"
-	"nvwa/internal/automata"
-	"nvwa/internal/bitap"
 	"nvwa/internal/coordinator"
 	"nvwa/internal/core"
 	"nvwa/internal/experiments"
@@ -266,9 +264,14 @@ func BenchmarkCoordinatorRound(b *testing.B) {
 			id++
 		}
 	}
+	var ar core.HitArena
+	ids := make([]core.HitID, len(window))
+	for i, h := range window {
+		ids[i] = ar.Alloc(h)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Allocate(window, idle)
+		a.AllocateIDs(&ar, ids, idle)
 	}
 }
 
@@ -283,40 +286,6 @@ func BenchmarkFullSystemSimulation(b *testing.B) {
 		}
 		rep := sys.Run(reads)
 		b.ReportMetric(rep.ThroughputReadsPerSec/1000, "sim-Kreads/s")
-	}
-}
-
-func BenchmarkBitapSearch(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	text := make([]byte, 10000)
-	for i := range text {
-		text[i] = byte(rng.Intn(4))
-	}
-	pattern := text[5000:5032]
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bitap.Search(text, pattern, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLevenshteinAutomaton(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	text := make([]byte, 10000)
-	for i := range text {
-		text[i] = byte(rng.Intn(4))
-	}
-	pattern := text[5000:5032]
-	aut, err := automata.NewLevenshtein(pattern, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		aut.FindAll(text)
 	}
 }
 

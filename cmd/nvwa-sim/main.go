@@ -6,7 +6,7 @@
 //
 //	nvwa-sim [-reads N] [-reflen N] [-seed N]
 //	         [-sus N] [-buffer N] [-seeding one-cycle|batch]
-//	         [-alloc grouped|exclusive|shared|fifo] [-batched] [-batched-su]
+//	         [-alloc grouped|exclusive|shared|fifo]
 //	         [-pool derived|table1|uniform]
 //	         [-shards S] [-shard-policy contiguous|interleaved|balanced]
 //	         [-faults SPEC] [-watchdog N]
@@ -34,14 +34,6 @@
 // observability layer, which never changes the simulation: the report
 // is identical with or without it. -cpuprofile/-memprofile write
 // pprof profiles of the simulator process itself.
-//
-// -batched dispatches each allocation round's assignments as one
-// pooled hit vector with reserved completion sequencing instead of one
-// scheduled event per hit (the event-loop fast path). The report is
-// byte-identical to per-hit dispatch; only wall-clock changes.
-// -batched-su is the seeding-side twin: each seed-allocation round
-// becomes one chained round task over its SUs instead of one event per
-// read. Also byte-identical; the two flags compose.
 //
 // -faults injects a deterministic fault schedule. SPEC is either an
 // explicit plan in wire form ("v1;eu-fail@5000#3,su-stall@100#7+256")
@@ -95,8 +87,6 @@ func main() {
 	buffer := flag.Int("buffer", 1024, "hits buffer depth")
 	seeding := flag.String("seeding", "one-cycle", "seeding scheduler: one-cycle or batch")
 	alloc := flag.String("alloc", "grouped", "hits allocator: grouped, exclusive, shared, fifo")
-	batched := flag.Bool("batched", false, "dispatch allocation rounds as pooled hit vectors (byte-identical reports, faster event loop)")
-	batchedSU := flag.Bool("batched-su", false, "dispatch seed-allocation rounds as chained SU round tasks (byte-identical reports, faster event loop)")
 	pool := flag.String("pool", "derived", "EU pool: derived (Eq. 5 from workload), table1, uniform")
 	frontend := flag.String("frontend", "fm", "seeding front end: fm (BWA-MEM three-pass) or minimizer")
 	shards := flag.Int("shards", 1, "simulate S independent chips over a partitioned read set and merge reports (1 = unsharded)")
@@ -177,8 +167,6 @@ func main() {
 	}
 	opts.Config.NumSUs = *sus
 	opts.Config.HitsBufferDepth = *buffer
-	opts.Batched = *batched
-	opts.BatchedSU = *batchedSU
 	switch *seeding {
 	case "one-cycle":
 		opts.SeedStrategy = accel.OneCycle

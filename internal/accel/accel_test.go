@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"encoding/json"
 	"testing"
 
 	"nvwa/internal/coordinator"
@@ -20,6 +21,20 @@ func testWorkload(t *testing.T, nReads int, seed int64) (*pipeline.Aligner, []se
 		seqs[i] = r.Seq
 	}
 	return a, seqs
+}
+
+// reportBytes marshals a Report for byte-level comparison.
+func reportBytes(t *testing.T, r *Report) []byte {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+var allStrategies = []coordinator.Strategy{
+	coordinator.Grouped, coordinator.Exclusive, coordinator.Shared, coordinator.FIFO,
 }
 
 // smallOpts scales the Table I configuration down so unit tests finish

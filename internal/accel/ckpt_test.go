@@ -58,9 +58,8 @@ func finishFrom(t *testing.T, sys *System) *Report {
 // The tentpole contract: restoring a checkpoint taken at any Step
 // boundary and running to completion is byte-identical to the
 // uninterrupted run. Swept across all four allocator strategies ×
-// {fault-free, seeded fault plan} × {reference, batched+batchedSU}
-// event-loop paths; the sharded axis lives in the shard recovery
-// tests.
+// {fault-free, seeded fault plan}; the sharded axis lives in the shard
+// recovery tests.
 func TestResumeByteIdentical(t *testing.T) {
 	t.Parallel()
 	a, reads := testWorkload(t, 120, 33)
@@ -70,70 +69,72 @@ func TestResumeByteIdentical(t *testing.T) {
 	}.Generate(16, 10)
 	for _, strat := range allStrategies {
 		for _, faulted := range []bool{false, true} {
-			for _, batched := range []bool{false, true} {
-				strat, faulted, batched := strat, faulted, batched
-				name := fmt.Sprintf("%s/faults=%v/batched=%v", strat, faulted, batched)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					mkOpts := func() Options {
-						o := smallOpts()
-						o.AllocStrategy = strat
-						o.Batched = batched
-						o.BatchedSU = batched
-						if faulted {
-							o.Faults = plan
-						}
-						return o
+			strat, faulted := strat, faulted
+			// The batched=false suffix names the per-hit dispatch path,
+			// the only event loop since batched dispatch was removed; it
+			// keeps the subtest names stable across that change.
+			name := fmt.Sprintf("%s/faults=%v/batched=false", strat, faulted)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				mkOpts := func() Options {
+					o := smallOpts()
+					o.AllocStrategy = strat
+					if faulted {
+						o.Faults = plan
 					}
-					base, err := New(a, mkOpts())
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := reportBytes(t, base.Run(reads))
+					return o
+				}
+				base, err := New(a, mkOpts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := reportBytes(t, base.Run(reads))
+				if live := base.arena.Live(); live != 0 {
+					t.Errorf("arena leaked %d live hit IDs after the run", live)
+				}
 
-					// Stepped run, snapshotting at every slice boundary.
-					sys, err := New(a, mkOpts())
+				// Stepped run, snapshotting at every slice boundary.
+				sys, err := New(a, mkOpts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Feed(reads)
+				var cks []*ckpt.Checkpoint
+				for {
+					done, err := sys.Step(2500)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("Step: %v", err)
 					}
-					sys.Feed(reads)
-					var cks []*ckpt.Checkpoint
-					for {
-						done, err := sys.Step(2500)
-						if err != nil {
-							t.Fatalf("Step: %v", err)
-						}
-						ck, err := sys.Snapshot()
-						if err != nil {
-							t.Fatalf("Snapshot: %v", err)
-						}
-						cks = append(cks, ck)
-						if done {
-							break
-						}
-					}
-					rep, err := sys.DrainChecked()
+					ck, err := sys.Snapshot()
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("Snapshot: %v", err)
 					}
-					if got := reportBytes(t, rep); string(got) != string(want) {
-						t.Fatal("stepped run diverges from uninterrupted run")
+					cks = append(cks, ck)
+					if done {
+						break
 					}
+				}
+				rep, err := sys.DrainChecked()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := reportBytes(t, rep); string(got) != string(want) {
+					t.Fatal("stepped run diverges from uninterrupted run")
+				}
 
-					// Resume from the first, a middle, and the last
-					// checkpoint; each must finish byte-identically.
-					probe := []int{0, len(cks) / 2, len(cks) - 1}
-					for _, i := range probe {
-						r, err := Restore(a, mkOpts(), reads, cks[i])
-						if err != nil {
-							t.Fatalf("Restore(ck %d @cycle %d): %v", i, cks[i].Cycle, err)
-						}
-						if got := reportBytes(t, finishFrom(t, r)); string(got) != string(want) {
-							t.Errorf("resume from checkpoint %d (cycle %d) diverges", i, cks[i].Cycle)
-						}
+				// Resume from the first, a middle, and the last
+				// checkpoint; each must finish byte-identically.
+				probe := []int{0, len(cks) / 2, len(cks) - 1}
+				for _, i := range probe {
+					r, err := Restore(a, mkOpts(), reads, cks[i])
+					if err != nil {
+						t.Fatalf("Restore(ck %d @cycle %d): %v", i, cks[i].Cycle, err)
 					}
-				})
-			}
+					if got := reportBytes(t, finishFrom(t, r)); string(got) != string(want) {
+						t.Errorf("resume from checkpoint %d (cycle %d) diverges", i, cks[i].Cycle)
+					}
+				}
+			})
 		}
 	}
 }

@@ -108,7 +108,7 @@ func (s *System) onFaultArmed(ev fault.Event) {
 			s.flt.deadEU[ev.Unit] = true
 			s.flt.aliveEUs--
 			if u := s.eus[ev.Unit]; u.State() == core.Idle {
-				s.euStopIdle(u) // idle victim leaves the pool immediately
+				u.Stop() // idle victim leaves the pool immediately
 			}
 			// A busy victim keeps its in-flight task until completion,
 			// where euDone detects the failure and requeues the hit.
@@ -291,7 +291,7 @@ func (s *System) retryFire(h core.Hit) {
 	if o := s.opts.Obs; o != nil {
 		o.RetryDispatched(now, u.ID())
 	}
-	s.euSetBusy(u, now)
+	u.SetBusy(now)
 	var oriented seq.Seq
 	if s.memo != nil {
 		oriented = s.memo.Oriented(h.ReadIdx, h.Rev)

@@ -170,9 +170,9 @@ func TestEstimateReadCostsLUTInvariance(t *testing.T) {
 		t.Fatal("expected a default LUT on the test reference")
 	}
 	withLUT := EstimateReadCosts(a, reads, 0)
-	a.Seeder().SetFastSeeds(false) // detaches the jump: CountLUT falls back
+	a.Seeder().SetReferenceRank(true) // detaches the jump: CountLUT falls back
 	plain := EstimateReadCosts(a, reads, 0)
-	a.Seeder().SetFastSeeds(true)
+	a.Seeder().SetReferenceRank(false)
 	if !reflect.DeepEqual(withLUT, plain) {
 		t.Fatal("cost vector differs between LUT and plain probes")
 	}

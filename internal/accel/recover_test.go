@@ -199,7 +199,7 @@ func benchWorkload() (*pipeline.Aligner, []seq.Seq) {
 }
 
 // BenchmarkCheckpoint quantifies the preemption tax on the full-size
-// system (the accel.Dispatch/full-system workload scale): an
+// system (1,200 reads on an 80 kbp reference): an
 // uninterrupted run versus the incremental Step loop snapshotting
 // in memory every 10k cycles — the sharded crash-recovery
 // configuration. The EXPERIMENTS.md overhead note cites this pair.

@@ -61,13 +61,9 @@ func (s *System) Feed(reads []seq.Seq) {
 		s.started = true
 		switch s.opts.SeedStrategy {
 		case OneCycle:
-			if s.opts.BatchedSU {
-				s.eng.At(0, s.startAllOneCycle)
-			} else {
-				for _, u := range s.sus {
-					uu := u
-					s.eng.At(0, func() { s.startOneCycle(uu) })
-				}
+			for _, u := range s.sus {
+				uu := u
+				s.eng.At(0, func() { s.startOneCycle(uu) })
 			}
 		case ReadInBatch:
 			s.eng.At(0, s.issueBatch)
@@ -172,12 +168,10 @@ func (s *System) DrainChecked() (*Report, error) {
 	for _, u := range s.eus {
 		u.SetIdle(end)
 	}
-	if s.arena != nil {
-		// Recycle the final PB generation (and, after an abort, any
-		// stranded IDs) so the arena audits as fully drained — every
-		// interned hit was dispatched, dropped, or released here.
-		s.buffer.ReleaseAll()
-	}
+	// Recycle the final PB generation (and, after an abort, any
+	// stranded IDs) so the arena audits as fully drained — every
+	// interned hit was dispatched, dropped, or released here.
+	s.buffer.ReleaseAll()
 	return s.report(end), s.wdErr
 }
 
@@ -280,14 +274,6 @@ func (s *System) getSUTask(u *su.Unit, idx int) *suTask {
 // is refilled in a single cycle). Under faults, failed units park and
 // requeued reads are served first (see takeRead).
 func (s *System) startOneCycle(u *su.Unit) {
-	if s.opts.BatchedSU {
-		// Steady-state refill as a singleton round: ReserveSeqs(1) +
-		// AtTaskSeq is numerically identical to the plain AtTask below.
-		t := s.getSeedRound()
-		s.collectSeed(t, u)
-		s.armSeedRound(t)
-		return
-	}
 	now := s.eng.Now()
 	if s.flt != nil && s.flt.inj.SUFailed(u.ID()) {
 		u.Stop()
@@ -325,10 +311,6 @@ func (s *System) issueBatch() {
 		n = rem
 	}
 	s.idleSUs = len(s.sus) - n // units without work this batch stay idle
-	if s.opts.BatchedSU {
-		s.issueBatchRound(targets, n)
-		return
-	}
 	for i := 0; i < n; i++ {
 		u := targets[i]
 		idx, ok := s.takeRead()
@@ -438,17 +420,7 @@ func (s *System) idleEUs() []coordinator.IdleUnit {
 // justifies a round. Under faults the threshold is evaluated against
 // the surviving pool, so mass EU failure cannot starve the allocator.
 func (s *System) tryRoundIfTriggered() {
-	var idle int
-	if s.opts.Batched {
-		// O(1) consult: the maintained idle-pool counter replaces the
-		// full-pool scan on the hottest per-completion path.
-		if s.checkIdleCount != nil {
-			s.checkIdleCount()
-		}
-		idle = s.idleEUCount
-	} else {
-		idle = len(s.idleEUs())
-	}
+	idle := len(s.idleEUs())
 	drain := s.inputDone()
 	var fired bool
 	if s.flt != nil {
@@ -473,74 +445,10 @@ func (s *System) tryRound() {
 			return
 		}
 	}
-	var idle []coordinator.IdleUnit
-	if s.opts.Batched {
-		if s.checkIdleCount != nil {
-			s.checkIdleCount()
-		}
-		idle = s.idleEUsMask()
-	} else {
-		idle = s.idleEUs()
-	}
+	idle := s.idleEUs()
 	if len(idle) == 0 {
 		return
 	}
-	if s.arena != nil {
-		s.tryRoundArena(now, idle)
-		return
-	}
-	window := s.buffer.Window(s.opts.Config.AllocBatch)
-	o := s.opts.Obs
-	var winBefore []core.Hit
-	if o != nil {
-		winBefore = o.Inv.SnapshotWindow(window)
-	}
-	assigned, un := s.alloc.Allocate(window, idle)
-	if o != nil {
-		// The window aliases the PB: Allocate must not have mutated it
-		// (the Commit compaction below reads the same backing array).
-		o.Inv.CheckWindowUnchanged(now, winBefore, window)
-		o.AllocRound(now, len(window), len(assigned), len(un), len(idle),
-			coordinator.RoundLatency(len(window)))
-		s.observeRound(now, idle, assigned)
-	}
-	if len(assigned) == 0 {
-		return
-	}
-	allocHits := s.allocHits[:0]
-	for _, a := range assigned {
-		allocHits = append(allocHits, a.Hit)
-	}
-	s.allocHits = allocHits
-	s.buffer.Commit(allocHits, un)
-	if s.flt != nil {
-		s.flt.inFlight += len(allocHits)
-	}
-	if o != nil {
-		o.Inv.CheckConservation(now, int64(s.buffer.SBLen()+s.buffer.PBRemaining()), "round")
-		if s.flt != nil {
-			o.Inv.CheckFaultLedger(now, int64(s.flt.retryPending), int64(s.flt.inFlight))
-		}
-	}
-	s.roundActive = true
-	// Reserve the assigned units for the duration of the round.
-	for _, a := range assigned {
-		s.euSetBusy(s.eus[a.Unit.ID], now)
-	}
-	// assigned aliases the allocator's round scratch; that is safe to
-	// carry into the completion event because roundActive blocks any
-	// further Allocate until this task has consumed it.
-	s.eng.AtTask(now+coordinator.RoundLatency(len(window)), s.getRoundTask(assigned))
-}
-
-// tryRoundArena is tryRound's allocation step over arena IDs: the
-// window, sort, and commit traffic in 4-byte IDs; only the round's
-// final materialization into dispatchable Assignments dereferences the
-// slab. Every observable side effect (obs calls, commit compaction
-// order, unit reservations, round-completion schedule) happens in the
-// identical order as the value path, so Reports and traces stay
-// byte-identical across the RefHitBuffer toggle.
-func (s *System) tryRoundArena(now int64, idle []coordinator.IdleUnit) {
 	window := s.buffer.WindowIDs(s.opts.Config.AllocBatch)
 	o := s.opts.Obs
 	var winBefore []core.Hit
@@ -584,7 +492,7 @@ func (s *System) tryRoundArena(now int64, idle []coordinator.IdleUnit) {
 	s.roundActive = true
 	// Reserve the assigned units for the duration of the round.
 	for _, a := range asg {
-		s.euSetBusy(s.eus[a.Unit.ID], now)
+		s.eus[a.Unit.ID].SetBusy(now)
 	}
 	// asg aliases the system's round scratch; safe to carry into the
 	// completion event because roundActive blocks the next round until
@@ -620,12 +528,8 @@ func (t *roundTask) Fire() {
 	t.assigned = nil
 	s.roundFree = append(s.roundFree, t)
 	s.roundActive = false
-	if s.opts.Batched {
-		s.dispatchBatch(assigned)
-	} else {
-		for _, a := range assigned {
-			s.dispatch(a)
-		}
+	for _, a := range assigned {
+		s.dispatch(a)
 	}
 	s.tryRoundIfTriggered()
 }
@@ -765,14 +669,14 @@ func (s *System) getEUTask(u *eu.Unit, ext core.Extension) *euTask {
 // pipeline's.
 func (s *System) euDone(u *eu.Unit, ext core.Extension) {
 	now := s.eng.Now()
-	s.euSetIdle(u, now)
+	u.SetIdle(now)
 	if s.flt != nil {
 		s.flt.inFlight--
 		if s.flt.inj.EUFailed(u.ID()) {
 			// The unit failed while extending: discard its result, park
 			// it, and re-dispatch the hit with bounded retry (Hits
 			// Allocator degradation policy).
-			s.euStopIdle(u)
+			u.Stop()
 			s.requeueHit(u, ext.Hit)
 			s.tryRoundIfTriggered()
 			return

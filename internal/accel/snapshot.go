@@ -185,12 +185,6 @@ func (s *System) encodeState(enc *ckpt.Encoder) {
 		hd.I64(int64(v))
 	}
 	enc.PutU64(hd.Sum())
-	enc.PutInt(s.idleEUCount)
-	var md ckpt.Digest
-	for _, w := range s.idleMask {
-		md.U64(w)
-	}
-	enc.PutU64(md.Sum())
 
 	st := s.alloc.Stats()
 	enc.Section("coordinator.AllocStats")
@@ -326,8 +320,6 @@ func hashOptions(o *Options) uint64 {
 	d.I64(int64(ec.Traceback.SpillReadBits))
 	d.I64(int64(ec.Traceback.StepsPerCycle))
 	d.I64(int64(o.TraceBuckets))
-	d.I64(boolI64(o.Batched))
-	d.I64(boolI64(o.BatchedSU))
 	// The Seeder's identity cannot be hashed (it is an interface), but
 	// its presence changes the schedule; a resumed run must attach the
 	// same front end, which the state byte-compare then proves.

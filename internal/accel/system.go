@@ -68,41 +68,6 @@ type Options struct {
 	EUCost eu.CostModel
 	// TraceBuckets is the resolution of utilization time series.
 	TraceBuckets int
-	// Batched dispatches each allocation round's assignments as one
-	// pooled hit vector with reserved completion sequencing instead of
-	// one scheduled event per hit, and consults the Allocate Trigger
-	// through an O(1) idle-pool counter instead of a full EU scan —
-	// the event-loop fast path (see batch.go). Reports are
-	// byte-identical to per-hit dispatch, which remains the retained
-	// reference path; the differential suite pins the equivalence
-	// across all allocator strategies, fault plans, and sharding.
-	Batched bool
-	// BatchedSU issues each seed-allocation site's reads as one pooled
-	// round vector with reserved completion sequencing instead of one
-	// scheduled event per read — the seeding-side twin of Batched (see
-	// suround.go). The One-Cycle init burst and every Read-in-Batch
-	// issue become a single chained task; steady-state OCRA refills run
-	// as singleton rounds, which the engine orders exactly like the
-	// per-read schedule. Reports are byte-identical to per-read
-	// seeding, which remains the retained reference path; the
-	// differential suite pins the equivalence across allocator
-	// strategies, fault plans, seed strategies, and sharding.
-	BatchedSU bool
-	// RefEventQueue runs the engine on the reference binary min-heap
-	// event queue instead of the default calendar queue. Both pop in
-	// the identical (at, seq) order, so Reports and checkpoint
-	// inventories are byte-identical either way — the toggle exists so
-	// the differential suite and the kernel benchmarks can pin the
-	// calendar queue against its retained oracle on live workloads.
-	// Deliberately excluded from the checkpoint options hash: a
-	// checkpoint taken under one queue restores under the other.
-	RefEventQueue bool
-	// RefHitBuffer stores Coordinator hits as inline 64-byte values
-	// (the reference layout) instead of the default index-based arena
-	// (4-byte IDs over a slab, scheduling keys in a dense side table).
-	// Observable behavior is bit-identical; like RefEventQueue it is
-	// excluded from the options hash, so checkpoints cross-restore.
-	RefHitBuffer bool
 	// Memo optionally supplies a precomputed functional-replay cache
 	// (see BuildMemo). It is consumed only when it was built over the
 	// same seeding front end this system runs, so attaching a default
@@ -177,7 +142,7 @@ type System struct {
 	sus     []*su.Unit
 	eus     []*eu.Unit
 	buffer  *coordinator.HitsBuffer
-	arena   *core.HitArena // non-nil when the buffer runs in arena mode
+	arena   *core.HitArena // the buffer's hit arena
 	alloc   *coordinator.Allocator
 	trigger *extsched.Trigger
 	prefet  *seedsched.ReadSPM
@@ -220,41 +185,19 @@ type System struct {
 	totalHits   int
 	stallCycles int64
 
-	// Event-loop scratch: idle-pool and committed-hits buffers reused
-	// across allocation rounds, and freelists of pooled event tasks so
-	// steady-state scheduling allocates no closures (see run.go).
-	idleBuf   []coordinator.IdleUnit
-	allocHits []core.Hit
-	// Arena-round scratch: the ID list handed to CommitIDs and the
-	// materialized value assignments the dispatch path consumes —
-	// both safe to reuse per round because roundActive serializes
-	// rounds (see tryRound).
+	// Event-loop scratch reused across allocation rounds — the idle
+	// pool, the ID list handed to CommitIDs, and the materialized
+	// assignments the dispatch path consumes, all safe to reuse per
+	// round because roundActive serializes rounds (see tryRound) — and
+	// freelists of pooled event tasks so steady-state scheduling
+	// allocates no closures (see run.go).
+	idleBuf    []coordinator.IdleUnit
 	allocIDs   []core.HitID
 	asgScratch []coordinator.Assignment
 	winDeref   []core.Hit
 	suFree     []*suTask
-	euFree    []*euTask
-	roundFree []*roundTask
-	batchFree []*batchTask
-
-	// Batched-SU round scratch (see suround.go): a freelist of chained
-	// round tasks plus the read-index and ready-cycle vectors handed to
-	// the prefetcher's batched resolver.
-	seedRoundFree []*suRoundTask
-	seedIdxBuf    []int
-	seedReadyBuf  []int64
-
-	// idleEUCount and idleMask track the idle EU pool for the batched
-	// dispatch path — the count backs the O(1) trigger consult, the
-	// bitmask rebuilds round idle lists without scanning unit state.
-	// Both are maintained by the euSet* wrappers in both modes (see
-	// batch.go); euTable holds each unit's fixed allocator descriptor.
-	// checkIdleCount is a test hook run at each consult to
-	// cross-validate counter and mask against a full scan.
-	idleEUCount    int
-	idleMask       []uint64
-	euTable        []coordinator.IdleUnit
-	checkIdleCount func()
+	euFree     []*euTask
+	roundFree  []*roundTask
 }
 
 type blockedSU struct {
@@ -285,21 +228,11 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 		opts:    opts,
 		aligner: aligner,
 		hbm:     mem.NewHBM(mem.HBM1()),
+		buffer:  coordinator.NewHitsBuffer(opts.Config.HitsBufferDepth, opts.Config.SwitchThreshold),
 		alloc:   newStatsAllocator(opts),
 		trigger: extsched.NewTrigger(opts.Config.TotalEUs(), opts.Config.IdleEUTrigger),
 	}
-	if opts.RefHitBuffer {
-		s.buffer = coordinator.NewHitsBuffer(opts.Config.HitsBufferDepth, opts.Config.SwitchThreshold)
-	} else {
-		s.arena = &core.HitArena{}
-		// Peak liveness is both buffer generations (the consumed PB
-		// prefix stays live until the next switch) plus retry slack.
-		s.arena.Reserve(2*opts.Config.HitsBufferDepth + 64)
-		s.buffer = coordinator.NewHitsBufferArena(opts.Config.HitsBufferDepth, opts.Config.SwitchThreshold, s.arena)
-	}
-	if opts.RefEventQueue {
-		s.eng.SetReferenceHeap(true)
-	}
+	s.arena = s.buffer.Arena()
 	if opts.Faults != nil {
 		s.flt = newFaultState(opts.Faults, opts.Config)
 	}
@@ -327,13 +260,6 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 			s.eus = append(s.eus, eu.New(id, ci, cl.PEs, ext, opts.EUCost))
 			id++
 		}
-	}
-	s.idleEUCount = len(s.eus)
-	s.idleMask = make([]uint64, (len(s.eus)+63)/64)
-	s.euTable = make([]coordinator.IdleUnit, len(s.eus))
-	for i, u := range s.eus {
-		s.idleMask[i>>6] |= 1 << (uint(i) & 63)
-		s.euTable[i] = coordinator.IdleUnit{ID: u.ID(), Class: u.Class(), PEs: u.PEs()}
 	}
 	if o := opts.Obs; o != nil {
 		// Thread the observer through every component: the engine's

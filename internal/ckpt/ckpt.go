@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 )
 
 // Wire constants. The magic pins the file type; the version gates
@@ -32,7 +33,7 @@ const (
 	// change to the state inventory or encoding layout; there is no
 	// cross-version migration — determinism across versions cannot be
 	// guaranteed, so old checkpoints are rejected rather than misread.
-	Version = 1
+	Version = 2
 )
 
 const (
@@ -199,15 +200,58 @@ func Decode(b []byte) (*Checkpoint, error) {
 	return c, nil
 }
 
-// WriteFile atomically persists an encoded checkpoint: write to a
-// temp file in the target directory, then rename. A crash mid-write
-// leaves either the old checkpoint or none — never a torn one.
-func (c *Checkpoint) WriteFile(path string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, c.Encode(), 0o644); err != nil {
+// WriteFile atomically and durably persists an encoded checkpoint: it
+// writes a fresh temp file in the target directory, fsyncs it, renames
+// it over path, and fsyncs the directory so the rename itself survives
+// a power loss. A crash at any point leaves either the previous
+// checkpoint or the new one at path — never a torn one — and a failed
+// write removes its temp file.
+func (c *Checkpoint) WriteFile(path string) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	tmp := f.Name()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	if _, err = f.Write(c.Encode()); err != nil {
+		return err
+	}
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = syncFile(f); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncFile flushes a written checkpoint to stable storage; tests
+// replace it to inject a write failure.
+var syncFile = (*os.File).Sync
+
+// syncDir fsyncs a directory so a rename inside it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // ReadFile loads and verifies a checkpoint from disk.

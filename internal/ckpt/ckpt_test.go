@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -79,6 +80,26 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	if _, err := Decode(c.Encode()); err == nil {
 		t.Fatal("future version accepted")
 	}
+	// Version 1 predates the current state inventory and options hash:
+	// its checkpoints cannot replay under this build.
+	c.Version = 1
+	if _, err := Decode(c.Encode()); err == nil {
+		t.Fatal("version-1 checkpoint accepted")
+	}
+}
+
+// dirNames lists the file names in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 func TestWriteReadFile(t *testing.T) {
@@ -89,8 +110,8 @@ func TestWriteReadFile(t *testing.T) {
 	if err := c.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temp file left behind")
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != "shard0.ckpt" {
+		t.Errorf("directory holds %v, want only shard0.ckpt (temp file left behind?)", names)
 	}
 	got, err := ReadFile(path)
 	if err != nil {
@@ -98,6 +119,38 @@ func TestWriteReadFile(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c, got) {
 		t.Fatal("file round trip mismatch")
+	}
+}
+
+// TestWriteFileFailureKeepsPrevious injects a failure after the new
+// checkpoint's bytes are written but before they are durable: the
+// write must report the error, the previous checkpoint must still read
+// back intact, and no temp file may be left in the directory.
+func TestWriteFileFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard0.ckpt")
+	prev := sample()
+	if err := prev.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	next := sample()
+	next.Cycle++
+	injected := errors.New("injected sync failure")
+	syncFile = func(*os.File) error { return injected }
+	err := next.WriteFile(path)
+	syncFile = (*os.File).Sync
+	if !errors.Is(err, injected) {
+		t.Fatalf("WriteFile error = %v, want the injected failure", err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("previous checkpoint unreadable after a failed write: %v", err)
+	}
+	if !reflect.DeepEqual(prev, got) {
+		t.Fatal("previous checkpoint changed by a failed write")
+	}
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != "shard0.ckpt" {
+		t.Fatalf("directory holds %v after a failed write, want only shard0.ckpt", names)
 	}
 }
 

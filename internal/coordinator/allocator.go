@@ -84,34 +84,19 @@ type Allocator struct {
 	perClassOpt          []int
 	perClassTotal        []int
 
-	// Round scratch, reused across Allocate calls so a steady-state
-	// round performs no heap allocation. The slices Allocate returns
-	// alias assignedBuf/unallocBuf and are valid only until the next
-	// Allocate call; callers that retain them across rounds must copy
-	// (the accelerator consumes them within the round, guarded by its
+	// Round scratch, reused across AllocateIDs calls so a steady-state
+	// round performs no heap allocation. The slices AllocateIDs returns
+	// alias idAsgBuf/idUnBuf and are valid only until the next call;
+	// callers that retain them across rounds must copy (the
+	// accelerator consumes them within the round, guarded by its
 	// roundActive flag).
-	hitsBuf     hitsBySchedLen
-	idleBuf     unitsByID
-	byClass     [][]IdleUnit
-	heads       []int
-	assignedBuf []Assignment
-	unallocBuf  []core.Hit
-	// ID-round scratch (AllocateIDs).
+	idleBuf  unitsByID
+	byClass  [][]IdleUnit
+	heads    []int
 	keyBuf   []int64
 	idAsgBuf []IDAssignment
 	idUnBuf  []core.HitID
 }
-
-// hitsBySchedLen sorts hits ascending by scheduling length, stably, so
-// equal-length hits keep their window order (step 3 of Fig. 10). A
-// named type with value-receiver methods lets Allocate call sort.Stable
-// through a pointer to the scratch field without the closure allocation
-// sort.SliceStable incurs per round.
-type hitsBySchedLen []core.Hit
-
-func (h hitsBySchedLen) Len() int           { return len(h) }
-func (h hitsBySchedLen) Less(i, j int) bool { return h[i].SchedLen() < h[j].SchedLen() }
-func (h hitsBySchedLen) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 
 // unitsByID sorts idle units ascending by ID. Unit IDs are unique, so
 // the (unstable) sort is deterministic.
@@ -179,53 +164,23 @@ func (a *Allocator) group(class int) int {
 	return 1
 }
 
-// Allocate performs steps 2-6 of Fig. 10 on the window: compute each
-// hit's extension length, sort by it, split into groups, and greedily
-// match against the idle units. It returns the assignments and the
-// hits left unallocated (in their post-sort order, ready for Commit).
+// AllocateIDs performs steps 2-6 of Fig. 10 on a window of arena hit
+// IDs: compute each hit's extension length, sort by it, split into
+// groups, and greedily match against the idle units. It returns the
+// assignments and the hits left unallocated (in their post-sort order,
+// ready for CommitIDs).
+//
+// The round never touches Hit memory: it sorts packed (schedLen,
+// windowPos) int64 keys — the scheduling length comes from the arena's
+// dense side table — so the comparator moves 8-byte keys instead of
+// 64-byte records, and the position tie break makes the sort stable
+// (equal-length hits keep their window order, step 3). The value-based
+// reference round in the package tests pins the outcome
+// (TestAllocateIDsMatchesAllocate).
 //
 // The returned slices alias the allocator's round scratch and are
-// valid only until the next Allocate call; a warm allocator performs
-// no heap allocation per round.
-func (a *Allocator) Allocate(window []core.Hit, idle []IdleUnit) (assigned []Assignment, unallocated []core.Hit) {
-	if len(window) == 0 {
-		return nil, nil
-	}
-	// Step 2-3: copy the window (it aliases the Processing Buffer and
-	// must stay untouched) into scratch and sort ascending by hit_len.
-	a.hitsBuf = append(a.hitsBuf[:0], window...)
-	hits := a.hitsBuf
-	if a.strategy != FIFO {
-		sort.Stable(&a.hitsBuf)
-	}
-
-	a.indexIdle(idle)
-
-	asg := a.assignedBuf[:0]
-	un := a.unallocBuf[:0]
-	for _, h := range hits {
-		unit, ok := a.selectUnit(a.classifier.OptimalClass(h.SchedLen()))
-		if !ok {
-			un = append(un, h)
-			continue
-		}
-		asg = append(asg, Assignment{Hit: h, Unit: unit})
-		a.recordStats(h.SchedLen(), unit)
-	}
-	a.assignedBuf, a.unallocBuf = asg, un
-	return asg, un
-}
-
-// AllocateIDs is Allocate over arena hit IDs: the same steps 2-6 with
-// the same outcome for the same hit values, bit for bit (pinned by
-// TestAllocateIDsMatchesAllocate). The round never touches Hit memory:
-// it sorts packed (schedLen, windowPos) int64 keys — the scheduling
-// length comes from the arena's dense side table — so the comparator
-// moves 8-byte keys instead of 64-byte records, and the position tie
-// break reproduces sort.Stable's equal-key order exactly.
-//
-// The returned slices alias the allocator's ID-round scratch and are
-// valid only until the next AllocateIDs call.
+// valid only until the next AllocateIDs call; a warm allocator
+// performs no heap allocation per round.
 func (a *Allocator) AllocateIDs(ar *core.HitArena, window []core.HitID, idle []IdleUnit) (assigned []IDAssignment, unallocated []core.HitID) {
 	if len(window) == 0 {
 		return nil, nil

@@ -193,11 +193,11 @@ func TestForcedSwitchDrainsSubThresholdTail(t *testing.T) {
 	if !b.TrySwitch(true) {
 		t.Fatal("forced drain switch failed: final sub-threshold SB stranded")
 	}
-	w := b.Window(16)
+	w := b.WindowIDs(16)
 	if len(w) != 5 {
 		t.Fatalf("drain window has %d hits, want 5", len(w))
 	}
-	b.Commit(w, nil)
+	b.CommitIDs(w, nil)
 	o.Inv.CheckDrained(now, b.SBLen(), b.PBRemaining(), 0)
 	if err := o.Inv.Err(); err != nil {
 		t.Fatalf("conservation broken across forced drain: %v", err)

@@ -67,23 +67,32 @@ func TestHitsBufferForceSwitchAndPBGuard(t *testing.T) {
 	}
 }
 
+// window dereferences the buffer's current allocation window.
+func window(b *HitsBuffer, batch int) []core.Hit {
+	var out []core.Hit
+	for _, id := range b.WindowIDs(batch) {
+		out = append(out, b.Arena().At(id))
+	}
+	return out
+}
+
 func TestHitsBufferWindowAndCommit(t *testing.T) {
 	b := NewHitsBuffer(16, 0.5)
 	for i := 0; i < 10; i++ {
 		b.Push(hit(i, 10+i))
 	}
 	b.TrySwitch(false)
-	w := b.Window(4)
+	w, ids := window(b, 4), b.WindowIDs(4)
 	if len(w) != 4 || w[0].ReadIdx != 0 {
 		t.Fatalf("window = %v", w)
 	}
 	// Allocate hits 1,3; hits 0,2 fail.
-	b.Commit([]core.Hit{w[1], w[3]}, []core.Hit{w[0], w[2]})
+	b.CommitIDs([]core.HitID{ids[1], ids[3]}, []core.HitID{ids[0], ids[2]})
 	if b.PBRemaining() != 8 {
 		t.Errorf("PBRemaining = %d, want 8", b.PBRemaining())
 	}
 	// Next window must start with the failed hits (fragmentation fix).
-	w2 := b.Window(4)
+	w2 := window(b, 4)
 	if w2[0].ReadIdx != 0 || w2[1].ReadIdx != 2 {
 		t.Errorf("failed hits not at the front of the next window: %v %v", w2[0].ReadIdx, w2[1].ReadIdx)
 	}
@@ -110,21 +119,21 @@ func TestHitsBufferConservation(t *testing.T) {
 		case 1:
 			b.TrySwitch(rng.Intn(4) == 0)
 		case 2:
-			w := b.Window(1 + rng.Intn(8))
+			w := b.WindowIDs(1 + rng.Intn(8))
 			if len(w) == 0 {
 				continue
 			}
 			// Randomly allocate a prefix subset.
-			var alloc, fail []core.Hit
-			for _, h := range w {
+			var alloc, fail []core.HitID
+			for _, id := range w {
 				if rng.Intn(2) == 0 {
-					alloc = append(alloc, h)
-					consumed[h.ReadIdx]++
+					alloc = append(alloc, id)
+					consumed[b.Arena().At(id).ReadIdx]++
 				} else {
-					fail = append(fail, h)
+					fail = append(fail, id)
 				}
 			}
-			b.Commit(alloc, fail)
+			b.CommitIDs(alloc, fail)
 		}
 	}
 	// Drain everything.
@@ -132,11 +141,11 @@ func TestHitsBufferConservation(t *testing.T) {
 		if b.PBRemaining() == 0 && !b.TrySwitch(true) {
 			break
 		}
-		w := b.Window(16)
-		for _, h := range w {
-			consumed[h.ReadIdx]++
+		w := b.WindowIDs(16)
+		for _, id := range w {
+			consumed[b.Arena().At(id).ReadIdx]++
 		}
-		b.Commit(w, nil)
+		b.CommitIDs(w, nil)
 	}
 	for id, n := range pushed {
 		if consumed[id] != n {
@@ -157,7 +166,8 @@ func TestHitsBufferPanics(t *testing.T) {
 			b := NewHitsBuffer(8, 0.5)
 			b.Push(hit(0, 1))
 			b.TrySwitch(true)
-			b.Commit([]core.Hit{hit(0, 1), hit(1, 1)}, nil) // oversized commit
+			w := b.WindowIDs(1)
+			b.CommitIDs([]core.HitID{w[0], w[0]}, nil) // oversized commit
 		},
 	} {
 		func() {

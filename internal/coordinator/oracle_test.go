@@ -3,11 +3,118 @@ package coordinator
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"nvwa/internal/ckpt"
 	"nvwa/internal/core"
 )
+
+// Allocate is the reference Hits Allocator round: steps 2-6 of Fig. 10
+// over inline 64-byte hit records, with a stable sort on SchedLen. It
+// is the oracle AllocateIDs is pinned against, and the surface the
+// policy tests drive.
+func (a *Allocator) Allocate(window []core.Hit, idle []IdleUnit) (assigned []Assignment, unallocated []core.Hit) {
+	if len(window) == 0 {
+		return nil, nil
+	}
+	hits := append([]core.Hit(nil), window...)
+	if a.strategy != FIFO {
+		sort.SliceStable(hits, func(i, j int) bool { return hits[i].SchedLen() < hits[j].SchedLen() })
+	}
+	a.indexIdle(idle)
+	for _, h := range hits {
+		unit, ok := a.selectUnit(a.classifier.OptimalClass(h.SchedLen()))
+		if !ok {
+			unallocated = append(unallocated, h)
+			continue
+		}
+		assigned = append(assigned, Assignment{Hit: h, Unit: unit})
+		a.recordStats(h.SchedLen(), unit)
+	}
+	return assigned, unallocated
+}
+
+// valueBuffer is the reference Hits Buffer: the same double buffer
+// holding inline hit records instead of arena IDs. It is the oracle
+// HitsBuffer is pinned against.
+type valueBuffer struct {
+	depth            int
+	threshold        float64
+	sb, pb           []core.Hit
+	offset, switches int
+}
+
+func newValueBuffer(depth int, threshold float64) *valueBuffer {
+	return &valueBuffer{depth: depth, threshold: threshold}
+}
+
+func (b *valueBuffer) Push(h core.Hit) bool {
+	if len(b.sb) >= b.depth {
+		return false
+	}
+	b.sb = append(b.sb, h)
+	return true
+}
+
+func (b *valueBuffer) PBRemaining() int { return len(b.pb) - b.offset }
+
+func (b *valueBuffer) TrySwitch(force bool) bool {
+	if b.PBRemaining() != 0 || len(b.sb) == 0 {
+		return false
+	}
+	if !force && float64(len(b.sb)) < b.threshold*float64(b.depth) {
+		return false
+	}
+	b.pb = append(b.pb[:0], b.sb...)
+	b.sb = b.sb[:0]
+	b.offset = 0
+	b.switches++
+	return true
+}
+
+func (b *valueBuffer) Window(batch int) []core.Hit {
+	end := b.offset + batch
+	if end > len(b.pb) {
+		end = len(b.pb)
+	}
+	return b.pb[b.offset:end]
+}
+
+func (b *valueBuffer) Commit(allocated, unallocated []core.Hit) {
+	copy(b.pb[b.offset:], allocated)
+	copy(b.pb[b.offset+len(allocated):], unallocated)
+	b.offset += len(allocated)
+}
+
+func (b *valueBuffer) Drop(n int) int {
+	if n > b.PBRemaining() {
+		n = b.PBRemaining()
+	}
+	if n <= 0 {
+		return 0
+	}
+	b.offset += n
+	return n
+}
+
+func (b *valueBuffer) EncodeState(enc *ckpt.Encoder) {
+	enc.Section("coordinator.HitsBuffer")
+	enc.PutInt(len(b.sb))
+	enc.PutInt(len(b.pb))
+	enc.PutInt(b.offset)
+	enc.PutInt(b.switches)
+	var d ckpt.Digest
+	for _, h := range b.sb {
+		h.Fold(&d)
+	}
+	enc.PutU64(d.Sum())
+	d = ckpt.Digest{}
+	for _, h := range b.pb {
+		h.Fold(&d)
+	}
+	enc.PutU64(d.Sum())
+}
 
 // TestAllocateIDsMatchesAllocate pins the ID round against the value
 // round: for the same hit values, idle pool, and strategy, both must
@@ -83,25 +190,25 @@ func TestAllocateIDsWarmZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHitsBufferArenaMatchesValue drives a value-mode and an
-// arena-mode buffer through an identical randomized push / switch /
+// TestHitsBufferArenaMatchesValue drives the reference value buffer
+// and the arena buffer through an identical randomized push / switch /
 // allocate / commit / drop schedule and checks every observable —
 // occupancy, switch count, window contents, and the checkpoint state
 // inventory — stays byte-identical.
 func TestHitsBufferArenaMatchesValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	ref := NewHitsBuffer(32, 0.75)
-	var arena core.HitArena
-	opt := NewHitsBufferArena(32, 0.75, &arena)
+	ref := newValueBuffer(32, 0.75)
+	opt := NewHitsBuffer(32, 0.75)
+	arena := opt.Arena()
 	alloc := NewAllocator(testClasses, Grouped)
 	allocID := NewAllocator(testClasses, Grouped)
 
 	checkState := func(step int) {
 		t.Helper()
-		if ref.SBLen() != opt.SBLen() || ref.PBRemaining() != opt.PBRemaining() ||
-			ref.Switches() != opt.Switches() || ref.Offset() != opt.Offset() {
+		if len(ref.sb) != opt.SBLen() || ref.PBRemaining() != opt.PBRemaining() ||
+			ref.switches != opt.Switches() || ref.offset != opt.Offset() {
 			t.Fatalf("step %d: occupancy diverges: value (sb=%d pb=%d sw=%d off=%d), arena (sb=%d pb=%d sw=%d off=%d)",
-				step, ref.SBLen(), ref.PBRemaining(), ref.Switches(), ref.Offset(),
+				step, len(ref.sb), ref.PBRemaining(), ref.switches, ref.offset,
 				opt.SBLen(), opt.PBRemaining(), opt.Switches(), opt.Offset())
 		}
 		var re, oe ckpt.Encoder
@@ -140,7 +247,7 @@ func TestHitsBufferArenaMatchesValue(t *testing.T) {
 				continue
 			}
 			asg, un := alloc.Allocate(win, idle)
-			asgID, unID := allocID.AllocateIDs(&arena, winIDs, idle)
+			asgID, unID := allocID.AllocateIDs(arena, winIDs, idle)
 			ref.Commit(assignmentHits(asg), un)
 			ids := make([]core.HitID, len(asgID))
 			for i, a := range asgID {
@@ -149,7 +256,7 @@ func TestHitsBufferArenaMatchesValue(t *testing.T) {
 			opt.CommitIDs(ids, unID)
 		case 4: // drop
 			n := rng.Intn(3)
-			if got, want := opt.Drop(n, "test"), ref.Drop(n, "test"); got != want {
+			if got, want := opt.Drop(n, "test"), ref.Drop(n); got != want {
 				t.Fatalf("step %d: arena Drop=%d, value Drop=%d", step, got, want)
 			}
 		}
@@ -160,7 +267,7 @@ func TestHitsBufferArenaMatchesValue(t *testing.T) {
 	for opt.TrySwitch(true) {
 		opt.Drop(opt.PBRemaining(), "drain")
 		ref.TrySwitch(true)
-		ref.Drop(ref.PBRemaining(), "drain")
+		ref.Drop(ref.PBRemaining())
 	}
 	opt.ReleaseAll()
 	if err := arena.CheckDrained(); err != nil {

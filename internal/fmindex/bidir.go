@@ -31,22 +31,6 @@ func (b *BiIndex) SetReferenceRank(v bool) {
 	b.rev.SetReferenceRank(v)
 }
 
-// SetFast routes both halves through the interleaved block layout and
-// enables the k-mer LUT jump-start (the default), or falls back to the
-// per-word SoA scratch path with plain backward search (v=false) —
-// the "current scratch path" baseline of the fmindex.Seeds/LUT
-// benchmark. Results and Stats are identical either way.
-func (b *BiIndex) SetFast(v bool) {
-	b.fwd.SetFastRank(v)
-	b.rev.SetFastRank(v)
-}
-
-// fastOn reports whether the fast seeding path (interleaved layout +
-// LUT) is active.
-func (b *BiIndex) fastOn() bool {
-	return b.fwd.fast && !b.fwd.scanRank
-}
-
 // TextLen returns the length of the indexed text.
 func (b *BiIndex) TextLen() int { return b.fwd.textLen }
 
@@ -85,7 +69,7 @@ func (x *Index) Occ4(i int, st *Stats) [4]int {
 
 // ExtendLeft turns the interval of P into the interval of aP.
 func (b *BiIndex) ExtendLeft(iv BiInterval, a byte, st *Stats) BiInterval {
-	if x := b.fwd; x.fast && !x.scanRank {
+	if x := b.fwd; !x.scanRank {
 		// Fused interleaved-layout path: same two Occ4 block reads are
 		// charged; only the software layout underneath differs.
 		if st != nil {
@@ -119,7 +103,7 @@ func (b *BiIndex) ExtendLeft(iv BiInterval, a byte, st *Stats) BiInterval {
 
 // ExtendRight turns the interval of P into the interval of Pa.
 func (b *BiIndex) ExtendRight(iv BiInterval, a byte, st *Stats) BiInterval {
-	if x := b.rev; x.fast && !x.scanRank {
+	if x := b.rev; !x.scanRank {
 		if st != nil {
 			st.OccAccesses += 2
 		}

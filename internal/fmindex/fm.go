@@ -42,25 +42,20 @@ func (s *Stats) Add(other Stats) {
 // Index is an FM-index over a 2-bit coded text plus virtual sentinel.
 type Index struct {
 	textLen int
-	primary int      // BWT position of the sentinel
-	bwt     []uint64 // packed BWT, 32 bases per word (sentinel stored as 0)
-	// occW[w][a] = occurrences of a in bwt[0 : w*32), primary excluded:
-	// a checkpoint per BWT word, so any rank query popcounts at most one
-	// partial word.
-	occW [][4]int32
-	// blocks is the interleaved layout (one BWT word + its checkpoint
-	// per 24-byte block), the default rank path; see interleave.go.
+	primary int // BWT position of the sentinel
+	// blocks is the interleaved rank layout: block w holds packed BWT
+	// word w (32 bases, sentinel stored as 0) and the occurrence
+	// checkpoint of every base in bwt[0 : w*32), primary excluded, so
+	// any rank query popcounts at most one partial word; see
+	// interleave.go.
 	blocks []occBlock
 	// scanRank routes rank queries through the original 128-base
 	// block-scanning implementation (benchmark/oracle use only).
 	scanRank bool
-	// fast selects the interleaved block layout (the default); false
-	// falls back to the retained per-word SoA scratch path.
-	fast   bool
-	c      [5]int   // C[a] = count of bases < a in text (sentinel included at rank 0)
-	saMask []uint64 // bitset: SA value sampled at this BWT row?
-	saRank []int32  // cumulative popcount of saMask words, for O(1) rank
-	saVals []int32  // sampled SA values, indexed by rank among sampled rows
+	c        [5]int   // C[a] = count of bases < a in text (sentinel included at rank 0)
+	saMask   []uint64 // bitset: SA value sampled at this BWT row?
+	saRank   []int32  // cumulative popcount of saMask words, for O(1) rank
+	saVals   []int32  // sampled SA values, indexed by rank among sampled rows
 }
 
 // New builds an FM-index of t (2-bit codes). It retains no reference
@@ -72,30 +67,21 @@ func New(t []byte) *Index {
 
 	idx := &Index{textLen: len(t), primary: primary}
 
-	// Pack the BWT.
-	idx.bwt = make([]uint64, (n+basesPerWord-1)/basesPerWord)
-	for i, b := range bwtBytes {
-		idx.bwt[i/basesPerWord] |= uint64(b&3) << uint((i%basesPerWord)*2)
-	}
-
-	// Per-word occurrence checkpoints.
-	nw := len(idx.bwt)
-	idx.occW = make([][4]int32, nw+1)
+	// Pack the BWT into blocks, each with its word's checkpoint.
+	nw := (n + basesPerWord - 1) / basesPerWord
+	idx.blocks = make([]occBlock, nw+1)
 	var running [4]int32
-	for w := 0; w < nw; w++ {
-		idx.occW[w] = running
-		hi := (w + 1) * basesPerWord
-		if hi > n {
-			hi = n
+	for i, b := range bwtBytes {
+		w := i / basesPerWord
+		if i%basesPerWord == 0 {
+			idx.blocks[w].cnt = running
 		}
-		for i := w * basesPerWord; i < hi; i++ {
-			if i != primary {
-				running[bwtBytes[i]]++
-			}
+		idx.blocks[w].word |= uint64(b&3) << uint((i%basesPerWord)*2)
+		if i != primary {
+			running[b&3]++
 		}
 	}
-	idx.occW[nw] = running
-	idx.buildBlocks()
+	idx.blocks[nw].cnt = running
 
 	// C table: counts of symbols smaller than a. Sentinel counts as the
 	// single smallest symbol.
@@ -142,10 +128,10 @@ const loPairs = uint64(0x5555555555555555)
 
 // SetReferenceRank routes this index's rank queries through the
 // original OccInterval-spaced block-scanning implementation instead of
-// the per-word checkpoints. It exists so the kernel benchmarks'
-// "before" side and the equivalence tests can reproduce the original
-// cost profile; simulation code never calls it. Results are identical
-// either way.
+// the interleaved per-word checkpoints. It exists so the kernel
+// benchmarks' "before" side and the equivalence tests can reproduce
+// the original cost profile; simulation code never calls it. Results
+// are identical either way.
 func (x *Index) SetReferenceRank(v bool) { x.scanRank = v }
 
 // occRawScan is the original occRaw: start from the enclosing 128-base
@@ -158,15 +144,15 @@ func (x *Index) occRawScan(a byte, i int) int {
 	if i > x.size() {
 		i = x.size()
 	}
-	// occW[4*cp] counts bwt[0 : cp*128), exactly the original 128-base
-	// table entry (i <= size() keeps the index in range).
+	// blocks[4*cp] counts bwt[0 : cp*128), exactly the original
+	// 128-base table entry (i <= size() keeps the index in range).
 	cp := i / OccInterval
-	count := int(x.occW[cp*(OccInterval/basesPerWord)][a])
+	count := int(x.blocks[cp*(OccInterval/basesPerWord)].cnt[a])
 	start := cp * OccInterval
 	// Popcount the 2-bit symbols equal to a in bwt[start:i).
 	pat := uint64(a&3) * loPairs
 	for w := start / basesPerWord; w*basesPerWord < i; w++ {
-		word := x.bwt[w] ^ ^pat // bases equal to a become 0b11 pairs
+		word := x.blocks[w].word ^ ^pat // bases equal to a become 0b11 pairs
 		word = word & (word >> 1) & loPairs
 		lo := w * basesPerWord
 		// Mask off bases outside [start, i).
@@ -198,24 +184,7 @@ func (x *Index) occRaw(a byte, i int) int {
 	if i > x.size() {
 		i = x.size()
 	}
-	if x.fast {
-		return x.occRawFast(a, i)
-	}
-	w := i / basesPerWord
-	count := int(x.occW[w][a])
-	r := i - w*basesPerWord
-	if r == 0 {
-		return count
-	}
-	// Popcount the 2-bit symbols equal to a in the partial word.
-	word := x.bwt[w] ^ ^(uint64(a&3) * loPairs) // bases equal to a become 0b11 pairs
-	word = word & (word >> 1) & loPairs & ((1 << uint(r*2)) - 1)
-	count += bits.OnesCount64(word)
-	// The sentinel is stored as symbol 0; exclude it from counts of A.
-	if a == 0 && x.primary >= w*basesPerWord && x.primary < i {
-		count--
-	}
-	return count
+	return x.occRawFast(a, i)
 }
 
 // occ4Raw returns occurrence counts of all four bases in bwt[0:i) with
@@ -230,37 +199,13 @@ func (x *Index) occ4Raw(i int) [4]int {
 	if i > x.size() {
 		i = x.size()
 	}
-	if x.fast {
-		o0, o1, o2, o3 := x.occ4Fast(i)
-		return [4]int{o0, o1, o2, o3}
-	}
-	w := i / basesPerWord
-	cp := &x.occW[w]
-	out := [4]int{int(cp[0]), int(cp[1]), int(cp[2]), int(cp[3])}
-	r := i - w*basesPerWord
-	if r == 0 {
-		return out
-	}
-	word := x.bwt[w]
-	m := loPairs & ((1 << uint(r*2)) - 1)
-	lo := word & m
-	hi := (word >> 1) & m
-	c3 := bits.OnesCount64(hi & lo)
-	c2 := bits.OnesCount64(hi &^ lo)
-	c1 := bits.OnesCount64(lo &^ hi)
-	out[0] += r - c1 - c2 - c3
-	out[1] += c1
-	out[2] += c2
-	out[3] += c3
-	if x.primary >= w*basesPerWord && x.primary < i {
-		out[0]-- // sentinel is stored as symbol 0
-	}
-	return out
+	o0, o1, o2, o3 := x.occ4Fast(i)
+	return [4]int{o0, o1, o2, o3}
 }
 
 // bwtAt returns the BWT symbol at row i (undefined at primary).
 func (x *Index) bwtAt(i int) byte {
-	return byte(x.bwt[i/basesPerWord]>>uint((i%basesPerWord)*2)) & 3
+	return byte(x.blocks[i/basesPerWord].word>>uint((i%basesPerWord)*2)) & 3
 }
 
 // Interval is a half-open SA interval [Lo, Hi) of rows whose suffixes
@@ -313,7 +258,7 @@ func (x *Index) lf(i int, st *Stats) int {
 // Locate returns the text position of the suffix at SA row i by
 // LF-walking to the nearest sampled row.
 func (x *Index) Locate(i int, st *Stats) int {
-	if x.fast && !x.scanRank {
+	if !x.scanRank {
 		return x.locateFast(i, st)
 	}
 	steps := 0

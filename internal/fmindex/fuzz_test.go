@@ -51,7 +51,6 @@ func FuzzSeedsLUTVsReference(f *testing.F) {
 		var stFast, stRef Stats
 		fast := sd.SeedsWS(&ws, r, minLen, 16, maxMemIntv, &stFast)
 
-		sd.SetFastSeeds(false)
 		sd.SetReferenceRank(true)
 		ref := sd.SeedsReference(r, minLen, 16, maxMemIntv, &stRef)
 

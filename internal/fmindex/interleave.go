@@ -2,23 +2,22 @@ package fmindex
 
 import "math/bits"
 
-// Interleaved FM-index layout: the default rank path keeps each BWT
-// word's occurrence checkpoint in the same 24-byte block as the word
-// it summarizes, so one rank query touches one cache line instead of
-// two arrays a megabyte apart (the SoA occW/bwt split). This is the
+// Interleaved FM-index layout: the rank path keeps each BWT word's
+// occurrence checkpoint in the same 24-byte block as the word it
+// summarizes, so one rank query touches one cache line instead of two
+// arrays a megabyte apart (a split checkpoint/BWT layout). This is the
 // data-locality discipline of GPU/FPGA BWT kernels (SaLoBa's
 // coalesced occ blocks, BWA-MEM2's interleaved cp_occ): the modeled
 // hardware is unchanged — Stats still charges one OccInterval-block
 // read per Occ evaluation — only the software's memory layout under
 // the SeedsWS API moves.
 //
-// Three rank implementations coexist, selected per Index:
+// Two rank implementations coexist, selected per Index:
 //
-//	interleaved blocks  — the default fast path (this file)
-//	per-word SoA        — PR 3's scratch path, retained via SetFastRank(false)
+//	interleaved blocks  — the production path (this file)
 //	128-base block scan — the original oracle, via SetReferenceRank(true)
 //
-// All three return identical counts and charge identical Stats; the
+// Both return identical counts and charge identical Stats; the
 // equivalence suite and FuzzSeedsLUTVsReference pin it.
 
 // occBlock interleaves one BWT word with the occurrence checkpoint
@@ -27,28 +26,6 @@ type occBlock struct {
 	cnt  [4]int32
 	word uint64
 }
-
-// buildBlocks derives the interleaved layout from the packed BWT and
-// the per-word checkpoints (New calls it once; both SoA arrays are
-// retained for the reference paths).
-func (x *Index) buildBlocks() {
-	nw := len(x.bwt)
-	x.blocks = make([]occBlock, nw+1)
-	for w := 0; w <= nw; w++ {
-		x.blocks[w].cnt = x.occW[w]
-		if w < nw {
-			x.blocks[w].word = x.bwt[w]
-		}
-	}
-	x.fast = true
-}
-
-// SetFastRank routes this index's rank queries through the interleaved
-// block layout (the default) or back to the per-word SoA scratch path
-// (v=false) — the honest "before" side of the fmindex.Seeds/LUT
-// benchmark. SetReferenceRank(true) overrides both. Results and Stats
-// are identical on every path.
-func (x *Index) SetFastRank(v bool) { x.fast = v }
 
 // occRawFast is occRaw over the interleaved layout: one block load
 // serves the checkpoint and the partial word. i must be in (0, size].

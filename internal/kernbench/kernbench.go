@@ -11,31 +11,22 @@
 //   - align.Extend: full-row DP (ExtendReference) vs the z-drop-aware
 //     shrinking-band kernel with reused Scratch.
 //   - fmindex.Seeds: map-based three-pass seeding over the 128-base
-//     block-scanning rank vs workspace seeding over per-word rank.
-//   - fmindex.Seeds/LUT: workspace seeding over per-word rank vs the
-//     interleaved occ-block layout with the k-mer LUT jump-start.
+//     block-scanning rank vs workspace seeding over the interleaved
+//     occ-block layout with the k-mer LUT jump-start.
+//   - fmindex.Seeds/LUT: workspace seeding over the interleaved occ
+//     blocks with a 1-mer table (plain stepwise search) vs the same
+//     layout with the default k-mer LUT jump-start.
 //   - systolic.Run: the cycle-exact wavefront loop vs the closed-form
 //     row-major fast path (identical Result).
 //   - sim.Schedule: closure events (one allocation each) vs pooled
-//     Task events on the typed heap.
+//     Task events.
 //   - pipeline.Align: the end-to-end software aligner with every
 //     reference kernel selected vs the optimized kernels.
 //   - accel.MergeReports: the fresh-scratch reference shard merge vs
 //     the reused zero-alloc MergeAcc reduction.
-//   - accel.Dispatch: the full memoized system with per-hit scheduled
-//     completions and O(EUs) trigger scans vs pooled batch vectors
-//     with reserved sequencing and the O(1) idle counter.
-//   - su.Dispatch: per-read seed-start events vs pooled SU round
-//     vectors chained through reserved completion sequencing.
-//   - sim.Events: the binary min-heap event queue vs the cycle-bucketed
-//     calendar queue (identical (at, seq) pop order).
-//   - accel.EndToEnd: the reference heap + value-mode hits buffer vs
-//     the calendar queue + index-based hit arena on the full memoized
-//     batched system.
 package kernbench
 
 import (
-	"encoding/json"
 	"math/rand"
 	"sync"
 	"testing"
@@ -122,6 +113,9 @@ var (
 	seeder     *fmindex.Seeder
 	seedReads  [][]byte
 
+	stepwiseOnce   sync.Once
+	stepwiseSeeder *fmindex.Seeder
+
 	e2eOnce    sync.Once
 	e2eAligner *pipeline.Aligner
 	e2eReads   []seq.Seq
@@ -136,6 +130,21 @@ func seedingData() (*fmindex.Seeder, [][]byte) {
 	return seeder, seedReads
 }
 
+// stepwiseSeedingData indexes seedingData's text a second time with a
+// 1-mer table in place of the default k-mer LUT: a 1-mer jump skips no
+// extension step, so seeding runs plain stepwise search on the same
+// interleaved layout and returns the same seeds and Stats.
+func stepwiseSeedingData() (*fmindex.Seeder, [][]byte) {
+	_, reads := seedingData()
+	stepwiseOnce.Do(func() {
+		stepwiseSeeder = fmindex.NewSeeder(seederText)
+		if err := stepwiseSeeder.Bi().BuildLUT(1); err != nil {
+			panic(err)
+		}
+	})
+	return stepwiseSeeder, reads
+}
+
 func endToEndData() (*pipeline.Aligner, []seq.Seq) {
 	e2eOnce.Do(func() {
 		ref := genome.Generate(genome.HumanLike(), 100000, 7)
@@ -145,6 +154,27 @@ func endToEndData() (*pipeline.Aligner, []seq.Seq) {
 		}
 	})
 	return e2eAligner, e2eReads
+}
+
+// seedsWSCase builds an fmindex.Seeds before/after pair that runs the
+// same warm-workspace SeedsWS loop over two seeders.
+func seedsWSCase(name, note string, before, after func() (*fmindex.Seeder, [][]byte)) Case {
+	run := func(data func() (*fmindex.Seeder, [][]byte)) func(*testing.B) {
+		return func(b *testing.B) {
+			sd, reads := data()
+			var ws fmindex.Workspace
+			var st fmindex.Stats
+			for _, r := range reads {
+				sd.SeedsWS(&ws, r, 15, 16, 8, &st) // warm
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
+			}
+		}
+	}
+	return Case{Kernel: "fmindex.Seeds/" + name, Note: note, Before: run(before), After: run(after)}
 }
 
 // extendCase builds an align.Extend before/after pair over the given
@@ -197,7 +227,7 @@ func Cases() []Case {
 		extendCase("200bp-flank", 240, 200, 50, 19),
 		{
 			Kernel: "fmindex.Seeds/101bp",
-			Note:   "map dedup + 128-base scanning rank (reference) vs workspace + per-word rank",
+			Note:   "map dedup + 128-base scanning rank (reference) vs workspace + interleaved occ blocks + k-mer LUT jump-start",
 			Before: func(b *testing.B) {
 				sd, reads := seedingData()
 				sd.SetReferenceRank(true)
@@ -223,38 +253,8 @@ func Cases() []Case {
 				}
 			},
 		},
-		{
-			Kernel: "fmindex.Seeds/LUT",
-			Note:   "per-word rank + stepwise search (reference) vs interleaved occ blocks + k-mer LUT jump-start",
-			Before: func(b *testing.B) {
-				sd, reads := seedingData()
-				sd.SetFastSeeds(false)
-				defer sd.SetFastSeeds(true)
-				var ws fmindex.Workspace
-				var st fmindex.Stats
-				for _, r := range reads {
-					sd.SeedsWS(&ws, r, 15, 16, 8, &st) // warm
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
-				}
-			},
-			After: func(b *testing.B) {
-				sd, reads := seedingData()
-				var ws fmindex.Workspace
-				var st fmindex.Stats
-				for _, r := range reads {
-					sd.SeedsWS(&ws, r, 15, 16, 8, &st) // warm
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
-				}
-			},
-		},
+		seedsWSCase("LUT", "interleaved occ blocks + stepwise search (1-mer table) vs + k-mer LUT jump-start",
+			stepwiseSeedingData, seedingData),
 		{
 			Kernel: "systolic.Run/64PE-128x101",
 			Note:   "cycle-exact wavefront loop (reference) vs closed-form fast path",
@@ -281,7 +281,7 @@ func Cases() []Case {
 		},
 		{
 			Kernel: "sim.Schedule/1k-events",
-			Note:   "closure events (one allocation each) vs pooled Tasks on the typed heap",
+			Note:   "closure events (one allocation each) vs pooled Tasks",
 			Before: func(b *testing.B) {
 				var e sim.Engine
 				n := 0
@@ -298,7 +298,7 @@ func Cases() []Case {
 			After: func(b *testing.B) {
 				var e sim.Engine
 				t := &addTask{}
-				for j := 0; j < 1024; j++ { // warm the heap's backing array
+				for j := 0; j < 1024; j++ { // warm the queue's backing arrays
 					e.AtTask(e.Now()+int64(j%7), t)
 				}
 				e.Run()
@@ -338,239 +338,7 @@ func Cases() []Case {
 			},
 		},
 	}
-	cases = append(cases, mergeCase(), dispatchCase(), seedRoundCase(),
-		calendarCase(), arenaEndToEndCase())
-	return cases
-}
-
-// calendarCase pairs the retained binary min-heap event queue against
-// the cycle-bucketed calendar queue on a pure scheduling workload:
-// mixed short deltas (the dispatch steady state) plus a sprinkle of
-// far-future pushes that exercise the overflow heap and migration.
-// Both sides run the same pooled task so the measurement isolates the
-// queue; the After side must stay allocation-free in steady state.
-func calendarCase() Case {
-	const rounds = 1024
-	run := func(e *sim.Engine, t sim.Task) {
-		for j := 0; j < rounds; j++ {
-			e.AtTask(e.Now()+int64(j%11), t)
-			if j%64 == 0 {
-				e.AtTask(e.Now()+int64(2048+j), t) // overflow path
-			}
-		}
-		e.Run()
-	}
-	return Case{
-		Kernel: "sim.Events/calendar",
-		Note:   "binary min-heap pop/push (reference) vs cycle-bucketed calendar queue with overflow heap",
-		Before: func(b *testing.B) {
-			var e sim.Engine
-			e.SetReferenceHeap(true)
-			t := &addTask{}
-			run(&e, t) // warm the heap's backing array
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(&e, t)
-			}
-		},
-		After: func(b *testing.B) {
-			var e sim.Engine
-			t := &addTask{}
-			run(&e, t) // warm the ring and overflow backing arrays
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(&e, t)
-			}
-		},
-	}
-}
-
-// arenaEndToEndCase pairs the full PR 8 configuration (memoized,
-// batched EU + SU dispatch) on the reference heap + value-mode hits
-// buffer against the same configuration on the calendar queue +
-// index-based hit arena — the tentpole's end-to-end speedup row. The
-// After side asserts byte-identity against the reference before the
-// timed region.
-func arenaEndToEndCase() Case {
-	run := func(b *testing.B, ref bool) *accel.Report {
-		a, reads, memo := dispatchData()
-		o := accel.NvWaOptions()
-		o.Memo = memo
-		o.Batched = true
-		o.BatchedSU = true
-		o.TraceBuckets = 4
-		o.RefEventQueue = ref
-		o.RefHitBuffer = ref
-		sys, err := accel.New(a, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sys.Run(reads)
-	}
-	return Case{
-		Kernel: "accel.EndToEnd/arena",
-		Note:   "reference heap + value hits buffer vs calendar queue + index-based hit arena, full batched system",
-		Before: func(b *testing.B) {
-			run(b, true) // warm memo and freelists
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, true)
-			}
-		},
-		After: func(b *testing.B) {
-			ref, err := json.Marshal(run(b, true))
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := json.Marshal(run(b, false))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if string(ref) != string(got) {
-				b.Fatal("calendar+arena report diverges from reference heap+value path")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, false)
-			}
-		},
-	}
-}
-
-var (
-	dispatchOnce    sync.Once
-	dispatchAligner *pipeline.Aligner
-	dispatchReads   []seq.Seq
-	dispatchMemo    *accel.Memo
-)
-
-// dispatchData builds the dispatch workload: a read set large enough
-// that the event loop dominates System construction, with one warmed
-// functional-replay memo shared by both modes so the measurement times
-// only the scheduling machinery.
-func dispatchData() (*pipeline.Aligner, []seq.Seq, *accel.Memo) {
-	dispatchOnce.Do(func() {
-		ref := genome.Generate(genome.HumanLike(), 100000, 17)
-		dispatchAligner = pipeline.New(ref.Seq, pipeline.DefaultOptions())
-		for _, r := range genome.Simulate(ref, 1200, genome.ShortReadConfig(19)) {
-			dispatchReads = append(dispatchReads, r.Seq)
-		}
-		dispatchMemo = accel.BuildMemo(dispatchAligner, nil, dispatchReads, 0)
-	})
-	return dispatchAligner, dispatchReads, dispatchMemo
-}
-
-// dispatchCase pairs per-hit dispatch (the retained reference
-// dispatcher) against batched dispatch on the full memoized system.
-// Both sides replay the same memo, so the measurement isolates the
-// scheduling machinery the Batched option replaces. The After side
-// asserts byte-identity against the reference before the timed region —
-// a diverging report would make the speedup meaningless.
-func dispatchCase() Case {
-	run := func(b *testing.B, batched bool) *accel.Report {
-		a, reads, memo := dispatchData()
-		o := accel.NvWaOptions()
-		o.Memo = memo
-		o.Batched = batched
-		// Trace resolution is orthogonal to dispatch; a coarse series
-		// keeps report assembly from diluting the measured machinery.
-		o.TraceBuckets = 4
-		sys, err := accel.New(a, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sys.Run(reads)
-	}
-	return Case{
-		Kernel: "accel.Dispatch/full-system",
-		Note:   "per-hit scheduled completions + O(EUs) trigger scans (reference) vs pooled batch vectors + O(1) idle counter",
-		Before: func(b *testing.B) {
-			run(b, false) // warm memo and freelists
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, false)
-			}
-		},
-		After: func(b *testing.B) {
-			ref, err := json.Marshal(run(b, false))
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := json.Marshal(run(b, true))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if string(ref) != string(got) {
-				b.Fatal("batched dispatch report diverges from per-hit reference")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, true)
-			}
-		},
-	}
-}
-
-// seedRoundCase pairs per-read seed scheduling (the retained reference
-// seeder) against batched SU rounds on the full memoized system. The
-// Read-in-Batch strategy is the round-friendly workload: every issue
-// arms up to NumSUs reads at once, most of which coalesce into a
-// handful of chained fires, whereas OCRA's steady state is singleton
-// refills with no pooling opportunity by construction. Batched EU
-// dispatch is on for both sides so the measurement isolates the
-// seeding-side machinery; the After side asserts byte-identity against
-// the reference before the timed region.
-func seedRoundCase() Case {
-	run := func(b *testing.B, batchedSU bool) *accel.Report {
-		a, reads, memo := dispatchData()
-		o := accel.NvWaOptions()
-		o.SeedStrategy = accel.ReadInBatch
-		o.Memo = memo
-		o.Batched = true
-		o.BatchedSU = batchedSU
-		o.TraceBuckets = 4
-		sys, err := accel.New(a, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sys.Run(reads)
-	}
-	return Case{
-		Kernel: "su.Dispatch/seed-rounds",
-		Note:   "per-read seed events (reference) vs pooled SU round vectors with reserved sequencing",
-		Before: func(b *testing.B) {
-			run(b, false) // warm memo and freelists
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, false)
-			}
-		},
-		After: func(b *testing.B) {
-			ref, err := json.Marshal(run(b, false))
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := json.Marshal(run(b, true))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if string(ref) != string(got) {
-				b.Fatal("batched-SU report diverges from per-read reference")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, true)
-			}
-		},
-	}
+	return append(cases, mergeCase())
 }
 
 // shardReports synthesises n deterministic per-shard Reports with the

@@ -255,34 +255,6 @@ func (v *Invariants) CheckRound(now int64, idleIDs, assignedIDs []int) {
 	}
 }
 
-// CheckSeedRound asserts one batched seed round's dispatch discipline:
-// the chained vector must be sorted by (ready, seq) — the engine
-// heap's total order, which is what makes the chain fire-for-fire
-// identical to per-read scheduling — no entry may fire at or before
-// the arming cycle, and no seeding unit may appear twice in one round.
-func (v *Invariants) CheckSeedRound(now int64, readys, seqs []int64, units []int) {
-	if v == nil {
-		return
-	}
-	v.checked++
-	for i := range readys {
-		if readys[i] <= now {
-			v.violate("cycle %d: seed round entry %d fires at %d, not strictly later", now, i, readys[i])
-		}
-		if i > 0 && (readys[i] < readys[i-1] ||
-			(readys[i] == readys[i-1] && seqs[i] <= seqs[i-1])) {
-			v.violate("cycle %d: seed round entries %d,%d violate (ready,seq) order", now, i-1, i)
-		}
-	}
-	seen := make(map[int]bool, len(units))
-	for _, id := range units {
-		if seen[id] {
-			v.violate("cycle %d: SU %d appears twice in one seed round", now, id)
-		}
-		seen[id] = true
-	}
-}
-
 // CheckConservation asserts the hit-conservation ledger: every pushed
 // hit is assigned, still pending in the buffers, or dropped with a
 // reason. pending is the caller's current in-buffer hit count

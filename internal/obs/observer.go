@@ -204,24 +204,6 @@ func (o *Observer) Prefetch(batchIdx, reads int, start, end int64) {
 	}
 }
 
-// SeedRound records one batched seed-dispatch round: size reads armed
-// as a single chained vector at cycle now, whose earliest entry fires
-// at cycle first.
-func (o *Observer) SeedRound(now int64, size int, first int64) {
-	if o == nil {
-		return
-	}
-	o.Metrics.Counter("seedsched.rounds").Inc()
-	o.Metrics.Counter("seedsched.round_reads").Add(int64(size))
-	o.Metrics.Histogram("seedsched.round_size",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128}).Observe(float64(size))
-	if o.Trace != nil {
-		o.Trace.Thread(PidScheduler, 1, "Seed rounds")
-		o.Trace.Complete(PidScheduler, 1, "seedsched", fmt.Sprintf("round n=%d", size),
-			now, first, map[string]any{"reads": size})
-	}
-}
-
 // --- Extension scheduler --------------------------------------------
 
 // TriggerEval counts one Allocate Trigger consultation.

@@ -41,20 +41,6 @@ func NewReadSPM(hbm *mem.HBM, window, readBytes, batch int) *ReadSPM {
 // Fetched returns how many reads have been prefetched so far.
 func (p *ReadSPM) Fetched() int { return len(p.doneAt) * p.batch }
 
-// ReadyAtBatch resolves a whole seed round's ready cycles in one call:
-// the returned slice's i-th entry is ReadyAt(now, idxs[i]), evaluated
-// in slice order so the implied prefetch issue sequence — and with it
-// the DRAM bank state — is identical to the equivalent per-read
-// ReadyAt calls. out is reused when its capacity allows, so steady-
-// state round building allocates nothing.
-func (p *ReadSPM) ReadyAtBatch(now int64, idxs []int, out []int64) []int64 {
-	out = out[:0]
-	for _, idx := range idxs {
-		out = append(out, p.ReadyAt(now, idx))
-	}
-	return out
-}
-
 // ReadyAt returns the cycle at which read idx is available from the
 // SPM, issuing any prefetches the request implies. A read whose batch
 // already completed costs one SPM cycle.

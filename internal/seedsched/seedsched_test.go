@@ -217,52 +217,6 @@ func TestReadSPMHidesLatency(t *testing.T) {
 	}
 }
 
-func TestReadyAtBatchMatchesSequential(t *testing.T) {
-	// The vector resolver must be observably identical to per-read
-	// calls: same ready cycles, same DRAM bank state afterwards. Two
-	// prefetchers over two HBM instances walk the same request mix
-	// (sequential runs, jumps past the window, repeats) in lockstep.
-	rng := rand.New(rand.NewSource(71))
-	seqHBM, batHBM := mem.NewHBM(mem.HBM1()), mem.NewHBM(mem.HBM1())
-	ps := NewReadSPM(seqHBM, 64, 32, 8)
-	pb := NewReadSPM(batHBM, 64, 32, 8)
-	var out []int64
-	now, next := int64(0), 0
-	for round := 0; round < 30; round++ {
-		n := 1 + rng.Intn(16)
-		idxs := make([]int, n)
-		for i := range idxs {
-			if rng.Intn(4) == 0 {
-				next += rng.Intn(40) // jump past the lookahead
-			}
-			idxs[i] = next
-			if rng.Intn(3) > 0 {
-				next++
-			}
-		}
-		out = pb.ReadyAtBatch(now, idxs, out)
-		var last int64
-		for i, idx := range idxs {
-			want := ps.ReadyAt(now, idx)
-			if out[i] != want {
-				t.Fatalf("round %d read %d (idx %d): batch ready %d, sequential %d",
-					round, i, idx, out[i], want)
-			}
-			if out[i] > last {
-				last = out[i]
-			}
-		}
-		now = last // advance like a caller consuming the round
-		if ps.Fetched() != pb.Fetched() {
-			t.Fatalf("round %d: prefetch depth diverges (%d vs %d)",
-				round, ps.Fetched(), pb.Fetched())
-		}
-	}
-	if s, b := seqHBM.Stats(), batHBM.Stats(); s != b {
-		t.Fatalf("HBM state diverges: sequential %+v, batch %+v", s, b)
-	}
-}
-
 func TestReadSPMMonotoneCompletion(t *testing.T) {
 	hbm := mem.NewHBM(mem.HBM1())
 	p := NewReadSPM(hbm, 16, 64, 4)

@@ -2,11 +2,10 @@ package sim
 
 import "math/bits"
 
-// calendarQueue is the engine's default event queue: a ring of
-// per-cycle FIFO buckets plus a sorted far-future overflow heap. It
-// pops in the identical (at, seq) total order as the reference binary
-// heap (eventHeap), which stays available behind SetReferenceHeap as
-// the differential oracle.
+// calendarQueue is the engine's event queue: a ring of per-cycle FIFO
+// buckets plus a sorted far-future overflow heap. It pops in the
+// identical (at, seq) total order as a plain binary heap over all
+// events (eventHeap, which the tests use as the differential oracle).
 //
 // Why it wins: the simulated machine schedules almost every event a
 // short, bounded distance into the future (SU/EU completions, round
@@ -28,11 +27,9 @@ import "math/bits"
 //   - Every overflow event has at >= base+calWindow, so the whole
 //     overflow heap orders after every bucketed event.
 //   - Within a bucket all events share one cycle, so seq alone is the
-//     residual order. Pushes arrive in ascending seq except for
-//     AtTaskSeq re-pushes of reserved sequence numbers (batched
-//     dispatch chains); those mark the bucket unsorted, and the first
-//     pop from an unsorted bucket insertion-sorts its remainder —
-//     rare, small, and allocation-free.
+//     residual order. Every push draws a fresh, higher seq, and
+//     migration fills a bucket in heap order before any direct push
+//     can reach its cycle, so appends keep each bucket seq-sorted.
 //   - base only advances to the cycle of the event being popped (or,
 //     with an empty ring, to the overflow minimum). Events are pushed
 //     at or after the current cycle (clampCycle), and the current
@@ -49,9 +46,8 @@ type calendarQueue struct {
 // calBucket is one cycle's FIFO of events, drained through head so the
 // backing array survives for reuse.
 type calBucket struct {
-	evs      []event
-	head     int
-	unsorted bool
+	evs  []event
+	head int
 }
 
 const (
@@ -108,11 +104,6 @@ func (c *calendarQueue) push(ev event, now int64) {
 func (c *calendarQueue) bucketPush(ev event) {
 	idx := int(ev.at & calMask)
 	b := &c.buckets[idx]
-	if n := len(b.evs); n > b.head && ev.seq < b.evs[n-1].seq {
-		// A reserved sequence number arrived after higher fresh ones:
-		// the bucket needs a seq sort before its next pop.
-		b.unsorted = true
-	}
 	b.evs = append(b.evs, ev)
 	c.occ[idx>>6] |= 1 << (uint(idx) & 63)
 	c.n++
@@ -163,8 +154,7 @@ func (c *calendarQueue) peekAt() int64 {
 	if c.n > 0 {
 		idx := c.scanFrom()
 		b := &c.buckets[idx]
-		// All events in a bucket share the cycle, so the head's at is
-		// the bucket cycle even when the bucket is unsorted.
+		// All events in a bucket share the cycle.
 		return b.evs[b.head].at
 	}
 	return c.over[0].at
@@ -181,10 +171,6 @@ func (c *calendarQueue) pop() event {
 	}
 	idx := c.scanFrom()
 	b := &c.buckets[idx]
-	if b.unsorted {
-		sortBucketBySeq(b.evs[b.head:])
-		b.unsorted = false
-	}
 	ev := b.evs[b.head]
 	b.evs[b.head] = event{} // release fn/task references
 	b.head++
@@ -205,23 +191,11 @@ func (c *calendarQueue) pop() event {
 }
 
 // appendEvents appends every pending event (in no particular order) —
-// the inventory backing PendingEvents and queue migration.
+// the inventory backing PendingEvents.
 func (c *calendarQueue) appendEvents(out []event) []event {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		out = append(out, b.evs[b.head:]...)
 	}
 	return append(out, c.over...)
-}
-
-// sortBucketBySeq insertion-sorts same-cycle events by seq. Buckets go
-// unsorted only when a reserved sequence number lands after fresher
-// ones — rare, and such buckets are small — so insertion sort beats a
-// general sort here and allocates nothing.
-func sortBucketBySeq(evs []event) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].seq < evs[j-1].seq; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
 }

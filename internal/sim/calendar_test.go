@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
-
-	"nvwa/internal/ckpt"
 )
 
 // calFireRec is one observed firing: the cycle it fired at and which
@@ -16,10 +14,58 @@ type calFireRec struct {
 	id int
 }
 
+// scheduler is the scheduling surface the differential driver uses:
+// the production Engine (calendar queue) and heapEngine (the oracle).
+type scheduler interface {
+	Now() int64
+	AtTask(cycle int64, t Task)
+	AfterTask(delay int64, t Task)
+}
+
+// heapEngine is the differential oracle: the engine's scheduling
+// contract — a fresh seq per push, firing in (at, seq) order — over
+// one plain binary heap holding every pending event.
+type heapEngine struct {
+	h        eventHeap
+	now, seq int64
+	fired    int64
+}
+
+func (e *heapEngine) Now() int64 { return e.now }
+
+func (e *heapEngine) AtTask(cycle int64, t Task) {
+	e.h.push(event{at: cycle, seq: e.seq, task: t})
+	e.seq++
+}
+
+func (e *heapEngine) AfterTask(delay int64, t Task) { e.AtTask(e.now+delay, t) }
+
+func (e *heapEngine) fireNext() {
+	ev := e.h.pop()
+	e.now = ev.at
+	e.fired++
+	ev.task.Fire()
+}
+
+func (e *heapEngine) Run() {
+	for len(e.h) > 0 {
+		e.fireNext()
+	}
+}
+
+func (e *heapEngine) RunUntil(cycle int64) {
+	for len(e.h) > 0 && e.h[0].at <= cycle {
+		e.fireNext()
+	}
+	if e.now < cycle {
+		e.now = cycle
+	}
+}
+
 // calRecTask records its firing; the pooled no-alloc analogue of the
 // closures the differential driver schedules.
 type calRecTask struct {
-	e   *Engine
+	e   scheduler
 	id  int
 	log *[]calFireRec
 }
@@ -34,27 +80,25 @@ func (t *calRecTask) TaskKind() string { return "calrec" }
 // inside a fired event so pushes interleave with pops the way a live
 // machine's do.
 type calOp struct {
-	delta   int64 // cycles from now
-	reserve int   // >0: reserve this many seqs, then schedule them out of order
+	delta int64 // cycles from now
+	burst int   // >0: push this many events over three adjacent cycles
 }
 
-// calDriver replays a program against an engine: each Fire executes a
-// few ops (schedules future recorder events, occasionally through the
-// ReserveSeqs/AtTaskSeq path that lands LOWER seqs in buckets after
-// higher fresh ones), then reschedules itself.
+// calDriver replays a program against a scheduler: each Fire executes
+// a few ops (schedules future recorder events, sometimes as same-cycle
+// bursts that pile several events into one bucket), then reschedules
+// itself.
 type calDriver struct {
-	e      *Engine
+	e      scheduler
 	ops    []calOp
 	pos    int
 	nextID int
 	log    *[]calFireRec
-	tasks  []*calRecTask
 }
 
-func (d *calDriver) task(id int) *calRecTask {
-	t := &calRecTask{e: d.e, id: id, log: d.log}
-	d.tasks = append(d.tasks, t)
-	return t
+func (d *calDriver) push(cycle int64) {
+	d.e.AtTask(cycle, &calRecTask{e: d.e, id: d.nextID, log: d.log})
+	d.nextID++
 }
 
 func (d *calDriver) Fire() {
@@ -63,23 +107,12 @@ func (d *calDriver) Fire() {
 	for step := 0; step < 3 && d.pos < len(d.ops); step++ {
 		op := d.ops[d.pos]
 		d.pos++
-		if op.reserve > 0 {
-			// Reserve first, then schedule fresh higher-seq events at
-			// the same cycles, THEN fill the reserved (lower) seqs —
-			// the exact out-of-order push pattern batched dispatch
-			// produces, which forces bucket seq-sorting.
-			base := d.e.ReserveSeqs(op.reserve)
-			for i := 0; i < op.reserve; i++ {
-				d.e.AtTask(now+op.delta+int64(i%3), d.task(d.nextID))
-				d.nextID++
-			}
-			for i := op.reserve - 1; i >= 0; i-- {
-				d.e.AtTaskSeq(now+op.delta+int64(i%3), base+int64(i), d.task(d.nextID))
-				d.nextID++
-			}
-		} else {
-			d.e.AtTask(now+op.delta, d.task(d.nextID))
-			d.nextID++
+		if op.burst == 0 {
+			d.push(now + op.delta)
+			continue
+		}
+		for i := 0; i < op.burst; i++ {
+			d.push(now + op.delta + int64(i%3))
 		}
 	}
 	if d.pos < len(d.ops) {
@@ -89,16 +122,49 @@ func (d *calDriver) Fire() {
 
 func (d *calDriver) TaskKind() string { return "caldriver" }
 
-// runCalProgram executes the program on a fresh engine in the given
-// queue mode and returns the firing log plus final position counters.
-func runCalProgram(ops []calOp, refHeap bool) ([]calFireRec, int64, int64, int64) {
+// calRun is one program's outcome: the firing log plus final position
+// counters.
+type calRun struct {
+	log             []calFireRec
+	now, seq, fired int64
+}
+
+// runCalEngine executes the program on a fresh Engine.
+func runCalEngine(ops []calOp) calRun {
 	var e Engine
-	e.SetReferenceHeap(refHeap)
-	var log []calFireRec
-	d := &calDriver{e: &e, ops: ops, log: &log}
-	e.AtTask(0, d)
+	var r calRun
+	e.AtTask(0, &calDriver{e: &e, ops: ops, log: &r.log})
 	e.Run()
-	return log, e.Now(), e.Seq(), e.Fired()
+	r.now, r.seq, r.fired = e.Now(), e.Seq(), e.Fired()
+	return r
+}
+
+// runCalOracle executes the program on the heap oracle.
+func runCalOracle(ops []calOp) calRun {
+	var e heapEngine
+	var r calRun
+	e.AtTask(0, &calDriver{e: &e, ops: ops, log: &r.log})
+	e.Run()
+	r.now, r.seq, r.fired = e.now, e.seq, e.fired
+	return r
+}
+
+// checkCalRuns fails t on the first divergence between the engine and
+// the oracle.
+func checkCalRuns(t *testing.T, got, want calRun) {
+	t.Helper()
+	if len(got.log) != len(want.log) {
+		t.Fatalf("calendar fired %d events, heap %d", len(got.log), len(want.log))
+	}
+	for i := range got.log {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("firing %d diverges: calendar %+v, heap %+v", i, got.log[i], want.log[i])
+		}
+	}
+	if got.now != want.now || got.seq != want.seq || got.fired != want.fired {
+		t.Fatalf("final counters diverge: calendar (now=%d seq=%d fired=%d), heap (now=%d seq=%d fired=%d)",
+			got.now, got.seq, got.fired, want.now, want.seq, want.fired)
+	}
 }
 
 func randCalOps(rng *rand.Rand, n int) []calOp {
@@ -115,40 +181,26 @@ func randCalOps(rng *rand.Rand, n int) []calOp {
 		}
 		op := calOp{delta: delta}
 		if rng.Intn(6) == 0 {
-			op.reserve = 1 + rng.Intn(5)
+			op.burst = 1 + rng.Intn(5)
 		}
 		ops[i] = op
 	}
 	return ops
 }
 
-// TestCalendarVsHeapDifferential pins the calendar queue against the
-// reference heap on randomized schedules that interleave pushes with
-// pops, cross the overflow horizon, and abuse reserved sequence
-// numbers. The firing order must match event for event.
+// TestCalendarVsHeapDifferential pins the engine's calendar queue
+// against the heap oracle on randomized schedules that interleave
+// pushes with pops, cross the overflow horizon, and pile bursts into
+// shared buckets. The firing order must match event for event.
 func TestCalendarVsHeapDifferential(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
 		seeds = 8
 	}
 	for seed := 0; seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		ops := randCalOps(rng, 60)
-		gotLog, gotNow, gotSeq, gotFired := runCalProgram(ops, false)
-		wantLog, wantNow, wantSeq, wantFired := runCalProgram(ops, true)
-		if len(gotLog) != len(wantLog) {
-			t.Fatalf("seed %d: calendar fired %d events, heap %d", seed, len(gotLog), len(wantLog))
-		}
-		for i := range gotLog {
-			if gotLog[i] != wantLog[i] {
-				t.Fatalf("seed %d: firing %d diverges: calendar %+v, heap %+v",
-					seed, i, gotLog[i], wantLog[i])
-			}
-		}
-		if gotNow != wantNow || gotSeq != wantSeq || gotFired != wantFired {
-			t.Fatalf("seed %d: final counters diverge: calendar (now=%d seq=%d fired=%d), heap (now=%d seq=%d fired=%d)",
-				seed, gotNow, gotSeq, gotFired, wantNow, wantSeq, wantFired)
-		}
+		ops := randCalOps(rand.New(rand.NewSource(int64(seed))), 60)
+		t.Logf("seed %d", seed)
+		checkCalRuns(t, runCalEngine(ops), runCalOracle(ops))
 	}
 }
 
@@ -173,21 +225,31 @@ func TestCalendarOverflowOrdering(t *testing.T) {
 	}
 }
 
-// TestCalendarPendingParity checks the diagnostic surfaces — pending
-// inventory, bounded watchdog summary, and checkpoint state encoding —
-// are identical across queue implementations mid-run.
+// TestCalendarPendingParity checks the engine's pending inventory —
+// the source of watchdog summaries and checkpoint state encoding —
+// lists exactly the oracle's pending events, in firing order, mid-run.
 func TestCalendarPendingParity(t *testing.T) {
-	build := func(refHeap bool) *Engine {
-		var e Engine
-		e.SetReferenceHeap(refHeap)
-		var log []calFireRec
-		d := &calDriver{e: &e, ops: randCalOps(rand.New(rand.NewSource(7)), 40), log: &log}
-		e.AtTask(0, d)
-		e.RunUntil(25)
-		return &e
+	ops := randCalOps(rand.New(rand.NewSource(7)), 40)
+	var cal Engine
+	var calLog []calFireRec
+	cal.AtTask(0, &calDriver{e: &cal, ops: ops, log: &calLog})
+	cal.RunUntil(25)
+	var heap heapEngine
+	var heapLog []calFireRec
+	heap.AtTask(0, &calDriver{e: &heap, ops: ops, log: &heapLog})
+	heap.RunUntil(25)
+
+	ce := cal.PendingEvents()
+	he := make([]PendingEvent, len(heap.h))
+	for i, ev := range heap.h {
+		he[i] = PendingEvent{At: ev.at, Seq: ev.seq, Kind: eventKind(ev)}
 	}
-	cal, heap := build(false), build(true)
-	ce, he := cal.PendingEvents(), heap.PendingEvents()
+	sort.Slice(he, func(i, j int) bool {
+		if he[i].At != he[j].At {
+			return he[i].At < he[j].At
+		}
+		return he[i].Seq < he[j].Seq
+	})
 	if len(ce) == 0 {
 		t.Fatal("test wants a non-empty pending set mid-run")
 	}
@@ -199,58 +261,20 @@ func TestCalendarPendingParity(t *testing.T) {
 			t.Fatalf("pending event %d: calendar %+v, heap %+v", i, ce[i], he[i])
 		}
 	}
-	if cs, hs := cal.PendingSummary(5), heap.PendingSummary(5); cs != hs {
-		t.Fatalf("PendingSummary diverges:\ncalendar: %s\nheap:     %s", cs, hs)
-	}
-	var cb, hb ckpt.Encoder
-	cal.EncodeState(&cb)
-	heap.EncodeState(&hb)
-	if !bytes.Equal(cb.Bytes(), hb.Bytes()) {
-		t.Fatal("EncodeState bytes diverge between queue implementations")
-	}
-}
-
-// TestCalendarToggleMidRun flips the queue implementation with events
-// pending; the pending set must survive the migration and the rest of
-// the run must fire in the same order as an untoggled run.
-func TestCalendarToggleMidRun(t *testing.T) {
-	run := func(toggleAt []int64) []calFireRec {
-		var e Engine
-		var log []calFireRec
-		d := &calDriver{e: &e, ops: randCalOps(rand.New(rand.NewSource(11)), 50), log: &log}
-		e.AtTask(0, d)
-		for _, cyc := range toggleAt {
-			e.RunUntil(cyc)
-			e.SetReferenceHeap(!e.ReferenceHeap())
-		}
-		e.Run()
-		return log
-	}
-	want := run(nil)
-	got := run([]int64{5, 17, 40, 41})
-	if len(got) != len(want) {
-		t.Fatalf("toggled run fired %d events, untoggled %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("firing %d diverges after mid-run toggles: got %+v, want %+v", i, got[i], want[i])
-		}
+	if cal.Pending() != len(he) {
+		t.Fatalf("Pending() = %d, oracle holds %d", cal.Pending(), len(he))
 	}
 }
 
 // TestCalendarPushPopZeroAlloc pins the calendar hot path: a warm
-// engine scheduling pooled tasks — including the reserved-seq path
-// that dirties bucket sort order — must not allocate.
+// engine scheduling pooled tasks, several to a bucket, must not
+// allocate.
 func TestCalendarPushPopZeroAlloc(t *testing.T) {
 	var e Engine
 	var n nopTask
 	round := func() {
-		base := e.ReserveSeqs(4)
-		for i := 0; i < 8; i++ {
+		for i := 0; i < 12; i++ {
 			e.AtTask(e.Now()+int64(i%3), &n)
-		}
-		for i := 3; i >= 0; i-- {
-			e.AtTaskSeq(e.Now()+int64(i%3), base+int64(i), &n)
 		}
 		e.Run()
 	}
@@ -265,8 +289,8 @@ func TestCalendarPushPopZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzCalendarVsHeap feeds arbitrary schedule programs to both queue
-// implementations and requires identical firing order and final
+// FuzzCalendarVsHeap feeds arbitrary schedule programs to the engine
+// and the heap oracle and requires identical firing order and final
 // counters.
 func FuzzCalendarVsHeap(f *testing.F) {
 	f.Add([]byte{3, 0, 130, 9, 200, 1, 7, 7})
@@ -282,23 +306,10 @@ func FuzzCalendarVsHeap(f *testing.F) {
 				op.delta *= calWindow / 16 // push past the overflow horizon
 			}
 			if b&0x80 != 0 {
-				op.reserve = 1 + int(b&3)
+				op.burst = 1 + int(b&3)
 			}
 			ops = append(ops, op)
 		}
-		gotLog, gotNow, gotSeq, gotFired := runCalProgram(ops, false)
-		wantLog, wantNow, wantSeq, wantFired := runCalProgram(ops, true)
-		if len(gotLog) != len(wantLog) {
-			t.Fatalf("calendar fired %d events, heap %d", len(gotLog), len(wantLog))
-		}
-		for i := range gotLog {
-			if gotLog[i] != wantLog[i] {
-				t.Fatalf("firing %d diverges: calendar %+v, heap %+v", i, gotLog[i], wantLog[i])
-			}
-		}
-		if gotNow != wantNow || gotSeq != wantSeq || gotFired != wantFired {
-			t.Fatalf("final counters diverge: calendar (now=%d seq=%d fired=%d), heap (now=%d seq=%d fired=%d)",
-				gotNow, gotSeq, gotFired, wantNow, wantSeq, wantFired)
-		}
+		checkCalRuns(t, runCalEngine(ops), runCalOracle(ops))
 	})
 }

@@ -21,15 +21,9 @@ type Engine struct {
 	fired  int64
 	clamps int64
 
-	// The pending-event queue has two interchangeable implementations
-	// that pop in the identical (at, seq) total order: the calendar
-	// queue (default — see calendar.go) and the original binary
-	// min-heap, retained as the reference oracle behind
-	// SetReferenceHeap. Exactly one holds events at a time; every
-	// access goes through qPush/qPop/qPeekAt/qLen/qEvents.
-	cal     calendarQueue
-	heap    eventHeap
-	refHeap bool
+	// cal is the pending-event queue (see calendar.go); it pops in
+	// (at, seq) order.
+	cal calendarQueue
 
 	// Strict makes At panic when asked to schedule strictly in the
 	// past instead of silently clamping to now. Tests run strict so
@@ -138,80 +132,6 @@ func (h eventHeap) siftDown(i int) {
 	}
 }
 
-// qPush enqueues ev on whichever queue implementation is active.
-func (e *Engine) qPush(ev event) {
-	if e.refHeap {
-		e.heap.push(ev)
-		return
-	}
-	e.cal.push(ev, e.now)
-}
-
-// qPop removes and returns the next event in (at, seq) order. The
-// caller guarantees qLen() > 0.
-func (e *Engine) qPop() event {
-	if e.refHeap {
-		return e.heap.pop()
-	}
-	return e.cal.pop()
-}
-
-// qPeekAt returns the cycle of the next event without removing it.
-// The caller guarantees qLen() > 0.
-func (e *Engine) qPeekAt() int64 {
-	if e.refHeap {
-		return e.heap[0].at
-	}
-	return e.cal.peekAt()
-}
-
-// qLen returns the number of queued events.
-func (e *Engine) qLen() int {
-	if e.refHeap {
-		return len(e.heap)
-	}
-	return e.cal.len()
-}
-
-// qEvents appends every pending event to out in no particular order —
-// the raw inventory behind PendingEvents and queue migration.
-func (e *Engine) qEvents(out []event) []event {
-	if e.refHeap {
-		return append(out, e.heap...)
-	}
-	return e.cal.appendEvents(out)
-}
-
-// SetReferenceHeap switches the engine between the calendar queue
-// (false, the default) and the reference binary min-heap (true),
-// migrating any pending events. Both implementations pop in the same
-// (at, seq) order, so the toggle is observationally inert — it exists
-// so differential tests and kernel benchmarks can pin the calendar
-// queue against the oracle on live workloads.
-func (e *Engine) SetReferenceHeap(useHeap bool) {
-	if useHeap == e.refHeap {
-		return
-	}
-	pending := e.qEvents(nil)
-	if useHeap {
-		e.cal = calendarQueue{}
-	} else {
-		e.heap = nil
-		// The calendar's window anchors at the first pushed cycle and
-		// never rewinds, so migrated events must arrive in ascending
-		// cycle order (a live engine guarantees this naturally because
-		// pushes are clamped to now; a migration dump is unordered).
-		sort.Slice(pending, func(i, j int) bool { return pending[i].at < pending[j].at })
-	}
-	e.refHeap = useHeap
-	for _, ev := range pending {
-		e.qPush(ev)
-	}
-}
-
-// ReferenceHeap reports whether the reference heap is active.
-func (e *Engine) ReferenceHeap() bool { return e.refHeap }
-
 // Now returns the current simulation cycle.
 func (e *Engine) Now() int64 { return e.now }
 
@@ -241,7 +161,7 @@ func (e *Engine) clampCycle(cycle int64) int64 {
 // events; see clampCycle for the clamp policy.
 func (e *Engine) At(cycle int64, fn func()) {
 	cycle = e.clampCycle(cycle)
-	e.qPush(event{at: cycle, seq: e.seq, task: funcTask(fn)})
+	e.cal.push(event{at: cycle, seq: e.seq, task: funcTask(fn)}, e.now)
 	e.seq++
 }
 
@@ -251,32 +171,8 @@ func (e *Engine) At(cycle int64, fn func()) {
 // recycle task structs across events.
 func (e *Engine) AtTask(cycle int64, t Task) {
 	cycle = e.clampCycle(cycle)
-	e.qPush(event{at: cycle, seq: e.seq, task: t})
+	e.cal.push(event{at: cycle, seq: e.seq, task: t}, e.now)
 	e.seq++
-}
-
-// ReserveSeqs reserves n consecutive sequence numbers and returns the
-// first. Reserved numbers order exactly like n back-to-back At/AtTask
-// calls made at the same point in the event stream, but the events
-// themselves may be pushed later (and one at a time) via AtTaskSeq —
-// the primitive behind batched dispatch: a round reserves one seq per
-// completion up front, keeps a single chained task resident in the
-// heap, and still fires every completion at the identical (at, seq)
-// position a per-event schedule would have.
-func (e *Engine) ReserveSeqs(n int) int64 {
-	base := e.seq
-	e.seq += int64(n)
-	return base
-}
-
-// AtTaskSeq schedules t.Fire at the given cycle under a sequence
-// number previously obtained from ReserveSeqs, with the same clamp
-// policy as At. Passing a seq that was not reserved (or reusing one)
-// breaks the engine's uniqueness invariant and with it deterministic
-// ordering; callers own that discipline.
-func (e *Engine) AtTaskSeq(cycle, seq int64, t Task) {
-	cycle = e.clampCycle(cycle)
-	e.qPush(event{at: cycle, seq: seq, task: t})
 }
 
 // Clamps returns how many past-cycle schedules were clamped to now.
@@ -301,8 +197,8 @@ func (e *Engine) fire(ev event) {
 // Run processes events until the queue is empty and returns the final
 // cycle.
 func (e *Engine) Run() int64 {
-	for e.qLen() > 0 {
-		e.fire(e.qPop())
+	for e.cal.len() > 0 {
+		e.fire(e.cal.pop())
 	}
 	return e.now
 }
@@ -310,8 +206,8 @@ func (e *Engine) Run() int64 {
 // RunUntil processes events up to and including the given cycle.
 // Remaining events stay queued.
 func (e *Engine) RunUntil(cycle int64) {
-	for e.qLen() > 0 && e.qPeekAt() <= cycle {
-		e.fire(e.qPop())
+	for e.cal.len() > 0 && e.cal.peekAt() <= cycle {
+		e.fire(e.cal.pop())
 	}
 	if e.now < cycle {
 		e.now = cycle
@@ -319,7 +215,7 @@ func (e *Engine) RunUntil(cycle int64) {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.qLen() }
+func (e *Engine) Pending() int { return e.cal.len() }
 
 // Fired returns the total number of events fired so far. The fired
 // count is the engine's replay coordinate: unlike the cycle, it
@@ -357,7 +253,7 @@ func eventKind(ev event) string {
 // PendingEvents returns descriptors for every queued event, sorted by
 // firing order (at, seq). The heap itself is not disturbed.
 func (e *Engine) PendingEvents() []PendingEvent {
-	evs := e.qEvents(nil)
+	evs := e.cal.appendEvents(nil)
 	out := make([]PendingEvent, len(evs))
 	for i, ev := range evs {
 		out[i] = PendingEvent{At: ev.at, Seq: ev.seq, Kind: eventKind(ev)}

@@ -59,11 +59,11 @@ func (e *Engine) RunBounded(limitCycle, maxFired int64, w *Watchdog, st *GuardSt
 			perCycle = DefaultMaxEventsPerCycle
 		}
 	}
-	for e.qLen() > 0 {
+	for e.cal.len() > 0 {
 		if maxFired >= 0 && e.fired >= maxFired {
 			return nil
 		}
-		next := e.qPeekAt()
+		next := e.cal.peekAt()
 		if limitCycle >= 0 && next > limitCycle {
 			return nil
 		}
@@ -71,7 +71,7 @@ func (e *Engine) RunBounded(limitCycle, maxFired int64, w *Watchdog, st *GuardSt
 			if w.MaxCycles > 0 && next > w.MaxCycles {
 				return fmt.Errorf(
 					"sim: watchdog: cycle budget %d exceeded (next event at cycle %d, %d events pending)%s",
-					w.MaxCycles, next, e.qLen(), e.pendingNote())
+					w.MaxCycles, next, e.cal.len(), e.pendingNote())
 			}
 			if next != st.cycle {
 				st.cycle = next
@@ -87,10 +87,10 @@ func (e *Engine) RunBounded(limitCycle, maxFired int64, w *Watchdog, st *GuardSt
 			if w.MaxEvents > 0 && st.total > w.MaxEvents {
 				return fmt.Errorf(
 					"sim: watchdog: event budget %d exceeded at cycle %d (%d events pending)%s",
-					w.MaxEvents, st.cycle, e.qLen(), e.pendingNote())
+					w.MaxEvents, st.cycle, e.cal.len(), e.pendingNote())
 			}
 		}
-		e.fire(e.qPop())
+		e.fire(e.cal.pop())
 	}
 	return nil
 }

@@ -87,7 +87,7 @@ func TestProcessCyclesInvariantToSeedingFastPath(t *testing.T) {
 	// The unit's cycle cost derives solely from the front end's charged
 	// Stats, so the seeding fast path (interleaved rank layout + k-mer
 	// LUT jump-start) must leave completion cycles — not just hits —
-	// exactly as the per-word scratch path computes them. A Stats
+	// exactly as the block-scanning reference rank computes them. A Stats
 	// divergence in the front end would surface here as a cycle drift.
 	a, ref, _ := setup(t)
 	reads := genome.Simulate(ref, 40, genome.ShortReadConfig(13))
@@ -99,8 +99,8 @@ func TestProcessCyclesInvariantToSeedingFastPath(t *testing.T) {
 		fastHits = append(fastHits, len(h))
 		fastDone = append(fastDone, d)
 	}
-	a.Seeder().SetFastSeeds(false)
-	defer a.Seeder().SetFastSeeds(true)
+	a.Seeder().SetReferenceRank(true)
+	defer a.Seeder().SetReferenceRank(false)
 	slowU := New(0, a, mem.NewHBM(mem.HBM1()), DefaultCostModel())
 	for i, r := range reads {
 		h, d := slowU.Process(0, r.ID, r.Seq)

@@ -23,21 +23,22 @@ type Scratch struct {
 	tb      []byte
 	rev     Cigar
 	cig     Cigar
+
+	// cells is the extension DP's rolling row, H and E interleaved so
+	// one cell's state shares a cache line; prof is its query profile.
+	cells []cell
+	prof  []int
 }
 
-// growInts returns buf with length n, reusing capacity when possible.
+// cell is one column of the extension DP's rolling row: H and E of the
+// most recently computed row.
+type cell struct{ h, e int }
+
+// grow returns buf with length n, reusing capacity when possible.
 // Contents are unspecified (dirty).
-func growInts(buf []int, n int) []int {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-// growBytes is growInts for byte slices.
-func growBytes(buf []byte, n int) []byte {
-	if cap(buf) < n {
-		return make([]byte, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -70,10 +71,10 @@ func localBandedWS(s *Scratch, ref, read []byte, sc Scoring, band int) Result {
 	}
 	stride := n + 1
 	size := (m + 1) * stride
-	s.h = growInts(s.h, size)
-	s.e = growInts(s.e, size)
-	s.f = growInts(s.f, size)
-	s.tb = growBytes(s.tb, size)
+	s.h = grow(s.h, size)
+	s.e = grow(s.e, size)
+	s.f = grow(s.f, size)
+	s.tb = grow(s.tb, size)
 	h, e, f, tb := s.h, s.e, s.f, s.tb
 
 	// Row 0: H=0 (local alignment may start anywhere), gap states
@@ -222,8 +223,8 @@ done:
 // GlobalWithScratch is Global using s for the two rolling rows.
 func GlobalWithScratch(s *Scratch, ref, read []byte, sc Scoring) int {
 	m, n := len(ref), len(read)
-	s.h = growInts(s.h, n+1)
-	s.e = growInts(s.e, n+1)
+	s.h = grow(s.h, n+1)
+	s.e = grow(s.e, n+1)
 	h, e := s.h, s.e
 	goe := sc.GapOpen + sc.GapExtend
 	ge := sc.GapExtend
@@ -268,7 +269,7 @@ func GlobalWithScratch(s *Scratch, ref, read []byte, sc Scoring) int {
 	return h[n]
 }
 
-// ExtendWithScratch is Extend using s for the rolling rows, with a
+// ExtendWithScratch is Extend using s for the rolling row, with a
 // z-drop-aware shrinking band: columns whose value plus the maximum
 // remaining gain (a potential of stepGain per residual diagonal step)
 // cannot reach best-zdrop are excluded from subsequent rows. The
@@ -280,14 +281,20 @@ func GlobalWithScratch(s *Scratch, ref, read []byte, sc Scoring) int {
 // Band shrinking engages only when zdrop >= 0 and both gap penalties
 // are non-negative (gaps never gain); otherwise the kernel runs the
 // full-row recurrence, still allocation-free.
+//
+// Each row's window is computed by extendRow over a substitution slice:
+// a row of the query profile when both sequences are 2-bit base codes
+// (every byte in 0..3), otherwise a one-row slice filled for that
+// reference base.
 func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdrop int) (score, refEnd, readEnd, rows int) {
 	m, n := len(ref), len(read)
 	if m == 0 || n == 0 {
 		return initScore, 0, 0, 0
 	}
-	s.h = growInts(s.h, n+1)
-	s.e = growInts(s.e, n+1)
-	h, e := s.h, s.e
+	s.cells = grow(s.cells, n+1)
+	s.prof = grow(s.prof, 4*n)
+	cells, prof := s.cells, s.prof
+	twoBit := buildProfile(prof, ref, read, sc)
 
 	gapO, ge := sc.GapOpen, sc.GapExtend
 	goe := gapO + ge
@@ -301,65 +308,16 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 	}
 
 	best, bi, bj := initScore, 0, 0
-	h[0] = initScore
+	cells[0] = cell{initScore, negInf}
 	for j := 1; j <= n; j++ {
-		h[j] = initScore - gapO - j*ge
-		e[j] = negInf
+		cells[j] = cell{initScore - gapO - j*ge, negInf}
 	}
 
 	// [beg..endValid] is the window of columns holding exact values for
-	// the previous row; columns outside are stored as negInf. shrink
-	// trims the window for the next row (row nextI) against the current
-	// threshold T = best - zdrop: a column is dropped when even one
-	// maximal step into row nextI plus the full remaining diagonal
-	// potential cannot reach T. Stored (possibly already-excluded)
-	// neighbours are valid sources for the bound because an excluded
-	// cell's descendants are themselves below T by induction.
+	// the previous row; columns outside are stored as negInf.
 	beg, endValid := 1, n
-	shrink := func(nextI int) {
-		T := best - zdrop
-		remR := m - nextI // rows remaining after row nextI
-		for endValid >= beg {
-			b := h[endValid]
-			if e[endValid] > b {
-				b = e[endValid]
-			}
-			if h[endValid-1] > b {
-				b = h[endValid-1]
-			}
-			rem := remR
-			if n-endValid < rem {
-				rem = n - endValid
-			}
-			if b+stepGain+rem*stepGain >= T {
-				break
-			}
-			h[endValid] = negInf
-			e[endValid] = negInf
-			endValid--
-		}
-		for beg <= endValid {
-			b := h[beg]
-			if e[beg] > b {
-				b = e[beg]
-			}
-			if h[beg-1] > b {
-				b = h[beg-1]
-			}
-			rem := remR
-			if n-beg < rem {
-				rem = n - beg
-			}
-			if b+stepGain+rem*stepGain >= T {
-				break
-			}
-			h[beg] = negInf
-			e[beg] = negInf
-			beg++
-		}
-	}
 	if banded {
-		shrink(1)
+		beg, endValid = shrink(cells, beg, endValid, best-zdrop, m-1, stepGain)
 		if beg > endValid {
 			// Row 1 has no cell that can reach best-zdrop: the
 			// reference computes it, observes rowBest < best-zdrop,
@@ -370,60 +328,32 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 
 	for i := 1; i <= m; i++ {
 		hBound := initScore - gapO - i*ge
-		var hDiagPrev, hLeft int
+		hDiag, hLeft := cells[beg-1].h, negInf // negInf: excluded column
 		if beg == 1 {
-			hDiagPrev = h[0] // previous row's boundary value
-			h[0] = hBound
+			cells[0].h = hBound
 			hLeft = hBound
-		} else {
-			hDiagPrev = h[beg-1] // negInf: excluded column
-			hLeft = negInf
 		}
 		endRow := endValid
 		if endRow < n {
 			// The window may extend one column right via the diagonal;
 			// that column was outside the previous row's window.
 			endRow++
-			h[endRow] = negInf
-			e[endRow] = negInf
+			cells[endRow] = cell{negInf, negInf}
 		}
-		f := negInf
-		rowBest := negInf
-		ri := ref[i-1]
-		_ = h[endRow] // bounds-check elimination for the inner loop
-		_ = e[endRow]
-		_ = read[endRow-1]
-		for j := beg; j <= endRow; j++ {
-			eNew := e[j] - ge
-			if eo := h[j] - goe; eo > eNew {
-				eNew = eo
+		var sub []int
+		if twoBit {
+			off := int(ref[i-1]) * n
+			sub = prof[off+beg-1 : off+endRow]
+		} else {
+			sub = prof[beg-1 : endRow]
+			ri := ref[i-1]
+			for k, b := range read[beg-1 : endRow] {
+				sub[k] = sc.sub(ri, b)
 			}
-			f -= ge
-			if fo := hLeft - goe; fo > f {
-				f = fo
-			}
-			sub := -sc.Mismatch
-			if ri == read[j-1] {
-				sub = sc.Match
-			}
-			diag := hDiagPrev + sub
-			hDiagPrev = h[j]
-			hv := diag
-			if eNew > hv {
-				hv = eNew
-			}
-			if f > hv {
-				hv = f
-			}
-			h[j] = hv
-			e[j] = eNew
-			hLeft = hv
-			if hv > best {
-				best, bi, bj = hv, i, j
-			}
-			if hv > rowBest {
-				rowBest = hv
-			}
+		}
+		rowBest, arg, hLeft, f := extendRow(cells[beg:endRow+1], sub, hDiag, hLeft, goe, ge)
+		if rowBest > best {
+			best, bi, bj = rowBest, i, beg+arg
 		}
 		endRowValid := endRow
 		if banded && endRow < n {
@@ -443,8 +373,7 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 				if f+rem*stepGain < T {
 					break
 				}
-				h[j] = f
-				e[j] = negInf
+				cells[j] = cell{f, negInf}
 				hLeft = f
 				if f > best {
 					best, bi, bj = f, i, j
@@ -461,7 +390,7 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 		}
 		endValid = endRowValid
 		if banded && i < m {
-			shrink(i + 1)
+			beg, endValid = shrink(cells, beg, endValid, best-zdrop, m-i-1, stepGain)
 			if beg > endValid {
 				// Next row has no viable cell: the reference computes
 				// it (all its true values are below best-zdrop),
@@ -472,4 +401,120 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 		}
 	}
 	return best, bi, bj, rows
+}
+
+// buildProfile fills prof (4*len(read) entries) with the query profile,
+// row b holding the substitution score of reference base b against each
+// read base, and reports true. When ref or read holds a byte outside
+// 0..3 it fills nothing and reports false: the caller then fills one
+// row per reference base instead.
+func buildProfile(prof []int, ref, read []byte, sc Scoring) bool {
+	var or byte
+	for _, b := range ref {
+		or |= b
+	}
+	for _, b := range read {
+		or |= b
+	}
+	if or > 3 {
+		return false
+	}
+	n := len(read)
+	for b := 0; b < 4; b++ {
+		row := prof[b*n : (b+1)*n]
+		for j, rb := range read {
+			row[j] = sc.sub(byte(b), rb)
+		}
+	}
+	return true
+}
+
+// extendRow computes one row of the extension recurrence over a window
+// of columns: cells holds the previous row's H/E and receives this
+// row's, sub[k] is the substitution score of cells[k]'s column, hDiag
+// is the previous row's H one column left of the window, and hLeft is
+// this row's H there. It returns the window's maximum H (negInf if none
+// exceeds it) with the offset of its first occurrence, and the H and F
+// of the window's last column for the F spill. Kept out of line so its
+// loop-carried state stays in registers.
+//
+//go:noinline
+func extendRow(cells []cell, sub []int, hDiag, hLeft, goe, ge int) (rowBest, arg, hLast, f int) {
+	f, rowBest = negInf, negInf
+	cells = cells[:len(sub)]
+	for k, sk := range sub {
+		c := &cells[k]
+		eNew := c.e - ge
+		if eo := c.h - goe; eo > eNew {
+			eNew = eo
+		}
+		f -= ge
+		if fo := hLeft - goe; fo > f {
+			f = fo
+		}
+		hv := hDiag + sk
+		hDiag = c.h
+		if eNew > hv {
+			hv = eNew
+		}
+		if f > hv {
+			hv = f
+		}
+		c.h, c.e = hv, eNew
+		hLeft = hv
+		if hv > rowBest {
+			rowBest, arg = hv, k
+		}
+	}
+	return rowBest, arg, hLeft, f
+}
+
+// shrink trims the window [beg..end] of the row just computed for the
+// next row against the threshold T = best - zdrop, with remR rows left
+// after that next row: a column is dropped (stored as negInf) when even
+// one maximal step into the next row plus the full remaining diagonal
+// potential cannot reach T. Stored (possibly already-excluded)
+// neighbours are valid sources for the bound because an excluded
+// cell's descendants are themselves below T by induction.
+func shrink(cells []cell, beg, end, T, remR, stepGain int) (int, int) {
+	n := len(cells) - 1
+	for end >= beg {
+		c := cells[end]
+		b := c.h
+		if c.e > b {
+			b = c.e
+		}
+		if h := cells[end-1].h; h > b {
+			b = h
+		}
+		rem := remR
+		if n-end < rem {
+			rem = n - end
+		}
+		if b+stepGain+rem*stepGain >= T {
+			break
+		}
+		cells[end] = cell{negInf, negInf}
+		end--
+	}
+	for beg <= end {
+		c := cells[beg]
+		b := c.h
+		if c.e > b {
+			b = c.e
+		}
+		if h := cells[beg-1].h; h > b {
+			b = h
+		}
+		rem := remR
+		if n-beg < rem {
+			rem = n - beg
+		}
+		if b+stepGain+rem*stepGain >= T {
+			break
+		}
+		cells[beg] = cell{negInf, negInf}
+		beg++
+	}
+	return beg, end
 }

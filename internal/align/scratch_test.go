@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +52,31 @@ func randSeqPair(rng *rand.Rand, maxLen int) (ref, read []byte) {
 	return ref, read
 }
 
+// codes maps an ACGT string to the 2-bit base codes the pipeline
+// extends, so a test drives ExtendWithScratch's query-profile path.
+func codes(s []byte) []byte {
+	out := make([]byte, len(s))
+	for i, b := range s {
+		out[i] = byte(strings.IndexByte("ACGT", b))
+	}
+	return out
+}
+
+// homologousCodes draws a 2-bit reference window and a read copying its
+// prefix with one substitution every div bases.
+func homologousCodes(rng *rand.Rand, refLen, readLen, div int) (ref, read []byte) {
+	ref = make([]byte, refLen)
+	for i := range ref {
+		ref[i] = byte(rng.Intn(4))
+	}
+	read = make([]byte, readLen)
+	copy(read, ref)
+	for i := div; i < readLen; i += div {
+		read[i] = (read[i] + 1 + byte(rng.Intn(3))) & 3
+	}
+	return ref, read
+}
+
 func randScoring(rng *rand.Rand) Scoring {
 	return Scoring{
 		Match:     1 + rng.Intn(5),
@@ -62,10 +88,11 @@ func randScoring(rng *rand.Rand) Scoring {
 
 // TestExtendMatchesReference drives the shrinking-band extension
 // against the original full-row kernel on random scoring schemes,
-// z-drop thresholds, and planted-homology sequence pairs. All four
-// outputs (score, refEnd, readEnd, rows) must be byte-identical — the
-// rows value feeds the EU cost model, so even the termination row must
-// be preserved.
+// z-drop thresholds, and planted-homology sequence pairs, each as ACGT
+// letters (the per-row substitution fill) and as 2-bit codes (the
+// query profile). All four outputs (score, refEnd, readEnd, rows) must
+// be byte-identical — the rows value feeds the EU cost model, so even
+// the termination row must be preserved.
 func TestExtendMatchesReference(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
@@ -82,11 +109,13 @@ func TestExtendMatchesReference(t *testing.T) {
 		if rng.Intn(4) > 0 {
 			zdrop = rng.Intn(80)
 		}
-		ws, wi, wj, wrows := ExtendWithScratch(&s, ref, read, sc, initScore, zdrop)
-		rs, ri, rj, rrows := ExtendReference(ref, read, sc, initScore, zdrop)
-		if ws != rs || wi != ri || wj != rj || wrows != rrows {
-			t.Fatalf("trial %d: Extend mismatch (sc=%+v init=%d zdrop=%d |ref|=%d |read|=%d):\n banded    = (%d,%d,%d,%d)\n reference = (%d,%d,%d,%d)",
-				trial, sc, initScore, zdrop, len(ref), len(read), ws, wi, wj, wrows, rs, ri, rj, rrows)
+		for _, p := range [][2][]byte{{ref, read}, {codes(ref), codes(read)}} {
+			ws, wi, wj, wrows := ExtendWithScratch(&s, p[0], p[1], sc, initScore, zdrop)
+			rs, ri, rj, rrows := ExtendReference(p[0], p[1], sc, initScore, zdrop)
+			if ws != rs || wi != ri || wj != rj || wrows != rrows {
+				t.Fatalf("trial %d: Extend mismatch (sc=%+v init=%d zdrop=%d |ref|=%d |read|=%d 2-bit=%v):\n banded    = (%d,%d,%d,%d)\n reference = (%d,%d,%d,%d)",
+					trial, sc, initScore, zdrop, len(ref), len(read), p[0][0] < 4, ws, wi, wj, wrows, rs, ri, rj, rrows)
+			}
 		}
 	}
 }
@@ -184,14 +213,24 @@ func TestGlobalScratchMatches(t *testing.T) {
 
 // TestExtendScratchZeroAlloc asserts the steady-state contract the
 // pipeline relies on: a warm Scratch performs no heap allocations per
-// extension.
+// extension, cycled across a short-read flank, a long-read flank (both
+// 2-bit, the query-profile path) and an ACGT-letter pair (the per-row
+// substitution fill).
 func TestExtendScratchZeroAlloc(t *testing.T) {
-	ref, read := randSeqPair(rand.New(rand.NewSource(5)), 128)
+	rng := rand.New(rand.NewSource(5))
+	short, shortRead := homologousCodes(rng, 120, 101, 25)
+	long, longRead := homologousCodes(rng, 1008, 1000, 11)
+	ascii, asciiRead := randSeqPair(rng, 128)
+	pairs := [][2][]byte{{short, shortRead}, {long, longRead}, {ascii, asciiRead}}
 	sc := BWAMEM()
 	var s Scratch
-	ExtendWithScratch(&s, ref, read, sc, 20, 100) // warm
-	allocs := testing.AllocsPerRun(100, func() {
-		ExtendWithScratch(&s, ref, read, sc, 20, 100)
+	for _, p := range pairs { // warm
+		ExtendWithScratch(&s, p[0], p[1], sc, 20, 100)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, p := range pairs {
+			ExtendWithScratch(&s, p[0], p[1], sc, 20, 100)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("ExtendWithScratch allocates %v per run with warm scratch, want 0", allocs)

@@ -9,7 +9,8 @@
 // the honest original cost profile, not a re-optimized stand-in:
 //
 //   - align.Extend: full-row DP (ExtendReference) vs the z-drop-aware
-//     shrinking-band kernel with reused Scratch.
+//     shrinking-band kernel (leaf row pass over a query profile) with
+//     reused Scratch, on short-read, 200 bp and 1 kbp flank shapes.
 //   - fmindex.Seeds: map-based three-pass seeding over the 128-base
 //     block-scanning rank vs workspace seeding over the interleaved
 //     occ-block layout with the k-mer LUT jump-start.
@@ -194,7 +195,7 @@ func extendCase(name string, refLen, readLen, div, initScore int) Case {
 	}
 	return Case{
 		Kernel: "align.Extend/" + name,
-		Note:   "full-row DP (reference) vs shrinking-band DP with reused Scratch",
+		Note:   "full-row DP (reference) vs shrinking-band DP: leaf row pass over a query profile in a reused Scratch",
 		Before: func(b *testing.B) {
 			refs, reads := build()
 			b.ReportAllocs()
@@ -225,6 +226,10 @@ func Cases() []Case {
 	cases := []Case{
 		extendCase("101bp", 120, 101, 25, 19),
 		extendCase("200bp-flank", 240, 200, 50, 19),
+		// The long-read flank shape: a 1 kbp read's flank against its
+		// reference window, one substitution per 11 bases (the ~9%
+		// per-base error of genome.LongReadConfig).
+		extendCase("1kbp-flank", 1008, 1000, 11, 19),
 		{
 			Kernel: "fmindex.Seeds/101bp",
 			Note:   "map dedup + 128-base scanning rank (reference) vs workspace + interleaved occ blocks + k-mer LUT jump-start",

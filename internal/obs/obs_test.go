@@ -306,3 +306,37 @@ func TestObserverCatalog(t *testing.T) {
 		t.Error("engine clamp not flagged by the invariant checker")
 	}
 }
+
+// TestEUHooksZeroAllocUntraced pins the per-extension and per-round EU
+// hooks of a metrics-only observer to zero allocations once each
+// class's handles are resolved, and checks that the cached handles
+// still land in the catalog's names. The idle samples share one cycle,
+// so they coalesce and the series never grows.
+func TestEUHooksZeroAllocUntraced(t *testing.T) {
+	o := &Observer{Metrics: NewRegistry(), Inv: NewInvariants()}
+	for class := 0; class < 3; class++ { // warm
+		o.EUExtend(class, class, 16<<class, 20, 0, 10)
+		o.EUClassIdle(10, class, 1)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for class := 0; class < 3; class++ {
+			o.EUExtend(class, class, 16<<class, 20, 10, 20)
+		}
+	}); allocs != 0 {
+		t.Fatalf("EUExtend allocates %v per run untraced once warm, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for class := 0; class < 3; class++ {
+			o.EUClassIdle(10, class, 2)
+		}
+	}); allocs != 0 {
+		t.Fatalf("EUClassIdle allocates %v per run once warm, want 0", allocs)
+	}
+	snap := o.Metrics.Snapshot()
+	if got := snap.Counters["eu.class2.tasks"]; got != 102 {
+		t.Errorf("eu.class2.tasks = %d, want 102", got)
+	}
+	if pts := snap.Series["eu.class1.idle"]; len(pts) != 1 || pts[0].Value != 2 {
+		t.Errorf("eu.class1.idle = %v, want one point of value 2", pts)
+	}
+}

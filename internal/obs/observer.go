@@ -12,6 +12,12 @@ type Observer struct {
 	Metrics *Registry
 	Trace   *Trace
 	Inv     *Invariants
+
+	// classTasks and classIdle cache Metrics' eu.class<c>.tasks and
+	// eu.class<c>.idle handles by class, so the per-extension and
+	// per-round hooks format each name once.
+	classTasks []*Counter
+	classIdle  []*Series
 }
 
 // New returns an Observer with metrics, trace, and invariant checking
@@ -74,7 +80,7 @@ func (o *Observer) EUExtend(id, class, pes, hitLen int, start, end int64) {
 		return
 	}
 	o.Metrics.Counter("eu.tasks").Inc()
-	o.Metrics.Counter(fmt.Sprintf("eu.class%d.tasks", class)).Inc()
+	o.classTasksCounter(class).Inc()
 	o.Metrics.Histogram("eu.hit_len", hitLenBounds).Observe(float64(hitLen))
 	if o.Trace != nil {
 		o.Trace.Thread(PidEU, id, fmt.Sprintf("EU %d (%d PEs)", id, pes))
@@ -184,7 +190,37 @@ func (o *Observer) EUClassIdle(now int64, class, idle int) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Series(fmt.Sprintf("eu.class%d.idle", class)).Sample(now, float64(idle))
+	o.classIdleSeries(class).Sample(now, float64(idle))
+}
+
+// classTasksCounter returns the eu.class<class>.tasks counter, resolved
+// on first use and cached; nil when metrics are off.
+func (o *Observer) classTasksCounter(class int) *Counter {
+	if o.Metrics == nil {
+		return nil
+	}
+	for len(o.classTasks) <= class {
+		o.classTasks = append(o.classTasks, nil)
+	}
+	if o.classTasks[class] == nil {
+		o.classTasks[class] = o.Metrics.Counter(fmt.Sprintf("eu.class%d.tasks", class))
+	}
+	return o.classTasks[class]
+}
+
+// classIdleSeries is classTasksCounter for the eu.class<class>.idle
+// series.
+func (o *Observer) classIdleSeries(class int) *Series {
+	if o.Metrics == nil {
+		return nil
+	}
+	for len(o.classIdle) <= class {
+		o.classIdle = append(o.classIdle, nil)
+	}
+	if o.classIdle[class] == nil {
+		o.classIdle[class] = o.Metrics.Series(fmt.Sprintf("eu.class%d.idle", class))
+	}
+	return o.classIdle[class]
 }
 
 // --- Seeding scheduler ----------------------------------------------

@@ -335,7 +335,7 @@ func (a *Aligner) ExtendHitCost(oriented seq.Seq, h core.Hit) (core.Extension, E
 	scr := a.getScratch()
 	defer a.putScratch(scr)
 	sc := a.opts.Scoring
-	leftR, leftQ, rightR, rightQ := a.ExtendDims(h)
+	lr, lq, rr, rq := a.flanks(scr, oriented, h)
 
 	score := h.SeedScore
 	refBeg := h.RefPos
@@ -351,32 +351,41 @@ func (a *Aligner) ExtendHitCost(oriented seq.Seq, h core.Hit) (core.Extension, E
 		return align.ExtendWithScratch(&scr.dp, r, q, sc, init, a.opts.ZDrop)
 	}
 
-	// Left extension: reverse both the query prefix and the reference
-	// window so Extend anchors at the seed's left edge. The reversed
-	// views live in pooled scratch.
-	if leftQ > 0 && leftR > 0 {
-		q := reverseInto(&scr.qrev, oriented[h.ReadBeg-leftQ:h.ReadBeg])
-		r := reverseInto(&scr.rrev, a.ref[h.RefPos-leftR:h.RefPos])
-		s, rEnd, qEnd, rows := extend(r, q, score)
+	if lq != nil {
+		s, rEnd, qEnd, rows := extend(lr, lq, score)
 		score = s
 		refBeg = h.RefPos - rEnd
 		readBeg = h.ReadBeg - qEnd // reversed view: qEnd counts leftwards
 		cost.LeftRows = rows
-		cost.LeftQ = minInt(leftQ, rows+a.opts.ExtBand)
+		cost.LeftQ = minInt(len(lq), rows+a.opts.ExtBand)
 	}
-	// Right extension.
-	if rightQ > 0 && rightR > 0 {
-		q := oriented[h.ReadEnd : h.ReadEnd+rightQ]
-		r := a.ref[refEnd : refEnd+rightR]
-		s, rEnd, qEnd, rows := extend(r, q, score)
+	if rq != nil {
+		s, rEnd, qEnd, rows := extend(rr, rq, score)
 		score = s
 		refEnd += rEnd
 		readEnd = h.ReadEnd + qEnd
 		cost.RightRows = rows
-		cost.RightQ = minInt(rightQ, rows+a.opts.ExtBand)
+		cost.RightQ = minInt(len(rq), rows+a.opts.ExtBand)
 	}
 	return core.Extension{Hit: h, Score: score, RefBeg: refBeg, RefEnd: refEnd,
 		ReadBeg: readBeg, ReadEnd: readEnd}, cost
+}
+
+// flanks returns the reference window and query of hit h's left and
+// right extensions, nil where a flank has no extent. The left flank is
+// reversed (into scr) so Extend anchors at the seed's left edge.
+func (a *Aligner) flanks(scr *alnScratch, oriented seq.Seq, h core.Hit) (lr, lq, rr, rq seq.Seq) {
+	leftR, leftQ, rightR, rightQ := a.ExtendDims(h)
+	if leftQ > 0 && leftR > 0 {
+		lq = reverseInto(&scr.qrev, oriented[h.ReadBeg-leftQ:h.ReadBeg])
+		lr = reverseInto(&scr.rrev, a.ref[h.RefPos-leftR:h.RefPos])
+	}
+	if rightQ > 0 && rightR > 0 {
+		refEnd := h.RefPos + h.SeedLen()
+		rq = oriented[h.ReadEnd : h.ReadEnd+rightQ]
+		rr = a.ref[refEnd : refEnd+rightR]
+	}
+	return lr, lq, rr, rq
 }
 
 func minInt(a, b int) int {

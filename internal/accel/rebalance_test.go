@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nvwa/internal/fault"
+	"nvwa/internal/pipeline"
 )
 
 // lcgCosts generates a deterministic pseudo-random cost vector without
@@ -162,17 +163,21 @@ func TestEstimateReadCostsWorkerInvariance(t *testing.T) {
 // seeding fast path: routing the cost probe through the k-mer LUT
 // jump-start changes how counts are computed, not what they are, so the
 // cost vector — and the steal schedule PlanBalanced derives from it —
-// is bit-identical to the plain backward-search probe.
+// is bit-identical to the plain backward-search probe. The plain side
+// is a second aligner over the same reference whose table is rebuilt
+// with k=1: a 1-mer jump skips no extension step.
 func TestEstimateReadCostsLUTInvariance(t *testing.T) {
 	t.Parallel()
 	a, reads := testWorkload(t, 160, 43)
 	if a.Seeder().Bi().LUT() == nil {
 		t.Fatal("expected a default LUT on the test reference")
 	}
+	stepwise := pipeline.New(a.Ref(), a.Options())
+	if err := stepwise.Seeder().Bi().BuildLUT(1); err != nil {
+		t.Fatal(err)
+	}
 	withLUT := EstimateReadCosts(a, reads, 0)
-	a.Seeder().SetReferenceRank(true) // detaches the jump: CountLUT falls back
-	plain := EstimateReadCosts(a, reads, 0)
-	a.Seeder().SetReferenceRank(false)
+	plain := EstimateReadCosts(stepwise, reads, 0)
 	if !reflect.DeepEqual(withLUT, plain) {
 		t.Fatal("cost vector differs between LUT and plain probes")
 	}

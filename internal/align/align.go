@@ -110,8 +110,8 @@ const (
 
 // Local computes the optimal affine-gap local alignment of read
 // against ref with full O(|ref|*|read|) dynamic programming and
-// traceback. It is a thin wrapper over LocalWithScratch with a
-// private workspace; hot paths should reuse a Scratch instead.
+// traceback. It is a thin wrapper over localBandedWS with a private
+// workspace.
 func Local(ref, read []byte, sc Scoring) Result {
 	var s Scratch
 	return localBandedWS(&s, ref, read, sc, -1)
@@ -120,7 +120,7 @@ func Local(ref, read []byte, sc Scoring) Result {
 // LocalBanded computes a banded local alignment: cells with
 // |i-j| > band are excluded. A band of -1 disables banding. With a
 // sufficiently wide band the result equals Local. It is a thin
-// wrapper over LocalBandedWithScratch with a private workspace.
+// wrapper over localBandedWS with a private workspace.
 func LocalBanded(ref, read []byte, sc Scoring, band int) Result {
 	var s Scratch
 	return localBandedWS(&s, ref, read, sc, band)
@@ -303,14 +303,6 @@ func ScoreCigar(ref, read []byte, r Result, sc Scoring) (int, error) {
 		return 0, fmt.Errorf("align: path ends at (%d,%d), result says (%d,%d)", i, j, r.RefEnd, r.ReadEnd)
 	}
 	return score, nil
-}
-
-// Global computes the optimal affine-gap global alignment score of the
-// two full sequences. It is a thin wrapper over GlobalWithScratch with
-// a private workspace.
-func Global(ref, read []byte, sc Scoring) int {
-	var s Scratch
-	return GlobalWithScratch(&s, ref, read, sc)
 }
 
 // Extend computes a BWA-MEM-style seed extension: read is aligned

@@ -245,27 +245,6 @@ func TestBandedFindsNearDiagonalAlignment(t *testing.T) {
 	}
 }
 
-func TestGlobal(t *testing.T) {
-	t.Parallel()
-	sc := BWAMEM()
-	s := []byte{0, 1, 2, 3, 0, 1}
-	if got := Global(s, s, sc); got != 6 {
-		t.Errorf("Global(s,s) = %d, want 6", got)
-	}
-	// One mismatch.
-	r := append([]byte(nil), s...)
-	r[2] = (r[2] + 1) % 4
-	if got := Global(s, r, sc); got != 5-4 {
-		t.Errorf("Global one-mismatch = %d, want 1", got)
-	}
-	// One deleted base: 5 matches - (6+1).
-	if got := Global(s, s[:5], sc); got == negInf {
-		t.Error("Global with indel returned -inf")
-	} else if got != 5-7 {
-		t.Errorf("Global one-del = %d, want -2", got)
-	}
-}
-
 func TestExtendPerfect(t *testing.T) {
 	t.Parallel()
 	sc := BWAMEM()

@@ -1,11 +1,11 @@
 // Scratch-backed kernel variants. The package-level entry points
-// (Local, LocalBanded, Extend, Global) allocate their DP state on
-// every call; at the simulator's scale those matrices are rebuilt
-// thousands of times per figure, so the hot paths thread a reusable
-// Scratch through *WithScratch variants instead. The wrappers keep
-// the original signatures and semantics by passing a fresh Scratch.
+// (Local, LocalBanded, Extend) allocate their DP state on every call;
+// at the simulator's scale those matrices are rebuilt thousands of
+// times per figure, so the hot paths thread a reusable Scratch through
+// ExtendWithScratch instead. The wrappers keep the original signatures
+// and semantics by passing a fresh Scratch.
 //
-// All *WithScratch kernels tolerate dirty scratch memory: every cell
+// All scratch-backed kernels tolerate dirty scratch memory: every cell
 // a kernel reads is written first (absolute stores, no |= into stale
 // bytes), so a Scratch can be reused across calls and sequence sizes
 // without clearing.
@@ -15,9 +15,8 @@ package align
 // zero value is ready to use. A Scratch is not safe for concurrent
 // use; share via a sync.Pool or keep one per goroutine.
 //
-// Results that carry a Cigar (LocalWithScratch, LocalBandedWithScratch)
-// alias the Scratch's internal buffer: the Cigar is valid until the
-// next call that uses the same Scratch.
+// A Result's Cigar from localBandedWS aliases the Scratch's internal
+// buffer: it is valid until the next call that uses the same Scratch.
 type Scratch struct {
 	h, e, f []int
 	tb      []byte
@@ -41,20 +40,6 @@ func grow[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-// LocalWithScratch is Local using s for all DP state. The returned
-// Cigar aliases s and is valid until the next call with the same
-// Scratch.
-func LocalWithScratch(s *Scratch, ref, read []byte, sc Scoring) Result {
-	return localBandedWS(s, ref, read, sc, -1)
-}
-
-// LocalBandedWithScratch is LocalBanded using s for all DP state. The
-// returned Cigar aliases s and is valid until the next call with the
-// same Scratch.
-func LocalBandedWithScratch(s *Scratch, ref, read []byte, sc Scoring, band int) Result {
-	return localBandedWS(s, ref, read, sc, band)
 }
 
 // localBandedWS is the scratch-backed full/banded local DP with
@@ -218,55 +203,6 @@ done:
 		ReadEnd: bj,
 		Cigar:   cig,
 	}
-}
-
-// GlobalWithScratch is Global using s for the two rolling rows.
-func GlobalWithScratch(s *Scratch, ref, read []byte, sc Scoring) int {
-	m, n := len(ref), len(read)
-	s.h = grow(s.h, n+1)
-	s.e = grow(s.e, n+1)
-	h, e := s.h, s.e
-	goe := sc.GapOpen + sc.GapExtend
-	ge := sc.GapExtend
-	h[0] = 0
-	for j := 1; j <= n; j++ {
-		h[j] = -sc.GapOpen - j*ge
-		e[j] = negInf
-	}
-	for i := 1; i <= m; i++ {
-		hDiagPrev := h[0]
-		h[0] = -sc.GapOpen - i*ge
-		fRow := negInf
-		hLeft := h[0]
-		ri := ref[i-1]
-		for j := 1; j <= n; j++ {
-			eNew := e[j] - ge
-			if eo := h[j] - goe; eo > eNew {
-				eNew = eo
-			}
-			fRow -= ge
-			if fo := hLeft - goe; fo > fRow {
-				fRow = fo
-			}
-			sub := -sc.Mismatch
-			if ri == read[j-1] {
-				sub = sc.Match
-			}
-			diag := hDiagPrev + sub
-			hDiagPrev = h[j]
-			hv := diag
-			if eNew > hv {
-				hv = eNew
-			}
-			if fRow > hv {
-				hv = fRow
-			}
-			h[j] = hv
-			e[j] = eNew
-			hLeft = hv
-		}
-	}
-	return h[n]
 }
 
 // ExtendWithScratch is Extend using s for the rolling row, with a

@@ -194,23 +194,6 @@ func TestLocalScratchMatches(t *testing.T) {
 	}
 }
 
-// TestGlobalScratchMatches drives GlobalWithScratch against a fresh
-// run of the original recurrence across reused scratch sizes.
-func TestGlobalScratchMatches(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(37))
-	var s Scratch
-	for trial := 0; trial < 400; trial++ {
-		ref, read := randSeqPair(rng, 70)
-		sc := randScoring(rng)
-		got := GlobalWithScratch(&s, ref, read, sc)
-		want := Global(ref, read, sc)
-		if got != want {
-			t.Fatalf("trial %d: GlobalWithScratch=%d Global=%d (sc=%+v)", trial, got, want, sc)
-		}
-	}
-}
-
 // TestExtendScratchZeroAlloc asserts the steady-state contract the
 // pipeline relies on: a warm Scratch performs no heap allocations per
 // extension, cycled across a short-read flank, a long-read flank (both
@@ -243,11 +226,11 @@ func TestLocalBandedScratchZeroAlloc(t *testing.T) {
 	ref, read := randSeqPair(rand.New(rand.NewSource(6)), 128)
 	sc := BWAMEM()
 	var s Scratch
-	LocalBandedWithScratch(&s, ref, read, sc, 16) // warm
+	localBandedWS(&s, ref, read, sc, 16) // warm
 	allocs := testing.AllocsPerRun(100, func() {
-		LocalBandedWithScratch(&s, ref, read, sc, 16)
+		localBandedWS(&s, ref, read, sc, 16)
 	})
 	if allocs != 0 {
-		t.Fatalf("LocalBandedWithScratch allocates %v per run with warm scratch, want 0", allocs)
+		t.Fatalf("localBandedWS allocates %v per run with warm scratch, want 0", allocs)
 	}
 }

@@ -1,10 +1,11 @@
 // Package eu models NvWa's extension units: Darwin-style Smith-
 // Waterman systolic arrays that execute the seed-extension phase. A
-// unit runs the cycle-exact systolic model of package systolic for
-// each of the hit's two extension sub-tasks (left and right of the
-// seed), so both its results and its latency are faithful: scores
-// equal the software pipeline's, and the matrix-fill cost follows the
-// paper's Formula 3 for the unit's PE count.
+// unit extends each hit's two sub-tasks (left and right of the seed)
+// functionally through its Extender, whose scores the cycle-exact
+// array of package systolic is tested to reproduce, and charges the
+// matrix fill by the paper's Formula 3 (systolic.Latency) for the
+// unit's PE count. Results equal the software pipeline's; latency
+// follows the modeled array.
 package eu
 
 import (
@@ -44,8 +45,8 @@ type Extender interface {
 	// ExtendHitCost extends one hit and reports the DP extents the
 	// cycle model charges Formula 3 for.
 	ExtendHitCost(oriented seq.Seq, h core.Hit) (core.Extension, pipeline.ExtendCost)
-	// Options exposes the aligner options (scoring, band) the unit's
-	// systolic model is parameterised by.
+	// Options exposes the aligner options; the unit's cost model reads
+	// the extension band.
 	Options() pipeline.Options
 }
 
@@ -53,7 +54,7 @@ type Extender interface {
 type Unit struct {
 	id      int
 	class   int
-	arr     systolic.Array
+	pes     int // systolic-array width, the P of Formula 3
 	aligner Extender
 	extBand int // cached Options().ExtBand: read per task, copied once
 	cost    CostModel
@@ -79,7 +80,7 @@ func New(id, class, pes int, aligner Extender, cost CostModel) *Unit {
 	return &Unit{
 		id:      id,
 		class:   class,
-		arr:     systolic.Array{PEs: pes, Scoring: aligner.Options().Scoring},
+		pes:     pes,
 		aligner: aligner,
 		extBand: aligner.Options().ExtBand,
 		cost:    cost,
@@ -93,7 +94,7 @@ func (u *Unit) ID() int { return u.id }
 func (u *Unit) Class() int { return u.class }
 
 // PEs implements the Table III pe_number signal.
-func (u *Unit) PEs() int { return u.arr.PEs }
+func (u *Unit) PEs() int { return u.pes }
 
 // AttachObs wires an observer into the unit so each extension task
 // emits a trace span and metric updates. A nil observer detaches.
@@ -131,7 +132,7 @@ func (u *Unit) PEUtilization() float64 {
 	if u.occupancy == 0 {
 		return 0
 	}
-	return float64(u.busyPECycles) / float64(int64(u.arr.PEs)*u.occupancy)
+	return float64(u.busyPECycles) / float64(int64(u.pes)*u.occupancy)
 }
 
 // OccupancyCycles returns the total array-busy cycles across executed
@@ -173,7 +174,7 @@ func (u *Unit) Execute(now int64, oriented seq.Seq, h core.Hit) (core.Extension,
 	// the z-drop heuristic actually processed). This is what makes
 	// Formula 3 with R=Q=hit_len the right sizing rule, exactly as the
 	// paper applies it in Fig. 8/9.
-	fill := int64(systolic.Latency(r, h.SeedLen(), u.arr.PEs))
+	fill := int64(systolic.Latency(r, h.SeedLen(), u.pes))
 	u.fillCycles += fill
 	// PE-occupancy accounting: processed DP cells over the array-time
 	// the task held. Each computed cell also banks a traceback pointer.
@@ -194,7 +195,7 @@ func (u *Unit) Execute(now int64, oriented seq.Seq, h core.Hit) (core.Extension,
 	u.occupancy += cycles
 	u.tasks++
 	if u.obs != nil {
-		u.obs.EUExtend(u.id, u.class, u.arr.PEs, h.SchedLen(), now, now+cycles)
+		u.obs.EUExtend(u.id, u.class, u.pes, h.SchedLen(), now, now+cycles)
 		u.obs.EUTraceback(now, tb.Cycles, ext.RefSpan(), ext.ReadSpan(), tb.Spilled)
 	}
 	return ext, now + cycles

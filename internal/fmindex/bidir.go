@@ -24,13 +24,6 @@ func NewBi(t []byte) *BiIndex {
 // Fwd exposes the forward index (used for locating occurrences).
 func (b *BiIndex) Fwd() *Index { return b.fwd }
 
-// SetReferenceRank routes both halves' rank queries through the
-// original block-scanning implementation (benchmark/oracle use only).
-func (b *BiIndex) SetReferenceRank(v bool) {
-	b.fwd.SetReferenceRank(v)
-	b.rev.SetReferenceRank(v)
-}
-
 // TextLen returns the length of the indexed text.
 func (b *BiIndex) TextLen() int { return b.fwd.textLen }
 
@@ -56,78 +49,27 @@ func (b *BiIndex) Single(a byte) BiInterval {
 	}
 }
 
-// Occ4 returns occurrence counts of all four bases in bwt[0:i). The
-// hardware reads one 128-base checkpointed block, so a single table
-// access is charged regardless of how many of the four counters the
-// caller consumes (mirroring bwt_2occ4 / the LFMapBit block fetch).
-func (x *Index) Occ4(i int, st *Stats) [4]int {
-	if st != nil {
-		st.OccAccesses++
-	}
-	return x.occ4Raw(i)
-}
-
-// ExtendLeft turns the interval of P into the interval of aP.
+// ExtendLeft turns the interval of P into the interval of aP. The
+// hardware reads one 128-base checkpointed block per interval bound
+// (mirroring bwt_2occ4 / the LFMapBit block fetch), so two table
+// accesses are charged.
 func (b *BiIndex) ExtendLeft(iv BiInterval, a byte, st *Stats) BiInterval {
-	if x := b.fwd; !x.scanRank {
-		// Fused interleaved-layout path: same two Occ4 block reads are
-		// charged; only the software layout underneath differs.
-		if st != nil {
-			st.OccAccesses += 2
-		}
-		var out BiInterval
-		out.Fwd, out.Rev = extendFast(x, iv.Fwd, iv.Rev, a)
-		return out
+	if st != nil {
+		st.OccAccesses += 2
 	}
-	loOcc := b.fwd.Occ4(iv.Fwd.Lo, st)
-	hiOcc := b.fwd.Occ4(iv.Fwd.Hi, st)
-	var s [4]int
-	total := 0
-	for c := 0; c < 4; c++ {
-		s[c] = hiOcc[c] - loOcc[c]
-		total += s[c]
-	}
-	// Occurrences of P preceded by the start of text (sentinel in the
-	// BWT); in the reverse index these sort before every extension.
-	e := iv.Fwd.Size() - total
-
 	var out BiInterval
-	out.Fwd = Interval{b.fwd.c[a] + loOcc[a], b.fwd.c[a] + hiOcc[a]}
-	lo := iv.Rev.Lo + e
-	for c := 0; c < int(a); c++ {
-		lo += s[c]
-	}
-	out.Rev = Interval{lo, lo + s[a]}
+	out.Fwd, out.Rev = extendFast(b.fwd, iv.Fwd, iv.Rev, a)
 	return out
 }
 
-// ExtendRight turns the interval of P into the interval of Pa.
+// ExtendRight turns the interval of P into the interval of Pa,
+// charging the same two table accesses as ExtendLeft.
 func (b *BiIndex) ExtendRight(iv BiInterval, a byte, st *Stats) BiInterval {
-	if x := b.rev; !x.scanRank {
-		if st != nil {
-			st.OccAccesses += 2
-		}
-		var out BiInterval
-		out.Rev, out.Fwd = extendFast(x, iv.Rev, iv.Fwd, a)
-		return out
+	if st != nil {
+		st.OccAccesses += 2
 	}
-	loOcc := b.rev.Occ4(iv.Rev.Lo, st)
-	hiOcc := b.rev.Occ4(iv.Rev.Hi, st)
-	var s [4]int
-	total := 0
-	for c := 0; c < 4; c++ {
-		s[c] = hiOcc[c] - loOcc[c]
-		total += s[c]
-	}
-	e := iv.Rev.Size() - total
-
 	var out BiInterval
-	out.Rev = Interval{b.rev.c[a] + loOcc[a], b.rev.c[a] + hiOcc[a]}
-	lo := iv.Fwd.Lo + e
-	for c := 0; c < int(a); c++ {
-		lo += s[c]
-	}
-	out.Fwd = Interval{lo, lo + s[a]}
+	out.Rev, out.Fwd = extendFast(b.rev, iv.Rev, iv.Fwd, a)
 	return out
 }
 

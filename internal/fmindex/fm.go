@@ -49,13 +49,10 @@ type Index struct {
 	// any rank query popcounts at most one partial word; see
 	// interleave.go.
 	blocks []occBlock
-	// scanRank routes rank queries through the original 128-base
-	// block-scanning implementation (benchmark/oracle use only).
-	scanRank bool
-	c        [5]int   // C[a] = count of bases < a in text (sentinel included at rank 0)
-	saMask   []uint64 // bitset: SA value sampled at this BWT row?
-	saRank   []int32  // cumulative popcount of saMask words, for O(1) rank
-	saVals   []int32  // sampled SA values, indexed by rank among sampled rows
+	c      [5]int   // C[a] = count of bases < a in text (sentinel included at rank 0)
+	saMask []uint64 // bitset: SA value sampled at this BWT row?
+	saRank []int32  // cumulative popcount of saMask words, for O(1) rank
+	saVals []int32  // sampled SA values, indexed by rank among sampled rows
 }
 
 // New builds an FM-index of t (2-bit codes). It retains no reference
@@ -124,90 +121,6 @@ func (x *Index) Occ(a byte, i int, st *Stats) int {
 	return x.occRaw(a, i)
 }
 
-const loPairs = uint64(0x5555555555555555)
-
-// SetReferenceRank routes this index's rank queries through the
-// original OccInterval-spaced block-scanning implementation instead of
-// the interleaved per-word checkpoints. It exists so the kernel
-// benchmarks' "before" side and the equivalence tests can reproduce
-// the original cost profile; simulation code never calls it. Results
-// are identical either way.
-func (x *Index) SetReferenceRank(v bool) { x.scanRank = v }
-
-// occRawScan is the original occRaw: start from the enclosing 128-base
-// checkpoint (every fourth per-word checkpoint coincides with it) and
-// scan up to four BWT words.
-func (x *Index) occRawScan(a byte, i int) int {
-	if i <= 0 {
-		return 0
-	}
-	if i > x.size() {
-		i = x.size()
-	}
-	// blocks[4*cp] counts bwt[0 : cp*128), exactly the original
-	// 128-base table entry (i <= size() keeps the index in range).
-	cp := i / OccInterval
-	count := int(x.blocks[cp*(OccInterval/basesPerWord)].cnt[a])
-	start := cp * OccInterval
-	// Popcount the 2-bit symbols equal to a in bwt[start:i).
-	pat := uint64(a&3) * loPairs
-	for w := start / basesPerWord; w*basesPerWord < i; w++ {
-		word := x.blocks[w].word ^ ^pat // bases equal to a become 0b11 pairs
-		word = word & (word >> 1) & loPairs
-		lo := w * basesPerWord
-		// Mask off bases outside [start, i).
-		if lo < start {
-			word &^= (1 << uint((start-lo)*2)) - 1
-		}
-		if hi := lo + basesPerWord; hi > i {
-			if i <= lo {
-				break
-			}
-			word &= (1 << uint((i-lo)*2)) - 1
-		}
-		count += bits.OnesCount64(word)
-	}
-	// The sentinel is stored as symbol 0; exclude it from counts of A.
-	if a == 0 && x.primary >= start && x.primary < i {
-		count--
-	}
-	return count
-}
-
-func (x *Index) occRaw(a byte, i int) int {
-	if x.scanRank {
-		return x.occRawScan(a, i)
-	}
-	if i <= 0 {
-		return 0
-	}
-	if i > x.size() {
-		i = x.size()
-	}
-	return x.occRawFast(a, i)
-}
-
-// occ4Raw returns occurrence counts of all four bases in bwt[0:i) with
-// one checkpoint load and three popcounts over the partial word.
-func (x *Index) occ4Raw(i int) [4]int {
-	if x.scanRank {
-		return [4]int{x.occRawScan(0, i), x.occRawScan(1, i), x.occRawScan(2, i), x.occRawScan(3, i)}
-	}
-	if i <= 0 {
-		return [4]int{}
-	}
-	if i > x.size() {
-		i = x.size()
-	}
-	o0, o1, o2, o3 := x.occ4Fast(i)
-	return [4]int{o0, o1, o2, o3}
-}
-
-// bwtAt returns the BWT symbol at row i (undefined at primary).
-func (x *Index) bwtAt(i int) byte {
-	return byte(x.blocks[i/basesPerWord].word>>uint((i%basesPerWord)*2)) & 3
-}
-
 // Interval is a half-open SA interval [Lo, Hi) of rows whose suffixes
 // start with the current pattern.
 type Interval struct {
@@ -241,35 +154,6 @@ func (x *Index) Count(p []byte, st *Stats) int {
 		}
 	}
 	return iv.Size()
-}
-
-// lf maps BWT row i to the row of the preceding text position.
-func (x *Index) lf(i int, st *Stats) int {
-	if i == x.primary {
-		return 0
-	}
-	a := x.bwtAt(i)
-	if st != nil {
-		st.LFSteps++
-	}
-	return x.c[a] + x.Occ(a, i, st)
-}
-
-// Locate returns the text position of the suffix at SA row i by
-// LF-walking to the nearest sampled row.
-func (x *Index) Locate(i int, st *Stats) int {
-	if !x.scanRank {
-		return x.locateFast(i, st)
-	}
-	steps := 0
-	for x.saMask[i/64]&(1<<uint(i%64)) == 0 {
-		i = x.lf(i, st)
-		steps++
-	}
-	if st != nil {
-		st.SALookups++
-	}
-	return int(x.saVals[x.sampleRank(i)]) + steps
 }
 
 // sampleRank returns the index into saVals for sampled row i.

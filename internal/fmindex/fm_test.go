@@ -170,6 +170,7 @@ func TestOccIntervalBoundaries(t *testing.T) {
 		text[i] = byte(rng.Intn(4))
 	}
 	idx := New(text)
+	bwt := decodeBWT(idx)
 	counts := make([]int, 4)
 	for i := 0; i < idx.size(); i++ {
 		for a := byte(0); a < 4; a++ {
@@ -178,7 +179,30 @@ func TestOccIntervalBoundaries(t *testing.T) {
 			}
 		}
 		if i != idx.primary {
-			counts[idx.bwtAt(i)]++
+			counts[bwt[i]]++
 		}
 	}
+}
+
+// decodeBWT unpacks x's BWT from its interleaved blocks, one symbol
+// per row. The sentinel row (x.primary) is stored as 0, so counters
+// must skip it.
+func decodeBWT(x *Index) []byte {
+	out := make([]byte, x.size())
+	for i := range out {
+		out[i] = byte(x.blocks[i/basesPerWord].word>>uint((i%basesPerWord)*2)) & 3
+	}
+	return out
+}
+
+// naiveOcc is the brute-force rank oracle: occurrences of a in
+// bwt[0:i), sentinel row excluded, with i clamped to [0, len(bwt)].
+func naiveOcc(bwt []byte, primary int, a byte, i int) int {
+	n := 0
+	for j := 0; j < i && j < len(bwt); j++ {
+		if j != primary && bwt[j] == a {
+			n++
+		}
+	}
+	return n
 }

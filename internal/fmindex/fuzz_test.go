@@ -2,13 +2,13 @@ package fmindex
 
 import "testing"
 
-// FuzzSeedsLUTVsReference drives the full seeding fast path —
-// interleaved rank layout plus k-mer LUT jump-start — against the
-// original SeedsReference oracle running over the 128-base scanning
-// rank, on fuzzer-chosen reference/read pairs. Seeds (values and
-// order) and charged Stats must both agree exactly: the Stats contract
-// is what keeps simulated Reports byte-identical when the fast path is
-// toggled, so a divergence here is a simulator-fidelity bug, not just
+// FuzzSeedsLUTVsReference drives the production seeding path —
+// Workspace passes plus the k-mer LUT jump-start — against the
+// SeedsReference oracle (map-based dedup, allocating passes, no LUT)
+// on fuzzer-chosen reference/read pairs. Seeds (values and order) and
+// charged Stats must both agree exactly: the Stats contract is what
+// keeps simulated Reports equal to the reference seeding's cost
+// profile, so a divergence here is a simulator-fidelity bug, not just
 // a software one.
 func FuzzSeedsLUTVsReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 2, 1, 0, 3, 1, 1, 2, 0}, []byte{0, 1, 2, 3, 2, 1}, byte(4), byte(8))
@@ -50,8 +50,6 @@ func FuzzSeedsLUTVsReference(f *testing.F) {
 		var ws Workspace
 		var stFast, stRef Stats
 		fast := sd.SeedsWS(&ws, r, minLen, 16, maxMemIntv, &stFast)
-
-		sd.SetReferenceRank(true)
 		ref := sd.SeedsReference(r, minLen, 16, maxMemIntv, &stRef)
 
 		if len(fast) != len(ref) {

@@ -2,23 +2,18 @@ package fmindex
 
 import "math/bits"
 
-// Interleaved FM-index layout: the rank path keeps each BWT word's
-// occurrence checkpoint in the same 24-byte block as the word it
-// summarizes, so one rank query touches one cache line instead of two
-// arrays a megabyte apart (a split checkpoint/BWT layout). This is the
-// data-locality discipline of GPU/FPGA BWT kernels (SaLoBa's
-// coalesced occ blocks, BWA-MEM2's interleaved cp_occ): the modeled
-// hardware is unchanged — Stats still charges one OccInterval-block
-// read per Occ evaluation — only the software's memory layout under
-// the SeedsWS API moves.
-//
-// Two rank implementations coexist, selected per Index:
-//
-//	interleaved blocks  — the production path (this file)
-//	128-base block scan — the original oracle, via SetReferenceRank(true)
-//
-// Both return identical counts and charge identical Stats; the
-// equivalence suite and FuzzSeedsLUTVsReference pin it.
+// Interleaved FM-index layout: each BWT word's occurrence checkpoint
+// lives in the same 24-byte block as the word it summarizes, so one
+// rank query touches one cache line instead of two arrays a megabyte
+// apart (a split checkpoint/BWT layout). This is the data-locality
+// discipline of GPU/FPGA BWT kernels (SaLoBa's coalesced occ blocks,
+// BWA-MEM2's interleaved cp_occ). It is the index's only rank path.
+// The modeled hardware is unchanged: Stats still charges one
+// OccInterval-block read per Occ evaluation, whatever the software
+// layout underneath. TestOccRankEquivalence pins every rank query
+// against a naive count over the decoded BWT.
+
+const loPairs = uint64(0x5555555555555555)
 
 // occBlock interleaves one BWT word with the occurrence checkpoint
 // covering bwt[0 : w*32). 24 bytes: checkpoint and word share a line.
@@ -27,9 +22,16 @@ type occBlock struct {
 	word uint64
 }
 
-// occRawFast is occRaw over the interleaved layout: one block load
-// serves the checkpoint and the partial word. i must be in (0, size].
-func (x *Index) occRawFast(a byte, i int) int {
+// occRaw returns the number of occurrences of base a in bwt[0:i),
+// clamping i to [0, size]: one block load serves the checkpoint and
+// the partial word.
+func (x *Index) occRaw(a byte, i int) int {
+	if i <= 0 {
+		return 0
+	}
+	if i > x.size() {
+		i = x.size()
+	}
 	w := uint(i) / basesPerWord
 	b := &x.blocks[w]
 	count := int(b.cnt[a])
@@ -103,11 +105,12 @@ func extendFast(x *Index, main, other Interval, a byte) (Interval, Interval) {
 	return outMain, Interval{lo, lo + sz}
 }
 
-// locateFast is Locate with the LF step fused over the interleaved
-// layout: one block load per step serves both the BWT symbol and its
-// rank. Charges per step are identical to lf (one LFStep and one
-// OccAccess per non-sentinel row; the sentinel row maps to 0 free).
-func (x *Index) locateFast(i int, st *Stats) int {
+// Locate returns the text position of the suffix at SA row i by
+// LF-walking to the nearest sampled row. One block load per step
+// serves both the BWT symbol and its rank; each non-sentinel step
+// charges one LFStep and one OccAccess (the sentinel row maps to row 0
+// free), and the sampled-SA read charges one SALookup.
+func (x *Index) Locate(i int, st *Stats) int {
 	steps := 0
 	for x.saMask[uint(i)/64]&(1<<(uint(i)%64)) == 0 {
 		if i == x.primary {

@@ -2,9 +2,12 @@ package fmindex
 
 // Reference implementations of the seeding pipeline, retained verbatim
 // from before the Workspace fast path: per-call allocation of the
-// traversal stacks and output slices, and map-based dedup between
-// passes. They are the differential-test oracles for the *WS variants
-// and the "before" baselines in the kernel benchmarks. Simulation code
+// traversal stacks and output slices, map-based dedup between passes,
+// and no k-mer LUT jump-start. They share the index's one rank path
+// with the production code, so they pin the workspace, sorted-sweep
+// dedup and LUT logic, not the rank kernel. They are plain functions:
+// the differential-test oracles for the *WS variants and the "before"
+// side of the fmindex.Seeds/101bp kernel benchmark. Simulation code
 // must not call them.
 
 // findSMEMsReference is the original FindSMEMs: allocating traversal,
@@ -82,7 +85,8 @@ func (b *BiIndex) repeatSeedsReference(r []byte, minLen, maxIntv int, st *Stats)
 // SeedsReference is the original three-pass Seeds: allocating seeding
 // passes, map-based dedup, and per-SMEM LocateAll allocations. It is
 // exported for the kernel benchmark harness (the "before" side of the
-// SMEM-seeding row in BENCH_kernels.json) and the equivalence tests.
+// fmindex.Seeds/101bp row in BENCH_kernels.json) and the equivalence
+// tests in other packages.
 func (s *Seeder) SeedsReference(r []byte, minLen, maxOcc, maxMemIntv int, st *Stats) []Seed {
 	smems := s.bi.findSMEMsReseedReference(r, minLen, minLen*3/2, 10, st)
 	if maxMemIntv > 0 {

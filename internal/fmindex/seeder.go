@@ -29,11 +29,6 @@ func NewSeeder(t []byte) *Seeder {
 // Bi exposes the underlying bidirectional index.
 func (s *Seeder) Bi() *BiIndex { return s.bi }
 
-// SetReferenceRank routes the seeder's rank queries through the
-// original block-scanning implementation, reproducing the pre-fast-path
-// cost profile (benchmark/oracle use only; results are identical).
-func (s *Seeder) SetReferenceRank(v bool) { s.bi.SetReferenceRank(v) }
-
 // RefLen returns the reference length.
 func (s *Seeder) RefLen() int { return s.n }
 

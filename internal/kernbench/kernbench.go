@@ -3,26 +3,23 @@
 // and the `nvwa-bench -kernels` JSON emitter run the exact same
 // measurement bodies.
 //
-// Every case pairs an optimized kernel with its retained reference
-// implementation — the verbatim pre-optimization code path, kept as
-// the correctness oracle — so the reported speedups compare against
-// the honest original cost profile, not a re-optimized stand-in:
+// Every case pairs an optimized kernel with a retained reference, a
+// plain function kept as the kernel's correctness oracle, so the
+// reported speedups compare against the original cost profile, not a
+// re-optimized stand-in. A reference path that leaves the tree takes
+// its row with it.
 //
 //   - align.Extend: full-row DP (ExtendReference) vs the z-drop-aware
 //     shrinking-band kernel (leaf row pass over a query profile) with
 //     reused Scratch, on short-read, 200 bp and 1 kbp flank shapes.
-//   - fmindex.Seeds: map-based three-pass seeding over the 128-base
-//     block-scanning rank vs workspace seeding over the interleaved
-//     occ-block layout with the k-mer LUT jump-start.
-//   - fmindex.Seeds/LUT: workspace seeding over the interleaved occ
-//     blocks with a 1-mer table (plain stepwise search) vs the same
-//     layout with the default k-mer LUT jump-start.
-//   - systolic.Run: the cycle-exact wavefront loop vs the closed-form
-//     row-major fast path (identical Result).
+//   - fmindex.Seeds: map-based, allocating, LUT-free three-pass
+//     seeding (SeedsReference) vs workspace seeding with the k-mer LUT
+//     jump-start, both over the index's one interleaved rank path.
+//   - fmindex.Seeds/LUT: workspace seeding with a 1-mer table (plain
+//     stepwise search) vs the same with the default k-mer LUT
+//     jump-start.
 //   - sim.Schedule: closure events (one allocation each) vs pooled
 //     Task events.
-//   - pipeline.Align: the end-to-end software aligner with every
-//     reference kernel selected vs the optimized kernels.
 //   - accel.MergeReports: the fresh-scratch reference shard merge vs
 //     the reused zero-alloc MergeAcc reduction.
 package kernbench
@@ -35,11 +32,7 @@ import (
 	"nvwa/internal/accel"
 	"nvwa/internal/align"
 	"nvwa/internal/fmindex"
-	"nvwa/internal/genome"
-	"nvwa/internal/pipeline"
-	"nvwa/internal/seq"
 	"nvwa/internal/sim"
-	"nvwa/internal/systolic"
 )
 
 // Case is one kernel's before/after benchmark pair.
@@ -116,10 +109,6 @@ var (
 
 	stepwiseOnce   sync.Once
 	stepwiseSeeder *fmindex.Seeder
-
-	e2eOnce    sync.Once
-	e2eAligner *pipeline.Aligner
-	e2eReads   []seq.Seq
 )
 
 func seedingData() (*fmindex.Seeder, [][]byte) {
@@ -146,36 +135,22 @@ func stepwiseSeedingData() (*fmindex.Seeder, [][]byte) {
 	return stepwiseSeeder, reads
 }
 
-func endToEndData() (*pipeline.Aligner, []seq.Seq) {
-	e2eOnce.Do(func() {
-		ref := genome.Generate(genome.HumanLike(), 100000, 7)
-		e2eAligner = pipeline.New(ref.Seq, pipeline.DefaultOptions())
-		for _, r := range genome.Simulate(ref, 200, genome.ShortReadConfig(9)) {
-			e2eReads = append(e2eReads, r.Seq)
+// seedsWS benchmarks the warm-workspace SeedsWS loop over data's
+// seeder and reads.
+func seedsWS(data func() (*fmindex.Seeder, [][]byte)) func(*testing.B) {
+	return func(b *testing.B) {
+		sd, reads := data()
+		var ws fmindex.Workspace
+		var st fmindex.Stats
+		for _, r := range reads {
+			sd.SeedsWS(&ws, r, 15, 16, 8, &st) // warm
 		}
-	})
-	return e2eAligner, e2eReads
-}
-
-// seedsWSCase builds an fmindex.Seeds before/after pair that runs the
-// same warm-workspace SeedsWS loop over two seeders.
-func seedsWSCase(name, note string, before, after func() (*fmindex.Seeder, [][]byte)) Case {
-	run := func(data func() (*fmindex.Seeder, [][]byte)) func(*testing.B) {
-		return func(b *testing.B) {
-			sd, reads := data()
-			var ws fmindex.Workspace
-			var st fmindex.Stats
-			for _, r := range reads {
-				sd.SeedsWS(&ws, r, 15, 16, 8, &st) // warm
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
-			}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
 		}
 	}
-	return Case{Kernel: "fmindex.Seeds/" + name, Note: note, Before: run(before), After: run(after)}
 }
 
 // extendCase builds an align.Extend before/after pair over the given
@@ -232,11 +207,9 @@ func Cases() []Case {
 		extendCase("1kbp-flank", 1008, 1000, 11, 19),
 		{
 			Kernel: "fmindex.Seeds/101bp",
-			Note:   "map dedup + 128-base scanning rank (reference) vs workspace + interleaved occ blocks + k-mer LUT jump-start",
+			Note:   "map dedup, allocating passes, no LUT (SeedsReference) vs workspace + k-mer LUT jump-start, one interleaved rank path",
 			Before: func(b *testing.B) {
 				sd, reads := seedingData()
-				sd.SetReferenceRank(true)
-				defer sd.SetReferenceRank(false)
 				var st fmindex.Stats
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -244,45 +217,13 @@ func Cases() []Case {
 					sd.SeedsReference(reads[i%len(reads)], 15, 16, 8, &st)
 				}
 			},
-			After: func(b *testing.B) {
-				sd, reads := seedingData()
-				var ws fmindex.Workspace
-				var st fmindex.Stats
-				for _, r := range reads {
-					sd.SeedsWS(&ws, r, 15, 16, 8, &st) // warm
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
-				}
-			},
+			After: seedsWS(seedingData),
 		},
-		seedsWSCase("LUT", "interleaved occ blocks + stepwise search (1-mer table) vs + k-mer LUT jump-start",
-			stepwiseSeedingData, seedingData),
 		{
-			Kernel: "systolic.Run/64PE-128x101",
-			Note:   "cycle-exact wavefront loop (reference) vs closed-form fast path",
-			Before: func(b *testing.B) {
-				ref, read := homologousPair(31, 128, 101, 25)
-				arr := systolic.Array{PEs: 64, Scoring: align.BWAMEM(), ExactWavefront: true}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					arr.Run(ref, read, systolic.ModeExtend, 19)
-				}
-			},
-			After: func(b *testing.B) {
-				ref, read := homologousPair(31, 128, 101, 25)
-				arr := systolic.Array{PEs: 64, Scoring: align.BWAMEM()}
-				var s systolic.Scratch
-				arr.RunWithScratch(&s, ref, read, systolic.ModeExtend, 19) // warm
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					arr.RunWithScratch(&s, ref, read, systolic.ModeExtend, 19)
-				}
-			},
+			Kernel: "fmindex.Seeds/LUT",
+			Note:   "interleaved occ blocks + stepwise search (1-mer table) vs + k-mer LUT jump-start",
+			Before: seedsWS(stepwiseSeedingData),
+			After:  seedsWS(seedingData),
 		},
 		{
 			Kernel: "sim.Schedule/1k-events",
@@ -314,31 +255,6 @@ func Cases() []Case {
 						e.AtTask(e.Now()+int64(j%7), t)
 					}
 					e.Run()
-				}
-			},
-		},
-		{
-			Kernel: "pipeline.Align/end-to-end",
-			Note:   "software aligner, all reference kernels vs all optimized kernels",
-			Before: func(b *testing.B) {
-				a, reads := endToEndData()
-				a.SetReferenceKernels(true)
-				defer a.SetReferenceKernels(false)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					a.Align(0, reads[i%len(reads)])
-				}
-			},
-			After: func(b *testing.B) {
-				a, reads := endToEndData()
-				for _, r := range reads[:8] {
-					a.Align(0, r) // warm the scratch pool
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					a.Align(0, reads[i%len(reads)])
 				}
 			},
 		},

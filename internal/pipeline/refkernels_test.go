@@ -1,44 +1,69 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"nvwa/internal/align"
+	"nvwa/internal/fmindex"
 	"nvwa/internal/genome"
+	"nvwa/internal/seq"
 )
 
-// TestReferenceKernelsIdentical pins the fast-path invariant at the
-// pipeline level: with SetReferenceKernels(true) the aligner runs the
-// original map-based seeding over block-scanning rank and the full-row
-// extension DP, and every output — hits, index-traffic stats, and
-// final alignments — must be identical to the optimized kernels'.
+// TestReferenceKernelsIdentical pins the seeding half of SeedAndChain
+// to its oracle at pipeline defaults: for every simulated read, the
+// warm-workspace SeedsWS call SeedAndChain runs must return the same
+// seeds (values and order) and charge the same Stats as SeedsReference,
+// the map-based, allocating, LUT-free three-pass seeder. The extension
+// half is pinned by TestExtendFlanksMatchReference.
 func TestReferenceKernelsIdentical(t *testing.T) {
 	t.Parallel()
 	a, ref := testAligner(t, 50000, 11)
-	reads := genome.Simulate(ref, 120, genome.ShortReadConfig(4))
-	for _, r := range reads {
-		fastHits, fastSt := a.SeedAndChain(r.ID, r.Seq)
-		fastRes := a.Finish(r.Seq, fastHits)
+	o := a.Options()
+	var ws fmindex.Workspace
+	for _, r := range genome.Simulate(ref, 120, genome.ShortReadConfig(4)) {
+		var stWS, stRef fmindex.Stats
+		got := a.Seeder().SeedsWS(&ws, r.Seq, o.MinSeedLen, o.MaxOcc, o.MaxMemIntv, &stWS)
+		want := a.Seeder().SeedsReference(r.Seq, o.MinSeedLen, o.MaxOcc, o.MaxMemIntv, &stRef)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("read %d: seeds diverge:\n workspace=%+v\n reference=%+v", r.ID, got, want)
+		}
+		if stWS != stRef {
+			t.Fatalf("read %d: stats diverge: workspace=%+v reference=%+v", r.ID, stWS, stRef)
+		}
+	}
+}
 
-		a.SetReferenceKernels(true)
-		refHits, refSt := a.SeedAndChain(r.ID, r.Seq)
-		refRes := a.Finish(r.Seq, refHits)
-		a.SetReferenceKernels(false)
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
-		if fastSt != refSt {
-			t.Fatalf("read %d: stats diverge: fast=%+v reference=%+v", r.ID, fastSt, refSt)
+// TestAlignWarmAllocs keeps the allocation ceiling the kernel
+// guardrail once held the software aligner to: on a HumanLike 100 kbp
+// reference (seed 7) and 200 ShortReadConfig(9) reads, warm Align calls
+// average at most 7 heap allocations each (the returned hits, the
+// extensions and the reverse-complement view). The average is taken
+// the way testing.B reports allocs/op, total allocations integer-
+// divided by calls, so the ceiling is the one BENCH_kernels.json
+// recorded for this workload.
+func TestAlignWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch at random under the race detector")
+	}
+	ref := genome.Generate(genome.HumanLike(), 100000, 7)
+	a := New(ref.Seq, DefaultOptions())
+	var reads []seq.Seq
+	for _, r := range genome.Simulate(ref, 200, genome.ShortReadConfig(9)) {
+		reads = append(reads, r.Seq)
+	}
+	// AllocsPerRun makes one uncounted warm-up pass first.
+	perPass := testing.AllocsPerRun(1, func() {
+		for _, r := range reads {
+			a.Align(0, r)
 		}
-		if len(fastHits) != len(refHits) {
-			t.Fatalf("read %d: %d hits fast, %d reference", r.ID, len(fastHits), len(refHits))
-		}
-		for i := range fastHits {
-			if fastHits[i] != refHits[i] {
-				t.Fatalf("read %d hit %d: fast=%+v reference=%+v", r.ID, i, fastHits[i], refHits[i])
-			}
-		}
-		if fastRes != refRes {
-			t.Fatalf("read %d: result diverges: fast=%+v reference=%+v", r.ID, fastRes, refRes)
-		}
+	})
+	if perCall := int(perPass) / len(reads); perCall > 7 {
+		t.Fatalf("warm Align averages %d allocs per call (%.0f over %d calls), want <= 7",
+			perCall, perPass, len(reads))
 	}
 }
 

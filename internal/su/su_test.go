@@ -85,11 +85,16 @@ func TestProcessCyclesScaleWithCostModel(t *testing.T) {
 func TestProcessCyclesInvariantToSeedingFastPath(t *testing.T) {
 	t.Parallel()
 	// The unit's cycle cost derives solely from the front end's charged
-	// Stats, so the seeding fast path (interleaved rank layout + k-mer
-	// LUT jump-start) must leave completion cycles — not just hits —
-	// exactly as the block-scanning reference rank computes them. A Stats
+	// Stats, so the k-mer LUT jump-start must leave completion cycles —
+	// not just hits — exactly as plain stepwise search computes them.
+	// The stepwise side is a second aligner over the same reference
+	// with a 1-mer table, which skips no extension step. A Stats
 	// divergence in the front end would surface here as a cycle drift.
 	a, ref, _ := setup(t)
+	stepwise := pipeline.New(a.Ref(), a.Options())
+	if err := stepwise.Seeder().Bi().BuildLUT(1); err != nil {
+		t.Fatal(err)
+	}
 	reads := genome.Simulate(ref, 40, genome.ShortReadConfig(13))
 	fastU := New(0, a, mem.NewHBM(mem.HBM1()), DefaultCostModel())
 	var fastHits []int
@@ -99,9 +104,7 @@ func TestProcessCyclesInvariantToSeedingFastPath(t *testing.T) {
 		fastHits = append(fastHits, len(h))
 		fastDone = append(fastDone, d)
 	}
-	a.Seeder().SetReferenceRank(true)
-	defer a.Seeder().SetReferenceRank(false)
-	slowU := New(0, a, mem.NewHBM(mem.HBM1()), DefaultCostModel())
+	slowU := New(0, stepwise, mem.NewHBM(mem.HBM1()), DefaultCostModel())
 	for i, r := range reads {
 		h, d := slowU.Process(0, r.ID, r.Seq)
 		if len(h) != fastHits[i] || d != fastDone[i] {

@@ -4,14 +4,21 @@
 // P bases placed on P processing elements, and the reference streams
 // through the array one base per cycle.
 //
-// The model is cycle-exact — Run executes the wavefront schedule cycle
-// by cycle — and functionally exact: the scores it produces equal the
-// software dynamic programming in package align, which is how the
-// paper's no-loss-of-accuracy property is verified in tests.
+// Array.Run is the one implementation: it executes the wavefront
+// schedule cycle by cycle, one inner step per (cycle, PE) pair. It is
+// functionally exact, which is how the paper's no-loss-of-accuracy
+// property is verified: its scores equal the software dynamic
+// programming in package align (align.Local in ModeLocal,
+// align.ExtendReference without z-drop in ModeExtend), pinned by
+// FuzzSystolicVsSoftwareDP.
 //
-// The matrix-fill latency is the paper's Formula 3:
+// The simulator does not run the array per task. The EUs charge the
+// matrix-fill latency through Latency, the paper's Formula 3,
 //
 //	L = (R + P - 1) * ceil(Q / P)
+//
+// and extend functionally through package align. Run's Cycles equals
+// Latency by construction, so the two agree.
 package systolic
 
 import "nvwa/internal/align"
@@ -73,31 +80,14 @@ type Array struct {
 	PEs int
 	// Scoring is the alignment scoring scheme loaded into the PEs.
 	Scoring align.Scoring
-	// ExactWavefront forces Run to execute the cycle-exact wavefront
-	// schedule instead of the closed-form fast path. The two are
-	// byte-identical (see fast.go and the differential fuzz target);
-	// the exact loop remains for microarchitectural studies that
-	// observe individual (cycle, PE) pairs.
-	ExactWavefront bool
 }
 
 const negInf = int(-1) << 30
 
-// Run streams ref through the array against query. initScore seeds
-// ModeExtend (ignored by ModeLocal). By default Run takes the
-// closed-form fast path — identical Result, no cycle loop; set
-// ExactWavefront to execute the wavefront schedule cycle by cycle.
+// Run streams ref through the array against query, executing the
+// wavefront schedule cycle by cycle. initScore seeds ModeExtend
+// (ignored by ModeLocal).
 func (a *Array) Run(ref, query []byte, mode Mode, initScore int) Result {
-	if a.ExactWavefront {
-		return a.runWavefront(ref, query, mode, initScore)
-	}
-	var s Scratch
-	return a.runFast(&s, ref, query, mode, initScore)
-}
-
-// runWavefront executes the wavefront schedule cycle by cycle, one
-// inner iteration per (cycle, PE) pair.
-func (a *Array) runWavefront(ref, query []byte, mode Mode, initScore int) Result {
 	p := a.PEs
 	r, q := len(ref), len(query)
 	res := Result{Cycles: Latency(r, q, p)}

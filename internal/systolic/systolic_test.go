@@ -173,3 +173,59 @@ func TestTracebackLatencyConstantInPEs(t *testing.T) {
 		t.Errorf("traceback latency = %d", TracebackLatency(100, 50))
 	}
 }
+
+// TestRunFastAdversarial pins the wavefront on tie-heavy and degenerate
+// inputs: mono-base repeats (maximal score ties), all-mismatch
+// extension, single-base sequences, PE counts larger and smaller than
+// the query, a tandem repeat and empty inputs. Each case must score
+// like the software DP, take Formula 3's cycles and keep a PE busy for
+// exactly one cycle per matrix cell. FuzzSystolicVsSoftwareDP seeds its
+// corpus with the non-empty cases.
+func TestRunFastAdversarial(t *testing.T) {
+	t.Parallel()
+	rep := func(b byte, n int) []byte {
+		s := make([]byte, n)
+		for i := range s {
+			s[i] = b
+		}
+		return s
+	}
+	sc := align.BWAMEM()
+	cases := []struct {
+		name       string
+		ref, query []byte
+		p, init    int
+		mode       Mode
+	}{
+		{"mono-repeat-local", rep(0, 60), rep(0, 50), 8, 0, ModeLocal},
+		{"mono-repeat-extend", rep(0, 60), rep(0, 50), 8, 10, ModeExtend},
+		{"all-mismatch-extend", rep(0, 40), rep(1, 40), 16, 25, ModeExtend},
+		{"single-pe", rep(2, 30), rep(2, 30), 1, 0, ModeExtend},
+		{"pe-exceeds-query", rep(3, 20), rep(3, 5), 64, 0, ModeExtend},
+		{"single-base", []byte{0}, []byte{0}, 4, 0, ModeLocal},
+		{"empty-ref", nil, []byte{0, 1, 2, 3}, 4, 7, ModeExtend},
+		{"empty-query", []byte{0, 1, 2, 3}, nil, 4, 7, ModeExtend},
+		{"tandem-repeat", []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1},
+			[]byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1}, 3, 0, ModeLocal},
+	}
+	for _, tc := range cases {
+		arr := &Array{PEs: tc.p, Scoring: sc}
+		got := arr.Run(tc.ref, tc.query, tc.mode, tc.init)
+		var want int
+		if tc.mode == ModeLocal {
+			want = align.Local(tc.ref, tc.query, sc).Score
+		} else {
+			want, _, _, _ = align.ExtendReference(tc.ref, tc.query, sc, tc.init, -1)
+		}
+		r, q := len(tc.ref), len(tc.query)
+		if got.Score != want {
+			t.Errorf("%s: array score %d, software DP %d", tc.name, got.Score, want)
+		}
+		if lat := Latency(r, q, tc.p); got.Cycles != lat {
+			t.Errorf("%s: %d cycles, Formula 3 gives %d", tc.name, got.Cycles, lat)
+		}
+		if got.BusyPECycles != r*q {
+			t.Errorf("%s: %d busy PE-cycles, want r*q = %d", tc.name, got.BusyPECycles, r*q)
+		}
+	}
+}

@@ -5,8 +5,6 @@ import (
 	"nvwa/internal/eu"
 	"nvwa/internal/extsched"
 	"nvwa/internal/fault"
-	"nvwa/internal/pipeline"
-	"nvwa/internal/seq"
 	"nvwa/internal/su"
 )
 
@@ -108,7 +106,7 @@ func (s *System) onFaultArmed(ev fault.Event) {
 			s.flt.deadEU[ev.Unit] = true
 			s.flt.aliveEUs--
 			if u := s.eus[ev.Unit]; u.State() == core.Idle {
-				u.Stop() // idle victim leaves the pool immediately
+				s.stopEU(u) // idle victim leaves the pool immediately
 			}
 			// A busy victim keeps its in-flight task until completion,
 			// where euDone detects the failure and requeues the hit.
@@ -291,19 +289,9 @@ func (s *System) retryFire(h core.Hit) {
 	if o := s.opts.Obs; o != nil {
 		o.RetryDispatched(now, u.ID())
 	}
-	u.SetBusy(now)
-	var oriented seq.Seq
-	if s.memo != nil {
-		oriented = s.memo.Oriented(h.ReadIdx, h.Rev)
-	} else {
-		oriented = pipeline.Orient(s.reads[h.ReadIdx], h.Rev)
-	}
-	ext, done := u.Execute(now, oriented, h)
-	if d := s.flt.inj.TakeEUStall(u.ID()); d > 0 {
-		done += d
-	}
+	s.setEUBusy(u, now)
 	s.flt.inFlight++
-	s.eng.AtTask(done, s.getEUTask(u, ext))
+	s.extend(u, &h)
 }
 
 // pickRetryEU chooses the idle healthy unit for a retry: the hit's

@@ -36,8 +36,8 @@ import (
 // After Build returns, a Memo is immutable and safe for unsynchronised
 // concurrent use. Callers must not modify the returned slices.
 type Memo struct {
-	front su.Seeding // the front end the cache was built over
-	ext   extender   // the extension engine the cache was built over
+	front su.Seeding        // the front end the cache was built over
+	ext   *pipeline.Aligner // the extension engine the cache was built over
 	reads []seq.Seq
 	per   []memoRead
 	// planHash keys the cache to the fault plan it was warmed for
@@ -66,14 +66,6 @@ type memoShardCache struct {
 type shardViewKey struct {
 	pol ShardPolicy
 	s   int
-}
-
-// extender is eu.Extender, redeclared locally to avoid an import cycle
-// in the type alias (accel already imports eu; this keeps the memo
-// self-contained).
-type extender interface {
-	ExtendHitCost(oriented seq.Seq, h core.Hit) (core.Extension, pipeline.ExtendCost)
-	Options() pipeline.Options
 }
 
 type memoRead struct {
@@ -209,23 +201,20 @@ func (m *Memo) SeedAndChain(readIdx int, read seq.Seq) ([]core.Hit, fmindex.Stat
 	return m.front.SeedAndChain(readIdx, read)
 }
 
-// ExtendHitCost implements eu.Extender by replay: it returns the
-// cached extension for (h.ReadIdx, h.HitIdx). Hits the cache has not
-// seen (foreign front end, mutated record) fall back to the live
-// aligner.
-func (m *Memo) ExtendHitCost(oriented seq.Seq, h core.Hit) (core.Extension, pipeline.ExtendCost) {
-	if h.ReadIdx >= 0 && h.ReadIdx < len(m.per) {
+// replayed returns the cached extension record for (h.ReadIdx,
+// h.HitIdx), in place, or nil for a nil memo or when the cached hit
+// there is not equal to h in every field — a foreign front end or a
+// mutated record, which must take the live aligner. The record is
+// shared by every System replaying the memo and must not be modified.
+func (m *Memo) replayed(h *core.Hit) *memoExt {
+	if m != nil && h.ReadIdx >= 0 && h.ReadIdx < len(m.per) {
 		pr := &m.per[h.ReadIdx]
-		if h.HitIdx >= 0 && h.HitIdx < len(pr.exts) && pr.hits[h.HitIdx] == h {
-			e := pr.exts[h.HitIdx]
-			return e.ext, e.cost
+		if h.HitIdx >= 0 && h.HitIdx < len(pr.exts) && pr.hits[h.HitIdx] == *h {
+			return &pr.exts[h.HitIdx]
 		}
 	}
-	return m.ext.ExtendHitCost(oriented, h)
+	return nil
 }
-
-// Options implements eu.Extender.
-func (m *Memo) Options() pipeline.Options { return m.ext.Options() }
 
 // ShardViews derives one replay cache per shard of the memoized
 // workload under (pol, s): view i holds the reads of parts[i]

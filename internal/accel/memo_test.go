@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"nvwa/internal/core"
 	"nvwa/internal/pipeline"
 )
 
@@ -140,22 +141,71 @@ func TestMemoFallbackPaths(t *testing.T) {
 	if !reflect.DeepEqual(gotHits, directHits) || gotSt != directSt {
 		t.Fatal("cached seeding diverges from direct computation")
 	}
-	// Extensions of cached hits replay; mutated hits fall back.
-	for _, h := range gotHits {
-		oriented := pipeline.Orient(reads[3], h.Rev)
-		gotExt, gotCost := memo.ExtendHitCost(oriented, h)
-		wantExt, wantCost := a.ExtendHitCost(oriented, h)
-		if gotExt != wantExt || gotCost != wantCost {
-			t.Fatalf("cached extension diverges for hit %d", h.HitIdx)
+	// Extensions of cached hits replay from the memo record; a hit
+	// differing from the cached record in any one field falls back to
+	// the live extension. Both are checked at System.extend, the one
+	// replay site, through the completion task it schedules.
+	if len(gotHits) == 0 {
+		t.Fatal("read 3 has no hits to replay")
+	}
+	h := gotHits[0]
+	oriented := pipeline.Orient(reads[3], h.Rev)
+	wantExt, wantCost := a.ExtendHitCost(oriented, h)
+	rec := memo.replayed(&h)
+	if rec == nil || rec.ext != wantExt || rec.cost != wantCost {
+		t.Fatalf("cached record for hit %d missing or wrong", h.HitIdx)
+	}
+	opts := smallOpts()
+	opts.Memo = memo
+	s, err := New(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.memo == nil {
+		t.Fatal("memo not consumed")
+	}
+	extend := func(h core.Hit) *euTask {
+		probe := &euTask{s: s}
+		s.euFree = append(s.euFree[:0], probe)
+		s.extend(s.eus[0], &h)
+		return probe
+	}
+	if tk := extend(h); tk.ext != &rec.ext {
+		t.Fatalf("cached hit %d not served from its memo record", h.HitIdx)
+	}
+	// Each mutation keeps every flank window inside the oriented read and
+	// the reference, so the live extension stays well defined.
+	step := func(v, hi int) int {
+		if v+1 < hi {
+			return v + 1
 		}
+		return v - 1
+	}
+	for _, m := range []struct {
+		field string
+		mut   func(*core.Hit)
+	}{
+		{"ReadIdx", func(h *core.Hit) { h.ReadIdx = 4 }},
+		{"HitIdx", func(h *core.Hit) { h.HitIdx++ }},
+		{"Rev", func(h *core.Hit) { h.Rev = !h.Rev }},
+		{"ReadBeg", func(h *core.Hit) { h.ReadBeg = step(h.ReadBeg, h.ReadEnd) }},
+		{"ReadEnd", func(h *core.Hit) { h.ReadEnd = step(h.ReadEnd, len(oriented)+1) }},
+		{"RefPos", func(h *core.Hit) { h.RefPos++ }},
+		{"ReadLen", func(h *core.Hit) { h.ReadLen-- }},
+		{"SeedScore", func(h *core.Hit) { h.SeedScore++ }},
+	} {
 		mut := h
-		mut.SeedScore++ // no longer the cached record
-		mutExt, _ := memo.ExtendHitCost(oriented, mut)
-		wantMutExt, _ := a.ExtendHitCost(oriented, mut)
-		if mutExt != wantMutExt {
-			t.Fatal("mutated hit did not fall back to live extension")
+		m.mut(&mut)
+		if mut == h {
+			t.Fatalf("%s: mutation left the hit unchanged", m.field)
 		}
-		break
+		if memo.replayed(&mut) != nil {
+			t.Errorf("%s: mutated hit served from the cache", m.field)
+		}
+		liveExt, _ := a.ExtendHitCost(memo.Oriented(mut.ReadIdx, mut.Rev), mut)
+		if tk := extend(mut); tk.ext != &tk.own || tk.own != liveExt {
+			t.Errorf("%s: mutated hit did not fall back to live extension", m.field)
+		}
 	}
 	// Oriented views match pipeline.Orient for both strands.
 	for i := 0; i < 20; i++ {

@@ -166,7 +166,7 @@ func (s *System) DrainChecked() (*Report, error) {
 		u.SetIdle(end)
 	}
 	for _, u := range s.eus {
-		u.SetIdle(end)
+		s.setEUIdle(u, end)
 	}
 	// Recycle the final PB generation (and, after an abort, any
 	// stranded IDs) so the arena audits as fully drained — every
@@ -400,11 +400,37 @@ func (s *System) maybeSwitch() {
 	s.eng.At(now+1, s.tryRound)
 }
 
-// idleEUs lists the currently idle extension units. The returned slice
-// aliases a per-system scratch buffer, valid until the next idleEUs
-// call; every caller consumes it synchronously (the allocator copies
-// the pool into its own round scratch).
-func (s *System) idleEUs() []coordinator.IdleUnit {
+// setEUBusy, setEUIdle and stopEU move an extension unit between
+// states. Every EU state transition goes through them, so idleEUs
+// always equals the number of units in core.Idle without a scan. The
+// count is derived from the unit states: checkpoints do not carry it,
+// and Restore rebuilds it by replay.
+func (s *System) setEUBusy(u *eu.Unit, now int64) {
+	if u.State() == core.Idle {
+		s.idleEUs--
+	}
+	u.SetBusy(now)
+}
+
+func (s *System) setEUIdle(u *eu.Unit, now int64) {
+	if u.State() != core.Idle {
+		s.idleEUs++
+	}
+	u.SetIdle(now)
+}
+
+func (s *System) stopEU(u *eu.Unit) {
+	if u.State() == core.Idle {
+		s.idleEUs--
+	}
+	u.Stop()
+}
+
+// idlePool lists the currently idle extension units in EU-index order.
+// The returned slice aliases a per-system scratch buffer, valid until
+// the next idlePool call; tryRound consumes it synchronously (the
+// allocator copies the pool into its own round scratch).
+func (s *System) idlePool() []coordinator.IdleUnit {
 	idle := s.idleBuf[:0]
 	for _, u := range s.eus {
 		if u.State() == core.Idle {
@@ -420,7 +446,7 @@ func (s *System) idleEUs() []coordinator.IdleUnit {
 // justifies a round. Under faults the threshold is evaluated against
 // the surviving pool, so mass EU failure cannot starve the allocator.
 func (s *System) tryRoundIfTriggered() {
-	idle := len(s.idleEUs())
+	idle := s.idleEUs
 	drain := s.inputDone()
 	var fired bool
 	if s.flt != nil {
@@ -445,10 +471,10 @@ func (s *System) tryRound() {
 			return
 		}
 	}
-	idle := s.idleEUs()
-	if len(idle) == 0 {
+	if s.idleEUs == 0 {
 		return
 	}
+	idle := s.idlePool()
 	window := s.buffer.WindowIDs(s.opts.Config.AllocBatch)
 	o := s.opts.Obs
 	var winBefore []core.Hit
@@ -492,7 +518,7 @@ func (s *System) tryRound() {
 	s.roundActive = true
 	// Reserve the assigned units for the duration of the round.
 	for _, a := range asg {
-		s.eus[a.Unit.ID].SetBusy(now)
+		s.setEUBusy(s.eus[a.Unit.ID], now)
 	}
 	// asg aliases the system's round scratch; safe to carry into the
 	// completion event because roundActive blocks the next round until
@@ -528,8 +554,8 @@ func (t *roundTask) Fire() {
 	t.assigned = nil
 	s.roundFree = append(s.roundFree, t)
 	s.roundActive = false
-	for _, a := range assigned {
-		s.dispatch(a)
+	for i := range assigned {
+		s.dispatch(&assigned[i])
 	}
 	s.tryRoundIfTriggered()
 }
@@ -609,21 +635,36 @@ func (s *System) drain() {
 }
 
 // dispatch starts one extension task on its assigned unit.
-func (s *System) dispatch(a coordinator.Assignment) {
-	now := s.eng.Now()
-	u := s.eus[a.Unit.ID]
+func (s *System) dispatch(a *coordinator.Assignment) {
 	if o := s.opts.Obs; o != nil {
 		o.MemoLookup(s.memo != nil)
 	}
-	var oriented seq.Seq
-	if s.memo != nil {
-		// Replay mode: reuse the cached oriented view instead of
-		// reallocating a reverse complement per dispatch.
-		oriented = s.memo.Oriented(a.Hit.ReadIdx, a.Hit.Rev)
+	s.extend(s.eus[a.Unit.ID], &a.Hit)
+}
+
+// extend runs hit h on unit u from the current cycle and schedules its
+// completion. In replay mode a cached hit is charged straight from its
+// Memo record, which the completion task points at instead of copying;
+// any other hit runs through the unit's Extender.
+func (s *System) extend(u *eu.Unit, h *core.Hit) {
+	now := s.eng.Now()
+	t := s.getEUTask(u)
+	var done int64
+	if e := s.memo.replayed(h); e != nil {
+		t.ext = &e.ext
+		done = u.Charge(now, h, &e.ext, e.cost)
 	} else {
-		oriented = pipeline.Orient(s.reads[a.Hit.ReadIdx], a.Hit.Rev)
+		var oriented seq.Seq
+		if s.memo != nil {
+			// Replay mode: reuse the cached oriented view instead of
+			// reallocating a reverse complement per dispatch.
+			oriented = s.memo.Oriented(h.ReadIdx, h.Rev)
+		} else {
+			oriented = pipeline.Orient(s.reads[h.ReadIdx], h.Rev)
+		}
+		t.own, done = u.Execute(now, oriented, *h)
+		t.ext = &t.own
 	}
-	ext, done := u.Execute(now, oriented, a.Hit)
 	if s.flt != nil {
 		// Transient EU stall: the unit holds its result for the
 		// injected extra cycles.
@@ -631,52 +672,56 @@ func (s *System) dispatch(a coordinator.Assignment) {
 			done += d
 		}
 	}
-	s.eng.AtTask(done, s.getEUTask(u, ext))
+	s.eng.AtTask(done, t)
 }
 
 // euTask is the pooled event payload for one extension's completion.
+// ext points either at a Memo record or at own, the task's storage for
+// a live result.
 type euTask struct {
 	s   *System
 	u   *eu.Unit
-	ext core.Extension
+	ext *core.Extension
+	own core.Extension
 }
 
 // TaskKind implements sim.TaskKind for diagnostics.
 func (t *euTask) TaskKind() string { return "eu" }
 
-// Fire implements sim.Task.
+// Fire implements sim.Task. The task returns to the freelist only after
+// euDone has read the result, which may live in t.own.
 func (t *euTask) Fire() {
-	s, u, ext := t.s, t.u, t.ext
-	t.u = nil
+	s := t.s
+	s.euDone(t.u, t.ext)
+	t.u, t.ext = nil, nil
 	s.euFree = append(s.euFree, t)
-	s.euDone(u, ext)
 }
 
 // getEUTask takes a task from the freelist or allocates one.
-func (s *System) getEUTask(u *eu.Unit, ext core.Extension) *euTask {
+func (s *System) getEUTask(u *eu.Unit) *euTask {
 	if n := len(s.euFree); n > 0 {
 		t := s.euFree[n-1]
 		s.euFree = s.euFree[:n-1]
-		t.u, t.ext = u, ext
+		t.u = u
 		return t
 	}
-	return &euTask{s: s, u: u, ext: ext}
+	return &euTask{s: s, u: u}
 }
 
 // euDone records the extension result and re-consults the trigger.
 // Score ties break toward the lowest hit index so the per-read result
 // is independent of EU completion order and identical to the software
 // pipeline's.
-func (s *System) euDone(u *eu.Unit, ext core.Extension) {
+func (s *System) euDone(u *eu.Unit, ext *core.Extension) {
 	now := s.eng.Now()
-	u.SetIdle(now)
+	s.setEUIdle(u, now)
 	if s.flt != nil {
 		s.flt.inFlight--
 		if s.flt.inj.EUFailed(u.ID()) {
 			// The unit failed while extending: discard its result, park
 			// it, and re-dispatch the hit with bounded retry (Hits
 			// Allocator degradation policy).
-			u.Stop()
+			s.stopEU(u)
 			s.requeueHit(u, ext.Hit)
 			s.tryRoundIfTriggered()
 			return

@@ -177,6 +177,7 @@ type System struct {
 	// runtime state
 	nextRead    int
 	idleSUs     int
+	idleEUs     int // EUs in core.Idle; see setEUBusy
 	blocked     []blockedSU
 	roundActive bool
 	results     []pipeline.Result
@@ -247,9 +248,12 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 		// and the event loop models only cycle costs. The memo is keyed
 		// to a fault-plan hash as well as its front end, so a cache
 		// warmed fault-free can never serve a faulted configuration.
+		// The units run over the aligner the cache was built with;
+		// System.extend charges cached hits from the memo and sends
+		// every other hit to the unit.
 		s.memo = opts.Memo
 		front = s.memo
-		ext = s.memo
+		ext = s.memo.ext
 	}
 	for i := 0; i < opts.Config.NumSUs; i++ {
 		s.sus = append(s.sus, su.New(i, front, s.hbm, opts.SUCost))
@@ -261,6 +265,7 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 			id++
 		}
 	}
+	s.idleEUs = len(s.eus)
 	if o := opts.Obs; o != nil {
 		// Thread the observer through every component: the engine's
 		// clamp/advance hooks feed the clamp counter and the monotone-

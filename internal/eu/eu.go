@@ -35,12 +35,11 @@ func DefaultCostModel() CostModel {
 	return CostModel{LoadCycles: 8, Traceback: systolic.DefaultTracebackModel()}
 }
 
-// Extender is the functional seed-extension engine a unit replays:
+// Extender is the functional seed-extension engine a unit runs:
 // normally the software pipeline itself (*pipeline.Aligner), but any
 // implementation returning the same deterministic extension result and
-// processed-extent accounting works — e.g. the accelerator's memo
-// cache, which precomputes every extension once per workload and lets
-// the cycle-accurate event loop replay only the cost model.
+// processed-extent accounting works. A replay cache that already holds
+// a hit's result skips the Extender and calls Charge instead.
 type Extender interface {
 	// ExtendHitCost extends one hit and reports the DP extents the
 	// cycle model charges Formula 3 for.
@@ -167,7 +166,17 @@ func (u *Unit) TracebackSpillCycles() int64 { return u.tbSpillCyc }
 // Hybrid Units Strategy sizes its small arrays for.
 func (u *Unit) Execute(now int64, oriented seq.Seq, h core.Hit) (core.Extension, int64) {
 	ext, cost := u.aligner.ExtendHitCost(oriented, h)
-	r, _ := cost.TaskDims(h, u.extBand)
+	return ext, u.Charge(now, &h, &ext, cost)
+}
+
+// Charge books one extension of h starting at cycle now whose
+// functional result is already known — ext and cost exactly as the
+// unit's Extender returns them for h — and returns the completion
+// cycle. Execute is ExtendHitCost followed by Charge; a replay cache
+// calls Charge with its stored record, read in place. Charge reads h
+// and ext and never retains them.
+func (u *Unit) Charge(now int64, h *core.Hit, ext *core.Extension, cost pipeline.ExtendCost) int64 {
+	r, _ := cost.TaskDims(*h, u.extBand)
 	// The hit span (the paper's hit_len) sets the array residency —
 	// how many P-wide query blocks stream the reference — while the
 	// flank probes extend the streamed reference (r includes the rows
@@ -198,7 +207,7 @@ func (u *Unit) Execute(now int64, oriented seq.Seq, h core.Hit) (core.Extension,
 		u.obs.EUExtend(u.id, u.class, u.pes, h.SchedLen(), now, now+cycles)
 		u.obs.EUTraceback(now, tb.Cycles, ext.RefSpan(), ext.ReadSpan(), tb.Spilled)
 	}
-	return ext, now + cycles
+	return now + cycles
 }
 
 // EncodeState writes the unit's canonical state inventory.

@@ -102,22 +102,55 @@ func (t *BusyTracker) EncodeState(enc *ckpt.Encoder) {
 func (t *BusyTracker) Intervals() []Interval { return t.intervals }
 
 // Series buckets [0, end) into n windows and returns the busy fraction
-// of each, producing the time-series of the Fig. 12 plots.
+// of each, producing the time-series of the Fig. 12 plots. It equals
+// Utilization over each window, bit for bit, in one merged pass over
+// the intervals; the output slice is its only allocation.
 func (t *BusyTracker) Series(end int64, n int) []float64 {
 	out := make([]float64, n)
+	t.addSeries(out, end)
+	return out
+}
+
+// addSeries adds the busy fraction of each of len(out) windows over
+// [0, end) to out. Intervals are appended in time order (the engine's
+// clock never runs backwards), and the windows ascend too, so one
+// cursor walks both: an interval ending at or before a window's start
+// can reach no later window, and the first interval starting at or
+// after a window's end closes that window's scan. Busy cycles are
+// summed as integers and divided once per window, exactly as
+// Utilization does.
+func (t *BusyTracker) addSeries(out []float64, end int64) {
+	n := len(out)
 	if n == 0 || end <= 0 {
-		return out
+		return
 	}
 	w := float64(end) / float64(n)
+	ivs := t.intervals
+	first := 0
 	for b := 0; b < n; b++ {
 		lo := int64(float64(b) * w)
 		hi := int64(float64(b+1) * w)
 		if b == n-1 {
 			hi = end
 		}
-		out[b] = t.Utilization(lo, hi)
+		if hi <= lo {
+			continue
+		}
+		for first < len(ivs) && ivs[first].End <= lo {
+			first++
+		}
+		var busy int64
+		for _, iv := range ivs[first:] {
+			if iv.Beg >= hi {
+				break
+			}
+			busy += overlap(iv, lo, hi)
+		}
+		if t.busy {
+			busy += overlap(Interval{t.busySince, hi}, lo, hi)
+		}
+		out[b] += float64(busy) / float64(hi-lo)
 	}
-	return out
 }
 
 // GroupUtilization averages the utilization of several trackers over
@@ -139,11 +172,11 @@ func GroupSeries(ts []*BusyTracker, end int64, n int) []float64 {
 	if len(ts) == 0 {
 		return out
 	}
+	// Each tracker's fraction is divided out before trackers are added,
+	// in order: summing busy cycles across trackers first would round
+	// differently and change the series' last bits.
 	for _, t := range ts {
-		s := t.Series(end, n)
-		for i := range out {
-			out[i] += s[i]
-		}
+		t.addSeries(out, end)
 	}
 	for i := range out {
 		out[i] /= float64(len(ts))

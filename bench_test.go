@@ -96,7 +96,7 @@ func BenchmarkFig11Throughput(b *testing.B) {
 	e := env()
 	var res experiments.Fig11Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Fig11(e)
+		res = experiments.Fig11With(e, experiments.Serial())
 	}
 	b.ReportMetric(res.TotalSpeedup, "nvwa-vs-SUsEUs-x")
 	b.ReportMetric(res.CPUSpeedup, "nvwa-vs-software-x")
@@ -118,7 +118,7 @@ func BenchmarkFig13aBufferDepth(b *testing.B) {
 	e := env()
 	var rows []experiments.Fig13aRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig13a(e, []int{64, 256, 1024, 4096})
+		rows = experiments.Fig13aWith(e, []int{64, 256, 1024, 4096}, experiments.Serial())
 	}
 	best := rows[0]
 	for _, r := range rows {
@@ -133,7 +133,7 @@ func BenchmarkFig13bIntervals(b *testing.B) {
 	e := env()
 	var rows []experiments.Fig13bRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig13b(e, []int{1, 2, 4, 8})
+		rows = experiments.Fig13bWith(e, []int{1, 2, 4, 8}, experiments.Serial())
 	}
 	for _, r := range rows {
 		if r.Intervals == 4 {
@@ -146,7 +146,7 @@ func BenchmarkFig13bIntervals(b *testing.B) {
 func BenchmarkFig14Datasets(b *testing.B) {
 	var rows []experiments.Fig14Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig14(100000, 1000, 42)
+		rows = experiments.Fig14With(100000, 1000, 42, experiments.Serial())
 	}
 	min, max := rows[0].Speedup, rows[0].Speedup
 	for _, r := range rows {

@@ -344,7 +344,7 @@ func TestMemoMissesUnderFaultPlan(t *testing.T) {
 	}
 
 	o = smallOpts()
-	o.Memo = BuildMemo(a, nil, reads, 2).KeyedTo(plan.Hash())
+	o.Memo = keyedMemo(BuildMemo(a, nil, reads, 2), plan.Hash())
 	o.Faults = plan
 	sys, err = New(a, o)
 	if err != nil {
@@ -356,7 +356,7 @@ func TestMemoMissesUnderFaultPlan(t *testing.T) {
 
 	// And the re-keyed memo must no longer serve the fault-free path.
 	o = smallOpts()
-	o.Memo = BuildMemo(a, nil, reads, 2).KeyedTo(plan.Hash())
+	o.Memo = keyedMemo(BuildMemo(a, nil, reads, 2), plan.Hash())
 	sys, err = New(a, o)
 	if err != nil {
 		t.Fatal(err)
@@ -411,4 +411,11 @@ func TestRetryBackoffClamped(t *testing.T) {
 		}
 		prev = d
 	}
+}
+
+// keyedMemo re-keys m to a fault-plan hash, as NewSharded does for
+// each shard's view.
+func keyedMemo(m *Memo, planHash uint64) *Memo {
+	m.planHash = planHash
+	return m
 }

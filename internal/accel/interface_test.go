@@ -4,15 +4,6 @@ import (
 	"testing"
 
 	"nvwa/internal/core"
-	"nvwa/internal/eu"
-	"nvwa/internal/su"
-)
-
-// The Table III unified interface: the concrete units must satisfy the
-// control interfaces so any conforming SU/EU design can slot in.
-var (
-	_ core.SeedingUnit   = (*su.Unit)(nil)
-	_ core.ExtensionUnit = (*eu.Unit)(nil)
 )
 
 func TestUnifiedInterfaceStates(t *testing.T) {
@@ -22,12 +13,12 @@ func TestUnifiedInterfaceStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exercise the Table III control states through the interface.
-	var s core.SeedingUnit = sys.sus[0]
+	// Exercise the Table III control signals: state, stop, pe_number.
+	s := sys.sus[0]
 	if s.State() != core.Idle {
 		t.Errorf("fresh SU state = %v", s.State())
 	}
-	var e core.ExtensionUnit = sys.eus[0]
+	e := sys.eus[0]
 	if e.State() != core.Idle {
 		t.Errorf("fresh EU state = %v", e.State())
 	}

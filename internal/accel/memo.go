@@ -151,22 +151,12 @@ func (m *Memo) buildRead(i int) {
 func (m *Memo) Replays(front su.Seeding) bool { return m != nil && m.front == front }
 
 // CoversPlan reports whether the memo is keyed to the given fault-plan
-// hash. A fresh BuildMemo is keyed fault-free (hash 0); use KeyedTo to
-// warm a cache for a specific plan. The gate is deliberately
-// conservative: even though the functional results are plan-invariant,
-// a replay cache must never be a channel by which a faulted
-// configuration inherits fault-free state it did not earn.
+// hash. A fresh BuildMemo is keyed fault-free (hash 0); a sharded
+// system keys each shard's view to that shard's plan. The gate is
+// deliberately conservative: even though the functional results are
+// plan-invariant, a replay cache must never be a channel by which a
+// faulted configuration inherits fault-free state it did not earn.
 func (m *Memo) CoversPlan(planHash uint64) bool { return m != nil && m.planHash == planHash }
-
-// KeyedTo re-keys the memo to hash (a fault.Plan.Hash value) and
-// returns it, so a cache can be deliberately warmed for one fault
-// plan: BuildMemo(...).KeyedTo(plan.Hash()).
-func (m *Memo) KeyedTo(planHash uint64) *Memo {
-	if m != nil {
-		m.planHash = planHash
-	}
-	return m
-}
 
 // CoversResume reports whether the memo is keyed to the given
 // checkpoint-resume hash (Options.ResumeHash; 0 = fresh run). Same

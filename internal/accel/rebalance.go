@@ -101,13 +101,12 @@ func EstimateReadCosts(a *pipeline.Aligner, reads []seq.Seq, workers int) []floa
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var st fmindex.Stats
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= len(reads) {
 					return
 				}
-				costs[i] = probeReadCost(idx, reads[i], &st)
+				costs[i] = probeReadCost(idx, reads[i])
 			}
 		}()
 	}
@@ -116,17 +115,14 @@ func EstimateReadCosts(a *pipeline.Aligner, reads []seq.Seq, workers int) []floa
 }
 
 // probeReadCost estimates one read's simulated work from its capped
-// k-mer occurrence mass on both strands. Counting goes through the
-// index's k-mer LUT jump-start (CountLUT), which skips the first k-1
-// extension steps of every probe; counts — and therefore the cost
-// estimates and the entire steal schedule planned from them — are
-// identical to plain backward search, which CountLUT falls back to
-// when no table is attached.
-func probeReadCost(idx *fmindex.BiIndex, read seq.Seq, st *fmindex.Stats) float64 {
+// k-mer occurrence mass on both strands, counted by plain backward
+// search over the seeder's forward index (T·revcomp(T)). The probe is
+// host-side planning, not simulated work, so it charges no Stats.
+func probeReadCost(idx *fmindex.BiIndex, read seq.Seq) float64 {
 	cost := probeBaseCost + probePerBaseCost*float64(len(read))
 	probe := func(r seq.Seq) {
 		for off := 0; off+probeKmerLen <= len(r); off += probeStride {
-			c := idx.CountLUT([]byte(r[off:off+probeKmerLen]), st)
+			c := idx.Fwd().Count(r[off:off+probeKmerLen], nil)
 			if c > probeOccCap {
 				c = probeOccCap
 			}

@@ -1,12 +1,13 @@
 package accel
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
 
 	"nvwa/internal/fault"
-	"nvwa/internal/pipeline"
+	"nvwa/internal/seq"
 )
 
 // lcgCosts generates a deterministic pseudo-random cost vector without
@@ -159,36 +160,38 @@ func TestEstimateReadCostsWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestEstimateReadCostsLUTInvariance pins the satellite contract of the
-// seeding fast path: routing the cost probe through the k-mer LUT
-// jump-start changes how counts are computed, not what they are, so the
-// cost vector — and the steal schedule PlanBalanced derives from it —
-// is bit-identical to the plain backward-search probe. The plain side
-// is a second aligner over the same reference whose table is rebuilt
-// with k=1: a 1-mer jump skips no extension step.
-func TestEstimateReadCostsLUTInvariance(t *testing.T) {
+// TestEstimateReadCostsMatchBruteForce pins the cost probe's counting:
+// every cost equals the affine model evaluated over occurrence counts
+// taken by a naive substring scan of the seeder's doubled text
+// T·revcomp(T), so the probe counts exactly what backward search over
+// the forward index should.
+func TestEstimateReadCostsMatchBruteForce(t *testing.T) {
 	t.Parallel()
-	a, reads := testWorkload(t, 160, 43)
-	if a.Seeder().Bi().LUT() == nil {
-		t.Fatal("expected a default LUT on the test reference")
+	a, reads := testWorkload(t, 40, 43)
+	ref := a.Ref()
+	text := append(append([]byte(nil), ref...), ref.RevComp()...)
+	count := func(kmer []byte) int {
+		n := 0
+		for off := 0; ; off++ {
+			i := bytes.Index(text[off:], kmer)
+			if i < 0 {
+				return n
+			}
+			n++
+			off += i
+		}
 	}
-	stepwise := pipeline.New(a.Ref(), a.Options())
-	if err := stepwise.Seeder().Bi().BuildLUT(1); err != nil {
-		t.Fatal(err)
-	}
-	withLUT := EstimateReadCosts(a, reads, 0)
-	plain := EstimateReadCosts(stepwise, reads, 0)
-	if !reflect.DeepEqual(withLUT, plain) {
-		t.Fatal("cost vector differs between LUT and plain probes")
-	}
-	const s = 4
-	lutParts, lutLog := PlanBalanced(withLUT, s)
-	plainParts, plainLog := PlanBalanced(plain, s)
-	if !reflect.DeepEqual(lutParts, plainParts) {
-		t.Error("balanced partition differs between LUT and plain probes")
-	}
-	if !reflect.DeepEqual(lutLog, plainLog) {
-		t.Error("steal schedule differs between LUT and plain probes")
+	got := EstimateReadCosts(a, reads, 0)
+	for i, r := range reads {
+		want := probeBaseCost + probePerBaseCost*float64(len(r))
+		for _, strand := range []seq.Seq{r, r.RevComp()} {
+			for off := 0; off+probeKmerLen <= len(strand); off += probeStride {
+				want += probeOccCost * float64(min(count(strand[off:off+probeKmerLen]), probeOccCap))
+			}
+		}
+		if got[i] != want {
+			t.Fatalf("read %d: cost %v, brute-force %v", i, got[i], want)
+		}
 	}
 }
 

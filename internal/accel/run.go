@@ -188,9 +188,8 @@ func (s *System) runEngine() {
 }
 
 // drainEngine drives one drain-loop iteration's events. Each
-// iteration gets fresh watchdog progress counters (matching the
-// historical per-call RunGuarded semantics): the drain loop's own
-// no-progress detection, not the accumulated main-phase counters,
+// iteration gets fresh watchdog progress counters: the drain loop's
+// own no-progress detection, not the accumulated main-phase counters,
 // bounds it.
 func (s *System) drainEngine() {
 	var st sim.GuardState

@@ -64,17 +64,6 @@ func (c Cigar) String() string {
 	return out
 }
 
-// RefLen returns the number of reference bases the path consumes.
-func (c Cigar) RefLen() int {
-	n := 0
-	for _, op := range c {
-		if op.Op == OpM || op.Op == OpD {
-			n += op.Len
-		}
-	}
-	return n
-}
-
 // ReadLen returns the number of read bases the path consumes.
 func (c Cigar) ReadLen() int {
 	n := 0

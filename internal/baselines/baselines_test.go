@@ -50,27 +50,3 @@ func TestPlatformsConsistency(t *testing.T) {
 		t.Errorf("SUs+EUs/GenCache = %v, want ~0.1693", r)
 	}
 }
-
-func TestAblationSpeedupsComposeToTotal(t *testing.T) {
-	// The paper's three per-mechanism speedups multiply to roughly the
-	// total improvement over SUs+EUs (12.11/0.8879 = 13.64).
-	ab := AblationSpeedups()
-	product := 1.0
-	for _, v := range ab {
-		product *= v
-	}
-	total := 12.11 / 0.8879
-	if math.Abs(product-total)/total > 0.02 {
-		t.Errorf("ablation product %.3f vs total %.3f", product, total)
-	}
-}
-
-func TestThroughputPerWatt(t *testing.T) {
-	tw := ThroughputPerWatt()
-	if tw["GenAx"] != 52.62 || tw["GenCache"] != 13.50 {
-		t.Error("throughput/W constants wrong")
-	}
-	if ComparisonPowerW >= 5.754 {
-		t.Error("comparison power must exclude the SPM/SRAM components")
-	}
-}

@@ -238,22 +238,22 @@ func TestHitsBufferDrop(t *testing.T) {
 	}
 }
 
-// TestCanSwitchTrySwitchAgree pins CanSwitch and TrySwitch(false) to
-// the shared threshold predicate across the whole fill range, so the
-// two paths can never drift again.
+// TestCanSwitchTrySwitchAgree pins TrySwitch(false) to the threshold
+// predicate across the whole fill range: an unforced switch happens
+// exactly when the SB reaches threshold*depth, and a successful switch
+// moves the whole SB into the PB.
 func TestCanSwitchTrySwitchAgree(t *testing.T) {
 	for fill := 0; fill <= 8; fill++ {
 		b := NewHitsBuffer(8, 0.75)
 		for i := 0; i < fill; i++ {
 			b.Push(hit(i, 10))
 		}
-		can := b.CanSwitch()
 		did := b.TrySwitch(false)
-		if can != did {
-			t.Errorf("fill %d/8: CanSwitch=%v but TrySwitch(false)=%v", fill, can, did)
+		if want := fill >= 6; did != want { // 0.75*8 = 6
+			t.Errorf("fill %d/8: TrySwitch(false)=%v, want %v", fill, did, want)
 		}
-		if want := fill >= 6; can != want { // 0.75*8 = 6
-			t.Errorf("fill %d/8: CanSwitch=%v, want %v", fill, can, want)
+		if did && (b.SBLen() != 0 || b.PBRemaining() != fill) {
+			t.Errorf("fill %d/8: after switch sb=%d pb=%d", fill, b.SBLen(), b.PBRemaining())
 		}
 	}
 }

@@ -102,20 +102,14 @@ func (b *HitsBuffer) PBRemaining() int { return len(b.pb) - b.offset }
 // Switches returns how many buffer switches have occurred.
 func (b *HitsBuffer) Switches() int { return b.switches }
 
-// thresholdMet is the single switch-threshold predicate shared by
-// CanSwitch and TrySwitch: the SB fill has reached threshold*depth.
-// Keeping it in one place means the two callers cannot drift.
+// thresholdMet is the switch-threshold predicate: the SB fill has
+// reached threshold*depth.
 func (b *HitsBuffer) thresholdMet() bool {
 	return float64(b.SBLen()) >= b.threshold*float64(b.depth)
 }
 
-// CanSwitch reports whether the switch condition holds: the SB has
-// reached the threshold and the PB is drained.
-func (b *HitsBuffer) CanSwitch() bool {
-	return b.PBRemaining() == 0 && b.thresholdMet()
-}
-
-// TrySwitch swaps the buffers when CanSwitch; force additionally
+// TrySwitch swaps the buffers when the switch condition holds (the SB
+// has reached the threshold and the PB is drained); force additionally
 // allows a switch with any nonempty SB (used to drain the pipeline at
 // end of input, so a final sub-threshold SB is never stranded). It
 // reports whether a switch happened.
@@ -142,14 +136,6 @@ func (b *HitsBuffer) TrySwitch(force bool) bool {
 	}
 	return true
 }
-
-// Offset returns the PB consumption offset (hits already allocated
-// out of the current PB).
-func (b *HitsBuffer) Offset() int { return b.offset }
-
-// PBLen returns the total Processing Buffer length including already
-// consumed hits.
-func (b *HitsBuffer) PBLen() int { return len(b.pb) }
 
 // WindowIDs returns the current allocation window: up to batch
 // unallocated hit IDs starting at the PB offset (step 1 of Fig. 10).

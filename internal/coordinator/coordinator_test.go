@@ -33,16 +33,10 @@ func TestHitsBufferSwitchThreshold(t *testing.T) {
 	for i := 0; i < 5; i++ { // 5/8 = 62.5% < 75%
 		b.Push(hit(i, 10))
 	}
-	if b.CanSwitch() {
-		t.Error("switch below threshold")
-	}
 	if b.TrySwitch(false) {
 		t.Error("TrySwitch succeeded below threshold")
 	}
 	b.Push(hit(5, 10)) // 6/8 = 75%
-	if !b.CanSwitch() {
-		t.Error("switch at threshold denied")
-	}
 	if !b.TrySwitch(false) {
 		t.Error("TrySwitch failed at threshold")
 	}

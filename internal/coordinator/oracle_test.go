@@ -206,10 +206,10 @@ func TestHitsBufferArenaMatchesValue(t *testing.T) {
 	checkState := func(step int) {
 		t.Helper()
 		if len(ref.sb) != opt.SBLen() || ref.PBRemaining() != opt.PBRemaining() ||
-			ref.switches != opt.Switches() || ref.offset != opt.Offset() {
+			ref.switches != opt.Switches() || ref.offset != opt.offset {
 			t.Fatalf("step %d: occupancy diverges: value (sb=%d pb=%d sw=%d off=%d), arena (sb=%d pb=%d sw=%d off=%d)",
 				step, len(ref.sb), ref.PBRemaining(), ref.switches, ref.offset,
-				opt.SBLen(), opt.PBRemaining(), opt.Switches(), opt.Offset())
+				opt.SBLen(), opt.PBRemaining(), opt.Switches(), opt.offset)
 		}
 		var re, oe ckpt.Encoder
 		ref.EncodeState(&re)

@@ -10,9 +10,6 @@ import "fmt"
 // allocation instead of a pointer graph the collector must scan.
 type HitID int32
 
-// NoHit is the invalid HitID.
-const NoHit HitID = -1
-
 // HitArena is an index-based slab allocator for in-flight hits. IDs
 // are recycled through a free-list; the slab only grows to the peak
 // number of simultaneously live hits (bounded by the Coordinator's
@@ -93,10 +90,6 @@ func (a *HitArena) Free(id HitID) {
 // must report 0 — every interned hit was either dispatched or
 // dropped, and its generation released.
 func (a *HitArena) Live() int { return a.live }
-
-// Cap returns the slab length (the peak simultaneous liveness the
-// arena has grown to).
-func (a *HitArena) Cap() int { return len(a.slab) }
 
 // CheckDrained returns an error unless every issued ID has been freed
 // — the arena's conservation check, run at end of simulation.

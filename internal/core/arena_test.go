@@ -88,8 +88,8 @@ func TestHitArenaWarmEqualsFresh(t *testing.T) {
 			t.Fatalf("hit %d: warm SchedLen %d, fresh %d", i, warm.SchedLen(wid), fresh.SchedLen(fid))
 		}
 	}
-	if warm.Cap() != 512 {
-		t.Fatalf("warm arena grew to %d, want to stay at its 512 peak", warm.Cap())
+	if len(warm.slab) != 512 {
+		t.Fatalf("warm arena grew to %d, want to stay at its 512 peak", len(warm.slab))
 	}
 }
 

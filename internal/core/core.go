@@ -1,7 +1,7 @@
 // Package core defines the types shared across the NvWa accelerator
-// model: reads, hits, extension results, the Table III unified
-// interface between computing units and schedulers, and the Table I
-// system configuration.
+// model: hits and extension results (the Table III data interface
+// between computing units and schedulers), unit control states, and
+// the Table I system configuration.
 package core
 
 import (
@@ -9,15 +9,6 @@ import (
 
 	"nvwa/internal/ckpt"
 )
-
-// Read is a sequencing read staged in the accelerator's read memory.
-type Read struct {
-	// ID is the read index used by the schedulers (read_idx of the
-	// Table III data interface).
-	ID int
-	// Seq holds the 2-bit coded bases.
-	Seq []byte
-}
 
 // Hit is the SU output record of the Table III data interface:
 // [read_idx, hit_idx, direction, read_pos, ref_pos]. A hit is a
@@ -63,11 +54,6 @@ func (h Hit) Fold(d *ckpt.Digest) {
 	d.I64(int64(h.ReadLen))
 	d.I64(int64(h.SeedScore))
 }
-
-// ExtLen returns the number of read bases outside the exact seed (the
-// maximum the extension may have to process if it succeeds on both
-// flanks).
-func (h Hit) ExtLen() int { return h.ReadLen - (h.ReadEnd - h.ReadBeg) }
 
 // SeedLen returns the exact-match length of the hit.
 func (h Hit) SeedLen() int { return h.ReadEnd - h.ReadBeg }
@@ -127,24 +113,6 @@ func (s UnitState) String() string {
 	default:
 		return fmt.Sprintf("UnitState(%d)", int(s))
 	}
-}
-
-// SeedingUnit is the Table III control interface of an SU.
-type SeedingUnit interface {
-	// State returns the unit's current control state.
-	State() UnitState
-	// Stop parks the unit (end of input).
-	Stop()
-}
-
-// ExtensionUnit is the Table III control interface of an EU.
-type ExtensionUnit interface {
-	// State returns the unit's current control state.
-	State() UnitState
-	// PEs returns the unit's processing-element count (pe_number).
-	PEs() int
-	// Stop parks the unit.
-	Stop()
 }
 
 // EUClass describes one class of extension units in the hybrid pool.

@@ -55,13 +55,10 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestHitExtLen(t *testing.T) {
+func TestHitSeedLen(t *testing.T) {
 	h := Hit{ReadBeg: 20, ReadEnd: 60, ReadLen: 101}
 	if h.SeedLen() != 40 {
 		t.Errorf("SeedLen = %d", h.SeedLen())
-	}
-	if h.ExtLen() != 61 {
-		t.Errorf("ExtLen = %d, want 61", h.ExtLen())
 	}
 }
 

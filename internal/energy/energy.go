@@ -105,24 +105,6 @@ func CoordinatorPower(intervals, bufferDepth int) (bufferW, logicW float64) {
 	return
 }
 
-// ScalingFactor documents the 32 nm -> 14 nm conversion applied to
-// CACTI outputs, following the methodology of [52], [63] cited by the
-// paper.
-type ScalingFactor struct {
-	Quantity string
-	Factor   float64
-}
-
-// CactiScaling returns the four scaling factors the paper applies.
-func CactiScaling() []ScalingFactor {
-	return []ScalingFactor{
-		{"SRAM area", 0.20},
-		{"SRAM dynamic energy", 0.44},
-		{"SRAM leakage power", 0.42},
-		{"Logic delay", 0.65},
-	}
-}
-
 // FormatTable renders the Table II breakdown with totals.
 func FormatTable(cs []Component) string {
 	out := fmt.Sprintf("%-20s %-12s %10s %9s\n", "Module", "Category", "Area(mm^2)", "Power(W)")

@@ -90,12 +90,6 @@ func TestCoordinatorPowerTrends(t *testing.T) {
 	CoordinatorPower(0, 0)
 }
 
-func TestCactiScaling(t *testing.T) {
-	if len(CactiScaling()) != 4 {
-		t.Error("paper applies four scaling factors")
-	}
-}
-
 func TestFormatTable(t *testing.T) {
 	s := FormatTable(TableII())
 	for _, want := range []string{"Coordinator", "27.01", "5.754", "7.685"} {

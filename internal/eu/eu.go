@@ -134,11 +134,6 @@ func (u *Unit) PEUtilization() float64 {
 	return float64(u.busyPECycles) / float64(int64(u.pes)*u.occupancy)
 }
 
-// OccupancyCycles returns the total array-busy cycles across executed
-// tasks (load + fill + traceback) — the sum of the obs.EUExtend busy
-// intervals.
-func (u *Unit) OccupancyCycles() int64 { return u.occupancy }
-
 // TracebackCycles returns the total traceback cycles (pointer walk +
 // spill read-out) across executed tasks.
 func (u *Unit) TracebackCycles() int64 { return u.tbCycles }

@@ -24,14 +24,10 @@ type Fig14Row struct {
 	Distribution []float64
 }
 
-// Fig14 runs NvWa (with the H. sapiens-derived configuration, as the
-// paper fixes the hardware from NA12878 statistics) across the six
-// species proxies plus a long-read workload.
-func Fig14(refLen, numReads int, seed int64) []Fig14Row {
-	return Fig14With(refLen, numReads, seed, Serial())
-}
-
-// Fig14With is Fig14 under an explicit execution policy. Each dataset
+// Fig14With runs NvWa (with the H. sapiens-derived configuration, as
+// the paper fixes the hardware from NA12878 statistics) across the six
+// species proxies plus a long-read workload, under an explicit
+// execution policy. Each dataset
 // row — genome synthesis, index construction, read simulation, and
 // the NvWa simulation — is fully independent of the others (only the
 // shared human-derived hardware configuration crosses rows, and it is

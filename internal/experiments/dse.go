@@ -18,12 +18,10 @@ type Fig13aRow struct {
 	SUUtil, EUUtil   float64
 }
 
-// Fig13a sweeps the Hits Buffer depth (the paper finds 1024 best).
-func Fig13a(env *Env, depths []int) []Fig13aRow { return Fig13aWith(env, depths, Serial()) }
-
-// Fig13aWith is Fig13a under an explicit execution policy: each depth
-// design point is an independent simulation, fanned across the
-// runner's workers with order-preserving row collection.
+// Fig13aWith sweeps the Hits Buffer depth (the paper finds 1024 best)
+// under an explicit execution policy: each depth design point is an
+// independent simulation, fanned across the runner's workers with
+// order-preserving row collection.
 func Fig13aWith(env *Env, depths []int, r *Runner) []Fig13aRow {
 	if len(depths) == 0 {
 		depths = []int{64, 128, 256, 512, 1024, 2048, 4096}
@@ -75,13 +73,10 @@ type Fig13bRow struct {
 	BufferPowerW, LogicPowerW float64
 }
 
-// Fig13b sweeps the number of hybrid-EU intervals (the paper picks 4
-// as the throughput/power sweet spot). For each interval count the
-// pool is re-derived from the workload's hit distribution under the
-// same 2880-PE budget.
-func Fig13b(env *Env, counts []int) []Fig13bRow { return Fig13bWith(env, counts, Serial()) }
-
-// Fig13bWith is Fig13b under an explicit execution policy. The hit
+// Fig13bWith sweeps the number of hybrid-EU intervals (the paper picks
+// 4 as the throughput/power sweet spot) under an explicit execution
+// policy. For each interval count the pool is re-derived from the
+// workload's hit distribution under the same 2880-PE budget. The hit
 // distribution is collected once up front; the per-count pool solve
 // and simulation fan across the runner's workers. Rows keep the input
 // order; counts whose pool solve fails are dropped, as in the serial
@@ -189,7 +184,3 @@ func FormatFig13b(rows []Fig13bRow) string {
 	}
 	return b.String()
 }
-
-// Fig2Diversity quantifies the Fig. 2 observation numerically for
-// tests: the coefficient of variation of per-read totals.
-func Fig2Diversity(r Fig2Result) float64 { return r.Total.CV }

@@ -114,7 +114,7 @@ func TestFig9ReproducesPaperCycles(t *testing.T) {
 func TestFig11ShapeHolds(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
-	res := Fig11(env)
+	res := Fig11With(env, Serial())
 	// Who wins: NvWa over SUs+EUs, and each mechanism individually
 	// helps.
 	if res.TotalSpeedup <= 1.5 {
@@ -175,7 +175,7 @@ func TestFig12ShapeHolds(t *testing.T) {
 func TestFig13aSweep(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
-	rows := Fig13a(env, []int{4, 64, 4096})
+	rows := Fig13aWith(env, []int{4, 64, 4096}, Serial())
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -197,7 +197,7 @@ func TestFig13aSweep(t *testing.T) {
 func TestFig13bSweep(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
-	rows := Fig13b(env, []int{1, 4, 8})
+	rows := Fig13bWith(env, []int{1, 4, 8}, Serial())
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}

@@ -17,14 +17,11 @@ type FrontEndRow struct {
 	Aligned          int
 }
 
-// FrontEnds demonstrates the paper's Sec. VI flexibility claim at
+// FrontEndsWith demonstrates the paper's Sec. VI flexibility claim at
 // system level: the same schedulers, Coordinator, and EUs host two
 // different seeding algorithms — the FM-index three-pass pipeline and
 // the minimap2-style minimizer seed-and-chain — through the Table III
-// unified interface.
-func FrontEnds(env *Env) ([]FrontEndRow, error) { return FrontEndsWith(env, Serial()) }
-
-// FrontEndsWith is FrontEnds under an explicit execution policy: the
+// unified interface. Under the runner's execution policy the
 // front-end rows are independent systems and fan across the runner's
 // workers. The minimizer row configures its own Seeder, so the shared
 // FM-index memo is (correctly) not consumed there — accel.System

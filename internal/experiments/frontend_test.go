@@ -7,7 +7,7 @@ import (
 
 func TestFrontEnds(t *testing.T) {
 	env := getEnv(t)
-	rows, err := FrontEnds(env)
+	rows, err := FrontEndsWith(env, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,14 +47,6 @@ func NewRunner(workers int) *Runner {
 	return &Runner{workers: workers, memo: workers > 1}
 }
 
-// WithMemo overrides whether Env-backed runs replay the shared memo
-// cache (useful for isolating the two tentpole mechanisms).
-func (r *Runner) WithMemo(on bool) *Runner {
-	c := *r
-	c.memo = on
-	return &c
-}
-
 // WithSoftwareRPS pins the software-pipeline throughput (reads/sec)
 // experiments would otherwise measure by wall clock, making their
 // output fully deterministic. Zero restores measurement.

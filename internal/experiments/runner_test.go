@@ -93,12 +93,6 @@ func TestRunnerPolicies(t *testing.T) {
 	if !strings.Contains(four.String(), "j=4") {
 		t.Fatalf("name %q", four.String())
 	}
-	if four.WithMemo(false).UseMemo() {
-		t.Fatal("WithMemo(false) kept memo on")
-	}
-	if four.UseMemo() != true {
-		t.Fatal("WithMemo must not mutate the receiver")
-	}
 	if p := four.WithSoftwareRPS(5e5); p.swRPS != 5e5 || four.swRPS != 0 {
 		t.Fatal("WithSoftwareRPS must copy, not mutate")
 	}

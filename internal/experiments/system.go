@@ -44,10 +44,8 @@ type Fig11Result struct {
 	CPUSpeedup float64
 }
 
-// Fig11 runs the simulated comparison and ablations on the workload.
-func Fig11(env *Env) Fig11Result { return Fig11With(env, Serial()) }
-
-// Fig11With is Fig11 under an explicit execution policy: the six
+// Fig11With runs the simulated comparison and ablations on the
+// workload under an explicit execution policy: the six
 // independent accelerator configurations (baseline, the cumulative
 // build-up, the add-one-in ablations, full NvWa) fan across the
 // runner's worker pool, and memo replay removes the redundant

@@ -11,7 +11,6 @@ import (
 
 	"nvwa/internal/core"
 	"nvwa/internal/obs"
-	"nvwa/internal/systolic"
 )
 
 // Distribution is a hit-length histogram summed per interval: entry i
@@ -149,9 +148,6 @@ func NewClassifier(classes []core.EUClass) *Classifier {
 	return &Classifier{sizes: sizes}
 }
 
-// Sizes returns the unit sizes.
-func (c *Classifier) Sizes() []int { return c.sizes }
-
 // OptimalClass returns the class index whose unit size is optimal for
 // a hit of the given extension length: the smallest class whose PE
 // count is >= the length (Formula 3 is minimised near P = length);
@@ -174,10 +170,6 @@ func (c *Classifier) Histogram(hitLens []int) Distribution {
 	}
 	return d
 }
-
-// LatencyOn returns the matrix-fill latency of a hit of the given
-// extension length on a unit of p PEs (Formula 3 with R=Q=hitLen).
-func LatencyOn(hitLen, p int) int { return systolic.Latency(hitLen, hitLen, p) }
 
 // Trigger is the Allocate Trigger (paper Fig. 4): it watches the EU
 // pool and requests a Coordinator scheduling round when the idle

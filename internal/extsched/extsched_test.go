@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvwa/internal/core"
+	"nvwa/internal/systolic"
 )
 
 func TestSolveHybridReproducesPaperConfig(t *testing.T) {
@@ -143,16 +144,17 @@ func TestClassifierHistogram(t *testing.T) {
 
 func TestLatencyOnOptimality(t *testing.T) {
 	// For each class boundary length, the designated class must be the
-	// latency-optimal choice among the pool sizes.
+	// latency-optimal choice among the pool sizes under Formula 3 with
+	// R = Q = hit length.
 	sizes := []int{16, 32, 64, 128}
 	c := NewClassifier(core.DefaultConfig().EUClasses)
 	for _, l := range []int{5, 16, 20, 32, 50, 64, 100, 128} {
 		opt := c.OptimalClass(l)
-		best := LatencyOn(l, sizes[opt])
+		best := systolic.Latency(l, l, sizes[opt])
 		for _, p := range sizes {
-			if LatencyOn(l, p) < best {
+			if systolic.Latency(l, l, p) < best {
 				t.Errorf("len %d: class %d (P=%d, L=%d) beaten by P=%d (L=%d)",
-					l, opt, sizes[opt], best, p, LatencyOn(l, p))
+					l, opt, sizes[opt], best, p, systolic.Latency(l, l, p))
 			}
 		}
 	}

@@ -7,9 +7,6 @@ package fmindex
 type BiIndex struct {
 	fwd *Index // index of U
 	rev *Index // index of reverse(U)
-	// lut is the optional k-mer jump-start table (see lut.go). Built
-	// once, then read-only: shards and worker goroutines share it.
-	lut *KmerLUT
 }
 
 // NewBi builds a bidirectional index of t.
@@ -23,9 +20,6 @@ func NewBi(t []byte) *BiIndex {
 
 // Fwd exposes the forward index (used for locating occurrences).
 func (b *BiIndex) Fwd() *Index { return b.fwd }
-
-// TextLen returns the length of the indexed text.
-func (b *BiIndex) TextLen() int { return b.fwd.textLen }
 
 // BiInterval pairs the SA interval of pattern P in the forward index
 // with the SA interval of reverse(P) in the reverse index. The two
@@ -71,20 +65,4 @@ func (b *BiIndex) ExtendRight(iv BiInterval, a byte, st *Stats) BiInterval {
 	var out BiInterval
 	out.Rev, out.Fwd = extendFast(b.rev, iv.Rev, iv.Fwd, a)
 	return out
-}
-
-// CountBi returns the number of occurrences of p using left extensions,
-// for cross-checking against Index.Count.
-func (b *BiIndex) CountBi(p []byte, st *Stats) int {
-	if len(p) == 0 {
-		return b.fwd.size()
-	}
-	iv := b.Single(p[len(p)-1])
-	for i := len(p) - 2; i >= 0; i-- {
-		iv = b.ExtendLeft(iv, p[i], st)
-		if iv.Empty() {
-			return 0
-		}
-	}
-	return iv.Size()
 }

@@ -5,15 +5,6 @@ import (
 	"math/bits"
 )
 
-// OccInterval is the checkpoint spacing of the *modeled* hardware
-// occurrence table: the paper sets the FM-index interval of its SUs to
-// 128 (Sec. V-A), and Stats charges one 128-base block read per Occ
-// evaluation accordingly. The software implementation underneath keeps
-// a denser per-word checkpoint (one [4]int32 every 32 bases) so rank
-// queries are O(1) instead of scanning up to four words; the modeled
-// traffic is charged per call, so the cost model is unaffected.
-const OccInterval = 128
-
 // saSampleRate is the suffix-array sampling used by Locate. One LF
 // walk averages saSampleRate/2 steps.
 const saSampleRate = 32
@@ -22,6 +13,13 @@ const basesPerWord = 32 // 2-bit bases in a uint64
 
 // Stats counts the memory traffic of index operations. The SU cycle
 // model converts these counts into cycles and DRAM transactions.
+//
+// The *modeled* occurrence table has the paper's FM-index interval of
+// 128 (Sec. V-A), so Stats charges one 128-base block read per Occ
+// evaluation. The software index underneath keeps a denser per-word
+// checkpoint (one [4]int32 every 32 bases) so rank queries are O(1)
+// instead of scanning up to four words; the modeled traffic is charged
+// per call, so the cost model is unaffected.
 type Stats struct {
 	// OccAccesses counts occurrence-table block reads (one 128-base
 	// checkpointed block per Occ evaluation) served from SU table SRAM.
@@ -105,9 +103,6 @@ func New(t []byte) *Index {
 	}
 	return idx
 }
-
-// TextLen returns the length of the indexed text (without sentinel).
-func (x *Index) TextLen() int { return x.textLen }
 
 // size returns the BWT length (text + sentinel).
 func (x *Index) size() int { return x.textLen + 1 }

@@ -162,10 +162,10 @@ func TestStatsAdd(t *testing.T) {
 
 func TestOccIntervalBoundaries(t *testing.T) {
 	t.Parallel()
-	// Text straddling multiple checkpoint blocks with a biased
-	// composition catches block-mask bugs.
+	// Text straddling multiple 128-base modeled blocks (and many
+	// 32-base software checkpoints) catches block-mask bugs.
 	rng := rand.New(rand.NewSource(5))
-	text := make([]byte, 5*OccInterval+17)
+	text := make([]byte, 5*128+17)
 	for i := range text {
 		text[i] = byte(rng.Intn(4))
 	}

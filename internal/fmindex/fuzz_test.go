@@ -2,15 +2,15 @@ package fmindex
 
 import "testing"
 
-// FuzzSeedsLUTVsReference drives the production seeding path —
-// Workspace passes plus the k-mer LUT jump-start — against the
-// SeedsReference oracle (map-based dedup, allocating passes, no LUT)
-// on fuzzer-chosen reference/read pairs. Seeds (values and order) and
+// FuzzSeedsWSVsReference drives the production seeding path — the
+// Workspace passes with sorted-sweep dedup — against the
+// SeedsReference oracle (map-based dedup, allocating passes) on
+// fuzzer-chosen reference/read pairs. Seeds (values and order) and
 // charged Stats must both agree exactly: the Stats contract is what
 // keeps simulated Reports equal to the reference seeding's cost
 // profile, so a divergence here is a simulator-fidelity bug, not just
 // a software one.
-func FuzzSeedsLUTVsReference(f *testing.F) {
+func FuzzSeedsWSVsReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 2, 1, 0, 3, 1, 1, 2, 0}, []byte{0, 1, 2, 3, 2, 1}, byte(4), byte(8))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0}, []byte{0, 0, 0, 0}, byte(2), byte(0))
 	f.Add([]byte("ACGTGTCAACGTGTCA"), []byte("TGTCAACG"), byte(5), byte(3))
@@ -37,16 +37,6 @@ func FuzzSeedsLUTVsReference(f *testing.F) {
 		maxMemIntv := int(maxIntvRaw) % 20 // 0 disables the repeat pass
 
 		sd := NewSeeder(text)
-		// Force a table even on texts below the adaptive threshold, as
-		// long as the bounds allow one, so the jump path is exercised:
-		// the jump itself still only engages when k <= minLen.
-		if sd.Bi().LUT() == nil {
-			for k := 3; k >= 1; k-- {
-				if err := sd.Bi().BuildLUT(k); err == nil {
-					break
-				}
-			}
-		}
 		var ws Workspace
 		var stFast, stRef Stats
 		fast := sd.SeedsWS(&ws, r, minLen, 16, maxMemIntv, &stFast)
@@ -100,7 +90,7 @@ func FuzzSMEMvsNaive(f *testing.F) {
 
 		bi := NewBi(text)
 		var st Stats
-		got := bi.FindSMEMs(r, minLen, &st)
+		got := bi.FindSMEMsWS(new(Workspace), r, minLen, &st)
 		want := bruteSMEMs(text, r, minLen)
 
 		if len(got) != len(want) {

@@ -8,9 +8,9 @@ import "math/bits"
 // apart (a split checkpoint/BWT layout). This is the data-locality
 // discipline of GPU/FPGA BWT kernels (SaLoBa's coalesced occ blocks,
 // BWA-MEM2's interleaved cp_occ). It is the index's only rank path.
-// The modeled hardware is unchanged: Stats still charges one
-// OccInterval-block read per Occ evaluation, whatever the software
-// layout underneath. TestOccRankEquivalence pins every rank query
+// The modeled hardware is unchanged: Stats still charges one 128-base
+// block read per Occ evaluation, whatever the software layout
+// underneath. TestOccRankEquivalence pins every rank query
 // against a naive count over the decoded BWT.
 
 const loPairs = uint64(0x5555555555555555)

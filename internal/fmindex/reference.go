@@ -2,10 +2,10 @@ package fmindex
 
 // Reference implementations of the seeding pipeline, retained verbatim
 // from before the Workspace fast path: per-call allocation of the
-// traversal stacks and output slices, map-based dedup between passes,
-// and no k-mer LUT jump-start. They share the index's one rank path
-// with the production code, so they pin the workspace, sorted-sweep
-// dedup and LUT logic, not the rank kernel. They are plain functions:
+// traversal stacks and output slices, and map-based dedup between
+// passes. They share the index's one rank path with the production
+// code, so they pin the workspace and sorted-sweep dedup logic, not
+// the rank kernel. They are plain functions:
 // the differential-test oracles for the *WS variants and the "before"
 // side of the fmindex.Seeds/101bp kernel benchmark. Simulation code
 // must not call them.

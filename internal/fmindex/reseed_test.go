@@ -29,8 +29,8 @@ func TestFindSMEMsReseedFindsHiddenRepeatMatch(t *testing.T) {
 	pos := 60 // first copy's tail starts at 60
 	read := append([]byte(nil), text[pos-20:pos+len(tail)+20]...)
 
-	plain := bi.FindSMEMs(read, 15, nil)
-	reseeded := bi.FindSMEMsReseed(read, 15, 22, 10, nil)
+	plain := bi.FindSMEMsWS(new(Workspace), read, 15, nil)
+	reseeded := bi.FindSMEMsReseedWS(new(Workspace), read, 15, 22, 10, nil)
 	if len(reseeded) < len(plain) {
 		t.Fatal("reseeding lost SMEMs")
 	}
@@ -53,7 +53,7 @@ func TestFindSMEMsReseedFindsHiddenRepeatMatch(t *testing.T) {
 		t.Error("reseeding added no interior multi-occurrence sub-match")
 	}
 	// The full three-pass seeder must surface the high-occurrence core.
-	core := bi.RepeatSeeds(read, 15, 8, nil)
+	core := bi.RepeatSeedsWS(new(Workspace), read, 15, 8, nil)
 	foundCore := false
 	for _, s := range core {
 		if s.Iv.Size() >= 10 {
@@ -72,7 +72,7 @@ func TestFindSMEMsReseedNoDuplicates(t *testing.T) {
 		text, _ := buildRepeatText(rng, 8)
 		bi := NewBi(text)
 		read := append([]byte(nil), text[30:130]...)
-		out := bi.FindSMEMsReseed(read, 12, 18, 10, nil)
+		out := bi.FindSMEMsReseedWS(new(Workspace), read, 12, 18, 10, nil)
 		seen := map[[2]int]bool{}
 		for _, s := range out {
 			k := [2]int{s.ReadBeg, s.ReadEnd}
@@ -95,7 +95,7 @@ func TestRepeatSeedsProperties(t *testing.T) {
 	read := append([]byte(nil), tail...)
 	read = append(read, randomText(rng, 30)...)
 
-	seeds := bi.RepeatSeeds(read, 15, 8, nil)
+	seeds := bi.RepeatSeedsWS(new(Workspace), read, 15, 8, nil)
 	if len(seeds) == 0 {
 		t.Fatal("no repeat seeds in a 15-copy tail")
 	}
@@ -137,7 +137,7 @@ func TestRepeatSeedsUniqueTextTilesRead(t *testing.T) {
 	text := randomText(rng, 3000)
 	bi := NewBi(text)
 	read := append([]byte(nil), text[100:200]...)
-	seeds := bi.RepeatSeeds(read, 19, 8, nil)
+	seeds := bi.RepeatSeedsWS(new(Workspace), read, 19, 8, nil)
 	if len(seeds) < 3 || len(seeds) > 6 {
 		t.Errorf("expected ~5 tiled seeds on a 100 bp unique read, got %d", len(seeds))
 	}
@@ -148,10 +148,10 @@ func TestRepeatSeedsEmptyAndShortReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	text := randomText(rng, 500)
 	bi := NewBi(text)
-	if got := bi.RepeatSeeds(nil, 15, 8, nil); len(got) != 0 {
+	if got := bi.RepeatSeedsWS(new(Workspace), nil, 15, 8, nil); len(got) != 0 {
 		t.Error("nil read gave seeds")
 	}
-	if got := bi.RepeatSeeds(randomText(rng, 10), 15, 8, nil); len(got) != 0 {
+	if got := bi.RepeatSeedsWS(new(Workspace), randomText(rng, 10), 15, 8, nil); len(got) != 0 {
 		t.Error("too-short read gave seeds")
 	}
 }

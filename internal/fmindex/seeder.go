@@ -17,20 +17,11 @@ func NewSeeder(t []byte) *Seeder {
 	for i, b := range t {
 		u[2*len(t)-1-i] = 3 - (b & 3)
 	}
-	bi := NewBi(u)
-	// Attach the k-mer jump-start table at its adaptive default size;
-	// the default k is always within BuildKmerLUT's validated bounds.
-	if err := bi.BuildLUT(0); err != nil {
-		panic("fmindex: default LUT build rejected: " + err.Error())
-	}
-	return &Seeder{bi: bi, n: len(t)}
+	return &Seeder{bi: NewBi(u), n: len(t)}
 }
 
 // Bi exposes the underlying bidirectional index.
 func (s *Seeder) Bi() *BiIndex { return s.bi }
-
-// RefLen returns the reference length.
-func (s *Seeder) RefLen() int { return s.n }
 
 // Seed is one located seed occurrence: read[ReadBeg:ReadEnd) matches
 // the reference at RefPos (forward-strand coordinates). Rev marks a

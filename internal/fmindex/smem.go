@@ -16,51 +16,6 @@ type smemEntry struct {
 	end int
 }
 
-// FindSMEMs enumerates all supermaximal exact matches of r with length
-// >= minLen and at most maxIntv occurrences (0 disables the occurrence
-// cap). The traversal is the two-phase forward/backward algorithm of
-// BWA-MEM (bwt_smem1): from each anchor position, extend right
-// recording every interval-size change, then sweep left, emitting a
-// SMEM whenever the longest surviving match can no longer be extended.
-// FindSMEMs is a thin wrapper over FindSMEMsWS with a private
-// workspace; hot paths should reuse a Workspace instead.
-func (b *BiIndex) FindSMEMs(r []byte, minLen int, st *Stats) []SMEM {
-	var ws Workspace
-	return b.FindSMEMsWS(&ws, r, minLen, st)
-}
-
-// FindSMEMsReseed runs the full BWA-MEM seeding strategy: the SMEM
-// pass, then re-seeding (mem_reseed) — every sufficiently long SMEM
-// with few occurrences is re-searched from its midpoint requiring a
-// larger occurrence count, which surfaces the shorter, more frequent
-// sub-matches a supermaximal match hides (e.g. a read crossing a
-// transposon fragment whose interior matches hundreds of loci).
-// splitLen and splitWidth are BWA-MEM's -r parameters (1.5x min seed
-// length and 10 by default).
-// FindSMEMsReseed is a thin wrapper over FindSMEMsReseedWS with a
-// private workspace. The dedup between the SMEM pass and re-seeding
-// uses the workspace's sorted key set (the original map both mis-sized
-// its pre-allocation — len(out) before re-seeding populates it — and
-// hashed every probe; the sorted sweep does neither).
-func (b *BiIndex) FindSMEMsReseed(r []byte, minLen, splitLen, splitWidth int, st *Stats) []SMEM {
-	var ws Workspace
-	return b.FindSMEMsReseedWS(&ws, r, minLen, splitLen, splitWidth, st)
-}
-
-// RepeatSeeds is BWA-MEM's third seeding pass (bwt_seed_strategy1,
-// LAST-like): scanning left to right, it emits the shortest match of
-// length >= minLen that still has at least maxIntv occurrences, then
-// restarts after it. This is the pass that surfaces the numerous
-// short seeds inside high-copy repeats, which neither the SMEM pass
-// nor re-seeding reports (a supermaximal match hides them and
-// re-seeding only probes one midpoint).
-// RepeatSeeds is a thin wrapper over RepeatSeedsWS with a private
-// workspace.
-func (b *BiIndex) RepeatSeeds(r []byte, minLen, maxIntv int, st *Stats) []SMEM {
-	var ws Workspace
-	return b.RepeatSeedsWS(&ws, r, minLen, maxIntv, st)
-}
-
 // smem1 finds all SMEMs containing position x, appends them to out in
 // order of decreasing end, and returns the next anchor position (the
 // end of the longest match containing x).

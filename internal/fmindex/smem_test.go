@@ -50,7 +50,7 @@ func TestFindSMEMsMatchesBruteForce(t *testing.T) {
 		}
 		for _, minLen := range []int{1, 5, 10} {
 			var st Stats
-			got := bi.FindSMEMs(r, minLen, &st)
+			got := bi.FindSMEMsWS(new(Workspace), r, minLen, &st)
 			want := bruteSMEMs(text, r, minLen)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d minLen %d: %d SMEMs, want %d\n got=%v\n want=%v",
@@ -84,7 +84,7 @@ func TestFindSMEMsIntervalSizes(t *testing.T) {
 	bi := NewBi(text)
 	off := 100
 	r := text[off : off+40]
-	smems := bi.FindSMEMs(r, 10, nil)
+	smems := bi.FindSMEMsWS(new(Workspace), r, 10, nil)
 	if len(smems) == 0 {
 		t.Fatal("exact substring yielded no SMEMs")
 	}
@@ -104,11 +104,16 @@ func TestBiExtendConsistency(t *testing.T) {
 		for q := 0; q < 25; q++ {
 			p := randomText(rng, 1+rng.Intn(10))
 			want := bruteCount(text, p)
-			if got := bi.CountBi(p, nil); got != want {
-				t.Fatalf("CountBi(%v) = %d, want %d", p, got, want)
+			// Build the interval via left extensions, then via right
+			// extensions.
+			iv := bi.Single(p[len(p)-1])
+			for i := len(p) - 2; i >= 0 && !iv.Empty(); i-- {
+				iv = bi.ExtendLeft(iv, p[i], nil)
 			}
-			// Build the same interval via right extensions.
-			iv := bi.Single(p[0])
+			if got := iv.Size(); got != want {
+				t.Fatalf("left-extension count of %v = %d, want %d", p, got, want)
+			}
+			iv = bi.Single(p[0])
 			for i := 1; i < len(p) && !iv.Empty(); i++ {
 				iv = bi.ExtendRight(iv, p[i], nil)
 			}

@@ -127,8 +127,13 @@ func (b *BiIndex) smem1ws(ws *Workspace, r []byte, x, minIntv int, out *[]SMEM, 
 	return farEnd
 }
 
-// FindSMEMsWS is FindSMEMs using ws; the returned slice aliases ws and
-// is valid until its next use.
+// FindSMEMsWS enumerates all supermaximal exact matches of r with
+// length >= minLen. The traversal is the two-phase forward/backward
+// algorithm of BWA-MEM (bwt_smem1): from each anchor position, extend
+// right recording every interval-size change, then sweep left,
+// emitting a SMEM whenever the longest surviving match can no longer be
+// extended. The returned slice aliases ws and is valid until its next
+// use.
 func (b *BiIndex) FindSMEMsWS(ws *Workspace, r []byte, minLen int, st *Stats) []SMEM {
 	out := ws.smems[:0]
 	x := 0
@@ -146,12 +151,19 @@ func (b *BiIndex) FindSMEMsWS(ws *Workspace, r []byte, minLen int, st *Stats) []
 	return keep
 }
 
-// FindSMEMsReseedWS is FindSMEMsReseed using ws, with the dedup map
-// replaced by the workspace's sorted key set: first-pass keys are
-// inserted up front, every re-seeded match is admitted via a
-// binary-search insert, and the emission order is unchanged. The
-// returned slice aliases ws; as a side effect ws holds the sorted key
-// set of the returned SMEMs (SeedsWS reuses it for the repeat pass).
+// FindSMEMsReseedWS runs the SMEM pass, then BWA-MEM's re-seeding
+// (mem_reseed): every sufficiently long SMEM with few occurrences is
+// re-searched from its midpoint requiring a larger occurrence count,
+// which surfaces the shorter, more frequent sub-matches a supermaximal
+// match hides (e.g. a read crossing a transposon fragment whose
+// interior matches hundreds of loci). splitLen and splitWidth are
+// BWA-MEM's -r parameters (1.5x min seed length and 10 by default).
+// The dedup between the passes is the workspace's sorted key set:
+// first-pass keys are inserted up front, every re-seeded match is
+// admitted via a binary-search insert, and the emission order is that
+// of the passes. The returned slice aliases ws; as a side effect ws
+// holds the sorted key set of the returned SMEMs (SeedsWS reuses it
+// for the repeat pass).
 func (b *BiIndex) FindSMEMsReseedWS(ws *Workspace, r []byte, minLen, splitLen, splitWidth int, st *Stats) []SMEM {
 	out := b.FindSMEMsWS(ws, r, minLen, st)
 	nFirst := len(out)
@@ -185,11 +197,16 @@ func (b *BiIndex) FindSMEMsReseedWS(ws *Workspace, r []byte, minLen, splitLen, s
 	return out
 }
 
-// RepeatSeedsWS is RepeatSeeds using ws; the returned slice aliases ws
-// and is valid until its next use.
+// RepeatSeedsWS is BWA-MEM's third seeding pass (bwt_seed_strategy1,
+// LAST-like): scanning left to right, it emits the shortest match of
+// length >= minLen that still has at least maxIntv occurrences, then
+// restarts after it. This is the pass that surfaces the numerous short
+// seeds inside high-copy repeats, which neither the SMEM pass nor
+// re-seeding reports (a supermaximal match hides them and re-seeding
+// only probes one midpoint). The returned slice aliases ws and is valid
+// until its next use.
 func (b *BiIndex) RepeatSeedsWS(ws *Workspace, r []byte, minLen, maxIntv int, st *Stats) []SMEM {
 	out := ws.repeat[:0]
-	lut := b.lutFor(minLen)
 	x := 0
 	for x+minLen <= len(r) {
 		ik := b.Single(r[x])
@@ -197,21 +214,8 @@ func (b *BiIndex) RepeatSeedsWS(ws *Workspace, r []byte, minLen, maxIntv int, st
 			x++
 			continue
 		}
-		start := x + 1
-		if lut != nil && x+lut.k <= len(r) {
-			// Jump-start: load the bi-interval of r[x:x+k] from the table
-			// instead of performing the first k-1 right extensions. The
-			// emission/break condition needs i-x >= minLen >= k, so no
-			// decision point is skipped; the modeled hardware still walks
-			// the k-1 steps, so their Occ traffic is charged verbatim.
-			ik = lut.Interval(r[x:])
-			if st != nil {
-				st.OccAccesses += 2 * (lut.k - 1)
-			}
-			start = x + lut.k
-		}
 		next := len(r)
-		for i := start; i < len(r); i++ {
+		for i := x + 1; i < len(r); i++ {
 			ok := b.ExtendRight(ik, r[i], st)
 			if ok.Size() < maxIntv && i-x >= minLen {
 				if ik.Size() > 0 {

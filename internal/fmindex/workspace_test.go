@@ -78,6 +78,40 @@ func TestSeedsWSMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFastSeedsToggleIdentical is the core fast-path contract: seeds
+// AND Stats from the interleaved-rank path equal the original
+// reference over reads spanning the boundary cases — a single base,
+// reads shorter than minLen, minLen down to 1, and regular reads.
+func TestFastSeedsToggleIdentical(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(41))
+	text := repeatText(rng, 3000)
+	sd := NewSeeder(text)
+	var ws Workspace
+	lengths := []int{1, 2, 9, 10, 11, 14, 15, 40, 101}
+	for i := 0; i < 200; i++ {
+		n := lengths[i%len(lengths)]
+		r := drawRead(rng, text, n)
+		minLen := 1 + rng.Intn(20)
+		var stFast, stRef Stats
+		fast := append([]Seed(nil), sd.SeedsWS(&ws, r, minLen, 16, 8, &stFast)...)
+		ref := sd.SeedsReference(r, minLen, 16, 8, &stRef)
+		if len(fast) != len(ref) {
+			t.Fatalf("read len %d minLen %d: %d seeds fast, %d reference\nfast=%v\nref=%v",
+				n, minLen, len(fast), len(ref), fast, ref)
+		}
+		for k := range fast {
+			if fast[k] != ref[k] {
+				t.Fatalf("read len %d minLen %d seed %d: fast=%+v ref=%+v", n, minLen, k, fast[k], ref[k])
+			}
+		}
+		if stFast != stRef {
+			t.Fatalf("read len %d minLen %d: stats diverge fast=%+v ref=%+v",
+				n, minLen, stFast, stRef)
+		}
+	}
+}
+
 // TestFindSMEMsReseedWSMatchesReference checks the sorted-sweep dedup
 // against the original map-based reseed across random split
 // parameters.
@@ -157,7 +191,7 @@ func TestFindSMEMsWSZeroAlloc(t *testing.T) {
 func TestOccRankEquivalence(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(83))
-	text := randText(rng, 5*OccInterval+29)
+	text := randText(rng, 5*128+29)
 	x := New(text)
 	bwt := decodeBWT(x)
 	for i := -1; i <= x.size()+1; i++ {

@@ -40,18 +40,6 @@ func NewAssembly(chroms []*Reference) (*Assembly, error) {
 	return a, nil
 }
 
-// GenerateAssembly synthesises n chromosomes of the given lengths from
-// one profile (chromosome i is named <profile>_chr<i+1>).
-func GenerateAssembly(p Profile, lengths []int, seed int64) (*Assembly, error) {
-	var chroms []*Reference
-	for i, l := range lengths {
-		ref := Generate(p, l, seed+int64(i)*7919)
-		ref.Name = fmt.Sprintf("%s_chr%d", p.Name, i+1)
-		chroms = append(chroms, ref)
-	}
-	return NewAssembly(chroms)
-}
-
 // Concat returns the concatenated sequence the aligner indexes.
 func (a *Assembly) Concat() seq.Seq { return a.concat }
 
@@ -78,27 +66,6 @@ func (a *Assembly) Spans(beg, end int) bool {
 	c1, _, err1 := a.Translate(beg)
 	c2, _, err2 := a.Translate(end - 1)
 	return err1 != nil || err2 != nil || c1 != c2
-}
-
-// Offset returns the concatenation start of the named chromosome.
-func (a *Assembly) Offset(name string) (int, error) {
-	for i, c := range a.Chroms {
-		if c.Name == name {
-			return a.offsets[i], nil
-		}
-	}
-	return 0, fmt.Errorf("genome: unknown chromosome %q", name)
-}
-
-// WriteAssemblyFASTA writes every chromosome as its own FASTA record.
-func WriteAssemblyFASTA(w io.Writer, a *Assembly) error {
-	bw := bufio.NewWriter(w)
-	for _, c := range a.Chroms {
-		if err := WriteFASTA(bw, c); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // ReadAssemblyFASTA parses every record of a multi-FASTA stream.
@@ -137,42 +104,4 @@ func ReadAssemblyFASTA(r io.Reader) (*Assembly, error) {
 		return nil, fmt.Errorf("genome: no FASTA records")
 	}
 	return NewAssembly(chroms)
-}
-
-// SimulateAssembly samples reads across all chromosomes proportionally
-// to their lengths; TruePos is in concatenation coordinates (use
-// Translate for per-chromosome truth).
-func SimulateAssembly(a *Assembly, n int, cfg SimulatorConfig) []Read {
-	whole := &Reference{Name: "assembly", Seq: a.concat}
-	reads := Simulate(whole, n, cfg)
-	// Drop reads spanning a chromosome boundary by resampling nearby.
-	for i := range reads {
-		if a.Spans(reads[i].TruePos, reads[i].TruePos+cfg.ReadLen) {
-			// Shift into the chromosome the read starts in.
-			name, off, err := a.Translate(reads[i].TruePos)
-			if err != nil {
-				continue
-			}
-			start, _ := a.Offset(name)
-			chromLen := 0
-			for _, c := range a.Chroms {
-				if c.Name == name {
-					chromLen = len(c.Seq)
-				}
-			}
-			newPos := start + chromLen - cfg.ReadLen - 1
-			if newPos < start {
-				continue
-			}
-			_ = off
-			reads[i].TruePos = newPos
-			frag := a.concat[newPos : newPos+cfg.ReadLen]
-			if reads[i].TrueRev {
-				reads[i].Seq = frag.RevComp()
-			} else {
-				reads[i].Seq = frag.Clone()
-			}
-		}
-	}
-	return reads
 }

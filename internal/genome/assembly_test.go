@@ -2,13 +2,21 @@ package genome
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
 
+// testAssembly builds a three-chromosome assembly named chr1..chr3.
 func testAssembly(t *testing.T) *Assembly {
 	t.Helper()
-	a, err := GenerateAssembly(HumanLike(), []int{20000, 15000, 10000}, 3)
+	var chroms []*Reference
+	for i, l := range []int{20000, 15000, 10000} {
+		ref := Generate(HumanLike(), l, 3+int64(i)*7919)
+		ref.Name = fmt.Sprintf("chr%d", i+1)
+		chroms = append(chroms, ref)
+	}
+	a, err := NewAssembly(chroms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,12 +34,12 @@ func TestAssemblyConcatAndTranslate(t *testing.T) {
 		chrom string
 		local int
 	}{
-		{0, "H.sapiens-like_chr1", 0},
-		{19999, "H.sapiens-like_chr1", 19999},
-		{20000, "H.sapiens-like_chr2", 0},
-		{34999, "H.sapiens-like_chr2", 14999},
-		{35000, "H.sapiens-like_chr3", 0},
-		{44999, "H.sapiens-like_chr3", 9999},
+		{0, "chr1", 0},
+		{19999, "chr1", 19999},
+		{20000, "chr2", 0},
+		{34999, "chr2", 14999},
+		{35000, "chr3", 0},
+		{44999, "chr3", 9999},
 	}
 	for _, c := range cases {
 		chrom, local, err := a.Translate(c.pos)
@@ -69,23 +77,14 @@ func TestAssemblySpans(t *testing.T) {
 	}
 }
 
-func TestAssemblyOffset(t *testing.T) {
-	t.Parallel()
-	a := testAssembly(t)
-	if off, err := a.Offset("H.sapiens-like_chr2"); err != nil || off != 20000 {
-		t.Errorf("Offset = %d, %v", off, err)
-	}
-	if _, err := a.Offset("nope"); err == nil {
-		t.Error("unknown chromosome accepted")
-	}
-}
-
 func TestAssemblyFASTARoundTrip(t *testing.T) {
 	t.Parallel()
 	a := testAssembly(t)
 	var buf bytes.Buffer
-	if err := WriteAssemblyFASTA(&buf, a); err != nil {
-		t.Fatal(err)
+	for _, c := range a.Chroms {
+		if err := WriteFASTA(&buf, c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := strings.Count(buf.String(), ">"); got != 3 {
 		t.Fatalf("%d records", got)
@@ -111,37 +110,7 @@ func TestAssemblyValidation(t *testing.T) {
 	if _, err := ReadAssemblyFASTA(strings.NewReader("ACGT\n")); err == nil {
 		t.Error("headerless FASTA accepted")
 	}
-}
-
-func TestSimulateAssemblyReadsStayInChromosomes(t *testing.T) {
-	t.Parallel()
-	a := testAssembly(t)
-	cfg := ShortReadConfig(5)
-	reads := SimulateAssembly(a, 300, cfg)
-	for i, r := range reads {
-		if a.Spans(r.TruePos, r.TruePos+cfg.ReadLen) {
-			t.Fatalf("read %d spans a chromosome boundary at %d", i, r.TruePos)
-		}
-	}
-}
-
-func TestAssemblyEndToEndAlignment(t *testing.T) {
-	t.Parallel()
-	// Index the concatenation, align, translate results back — the
-	// workflow nvwa-align uses for multi-FASTA references.
-	a := testAssembly(t)
-	reads := SimulateAssembly(a, 60, ShortReadConfig(7))
-	// The pipeline package depends on genome, so exercise translation
-	// with ground truth only here (pipeline-level coverage lives in
-	// that package).
-	for _, r := range reads {
-		chrom, local, err := a.Translate(r.TruePos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off, _ := a.Offset(chrom)
-		if off+local != r.TruePos {
-			t.Fatal("offset+local != concat position")
-		}
+	if _, err := ReadAssemblyFASTA(strings.NewReader("")); err == nil {
+		t.Error("empty FASTA accepted")
 	}
 }

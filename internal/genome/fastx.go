@@ -28,40 +28,6 @@ func WriteFASTA(w io.Writer, ref *Reference) error {
 	return bw.Flush()
 }
 
-// ReadFASTA parses the first record of a FASTA stream.
-func ReadFASTA(r io.Reader) (*Reference, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	var name string
-	var sb strings.Builder
-	seen := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, ">") {
-			if seen {
-				break // only the first record
-			}
-			name = firstField(line[1:])
-			seen = true
-			continue
-		}
-		if !seen {
-			return nil, fmt.Errorf("genome: FASTA sequence data before header")
-		}
-		sb.WriteString(line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !seen {
-		return nil, fmt.Errorf("genome: no FASTA record found")
-	}
-	return &Reference{Name: name, Seq: seq.Encode(sb.String())}, nil
-}
-
 // WriteFASTQ writes reads in 4-line FASTQ format.
 func WriteFASTQ(w io.Writer, reads []Read) error {
 	bw := bufio.NewWriter(w)

@@ -14,37 +14,27 @@ func TestFASTARoundTrip(t *testing.T) {
 	if err := WriteFASTA(&buf, ref); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFASTA(&buf)
+	asm, err := ReadAssemblyFASTA(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(asm.Chroms) != 1 {
+		t.Fatalf("%d records", len(asm.Chroms))
+	}
+	got := asm.Chroms[0]
 	if got.Name != "chrTest" {
 		t.Errorf("name = %q", got.Name)
 	}
 	if !got.Seq.Equal(ref.Seq) {
 		t.Error("sequence does not round trip")
 	}
-}
-
-func TestReadFASTAFirstRecordOnly(t *testing.T) {
-	t.Parallel()
-	in := ">one desc\nACGT\nAC\n>two\nGGGG\n"
-	ref, err := ReadFASTA(strings.NewReader(in))
+	// The header's description is dropped and wrapped lines join.
+	asm, err = ReadAssemblyFASTA(strings.NewReader(">one desc\nACGT\nAC\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Name != "one" || ref.Seq.String() != "ACGTAC" {
-		t.Errorf("got %q %q", ref.Name, ref.Seq.String())
-	}
-}
-
-func TestReadFASTAErrors(t *testing.T) {
-	t.Parallel()
-	if _, err := ReadFASTA(strings.NewReader("")); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, err := ReadFASTA(strings.NewReader("ACGT\n")); err == nil {
-		t.Error("data before header should fail")
+	if c := asm.Chroms[0]; c.Name != "one" || c.Seq.String() != "ACGTAC" {
+		t.Errorf("got %q %q", c.Name, c.Seq.String())
 	}
 }
 

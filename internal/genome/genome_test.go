@@ -28,7 +28,7 @@ func TestGenerateGCApproximatesProfile(t *testing.T) {
 	t.Parallel()
 	p := HumanLike()
 	ref := Generate(p, 200000, 1)
-	gc := seq.GC(ref.Seq)
+	gc := gcFraction(ref.Seq)
 	if math.Abs(gc-p.GC) > 0.06 {
 		t.Errorf("GC = %.3f, want within 0.06 of %.3f", gc, p.GC)
 	}
@@ -136,4 +136,60 @@ func TestLongReadConfig(t *testing.T) {
 			t.Fatalf("long read length %d", len(r.Seq))
 		}
 	}
+}
+
+func TestGenerateProfilesAreDistinct(t *testing.T) {
+	t.Parallel()
+	// The Fig. 14 species proxies must produce genuinely different
+	// sequences and different repeat statistics under the same seed.
+	profiles := []Profile{HumanLike(), ClitarchusLike, ZapusLike, CamelusLike, VenustaLike, ElegansLike}
+	seen := map[string]string{}
+	for _, p := range profiles {
+		ref := Generate(p, 20000, 7)
+		head := ref.Seq[:200].String()
+		if other, dup := seen[head]; dup {
+			t.Fatalf("profiles %s and %s generated identical sequence", p.Name, other)
+		}
+		seen[head] = p.Name
+	}
+}
+
+func TestFragmentFractionDrivesMultiMapping(t *testing.T) {
+	t.Parallel()
+	// More repeat fragments must produce more multi-chain reads — the
+	// knob behind the short-hit mass of the Fig. 9(a) distribution.
+	base := HumanLike()
+	none := base
+	none.FragmentFraction = 0
+	none.InterspersedFraction = 0
+	refFrag := Generate(base, 60000, 9)
+	refNone := Generate(none, 60000, 9)
+	k := 16
+	count := func(ref *Reference) int {
+		counts := map[string]int{}
+		for i := 0; i+k <= len(ref.Seq); i += 4 {
+			counts[ref.Seq[i:i+k].String()]++
+		}
+		multi := 0
+		for _, c := range counts {
+			if c > 2 {
+				multi++
+			}
+		}
+		return multi
+	}
+	if count(refFrag) <= count(refNone)*2 {
+		t.Errorf("fragments did not raise k-mer multiplicity: %d vs %d", count(refFrag), count(refNone))
+	}
+}
+
+// gcFraction returns the fraction of G/C bases in s.
+func gcFraction(s seq.Seq) float64 {
+	gc := 0
+	for _, c := range s {
+		if c == 1 || c == 2 {
+			gc++
+		}
+	}
+	return float64(gc) / float64(len(s))
 }

@@ -26,10 +26,9 @@ type Stats struct {
 
 // Index is a k-mer position index over a 2-bit coded reference.
 type Index struct {
-	k       int
-	ptr     []int32 // ptr[h] .. ptr[h+1] delimit positions of k-mer h
-	pos     []int32
-	textLen int
+	k   int
+	ptr []int32 // ptr[h] .. ptr[h+1] delimit positions of k-mer h
+	pos []int32
 }
 
 // New builds a k-mer index of t.
@@ -57,7 +56,7 @@ func New(t []byte, k int) (*Index, error) {
 	for i := 1; i <= tableSize; i++ {
 		counts[i] += counts[i-1]
 	}
-	idx := &Index{k: k, ptr: counts, pos: make([]int32, n), textLen: len(t)}
+	idx := &Index{k: k, ptr: counts, pos: make([]int32, n)}
 	// Fill pass.
 	fill := make([]int32, tableSize)
 	h = 0
@@ -72,12 +71,6 @@ func New(t []byte, k int) (*Index, error) {
 	return idx, nil
 }
 
-// K returns the k-mer size.
-func (x *Index) K() int { return x.k }
-
-// TextLen returns the indexed text length.
-func (x *Index) TextLen() int { return x.textLen }
-
 // hashOf returns the 2k-bit hash of p[0:k].
 func (x *Index) hashOf(p []byte) int {
 	h := 0
@@ -85,24 +78,6 @@ func (x *Index) hashOf(p []byte) int {
 		h = (h << 2) | int(p[i]&3)
 	}
 	return h
-}
-
-// Lookup returns the reference positions of the k-mer at the front of
-// p, charging 2 pointer-table accesses and one position-table access
-// per returned position (Darwin's 2+P DRAM cost model).
-func (x *Index) Lookup(p []byte, st *Stats) []int32 {
-	if len(p) < x.k {
-		return nil
-	}
-	h := x.hashOf(p)
-	if st != nil {
-		st.PointerAccesses += 2
-	}
-	lo, hi := x.ptr[h], x.ptr[h+1]
-	if st != nil {
-		st.PositionAccesses += int(hi - lo)
-	}
-	return x.pos[lo:hi]
 }
 
 // Count returns the occurrence count of the k-mer at the front of p

@@ -39,6 +39,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestLookupMatchesBruteForce looks up single k-mers through Seeds:
+// the seeds are exactly the k-mer's reference positions, at 2+P table
+// accesses.
 func TestLookupMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
@@ -57,14 +60,14 @@ func TestLookupMatchesBruteForce(t *testing.T) {
 				p = randomText(rng, k)
 			}
 			var st Stats
-			got := idx.Lookup(p, &st)
+			got := idx.Seeds(p, 1, 0, &st)
 			want := bruteKmerPositions(text, p)
 			if len(got) != len(want) {
-				t.Fatalf("Lookup found %d positions, want %d", len(got), len(want))
+				t.Fatalf("Seeds found %d positions, want %d", len(got), len(want))
 			}
 			for i := range got {
-				if int(got[i]) != want[i] {
-					t.Fatalf("position %d: got %d want %d", i, got[i], want[i])
+				if got[i] != (Seed{ReadPos: 0, RefPos: want[i]}) {
+					t.Fatalf("seed %d: got %+v want ref pos %d", i, got[i], want[i])
 				}
 			}
 			if st.PointerAccesses != 2 {
@@ -96,7 +99,7 @@ func TestCountAvoidsPositionTable(t *testing.T) {
 
 func TestLookupShortPattern(t *testing.T) {
 	idx, _ := New([]byte{0, 1, 2, 3, 0, 1, 2, 3}, 4)
-	if got := idx.Lookup([]byte{0, 1}, nil); got != nil {
+	if got := idx.Seeds([]byte{0, 1}, 1, 0, nil); got != nil {
 		t.Errorf("short pattern returned %v", got)
 	}
 	if got := idx.Count([]byte{0}, nil); got != 0 {
@@ -157,8 +160,5 @@ func TestTotalPositions(t *testing.T) {
 	// window of the text.
 	if got, want := len(idx.pos), len(text)-k+1; got != want {
 		t.Errorf("position table size %d, want %d", got, want)
-	}
-	if idx.K() != k || idx.TextLen() != len(text) {
-		t.Error("accessors wrong")
 	}
 }

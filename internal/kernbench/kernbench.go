@@ -12,12 +12,9 @@
 //   - align.Extend: full-row DP (ExtendReference) vs the z-drop-aware
 //     shrinking-band kernel (leaf row pass over a query profile) with
 //     reused Scratch, on short-read, 200 bp and 1 kbp flank shapes.
-//   - fmindex.Seeds: map-based, allocating, LUT-free three-pass
-//     seeding (SeedsReference) vs workspace seeding with the k-mer LUT
-//     jump-start, both over the index's one interleaved rank path.
-//   - fmindex.Seeds/LUT: workspace seeding with a 1-mer table (plain
-//     stepwise search) vs the same with the default k-mer LUT
-//     jump-start.
+//   - fmindex.Seeds: map-based, allocating three-pass seeding
+//     (SeedsReference) vs workspace seeding with sorted-sweep dedup,
+//     both over the index's one interleaved rank path.
 //   - sim.Schedule: closure events (one allocation each) vs pooled
 //     Task events.
 //   - accel.MergeReports: the fresh-scratch reference shard merge vs
@@ -106,9 +103,6 @@ var (
 	seederText []byte
 	seeder     *fmindex.Seeder
 	seedReads  [][]byte
-
-	stepwiseOnce   sync.Once
-	stepwiseSeeder *fmindex.Seeder
 )
 
 func seedingData() (*fmindex.Seeder, [][]byte) {
@@ -118,39 +112,6 @@ func seedingData() (*fmindex.Seeder, [][]byte) {
 		seedReads = drawReads(103, seederText, 64, 101)
 	})
 	return seeder, seedReads
-}
-
-// stepwiseSeedingData indexes seedingData's text a second time with a
-// 1-mer table in place of the default k-mer LUT: a 1-mer jump skips no
-// extension step, so seeding runs plain stepwise search on the same
-// interleaved layout and returns the same seeds and Stats.
-func stepwiseSeedingData() (*fmindex.Seeder, [][]byte) {
-	_, reads := seedingData()
-	stepwiseOnce.Do(func() {
-		stepwiseSeeder = fmindex.NewSeeder(seederText)
-		if err := stepwiseSeeder.Bi().BuildLUT(1); err != nil {
-			panic(err)
-		}
-	})
-	return stepwiseSeeder, reads
-}
-
-// seedsWS benchmarks the warm-workspace SeedsWS loop over data's
-// seeder and reads.
-func seedsWS(data func() (*fmindex.Seeder, [][]byte)) func(*testing.B) {
-	return func(b *testing.B) {
-		sd, reads := data()
-		var ws fmindex.Workspace
-		var st fmindex.Stats
-		for _, r := range reads {
-			sd.SeedsWS(&ws, r, 15, 16, 8, &st) // warm
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
-		}
-	}
 }
 
 // extendCase builds an align.Extend before/after pair over the given
@@ -207,7 +168,7 @@ func Cases() []Case {
 		extendCase("1kbp-flank", 1008, 1000, 11, 19),
 		{
 			Kernel: "fmindex.Seeds/101bp",
-			Note:   "map dedup, allocating passes, no LUT (SeedsReference) vs workspace + k-mer LUT jump-start, one interleaved rank path",
+			Note:   "map dedup, allocating passes (SeedsReference) vs warm workspace with sorted-sweep dedup, one interleaved rank path",
 			Before: func(b *testing.B) {
 				sd, reads := seedingData()
 				var st fmindex.Stats
@@ -217,13 +178,19 @@ func Cases() []Case {
 					sd.SeedsReference(reads[i%len(reads)], 15, 16, 8, &st)
 				}
 			},
-			After: seedsWS(seedingData),
-		},
-		{
-			Kernel: "fmindex.Seeds/LUT",
-			Note:   "interleaved occ blocks + stepwise search (1-mer table) vs + k-mer LUT jump-start",
-			Before: seedsWS(stepwiseSeedingData),
-			After:  seedsWS(seedingData),
+			After: func(b *testing.B) {
+				sd, reads := seedingData()
+				var ws fmindex.Workspace
+				var st fmindex.Stats
+				for _, r := range reads {
+					sd.SeedsWS(&ws, r, 15, 16, 8, &st) // warm
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
+				}
+			},
 		},
 		{
 			Kernel: "sim.Schedule/1k-events",

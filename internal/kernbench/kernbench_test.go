@@ -1,11 +1,6 @@
 package kernbench
 
-import (
-	"reflect"
-	"testing"
-
-	"nvwa/internal/fmindex"
-)
+import "testing"
 
 // BenchmarkKernels runs every before/after kernel pair, e.g.
 //
@@ -38,20 +33,5 @@ func TestCasesRun(t *testing.T) {
 			})
 			_ = r
 		})
-	}
-}
-
-// TestStepwiseSeederMatchesLUT pins the fmindex.Seeds/LUT row's two
-// sides to the same output: the 1-mer table only removes the jump.
-func TestStepwiseSeederMatchesLUT(t *testing.T) {
-	lut, reads := seedingData()
-	step, _ := stepwiseSeedingData()
-	for i, r := range reads {
-		var sa, sb fmindex.Stats
-		a := lut.Seeds(r, 15, 16, 8, &sa)
-		b := step.Seeds(r, 15, 16, 8, &sb)
-		if !reflect.DeepEqual(a, b) || sa != sb {
-			t.Fatalf("read %d: stepwise seeding diverges from the LUT path", i)
-		}
 	}
 }

@@ -1,8 +1,8 @@
-// Package mem models the accelerator's memory system: an HBM 1.0
-// off-chip channel/bank model with row-buffer locality and bandwidth
-// queueing (standing in for the paper's Ramulator integration), and
-// on-chip scratchpad memories (SPM). Energy is accounted at the
-// paper's 7 pJ/bit for HBM accesses.
+// Package mem models the accelerator's off-chip memory: an HBM 1.0
+// channel/bank model with row-buffer locality and bandwidth queueing
+// (standing in for the paper's Ramulator integration). Energy is
+// accounted at the paper's 7 pJ/bit for HBM accesses. The on-chip read
+// scratchpad is modeled where it lives (seedsched.ReadSPM).
 package mem
 
 import "nvwa/internal/ckpt"
@@ -112,42 +112,6 @@ func (m *HBM) Access(now int64, addr int64, bytes int) int64 {
 
 // Stats returns a copy of the accumulated counters.
 func (m *HBM) Stats() Stats { return m.stats }
-
-// SPMConfig describes an on-chip scratchpad.
-type SPMConfig struct {
-	// Bytes is the capacity.
-	Bytes int
-	// Latency is the access latency in cycles.
-	Latency int64
-	// EnergyPerAccessPJ is the per-access energy in picojoules.
-	EnergyPerAccessPJ float64
-}
-
-// SPM is a scratchpad memory model: fixed latency, capacity checked by
-// the caller, energy accounted per access.
-type SPM struct {
-	cfg      SPMConfig
-	accesses int64
-}
-
-// NewSPM builds a scratchpad from cfg.
-func NewSPM(cfg SPMConfig) *SPM { return &SPM{cfg: cfg} }
-
-// Access charges one scratchpad access issued at cycle now and returns
-// the completion cycle.
-func (s *SPM) Access(now int64) int64 {
-	s.accesses++
-	return now + s.cfg.Latency
-}
-
-// Accesses returns the access count.
-func (s *SPM) Accesses() int64 { return s.accesses }
-
-// EnergyPJ returns the accumulated access energy in picojoules.
-func (s *SPM) EnergyPJ() float64 { return float64(s.accesses) * s.cfg.EnergyPerAccessPJ }
-
-// Capacity returns the scratchpad size in bytes.
-func (s *SPM) Capacity() int { return s.cfg.Bytes }
 
 // EncodeState writes the memory model's canonical state inventory:
 // aggregate statistics plus a digest over per-bank timing state (bank

@@ -7,9 +7,9 @@ import (
 
 func TestHBMRowHitFasterThanMiss(t *testing.T) {
 	m := NewHBM(HBM1())
-	first := m.Access(0, 0, 64)           // cold: row miss
-	second := m.Access(first, 128, 64)    // same row: hit
-	third := m.Access(second, 1<<20, 64)  // far away: miss
+	first := m.Access(0, 0, 64)          // cold: row miss
+	second := m.Access(first, 128, 64)   // same row: hit
+	third := m.Access(second, 1<<20, 64) // far away: miss
 	missLat := first - 0
 	hitLat := second - first
 	missLat2 := third - second
@@ -98,21 +98,4 @@ func TestNewHBMPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	NewHBM(HBMConfig{})
-}
-
-func TestSPM(t *testing.T) {
-	s := NewSPM(SPMConfig{Bytes: 4096, Latency: 2, EnergyPerAccessPJ: 1.5})
-	if done := s.Access(10); done != 12 {
-		t.Errorf("done = %d, want 12", done)
-	}
-	s.Access(20)
-	if s.Accesses() != 2 {
-		t.Errorf("accesses = %d", s.Accesses())
-	}
-	if s.EnergyPJ() != 3.0 {
-		t.Errorf("energy = %v", s.EnergyPJ())
-	}
-	if s.Capacity() != 4096 {
-		t.Errorf("capacity = %d", s.Capacity())
-	}
 }

@@ -32,15 +32,3 @@ func ReadHostGC() HostGC {
 		PauseTotalNs:    ms.PauseTotalNs,
 	}
 }
-
-// Delta returns the growth from an earlier snapshot: allocation,
-// collections, and pause time accumulated between the two reads.
-// HeapAllocBytes carries the end state (a level, not a rate).
-func (g HostGC) Delta(since HostGC) HostGC {
-	return HostGC{
-		HeapAllocBytes:  g.HeapAllocBytes,
-		TotalAllocBytes: g.TotalAllocBytes - since.TotalAllocBytes,
-		NumGC:           g.NumGC - since.NumGC,
-		PauseTotalNs:    g.PauseTotalNs - since.PauseTotalNs,
-	}
-}

@@ -388,14 +388,6 @@ func (v *Invariants) Checks() int64 {
 	return v.checked
 }
 
-// Violations returns the accumulated violation messages.
-func (v *Invariants) Violations() []string {
-	if v == nil {
-		return nil
-	}
-	return v.violations
-}
-
 // Err returns nil when no invariant was violated, else an error
 // listing every violation.
 func (v *Invariants) Err() error {

@@ -133,14 +133,6 @@ func (s *Series) Sample(cycle int64, value float64) {
 	s.points = append(s.points, SeriesPoint{Cycle: cycle, Value: value})
 }
 
-// Points returns the recorded samples.
-func (s *Series) Points() []SeriesPoint {
-	if s == nil {
-		return nil
-	}
-	return s.points
-}
-
 // Registry holds named metrics for one simulated machine. It is not
 // safe for concurrent use: one Registry belongs to one single-threaded
 // event loop (concurrently simulated systems each get their own).

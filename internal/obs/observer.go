@@ -31,9 +31,6 @@ func New() *Observer {
 // collection would be wasted work.
 func NewInvariantsOnly() *Observer { return &Observer{Inv: NewInvariants()} }
 
-// Enabled reports whether o observes anything.
-func (o *Observer) Enabled() bool { return o != nil }
-
 // hitLenBounds buckets hit lengths against the canonical unit-size
 // ladder (Fig. 9a's x-axis).
 var hitLenBounds = []float64{16, 32, 64, 128}

@@ -1,42 +1,57 @@
 package pipeline
 
 import (
+	"math/rand"
 	"testing"
 
 	"nvwa/internal/genome"
+	"nvwa/internal/seq"
 )
 
-func TestSimulatePairsLayout(t *testing.T) {
-	ref := genome.Generate(genome.HumanLike(), 60000, 41)
-	pairs := genome.SimulatePairs(ref, 100, genome.DefaultPairConfig(42))
-	if len(pairs) != 100 {
-		t.Fatalf("%d pairs", len(pairs))
+// readPair is a simulated FR paired-end fragment: r1 is read from the
+// forward strand at pos1, r2 from the reverse strand at pos2, the end
+// of the insert.
+type readPair struct {
+	r1, r2     seq.Seq
+	pos1, pos2 int
+}
+
+// simulatePairs samples n 2x101 bp pairs with 350+-50 bp inserts (the
+// standard Illumina library) and 1% substitutions from ref.
+func simulatePairs(ref seq.Seq, n int, seed int64) []readPair {
+	const readLen, mean, sd = 101, 350.0, 50.0
+	rng := rand.New(rand.NewSource(seed))
+	mutate := func(s seq.Seq) seq.Seq {
+		for i := range s {
+			if rng.Float64() < 0.01 {
+				s[i] = (s[i] + 1 + byte(rng.Intn(3))) % 4
+			}
+		}
+		return s
 	}
-	for i, p := range pairs {
-		if len(p.R1.Seq) != 101 || len(p.R2.Seq) != 101 {
-			t.Fatalf("pair %d: bad lengths", i)
-		}
-		if p.R1.TrueRev || !p.R2.TrueRev {
-			t.Fatalf("pair %d: not FR orientation", i)
-		}
-		if p.TrueInsert < 101 || p.TrueInsert > 600 {
-			t.Fatalf("pair %d: insert %d out of range", i, p.TrueInsert)
-		}
-		// The two true positions must be insert apart.
-		if got := p.R2.TruePos + 101 - p.R1.TruePos; got != p.TrueInsert {
-			t.Fatalf("pair %d: observed insert %d != %d", i, got, p.TrueInsert)
+	pairs := make([]readPair, n)
+	for i := range pairs {
+		insert := min(max(int(mean+rng.NormFloat64()*sd), readLen), int(mean+4*sd))
+		pos := rng.Intn(len(ref) - insert)
+		end := pos + insert
+		pairs[i] = readPair{
+			r1:   mutate(ref[pos : pos+readLen].Clone()),
+			r2:   mutate(ref[end-readLen : end].RevComp()),
+			pos1: pos,
+			pos2: end - readLen,
 		}
 	}
+	return pairs
 }
 
 func TestAlignPairRecoversProperPairs(t *testing.T) {
 	ref := genome.Generate(genome.HumanLike(), 80000, 43)
 	a := New(ref.Seq, DefaultOptions())
-	pairs := genome.SimulatePairs(ref, 80, genome.DefaultPairConfig(44))
+	pairs := simulatePairs(ref.Seq, 80, 44)
 	po := DefaultPairOptions()
 	proper, correct := 0, 0
 	for i, p := range pairs {
-		res := a.AlignPair(i, p.R1.Seq, p.R2.Seq, po)
+		res := a.AlignPair(i, p.r1, p.r2, po)
 		if !res.R1.Found || !res.R2.Found {
 			continue
 		}
@@ -46,7 +61,7 @@ func TestAlignPairRecoversProperPairs(t *testing.T) {
 				t.Fatalf("pair %d: proper but insert %d out of bounds", i, res.Insert)
 			}
 		}
-		if abs(res.R1.RefBeg-p.R1.TruePos) <= 10 && abs(res.R2.RefBeg-p.R2.TruePos) <= 10 {
+		if abs(res.R1.RefBeg-p.pos1) <= 10 && abs(res.R2.RefBeg-p.pos2) <= 10 {
 			correct++
 		}
 	}
@@ -63,21 +78,21 @@ func TestAlignPairConcordanceRescuesRepeats(t *testing.T) {
 	// placement concordant with its uniquely-mapping mate.
 	ref := genome.Generate(genome.HumanLike(), 80000, 45)
 	a := New(ref.Seq, DefaultOptions())
-	pairs := genome.SimulatePairs(ref, 150, genome.DefaultPairConfig(46))
+	pairs := simulatePairs(ref.Seq, 150, 46)
 	po := DefaultPairOptions()
 	pairCorrect, soloCorrect := 0, 0
 	n := 0
 	for i, p := range pairs {
-		solo := a.Align(2*i, p.R1.Seq)
-		res := a.AlignPair(i, p.R1.Seq, p.R2.Seq, po)
+		solo := a.Align(2*i, p.r1)
+		res := a.AlignPair(i, p.r1, p.r2, po)
 		if !solo.Found || !res.R1.Found {
 			continue
 		}
 		n++
-		if abs(solo.RefBeg-p.R1.TruePos) <= 10 {
+		if abs(solo.RefBeg-p.pos1) <= 10 {
 			soloCorrect++
 		}
-		if abs(res.R1.RefBeg-p.R1.TruePos) <= 10 {
+		if abs(res.R1.RefBeg-p.pos1) <= 10 {
 			pairCorrect++
 		}
 	}

@@ -13,8 +13,9 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"nvwa/internal/align"
@@ -185,15 +186,17 @@ func (a *Aligner) SeedAndChain(readIdx int, read seq.Seq) ([]core.Hit, fmindex.S
 	}
 	// Sort by (strand, diagonal, read begin); seeds on the same
 	// diagonal (within ChainBand) chain together.
-	sort.Slice(os, func(i, j int) bool {
-		if os[i].rev != os[j].rev {
-			return !os[i].rev
+	slices.SortFunc(os, func(x, y oseed) int {
+		if x.rev != y.rev {
+			if x.rev {
+				return 1
+			}
+			return -1
 		}
-		di, dj := os[i].refPos-os[i].beg, os[j].refPos-os[j].beg
-		if di != dj {
-			return di < dj
+		if c := cmp.Compare(x.refPos-x.beg, y.refPos-y.beg); c != 0 {
+			return c
 		}
-		return os[i].beg < os[j].beg
+		return cmp.Compare(x.beg, y.beg)
 	})
 
 	chains := scr.chains[:0]
@@ -235,9 +238,19 @@ func (a *Aligner) SeedAndChain(readIdx int, read seq.Seq) ([]core.Hit, fmindex.S
 
 	scr.chains = chains // retain grown capacity for the next read
 
-	// Filter: drop light chains, keep the MaxChains heaviest.
-	sort.SliceStable(chains, func(i, j int) bool { return chains[i].weight > chains[j].weight })
+	// Filter: drop light chains, keep the MaxChains heaviest. The
+	// hits are sized once, so the only allocation is the one returned.
+	slices.SortStableFunc(chains, func(x, y chain) int { return cmp.Compare(y.weight, x.weight) })
+	kept := 0
+	for _, c := range chains {
+		if c.weight >= a.opts.MinChainWeight {
+			kept++
+		}
+	}
 	var hits []core.Hit
+	if k := min(kept, a.opts.MaxChains); k > 0 {
+		hits = make([]core.Hit, 0, k)
+	}
 	for _, c := range chains {
 		if c.weight < a.opts.MinChainWeight {
 			continue

@@ -14,8 +14,10 @@ import (
 // to its oracle at pipeline defaults: for every simulated read, the
 // warm-workspace SeedsWS call SeedAndChain runs must return the same
 // seeds (values and order) and charge the same Stats as SeedsReference,
-// the map-based, allocating, LUT-free three-pass seeder. The extension
-// half is pinned by TestExtendFlanksMatchReference.
+// the map-based, allocating three-pass seeder. An SU's cycle cost is a
+// function of the hits and Stats alone, so this also pins SU timing to
+// the oracle. The extension half is pinned by
+// TestExtendFlanksMatchReference.
 func TestReferenceKernelsIdentical(t *testing.T) {
 	t.Parallel()
 	a, ref := testAligner(t, 50000, 11)

@@ -18,7 +18,6 @@ const (
 	FlagMateReverse  = 0x20
 	FlagFirstInPair  = 0x40
 	FlagSecondInPair = 0x80
-	FlagSecondary    = 0x100
 )
 
 // MapQ estimates a Phred-scaled mapping quality from the best and
@@ -92,42 +91,6 @@ func NewSAMWriter(w io.Writer, refName string, refLen int) (*SAMWriter, error) {
 		return nil, err
 	}
 	return &SAMWriter{w: bw, refName: refName}, nil
-}
-
-// WriteResult converts one pipeline result into a SAM record. qual may
-// be nil. Traceback (tb) may be nil for unmapped reads or when CIGAR
-// emission is disabled; the record then carries a placeholder CIGAR.
-func (s *SAMWriter) WriteResult(name string, read seq.Seq, qual []byte, res Result, mapq int, cigar string) error {
-	rec := SAMRecord{
-		QName: name,
-		RName: "*",
-		Cigar: "*",
-		RNext: "*",
-		Seq:   read.String(),
-		Qual:  "*",
-	}
-	if len(qual) == len(read) && len(qual) > 0 {
-		rec.Qual = string(qual)
-	}
-	if !res.Found {
-		rec.Flag = FlagUnmapped
-	} else {
-		rec.RName = s.refName
-		rec.Pos = res.RefBeg + 1
-		rec.MapQ = mapq
-		if cigar != "" {
-			rec.Cigar = cigar
-		}
-		if res.Rev {
-			rec.Flag |= FlagReverse
-			rec.Seq = read.RevComp().String()
-			if rec.Qual != "*" {
-				rec.Qual = reverseString(rec.Qual)
-			}
-		}
-	}
-	_, err := fmt.Fprintln(s.w, rec.String())
-	return err
 }
 
 // Flush flushes buffered records.

@@ -59,7 +59,7 @@ func TestSAMWriterRoundTrip(t *testing.T) {
 			}
 			mapped++
 		}
-		if err := w.WriteResult(r.Name, r.Seq, r.Qual, res, MapQ(res.Score, 0, res.Hits, 1), cigar); err != nil {
+		if err := w.WritePaired(r.Name, r.Seq, r.Qual, res, Result{}, 0, 0, cigar); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,11 +89,11 @@ func TestSAMRecordUnmappedAndReverse(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewSAMWriter(&buf, "chr", 1000)
 	read := genome.Read{Name: "u", Seq: []byte{0, 1, 2, 3}}
-	if err := w.WriteResult(read.Name, read.Seq, nil, Result{}, 0, ""); err != nil {
+	if err := w.WritePaired(read.Name, read.Seq, nil, Result{}, Result{}, 0, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	rev := Result{Found: true, Rev: true, RefBeg: 9, RefEnd: 13, Score: 4}
-	if err := w.WriteResult("r", read.Seq, []byte("IIII"), rev, 60, "4M"); err != nil {
+	if err := w.WritePaired("r", read.Seq, []byte("IIII"), rev, Result{}, 0, 0, "4M"); err != nil {
 		t.Fatal(err)
 	}
 	w.Flush()
@@ -113,7 +113,7 @@ func TestSAMRecordUnmappedAndReverse(t *testing.T) {
 	// revcomp here; use a clearer read.
 	var buf2 bytes.Buffer
 	w2, _ := NewSAMWriter(&buf2, "chr", 1000)
-	w2.WriteResult("r2", []byte{0, 0, 1}, []byte("ABC"), rev, 60, "3M")
+	w2.WritePaired("r2", []byte{0, 0, 1}, []byte("ABC"), rev, Result{}, 0, 0, "3M")
 	w2.Flush()
 	f := strings.Split(strings.Split(strings.TrimSpace(buf2.String()), "\n")[3], "\t")
 	if f[9] != "GTT" {

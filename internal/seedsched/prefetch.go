@@ -38,9 +38,6 @@ func NewReadSPM(hbm *mem.HBM, window, readBytes, batch int) *ReadSPM {
 	return &ReadSPM{hbm: hbm, readBytes: readBytes, batch: batch, lookahead: la}
 }
 
-// Fetched returns how many reads have been prefetched so far.
-func (p *ReadSPM) Fetched() int { return len(p.doneAt) * p.batch }
-
 // ReadyAt returns the cycle at which read idx is available from the
 // SPM, issuing any prefetches the request implies. A read whose batch
 // already completed costs one SPM cycle.

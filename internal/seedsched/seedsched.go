@@ -63,9 +63,6 @@ func NewOneCycleAllocator(n int) *OneCycleAllocator {
 // Units returns the number of units the allocator serves.
 func (a *OneCycleAllocator) Units() int { return a.n }
 
-// Next returns the next unallocated read index.
-func (a *OneCycleAllocator) Next() int { return a.next }
-
 // TreeDepth returns the depth of the PopCount reduction tree, the
 // critical path of the design: 6 for 64 units, 9 for 512 (paper
 // Sec. IV-B).
@@ -131,9 +128,6 @@ func NewBatchAllocator(n int) *BatchAllocator {
 	}
 	return &BatchAllocator{n: n}
 }
-
-// Next returns the next unallocated read index.
-func (b *BatchAllocator) Next() int { return b.next }
 
 // Allocate issues a new batch only if every unit is idle; otherwise no
 // unit receives a read (all -1).

@@ -65,7 +65,7 @@ func TestHardwarePathMatchesSpec(t *testing.T) {
 					return false
 				}
 			}
-			if hw.Next() != wantNext {
+			if hw.next != wantNext {
 				return false
 			}
 			next = wantNext
@@ -100,8 +100,8 @@ func TestAllocateNoDuplicates(t *testing.T) {
 			seen[a] = true
 		}
 	}
-	if hw.Next() != len(seen) {
-		t.Errorf("offset %d != unique allocations %d", hw.Next(), len(seen))
+	if hw.next != len(seen) {
+		t.Errorf("offset %d != unique allocations %d", hw.next, len(seen))
 	}
 }
 
@@ -151,8 +151,8 @@ func TestBatchAllocator(t *testing.T) {
 		}
 	}
 	alloc = b.Allocate([]bool{false, false, false, false})
-	if alloc[0] != 4 || b.Next() != 8 {
-		t.Errorf("second batch = %v, next = %d", alloc, b.Next())
+	if alloc[0] != 4 || b.next != 8 {
+		t.Errorf("second batch = %v, next = %d", alloc, b.next)
 	}
 }
 
@@ -212,8 +212,8 @@ func TestReadSPMHidesLatency(t *testing.T) {
 			t.Fatalf("read %d ready at %d, want %d (SPM hit)", idx, at, now+1)
 		}
 	}
-	if p.Fetched() < 64 {
-		t.Errorf("prefetcher fetched only %d reads", p.Fetched())
+	if fetched := len(p.doneAt) * p.batch; fetched < 64 {
+		t.Errorf("prefetcher fetched only %d reads", fetched)
 	}
 }
 

@@ -1,16 +1,13 @@
 package seq
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// FuzzSeqPackRoundTrip checks the 2-bit packed representation against
-// the unpacked one on arbitrary byte input: packing then unpacking is
-// the identity (after masking to the code space), random access and
-// window slicing agree with the unpacked sequence, and incremental
-// Append reproduces whole-sequence Pack byte for byte.
-func FuzzSeqPackRoundTrip(f *testing.F) {
+// FuzzSeqRoundTrip checks the 2-bit code on arbitrary byte input:
+// rendering a sequence as letters and encoding it back is the identity
+// (after masking to the code space), Clone is an equal copy, and the
+// reverse complement is an involution whose bases complement the
+// mirrored input.
+func FuzzSeqRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{0, 1, 2, 3})
@@ -21,60 +18,24 @@ func FuzzSeqPackRoundTrip(f *testing.F) {
 		if len(raw) > 1<<16 {
 			raw = raw[:1<<16]
 		}
-		// Arbitrary bytes mask into the 2-bit code space, exactly as
-		// Pack stores them.
 		s := make(Seq, len(raw))
 		for i, b := range raw {
 			s[i] = b & 3
 		}
-
-		p := Pack(s)
-		if p.Len() != len(s) {
-			t.Fatalf("Len = %d, want %d", p.Len(), len(s))
+		if got := Encode(s.String()); !got.Equal(s) {
+			t.Fatalf("Encode(String()) round trip diverges:\n got %v\nwant %v", got, s)
 		}
-		if got := p.Unpack(); !got.Equal(s) {
-			t.Fatalf("Unpack round trip diverges:\n got %v\nwant %v", got, s)
+		if !s.Clone().Equal(s) {
+			t.Fatal("Clone differs from its source")
 		}
+		rc := s.RevComp()
 		for i := range s {
-			if p.At(i) != s[i] {
-				t.Fatalf("At(%d) = %d, want %d", i, p.At(i), s[i])
+			if rc[len(s)-1-i] != Complement(s[i]) {
+				t.Fatalf("RevComp[%d] = %d, want complement of %d", len(s)-1-i, rc[len(s)-1-i], s[i])
 			}
 		}
-		// Window slicing with overhanging bounds must clamp, matching
-		// the unpacked slice.
-		for _, w := range [][2]int{{0, len(s)}, {-3, 2}, {len(s) / 2, len(s) + 5}, {1, 1}, {len(s), len(s) + 1}} {
-			got := p.Slice(w[0], w[1])
-			lo, hi := w[0], w[1]
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > len(s) {
-				hi = len(s)
-			}
-			var want Seq
-			if lo < hi {
-				want = s[lo:hi]
-			} else {
-				want = Seq{}
-			}
-			if !got.Equal(want) {
-				t.Fatalf("Slice(%d,%d) diverges", w[0], w[1])
-			}
-		}
-		// Incremental append equals whole-sequence pack.
-		mid := len(s) / 2
-		inc := Pack(s[:mid])
-		inc.Append(s[mid:])
-		if inc.Len() != p.Len() || !bytes.Equal(inc.Bytes(), p.Bytes()) {
-			t.Fatalf("Append-built packing diverges from Pack")
-		}
-		// Double reverse complement is the identity, and RevComp
-		// composes with packing.
-		if !s.RevComp().RevComp().Equal(s) {
+		if !rc.RevComp().Equal(s) {
 			t.Fatal("RevComp is not an involution")
-		}
-		if got := Pack(s.RevComp()).Unpack().RevComp(); !got.Equal(s) {
-			t.Fatal("packed RevComp round trip diverges")
 		}
 	})
 }

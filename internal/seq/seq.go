@@ -7,17 +7,10 @@
 // the code space.
 package seq
 
-import (
-	"fmt"
-	"math/rand"
-	"strings"
-)
+import "strings"
 
 // Base is a 2-bit encoded nucleotide: A=0, C=1, G=2, T=3.
 type Base = byte
-
-// Alphabet size of the 2-bit DNA code.
-const AlphabetSize = 4
 
 const baseLetters = "ACGT"
 
@@ -47,9 +40,8 @@ func DecodeBase(b Base) byte { return baseLetters[b&3] }
 // In the 2-bit code the complement is simply 3-b.
 func Complement(b Base) Base { return 3 - (b & 3) }
 
-// Seq is an unpacked 2-bit coded DNA sequence (one base per byte).
-// It is the working representation used by alignment kernels; Packed is
-// the storage representation used by indexes.
+// Seq is an unpacked 2-bit coded DNA sequence (one base per byte), the
+// representation every index and alignment kernel works on.
 type Seq []Base
 
 // Encode converts an ASCII string to a Seq.
@@ -98,93 +90,4 @@ func (s Seq) Equal(t Seq) bool {
 		}
 	}
 	return true
-}
-
-// Random returns a uniformly random sequence of length n drawn from rng.
-func Random(rng *rand.Rand, n int) Seq {
-	out := make(Seq, n)
-	for i := range out {
-		out[i] = Base(rng.Intn(AlphabetSize))
-	}
-	return out
-}
-
-// Packed stores a DNA sequence at 2 bits per base (4 bases per byte),
-// the layout used by on-accelerator tables. The zero value is an empty
-// sequence.
-type Packed struct {
-	data []byte
-	n    int
-}
-
-// Pack converts an unpacked sequence into packed form.
-func Pack(s Seq) *Packed {
-	p := &Packed{data: make([]byte, (len(s)+3)/4), n: len(s)}
-	for i, c := range s {
-		p.data[i>>2] |= (c & 3) << uint((i&3)*2)
-	}
-	return p
-}
-
-// Len returns the number of bases stored.
-func (p *Packed) Len() int { return p.n }
-
-// Bytes returns the underlying packed bytes (4 bases per byte,
-// little-endian within the byte). Callers must not modify it.
-func (p *Packed) Bytes() []byte { return p.data }
-
-// At returns the i-th base.
-func (p *Packed) At(i int) Base {
-	if i < 0 || i >= p.n {
-		panic(fmt.Sprintf("seq: index %d out of range [0,%d)", i, p.n))
-	}
-	return (p.data[i>>2] >> uint((i&3)*2)) & 3
-}
-
-// Slice unpacks bases [beg, end) into a fresh Seq. Bounds are clamped
-// to the sequence, so callers may pass windows that overhang the ends.
-func (p *Packed) Slice(beg, end int) Seq {
-	if beg < 0 {
-		beg = 0
-	}
-	if end > p.n {
-		end = p.n
-	}
-	if beg >= end {
-		return Seq{}
-	}
-	out := make(Seq, end-beg)
-	for i := beg; i < end; i++ {
-		out[i-beg] = (p.data[i>>2] >> uint((i&3)*2)) & 3
-	}
-	return out
-}
-
-// Unpack returns the whole sequence in unpacked form.
-func (p *Packed) Unpack() Seq { return p.Slice(0, p.n) }
-
-// Append adds bases to the end of the packed sequence.
-func (p *Packed) Append(s Seq) {
-	for _, c := range s {
-		i := p.n
-		if i>>2 == len(p.data) {
-			p.data = append(p.data, 0)
-		}
-		p.data[i>>2] |= (c & 3) << uint((i&3)*2)
-		p.n++
-	}
-}
-
-// GC returns the fraction of G/C bases in s; 0 for an empty sequence.
-func GC(s Seq) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	gc := 0
-	for _, c := range s {
-		if c == 1 || c == 2 {
-			gc++
-		}
-	}
-	return float64(gc) / float64(len(s))
 }

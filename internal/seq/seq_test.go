@@ -1,7 +1,6 @@
 package seq
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -66,103 +65,6 @@ func TestRevCompInvolution(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPackRoundTrip(t *testing.T) {
-	t.Parallel()
-	f := func(raw []byte) bool {
-		s := make(Seq, len(raw))
-		for i, b := range raw {
-			s[i] = b & 3
-		}
-		return Pack(s).Unpack().Equal(s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPackedAt(t *testing.T) {
-	t.Parallel()
-	s := Encode("GATTACA")
-	p := Pack(s)
-	if p.Len() != 7 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	for i := range s {
-		if p.At(i) != s[i] {
-			t.Errorf("At(%d) = %d, want %d", i, p.At(i), s[i])
-		}
-	}
-}
-
-func TestPackedAtPanics(t *testing.T) {
-	t.Parallel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range index")
-		}
-	}()
-	Pack(Encode("ACGT")).At(4)
-}
-
-func TestPackedSliceClamps(t *testing.T) {
-	t.Parallel()
-	p := Pack(Encode("ACGTACGT"))
-	if got := p.Slice(-5, 100).String(); got != "ACGTACGT" {
-		t.Errorf("clamped slice = %q", got)
-	}
-	if got := p.Slice(2, 6).String(); got != "GTAC" {
-		t.Errorf("Slice(2,6) = %q", got)
-	}
-	if got := p.Slice(6, 2); len(got) != 0 {
-		t.Errorf("inverted slice should be empty, got %q", got.String())
-	}
-}
-
-func TestPackedAppend(t *testing.T) {
-	t.Parallel()
-	p := Pack(Encode("ACG"))
-	p.Append(Encode("TTT"))
-	if got := p.Unpack().String(); got != "ACGTTT" {
-		t.Fatalf("Append result %q", got)
-	}
-	// Append on empty packed sequence.
-	var q Packed
-	q.Append(Encode("AC"))
-	if got := q.Unpack().String(); got != "AC" {
-		t.Fatalf("Append to zero value gave %q", got)
-	}
-}
-
-func TestRandomLengthAndRange(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(1))
-	s := Random(rng, 1000)
-	if len(s) != 1000 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for _, c := range s {
-		if c > 3 {
-			t.Fatalf("base out of range: %d", c)
-		}
-	}
-}
-
-func TestGC(t *testing.T) {
-	t.Parallel()
-	if got := GC(Encode("GGCC")); got != 1 {
-		t.Errorf("GC(GGCC) = %v", got)
-	}
-	if got := GC(Encode("AATT")); got != 0 {
-		t.Errorf("GC(AATT) = %v", got)
-	}
-	if got := GC(Encode("ACGT")); got != 0.5 {
-		t.Errorf("GC(ACGT) = %v", got)
-	}
-	if got := GC(nil); got != 0 {
-		t.Errorf("GC(nil) = %v", got)
 	}
 }
 

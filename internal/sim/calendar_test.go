@@ -19,7 +19,6 @@ type calFireRec struct {
 type scheduler interface {
 	Now() int64
 	AtTask(cycle int64, t Task)
-	AfterTask(delay int64, t Task)
 }
 
 // heapEngine is the differential oracle: the engine's scheduling
@@ -37,8 +36,6 @@ func (e *heapEngine) AtTask(cycle int64, t Task) {
 	e.h.push(event{at: cycle, seq: e.seq, task: t})
 	e.seq++
 }
-
-func (e *heapEngine) AfterTask(delay int64, t Task) { e.AtTask(e.now+delay, t) }
 
 func (e *heapEngine) fireNext() {
 	ev := e.h.pop()
@@ -116,7 +113,7 @@ func (d *calDriver) Fire() {
 		}
 	}
 	if d.pos < len(d.ops) {
-		d.e.AfterTask(1+d.ops[d.pos].delta%4, d)
+		d.e.AtTask(d.e.Now()+1+d.ops[d.pos].delta%4, d)
 	}
 }
 
@@ -233,7 +230,9 @@ func TestCalendarPendingParity(t *testing.T) {
 	var cal Engine
 	var calLog []calFireRec
 	cal.AtTask(0, &calDriver{e: &cal, ops: ops, log: &calLog})
-	cal.RunUntil(25)
+	if err := cal.RunBounded(25, -1, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	var heap heapEngine
 	var heapLog []calFireRec
 	heap.AtTask(0, &calDriver{e: &heap, ops: ops, log: &heapLog})

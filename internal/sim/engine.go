@@ -42,9 +42,9 @@ type Engine struct {
 }
 
 // Task is a schedulable unit of work. Hot paths schedule pooled Task
-// values via AtTask/AfterTask instead of closures, so steady-state
-// event traffic performs no per-event allocation: the task struct
-// carries its payload and is recycled by its owner after Fire.
+// values via AtTask instead of closures, so steady-state event traffic
+// performs no per-event allocation: the task struct carries its
+// payload and is recycled by its owner after Fire.
 type Task interface {
 	Fire()
 }
@@ -181,9 +181,6 @@ func (e *Engine) Clamps() int64 { return e.clamps }
 // After schedules fn delay cycles from now.
 func (e *Engine) After(delay int64, fn func()) { e.At(e.now+delay, fn) }
 
-// AfterTask schedules t.Fire delay cycles from now.
-func (e *Engine) AfterTask(delay int64, t Task) { e.AtTask(e.now+delay, t) }
-
 // fire advances time to the event and runs it.
 func (e *Engine) fire(ev event) {
 	e.now = ev.at
@@ -201,17 +198,6 @@ func (e *Engine) Run() int64 {
 		e.fire(e.cal.pop())
 	}
 	return e.now
-}
-
-// RunUntil processes events up to and including the given cycle.
-// Remaining events stay queued.
-func (e *Engine) RunUntil(cycle int64) {
-	for e.cal.len() > 0 && e.cal.peekAt() <= cycle {
-		e.fire(e.cal.pop())
-	}
-	if e.now < cycle {
-		e.now = cycle
-	}
 }
 
 // Pending returns the number of queued events.

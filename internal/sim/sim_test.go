@@ -59,13 +59,17 @@ func TestEnginePastSchedulingClamps(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntil runs to a cycle limit: events at or before it
+// fire, later ones stay queued.
 func TestEngineRunUntil(t *testing.T) {
 	var e Engine
 	count := 0
 	for i := int64(1); i <= 10; i++ {
 		e.At(i*10, func() { count++ })
 	}
-	e.RunUntil(50)
+	if err := e.RunBounded(50, -1, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if count != 5 {
 		t.Errorf("count = %d, want 5", count)
 	}
@@ -113,7 +117,7 @@ func (c *countTask) Fire() {
 	c.fired = append(c.fired, c.e.Now())
 	if c.left > 0 {
 		c.left--
-		c.e.AfterTask(c.step, c)
+		c.e.AtTask(c.e.Now()+c.step, c)
 	}
 }
 
@@ -278,9 +282,6 @@ func TestBusyTrackerBasics(t *testing.T) {
 	b.SetIdle(25) // no-op
 	b.SetBusy(30)
 	b.SetIdle(40)
-	if got := b.BusyCycles(100); got != 20 {
-		t.Errorf("busy cycles = %d, want 20", got)
-	}
 	if got := b.Utilization(0, 100); got != 0.2 {
 		t.Errorf("utilization = %v, want 0.2", got)
 	}
@@ -301,8 +302,8 @@ func TestBusyTrackerOpenInterval(t *testing.T) {
 	if !b.Busy() {
 		t.Error("should be busy")
 	}
-	if got := b.BusyCycles(60); got != 10 {
-		t.Errorf("open busy cycles = %d", got)
+	if got := b.Utilization(50, 60); got != 1.0 {
+		t.Errorf("open busy window utilization = %v", got)
 	}
 	if got := b.Utilization(0, 100); got != 0.5 {
 		t.Errorf("open utilization = %v", got)
@@ -404,8 +405,10 @@ func TestEngineRunUntilFiresOnAdvance(t *testing.T) {
 	e.OnAdvance = func(now int64) { advances = append(advances, now) }
 	e.At(5, func() {})
 	e.At(50, func() {})
-	e.RunUntil(20)
+	if err := e.RunBounded(20, -1, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if len(advances) != 1 || advances[0] != 5 {
-		t.Errorf("OnAdvance during RunUntil = %v, want [5]", advances)
+		t.Errorf("OnAdvance during a cycle-limited run = %v, want [5]", advances)
 	}
 }

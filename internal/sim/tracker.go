@@ -42,16 +42,6 @@ func (t *BusyTracker) SetIdle(now int64) {
 // Busy reports the current state.
 func (t *BusyTracker) Busy() bool { return t.busy }
 
-// BusyCycles returns total busy cycles up to cycle now (an open busy
-// interval is counted up to now).
-func (t *BusyTracker) BusyCycles(now int64) int64 {
-	total := t.total
-	if t.busy && now > t.busySince {
-		total += now - t.busySince
-	}
-	return total
-}
-
 // Utilization returns the busy fraction within [beg, end).
 func (t *BusyTracker) Utilization(beg, end int64) float64 {
 	if end <= beg {

@@ -8,7 +8,7 @@ import "fmt"
 // are designed to always terminate, and the watchdog proves it per
 // run.
 //
-// A Watchdog is read-only during RunGuarded (budgets are consulted,
+// A Watchdog is read-only during RunBounded (budgets are consulted,
 // never mutated), so one Watchdog value may be shared across
 // concurrently running engines — the sharded scale-out path hands the
 // same Watchdog to every shard.
@@ -93,18 +93,4 @@ func (e *Engine) RunBounded(limitCycle, maxFired int64, w *Watchdog, st *GuardSt
 		e.fire(e.cal.pop())
 	}
 	return nil
-}
-
-// RunGuarded processes events like Run but under a watchdog. A nil
-// watchdog is exactly Run. On a tripped budget the engine stops with
-// events still queued and returns a diagnosed error alongside the
-// cycle it reached; the caller decides whether to salvage partial
-// state.
-func (e *Engine) RunGuarded(w *Watchdog) (int64, error) {
-	if w == nil {
-		return e.Run(), nil
-	}
-	var st GuardState
-	err := e.RunBounded(-1, -1, w, &st)
-	return e.now, err
 }

@@ -11,7 +11,7 @@ func TestRunGuardedNilIsRun(t *testing.T) {
 	fired := 0
 	e.At(10, func() { fired++ })
 	e.At(20, func() { fired++ })
-	end, err := e.RunGuarded(nil)
+	end, err := runGuarded(&e, nil)
 	if err != nil || end != 20 || fired != 2 {
 		t.Fatalf("nil watchdog: end=%d err=%v fired=%d", end, err, fired)
 	}
@@ -24,7 +24,7 @@ func TestRunGuardedHealthyRunPasses(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		e.At(i, func() { fired++ })
 	}
-	end, err := e.RunGuarded(&Watchdog{MaxCycles: 1000})
+	end, err := runGuarded(&e, &Watchdog{MaxCycles: 1000})
 	if err != nil {
 		t.Fatalf("healthy run tripped watchdog: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestRunGuardedCycleBudget(t *testing.T) {
 	var e Engine
 	e.At(5, func() {})
 	e.At(5000, func() { t.Fatal("event beyond budget fired") })
-	end, err := e.RunGuarded(&Watchdog{MaxCycles: 100})
+	end, err := runGuarded(&e, &Watchdog{MaxCycles: 100})
 	if err == nil {
 		t.Fatal("cycle budget not enforced")
 	}
@@ -59,7 +59,7 @@ func TestRunGuardedLivelock(t *testing.T) {
 	var respawn func()
 	respawn = func() { e.At(e.Now(), respawn) } // classic same-cycle livelock
 	e.At(7, respawn)
-	_, err := e.RunGuarded(&Watchdog{MaxCycles: 1000, MaxEventsPerCycle: 1000})
+	_, err := runGuarded(&e, &Watchdog{MaxCycles: 1000, MaxEventsPerCycle: 1000})
 	if err == nil {
 		t.Fatal("livelock not detected")
 	}
@@ -75,7 +75,7 @@ func TestRunGuardedEventBudget(t *testing.T) {
 	n := int64(0)
 	tick = func() { n++; e.After(1, tick) } // unbounded but always progressing
 	e.At(0, tick)
-	_, err := e.RunGuarded(&Watchdog{MaxEvents: 500})
+	_, err := runGuarded(&e, &Watchdog{MaxEvents: 500})
 	if err == nil {
 		t.Fatal("event budget not enforced")
 	}
@@ -96,7 +96,15 @@ func TestRunGuardedPerCycleCounterResets(t *testing.T) {
 		e.At(1, func() {})
 		e.At(2, func() {})
 	}
-	if _, err := e.RunGuarded(&Watchdog{MaxEventsPerCycle: 60}); err != nil {
+	if _, err := runGuarded(&e, &Watchdog{MaxEventsPerCycle: 60}); err != nil {
 		t.Fatalf("per-cycle counter leaked across cycles: %v", err)
 	}
+}
+
+// runGuarded runs e to completion under w with fresh progress
+// counters, as accel's drain loop does, and returns the cycle reached.
+func runGuarded(e *Engine, w *Watchdog) (int64, error) {
+	var st GuardState
+	err := e.RunBounded(-1, -1, w, &st)
+	return e.Now(), err
 }

@@ -43,15 +43,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// IntSummary is Summarize for integer samples.
-func IntSummary(xs []int) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
 // IntervalHistogram buckets values by upper bounds: bucket i holds
 // values <= bounds[i] (and the last bucket additionally holds
 // everything larger). Fractions sum to 1 for nonempty input.

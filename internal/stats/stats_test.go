@@ -32,13 +32,6 @@ func TestSummarizeEmptyAndZeroMean(t *testing.T) {
 	}
 }
 
-func TestIntSummary(t *testing.T) {
-	s := IntSummary([]int{1, 2, 3})
-	if s.Mean != 2 || s.N != 3 {
-		t.Errorf("%+v", s)
-	}
-}
-
 func TestIntervalHistogram(t *testing.T) {
 	h := NewIntervalHistogram([]int{16, 32, 64, 128}, []int{7, 16, 17, 40, 103, 127, 128, 500})
 	want := []int{2, 1, 1, 4} // 500 lands in the last bucket

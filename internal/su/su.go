@@ -53,11 +53,12 @@ func DefaultCostModel() CostModel {
 // three-pass pipeline (*pipeline.Aligner) or any alternative producing
 // the Table III hit records, e.g. the minimizer seed-and-chain front
 // end (paper Sec. VI flexibility). The unit's cycle cost is computed
-// from the returned Stats alone, so a front end with multiple
-// implementations (the seeding fast path's interleaved layout and LUT
-// jump-start vs the scratch reference) must charge identical Stats
-// from each — otherwise simulated Reports would depend on which
-// software path computed a functionally identical answer.
+// from the returned Stats alone, so a front end's production path must
+// charge exactly the Stats of its reference (fmindex.SeedsWS vs
+// SeedsReference, pinned per read by pipeline's
+// TestReferenceKernelsIdentical) — otherwise simulated Reports would
+// depend on which software path computed a functionally identical
+// answer.
 type Seeding interface {
 	SeedAndChain(readIdx int, read seq.Seq) ([]core.Hit, fmindex.Stats)
 }

@@ -45,13 +45,6 @@ func Latency(r, q, p int) int {
 	return (r + p - 1) * blocks
 }
 
-// TracebackLatency returns the constant trace-back cost for a given
-// task (paper footnote 4: independent of the number of PEs). It is the
-// storage-free reference model; TracebackModel layers pointer-matrix
-// SRAM capacity and spill read-out on top of this walk, and its zero
-// value charges exactly this constant over the alignment spans.
-func TracebackLatency(r, q int) int { return r + q }
-
 // Result reports one array execution.
 type Result struct {
 	// Score is the best alignment score (identical to package align).

@@ -168,12 +168,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestTracebackLatencyConstantInPEs(t *testing.T) {
-	if TracebackLatency(100, 50) != 150 {
-		t.Errorf("traceback latency = %d", TracebackLatency(100, 50))
-	}
-}
-
 // TestRunFastAdversarial pins the wavefront on tie-heavy and degenerate
 // inputs: mono-base repeats (maximal score ties), all-mismatch
 // extension, single-base sequences, PE counts larger and smaller than

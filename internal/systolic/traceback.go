@@ -13,7 +13,8 @@ package systolic
 //
 // The zero value is the storage-free model: no SRAM accounting, a pure
 // path walk at one step per cycle — the paper's footnote-4 constant
-// over the *alignment* spans (TracebackLatency(refSpan, readSpan)).
+// (independent of the PE count) over the *alignment* spans,
+// refSpan + readSpan cycles.
 type TracebackModel struct {
 	// BitsPerCell is the pointer width banked per computed DP cell
 	// (2 bits encode the diagonal/up/left direction set). 0 disables
@@ -86,13 +87,4 @@ func (m TracebackModel) Cost(cells, pathLen int) TracebackCost {
 	c.SpillCycles = (spillBits + burst - 1) / burst
 	c.Cycles += c.SpillCycles
 	return c
-}
-
-// SRAMCells is the largest pointer matrix (in DP cells) the model
-// holds without spilling, or 0 when storage accounting is off.
-func (m TracebackModel) SRAMCells() int {
-	if m.BitsPerCell <= 0 {
-		return 0
-	}
-	return m.SRAMBytes * 8 / m.BitsPerCell
 }

@@ -9,7 +9,7 @@ func TestTracebackModelZeroValueIsFlatWalk(t *testing.T) {
 		if c.Spilled || c.SpillCycles != 0 {
 			t.Fatalf("zero model spilled for r=%d q=%d: %+v", tc.r, tc.q, c)
 		}
-		if want := int64(TracebackLatency(tc.r, tc.q)); c.Cycles != want {
+		if want := int64(tc.r + tc.q); c.Cycles != want {
 			t.Fatalf("zero model Cost(r=%d,q=%d).Cycles = %d, want flat %d",
 				tc.r, tc.q, c.Cycles, want)
 		}
@@ -18,7 +18,7 @@ func TestTracebackModelZeroValueIsFlatWalk(t *testing.T) {
 
 func TestTracebackModelFitsWithoutSpill(t *testing.T) {
 	m := DefaultTracebackModel()
-	fit := m.SRAMCells()
+	fit := sramCells(m)
 	if fit <= 0 {
 		t.Fatalf("default model has no SRAM capacity: %+v", m)
 	}
@@ -33,7 +33,7 @@ func TestTracebackModelFitsWithoutSpill(t *testing.T) {
 
 func TestTracebackModelSpillChargesReadOut(t *testing.T) {
 	m := DefaultTracebackModel()
-	fit := m.SRAMCells()
+	fit := sramCells(m)
 	// One burst worth of overflow: SpillReadBits/BitsPerCell extra cells.
 	over := fit + m.SpillReadBits/m.BitsPerCell
 	c := m.Cost(over, 100)
@@ -68,3 +68,7 @@ func TestTracebackModelStepsPerCycle(t *testing.T) {
 		t.Fatalf("negative inputs should cost nothing: %+v", c)
 	}
 }
+
+// sramCells is the largest pointer matrix (in DP cells) m holds
+// without spilling.
+func sramCells(m TracebackModel) int { return m.SRAMBytes * 8 / m.BitsPerCell }

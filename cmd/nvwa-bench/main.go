@@ -81,6 +81,7 @@ import (
 
 	"nvwa/internal/accel"
 	"nvwa/internal/experiments"
+	"nvwa/internal/genome"
 	"nvwa/internal/obs"
 )
 
@@ -110,14 +111,10 @@ func main() {
 
 	pol, err := accel.ParseShardPolicy(*shardPolicy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nvwa-bench:", err)
-		flag.Usage()
-		os.Exit(2)
+		usage(err)
 	}
 	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "nvwa-bench: -shards must be >= 1, got %d\n", *shards)
-		flag.Usage()
-		os.Exit(2)
+		usage(fmt.Errorf("-shards must be >= 1, got %d", *shards))
 	}
 
 	if *kernels || *kernelsCheck != "" || *kernelFilter != "" {
@@ -178,16 +175,12 @@ func main() {
 	for _, e := range strings.Split(*exp, ",") {
 		id := strings.TrimSpace(e)
 		if !known[id] {
-			fmt.Fprintf(os.Stderr, "nvwa-bench: unknown experiment %q\n", id)
-			flag.Usage()
-			os.Exit(2)
+			usage(fmt.Errorf("unknown experiment %q", id))
 		}
 		want[id] = true
 	}
 	if *chaosSeeds <= 0 {
-		fmt.Fprintf(os.Stderr, "nvwa-bench: -chaos-seeds must be positive, got %d\n", *chaosSeeds)
-		flag.Usage()
-		os.Exit(2)
+		usage(fmt.Errorf("-chaos-seeds must be positive, got %d", *chaosSeeds))
 	}
 	all := want["all"]
 	// The chaos harness simulates degraded hardware and the scale-out
@@ -195,6 +188,13 @@ func main() {
 	// artifact, so "all" implies neither; select them explicitly.
 	need := func(id string) bool {
 		return (all && id != "chaos" && id != "scaleout" && id != "recovery") || want[id]
+	}
+	readLen := genome.ShortReadConfig(0).ReadLen
+	if need("fig14") {
+		readLen = genome.LongReadConfig(0).ReadLen
+	}
+	if err := genome.CheckRefLen(*refLen, readLen); err != nil {
+		usage(fmt.Errorf("-reflen: %w", err))
 	}
 
 	var env *experiments.Env
@@ -345,9 +345,7 @@ func main() {
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+		usage(fmt.Errorf("unknown experiment %q", *exp))
 	}
 }
 
@@ -376,6 +374,13 @@ func writeObs(ob *obs.Observer, tracePath, metricsPath string) error {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "nvwa-bench:", err)
 	os.Exit(1)
+}
+
+// usage reports an invalid invocation and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "nvwa-bench:", err)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // benchRow is one serial-versus-parallel timing comparison.

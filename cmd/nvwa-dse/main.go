@@ -24,7 +24,7 @@
 // rows are identical with it on or off.
 //
 // Exit codes: 0 success; 2 usage error (unknown flag, malformed or
-// non-positive sweep values).
+// non-positive sweep values, a -reflen too short for the reads).
 package main
 
 import (
@@ -37,6 +37,7 @@ import (
 	"nvwa/internal/accel"
 	"nvwa/internal/energy"
 	"nvwa/internal/experiments"
+	"nvwa/internal/genome"
 )
 
 func main() {
@@ -57,6 +58,9 @@ func main() {
 	}
 	if *reads <= 0 || *refLen <= 0 {
 		fail(fmt.Errorf("nvwa-dse: -reads and -reflen must be positive (got %d, %d)", *reads, *refLen))
+	}
+	if err := genome.CheckRefLen(*refLen, genome.ShortReadConfig(0).ReadLen); err != nil {
+		fail(fmt.Errorf("nvwa-dse: -reflen: %w", err))
 	}
 	ds, err := parseInts(*depths)
 	if err != nil {

@@ -43,7 +43,6 @@ func main() {
 		fail(fmt.Errorf("unknown profile %q", *profile))
 	}
 
-	ref := genome.Generate(p, *refLen, *seed)
 	cfg := genome.ShortReadConfig(*seed + 1)
 	if *long {
 		cfg = genome.LongReadConfig(*seed + 1)
@@ -51,6 +50,11 @@ func main() {
 	if *readLen > 0 {
 		cfg.ReadLen = *readLen
 	}
+	if err := genome.CheckRefLen(*refLen, cfg.ReadLen); err != nil {
+		fmt.Fprintln(os.Stderr, "nvwa-genreads: -reflen:", err)
+		os.Exit(2)
+	}
+	ref := genome.Generate(p, *refLen, *seed)
 	reads := genome.Simulate(ref, *nReads, cfg)
 
 	ff, err := os.Create(*out + ".fa")

@@ -76,6 +76,7 @@ import (
 	"nvwa"
 	"nvwa/internal/accel"
 	"nvwa/internal/coordinator"
+	"nvwa/internal/genome"
 	"nvwa/internal/obs"
 )
 
@@ -113,6 +114,9 @@ func main() {
 		if p.v <= 0 {
 			usage(fmt.Errorf("-%s must be a positive integer, got %d", p.name, p.v))
 		}
+	}
+	if err := genome.CheckRefLen(*refLen, nvwa.ShortReads(0).ReadLen); err != nil {
+		usage(fmt.Errorf("-reflen: %w", err))
 	}
 	if *watchdog < 0 {
 		usage(fmt.Errorf("-watchdog must be >= 0, got %d", *watchdog))

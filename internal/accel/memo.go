@@ -13,25 +13,26 @@ import (
 )
 
 // Memo is a concurrency-safe replay cache of the accelerator's
-// deterministic functional work: the seeding results (hits + index
-// traffic) of every read and the extension result of every hit, keyed
-// on (readIdx, hitIdx), plus the oriented read views the EUs consume.
+// deterministic functional work: every read's record — the hits its SU
+// emits, the index traffic the search cost, and one extension record
+// per hit — computed ahead of time.
 //
-// The insight is that the functional half of su.Unit.Process and
-// eu.Unit.Execute depends only on the workload, never on the hardware
-// configuration being simulated: every Fig. 11 ablation, Fig. 13 sweep
-// point, and front-end row recomputes the exact same SMEM searches and
-// banded DP extensions inside its single-threaded event loop. A Memo
-// precomputes them once per workload — in parallel across reads — and
-// then serves them to any number of concurrently running Systems, so
-// each cycle-accurate event loop replays only the cost model.
+// The insight is that a read's record depends only on the workload,
+// never on the hardware configuration being simulated: every Fig. 11
+// ablation, Fig. 13 sweep point, and front-end row would refill the
+// exact same SMEM searches and banded DP extensions inside its
+// single-threaded event loop. A Memo fills them once per workload — in
+// parallel across reads, through fillRead, the function a System runs
+// per read at its seeding event — and then serves them to any number
+// of concurrently running Systems, so each cycle-accurate event loop
+// replays only the cost model.
 //
 // Determinism contract: a Memo-backed run produces a byte-identical
-// Report to a direct run. The cached values are exactly what the
-// front end and aligner would have returned (same code path, computed
-// once), and the cycle model consumes only those values, so the event
-// schedule cannot diverge. The golden tests in internal/experiments
-// enforce this end to end.
+// Report to a direct run. The cached records are exactly what the
+// System would have filled (same function, run once), and the cycle
+// model consumes only those records, so the event schedule cannot
+// diverge. The golden tests in internal/experiments enforce this end
+// to end.
 //
 // After Build returns, a Memo is immutable and safe for unsynchronised
 // concurrent use. Callers must not modify the returned slices.
@@ -43,14 +44,14 @@ type Memo struct {
 	// planHash keys the cache to the fault plan it was warmed for
 	// (fault.Plan.Hash; 0 = fault-free). New consults it so a memo
 	// warmed fault-free can never be replayed into a faulted
-	// configuration — degraded runs must recompute through the live
+	// configuration — degraded runs must refill through the live
 	// path rather than inherit fault-free results.
 	planHash uint64
 	// resumeHash keys the cache to a checkpoint-resume identity
 	// (ckpt.Checkpoint.Hash; 0 = fresh run). A resumed System carries a
 	// nonzero Options.ResumeHash, so a memo warmed for a fresh run can
 	// never alias into a resumed one (or vice versa) — the replayed
-	// prefix must recompute through the same path the original took.
+	// prefix must refill through the same path the original took.
 	resumeHash uint64
 	// shards caches derived per-shard views, keyed on (policy, shard
 	// count). Behind a pointer so Memo stays shallow-copyable.
@@ -68,23 +69,30 @@ type shardViewKey struct {
 	s   int
 }
 
+// memoRead is one read's record, the Table III data of its whole
+// lifetime: the hits its SU emits, the index traffic the search cost
+// (the SU cycle model's input), and one extension record per hit, in
+// hit order (the EU cycle model's input).
 type memoRead struct {
 	hits  []core.Hit
 	stats fmindex.Stats
-	rc    seq.Seq // reverse complement, built only when a reverse hit exists
-	exts  []memoExt
+	exts  []pipeline.Extended
 }
 
-type memoExt struct {
-	ext  core.Extension
-	cost pipeline.ExtendCost
+// fillRead computes read i's record: the seeding front end's hits and
+// traffic, then every hit's extension in one ExtendAll call. It is the
+// accelerator's one functional path, run per read by BuildMemo ahead of
+// time and by a System at the read's seeding event otherwise.
+func fillRead(front su.Seeding, ext *pipeline.Aligner, i int, read seq.Seq) memoRead {
+	hits, st := front.SeedAndChain(i, read)
+	return memoRead{hits: hits, stats: st, exts: ext.ExtendAll(read, hits, nil)}
 }
 
-// BuildMemo precomputes the functional results of the workload over
-// the given seeding front end and extension engine, fanning the
-// independent per-read work across workers goroutines (0 means
-// GOMAXPROCS). front == nil means the extension engine also seeds
-// (the default FM-index three-pass pipeline).
+// BuildMemo precomputes the records of the workload over the given
+// seeding front end and extension engine, fanning the independent
+// per-read work across workers goroutines (0 means GOMAXPROCS).
+// front == nil means the extension engine also seeds (the default
+// FM-index three-pass pipeline).
 func BuildMemo(aligner *pipeline.Aligner, front su.Seeding, reads []seq.Seq, workers int) *Memo {
 	var f su.Seeding = aligner
 	if front != nil {
@@ -114,35 +122,14 @@ func BuildMemo(aligner *pipeline.Aligner, front su.Seeding, reads []seq.Seq, wor
 				if i >= len(reads) {
 					return
 				}
-				m.buildRead(i)
+				// Each index is owned by exactly one worker, so no
+				// locking is needed.
+				m.per[i] = fillRead(m.front, m.ext, i, reads[i])
 			}
 		}()
 	}
 	wg.Wait()
 	return m
-}
-
-// buildRead computes one read's seeding and extension results. Each
-// index is owned by exactly one worker, so no locking is needed.
-func (m *Memo) buildRead(i int) {
-	read := m.reads[i]
-	hits, st := m.front.SeedAndChain(i, read)
-	pr := memoRead{hits: hits, stats: st}
-	for _, h := range hits {
-		if h.Rev && pr.rc == nil {
-			pr.rc = read.RevComp()
-		}
-	}
-	pr.exts = make([]memoExt, len(hits))
-	for k, h := range hits {
-		oriented := read
-		if h.Rev {
-			oriented = pr.rc
-		}
-		ext, cost := m.ext.ExtendHitCost(oriented, h)
-		pr.exts[k] = memoExt{ext: ext, cost: cost}
-	}
-	m.per[i] = pr
 }
 
 // Replays reports whether the memo was built over the given front end
@@ -178,49 +165,33 @@ func (m *Memo) KeyedToResume(resumeHash uint64) *Memo {
 // Reads returns the workload the memo was built for.
 func (m *Memo) Reads() []seq.Seq { return m.reads }
 
-// SeedAndChain implements su.Seeding by replay: it returns the cached
-// hits and index-traffic stats for the read. Unknown reads (index out
-// of range or a different sequence) fall back to the live front end,
-// preserving correctness for callers that stray from the built
-// workload.
-func (m *Memo) SeedAndChain(readIdx int, read seq.Seq) ([]core.Hit, fmindex.Stats) {
-	if readIdx >= 0 && readIdx < len(m.per) && m.reads[readIdx].Equal(read) {
-		pr := &m.per[readIdx]
-		return pr.hits, pr.stats
-	}
-	return m.front.SeedAndChain(readIdx, read)
-}
-
-// replayed returns the cached extension record for (h.ReadIdx,
-// h.HitIdx), in place, or nil for a nil memo or when the cached hit
-// there is not equal to h in every field — a foreign front end or a
-// mutated record, which must take the live aligner. The record is
-// shared by every System replaying the memo and must not be modified.
-func (m *Memo) replayed(h *core.Hit) *memoExt {
-	if m != nil && h.ReadIdx >= 0 && h.ReadIdx < len(m.per) {
-		pr := &m.per[h.ReadIdx]
-		if h.HitIdx >= 0 && h.HitIdx < len(pr.exts) && pr.hits[h.HitIdx] == *h {
-			return &pr.exts[h.HitIdx]
-		}
+// record returns the cached record of read i, or nil for a nil memo or
+// when the memo does not hold read i with exactly this sequence — a
+// read outside the built workload, which the System fills itself. The
+// record is shared by every System replaying the memo and must not be
+// modified.
+func (m *Memo) record(i int, read seq.Seq) *memoRead {
+	if m != nil && i >= 0 && i < len(m.per) && m.reads[i].Equal(read) {
+		return &m.per[i]
 	}
 	return nil
 }
 
 // ShardViews derives one replay cache per shard of the memoized
 // workload under (pol, s): view i holds the reads of parts[i]
-// re-indexed to the shard-local space, with every cached hit's and
-// extension's ReadIdx remapped accordingly, so a shard System replays
-// exactly as an unsharded System replays the full cache. The caller
-// supplies the partition because the balanced policy's parts are
-// cost-derived (PlanBalanced), not index-derived; memoization stays
-// keyed on (pol, s) alone, which is sound because every policy's
-// partition — balanced included — is a pure function of (workload,
-// pol, s) and the memo is pinned to one workload. Views share the
-// parent's immutable per-read payloads (hits are copied for the remap;
-// stats, reverse complements, and extension results alias the parent)
-// and are memoized per (pol, s), so repeated sharded runs over one
-// memo pay the derivation once. The returned views carry the parent's
-// plan keying; callers re-key shallow copies per shard plan.
+// re-indexed to the shard-local space, with every cached hit's ReadIdx
+// remapped accordingly, so a shard System replays exactly as an
+// unsharded System replays the full cache. The caller supplies the
+// partition because the balanced policy's parts are cost-derived
+// (PlanBalanced), not index-derived; memoization stays keyed on
+// (pol, s) alone, which is sound because every policy's partition —
+// balanced included — is a pure function of (workload, pol, s) and the
+// memo is pinned to one workload. Views share the parent's immutable
+// per-read payloads (hits are copied for the remap; stats and
+// extension records, which carry no ReadIdx, alias the parent) and are
+// memoized per (pol, s), so repeated sharded runs over one memo pay the
+// derivation once. The returned views carry the parent's plan keying;
+// callers re-key shallow copies per shard plan.
 //
 // Concurrency: safe for concurrent use after BuildMemo, like every
 // other Memo method. nil for s <= 1 or a memo not built by BuildMemo.
@@ -244,16 +215,11 @@ func (m *Memo) ShardViews(pol ShardPolicy, s int, parts [][]int) []*Memo {
 		for li, gi := range part {
 			v.reads[li] = m.reads[gi]
 			pr := m.per[gi]
-			lr := memoRead{stats: pr.stats, rc: pr.rc}
+			lr := memoRead{stats: pr.stats, exts: pr.exts}
 			lr.hits = make([]core.Hit, len(pr.hits))
 			for k, h := range pr.hits {
 				h.ReadIdx = li
 				lr.hits[k] = h
-			}
-			lr.exts = make([]memoExt, len(pr.exts))
-			for k, e := range pr.exts {
-				e.ext.ReadIdx = li
-				lr.exts[k] = e
 			}
 			v.per[li] = lr
 		}
@@ -261,17 +227,4 @@ func (m *Memo) ShardViews(pol ShardPolicy, s int, parts [][]int) []*Memo {
 	}
 	m.shards.views[key] = views
 	return views
-}
-
-// Oriented returns the read view a hit's coordinates refer to, serving
-// the cached reverse complement instead of reallocating one per
-// dispatch (pipeline.Orient allocates on every reverse-strand hit).
-func (m *Memo) Oriented(readIdx int, rev bool) seq.Seq {
-	if !rev {
-		return m.reads[readIdx]
-	}
-	if readIdx >= 0 && readIdx < len(m.per) && m.per[readIdx].rc != nil {
-		return m.per[readIdx].rc
-	}
-	return m.reads[readIdx].RevComp()
 }

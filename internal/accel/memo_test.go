@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"nvwa/internal/core"
 	"nvwa/internal/pipeline"
 )
 
@@ -121,40 +120,22 @@ func TestMemoSharedAcrossConcurrentSystems(t *testing.T) {
 	}
 }
 
-// TestMemoFallbackPaths exercises the cache-miss paths: unknown read
-// indices and foreign hits must fall back to live computation instead
-// of returning wrong cached values.
+// TestMemoFallbackPaths exercises the cache-miss path: a memo over the
+// first 20 reads, attached to a run over 30, replays the reads it holds
+// and fills the other ten itself, and the Report equals the direct
+// run's.
 func TestMemoFallbackPaths(t *testing.T) {
 	t.Parallel()
 	a, reads := testWorkload(t, 30, 41)
 	memo := BuildMemo(a, nil, reads[:20], 2)
-
-	// Read 25 is outside the built range: replay must still seed it.
-	hits, st := memo.SeedAndChain(25, reads[25])
-	wantHits, wantSt := a.SeedAndChain(25, reads[25])
-	if len(hits) != len(wantHits) || st != wantSt {
-		t.Fatalf("fallback seeding diverges: %d hits vs %d", len(hits), len(wantHits))
+	if memo.record(3, reads[3]) == nil || memo.record(25, reads[25]) != nil || memo.record(3, reads[4]) != nil {
+		t.Fatal("memo serves a read it does not hold, or misses one it does")
 	}
-	// A known read replays the cached result.
-	gotHits, gotSt := memo.SeedAndChain(3, reads[3])
-	directHits, directSt := a.SeedAndChain(3, reads[3])
-	if !reflect.DeepEqual(gotHits, directHits) || gotSt != directSt {
-		t.Fatal("cached seeding diverges from direct computation")
+	direct, err := New(a, smallOpts())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Extensions of cached hits replay from the memo record; a hit
-	// differing from the cached record in any one field falls back to
-	// the live extension. Both are checked at System.extend, the one
-	// replay site, through the completion task it schedules.
-	if len(gotHits) == 0 {
-		t.Fatal("read 3 has no hits to replay")
-	}
-	h := gotHits[0]
-	oriented := pipeline.Orient(reads[3], h.Rev)
-	wantExt, wantCost := a.ExtendHitCost(oriented, h)
-	rec := memo.replayed(&h)
-	if rec == nil || rec.ext != wantExt || rec.cost != wantCost {
-		t.Fatalf("cached record for hit %d missing or wrong", h.HitIdx)
-	}
+	want := direct.Run(reads)
 	opts := smallOpts()
 	opts.Memo = memo
 	s, err := New(a, opts)
@@ -164,55 +145,7 @@ func TestMemoFallbackPaths(t *testing.T) {
 	if s.memo == nil {
 		t.Fatal("memo not consumed")
 	}
-	extend := func(h core.Hit) *euTask {
-		probe := &euTask{s: s}
-		s.euFree = append(s.euFree[:0], probe)
-		s.extend(s.eus[0], &h)
-		return probe
-	}
-	if tk := extend(h); tk.ext != &rec.ext {
-		t.Fatalf("cached hit %d not served from its memo record", h.HitIdx)
-	}
-	// Each mutation keeps every flank window inside the oriented read and
-	// the reference, so the live extension stays well defined.
-	step := func(v, hi int) int {
-		if v+1 < hi {
-			return v + 1
-		}
-		return v - 1
-	}
-	for _, m := range []struct {
-		field string
-		mut   func(*core.Hit)
-	}{
-		{"ReadIdx", func(h *core.Hit) { h.ReadIdx = 4 }},
-		{"HitIdx", func(h *core.Hit) { h.HitIdx++ }},
-		{"Rev", func(h *core.Hit) { h.Rev = !h.Rev }},
-		{"ReadBeg", func(h *core.Hit) { h.ReadBeg = step(h.ReadBeg, h.ReadEnd) }},
-		{"ReadEnd", func(h *core.Hit) { h.ReadEnd = step(h.ReadEnd, len(oriented)+1) }},
-		{"RefPos", func(h *core.Hit) { h.RefPos++ }},
-		{"ReadLen", func(h *core.Hit) { h.ReadLen-- }},
-		{"SeedScore", func(h *core.Hit) { h.SeedScore++ }},
-	} {
-		mut := h
-		m.mut(&mut)
-		if mut == h {
-			t.Fatalf("%s: mutation left the hit unchanged", m.field)
-		}
-		if memo.replayed(&mut) != nil {
-			t.Errorf("%s: mutated hit served from the cache", m.field)
-		}
-		liveExt, _ := a.ExtendHitCost(memo.Oriented(mut.ReadIdx, mut.Rev), mut)
-		if tk := extend(mut); tk.ext != &tk.own || tk.own != liveExt {
-			t.Errorf("%s: mutated hit did not fall back to live extension", m.field)
-		}
-	}
-	// Oriented views match pipeline.Orient for both strands.
-	for i := 0; i < 20; i++ {
-		for _, rev := range []bool{false, true} {
-			if !memo.Oriented(i, rev).Equal(pipeline.Orient(reads[i], rev)) {
-				t.Fatalf("oriented view diverges for read %d rev=%v", i, rev)
-			}
-		}
+	if got := s.Run(reads); !reflect.DeepEqual(want, got) {
+		t.Fatal("run over a partial memo diverges from the direct run")
 	}
 }

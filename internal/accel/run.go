@@ -5,6 +5,7 @@ import (
 	"nvwa/internal/coordinator"
 	"nvwa/internal/core"
 	"nvwa/internal/eu"
+	"nvwa/internal/fmindex"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
 	"nvwa/internal/sim"
@@ -50,6 +51,7 @@ func (s *System) RunChecked(reads []seq.Seq) (*Report, error) {
 func (s *System) Feed(reads []seq.Seq) {
 	s.feedLog = append(s.feedLog, ckpt.FeedRec{Fired: s.eng.Fired(), N: int64(len(reads))})
 	s.reads = append(s.reads, reads...)
+	s.exts = append(s.exts, make([][]pipeline.Extended, len(reads))...)
 	for range reads {
 		s.results = append(s.results, pipeline.Result{})
 		s.bestHit = append(s.bestHit, -1)
@@ -232,7 +234,8 @@ func (t *suTask) TaskKind() string { return "su" }
 func (t *suTask) Fire() {
 	s := t.s
 	if !t.started {
-		hits, done := t.u.Process(s.eng.Now(), t.idx, s.reads[t.idx])
+		hits, st := s.fill(t.idx)
+		done := t.u.Process(s.eng.Now(), t.idx, len(hits), st)
 		if s.flt != nil {
 			// Transient SU stall: the unit holds its result for the
 			// injected extra cycles.
@@ -255,6 +258,22 @@ func (t *suTask) Fire() {
 		return
 	}
 	s.suDone(u, hits)
+}
+
+// fill takes read idx's record at its seeding event: from the memo
+// when it holds the read, otherwise from fillRead, the function
+// BuildMemo runs per read. It keeps the extension records for the
+// read's hits to be charged from and returns what the SU charges for.
+// A read reseeded after an SU failure is filled again, to the same
+// record.
+func (s *System) fill(idx int) ([]core.Hit, fmindex.Stats) {
+	r := s.memo.record(idx, s.reads[idx])
+	if r == nil {
+		rec := fillRead(s.front, s.ext, idx, s.reads[idx])
+		r = &rec
+	}
+	s.exts[idx] = r.exts
+	return r.hits, r.stats
 }
 
 // getSUTask takes a task from the freelist or allocates one.
@@ -642,28 +661,13 @@ func (s *System) dispatch(a *coordinator.Assignment) {
 }
 
 // extend runs hit h on unit u from the current cycle and schedules its
-// completion. In replay mode a cached hit is charged straight from its
-// Memo record, which the completion task points at instead of copying;
-// any other hit runs through the unit's Extender.
+// completion: the hit's extension record, filled at its read's seeding
+// event, is expanded into the completion task and charged.
 func (s *System) extend(u *eu.Unit, h *core.Hit) {
-	now := s.eng.Now()
 	t := s.getEUTask(u)
-	var done int64
-	if e := s.memo.replayed(h); e != nil {
-		t.ext = &e.ext
-		done = u.Charge(now, h, &e.ext, e.cost)
-	} else {
-		var oriented seq.Seq
-		if s.memo != nil {
-			// Replay mode: reuse the cached oriented view instead of
-			// reallocating a reverse complement per dispatch.
-			oriented = s.memo.Oriented(h.ReadIdx, h.Rev)
-		} else {
-			oriented = pipeline.Orient(s.reads[h.ReadIdx], h.Rev)
-		}
-		t.own, done = u.Execute(now, oriented, *h)
-		t.ext = &t.own
-	}
+	e := &s.exts[h.ReadIdx][h.HitIdx]
+	t.ext = e.Ext(*h)
+	done := u.Charge(s.eng.Now(), &t.ext, e.Cost())
 	if s.flt != nil {
 		// Transient EU stall: the unit holds its result for the
 		// injected extra cycles.
@@ -675,24 +679,21 @@ func (s *System) extend(u *eu.Unit, h *core.Hit) {
 }
 
 // euTask is the pooled event payload for one extension's completion.
-// ext points either at a Memo record or at own, the task's storage for
-// a live result.
 type euTask struct {
 	s   *System
 	u   *eu.Unit
-	ext *core.Extension
-	own core.Extension
+	ext core.Extension
 }
 
 // TaskKind implements sim.TaskKind for diagnostics.
 func (t *euTask) TaskKind() string { return "eu" }
 
 // Fire implements sim.Task. The task returns to the freelist only after
-// euDone has read the result, which may live in t.own.
+// euDone has read the result it holds.
 func (t *euTask) Fire() {
 	s := t.s
-	s.euDone(t.u, t.ext)
-	t.u, t.ext = nil, nil
+	s.euDone(t.u, &t.ext)
+	t.u = nil
 	s.euFree = append(s.euFree, t)
 }
 

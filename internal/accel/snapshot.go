@@ -144,8 +144,9 @@ func (s *System) stepToFired(target int64) error {
 //
 // Deliberately excluded: wdErr and wdState (replay stops before the
 // check that tripped, so an abort checkpoint restores to a clean
-// continuable state), the memo (pure functional cache), and scratch
-// buffers/freelists (contents dead between events).
+// continuable state), the memo and the per-read records (functional,
+// refilled by replay), and scratch buffers/freelists (contents dead
+// between events).
 func (s *System) encodeState(enc *ckpt.Encoder) {
 	s.eng.EncodeState(enc)
 	s.buffer.EncodeState(enc)

@@ -68,12 +68,15 @@ type Options struct {
 	EUCost eu.CostModel
 	// TraceBuckets is the resolution of utilization time series.
 	TraceBuckets int
-	// Memo optionally supplies a precomputed functional-replay cache
-	// (see BuildMemo). It is consumed only when it was built over the
-	// same seeding front end this system runs, so attaching a default
-	// FM-index memo to a minimizer-seeded system is a harmless no-op.
-	// Replayed runs produce byte-identical Reports to direct runs; the
-	// cache only removes redundant recomputation from the event loop.
+	// Memo optionally supplies the workload's per-read records ahead
+	// of time (see BuildMemo). Without it the system fills each read's
+	// record at the read's seeding event, with the same function. It is
+	// consumed only when it was built over the same seeding front end
+	// this system runs, so attaching a default FM-index memo to a
+	// minimizer-seeded system is a harmless no-op, and only for reads
+	// it holds with identical sequences. Replayed runs produce
+	// byte-identical Reports to direct runs; the cache only removes
+	// redundant recomputation from the event loop.
 	Memo *Memo
 	// Obs optionally attaches the observability layer: a metrics
 	// registry, a Chrome trace_event timeline, and the scheduler
@@ -137,7 +140,8 @@ func BaselineOptions() Options {
 // per Run; it is not reusable.
 type System struct {
 	opts    Options
-	aligner *pipeline.Aligner
+	front   su.Seeding        // fills each read's hits
+	ext     *pipeline.Aligner // fills each read's extension records
 	hbm     *mem.HBM
 	sus     []*su.Unit
 	eus     []*eu.Unit
@@ -152,6 +156,9 @@ type System struct {
 	wdErr   error       // latched watchdog diagnosis
 
 	reads []seq.Seq
+	// exts holds each read's extension records, one per hit in hit
+	// order, from its seeding event on (see fill).
+	exts [][]pipeline.Extended
 
 	// Incremental-run state: started latches the first Feed (which
 	// schedules the seeding init events); feedLog records every Feed
@@ -227,7 +234,8 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 	}
 	s := &System{
 		opts:    opts,
-		aligner: aligner,
+		front:   aligner,
+		ext:     aligner,
 		hbm:     mem.NewHBM(mem.HBM1()),
 		buffer:  coordinator.NewHitsBuffer(opts.Config.HitsBufferDepth, opts.Config.SwitchThreshold),
 		alloc:   newStatsAllocator(opts),
@@ -238,30 +246,26 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 		s.flt = newFaultState(opts.Faults, opts.Config)
 	}
 	s.prefet = seedsched.NewReadSPM(s.hbm, 512, 64, 32)
-	var front su.Seeding = aligner
 	if opts.Seeder != nil {
-		front = opts.Seeder
+		s.front = opts.Seeder
 	}
-	var ext eu.Extender = aligner
-	if opts.Memo.Replays(front) && opts.Memo.CoversPlan(opts.Faults.Hash()) && opts.Memo.CoversResume(opts.ResumeHash) {
-		// Replay mode: the units consume precomputed functional results
-		// and the event loop models only cycle costs. The memo is keyed
-		// to a fault-plan hash as well as its front end, so a cache
-		// warmed fault-free can never serve a faulted configuration.
-		// The units run over the aligner the cache was built with;
-		// System.extend charges cached hits from the memo and sends
-		// every other hit to the unit.
+	if opts.Memo.Replays(s.front) && opts.Memo.CoversPlan(opts.Faults.Hash()) && opts.Memo.CoversResume(opts.ResumeHash) {
+		// Replay mode: reads take their records from the memo and the
+		// event loop models only cycle costs. The memo is keyed to a
+		// fault-plan hash as well as its front end, so a cache warmed
+		// fault-free can never serve a faulted configuration. Reads
+		// the memo does not hold are filled over the aligner the cache
+		// was built with.
 		s.memo = opts.Memo
-		front = s.memo
-		ext = s.memo.ext
+		s.ext = s.memo.ext
 	}
 	for i := 0; i < opts.Config.NumSUs; i++ {
-		s.sus = append(s.sus, su.New(i, front, s.hbm, opts.SUCost))
+		s.sus = append(s.sus, su.New(i, s.hbm, opts.SUCost))
 	}
 	id := 0
 	for ci, cl := range opts.Config.EUClasses {
 		for k := 0; k < cl.Count; k++ {
-			s.eus = append(s.eus, eu.New(id, ci, cl.PEs, ext, opts.EUCost))
+			s.eus = append(s.eus, eu.New(id, ci, cl.PEs, opts.EUCost))
 			id++
 		}
 	}

@@ -1,11 +1,12 @@
 // Package eu models NvWa's extension units: Darwin-style Smith-
 // Waterman systolic arrays that execute the seed-extension phase. A
-// unit extends each hit's two sub-tasks (left and right of the seed)
-// functionally through its Extender, whose scores the cycle-exact
-// array of package systolic is tested to reproduce, and charges the
-// matrix fill by the paper's Formula 3 (systolic.Latency) for the
-// unit's PE count. Results equal the software pipeline's; latency
-// follows the modeled array.
+// unit is a pure cost model over the Table III extension records: the
+// records come from the software pipeline's extension (whose scores
+// the cycle-exact array of package systolic is tested to reproduce),
+// and the unit charges each hit's two sub-tasks (left and right of the
+// seed) by the paper's Formula 3 (systolic.Latency) for its PE count.
+// Results equal the software pipeline's; latency follows the modeled
+// array.
 package eu
 
 import (
@@ -13,7 +14,6 @@ import (
 	"nvwa/internal/core"
 	"nvwa/internal/obs"
 	"nvwa/internal/pipeline"
-	"nvwa/internal/seq"
 	"nvwa/internal/sim"
 	"nvwa/internal/systolic"
 )
@@ -35,30 +35,14 @@ func DefaultCostModel() CostModel {
 	return CostModel{LoadCycles: 8, Traceback: systolic.DefaultTracebackModel()}
 }
 
-// Extender is the functional seed-extension engine a unit runs:
-// normally the software pipeline itself (*pipeline.Aligner), but any
-// implementation returning the same deterministic extension result and
-// processed-extent accounting works. A replay cache that already holds
-// a hit's result skips the Extender and calls Charge instead.
-type Extender interface {
-	// ExtendHitCost extends one hit and reports the DP extents the
-	// cycle model charges Formula 3 for.
-	ExtendHitCost(oriented seq.Seq, h core.Hit) (core.Extension, pipeline.ExtendCost)
-	// Options exposes the aligner options; the unit's cost model reads
-	// the extension band.
-	Options() pipeline.Options
-}
-
 // Unit is one extension unit.
 type Unit struct {
-	id      int
-	class   int
-	pes     int // systolic-array width, the P of Formula 3
-	aligner Extender
-	extBand int // cached Options().ExtBand: read per task, copied once
-	cost    CostModel
-	state   core.UnitState
-	obs     *obs.Observer
+	id    int
+	class int
+	pes   int // systolic-array width, the P of Formula 3
+	cost  CostModel
+	state core.UnitState
+	obs   *obs.Observer
 
 	// Tracker records busy intervals for utilization figures.
 	Tracker sim.BusyTracker
@@ -75,15 +59,8 @@ type Unit struct {
 
 // New builds an extension unit of the given class with pes processing
 // elements.
-func New(id, class, pes int, aligner Extender, cost CostModel) *Unit {
-	return &Unit{
-		id:      id,
-		class:   class,
-		pes:     pes,
-		aligner: aligner,
-		extBand: aligner.Options().ExtBand,
-		cost:    cost,
-	}
+func New(id, class, pes int, cost CostModel) *Unit {
+	return &Unit{id: id, class: class, pes: pes, cost: cost}
 }
 
 // ID returns the unit's global index.
@@ -123,7 +100,7 @@ func (u *Unit) Tasks() int { return u.tasks }
 // PEUtilization returns the array's internal PE occupancy across all
 // executed tasks: busy PE-cycles over PEs × the full array-busy span
 // (load + fill + traceback). The denominator matches the busy
-// interval Execute reports through obs.EUExtend cycle for cycle, so
+// interval Charge reports through obs.EUExtend cycle for cycle, so
 // the trace timeline and the utilization figure tell the same story:
 // PEs sit idle while operands load and while the pointer walk reads
 // the matrix back out.
@@ -146,10 +123,12 @@ func (u *Unit) TracebackSpills() int64 { return u.tbSpills }
 // pointers back from HBM.
 func (u *Unit) TracebackSpillCycles() int64 { return u.tbSpillCyc }
 
-// Execute extends one hit starting at cycle now. oriented must be
-// pipeline.Orient(read, h.Rev). It returns the extension result —
-// bit-identical to the software pipeline's ExtendHit — and the
-// completion cycle. The caller manages busy/idle state.
+// Charge books the extension of one hit starting at cycle now and
+// returns the completion cycle; the caller manages busy/idle state.
+// ext is the hit's extension result (its embedded Hit is the task) and
+// cost the DP extents the extension processed, both expanded from the
+// hit's pipeline.Extended record. Charge reads ext and never retains
+// it.
 //
 // Timing follows the paper's Formula 3 over the task the array
 // actually executes, GACT-style: the seed span streams through the
@@ -159,19 +138,9 @@ func (u *Unit) TracebackSpillCycles() int64 { return u.tbSpillCyc }
 // length), while the numerous spurious repeat-fragment chains
 // terminate after a handful of rows and form the short-task mass the
 // Hybrid Units Strategy sizes its small arrays for.
-func (u *Unit) Execute(now int64, oriented seq.Seq, h core.Hit) (core.Extension, int64) {
-	ext, cost := u.aligner.ExtendHitCost(oriented, h)
-	return ext, u.Charge(now, &h, &ext, cost)
-}
-
-// Charge books one extension of h starting at cycle now whose
-// functional result is already known — ext and cost exactly as the
-// unit's Extender returns them for h — and returns the completion
-// cycle. Execute is ExtendHitCost followed by Charge; a replay cache
-// calls Charge with its stored record, read in place. Charge reads h
-// and ext and never retains them.
-func (u *Unit) Charge(now int64, h *core.Hit, ext *core.Extension, cost pipeline.ExtendCost) int64 {
-	r, _ := cost.TaskDims(*h, u.extBand)
+func (u *Unit) Charge(now int64, ext *core.Extension, cost pipeline.ExtendCost) int64 {
+	h := &ext.Hit
+	r, _ := cost.TaskDims(*h)
 	// The hit span (the paper's hit_len) sets the array residency —
 	// how many P-wide query blocks stream the reference — while the
 	// flank probes extend the streamed reference (r includes the rows

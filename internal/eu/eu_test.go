@@ -3,6 +3,7 @@ package eu
 import (
 	"testing"
 
+	"nvwa/internal/core"
 	"nvwa/internal/genome"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/systolic"
@@ -14,40 +15,49 @@ func setup(t *testing.T) (*pipeline.Aligner, *genome.Reference) {
 	return pipeline.New(ref.Seq, pipeline.DefaultOptions()), ref
 }
 
+// software returns every hit of every read with its software extension
+// record, expanded: the (Extension, ExtendCost) pairs a unit charges.
+func software(a *pipeline.Aligner, reads []genome.Read) ([]core.Extension, []pipeline.ExtendCost) {
+	var exts []core.Extension
+	var costs []pipeline.ExtendCost
+	for _, r := range reads {
+		hits, _ := a.SeedAndChain(r.ID, r.Seq)
+		for k, e := range a.ExtendAll(r.Seq, hits, nil) {
+			exts = append(exts, e.Ext(hits[k]))
+			costs = append(costs, e.Cost())
+		}
+	}
+	return exts, costs
+}
+
+// TestExecuteMatchesSoftwareExtension: charging each software
+// extension record on a unit of any PE width completes after at least
+// the load cost plus the Formula 3 fill of the task the record
+// describes, and the unit counts every task.
 func TestExecuteMatchesSoftwareExtension(t *testing.T) {
 	t.Parallel()
 	a, ref := setup(t)
-	reads := genome.Simulate(ref, 40, genome.ShortReadConfig(2))
+	exts, costs := software(a, genome.Simulate(ref, 40, genome.ShortReadConfig(2)))
 	units := []*Unit{
-		New(0, 0, 16, a, DefaultCostModel()),
-		New(1, 1, 32, a, DefaultCostModel()),
-		New(2, 2, 64, a, DefaultCostModel()),
-		New(3, 3, 128, a, DefaultCostModel()),
+		New(0, 0, 16, DefaultCostModel()),
+		New(1, 1, 32, DefaultCostModel()),
+		New(2, 2, 64, DefaultCostModel()),
+		New(3, 3, 128, DefaultCostModel()),
 	}
-	for _, r := range reads {
-		hits, _ := a.SeedAndChain(r.ID, r.Seq)
-		for hi, h := range hits {
-			oriented := pipeline.Orient(r.Seq, h.Rev)
-			want := a.ExtendHit(oriented, h)
-			u := units[(r.ID+hi)%len(units)]
-			got, done := u.Execute(0, oriented, h)
-			// The paper's no-loss-of-accuracy property: scores are
-			// identical on every PE width.
-			if got.Score != want.Score {
-				t.Fatalf("read %d hit %d on %d PEs: score %d != software %d",
-					r.ID, hi, u.PEs(), got.Score, want.Score)
-			}
-			// Span may differ only between equal-scoring ties.
-			if got.RefBeg != want.RefBeg || got.RefEnd != want.RefEnd {
-				if abs(got.RefBeg-want.RefBeg) > 8 || abs(got.RefEnd-want.RefEnd) > 8 {
-					t.Fatalf("span [%d,%d) too far from software [%d,%d)",
-						got.RefBeg, got.RefEnd, want.RefBeg, want.RefEnd)
-				}
-			}
-			if done <= 0 {
-				t.Fatal("non-positive completion")
-			}
+	for i := range exts {
+		u := units[i%len(units)]
+		r, _ := costs[i].TaskDims(exts[i].Hit)
+		floor := u.cost.LoadCycles + int64(systolic.Latency(r, exts[i].Hit.SeedLen(), u.PEs()))
+		if done := u.Charge(0, &exts[i], costs[i]); done < floor {
+			t.Fatalf("task %d on %d PEs: completion %d below load + fill %d", i, u.PEs(), done, floor)
 		}
+	}
+	tasks := 0
+	for _, u := range units {
+		tasks += u.Tasks()
+	}
+	if tasks != len(exts) {
+		t.Fatalf("units counted %d tasks, charged %d", tasks, len(exts))
 	}
 }
 
@@ -55,29 +65,25 @@ func TestExecuteLatencyFollowsFormula3(t *testing.T) {
 	t.Parallel()
 	a, ref := setup(t)
 	reads := genome.Simulate(ref, 30, genome.ShortReadConfig(3))
-	small := New(0, 0, 16, a, CostModel{})
-	large := New(1, 3, 128, a, CostModel{})
-	for _, r := range reads {
-		hits, _ := a.SeedAndChain(r.ID, r.Seq)
-		for _, h := range hits {
-			oriented := pipeline.Orient(r.Seq, h.Rev)
-			// The charged fill covers at least the seed span streaming
-			// through the array (Formula 3 with R=Q=span).
-			minFill := int64(systolic.Latency(h.SeedLen(), h.SeedLen(), 16))
-			_, doneSmall := small.Execute(0, oriented, h)
-			_, doneLarge := large.Execute(0, oriented, h)
-			if doneSmall < minFill {
-				t.Fatalf("small-unit completion %d below Formula 3 floor %d", doneSmall, minFill)
-			}
-			// Long extensions must be slower on the small unit than on
-			// the large one (multiple passes).
-			if h.SchedLen() > 64 && doneSmall <= doneLarge {
-				t.Errorf("hit len %d: 16-PE done %d not slower than 128-PE %d",
-					h.SchedLen(), doneSmall, doneLarge)
-			}
-			// Short extensions are *latency*-comparable but the large
-			// unit wastes PEs; just check both complete.
-			_ = doneLarge
+	small := New(0, 0, 16, CostModel{})
+	large := New(1, 3, 128, CostModel{})
+	exts, costs := software(a, reads)
+	for i := range exts {
+		h := exts[i].Hit
+		// The charged fill covers at least the seed span streaming
+		// through the array (Formula 3 with R=Q=span).
+		minFill := int64(systolic.Latency(h.SeedLen(), h.SeedLen(), 16))
+		doneSmall := small.Charge(0, &exts[i], costs[i])
+		doneLarge := large.Charge(0, &exts[i], costs[i])
+		if doneSmall < minFill {
+			t.Fatalf("small-unit completion %d below Formula 3 floor %d", doneSmall, minFill)
+		}
+		// Long extensions must be slower on the small unit than on the
+		// large one (multiple passes). Short extensions are
+		// latency-comparable, but the large unit wastes PEs.
+		if h.SchedLen() > 64 && doneSmall <= doneLarge {
+			t.Errorf("hit len %d: 16-PE done %d not slower than 128-PE %d",
+				h.SchedLen(), doneSmall, doneLarge)
 		}
 	}
 }
@@ -86,12 +92,10 @@ func TestExecuteAccountsPEUtilization(t *testing.T) {
 	t.Parallel()
 	a, ref := setup(t)
 	reads := genome.Simulate(ref, 20, genome.ShortReadConfig(4))
-	u := New(0, 3, 128, a, DefaultCostModel())
-	for _, r := range reads {
-		hits, _ := a.SeedAndChain(r.ID, r.Seq)
-		for _, h := range hits {
-			u.Execute(0, pipeline.Orient(r.Seq, h.Rev), h)
-		}
+	u := New(0, 3, 128, DefaultCostModel())
+	exts, costs := software(a, reads)
+	for i := range exts {
+		u.Charge(0, &exts[i], costs[i])
 	}
 	if u.Tasks() == 0 {
 		t.Skip("no hits produced")
@@ -109,8 +113,7 @@ func TestExecuteAccountsPEUtilization(t *testing.T) {
 
 func TestUnitStateAndAccessors(t *testing.T) {
 	t.Parallel()
-	a, _ := setup(t)
-	u := New(7, 2, 64, a, DefaultCostModel())
+	u := New(7, 2, 64, DefaultCostModel())
 	if u.ID() != 7 || u.Class() != 2 || u.PEs() != 64 {
 		t.Error("accessors wrong")
 	}
@@ -129,11 +132,4 @@ func TestUnitStateAndAccessors(t *testing.T) {
 	if u.PEUtilization() != 0 {
 		t.Error("utilization of fresh unit should be 0")
 	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -5,24 +5,16 @@ import (
 
 	"nvwa/internal/core"
 	"nvwa/internal/pipeline"
-	"nvwa/internal/seq"
 	"nvwa/internal/systolic"
 )
 
-// stubExtender returns a canned extension regardless of input, so
-// tests can pin the cycle model against hand-computed spans.
-type stubExtender struct {
-	ext  core.Extension
-	cost pipeline.ExtendCost
+// charge books one canned task on u at cycle now: hit h with the
+// extension result ext (its Hit is set to h) and the processed extents
+// cost, so tests can pin the cycle model against hand-computed spans.
+func charge(u *Unit, now int64, h core.Hit, ext core.Extension, cost pipeline.ExtendCost) int64 {
+	ext.Hit = h
+	return u.Charge(now, &ext, cost)
 }
-
-func (s *stubExtender) ExtendHitCost(oriented seq.Seq, h core.Hit) (core.Extension, pipeline.ExtendCost) {
-	e := s.ext
-	e.Hit = h
-	return e, s.cost
-}
-
-func (s *stubExtender) Options() pipeline.Options { return pipeline.DefaultOptions() }
 
 // The headline regression: the traceback walk must charge the
 // alignment's *read span*, not the seed length. A full-coverage
@@ -32,29 +24,24 @@ func (s *stubExtender) Options() pipeline.Options { return pipeline.DefaultOptio
 func TestExecuteTracebackChargesAlignedReadSpan(t *testing.T) {
 	t.Parallel()
 	h := core.Hit{ReadBeg: 40, ReadEnd: 59, RefPos: 1040, ReadLen: 100}
-	read := make(seq.Seq, 100)
 
 	// Full coverage: both flanks extend to the read edges.
-	full := &stubExtender{
-		ext: core.Extension{
-			RefBeg: 1000, RefEnd: 1100, // refSpan 100
-			ReadBeg: 0, ReadEnd: 100, // readSpan 100
-		},
-		cost: pipeline.ExtendCost{LeftRows: 40, LeftQ: 40, RightRows: 41, RightQ: 41},
+	fullExt := core.Extension{
+		RefBeg: 1000, RefEnd: 1100, // refSpan 100
+		ReadBeg: 0, ReadEnd: 100, // readSpan 100
 	}
+	fullCost := pipeline.ExtendCost{LeftRows: 40, LeftQ: 40, RightRows: 41, RightQ: 41}
 	// Z-dropped stub: flanks die after two rows each.
-	stub := &stubExtender{
-		ext: core.Extension{
-			RefBeg: 1038, RefEnd: 1061, // refSpan 23
-			ReadBeg: 38, ReadEnd: 61, // readSpan 23
-		},
-		cost: pipeline.ExtendCost{LeftRows: 2, LeftQ: 2, RightRows: 2, RightQ: 2},
+	stubExt := core.Extension{
+		RefBeg: 1038, RefEnd: 1061, // refSpan 23
+		ReadBeg: 38, ReadEnd: 61, // readSpan 23
 	}
+	stubCost := pipeline.ExtendCost{LeftRows: 2, LeftQ: 2, RightRows: 2, RightQ: 2}
 
 	// CostModel zero value: no load cost, storage-free traceback — the
 	// walk is exactly refSpan + readSpan cycles.
-	uFull := New(0, 3, 128, full, CostModel{})
-	_, done := uFull.Execute(0, read, h)
+	uFull := New(0, 3, 128, CostModel{})
+	done := charge(uFull, 0, h, fullExt, fullCost)
 	// Task: 19-base seed + 40 + 41 flank rows = 100 rows, Q = seed.
 	fill := int64(systolic.Latency(100, h.SeedLen(), 128))
 	if wantFill := int64(227); fill != wantFill {
@@ -69,8 +56,8 @@ func TestExecuteTracebackChargesAlignedReadSpan(t *testing.T) {
 			uFull.TracebackCycles())
 	}
 
-	uStub := New(1, 3, 128, stub, CostModel{})
-	_, done = uStub.Execute(0, read, h)
+	uStub := New(1, 3, 128, CostModel{})
+	done = charge(uStub, 0, h, stubExt, stubCost)
 	fill = int64(systolic.Latency(23, h.SeedLen(), 128))
 	if want := fill + int64(23+23); done != want {
 		t.Fatalf("z-dropped completion %d, want %d", done, want)
@@ -92,19 +79,16 @@ func TestExecuteTracebackChargesAlignedReadSpan(t *testing.T) {
 func TestExecuteTracebackSpillsLargeMatrices(t *testing.T) {
 	t.Parallel()
 	h := core.Hit{ReadBeg: 100, ReadEnd: 400, RefPos: 5000, ReadLen: 1000}
-	read := make(seq.Seq, 1000)
 	m := systolic.DefaultTracebackModel()
 	// 300 flank rows × 300 columns each side ≈ 180k cells: over the
 	// 64k-cell SRAM budget of the default model.
-	big := &stubExtender{
-		ext: core.Extension{
-			RefBeg: 4700, RefEnd: 5700,
-			ReadBeg: 0, ReadEnd: 1000,
-		},
-		cost: pipeline.ExtendCost{LeftRows: 300, LeftQ: 300, RightRows: 300, RightQ: 300},
+	bigExt := core.Extension{
+		RefBeg: 4700, RefEnd: 5700,
+		ReadBeg: 0, ReadEnd: 1000,
 	}
-	u := New(0, 3, 128, big, CostModel{Traceback: m})
-	_, done := u.Execute(0, read, h)
+	bigCost := pipeline.ExtendCost{LeftRows: 300, LeftQ: 300, RightRows: 300, RightQ: 300}
+	u := New(0, 3, 128, CostModel{Traceback: m})
+	done := charge(u, 0, h, bigExt, bigCost)
 	if u.TracebackSpills() != 1 {
 		t.Fatalf("large matrix did not spill (spills=%d)", u.TracebackSpills())
 	}
@@ -128,19 +112,16 @@ func TestExecuteTracebackSpillsLargeMatrices(t *testing.T) {
 func TestExecuteOccupancyMatchesBusyInterval(t *testing.T) {
 	t.Parallel()
 	h := core.Hit{ReadBeg: 40, ReadEnd: 59, RefPos: 1040, ReadLen: 100}
-	read := make(seq.Seq, 100)
-	ext := &stubExtender{
-		ext: core.Extension{
-			RefBeg: 1000, RefEnd: 1100,
-			ReadBeg: 0, ReadEnd: 100,
-		},
-		cost: pipeline.ExtendCost{LeftRows: 40, LeftQ: 40, RightRows: 41, RightQ: 41},
+	ext := core.Extension{
+		RefBeg: 1000, RefEnd: 1100,
+		ReadBeg: 0, ReadEnd: 100,
 	}
-	u := New(0, 3, 128, ext, DefaultCostModel())
+	cost := pipeline.ExtendCost{LeftRows: 40, LeftQ: 40, RightRows: 41, RightQ: 41}
+	u := New(0, 3, 128, DefaultCostModel())
 	var total int64
 	for i := 0; i < 3; i++ {
 		now := int64(i * 1000)
-		_, done := u.Execute(now, read, h)
+		done := charge(u, now, h, ext, cost)
 		total += done - now // the exact interval EUExtend reports
 	}
 	if u.occupancy != total {

@@ -220,13 +220,23 @@ func LongReadConfig(seed int64) SimulatorConfig {
 	return SimulatorConfig{ReadLen: 1000, SubRate: 0.05, InsRate: 0.02, DelRate: 0.02, RevCompProb: 0.5, Seed: seed}
 }
 
+// CheckRefLen reports why a refLen bp reference cannot host the
+// readLen bp reads Simulate samples (it needs refLen >= readLen + 2);
+// Simulate panics on the same condition.
+func CheckRefLen(refLen, readLen int) error {
+	if refLen < readLen+2 {
+		return fmt.Errorf("reference (%d bp) shorter than read length %d + 2", refLen, readLen)
+	}
+	return nil
+}
+
 // Simulate samples n reads from the reference under cfg.
 func Simulate(ref *Reference, n int, cfg SimulatorConfig) []Read {
 	if cfg.ReadLen <= 0 {
 		panic("genome: SimulatorConfig.ReadLen must be positive")
 	}
-	if len(ref.Seq) < cfg.ReadLen+2 {
-		panic(fmt.Sprintf("genome: reference (%d bp) shorter than read length %d", len(ref.Seq), cfg.ReadLen))
+	if err := CheckRefLen(len(ref.Seq), cfg.ReadLen); err != nil {
+		panic("genome: " + err.Error())
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	reads := make([]Read, n)

@@ -41,10 +41,10 @@ func (a *Aligner) AlignPair(idx int, r1, r2 seq.Seq, po PairOptions) PairResult 
 	hits1, _ := a.SeedAndChain(2*idx, r1)
 	hits2, _ := a.SeedAndChain(2*idx+1, r2)
 
-	exts1 := a.extendAll(r1, hits1)
-	exts2 := a.extendAll(r2, hits2)
+	exts1 := a.ExtendAll(r1, hits1, nil)
+	exts2 := a.ExtendAll(r2, hits2, nil)
 
-	best := PairResult{R1: Select(exts1), R2: Select(exts2)}
+	best := PairResult{R1: selectBest(hits1, exts1), R2: selectBest(hits2, exts2)}
 	best.Score = best.R1.Score + best.R2.Score
 	if len(exts1) == 0 || len(exts2) == 0 {
 		return best
@@ -53,8 +53,10 @@ func (a *Aligner) AlignPair(idx int, r1, r2 seq.Seq, po PairOptions) PairResult 
 	// product is bounded by MaxChains^2).
 	bestJoint := math.MinInt
 	var joint PairResult
-	for _, e1 := range exts1 {
-		for _, e2 := range exts2 {
+	for i := range exts1 {
+		e1 := exts1[i].Ext(hits1[i])
+		for j := range exts2 {
+			e2 := exts2[j].Ext(hits2[j])
 			s := e1.Score + e2.Score
 			proper := false
 			insert := 0
@@ -88,28 +90,6 @@ func (a *Aligner) AlignPair(idx int, r1, r2 seq.Seq, po PairOptions) PairResult 
 	joint.R1.Hits = len(exts1)
 	joint.R2.Hits = len(exts2)
 	return joint
-}
-
-// extendAll extends every hit of a read.
-func (a *Aligner) extendAll(read seq.Seq, hits []core.Hit) []core.Extension {
-	var fwd, rc seq.Seq
-	out := make([]core.Extension, 0, len(hits))
-	for _, h := range hits {
-		var oriented seq.Seq
-		if h.Rev {
-			if rc == nil {
-				rc = read.RevComp()
-			}
-			oriented = rc
-		} else {
-			if fwd == nil {
-				fwd = read
-			}
-			oriented = fwd
-		}
-		out = append(out, a.ExtendHit(oriented, h))
-	}
-	return out
 }
 
 func resultFrom(e core.Extension) Result {

@@ -7,9 +7,9 @@
 // It serves three roles: the measured CPU baseline, the Fig. 2
 // per-read phase profiler, and the accuracy oracle the accelerator's
 // functional output is compared against (the paper's
-// no-loss-of-accuracy property). The accelerator's SUs and EUs call
-// into the same SeedAndChain / ExtendHit functions, so hardware and
-// software results are identical by construction.
+// no-loss-of-accuracy property). The accelerator fills its per-read
+// records with the same SeedAndChain / ExtendAll functions, so hardware
+// and software results are identical by construction.
 package pipeline
 
 import (
@@ -75,7 +75,7 @@ type Aligner struct {
 
 	// scratch pools per-goroutine kernel workspaces: the concurrent
 	// memo builder and the parallel experiment engine call
-	// SeedAndChain/ExtendHitCost from many goroutines over one shared
+	// SeedAndChain/ExtendAll from many goroutines over one shared
 	// Aligner, so the zero-alloc workspaces cannot live on the Aligner
 	// itself.
 	scratch sync.Pool
@@ -90,6 +90,8 @@ type alnScratch struct {
 	os         []oseed
 	chains     []chain
 	qrev, rrev seq.Seq
+	rc         seq.Seq    // the read's reverse complement
+	exts       []Extended // Finish's records
 }
 
 func (a *Aligner) getScratch() *alnScratch {
@@ -308,54 +310,104 @@ type ExtendCost struct {
 // TaskDims returns the charged task size: the systolic pass covers the
 // seed span plus whatever each flank extension processed before
 // terminating.
-func (c ExtendCost) TaskDims(h core.Hit, band int) (refLen, queryLen int) {
+func (c ExtendCost) TaskDims(h core.Hit) (refLen, queryLen int) {
 	refLen = h.SeedLen() + c.LeftRows + c.RightRows
 	queryLen = h.SeedLen() + c.LeftQ + c.RightQ
 	return
 }
 
-// ExtendHit performs the seed-extension phase for one hit (Fig. 1
-// step 3): the seed is extended leftwards and rightwards with
-// affine-gap, z-drop-terminated DP over banded reference windows.
-// oriented must be Orient(read, h.Rev).
-func (a *Aligner) ExtendHit(oriented seq.Seq, h core.Hit) core.Extension {
-	ext, _ := a.ExtendHitCost(oriented, h)
-	return ext
+// Extended is one hit's extension record, the EU output of the Table
+// III data interface in compact form: the final score, how far the
+// alignment reaches beyond the seed on each side, and the DP extents
+// each flank processed (ExtendCost). Every field is bounded by a flank
+// window (read length + ExtBand) or by the read's best score, so int32
+// holds it on any reference.
+type Extended struct {
+	Score int32
+	// LeftRef, LeftRead, RightRef and RightRead are the aligned extents
+	// beyond the seed's left and right edges, on the reference and on
+	// the oriented read.
+	LeftRef, LeftRead, RightRef, RightRead int32
+	// LeftRows, LeftQ, RightRows and RightQ are ExtendCost's extents.
+	LeftRows, LeftQ, RightRows, RightQ int32
 }
 
-// ExtendHitCost is ExtendHit plus the processed-extent accounting the
-// EU cycle model consumes.
+// Ext expands the record of hit h into the full extension result.
+func (e Extended) Ext(h core.Hit) core.Extension {
+	return core.Extension{Hit: h, Score: int(e.Score),
+		RefBeg: h.RefPos - int(e.LeftRef), RefEnd: h.RefPos + h.SeedLen() + int(e.RightRef),
+		ReadBeg: h.ReadBeg - int(e.LeftRead), ReadEnd: h.ReadEnd + int(e.RightRead)}
+}
+
+// Cost returns the processed extents the EU cycle model charges.
+func (e Extended) Cost() ExtendCost {
+	return ExtendCost{LeftRows: int(e.LeftRows), RightRows: int(e.RightRows),
+		LeftQ: int(e.LeftQ), RightQ: int(e.RightQ)}
+}
+
+// ExtendAll performs the seed-extension phase for one read (Fig. 1
+// step 3): each hit's seed is extended leftwards and rightwards with
+// affine-gap, z-drop-terminated DP over banded reference windows, and
+// one Extended per hit is appended to dst in hit order. The read's
+// reverse complement is built once, into pooled scratch, so a warm
+// call into a dst with room for every hit allocates nothing.
+func (a *Aligner) ExtendAll(read seq.Seq, hits []core.Hit, dst []Extended) []Extended {
+	scr := a.getScratch()
+	defer a.putScratch(scr)
+	return a.extendAll(scr, read, hits, dst)
+}
+
+func (a *Aligner) extendAll(scr *alnScratch, read seq.Seq, hits []core.Hit, dst []Extended) []Extended {
+	dst = slices.Grow(dst, len(hits))
+	var rc seq.Seq
+	for _, h := range hits {
+		oriented := read
+		if h.Rev {
+			if rc == nil {
+				rc = reverseInto(&scr.rc, read)
+				for i, b := range rc {
+					rc[i] = seq.Complement(b)
+				}
+			}
+			oriented = rc
+		}
+		dst = append(dst, a.extendHit(scr, oriented, h))
+	}
+	return dst
+}
+
+// ExtendHitCost extends one hit on its oriented read view
+// (Orient(read, h.Rev)) and returns the expanded record: the extension
+// result and the processed extents the EU cycle model charges.
 func (a *Aligner) ExtendHitCost(oriented seq.Seq, h core.Hit) (core.Extension, ExtendCost) {
 	scr := a.getScratch()
 	defer a.putScratch(scr)
+	e := a.extendHit(scr, oriented, h)
+	return e.Ext(h), e.Cost()
+}
+
+// extendHit runs both flank extensions of h on its oriented read view.
+func (a *Aligner) extendHit(scr *alnScratch, oriented seq.Seq, h core.Hit) Extended {
 	sc := a.opts.Scoring
 	lr, lq, rr, rq := a.flanks(scr, oriented, h)
-
 	score := h.SeedScore
-	refBeg := h.RefPos
-	refEnd := h.RefPos + h.SeedLen()
-	readBeg := h.ReadBeg
-	readEnd := h.ReadEnd
-	var cost ExtendCost
-
+	var e Extended
 	if lq != nil {
 		s, rEnd, qEnd, rows := align.ExtendWithScratch(&scr.dp, lr, lq, sc, score, a.opts.ZDrop)
 		score = s
-		refBeg = h.RefPos - rEnd
-		readBeg = h.ReadBeg - qEnd // reversed view: qEnd counts leftwards
-		cost.LeftRows = rows
-		cost.LeftQ = minInt(len(lq), rows+a.opts.ExtBand)
+		// The left flank runs on reversed views: its extents count
+		// leftwards from the seed.
+		e.LeftRef, e.LeftRead, e.LeftRows = int32(rEnd), int32(qEnd), int32(rows)
+		e.LeftQ = int32(min(len(lq), rows+a.opts.ExtBand))
 	}
 	if rq != nil {
 		s, rEnd, qEnd, rows := align.ExtendWithScratch(&scr.dp, rr, rq, sc, score, a.opts.ZDrop)
 		score = s
-		refEnd += rEnd
-		readEnd = h.ReadEnd + qEnd
-		cost.RightRows = rows
-		cost.RightQ = minInt(len(rq), rows+a.opts.ExtBand)
+		e.RightRef, e.RightRead, e.RightRows = int32(rEnd), int32(qEnd), int32(rows)
+		e.RightQ = int32(min(len(rq), rows+a.opts.ExtBand))
 	}
-	return core.Extension{Hit: h, Score: score, RefBeg: refBeg, RefEnd: refEnd,
-		ReadBeg: readBeg, ReadEnd: readEnd}, cost
+	e.Score = int32(score)
+	return e
 }
 
 // flanks returns the reference window and query of hit h's left and
@@ -373,13 +425,6 @@ func (a *Aligner) flanks(scr *alnScratch, oriented seq.Seq, h core.Hit) (lr, lq,
 		rr = a.ref[refEnd : refEnd+rightR]
 	}
 	return lr, lq, rr, rq
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Result is the final alignment of one read (Fig. 1 step 4).
@@ -406,58 +451,22 @@ func (a *Aligner) Align(readIdx int, read seq.Seq) Result {
 // to mapping-quality estimation (best versus second-best).
 func (a *Aligner) AlignScores(readIdx int, read seq.Seq) (Result, []int) {
 	hits, _ := a.SeedAndChain(readIdx, read)
-	var exts []core.Extension
-	var fwd, rc seq.Seq
-	scores := make([]int, 0, len(hits))
-	for _, h := range hits {
-		var oriented seq.Seq
-		if h.Rev {
-			if rc == nil {
-				rc = read.RevComp()
-			}
-			oriented = rc
-		} else {
-			if fwd == nil {
-				fwd = read
-			}
-			oriented = fwd
-		}
-		ext := a.ExtendHit(oriented, h)
-		exts = append(exts, ext)
-		scores = append(scores, ext.Score)
+	exts := a.ExtendAll(read, hits, nil)
+	scores := make([]int, len(exts))
+	for i, e := range exts {
+		scores[i] = int(e.Score)
 	}
-	return Select(exts), scores
+	return selectBest(hits, exts), scores
 }
 
 // Finish extends the given hits and selects the best result; split out
-// so the accelerator model can reuse the selection logic on EU outputs.
+// so tests can compare the accelerator's per-read results against the
+// software result for any front end's hits.
 func (a *Aligner) Finish(read seq.Seq, hits []core.Hit) Result {
-	var res Result
-	res.Hits = len(hits)
-	var fwd, rc seq.Seq
-	for _, h := range hits {
-		var oriented seq.Seq
-		if h.Rev {
-			if rc == nil {
-				rc = read.RevComp()
-			}
-			oriented = rc
-		} else {
-			if fwd == nil {
-				fwd = read
-			}
-			oriented = fwd
-		}
-		ext := a.ExtendHit(oriented, h)
-		if !res.Found || ext.Score > res.Score {
-			res.Found = true
-			res.Score = ext.Score
-			res.RefBeg = ext.RefBeg
-			res.RefEnd = ext.RefEnd
-			res.Rev = h.Rev
-		}
-	}
-	return res
+	scr := a.getScratch()
+	defer a.putScratch(scr)
+	scr.exts = a.extendAll(scr, read, hits, scr.exts[:0])
+	return selectBest(hits, scr.exts)
 }
 
 // Cigar recomputes the base-level alignment path of a final result by
@@ -483,22 +492,21 @@ func (a *Aligner) Cigar(read seq.Seq, res Result) (align.Result, error) {
 	return out, nil
 }
 
-// Select picks the best extension from EU outputs, mirroring Finish:
-// ties break toward the lowest hit index, so the outcome does not
-// depend on the order extensions complete in.
-func Select(exts []core.Extension) Result {
-	var res Result
-	res.Hits = len(exts)
-	bestHit := -1
-	for _, ext := range exts {
-		if !res.Found || ext.Score > res.Score || (ext.Score == res.Score && ext.HitIdx < bestHit) {
-			res.Found = true
-			res.Score = ext.Score
-			res.RefBeg = ext.RefBeg
-			res.RefEnd = ext.RefEnd
-			res.Rev = ext.Rev
-			bestHit = ext.HitIdx
+// selectBest picks a read's final result from its extension records
+// (Fig. 1 step 4): the top score, ties broken toward the lowest hit
+// index, so the outcome does not depend on the order extensions
+// complete in — the rule the accelerator applies to EU outputs.
+func selectBest(hits []core.Hit, exts []Extended) Result {
+	best := -1
+	for i, e := range exts {
+		if best < 0 || e.Score > exts[best].Score {
+			best = i
 		}
 	}
+	if best < 0 {
+		return Result{Hits: len(hits)}
+	}
+	res := resultFrom(exts[best].Ext(hits[best]))
+	res.Hits = len(hits)
 	return res
 }

@@ -144,6 +144,9 @@ func TestSeedAndChainRespectsMaxChains(t *testing.T) {
 	}
 }
 
+// TestExtendHitMatchesFinish: Finish must equal the per-hit oracle,
+// ExtendHitCost on each hit's oriented read followed by the selection
+// rule (top score, ties to the lowest hit index).
 func TestExtendHitMatchesFinish(t *testing.T) {
 	t.Parallel()
 	a, ref := testAligner(t, 40000, 11)
@@ -151,15 +154,15 @@ func TestExtendHitMatchesFinish(t *testing.T) {
 	for _, r := range reads {
 		hits, _ := a.SeedAndChain(r.ID, r.Seq)
 		want := a.Finish(r.Seq, hits)
-		// Recompute via ExtendHit + Select: must be identical (this is
-		// the software/hardware equivalence path).
-		var exts []core.Extension
+		got := Result{Hits: len(hits)}
 		for _, h := range hits {
-			exts = append(exts, a.ExtendHit(Orient(r.Seq, h.Rev), h))
+			ext, _ := a.ExtendHitCost(Orient(r.Seq, h.Rev), h)
+			if !got.Found || ext.Score > got.Score {
+				got = Result{Found: true, Score: ext.Score, RefBeg: ext.RefBeg, RefEnd: ext.RefEnd, Rev: ext.Rev, Hits: len(hits)}
+			}
 		}
-		got := Select(exts)
-		if got.Found != want.Found || got.Score != want.Score || got.RefBeg != want.RefBeg {
-			t.Fatalf("Select disagrees with Finish: %+v vs %+v", got, want)
+		if got != want {
+			t.Fatalf("per-hit extension disagrees with Finish: %+v vs %+v", got, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvwa/internal/align"
+	"nvwa/internal/core"
 	"nvwa/internal/fmindex"
 	"nvwa/internal/genome"
 	"nvwa/internal/seq"
@@ -39,14 +40,13 @@ func TestReferenceKernelsIdentical(t *testing.T) {
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestAlignWarmAllocs keeps the allocation ceiling the kernel
-// guardrail once held the software aligner to: on a HumanLike 100 kbp
-// reference (seed 7) and 200 ShortReadConfig(9) reads, warm Align calls
-// average at most 7 heap allocations each (the returned hits, the
-// extensions and the reverse-complement view). The average is taken
-// the way testing.B reports allocs/op, total allocations integer-
-// divided by calls, so the ceiling is the one BENCH_kernels.json
-// recorded for this workload.
+// TestAlignWarmAllocs pins the software aligner's allocations: on a
+// HumanLike 100 kbp reference (seed 7) and 200 ShortReadConfig(9)
+// reads, warm Align calls average at most one heap allocation each,
+// the hits SeedAndChain returns. Seeding, chaining, both flank
+// extensions, the reverse complement and the extension records all
+// live in pooled scratch. The average is taken the way testing.B
+// reports allocs/op, total allocations integer-divided by calls.
 func TestAlignWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratch at random under the race detector")
@@ -63,9 +63,76 @@ func TestAlignWarmAllocs(t *testing.T) {
 			a.Align(0, r)
 		}
 	})
-	if perCall := int(perPass) / len(reads); perCall > 7 {
-		t.Fatalf("warm Align averages %d allocs per call (%.0f over %d calls), want <= 7",
+	if perCall := int(perPass) / len(reads); perCall > 1 {
+		t.Fatalf("warm Align averages %d allocs per call (%.0f over %d calls), want <= 1",
 			perCall, perPass, len(reads))
+	}
+}
+
+// TestExtendAllZeroAlloc: a warm ExtendAll into a dst that already has
+// room for every record allocates nothing, on forward and reverse
+// hits alike.
+func TestExtendAllZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch at random under the race detector")
+	}
+	a, ref := testAligner(t, 50000, 17)
+	type job struct {
+		read seq.Seq
+		hits []core.Hit
+	}
+	var jobs []job
+	rev := false
+	for _, r := range genome.Simulate(ref, 60, genome.ShortReadConfig(18)) {
+		hits, _ := a.SeedAndChain(r.ID, r.Seq)
+		for _, h := range hits {
+			rev = rev || h.Rev
+		}
+		jobs = append(jobs, job{r.Seq, hits})
+	}
+	if !rev {
+		t.Fatal("no reverse-strand hit in the workload")
+	}
+	dst := make([]Extended, 0, 64)
+	if n := testing.AllocsPerRun(5, func() {
+		for _, j := range jobs {
+			dst = a.ExtendAll(j.read, j.hits, dst[:0])
+		}
+	}); n != 0 {
+		t.Fatalf("warm ExtendAll allocates %.1f times per pass, want 0", n)
+	}
+}
+
+// TestExtendAllMatchesExtendHitCost: for short and 1 kbp reads on both
+// strands, each record ExtendAll appends expands to exactly the
+// (Extension, ExtendCost) ExtendHitCost returns for that hit on its
+// separately oriented read, in hit order, after whatever dst held.
+func TestExtendAllMatchesExtendHitCost(t *testing.T) {
+	t.Parallel()
+	a, ref := testAligner(t, 30000, 19)
+	reads := genome.Simulate(ref, 60, genome.ShortReadConfig(20))
+	reads = append(reads, genome.Simulate(ref, 8, genome.LongReadConfig(21))...)
+	strands := map[bool]int{}
+	prefix := []Extended{{Score: -1}}
+	for _, r := range reads {
+		hits, _ := a.SeedAndChain(r.ID, r.Seq)
+		got := a.ExtendAll(r.Seq, hits, prefix)
+		if len(got) != 1+len(hits) || got[0] != prefix[0] {
+			t.Fatalf("read %d: ExtendAll returned %d records over a 1-record dst for %d hits",
+				r.ID, len(got), len(hits))
+		}
+		for k, h := range hits {
+			wantExt, wantCost := a.ExtendHitCost(Orient(r.Seq, h.Rev), h)
+			e := got[1+k]
+			if e.Ext(h) != wantExt || e.Cost() != wantCost {
+				t.Fatalf("read %d hit %d (rev=%v): record expands to (%+v, %+v), want (%+v, %+v)",
+					r.ID, k, h.Rev, e.Ext(h), e.Cost(), wantExt, wantCost)
+			}
+			strands[h.Rev]++
+		}
+	}
+	if strands[false] == 0 || strands[true] == 0 {
+		t.Fatalf("hits per strand %v; want both strands covered", strands)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package su models NvWa's seeding units: the bit-vectorised FM-index
 // search engines (LFMapBit [65], occ interval 128) that execute the
-// seeding phase. A unit functionally runs the same SMEM search and
-// chaining as the software pipeline — so the accelerator loses no
-// accuracy — while its cycle cost is derived from the search's actual
-// memory traffic, which is what makes per-read seeding time diverse
-// (the paper's Challenge-1).
+// seeding phase. A unit is a pure cost model over the Table III hit
+// records of one read: the records themselves come from the same SMEM
+// search and chaining as the software pipeline — so the accelerator
+// loses no accuracy — and the unit charges cycles from the search's
+// actual memory traffic, which is what makes per-read seeding time
+// diverse (the paper's Challenge-1).
 package su
 
 import (
@@ -49,11 +50,12 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Seeding is the front-end algorithm a unit executes: the FM-index
-// three-pass pipeline (*pipeline.Aligner) or any alternative producing
-// the Table III hit records, e.g. the minimizer seed-and-chain front
-// end (paper Sec. VI flexibility). The unit's cycle cost is computed
-// from the returned Stats alone, so a front end's production path must
+// Seeding is the front-end algorithm whose hit records the units
+// charge for: the FM-index three-pass pipeline (*pipeline.Aligner) or
+// any alternative producing the Table III hit records, e.g. the
+// minimizer seed-and-chain front end (paper Sec. VI flexibility). The
+// unit's cycle cost is computed from the hit count and the returned
+// Stats alone, so a front end's production path must
 // charge exactly the Stats of its reference (fmindex.SeedsWS vs
 // SeedsReference, pinned per read by pipeline's
 // TestReferenceKernelsIdentical) — otherwise simulated Reports would
@@ -65,12 +67,11 @@ type Seeding interface {
 
 // Unit is one seeding unit.
 type Unit struct {
-	id      int
-	aligner Seeding
-	hbm     *mem.HBM
-	cost    CostModel
-	state   core.UnitState
-	obs     *obs.Observer
+	id    int
+	hbm   *mem.HBM
+	cost  CostModel
+	state core.UnitState
+	obs   *obs.Observer
 
 	// Tracker records busy intervals for utilization figures.
 	Tracker sim.BusyTracker
@@ -88,10 +89,9 @@ func (u *Unit) AttachObs(o *obs.Observer) { u.obs = o }
 // OccAccesses returns the unit's cumulative occurrence-table traffic.
 func (u *Unit) OccAccesses() int64 { return u.occTotal }
 
-// New builds a seeding unit over a seeding front end and an HBM
-// channel model.
-func New(id int, aligner Seeding, hbm *mem.HBM, cost CostModel) *Unit {
-	return &Unit{id: id, aligner: aligner, hbm: hbm, cost: cost}
+// New builds a seeding unit over an HBM channel model.
+func New(id int, hbm *mem.HBM, cost CostModel) *Unit {
+	return &Unit{id: id, hbm: hbm, cost: cost}
 }
 
 // ID returns the unit index.
@@ -121,19 +121,20 @@ func (u *Unit) Reads() int { return u.reads }
 // Hits returns how many hits the unit has produced.
 func (u *Unit) Hits() int { return u.hits }
 
-// Process seeds one read starting at cycle now: it returns the hits
-// (identical to the software pipeline's) and the completion cycle
-// under the unit's cost model. The caller manages busy/idle state.
-func (u *Unit) Process(now int64, readIdx int, read seq.Seq) ([]core.Hit, int64) {
-	hits, st := u.aligner.SeedAndChain(readIdx, read)
+// Process books the seeding of read readIdx starting at cycle now,
+// given the read's hit count and the index traffic its search
+// generated (the Seeding front end's outputs), and returns the
+// completion cycle under the unit's cost model. The caller manages
+// busy/idle state.
+func (u *Unit) Process(now int64, readIdx, hits int, st fmindex.Stats) int64 {
 	u.reads++
-	u.hits += len(hits)
+	u.hits += hits
 	u.occTotal += int64(st.OccAccesses)
 
 	// Occurrence-table traffic is served by the unit's private table
 	// SRAM, fully pipelined.
 	cycles := u.cost.FixedOverhead + int64(st.OccAccesses)*u.cost.OccCycles
-	cycles += int64(len(hits)) * u.cost.ChainCyclesPerSeed
+	cycles += int64(hits) * u.cost.ChainCyclesPerSeed
 	done := now + cycles
 	// Sampled-suffix-array lookups go to HBM; each locate walk ends in
 	// one SA record fetch.
@@ -158,9 +159,9 @@ func (u *Unit) Process(now int64, readIdx int, read seq.Seq) ([]core.Hit, int64)
 		}
 	}
 	if u.obs != nil {
-		u.obs.SUSeed(u.id, readIdx, len(hits), now, done)
+		u.obs.SUSeed(u.id, readIdx, hits, now, done)
 	}
-	return hits, done
+	return done
 }
 
 // EncodeState writes the unit's canonical state inventory.

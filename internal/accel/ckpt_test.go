@@ -3,6 +3,7 @@ package accel
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"nvwa/internal/ckpt"
@@ -292,6 +293,64 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 	if _, err := ckpt.Decode(append(ck.Encode(), 0xFF)); err == nil {
 		t.Error("corrupted wire bytes accepted")
+	}
+}
+
+// A checksum-valid checkpoint whose feed log is impossible must be
+// refused with an error before anything is fed, never a panic. Each
+// mutated log goes through Encode and Decode, so it passes the FNV
+// gates exactly as a re-signed file would.
+func TestRestoreRejectsMalformedFeedLog(t *testing.T) {
+	t.Parallel()
+	a, reads := testWorkload(t, 20, 11)
+	sys, err := New(a, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Feed(reads)
+	if _, err := sys.Step(2000); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(reads))
+	if ck.Fired < 2 {
+		t.Fatalf("snapshot at %d fired events; the cases need at least 2", ck.Fired)
+	}
+	restore := func(log []ckpt.FeedRec) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
+				t.Errorf("Restore panicked on feed log %v: %v", log, p)
+			}
+		}()
+		c := *ck
+		c.FeedLog = log
+		dec, err := ckpt.Decode(c.Encode())
+		if err != nil {
+			t.Fatalf("re-signed checkpoint rejected by Decode: %v", err)
+		}
+		_, err = Restore(a, smallOpts(), reads, dec)
+		return err
+	}
+	if err := restore(ck.FeedLog); err != nil {
+		t.Fatalf("re-signed valid feed log refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		log  []ckpt.FeedRec
+	}{
+		{"negative count", []ckpt.FeedRec{{N: -1}, {N: n + 1}}},
+		{"count overflow", []ckpt.FeedRec{{N: math.MaxInt64}, {N: math.MaxInt64}, {N: n + 2}}},
+		{"negative fired", []ckpt.FeedRec{{Fired: -1, N: n}}},
+		{"decreasing fired", []ckpt.FeedRec{{Fired: 2, N: 1}, {Fired: 1, N: n - 1}}},
+		{"fired beyond checkpoint", []ckpt.FeedRec{{Fired: ck.Fired + 1, N: n}}},
+	} {
+		if err := restore(tc.log); err == nil {
+			t.Errorf("%s: feed log %v accepted", tc.name, tc.log)
+		}
 	}
 }
 

@@ -53,14 +53,18 @@ type Memo struct {
 	// never alias into a resumed one (or vice versa) — the replayed
 	// prefix must refill through the same path the original took.
 	resumeHash uint64
-	// shards caches derived per-shard views, keyed on (policy, shard
-	// count). Behind a pointer so Memo stays shallow-copyable.
+	// shards caches the balanced policy's read-cost estimates and the
+	// derived per-shard views, keyed on (policy, shard count). Behind a
+	// pointer so Memo stays shallow-copyable.
 	shards *memoShardCache
 }
 
-// memoShardCache memoizes ShardViews results across runs.
+// memoShardCache memoizes, across runs, the sharded planner's inputs
+// that are pure functions of the memoized workload: the balanced
+// policy's per-read cost estimates and the ShardViews results.
 type memoShardCache struct {
 	mu    sync.Mutex
+	costs []float64 // EstimateReadCosts over the memo's reads; nil until first asked
 	views map[shardViewKey][]*Memo
 }
 
@@ -175,6 +179,30 @@ func (m *Memo) record(i int, read seq.Seq) *memoRead {
 		return &m.per[i]
 	}
 	return nil
+}
+
+// readCosts returns EstimateReadCosts(a, reads, workers), computed once
+// per memo and shared by every later call. It answers only when the
+// memo was built over the extension engine a and holds exactly these
+// reads (same count, equal sequences), because the estimates are a
+// function of the workload and the aligner's index; otherwise it
+// returns false and the caller probes itself. The returned slice is
+// shared and must not be modified.
+func (m *Memo) readCosts(a *pipeline.Aligner, reads []seq.Seq, workers int) ([]float64, bool) {
+	if m == nil || m.shards == nil || m.ext != a || len(m.reads) != len(reads) {
+		return nil, false
+	}
+	for i, r := range reads {
+		if !m.reads[i].Equal(r) {
+			return nil, false
+		}
+	}
+	m.shards.mu.Lock()
+	defer m.shards.mu.Unlock()
+	if m.shards.costs == nil {
+		m.shards.costs = EstimateReadCosts(a, reads, workers)
+	}
+	return m.shards.costs, true
 }
 
 // ShardViews derives one replay cache per shard of the memoized

@@ -1,11 +1,14 @@
 package accel
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
 
 	"nvwa/internal/pipeline"
+	"nvwa/internal/seq"
 )
 
 // TestMemoReplayByteIdenticalReport is the accelerator-level half of
@@ -147,5 +150,98 @@ func TestMemoFallbackPaths(t *testing.T) {
 	}
 	if got := s.Run(reads); !reflect.DeepEqual(want, got) {
 		t.Fatal("run over a partial memo diverges from the direct run")
+	}
+}
+
+// TestMemoReadCosts checks the memo's cost cache: it holds exactly
+// EstimateReadCosts over the memoized workload, answers only for that
+// aligner and those exact reads, and a balanced sharded run planned
+// from it — serially or concurrently — is byte-identical to the run
+// that probes the costs itself.
+func TestMemoReadCosts(t *testing.T) {
+	t.Parallel()
+	a, reads := testWorkload(t, 200, 23)
+	memo := BuildMemo(a, nil, reads, 2)
+
+	costs, ok := memo.readCosts(a, reads, 2)
+	if !ok {
+		t.Fatal("memo refused its own workload")
+	}
+	want := EstimateReadCosts(a, reads, 1)
+	if !reflect.DeepEqual(costs, want) {
+		t.Fatal("cached costs differ from EstimateReadCosts")
+	}
+	if again, _ := memo.readCosts(a, reads, 1); &again[0] != &costs[0] {
+		t.Error("second readCosts call re-probed instead of reusing the cache")
+	}
+
+	other, _ := testWorkload(t, 1, 23)
+	flipped := append([]seq.Seq(nil), reads...)
+	flipped[7] = append(seq.Seq(nil), reads[7]...)
+	flipped[7][0] ^= 1
+	for _, tc := range []struct {
+		name  string
+		a     *pipeline.Aligner
+		reads []seq.Seq
+	}{
+		{"another aligner", other, reads},
+		{"one base flipped", a, flipped},
+		{"a prefix", a, reads[:len(reads)-1]},
+	} {
+		if _, ok := memo.readCosts(tc.a, tc.reads, 1); ok {
+			t.Errorf("%s: readCosts answered", tc.name)
+		}
+	}
+
+	for _, s := range []int{2, 4} {
+		// run reports failures with t.Error: it also runs off the test
+		// goroutine.
+		run := func(m *Memo) []byte {
+			o := smallOpts()
+			o.Memo = m
+			sys, err := NewSharded(a, ShardedOptions{Options: o, Shards: s, Policy: ShardBalanced})
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			rep, _, err := sys.RunDetailed(reads)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			if len(rep.StealLog) == 0 {
+				t.Errorf("S=%d: no steals planned; the comparison would not cover the StealLog", s)
+			}
+			b, err := json.Marshal(rep)
+			if err != nil {
+				t.Error(err)
+			}
+			return b
+		}
+		direct := run(nil)
+		if got := run(memo); !bytes.Equal(got, direct) {
+			t.Errorf("S=%d: memo-planned balanced run differs from the probing run", s)
+		}
+		if got := run(memo); !bytes.Equal(got, direct) {
+			t.Errorf("S=%d: second run over the memo differs from the probing run", s)
+		}
+
+		// A fresh memo filled by two concurrent runs (-race).
+		fresh := BuildMemo(a, nil, reads, 2)
+		var got [2][]byte
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = run(fresh)
+			}(i)
+		}
+		wg.Wait()
+		for i, g := range got {
+			if !bytes.Equal(g, direct) {
+				t.Errorf("S=%d: concurrent run %d over one memo differs from the probing run", s, i)
+			}
+		}
 	}
 }

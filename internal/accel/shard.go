@@ -264,8 +264,13 @@ func (ss *ShardedSystem) RunDetailed(reads []seq.Seq) (*Report, []*Report, error
 	if o.Policy == ShardBalanced {
 		// The whole steal schedule is resolved in estimate space before
 		// any shard simulates, so the partition is a pure function of
-		// (workload, S) and the worker pool below cannot perturb it.
-		costs := EstimateReadCosts(ss.aligner, reads, o.Workers)
+		// (workload, S) and the worker pool below cannot perturb it. A
+		// memo over this exact workload probes the costs once for all
+		// of its runs.
+		costs, ok := o.Memo.readCosts(ss.aligner, reads, o.Workers)
+		if !ok {
+			costs = EstimateReadCosts(ss.aligner, reads, o.Workers)
+		}
 		parts, stealLog = PlanBalanced(costs, s)
 	} else {
 		parts = PartitionReads(len(reads), s, o.Policy)

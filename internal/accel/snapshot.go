@@ -84,9 +84,18 @@ func Restore(aligner *pipeline.Aligner, opts Options, reads []seq.Seq, ck *ckpt.
 	if got := HashReads(reads); got != ck.WorkloadHash {
 		return nil, fmt.Errorf("accel: checkpoint was taken over a different workload (reads hash %#x, given %#x)", ck.WorkloadHash, got)
 	}
-	var fed int64
-	for _, f := range ck.FeedLog {
+	// Validate the whole feed log before anything is fed: a
+	// checksum-valid log can still hold impossible records.
+	var fed, fired int64
+	for i, f := range ck.FeedLog {
+		if f.N < 0 || f.N > int64(len(reads))-fed {
+			return nil, fmt.Errorf("accel: checkpoint feed %d appends %d reads, %d of %d left", i, f.N, int64(len(reads))-fed, len(reads))
+		}
+		if f.Fired < fired || f.Fired > ck.Fired {
+			return nil, fmt.Errorf("accel: checkpoint feed %d at fired event %d is outside [%d, %d]", i, f.Fired, fired, ck.Fired)
+		}
 		fed += f.N
+		fired = f.Fired
 	}
 	if fed != int64(len(reads)) {
 		return nil, fmt.Errorf("accel: checkpoint feed log covers %d reads, %d given", fed, len(reads))

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 )
@@ -320,14 +321,30 @@ type Digest struct {
 	started bool
 }
 
+// fnvPrimePow[k] is fnvPrime^k.
+var fnvPrimePow = func() (t [9]uint64) {
+	t[0] = 1
+	for k := 1; k < len(t); k++ {
+		t[k] = t[k-1] * fnvPrime
+	}
+	return t
+}()
+
+// fold runs FNV-1a over v's eight big-endian bytes. A zero byte only
+// multiplies the state by the prime, so v's leading zero bytes are
+// folded with one multiply by a power of the prime and the loop covers
+// the rest: a small value costs one or two multiplies instead of eight.
 func (d *Digest) fold(v uint64) {
 	if !d.started {
 		d.h = fnvOffset
 		d.started = true
 	}
-	for shift := 56; shift >= 0; shift -= 8 {
-		d.h = (d.h ^ (v >> uint(shift) & 0xff)) * fnvPrime
+	z := bits.LeadingZeros64(v) / 8
+	h := d.h * fnvPrimePow[z]
+	for shift := 56 - 8*z; shift >= 0; shift -= 8 {
+		h = (h ^ (v >> uint(shift) & 0xff)) * fnvPrime
 	}
+	d.h = h
 }
 
 // I64 folds an int64 into the digest.

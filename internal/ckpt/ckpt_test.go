@@ -2,7 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -173,6 +176,61 @@ func TestDigestDeterministicAndOrderSensitive(t *testing.T) {
 	if z.Sum() != 0 {
 		t.Error("empty digest must be 0")
 	}
+}
+
+// digestValues encodes values for FuzzDigestMatchesFNV: per value, a
+// byte n then the value's n low-order bytes, big-endian. The short
+// forms make values with leading zero bytes common in the corpus.
+func digestValues(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		n := 8 - bits.LeadingZeros64(v)/8
+		b = append(b, byte(n))
+		b = append(b, binary.BigEndian.AppendUint64(nil, v)[8-n:]...)
+	}
+	return b
+}
+
+// FuzzDigestMatchesFNV pins Digest's wire format: folding values
+// through U64 and I64 equals stdlib FNV-1a over their big-endian bytes,
+// and a digest that folded nothing sums to 0.
+func FuzzDigestMatchesFNV(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(digestValues(0))
+	f.Add(digestValues(1, 2, 3, 255, 0, 128))
+	f.Add(digestValues(^uint64(0)))
+	f.Add(digestValues(1<<56, 0x0123456789abcdef, 1<<8))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var d Digest
+		ref := fnv.New64a()
+		folded := false
+		for len(in) > 0 {
+			n := int(in[0]) % 9
+			in = in[1:]
+			if n > len(in) {
+				n = len(in)
+			}
+			var v uint64
+			for _, c := range in[:n] {
+				v = v<<8 | uint64(c)
+			}
+			in = in[n:]
+			folded = true
+			if len(in)%2 == 0 {
+				d.U64(v)
+			} else {
+				d.I64(int64(v))
+			}
+			ref.Write(binary.BigEndian.AppendUint64(nil, v))
+		}
+		want := ref.Sum64()
+		if !folded {
+			want = 0
+		}
+		if got := d.Sum(); got != want {
+			t.Fatalf("Digest.Sum() = %#x, stdlib FNV-1a = %#x", got, want)
+		}
+	})
 }
 
 func TestEncoderSectionsDisambiguate(t *testing.T) {

@@ -29,6 +29,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *nReads < 0 {
+		usageError(fmt.Errorf("-reads %d: must not be negative", *nReads))
+	}
+	if *readLen < 0 {
+		usageError(fmt.Errorf("-len %d: must not be negative", *readLen))
+	}
 
 	profiles := map[string]genome.Profile{
 		"human":         genome.HumanLike(),
@@ -40,7 +46,7 @@ func main() {
 	}
 	p, ok := profiles[*profile]
 	if !ok {
-		fail(fmt.Errorf("unknown profile %q", *profile))
+		usageError(fmt.Errorf("-profile: unknown profile %q", *profile))
 	}
 
 	cfg := genome.ShortReadConfig(*seed + 1)
@@ -51,32 +57,40 @@ func main() {
 		cfg.ReadLen = *readLen
 	}
 	if err := genome.CheckRefLen(*refLen, cfg.ReadLen); err != nil {
-		fmt.Fprintln(os.Stderr, "nvwa-genreads: -reflen:", err)
-		os.Exit(2)
+		usageError(fmt.Errorf("-reflen: %w", err))
 	}
 	ref := genome.Generate(p, *refLen, *seed)
 	reads := genome.Simulate(ref, *nReads, cfg)
 
-	ff, err := os.Create(*out + ".fa")
-	if err != nil {
+	if err := writeFile(*out+".fa", func(f *os.File) error { return genome.WriteFASTA(f, ref) }); err != nil {
 		fail(err)
 	}
-	if err := genome.WriteFASTA(ff, ref); err != nil {
+	if err := writeFile(*out+".fq", func(f *os.File) error { return genome.WriteFASTQ(f, reads) }); err != nil {
 		fail(err)
 	}
-	ff.Close()
-
-	qf, err := os.Create(*out + ".fq")
-	if err != nil {
-		fail(err)
-	}
-	if err := genome.WriteFASTQ(qf, reads); err != nil {
-		fail(err)
-	}
-	qf.Close()
 
 	fmt.Fprintf(os.Stderr, "wrote %s.fa (%d bp, %s) and %s.fq (%d reads x %d bp)\n",
 		*out, len(ref.Seq), ref.Name, *out, len(reads), cfg.ReadLen)
+}
+
+// writeFile creates path, fills it with write, and closes it; a failed
+// close is an error too, since it can lose buffered data.
+func writeFile(path string, write func(*os.File) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// usageError reports an invalid invocation and exits 2.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "nvwa-genreads:", err)
+	os.Exit(2)
 }
 
 func fail(err error) {

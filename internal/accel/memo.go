@@ -57,6 +57,15 @@ type Memo struct {
 	// derived per-shard views, keyed on (policy, shard count). Behind a
 	// pointer so Memo stays shallow-copyable.
 	shards *memoShardCache
+	// wl is HashReads over reads, computed on first use; behind a
+	// pointer so a shallow copy shares it.
+	wl *memoHash
+}
+
+// memoHash is a workload digest computed at most once.
+type memoHash struct {
+	once sync.Once
+	sum  uint64
 }
 
 // memoShardCache memoizes, across runs, the sharded planner's inputs
@@ -105,6 +114,7 @@ func BuildMemo(aligner *pipeline.Aligner, front su.Seeding, reads []seq.Seq, wor
 	m := &Memo{
 		front: f, ext: aligner, reads: reads, per: make([]memoRead, len(reads)),
 		shards: &memoShardCache{views: map[shardViewKey][]*Memo{}},
+		wl:     &memoHash{},
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -181,21 +191,29 @@ func (m *Memo) record(i int, read seq.Seq) *memoRead {
 	return nil
 }
 
-// readCosts returns EstimateReadCosts(a, reads, workers), computed once
-// per memo and shared by every later call. It answers only when the
-// memo was built over the extension engine a and holds exactly these
-// reads (same count, equal sequences), because the estimates are a
-// function of the workload and the aligner's index; otherwise it
-// returns false and the caller probes itself. The returned slice is
-// shared and must not be modified.
-func (m *Memo) readCosts(a *pipeline.Aligner, reads []seq.Seq, workers int) ([]float64, bool) {
-	if m == nil || m.shards == nil || m.ext != a || len(m.reads) != len(reads) {
-		return nil, false
+// holds reports whether the memo holds exactly these reads: the same
+// count and equal sequences.
+func (m *Memo) holds(reads []seq.Seq) bool {
+	if m == nil || len(m.reads) != len(reads) {
+		return false
 	}
 	for i, r := range reads {
 		if !m.reads[i].Equal(r) {
-			return nil, false
+			return false
 		}
+	}
+	return true
+}
+
+// readCosts returns EstimateReadCosts(a, reads, workers), computed once
+// per memo and shared by every later call. It answers only when the
+// memo was built over the extension engine a and holds exactly these
+// reads, because the estimates are a function of the workload and the
+// aligner's index; otherwise it returns false and the caller probes
+// itself. The returned slice is shared and must not be modified.
+func (m *Memo) readCosts(a *pipeline.Aligner, reads []seq.Seq, workers int) ([]float64, bool) {
+	if m == nil || m.shards == nil || m.ext != a || !m.holds(reads) {
+		return nil, false
 	}
 	m.shards.mu.Lock()
 	defer m.shards.mu.Unlock()
@@ -203,6 +221,17 @@ func (m *Memo) readCosts(a *pipeline.Aligner, reads []seq.Seq, workers int) ([]f
 		m.shards.costs = EstimateReadCosts(a, reads, workers)
 	}
 	return m.shards.costs, true
+}
+
+// hashReads returns HashReads(reads). When the memo holds exactly
+// these reads the digest is computed once per memo and shared by every
+// later call; comparing the reads costs far less than hashing them.
+func (m *Memo) hashReads(reads []seq.Seq) uint64 {
+	if m == nil || m.wl == nil || !m.holds(reads) {
+		return HashReads(reads)
+	}
+	m.wl.once.Do(func() { m.wl.sum = HashReads(m.reads) })
+	return m.wl.sum
 }
 
 // ShardViews derives one replay cache per shard of the memoized
@@ -239,6 +268,7 @@ func (m *Memo) ShardViews(pol ShardPolicy, s int, parts [][]int) []*Memo {
 			front: m.front, ext: m.ext, planHash: m.planHash, resumeHash: m.resumeHash,
 			reads: make([]seq.Seq, len(part)),
 			per:   make([]memoRead, len(part)),
+			wl:    &memoHash{},
 		}
 		for li, gi := range part {
 			v.reads[li] = m.reads[gi]

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"nvwa/internal/ckpt"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
 )
@@ -241,6 +242,109 @@ func TestMemoReadCosts(t *testing.T) {
 		for i, g := range got {
 			if !bytes.Equal(g, direct) {
 				t.Errorf("S=%d: concurrent run %d over one memo differs from the probing run", s, i)
+			}
+		}
+	}
+}
+
+// TestMemoWorkloadHash checks the memo's once-computed workload digest:
+// it equals HashReads for the memo and for each balanced shard view,
+// is used only for exactly the memo's reads, leaves checkpoints
+// byte-identical to a memo-less run's, and is safe to fill from
+// concurrent snapshots (-race).
+func TestMemoWorkloadHash(t *testing.T) {
+	t.Parallel()
+	a, reads := testWorkload(t, 120, 29)
+	memo := BuildMemo(a, nil, reads, 2)
+	if got, want := memo.hashReads(reads), HashReads(reads); got != want {
+		t.Fatalf("memo hash %#x, HashReads %#x", got, want)
+	}
+	parts, _ := PlanBalanced(EstimateReadCosts(a, reads, 1), 4)
+	for i, v := range memo.ShardViews(ShardBalanced, 4, parts) {
+		sub := make([]seq.Seq, len(parts[i]))
+		for li, gi := range parts[i] {
+			sub[li] = reads[gi]
+		}
+		if got, want := v.hashReads(sub), HashReads(sub); got != want {
+			t.Errorf("view %d: hash %#x, HashReads %#x", i, got, want)
+		}
+	}
+
+	flipped := append([]seq.Seq(nil), reads...)
+	flipped[3] = append(seq.Seq(nil), reads[3]...)
+	flipped[3][5] ^= 1
+	_, more := testWorkload(t, 121, 29)
+	for _, tc := range []struct {
+		name  string
+		reads []seq.Seq
+	}{
+		{"one base flipped", flipped},
+		{"a prefix", reads[:len(reads)-1]},
+		{"another read count", more},
+	} {
+		if memo.holds(tc.reads) {
+			t.Errorf("%s: the memo claims to hold these reads", tc.name)
+		}
+		if got, want := memo.hashReads(tc.reads), HashReads(tc.reads); got != want {
+			t.Errorf("%s: hash %#x, HashReads %#x", tc.name, got, want)
+		}
+	}
+
+	// snapshots steps a System to two cycles and returns the encoded
+	// checkpoint taken at each. It reports failures with t.Error: it
+	// also runs off the test goroutine.
+	snapshots := func(m *Memo) []*ckpt.Checkpoint {
+		o := smallOpts()
+		o.Memo = m
+		s, err := New(a, o)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		s.Feed(reads)
+		var cks []*ckpt.Checkpoint
+		for _, at := range []int64{3000, 9000} {
+			if done, err := s.StepUntil(at); err != nil || done {
+				t.Errorf("StepUntil(%d): done %v, err %v; want a mid-run sync point", at, done, err)
+				return nil
+			}
+			ck, err := s.Snapshot()
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			cks = append(cks, ck)
+		}
+		return cks
+	}
+	direct := snapshots(nil)
+	replayed := snapshots(memo)
+	for i := range direct {
+		if !bytes.Equal(direct[i].Encode(), replayed[i].Encode()) {
+			t.Errorf("checkpoint %d over the memo differs from the memo-less one", i)
+		}
+	}
+	o := smallOpts()
+	o.Memo = memo
+	if _, err := Restore(a, o, reads, replayed[1]); err != nil {
+		t.Errorf("Restore from the memo run's checkpoint: %v", err)
+	}
+
+	fresh := BuildMemo(a, nil, reads, 2)
+	var got [2][]*ckpt.Checkpoint
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = snapshots(fresh)
+		}(i)
+	}
+	wg.Wait()
+	for i, cks := range got {
+		for k := range cks {
+			if !bytes.Equal(cks[k].Encode(), direct[k].Encode()) {
+				t.Errorf("concurrent run %d: checkpoint %d differs", i, k)
 			}
 		}
 	}

@@ -264,3 +264,61 @@ func TestStrictEngineAcrossStrategies(t *testing.T) {
 		}
 	}
 }
+
+// TestObservedRoundZeroAlloc pins a warm, observed allocation round
+// (idle pool, window digests, AllocateIDs, the round hooks and
+// CheckRound) to zero allocations. It steps a run to a sync point with
+// hits in the Processing Buffer and idle EUs, then repeats that
+// uncommitted round: with an invariants-only observer, and with
+// metrics, whose series take every repeat at the same cycle and so
+// coalesce instead of growing.
+func TestObservedRoundZeroAlloc(t *testing.T) {
+	t.Parallel()
+	a, reads := testWorkload(t, 150, 5)
+	for _, tc := range []struct {
+		name string
+		ob   *obs.Observer
+	}{
+		{"invariants-only", obs.NewInvariantsOnly()},
+		{"metrics", &obs.Observer{Metrics: obs.NewRegistry(), Inv: obs.NewInvariants()}},
+	} {
+		o := smallOpts()
+		o.Obs = tc.ob
+		s, err := New(a, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Feed(reads)
+		for s.buffer.PBRemaining() == 0 || s.idleEUs == 0 || s.roundActive {
+			done, err := s.Step(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				t.Fatalf("%s: run quiesced before a round could be taken", tc.name)
+			}
+		}
+		now := s.Now()
+		var asg []coordinator.Assignment
+		round := func() { // tryRound's steps up to the commit
+			idle := s.idlePool()
+			window := s.buffer.WindowIDs(o.Config.AllocBatch)
+			before := s.windowDigest(window)
+			assigned, un := s.alloc.AllocateIDs(s.arena, window, idle)
+			asg = asg[:0]
+			for _, a := range assigned {
+				asg = append(asg, coordinator.Assignment{Hit: s.arena.At(a.ID), Unit: a.Unit})
+			}
+			s.observeRound(now, window, before, idle, asg, len(un))
+		}
+		if round(); len(asg) == 0 { // warm
+			t.Fatalf("%s: the round at cycle %d assigns nothing", tc.name, now)
+		}
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("%s: a warm observed round allocates %v times, want 0", tc.name, allocs)
+		}
+		if err := tc.ob.Inv.Err(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}

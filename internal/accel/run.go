@@ -6,6 +6,7 @@ import (
 	"nvwa/internal/core"
 	"nvwa/internal/eu"
 	"nvwa/internal/fmindex"
+	"nvwa/internal/obs"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
 	"nvwa/internal/sim"
@@ -495,9 +496,9 @@ func (s *System) tryRound() {
 	idle := s.idlePool()
 	window := s.buffer.WindowIDs(s.opts.Config.AllocBatch)
 	o := s.opts.Obs
-	var winBefore []core.Hit
-	if o != nil {
-		winBefore = o.Inv.SnapshotWindow(s.derefHits(window))
+	var winBefore obs.WindowDigest
+	if o != nil && o.Inv != nil {
+		winBefore = s.windowDigest(window)
 	}
 	assigned, un := s.alloc.AllocateIDs(s.arena, window, idle)
 	// Materialize the dispatch-facing assignments. The IDs stay live —
@@ -512,13 +513,7 @@ func (s *System) tryRound() {
 	}
 	s.asgScratch, s.allocIDs = asg, ids
 	if o != nil {
-		// The window aliases the PB: AllocateIDs must not have mutated
-		// it (the CommitIDs compaction below reads the same backing
-		// array).
-		o.Inv.CheckWindowUnchanged(now, winBefore, s.derefHits(window))
-		o.AllocRound(now, len(window), len(asg), len(un), len(idle),
-			coordinator.RoundLatency(len(window)))
-		s.observeRound(now, idle, asg)
+		s.observeRound(now, window, winBefore, idle, asg, len(un))
 	}
 	if len(asg) == 0 {
 		return
@@ -544,15 +539,14 @@ func (s *System) tryRound() {
 	s.eng.AtTask(now+coordinator.RoundLatency(len(window)), s.getRoundTask(asg))
 }
 
-// derefHits dereferences an ID window into the system's deref scratch
-// (valid until the next derefHits call) for the obs window checks.
-func (s *System) derefHits(ids []core.HitID) []core.Hit {
-	out := s.winDeref[:0]
+// windowDigest digests the hits an ID window names, for the obs window
+// check.
+func (s *System) windowDigest(ids []core.HitID) obs.WindowDigest {
+	var d obs.WindowDigest
 	for _, id := range ids {
-		out = append(out, s.arena.At(id))
+		d.Add(s.arena.At(id))
 	}
-	s.winDeref = out
-	return out
+	return d
 }
 
 // roundTask is the pooled event payload for an allocation round's
@@ -589,25 +583,46 @@ func (s *System) getRoundTask(assigned []coordinator.Assignment) *roundTask {
 	return &roundTask{s: s, assigned: assigned}
 }
 
-// observeRound feeds the invariant checker and the per-class idle
-// depth series from one allocation round's inputs.
-func (s *System) observeRound(now int64, idle []coordinator.IdleUnit, assigned []coordinator.Assignment) {
+// observeRound checks and records one allocation round before it is
+// committed: the window against its digest from before Allocate, the
+// AllocRound hook, the round's unit discipline and, when metrics are
+// on, the per-class idle depth series, through the system's round
+// scratch.
+func (s *System) observeRound(now int64, window []core.HitID, winBefore obs.WindowDigest, idle []coordinator.IdleUnit, assigned []coordinator.Assignment, writeBacks int) {
 	o := s.opts.Obs
-	idleIDs := make([]int, len(idle))
-	perClass := make([]int, len(s.opts.Config.EUClasses))
-	for i, u := range idle {
-		idleIDs[i] = u.ID
-		if u.Class >= 0 && u.Class < len(perClass) {
-			perClass[u.Class]++
+	if o.Inv != nil {
+		// The window aliases the PB: AllocateIDs must not have mutated
+		// it (the CommitIDs compaction reads the same backing array).
+		o.Inv.CheckWindowUnchanged(now, winBefore, s.windowDigest(window))
+	}
+	o.AllocRound(now, len(window), len(assigned), writeBacks, len(idle),
+		coordinator.RoundLatency(len(window)))
+	if o.Inv != nil {
+		idleIDs := s.obsIdleIDs[:0]
+		for _, u := range idle {
+			idleIDs = append(idleIDs, u.ID)
 		}
+		assignedIDs := s.obsAsgIDs[:0]
+		for _, a := range assigned {
+			assignedIDs = append(assignedIDs, a.Unit.ID)
+		}
+		s.obsIdleIDs, s.obsAsgIDs = idleIDs, assignedIDs
+		o.Inv.CheckRound(now, idleIDs, assignedIDs)
 	}
-	assignedIDs := make([]int, len(assigned))
-	for i, a := range assigned {
-		assignedIDs[i] = a.Unit.ID
-	}
-	o.Inv.CheckRound(now, idleIDs, assignedIDs)
-	for ci, n := range perClass {
-		o.EUClassIdle(now, ci, n)
+	if o.Metrics != nil {
+		perClass := s.obsPerClass[:0]
+		for range s.opts.Config.EUClasses {
+			perClass = append(perClass, 0)
+		}
+		for _, u := range idle {
+			if u.Class >= 0 && u.Class < len(perClass) {
+				perClass[u.Class]++
+			}
+		}
+		s.obsPerClass = perClass
+		for ci, n := range perClass {
+			o.EUClassIdle(now, ci, n)
+		}
 	}
 }
 

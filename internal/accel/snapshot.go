@@ -45,10 +45,12 @@ func (s *System) Snapshot() (*ckpt.Checkpoint, error) {
 }
 
 // workloadHash returns HashReads(s.reads), cached across snapshots:
-// Feed only appends, so the digest is stable for a given length.
+// Feed only appends, so the digest is stable for a given length. The
+// attached Memo supplies its once-computed digest when it holds exactly
+// the fed reads.
 func (s *System) workloadHash() uint64 {
 	if !s.wlHashOK || s.wlHashLen != len(s.reads) {
-		s.wlHash = HashReads(s.reads)
+		s.wlHash = s.opts.Memo.hashReads(s.reads)
 		s.wlHashLen = len(s.reads)
 		s.wlHashOK = true
 	}
@@ -81,7 +83,7 @@ func Restore(aligner *pipeline.Aligner, opts Options, reads []seq.Seq, ck *ckpt.
 	if got := opts.Faults.Hash(); got != ck.PlanHash {
 		return nil, fmt.Errorf("accel: checkpoint was taken under a different fault plan (plan hash %#x, this system %#x)", ck.PlanHash, got)
 	}
-	if got := HashReads(reads); got != ck.WorkloadHash {
+	if got := opts.Memo.hashReads(reads); got != ck.WorkloadHash {
 		return nil, fmt.Errorf("accel: checkpoint was taken over a different workload (reads hash %#x, given %#x)", ck.WorkloadHash, got)
 	}
 	// Validate the whole feed log before anything is fed: a

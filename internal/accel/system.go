@@ -194,18 +194,21 @@ type System struct {
 	stallCycles int64
 
 	// Event-loop scratch reused across allocation rounds — the idle
-	// pool, the ID list handed to CommitIDs, and the materialized
-	// assignments the dispatch path consumes, all safe to reuse per
-	// round because roundActive serializes rounds (see tryRound) — and
-	// freelists of pooled event tasks so steady-state scheduling
-	// allocates no closures (see run.go).
-	idleBuf    []coordinator.IdleUnit
-	allocIDs   []core.HitID
-	asgScratch []coordinator.Assignment
-	winDeref   []core.Hit
-	suFree     []*suTask
-	euFree     []*euTask
-	roundFree  []*roundTask
+	// pool, the ID list handed to CommitIDs, the materialized
+	// assignments the dispatch path consumes, and the unit IDs and
+	// per-class idle counts an observed round reports, all safe to
+	// reuse per round because roundActive serializes rounds (see
+	// tryRound) — and freelists of pooled event tasks so steady-state
+	// scheduling allocates no closures (see run.go).
+	idleBuf     []coordinator.IdleUnit
+	allocIDs    []core.HitID
+	asgScratch  []coordinator.Assignment
+	obsIdleIDs  []int
+	obsAsgIDs   []int
+	obsPerClass []int
+	suFree      []*suTask
+	euFree      []*euTask
+	roundFree   []*roundTask
 }
 
 type blockedSU struct {

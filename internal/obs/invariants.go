@@ -38,6 +38,10 @@ type Invariants struct {
 	lastNow  int64
 	checked  int64 // number of Check* calls, for test sanity
 	maxAccum int   // cap on stored violations (default 64)
+
+	// unitMarks is CheckRound's per-unit scratch, indexed by unit ID
+	// and all zero between rounds.
+	unitMarks []uint8
 }
 
 // NewInvariants returns an accumulating invariant checker.
@@ -234,25 +238,59 @@ func (v *Invariants) CheckBuffer(now int64, sbLen, pbLen, offset, depth int) {
 
 // CheckRound asserts one allocation round's unit discipline: every
 // assigned unit ID is unique within the round and was offered as idle.
+// Unit IDs are non-negative; a negative assigned ID counts as not
+// offered. The per-unit marks are cleared before returning, so a round
+// allocates only when it names a unit ID above every earlier one.
 func (v *Invariants) CheckRound(now int64, idleIDs, assignedIDs []int) {
 	if v == nil {
 		return
 	}
 	v.checked++
-	idle := make(map[int]bool, len(idleIDs))
 	for _, id := range idleIDs {
-		idle[id] = true
+		if id >= 0 {
+			v.mark(id, markIdle)
+		}
 	}
-	seen := make(map[int]bool, len(assignedIDs))
 	for _, id := range assignedIDs {
-		if seen[id] {
+		if id < 0 {
+			v.violate("cycle %d: unit %d assigned but not offered idle", now, id)
+			continue
+		}
+		m := v.mark(id, markAssigned)
+		if m&markAssigned != 0 {
 			v.violate("cycle %d: unit %d double-allocated in one round", now, id)
 		}
-		seen[id] = true
-		if !idle[id] {
+		if m&markIdle == 0 {
 			v.violate("cycle %d: unit %d assigned but not offered idle", now, id)
 		}
 	}
+	for _, id := range idleIDs {
+		if id >= 0 {
+			v.unitMarks[id] = 0
+		}
+	}
+	for _, id := range assignedIDs {
+		if id >= 0 {
+			v.unitMarks[id] = 0
+		}
+	}
+}
+
+// Unit marks of CheckRound's scratch.
+const (
+	markIdle uint8 = 1 << iota
+	markAssigned
+)
+
+// mark sets bit on unit id's mark, growing the scratch as needed, and
+// returns the mark as it was.
+func (v *Invariants) mark(id int, bit uint8) uint8 {
+	if id >= len(v.unitMarks) {
+		v.unitMarks = append(v.unitMarks, make([]uint8, id+1-len(v.unitMarks))...)
+	}
+	m := v.unitMarks[id]
+	v.unitMarks[id] = m | bit
+	return m
 }
 
 // CheckConservation asserts the hit-conservation ledger: every pushed
@@ -349,33 +387,54 @@ func (v *Invariants) CheckDrained(now int64, sbLen, pbRemaining, blocked int) {
 	}
 }
 
-// SnapshotWindow copies an allocation window so CheckWindowUnchanged
-// can verify the Allocator honoured HitsBuffer.Window's read-only
-// contract (the window aliases the Processing Buffer; mutating it
-// would corrupt the Commit compaction).
-func (v *Invariants) SnapshotWindow(w []core.Hit) []core.Hit {
-	if v == nil {
-		return nil
-	}
-	return append([]core.Hit(nil), w...)
+// WindowDigest is an order-sensitive digest of an allocation window's
+// hits, taken before and after Allocate so CheckWindowUnchanged can
+// verify the Allocator honoured HitsBuffer.Window's read-only contract
+// (the window aliases the Processing Buffer; mutating it would corrupt
+// the Commit compaction) without copying the window. The zero value is
+// the empty window; Add folds the next hit.
+type WindowDigest struct {
+	n   int
+	sum uint64
 }
 
-// CheckWindowUnchanged compares the live window against its snapshot.
-func (v *Invariants) CheckWindowUnchanged(now int64, before, after []core.Hit) {
+// Add folds h: each field times its own odd constant, summed, then one
+// FNV-1a step of the running sum. An odd multiplier is invertible
+// modulo 2^64 and the step is a bijection of the running sum, so a
+// single changed field always changes the digest. The field products
+// are independent, so a hit costs one dependent multiply, and h
+// travels in registers.
+func (d *WindowDigest) Add(h core.Hit) {
+	rev := uint64(0)
+	if h.Rev {
+		rev = 1
+	}
+	x := uint64(h.ReadIdx)*0x9e3779b185ebca87 +
+		uint64(h.HitIdx)*0xc2b2ae3d27d4eb4f +
+		rev*0x165667b19e3779f9 +
+		uint64(h.ReadBeg)*0x85ebca77c2b2ae63 +
+		uint64(h.ReadEnd)*0x27d4eb2f165667c5 +
+		uint64(h.RefPos)*0xff51afd7ed558ccd +
+		uint64(h.ReadLen)*0xc4ceb9fe1a85ec53 +
+		uint64(h.SeedScore)*0x100000001b3
+	d.sum = (d.sum ^ x) * 0x100000001b3
+	d.n++
+}
+
+// CheckWindowUnchanged compares the window's digest after Allocate
+// against the one taken before it.
+func (v *Invariants) CheckWindowUnchanged(now int64, before, after WindowDigest) {
 	if v == nil {
 		return
 	}
 	v.checked++
-	if len(before) != len(after) {
-		v.violate("cycle %d: allocation window length changed %d -> %d", now, len(before), len(after))
+	if before.n != after.n {
+		v.violate("cycle %d: allocation window length changed %d -> %d", now, before.n, after.n)
 		return
 	}
-	for i := range before {
-		if before[i] != after[i] {
-			v.violate("cycle %d: allocation window entry %d mutated during Allocate: %+v -> %+v",
-				now, i, before[i], after[i])
-			return
-		}
+	if before.sum != after.sum {
+		v.violate("cycle %d: allocation window of %d hits mutated during Allocate (digest %#x -> %#x; the digest does not name the entry)",
+			now, before.n, before.sum, after.sum)
 	}
 }
 

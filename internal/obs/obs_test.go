@@ -179,9 +179,9 @@ func TestInvariantsDetectViolations(t *testing.T) {
 		{"drop without reason", func(v *Invariants) { v.RecordDropped(1, "") }, "without a reason"},
 		{"window mutated", func(v *Invariants) {
 			w := []core.Hit{hit(0), hit(1)}
-			before := v.SnapshotWindow(w)
+			before := digestHits(w)
 			w[1].RefPos = 999
-			v.CheckWindowUnchanged(1, before, w)
+			v.CheckWindowUnchanged(1, before, digestHits(w))
 		}, "mutated"},
 	}
 	for _, tc := range cases {
@@ -191,6 +191,15 @@ func TestInvariantsDetectViolations(t *testing.T) {
 			t.Errorf("%s: Err() = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// digestHits digests a window the way the allocation round does.
+func digestHits(w []core.Hit) WindowDigest {
+	var d WindowDigest
+	for _, h := range w {
+		d.Add(h)
+	}
+	return d
 }
 
 func TestInvariantsCleanRunHasNoViolations(t *testing.T) {
@@ -244,7 +253,7 @@ func TestNilInvariantsAreNoOps(t *testing.T) {
 	v.RecordPush(1)
 	v.RecordAssigned(1)
 	v.RecordDropped(1, "")
-	v.CheckWindowUnchanged(1, nil, []core.Hit{{}})
+	v.CheckWindowUnchanged(1, WindowDigest{}, digestHits([]core.Hit{{}}))
 	if v.Err() != nil || v.Checks() != 0 {
 		t.Error("nil invariants recorded state")
 	}
@@ -304,36 +313,158 @@ func TestObserverCatalog(t *testing.T) {
 	}
 }
 
-// TestEUHooksZeroAllocUntraced pins the per-extension and per-round EU
-// hooks of a metrics-only observer to zero allocations once each
-// class's handles are resolved, and checks that the cached handles
-// still land in the catalog's names. The idle samples share one cycle,
-// so they coalesce and the series never grows.
+// TestEUHooksZeroAllocUntraced pins every per-event hook of a
+// metrics+invariants observer to zero allocations once its handles are
+// resolved, and checks that the cached handles still land in the
+// catalog's names. Every sample shares one cycle, so the series
+// coalesce and never grow.
 func TestEUHooksZeroAllocUntraced(t *testing.T) {
 	o := &Observer{Metrics: NewRegistry(), Inv: NewInvariants()}
-	for class := 0; class < 3; class++ { // warm
-		o.EUExtend(class, class, 16<<class, 20, 0, 10)
-		o.EUClassIdle(10, class, 1)
+	hooks := []struct {
+		name string
+		fire func()
+	}{
+		{"SUSeed", func() { o.SUSeed(1, 7, 3, 10, 20) }},
+		{"SUStall", func() { o.SUStall(1, 10, 20) }},
+		{"EUExtend", func() {
+			for class := 0; class < 3; class++ {
+				o.EUExtend(class, class, 16<<class, 20, 10, 20)
+			}
+		}},
+		{"EUClassIdle", func() {
+			for class := 0; class < 3; class++ {
+				o.EUClassIdle(10, class, 2)
+			}
+		}},
+		{"EUTraceback", func() { o.EUTraceback(10, 40, 30, 30, true) }},
+		{"BufferPush", func() { o.BufferPush(10, 3, 8) }},
+		{"BufferSwitch", func() { o.BufferSwitch(10, 1, 4, true) }},
+		{"BufferOccupancy", func() { o.BufferOccupancy(10, 2, 4) }},
+		{"AllocRound", func() {
+			o.AllocRound(10, 8, 3, 5, 4, 2)
+			o.AllocRound(10, 8, 0, 8, 4, 2)
+		}},
+		{"TriggerEval", func() {
+			o.TriggerEval(3, true)
+			o.TriggerEval(0, false)
+		}},
+		{"Prefetch", func() { o.Prefetch(2, 32, 10, 20) }},
+		{"MemoLookup", func() {
+			o.MemoLookup(true)
+			o.MemoLookup(false)
+		}},
+		{"EngineAdvance", func() { o.EngineAdvance(10) }},
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for class := 0; class < 3; class++ {
-			o.EUExtend(class, class, 16<<class, 20, 10, 20)
-		}
-	}); allocs != 0 {
-		t.Fatalf("EUExtend allocates %v per run untraced once warm, want 0", allocs)
+	for _, h := range hooks {
+		h.fire() // warm: resolve the handles
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for class := 0; class < 3; class++ {
-			o.EUClassIdle(10, class, 2)
+	for _, h := range hooks {
+		if allocs := testing.AllocsPerRun(100, h.fire); allocs != 0 {
+			t.Errorf("%s allocates %v per run untraced once warm, want 0", h.name, allocs)
 		}
-	}); allocs != 0 {
-		t.Fatalf("EUClassIdle allocates %v per run once warm, want 0", allocs)
+	}
+	if err := o.Inv.Err(); err != nil {
+		t.Fatal(err)
 	}
 	snap := o.Metrics.Snapshot()
-	if got := snap.Counters["eu.class2.tasks"]; got != 102 {
-		t.Errorf("eu.class2.tasks = %d, want 102", got)
+	for name, want := range map[string]int64{
+		"eu.class2.tasks":             102,
+		"su.reads":                    102,
+		"su.stall_cycles":             1020,
+		"coordinator.forced_switches": 102,
+		"alloc.failed_rounds":         102,
+		"memo.misses":                 102,
+		"eu.traceback_spills":         102,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 	if pts := snap.Series["eu.class1.idle"]; len(pts) != 1 || pts[0].Value != 2 {
 		t.Errorf("eu.class1.idle = %v, want one point of value 2", pts)
+	}
+	if h := snap.Histograms["alloc.window"]; h.Count != 204 || h.Counts[3] != 204 {
+		t.Errorf("alloc.window = %+v, want 204 samples in the (4, 8] bucket", h)
+	}
+}
+
+// TestMetricsCreatedOnFirstUse checks that the hooks' cached handles
+// keep each metric's presence what it was when every hook looked its
+// name up: a metric exists once its hook has fired, with a value a
+// hook never reached (forced_switches below) left absent; and an
+// invariants-only observer creates no metric at all.
+func TestMetricsCreatedOnFirstUse(t *testing.T) {
+	o := &Observer{Metrics: NewRegistry(), Inv: NewInvariants()}
+	snap := o.Metrics.Snapshot()
+	if n := len(snap.Counters) + len(snap.Series) + len(snap.Histograms); n != 0 {
+		t.Fatalf("a fresh observer holds %d metrics", n)
+	}
+	o.BufferSwitch(5, 1, 4, false)
+	o.SUStall(1, 10, 10)
+	snap = o.Metrics.Snapshot()
+	for _, name := range []string{"coordinator.switches", "su.stalls"} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("%s missing after its hook fired", name)
+		}
+	}
+	for _, name := range []string{"coordinator.forced_switches", "su.stall_cycles", "su.reads", "alloc.rounds"} {
+		if _, ok := snap.Counters[name]; ok {
+			t.Errorf("%s exists, but no hook reached it", name)
+		}
+	}
+	if _, ok := snap.Histograms["eu.hit_len"]; ok {
+		t.Error("eu.hit_len exists before any extension")
+	}
+	if len(snap.Series) != 2 {
+		t.Errorf("series = %v, want the two buffer series", snap.Series)
+	}
+
+	inv := NewInvariantsOnly()
+	inv.SUSeed(1, 0, 3, 0, 100)
+	inv.EUExtend(2, 1, 32, 20, 50, 90)
+	inv.EUClassIdle(90, 1, 2)
+	inv.BufferPush(10, 5, 8)
+	inv.AllocRound(60, 8, 5, 3, 6, 1)
+	inv.TriggerEval(3, true)
+	inv.MemoLookup(true)
+	if inv.Metrics != nil {
+		t.Fatal("an invariants-only observer grew a registry")
+	}
+	for _, c := range inv.counterHandles {
+		if c != nil {
+			t.Fatal("an invariants-only observer resolved a counter handle")
+		}
+	}
+	if len(inv.classTasks)+len(inv.classIdle) != 0 {
+		t.Error("an invariants-only observer cached per-class handles")
+	}
+	if inv.Inv.Checks() == 0 {
+		t.Error("the invariants-only hooks checked nothing")
+	}
+}
+
+// TestCheckRoundScratchResets checks that CheckRound's per-unit marks
+// are cleared between rounds: a clean round after a faulty one is not
+// flagged, and a unit ID above every earlier one is handled.
+func TestCheckRoundScratchResets(t *testing.T) {
+	v := NewInvariants()
+	v.CheckRound(1, []int{1, 2}, []int{2, 2})
+	if err := v.Err(); err == nil || !strings.Contains(err.Error(), "double-allocated") {
+		t.Fatalf("double allocation not flagged: %v", err)
+	}
+	v.CheckRound(2, []int{1, 2}, []int{1, 2})
+	v.CheckRound(3, []int{2}, []int{2})
+	v.CheckRound(4, []int{40, 3}, []int{40})
+	v.CheckRound(5, nil, nil)
+	if len(v.violations) != 1 {
+		t.Fatalf("clean rounds after the faulty one were flagged:\n%v", v.Err())
+	}
+	v.CheckRound(6, []int{3}, []int{40, 3})
+	if len(v.violations) != 2 || !strings.Contains(v.violations[1], "unit 40 assigned but not offered idle") {
+		t.Errorf("a unit offered only in an earlier round passed: %v", v.Err())
+	}
+	v.CheckRound(7, []int{0}, []int{-1, 100})
+	if len(v.violations) != 4 {
+		t.Errorf("out-of-range assignments: %d violations, want 4: %v", len(v.violations), v.Err())
 	}
 }

@@ -13,11 +13,17 @@ type Observer struct {
 	Trace   *Trace
 	Inv     *Invariants
 
-	// classTasks and classIdle cache Metrics' eu.class<c>.tasks and
-	// eu.class<c>.idle handles by class, so the per-extension and
-	// per-round hooks format each name once.
-	classTasks []*Counter
-	classIdle  []*Series
+	// counterHandles, seriesHandles and histHandles cache Metrics'
+	// handles for the fixed catalog names, each resolved on its hook's
+	// first use so a metric exists exactly when its event happened;
+	// classTasks and classIdle do the same for the eu.class<c>.* names,
+	// by class. The hooks thus pay an array load per event instead of a
+	// name lookup.
+	counterHandles [numCounters]*Counter
+	seriesHandles  [numSeries]*Series
+	histHandles    [numHists]*Histogram
+	classTasks     []*Counter
+	classIdle      []*Series
 }
 
 // New returns an Observer with metrics, trace, and invariant checking
@@ -31,9 +37,135 @@ func New() *Observer {
 // collection would be wasted work.
 func NewInvariantsOnly() *Observer { return &Observer{Inv: NewInvariants()} }
 
-// hitLenBounds buckets hit lengths against the canonical unit-size
-// ladder (Fig. 9a's x-axis).
-var hitLenBounds = []float64{16, 32, 64, 128}
+// The fixed metric catalog: one ID per counter, series and histogram
+// name the hooks emit, indexing the Observer's handle caches.
+type (
+	counterID   uint8
+	seriesID    uint8
+	histogramID uint8
+)
+
+const (
+	cSUReads counterID = iota
+	cSUHitsProduced
+	cSUStallCycles
+	cSUStalls
+	cEUTasks
+	cEUTracebackCycles
+	cEUTracebackSpills
+	cHitsPushed
+	cPushBlocked
+	cSwitches
+	cForcedSwitches
+	cAllocRounds
+	cAllocAssigned
+	cAllocWriteBacks
+	cAllocFailedRounds
+	cPrefetches
+	cPrefetchedReads
+	cTriggerFired
+	cTriggerSuppressed
+	cClampedSchedules
+	cMemoHits
+	cMemoMisses
+	cFaultShed
+	cFaultRequeued
+	cFaultRetried
+	cFaultDeadLettered
+	cFaultReadsReseeded
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	cSUReads:            "su.reads",
+	cSUHitsProduced:     "su.hits_produced",
+	cSUStallCycles:      "su.stall_cycles",
+	cSUStalls:           "su.stalls",
+	cEUTasks:            "eu.tasks",
+	cEUTracebackCycles:  "eu.traceback_cycles",
+	cEUTracebackSpills:  "eu.traceback_spills",
+	cHitsPushed:         "coordinator.hits_pushed",
+	cPushBlocked:        "coordinator.push_blocked",
+	cSwitches:           "coordinator.switches",
+	cForcedSwitches:     "coordinator.forced_switches",
+	cAllocRounds:        "alloc.rounds",
+	cAllocAssigned:      "alloc.assigned",
+	cAllocWriteBacks:    "alloc.write_backs",
+	cAllocFailedRounds:  "alloc.failed_rounds",
+	cPrefetches:         "seedsched.prefetches",
+	cPrefetchedReads:    "seedsched.prefetched_reads",
+	cTriggerFired:       "extsched.trigger_fired",
+	cTriggerSuppressed:  "extsched.trigger_suppressed",
+	cClampedSchedules:   "sim.clamped_schedules",
+	cMemoHits:           "memo.hits",
+	cMemoMisses:         "memo.misses",
+	cFaultShed:          "fault.shed",
+	cFaultRequeued:      "fault.requeued",
+	cFaultRetried:       "fault.retried",
+	cFaultDeadLettered:  "fault.dead_lettered",
+	cFaultReadsReseeded: "fault.reads_reseeded",
+}
+
+const (
+	sSBOccupancy seriesID = iota
+	sPBRemaining
+	numSeries
+)
+
+var seriesNames = [numSeries]string{
+	sSBOccupancy: "coordinator.sb_occupancy",
+	sPBRemaining: "coordinator.pb_remaining",
+}
+
+const (
+	hHitLen histogramID = iota
+	hAllocWindow
+	numHists
+)
+
+var histNames = [numHists]string{
+	hHitLen:      "eu.hit_len",
+	hAllocWindow: "alloc.window",
+}
+
+// histBounds holds each histogram's bucket upper bounds: hit lengths
+// against the canonical unit-size ladder (Fig. 9a's x-axis), and
+// allocation-window sizes in powers of two.
+var histBounds = [numHists][]float64{
+	hHitLen:      {16, 32, 64, 128},
+	hAllocWindow: {1, 2, 4, 8, 16, 32},
+}
+
+// counter returns the catalog counter id, resolving it on first use.
+// Callers hold a non-nil Metrics.
+func (o *Observer) counter(id counterID) *Counter {
+	if c := o.counterHandles[id]; c != nil {
+		return c
+	}
+	c := o.Metrics.Counter(counterNames[id])
+	o.counterHandles[id] = c
+	return c
+}
+
+// series is counter for the catalog's time series.
+func (o *Observer) series(id seriesID) *Series {
+	if s := o.seriesHandles[id]; s != nil {
+		return s
+	}
+	s := o.Metrics.Series(seriesNames[id])
+	o.seriesHandles[id] = s
+	return s
+}
+
+// hist is counter for the catalog's histograms.
+func (o *Observer) hist(id histogramID) *Histogram {
+	if h := o.histHandles[id]; h != nil {
+		return h
+	}
+	h := o.Metrics.Histogram(histNames[id], histBounds[id])
+	o.histHandles[id] = h
+	return h
+}
 
 // --- Seeding units ---------------------------------------------------
 
@@ -43,8 +175,10 @@ func (o *Observer) SUSeed(id, readIdx, hits int, start, end int64) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("su.reads").Inc()
-	o.Metrics.Counter("su.hits_produced").Add(int64(hits))
+	if o.Metrics != nil {
+		o.counter(cSUReads).Inc()
+		o.counter(cSUHitsProduced).Add(int64(hits))
+	}
 	if o.Trace != nil {
 		o.Trace.Thread(PidSU, id, fmt.Sprintf("SU %d", id))
 		o.Trace.Complete(PidSU, id, "su", fmt.Sprintf("seed r%d", readIdx), start, end,
@@ -58,10 +192,12 @@ func (o *Observer) SUStall(id int, start, end int64) {
 	if o == nil {
 		return
 	}
-	if d := end - start; d > 0 {
-		o.Metrics.Counter("su.stall_cycles").Add(d)
+	if o.Metrics != nil {
+		if d := end - start; d > 0 {
+			o.counter(cSUStallCycles).Add(d)
+		}
+		o.counter(cSUStalls).Inc()
 	}
-	o.Metrics.Counter("su.stalls").Inc()
 	if o.Trace != nil {
 		o.Trace.Thread(PidSU, id, fmt.Sprintf("SU %d", id))
 		o.Trace.Complete(PidSU, id, "stall", "blocked (SB full)", start, end, nil)
@@ -76,9 +212,11 @@ func (o *Observer) EUExtend(id, class, pes, hitLen int, start, end int64) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("eu.tasks").Inc()
-	o.classTasksCounter(class).Inc()
-	o.Metrics.Histogram("eu.hit_len", hitLenBounds).Observe(float64(hitLen))
+	if o.Metrics != nil {
+		o.counter(cEUTasks).Inc()
+		o.classTasksCounter(class).Inc()
+		o.hist(hHitLen).Observe(float64(hitLen))
+	}
 	if o.Trace != nil {
 		o.Trace.Thread(PidEU, id, fmt.Sprintf("EU %d (%d PEs)", id, pes))
 		o.Trace.Complete(PidEU, id, "eu", fmt.Sprintf("extend len=%d", hitLen), start, end,
@@ -96,9 +234,11 @@ func (o *Observer) EUTraceback(now, cycles int64, refSpan, readSpan int, spilled
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("eu.traceback_cycles").Add(cycles)
-	if spilled {
-		o.Metrics.Counter("eu.traceback_spills").Inc()
+	if o.Metrics != nil {
+		o.counter(cEUTracebackCycles).Add(cycles)
+		if spilled {
+			o.counter(cEUTracebackSpills).Inc()
+		}
 	}
 	o.Inv.CheckTraceback(now, cycles, refSpan, readSpan)
 }
@@ -110,18 +250,20 @@ func (o *Observer) BufferPush(now int64, sbLen, depth int) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("coordinator.hits_pushed").Inc()
-	o.Metrics.Series("coordinator.sb_occupancy").Sample(now, float64(sbLen))
+	if o.Metrics != nil {
+		o.counter(cHitsPushed).Inc()
+		o.series(sSBOccupancy).Sample(now, float64(sbLen))
+	}
 	o.Inv.CheckBuffer(now, sbLen, 0, 0, depth)
 }
 
 // BufferPushBlocked counts a rejected push (SB full — the producing SU
 // must stall).
 func (o *Observer) BufferPushBlocked(now int64) {
-	if o == nil {
+	if o == nil || o.Metrics == nil {
 		return
 	}
-	o.Metrics.Counter("coordinator.push_blocked").Inc()
+	o.counter(cPushBlocked).Inc()
 }
 
 // BufferSwitch records buffer switch number n moving hits hits into
@@ -131,12 +273,14 @@ func (o *Observer) BufferSwitch(now int64, n, hits int, forced bool) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("coordinator.switches").Inc()
-	if forced {
-		o.Metrics.Counter("coordinator.forced_switches").Inc()
+	if o.Metrics != nil {
+		o.counter(cSwitches).Inc()
+		if forced {
+			o.counter(cForcedSwitches).Inc()
+		}
+		o.series(sSBOccupancy).Sample(now, 0)
+		o.series(sPBRemaining).Sample(now, float64(hits))
 	}
-	o.Metrics.Series("coordinator.sb_occupancy").Sample(now, 0)
-	o.Metrics.Series("coordinator.pb_remaining").Sample(now, float64(hits))
 	if o.Trace != nil {
 		o.Trace.Instant(PidCoordinator, 0, "coordinator", fmt.Sprintf("switch #%d", n), now,
 			map[string]any{"hits": hits, "forced": forced})
@@ -149,8 +293,10 @@ func (o *Observer) BufferOccupancy(now int64, sbLen, pbRemaining int) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Series("coordinator.sb_occupancy").Sample(now, float64(sbLen))
-	o.Metrics.Series("coordinator.pb_remaining").Sample(now, float64(pbRemaining))
+	if o.Metrics != nil {
+		o.series(sSBOccupancy).Sample(now, float64(sbLen))
+		o.series(sPBRemaining).Sample(now, float64(pbRemaining))
+	}
 	if o.Trace != nil {
 		o.Trace.CounterSample(PidCoordinator, "hits buffer", now,
 			map[string]any{"SB": sbLen, "PB": pbRemaining})
@@ -166,13 +312,15 @@ func (o *Observer) AllocRound(now int64, window, assigned, writeBacks, idleUnits
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("alloc.rounds").Inc()
-	o.Metrics.Counter("alloc.assigned").Add(int64(assigned))
-	o.Metrics.Counter("alloc.write_backs").Add(int64(writeBacks))
-	if assigned == 0 {
-		o.Metrics.Counter("alloc.failed_rounds").Inc()
+	if o.Metrics != nil {
+		o.counter(cAllocRounds).Inc()
+		o.counter(cAllocAssigned).Add(int64(assigned))
+		o.counter(cAllocWriteBacks).Add(int64(writeBacks))
+		if assigned == 0 {
+			o.counter(cAllocFailedRounds).Inc()
+		}
+		o.hist(hAllocWindow).Observe(float64(window))
 	}
-	o.Metrics.Histogram("alloc.window", []float64{1, 2, 4, 8, 16, 32}).Observe(float64(window))
 	if o.Trace != nil {
 		o.Trace.Thread(PidCoordinator, 1, "Hits Allocator")
 		o.Trace.Complete(PidCoordinator, 1, "alloc", fmt.Sprintf("round w=%d a=%d", window, assigned),
@@ -184,18 +332,15 @@ func (o *Observer) AllocRound(now int64, window, assigned, writeBacks, idleUnits
 // EUClassIdle samples the idle-unit depth of one EU class at an
 // allocation round (the per-class queue-depth view of Fig. 12(c)).
 func (o *Observer) EUClassIdle(now int64, class, idle int) {
-	if o == nil {
+	if o == nil || o.Metrics == nil {
 		return
 	}
 	o.classIdleSeries(class).Sample(now, float64(idle))
 }
 
 // classTasksCounter returns the eu.class<class>.tasks counter, resolved
-// on first use and cached; nil when metrics are off.
+// on first use and cached. Callers hold a non-nil Metrics.
 func (o *Observer) classTasksCounter(class int) *Counter {
-	if o.Metrics == nil {
-		return nil
-	}
 	for len(o.classTasks) <= class {
 		o.classTasks = append(o.classTasks, nil)
 	}
@@ -208,9 +353,6 @@ func (o *Observer) classTasksCounter(class int) *Counter {
 // classIdleSeries is classTasksCounter for the eu.class<class>.idle
 // series.
 func (o *Observer) classIdleSeries(class int) *Series {
-	if o.Metrics == nil {
-		return nil
-	}
 	for len(o.classIdle) <= class {
 		o.classIdle = append(o.classIdle, nil)
 	}
@@ -228,8 +370,10 @@ func (o *Observer) Prefetch(batchIdx, reads int, start, end int64) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("seedsched.prefetches").Inc()
-	o.Metrics.Counter("seedsched.prefetched_reads").Add(int64(reads))
+	if o.Metrics != nil {
+		o.counter(cPrefetches).Inc()
+		o.counter(cPrefetchedReads).Add(int64(reads))
+	}
 	if o.Trace != nil {
 		o.Trace.Thread(PidScheduler, 0, "Read SPM prefetch")
 		o.Trace.Complete(PidScheduler, 0, "seedsched", fmt.Sprintf("prefetch batch %d", batchIdx),
@@ -241,13 +385,13 @@ func (o *Observer) Prefetch(batchIdx, reads int, start, end int64) {
 
 // TriggerEval counts one Allocate Trigger consultation.
 func (o *Observer) TriggerEval(idle int, fired bool) {
-	if o == nil {
+	if o == nil || o.Metrics == nil {
 		return
 	}
 	if fired {
-		o.Metrics.Counter("extsched.trigger_fired").Inc()
+		o.counter(cTriggerFired).Inc()
 	} else {
-		o.Metrics.Counter("extsched.trigger_suppressed").Inc()
+		o.counter(cTriggerSuppressed).Inc()
 	}
 }
 
@@ -268,7 +412,9 @@ func (o *Observer) EngineClamp(delta int64) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("sim.clamped_schedules").Inc()
+	if o.Metrics != nil {
+		o.counter(cClampedSchedules).Inc()
+	}
 	o.Inv.CheckClamp(delta)
 }
 
@@ -276,13 +422,13 @@ func (o *Observer) EngineClamp(delta int64) {
 
 // MemoLookup counts one functional-replay cache consultation.
 func (o *Observer) MemoLookup(hit bool) {
-	if o == nil {
+	if o == nil || o.Metrics == nil {
 		return
 	}
 	if hit {
-		o.Metrics.Counter("memo.hits").Inc()
+		o.counter(cMemoHits).Inc()
 	} else {
-		o.Metrics.Counter("memo.misses").Inc()
+		o.counter(cMemoMisses).Inc()
 	}
 }
 
@@ -320,7 +466,9 @@ func (o *Observer) HitsShed(now int64, n int) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("fault.shed").Add(int64(n))
+	if o.Metrics != nil {
+		o.counter(cFaultShed).Add(int64(n))
+	}
 	o.Inv.RecordShed(n)
 	if o.Trace != nil {
 		o.Trace.Instant(PidCoordinator, 2, "fault", "shed", now, map[string]any{"hits": n})
@@ -333,7 +481,9 @@ func (o *Observer) HitRequeued(now int64, euID int) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("fault.requeued").Inc()
+	if o.Metrics != nil {
+		o.counter(cFaultRequeued).Inc()
+	}
 	o.Inv.RecordRequeued(1)
 	if o.Trace != nil {
 		o.Trace.Instant(PidCoordinator, 2, "fault", "requeue", now, map[string]any{"eu": euID})
@@ -346,7 +496,9 @@ func (o *Observer) RetryDispatched(now int64, euID int) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("fault.retried").Inc()
+	if o.Metrics != nil {
+		o.counter(cFaultRetried).Inc()
+	}
 	o.Inv.RecordRetried(1)
 	if o.Trace != nil {
 		o.Trace.Instant(PidCoordinator, 2, "fault", "retry", now, map[string]any{"eu": euID})
@@ -358,7 +510,9 @@ func (o *Observer) HitDeadLettered(now int64, attempts int) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("fault.dead_lettered").Inc()
+	if o.Metrics != nil {
+		o.counter(cFaultDeadLettered).Inc()
+	}
 	o.Inv.RecordDeadLettered(1)
 	if o.Trace != nil {
 		o.Trace.Instant(PidCoordinator, 2, "fault", "dead-letter", now, map[string]any{"attempts": attempts})
@@ -371,7 +525,9 @@ func (o *Observer) ReadReseeded(now int64, suID, readIdx int) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Counter("fault.reads_reseeded").Inc()
+	if o.Metrics != nil {
+		o.counter(cFaultReadsReseeded).Inc()
+	}
 	if o.Trace != nil {
 		o.Trace.Instant(PidCoordinator, 2, "fault", "reseed", now, map[string]any{"su": suID, "read": readIdx})
 	}

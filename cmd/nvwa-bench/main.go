@@ -116,6 +116,9 @@ func main() {
 	if *shards < 1 {
 		usage(fmt.Errorf("-shards must be >= 1, got %d", *shards))
 	}
+	if *reads < 1 {
+		usage(fmt.Errorf("-reads must be >= 1, got %d", *reads))
+	}
 
 	if *kernels || *kernelsCheck != "" || *kernelFilter != "" {
 		var err error

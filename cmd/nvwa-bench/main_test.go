@@ -37,6 +37,8 @@ func TestExitCodes(t *testing.T) {
 		{"zero shards", []string{"-shards", "0"}, 2},
 		{"zero chaos seeds", []string{"-chaos-seeds", "0"}, 2},
 		{"reference shorter than reads", []string{"-reflen", "50"}, 2},
+		{"negative reads", []string{"-reads", "-5"}, 2},
+		{"zero reads", []string{"-exp", "fig11", "-reads", "0"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

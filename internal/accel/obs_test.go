@@ -271,9 +271,10 @@ func TestStrictEngineAcrossStrategies(t *testing.T) {
 // hits in the Processing Buffer and idle EUs, then repeats that
 // uncommitted round: with an invariants-only observer, and with
 // metrics, whose series take every repeat at the same cycle and so
-// coalesce instead of growing.
+// coalesce instead of growing. It does not run in parallel:
+// AllocsPerRun counts the whole process's allocations, so a parallel
+// test allocating meanwhile would be charged to the round.
 func TestObservedRoundZeroAlloc(t *testing.T) {
-	t.Parallel()
 	a, reads := testWorkload(t, 150, 5)
 	for _, tc := range []struct {
 		name string

@@ -310,56 +310,89 @@ func ScoreCigar(ref, read []byte, r Result, sc Scoring) (int, error) {
 // unit's GACT-style early-termination cost model charges for.
 //
 // Extend is a thin wrapper over ExtendWithScratch with a private
-// workspace; hot paths should reuse a Scratch. The banded fast path
-// underneath is byte-identical to ExtendReference (the original
-// full-row kernel, kept as the differential-test oracle).
+// workspace and no band (w = -1); hot paths should reuse a Scratch and
+// pass their band. The shrinking window underneath is byte-identical
+// to ExtendReference (the full-row kernel, kept as the
+// differential-test oracle).
 func Extend(ref, read []byte, sc Scoring, initScore, zdrop int) (score, refEnd, readEnd, rows int) {
 	var s Scratch
-	return ExtendWithScratch(&s, ref, read, sc, initScore, zdrop)
+	return ExtendWithScratch(&s, ref, read, sc, initScore, zdrop, -1)
 }
 
-// ExtendReference is the original full-row extension kernel, retained
-// verbatim as the oracle for ExtendWithScratch's shrinking band and as
-// the "before" baseline in the kernel benchmarks. It allocates its
-// rolling rows on every call.
-func ExtendReference(ref, read []byte, sc Scoring, initScore, zdrop int) (score, refEnd, readEnd, rows int) {
+// ExtendReference is the full-row extension kernel, retained as the
+// oracle for ExtendWithScratch and, through ExtendBandReference, as
+// the "before" baseline in the kernel benchmarks. With w >= 0 it
+// computes only the cells with |i-j| <= w, every other cell reading as
+// -inf, and makes one pass: it does not retry at 2w. maxOff is
+// BWA-MEM's max_off, the largest |i-j| of a row maximum that raised
+// the running best, from which ExtendBandReference composes the retry.
+// It allocates its rolling rows on every call.
+func ExtendReference(ref, read []byte, sc Scoring, initScore, zdrop, w int) (score, refEnd, readEnd, rows, maxOff int) {
 	m, n := len(ref), len(read)
 	if m == 0 || n == 0 {
-		return initScore, 0, 0, 0
+		return initScore, 0, 0, 0, 0
 	}
 	h := make([]int, n+1)
 	e := make([]int, n+1)
 	best, bi, bj := initScore, 0, 0
 	for j := 1; j <= n; j++ {
-		h[j] = initScore - sc.GapOpen - j*sc.GapExtend
+		h[j] = negInf
+		if w < 0 || j <= w {
+			h[j] = initScore - sc.GapOpen - j*sc.GapExtend
+		}
 		e[j] = negInf
 	}
 	h[0] = initScore
 	for i := 1; i <= m; i++ {
+		lo, hi := 1, n
+		if w >= 0 {
+			lo, hi = max(lo, i-w), min(hi, i+w)
+		}
 		hDiagPrev := h[0]
-		h[0] = initScore - sc.GapOpen - i*sc.GapExtend
+		h[0] = negInf
+		if w < 0 || i <= w {
+			h[0] = initScore - sc.GapOpen - i*sc.GapExtend
+		}
 		fRow := negInf
-		rowBest := negInf
+		rowBest, rowArg := negInf, 0
 		for j := 1; j <= n; j++ {
-			eNew := max2(e[j]-sc.GapExtend, h[j]-sc.GapOpen-sc.GapExtend)
-			fRow = max2(fRow-sc.GapExtend, h[j-1]-sc.GapOpen-sc.GapExtend)
 			diag := hDiagPrev + sc.sub(ref[i-1], read[j-1])
 			hDiagPrev = h[j]
+			if j < lo || j > hi {
+				h[j], e[j], fRow = negInf, negInf, negInf
+				continue
+			}
+			eNew := max2(e[j]-sc.GapExtend, h[j]-sc.GapOpen-sc.GapExtend)
+			fRow = max2(fRow-sc.GapExtend, h[j-1]-sc.GapOpen-sc.GapExtend)
 			h[j] = max2(diag, max2(eNew, fRow))
 			e[j] = eNew
-			if h[j] > best {
-				best, bi, bj = h[j], i, j
-			}
 			if h[j] > rowBest {
-				rowBest = h[j]
+				rowBest, rowArg = h[j], j
 			}
+		}
+		if rowBest > best {
+			best, bi, bj = rowBest, i, rowArg
+			maxOff = max(maxOff, i-rowArg, rowArg-i)
 		}
 		rows = i
 		if zdrop >= 0 && rowBest < best-zdrop {
 			break
 		}
 	}
-	return best, bi, bj, rows
+	return best, bi, bj, rows, maxOff
+}
+
+// ExtendBandReference is the oracle for ExtendWithScratch at band w:
+// BWA-MEM's retry (mem_chain2aln, MAX_BAND_TRY = 2) composed from two
+// ExtendReference passes, the second at 2w when the first pass's
+// max_off reaches 3/4 of w. retried reports whether it reran.
+func ExtendBandReference(ref, read []byte, sc Scoring, initScore, zdrop, w int) (score, refEnd, readEnd, rows int, retried bool) {
+	score, refEnd, readEnd, rows, off := ExtendReference(ref, read, sc, initScore, zdrop, w)
+	if bandRetry(w, off) {
+		score, refEnd, readEnd, rows, _ = ExtendReference(ref, read, sc, initScore, zdrop, 2*w)
+		return score, refEnd, readEnd, rows, true
+	}
+	return score, refEnd, readEnd, rows, false
 }
 
 func max2(a, b int) int {

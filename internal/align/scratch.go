@@ -205,36 +205,68 @@ done:
 	}
 }
 
-// ExtendWithScratch is Extend using s for the rolling row, with a
-// z-drop-aware shrinking band: columns whose value plus the maximum
-// remaining gain (a potential of stepGain per residual diagonal step)
-// cannot reach best-zdrop are excluded from subsequent rows. The
-// exclusion bound guarantees an excluded cell can neither update the
-// running best (which requires a strict improvement over best >=
-// best-zdrop) nor flip a row's z-drop decision (both sides of the
-// comparison stay below the threshold), so the returned (score,
-// refEnd, readEnd, rows) tuple is byte-identical to ExtendReference.
-// Band shrinking engages only when zdrop >= 0 and both gap penalties
-// are non-negative (gaps never gain); otherwise the kernel runs the
-// full-row recurrence, still allocation-free.
+// ExtendWithScratch is Extend using s for the rolling row, with
+// BWA-MEM's band: only cells on diagonals |i-j| <= w are computed, and
+// every cell outside the band (row 0 beyond column w and column 0
+// below row w included) reads as -inf. A negative w disables the band.
+// Like BWA-MEM's mem_chain2aln (MAX_BAND_TRY = 2), a pass whose best
+// cells strayed to at least 3/4 of the band (max_off, see extendPass)
+// is rerun once at 2w, and that pass is returned. The band and its
+// retry are part of the scoring model; only the shrinking window below
+// is a shortcut, and it is exact.
+//
+// Inside the band the kernel narrows further with a z-drop-aware
+// shrinking window: columns whose value plus the maximum remaining
+// gain (a potential of stepGain per residual diagonal step) cannot
+// reach best-zdrop are excluded from subsequent rows. The exclusion
+// bound guarantees an excluded cell can neither update the running
+// best (which requires a strict improvement over best >= best-zdrop)
+// nor flip a row's z-drop decision (both sides of the comparison stay
+// below the threshold), so the returned (score, refEnd, readEnd, rows)
+// tuple is byte-identical to ExtendReference at the same band.
+// Shrinking engages only when zdrop >= 0 and both gap penalties are
+// non-negative (gaps never gain); otherwise each row computes its whole
+// band, still allocation-free.
 //
 // Each row's window is computed by extendRow over a substitution slice:
 // a row of the query profile when both sequences are 2-bit base codes
 // (every byte in 0..3), otherwise a one-row slice filled for that
 // reference base.
-func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdrop int) (score, refEnd, readEnd, rows int) {
+func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdrop, w int) (score, refEnd, readEnd, rows int) {
 	m, n := len(ref), len(read)
 	if m == 0 || n == 0 {
 		return initScore, 0, 0, 0
 	}
+	if w >= m && w >= n {
+		w = -1 // no cell lies outside the band
+	}
 	s.cells = grow(s.cells, n+1)
 	s.prof = grow(s.prof, 4*n)
+	twoBit := buildProfile(s.prof, ref, read, sc)
+	score, refEnd, readEnd, rows, maxOff := extendPass(s, ref, read, sc, twoBit, initScore, zdrop, w)
+	if bandRetry(w, maxOff) {
+		score, refEnd, readEnd, rows, _ = extendPass(s, ref, read, sc, twoBit, initScore, zdrop, 2*w)
+	}
+	return score, refEnd, readEnd, rows
+}
+
+// bandRetry reports whether a pass at band w whose best cells strayed
+// maxOff diagonals is rerun at 2w: BWA-MEM's mem_chain2aln reruns when
+// max_off reaches 3/4 of the band.
+func bandRetry(w, maxOff int) bool {
+	return w > 0 && maxOff >= w>>1+w>>2
+}
+
+// extendPass is one banded pass of ExtendWithScratch over the profile
+// already in s. maxOff is BWA-MEM's max_off: the largest |i-j| of a
+// row maximum that raised the running best.
+func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore, zdrop, w int) (best, bi, bj, rows, maxOff int) {
+	m, n := len(ref), len(read)
 	cells, prof := s.cells, s.prof
-	twoBit := buildProfile(prof, ref, read, sc)
 
 	gapO, ge := sc.GapOpen, sc.GapExtend
 	goe := gapO + ge
-	banded := zdrop >= 0 && gapO >= 0 && ge >= 0
+	shrinking := zdrop >= 0 && gapO >= 0 && ge >= 0
 	stepGain := sc.Match
 	if -sc.Mismatch > stepGain {
 		stepGain = -sc.Mismatch
@@ -243,38 +275,59 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 		stepGain = 0
 	}
 
-	best, bi, bj := initScore, 0, 0
+	// [beg..endValid] is the window of columns holding exact values for
+	// the previous row; columns outside are stored as negInf or never
+	// read. Row 0 holds the gap-open boundary up to the band's edge.
+	best = initScore
+	beg, endValid := 1, n
+	if w >= 0 && w < n {
+		endValid = w
+	}
 	cells[0] = cell{initScore, negInf}
-	for j := 1; j <= n; j++ {
+	for j := 1; j <= endValid; j++ {
 		cells[j] = cell{initScore - gapO - j*ge, negInf}
 	}
-
-	// [beg..endValid] is the window of columns holding exact values for
-	// the previous row; columns outside are stored as negInf.
-	beg, endValid := 1, n
-	if banded {
+	if shrinking && endValid >= beg {
 		beg, endValid = shrink(cells, beg, endValid, best-zdrop, m-1, stepGain)
 		if beg > endValid {
 			// Row 1 has no cell that can reach best-zdrop: the
 			// reference computes it, observes rowBest < best-zdrop,
 			// and stops with rows=1.
-			return best, bi, bj, 1
+			return best, bi, bj, 1, 0
 		}
 	}
 
 	for i := 1; i <= m; i++ {
-		hBound := initScore - gapO - i*ge
-		hDiag, hLeft := cells[beg-1].h, negInf // negInf: excluded column
-		if beg == 1 {
-			cells[0].h = hBound
-			hLeft = hBound
+		if w >= 0 && i-w > beg {
+			beg = i - w
 		}
 		endRow := endValid
 		if endRow < n {
 			// The window may extend one column right via the diagonal;
-			// that column was outside the previous row's window.
+			// that column was outside the previous row's window (and,
+			// since that window ended by column i-1+w, is in the band).
 			endRow++
 			cells[endRow] = cell{negInf, negInf}
+		}
+		if beg > endRow {
+			// The band has left the read: this row and every later one
+			// are empty, so the z-drop fires here or never.
+			rows = m
+			if zdrop >= 0 && negInf < best-zdrop {
+				rows = i
+			}
+			break
+		}
+		hBound := negInf
+		if w < 0 || i <= w {
+			hBound = initScore - gapO - i*ge
+		}
+		// cells[beg-1] still holds the previous row's value; column
+		// beg-1 >= i-1-w lay in that row's band.
+		hDiag, hLeft := cells[beg-1].h, negInf // negInf: excluded column
+		if beg == 1 {
+			cells[0].h = hBound
+			hLeft = hBound
 		}
 		var sub []int
 		if twoBit {
@@ -288,16 +341,19 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 			}
 		}
 		rowBest, arg, hLeft, f := extendRow(cells[beg:endRow+1], sub, hDiag, hLeft, goe, ge)
-		if rowBest > best {
-			best, bi, bj = rowBest, i, beg+arg
-		}
+		rowArg := beg + arg
 		endRowValid := endRow
-		if banded && endRow < n {
+		if shrinking && endRow < n {
 			// F spill: the insertion state can carry value rightwards
-			// past the window; follow it while it can still reach T.
-			T := best - zdrop
+			// past the window, up to the band's edge; follow it while
+			// it can still reach T.
+			T := max(best, rowBest) - zdrop
 			remR := m - i
-			for j := endRow + 1; j <= n; j++ {
+			last := n
+			if w >= 0 && i+w < n {
+				last = i + w
+			}
+			for j := endRow + 1; j <= last; j++ {
 				f -= ge
 				if fo := hLeft - goe; fo > f {
 					f = fo
@@ -311,21 +367,22 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 				}
 				cells[j] = cell{f, negInf}
 				hLeft = f
-				if f > best {
-					best, bi, bj = f, i, j
-				}
 				if f > rowBest {
-					rowBest = f
+					rowBest, rowArg = f, j
 				}
 				endRowValid = j
 			}
+		}
+		if rowBest > best {
+			best, bi, bj = rowBest, i, rowArg
+			maxOff = max(maxOff, i-rowArg, rowArg-i)
 		}
 		rows = i
 		if zdrop >= 0 && rowBest < best-zdrop {
 			break
 		}
 		endValid = endRowValid
-		if banded && i < m {
+		if shrinking && i < m {
 			beg, endValid = shrink(cells, beg, endValid, best-zdrop, m-i-1, stepGain)
 			if beg > endValid {
 				// Next row has no viable cell: the reference computes
@@ -336,7 +393,7 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 			}
 		}
 	}
-	return best, bi, bj, rows
+	return best, bi, bj, rows, maxOff
 }
 
 // buildProfile fills prof (4*len(read) entries) with the query profile,

@@ -86,13 +86,15 @@ func randScoring(rng *rand.Rand) Scoring {
 	}
 }
 
-// TestExtendMatchesReference drives the shrinking-band extension
-// against the original full-row kernel on random scoring schemes,
-// z-drop thresholds, and planted-homology sequence pairs, each as ACGT
-// letters (the per-row substitution fill) and as 2-bit codes (the
-// query profile). All four outputs (score, refEnd, readEnd, rows) must
-// be byte-identical — the rows value feeds the EU cost model, so even
-// the termination row must be preserved.
+// TestExtendMatchesReference drives the extension kernel against the
+// full-row oracle on random scoring schemes, z-drop thresholds, and
+// planted-homology sequence pairs, each as ACGT letters (the per-row
+// substitution fill) and as 2-bit codes (the query profile). Every
+// trial runs unbanded against the unbanded oracle and at a drawn band
+// narrow enough to bind against the banded oracle with the retry
+// composed over it. All four outputs (score, refEnd, readEnd, rows)
+// must be byte-identical — the rows value feeds the EU cost model, so
+// even the termination row must be preserved.
 func TestExtendMatchesReference(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
@@ -109,12 +111,14 @@ func TestExtendMatchesReference(t *testing.T) {
 		if rng.Intn(4) > 0 {
 			zdrop = rng.Intn(80)
 		}
-		for _, p := range [][2][]byte{{ref, read}, {codes(ref), codes(read)}} {
-			ws, wi, wj, wrows := ExtendWithScratch(&s, p[0], p[1], sc, initScore, zdrop)
-			rs, ri, rj, rrows := ExtendReference(p[0], p[1], sc, initScore, zdrop)
-			if ws != rs || wi != ri || wj != rj || wrows != rrows {
-				t.Fatalf("trial %d: Extend mismatch (sc=%+v init=%d zdrop=%d |ref|=%d |read|=%d 2-bit=%v):\n banded    = (%d,%d,%d,%d)\n reference = (%d,%d,%d,%d)",
-					trial, sc, initScore, zdrop, len(ref), len(read), p[0][0] < 4, ws, wi, wj, wrows, rs, ri, rj, rrows)
+		for _, w := range []int{-1, rng.Intn(40)} {
+			for _, p := range [][2][]byte{{ref, read}, {codes(ref), codes(read)}} {
+				ws, wi, wj, wrows := ExtendWithScratch(&s, p[0], p[1], sc, initScore, zdrop, w)
+				rs, ri, rj, rrows, _ := ExtendBandReference(p[0], p[1], sc, initScore, zdrop, w)
+				if ws != rs || wi != ri || wj != rj || wrows != rrows {
+					t.Fatalf("trial %d: Extend mismatch (sc=%+v init=%d zdrop=%d w=%d |ref|=%d |read|=%d 2-bit=%v):\n kernel    = (%d,%d,%d,%d)\n reference = (%d,%d,%d,%d)",
+						trial, sc, initScore, zdrop, w, len(ref), len(read), p[0][0] < 4, ws, wi, wj, wrows, rs, ri, rj, rrows)
+				}
 			}
 		}
 	}
@@ -122,9 +126,11 @@ func TestExtendMatchesReference(t *testing.T) {
 
 // TestExtendAdversarial pins the corner cases the band-shrinking proof
 // leans on: zero-length inputs, zdrop=0, huge zdrop, all-mismatch
-// pairs (immediate z-drop), perfect matches (band hugs the diagonal),
-// and long-read/short-ref shape mismatches where the F-spill must
-// carry insertions past the window.
+// pairs (immediate z-drop), perfect matches (the window hugs the
+// diagonal), and long-read/short-ref shape mismatches where the F-spill
+// must carry insertions past the window. The banded cases add a zero
+// band, an F-spill stopped at the band's edge, and a band that leaves
+// the read before the reference ends, with and without z-drop.
 func TestExtendAdversarial(t *testing.T) {
 	t.Parallel()
 	sc := BWAMEM()
@@ -136,28 +142,82 @@ func TestExtendAdversarial(t *testing.T) {
 		return s
 	}
 	cases := []struct {
-		name      string
-		ref, read []byte
-		init, zd  int
+		name        string
+		ref, read   []byte
+		init, zd, w int
 	}{
-		{"empty-ref", nil, []byte("ACGT"), 10, 100},
-		{"empty-read", []byte("ACGT"), nil, 10, 100},
-		{"perfect", rep('A', 200), rep('A', 200), 0, 100},
-		{"all-mismatch", rep('A', 200), rep('C', 200), 50, 0},
-		{"all-mismatch-zd10", rep('A', 200), rep('C', 200), 50, 10},
-		{"long-read", rep('A', 8), rep('A', 300), 20, 50},
-		{"long-ref", rep('A', 300), rep('A', 8), 20, 50},
-		{"zdrop-zero-perfect", rep('G', 64), rep('G', 64), 0, 0},
-		{"init-negative", []byte("ACGTACGT"), []byte("ACGTACGT"), -5, 30},
+		{"empty-ref", nil, []byte("ACGT"), 10, 100, -1},
+		{"empty-read", []byte("ACGT"), nil, 10, 100, -1},
+		{"perfect", rep('A', 200), rep('A', 200), 0, 100, -1},
+		{"all-mismatch", rep('A', 200), rep('C', 200), 50, 0, -1},
+		{"all-mismatch-zd10", rep('A', 200), rep('C', 200), 50, 10, -1},
+		{"long-read", rep('A', 8), rep('A', 300), 20, 50, -1},
+		{"long-ref", rep('A', 300), rep('A', 8), 20, 50, -1},
+		{"zdrop-zero-perfect", rep('G', 64), rep('G', 64), 0, 0, -1},
+		{"init-negative", []byte("ACGTACGT"), []byte("ACGTACGT"), -5, 30, -1},
+		{"band-zero-perfect", rep('A', 200), rep('A', 200), 0, 100, 0},
+		{"band-zero-no-zdrop", rep('T', 40), rep('T', 60), 5, -1, 0},
+		{"band-long-read", rep('A', 8), rep('A', 300), 20, 50, 4},
+		{"band-leaves-read", rep('A', 300), rep('A', 8), 20, 50, 2},
+		{"band-leaves-read-no-zdrop", rep('A', 300), rep('A', 8), 20, -1, 2},
+		{"band-all-mismatch", rep('A', 200), rep('C', 200), 50, 10, 3},
+		{"band-wider-than-pair", rep('C', 50), rep('C', 40), 7, 20, 100},
 	}
 	var s Scratch
 	for _, tc := range cases {
-		ws, wi, wj, wrows := ExtendWithScratch(&s, tc.ref, tc.read, sc, tc.init, tc.zd)
-		rs, ri, rj, rrows := ExtendReference(tc.ref, tc.read, sc, tc.init, tc.zd)
+		ws, wi, wj, wrows := ExtendWithScratch(&s, tc.ref, tc.read, sc, tc.init, tc.zd, tc.w)
+		rs, ri, rj, rrows, _ := ExtendBandReference(tc.ref, tc.read, sc, tc.init, tc.zd, tc.w)
 		if ws != rs || wi != ri || wj != rj || wrows != rrows {
-			t.Errorf("%s: banded=(%d,%d,%d,%d) reference=(%d,%d,%d,%d)",
+			t.Errorf("%s: kernel=(%d,%d,%d,%d) reference=(%d,%d,%d,%d)",
 				tc.name, ws, wi, wj, wrows, rs, ri, rj, rrows)
 		}
+	}
+}
+
+// insertionFlank builds a 2-bit flank whose read carries two
+// insertions, insA then insB bases, between three matching segments of
+// seg bases: the alignment's diagonal offset steps to insA, then to
+// insA+insB.
+func insertionFlank(rng *rand.Rand, seg, insA, insB int) (ref, read []byte) {
+	base := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Intn(4))
+		}
+		return b
+	}
+	ref = base(3 * seg)
+	read = append(read, ref[:seg]...)
+	read = append(read, base(insA)...)
+	read = append(read, ref[seg:2*seg]...)
+	read = append(read, base(insB)...)
+	read = append(read, ref[2*seg:]...)
+	return ref, read
+}
+
+// TestExtendBandRetry pins BWA-MEM's retry rule on a flank built to
+// need it: with z-drop off and w = 100, the read's 80 bp insertion
+// moves the best cells to offset 80 (>= 3/4 of the band), and its
+// 40 bp insertion moves the rest of the alignment to offset 120,
+// outside the band. The kernel must rerun at 2w and return that pass,
+// which scores higher than the band alone.
+func TestExtendBandRetry(t *testing.T) {
+	t.Parallel()
+	const w = 100
+	ref, read := insertionFlank(rand.New(rand.NewSource(9)), 200, 80, 40)
+	sc := BWAMEM()
+	narrow, _, _, _, off := ExtendReference(ref, read, sc, 20, -1, w)
+	if off < w>>1+w>>2 {
+		t.Fatalf("first pass max_off = %d, want >= %d so the retry fires", off, w>>1+w>>2)
+	}
+	wide, wi, wj, wrows, _ := ExtendReference(ref, read, sc, 20, -1, 2*w)
+	if wide <= narrow {
+		t.Fatalf("2w pass scores %d, band-w pass %d; want the wider band to score higher", wide, narrow)
+	}
+	var s Scratch
+	gs, gi, gj, grows := ExtendWithScratch(&s, ref, read, sc, 20, -1, w)
+	if gs != wide || gi != wi || gj != wj || grows != wrows {
+		t.Fatalf("kernel = (%d,%d,%d,%d), want the 2w pass (%d,%d,%d,%d)", gs, gi, gj, grows, wide, wi, wj, wrows)
 	}
 }
 
@@ -196,23 +256,29 @@ func TestLocalScratchMatches(t *testing.T) {
 
 // TestExtendScratchZeroAlloc asserts the steady-state contract the
 // pipeline relies on: a warm Scratch performs no heap allocations per
-// extension, cycled across a short-read flank, a long-read flank (both
-// 2-bit, the query-profile path) and an ACGT-letter pair (the per-row
-// substitution fill).
+// extension at the pipeline's band, cycled across a short-read flank, a
+// long-read flank (both 2-bit, the query-profile path), an ACGT-letter
+// pair (the per-row substitution fill) and a flank whose first pass
+// triggers the 2w retry.
 func TestExtendScratchZeroAlloc(t *testing.T) {
+	const w = 100
 	rng := rand.New(rand.NewSource(5))
 	short, shortRead := homologousCodes(rng, 120, 101, 25)
 	long, longRead := homologousCodes(rng, 1008, 1000, 11)
 	ascii, asciiRead := randSeqPair(rng, 128)
-	pairs := [][2][]byte{{short, shortRead}, {long, longRead}, {ascii, asciiRead}}
+	retry, retryRead := insertionFlank(rng, 200, 80, 40)
+	if _, _, _, _, off := ExtendReference(retry, retryRead, BWAMEM(), 20, 100, w); off < w>>1+w>>2 {
+		t.Fatalf("insertion flank's max_off = %d; it must trigger the retry", off)
+	}
+	pairs := [][2][]byte{{short, shortRead}, {long, longRead}, {ascii, asciiRead}, {retry, retryRead}}
 	sc := BWAMEM()
 	var s Scratch
 	for _, p := range pairs { // warm
-		ExtendWithScratch(&s, p[0], p[1], sc, 20, 100)
+		ExtendWithScratch(&s, p[0], p[1], sc, 20, 100, w)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, p := range pairs {
-			ExtendWithScratch(&s, p[0], p[1], sc, 20, 100)
+			ExtendWithScratch(&s, p[0], p[1], sc, 20, 100, w)
 		}
 	})
 	if allocs != 0 {

@@ -9,9 +9,10 @@
 // re-optimized stand-in. A reference path that leaves the tree takes
 // its row with it.
 //
-//   - align.Extend: full-row DP (ExtendReference) vs the z-drop-aware
-//     shrinking-band kernel (leaf row pass over a query profile) with
-//     reused Scratch, on short-read, 200 bp and 1 kbp flank shapes.
+//   - align.Extend: full-row DP (ExtendBandReference) vs the z-drop-
+//     aware shrinking window (leaf row pass over a query profile) with
+//     reused Scratch, both at the pipeline's band with its 2w retry, on
+//     short-read, 200 bp and 1 kbp flank shapes.
 //   - fmindex.Seeds: map-based, allocating three-pass seeding
 //     (SeedsReference) vs workspace seeding with sorted-sweep dedup,
 //     both over the index's one interleaved rank path.
@@ -29,6 +30,7 @@ import (
 	"nvwa/internal/accel"
 	"nvwa/internal/align"
 	"nvwa/internal/fmindex"
+	"nvwa/internal/pipeline"
 	"nvwa/internal/sim"
 )
 
@@ -115,11 +117,11 @@ func seedingData() (*fmindex.Seeder, [][]byte) {
 }
 
 // extendCase builds an align.Extend before/after pair over the given
-// flank shape. initScore models the accumulated seed score; zdrop is
-// the pipeline default.
+// flank shape. initScore models the accumulated seed score; zdrop and
+// the band both sides run at are the pipeline's.
 func extendCase(name string, refLen, readLen, div, initScore int) Case {
 	sc := align.BWAMEM()
-	const zdrop = 50
+	zdrop, w := pipeline.DefaultOptions().ZDrop, pipeline.ExtendBand
 	const pairs = 8
 	build := func() ([][]byte, [][]byte) {
 		refs := make([][]byte, pairs)
@@ -131,27 +133,27 @@ func extendCase(name string, refLen, readLen, div, initScore int) Case {
 	}
 	return Case{
 		Kernel: "align.Extend/" + name,
-		Note:   "full-row DP (reference) vs shrinking-band DP: leaf row pass over a query profile in a reused Scratch",
+		Note:   "full-row DP (reference) vs shrinking-window DP, both at the pipeline's band w with the 2w retry: leaf row pass over a query profile in a reused Scratch",
 		Before: func(b *testing.B) {
 			refs, reads := build()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := i % pairs
-				align.ExtendReference(refs[k], reads[k], sc, initScore, zdrop)
+				align.ExtendBandReference(refs[k], reads[k], sc, initScore, zdrop, w)
 			}
 		},
 		After: func(b *testing.B) {
 			refs, reads := build()
 			var s align.Scratch
 			for k := 0; k < pairs; k++ { // warm across the size distribution
-				align.ExtendWithScratch(&s, refs[k], reads[k], sc, initScore, zdrop)
+				align.ExtendWithScratch(&s, refs[k], reads[k], sc, initScore, zdrop, w)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := i % pairs
-				align.ExtendWithScratch(&s, refs[k], reads[k], sc, initScore, zdrop)
+				align.ExtendWithScratch(&s, refs[k], reads[k], sc, initScore, zdrop, w)
 			}
 		},
 	}

@@ -52,6 +52,11 @@ type Options struct {
 	Scoring align.Scoring
 }
 
+// ExtendBand is BWA-MEM's extension band -w: the extension DP scores
+// only cells within ExtendBand diagonals of the seed's, rerunning once
+// at twice the width when the best cells reach 3/4 of it.
+const ExtendBand = 100
+
 // DefaultOptions mirrors BWA-MEM defaults where they exist.
 func DefaultOptions() Options {
 	return Options{
@@ -72,6 +77,9 @@ type Aligner struct {
 	ref    seq.Seq
 	seeder *fmindex.Seeder
 	opts   Options
+	// band is the extension DP's band, ExtendBand; the package's
+	// tests narrow or disable it to drive the 2w retry end to end.
+	band int
 
 	// scratch pools per-goroutine kernel workspaces: the concurrent
 	// memo builder and the parallel experiment engine call
@@ -118,7 +126,7 @@ func reverseInto(dst *seq.Seq, s seq.Seq) seq.Seq {
 
 // New indexes the reference and returns an aligner.
 func New(ref seq.Seq, opts Options) *Aligner {
-	return &Aligner{ref: ref, seeder: fmindex.NewSeeder(ref), opts: opts}
+	return &Aligner{ref: ref, seeder: fmindex.NewSeeder(ref), opts: opts, band: ExtendBand}
 }
 
 // Ref returns the reference sequence.
@@ -393,7 +401,7 @@ func (a *Aligner) extendHit(scr *alnScratch, oriented seq.Seq, h core.Hit) Exten
 	score := h.SeedScore
 	var e Extended
 	if lq != nil {
-		s, rEnd, qEnd, rows := align.ExtendWithScratch(&scr.dp, lr, lq, sc, score, a.opts.ZDrop)
+		s, rEnd, qEnd, rows := align.ExtendWithScratch(&scr.dp, lr, lq, sc, score, a.opts.ZDrop, a.band)
 		score = s
 		// The left flank runs on reversed views: its extents count
 		// leftwards from the seed.
@@ -401,7 +409,7 @@ func (a *Aligner) extendHit(scr *alnScratch, oriented seq.Seq, h core.Hit) Exten
 		e.LeftQ = int32(min(len(lq), rows+a.opts.ExtBand))
 	}
 	if rq != nil {
-		s, rEnd, qEnd, rows := align.ExtendWithScratch(&scr.dp, rr, rq, sc, score, a.opts.ZDrop)
+		s, rEnd, qEnd, rows := align.ExtendWithScratch(&scr.dp, rr, rq, sc, score, a.opts.ZDrop, a.band)
 		score = s
 		e.RightRef, e.RightRead, e.RightRows = int32(rEnd), int32(qEnd), int32(rows)
 		e.RightQ = int32(min(len(rq), rows+a.opts.ExtBand))

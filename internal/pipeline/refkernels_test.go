@@ -71,36 +71,75 @@ func TestAlignWarmAllocs(t *testing.T) {
 
 // TestExtendAllZeroAlloc: a warm ExtendAll into a dst that already has
 // room for every record allocates nothing, on forward and reverse
-// hits alike.
+// hits alike, at the default band and at a narrow band whose 2w retry
+// fires on some of the flanks.
 func TestExtendAllZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratch at random under the race detector")
 	}
 	a, ref := testAligner(t, 50000, 17)
+	narrow := withBand(a, 4)
 	type job struct {
 		read seq.Seq
 		hits []core.Hit
 	}
 	var jobs []job
 	rev := false
-	for _, r := range genome.Simulate(ref, 60, genome.ShortReadConfig(18)) {
+	retries := 0
+	reads := genome.Simulate(ref, 60, genome.ShortReadConfig(18))
+	reads = append(reads, genome.Simulate(ref, 2, genome.LongReadConfig(18))...)
+	for _, r := range reads {
 		hits, _ := a.SeedAndChain(r.ID, r.Seq)
 		for _, h := range hits {
 			rev = rev || h.Rev
 		}
+		retries += len(retriedFlanks(narrow, r.Seq, hits))
 		jobs = append(jobs, job{r.Seq, hits})
 	}
 	if !rev {
 		t.Fatal("no reverse-strand hit in the workload")
 	}
-	dst := make([]Extended, 0, 64)
-	if n := testing.AllocsPerRun(5, func() {
-		for _, j := range jobs {
-			dst = a.ExtendAll(j.read, j.hits, dst[:0])
-		}
-	}); n != 0 {
-		t.Fatalf("warm ExtendAll allocates %.1f times per pass, want 0", n)
+	if retries == 0 {
+		t.Fatal("no flank retries at the narrow band")
 	}
+	dst := make([]Extended, 0, 64)
+	for _, al := range []*Aligner{a, narrow} {
+		if n := testing.AllocsPerRun(5, func() {
+			for _, j := range jobs {
+				dst = al.ExtendAll(j.read, j.hits, dst[:0])
+			}
+		}); n != 0 {
+			t.Fatalf("warm ExtendAll at band %d allocates %.1f times per pass, want 0", al.band, n)
+		}
+	}
+}
+
+// withBand returns an Aligner sharing a's index with extension band w.
+func withBand(a *Aligner, w int) *Aligner {
+	return &Aligner{ref: a.ref, seeder: a.seeder, opts: a.opts, band: w}
+}
+
+// retriedFlanks returns the flanks, as [ref window, query] pairs, that
+// a's band sends to the 2w retry among read's hits, by the oracle.
+func retriedFlanks(a *Aligner, read seq.Seq, hits []core.Hit) [][2][]byte {
+	var out [][2][]byte
+	o := a.opts
+	scr := &alnScratch{}
+	for _, h := range hits {
+		lr, lq, rr, rq := a.flanks(scr, Orient(read, h.Rev), h)
+		init := h.SeedScore
+		for _, f := range [][2][]byte{{lr, lq}, {rr, rq}} {
+			if f[1] == nil {
+				continue
+			}
+			s, _, _, _, retried := align.ExtendBandReference(f[0], f[1], o.Scoring, init, o.ZDrop, a.band)
+			if retried {
+				out = append(out, [2][]byte{append([]byte(nil), f[0]...), append([]byte(nil), f[1]...)})
+			}
+			init = s
+		}
+	}
+	return out
 }
 
 // TestExtendAllMatchesExtendHitCost: for short and 1 kbp reads on both
@@ -140,20 +179,24 @@ func TestExtendAllMatchesExtendHitCost(t *testing.T) {
 // flanks the pipeline really extends: every left and right flank of
 // every hit of short and 1 kbp long reads, built by the same code as
 // ExtendHitCost, must give ExtendWithScratch's (score, refEnd,
-// readEnd, rows) equal to ExtendReference's.
+// readEnd, rows) at ExtendBand equal to the banded
+// oracle's with the 2w retry composed over it. It logs how many flanks
+// the band moves off the unbanded oracle and how many retry, and
+// asserts that no read's final Align result changes with the band.
 func TestExtendFlanksMatchReference(t *testing.T) {
 	t.Parallel()
 	a, ref := testAligner(t, 30000, 13)
+	unbanded := withBand(a, -1)
 	nShort, nLong := 120, 24
 	if testing.Short() {
 		nShort, nLong = 40, 6
 	}
 	reads := genome.Simulate(ref, nShort, genome.ShortReadConfig(5))
 	reads = append(reads, genome.Simulate(ref, nLong, genome.LongReadConfig(6))...)
-	sc, zdrop := a.opts.Scoring, a.opts.ZDrop
+	sc, zdrop, w := a.opts.Scoring, a.opts.ZDrop, ExtendBand
 	scr := &alnScratch{}
 	var dp align.Scratch
-	flanks, longFlanks := 0, 0
+	flanks, longFlanks, moved, retried := 0, 0, 0, 0
 	for _, r := range reads {
 		hits, _ := a.SeedAndChain(r.ID, r.Seq)
 		for _, h := range hits {
@@ -168,17 +211,29 @@ func TestExtendFlanksMatchReference(t *testing.T) {
 				if len(f[1]) >= 500 {
 					longFlanks++
 				}
-				ws, wi, wj, wrows := align.ExtendWithScratch(&dp, f[0], f[1], sc, init, zdrop)
-				rs, ri, rj, rrows := align.ExtendReference(f[0], f[1], sc, init, zdrop)
+				ws, wi, wj, wrows := align.ExtendWithScratch(&dp, f[0], f[1], sc, init, zdrop, w)
+				rs, ri, rj, rrows, again := align.ExtendBandReference(f[0], f[1], sc, init, zdrop, w)
 				if ws != rs || wi != ri || wj != rj || wrows != rrows {
 					t.Fatalf("read %d hit %+v flank %dx%d init %d: scratch=(%d,%d,%d,%d) reference=(%d,%d,%d,%d)",
 						r.ID, h, len(f[0]), len(f[1]), init, ws, wi, wj, wrows, rs, ri, rj, rrows)
 				}
+				us, ui, uj, urows, _ := align.ExtendBandReference(f[0], f[1], sc, init, zdrop, -1)
+				if us != rs || ui != ri || uj != rj || urows != rrows {
+					moved++
+				}
+				if again {
+					retried++
+				}
 				init = rs
 			}
+		}
+		if got, want := a.Align(r.ID, r.Seq), unbanded.Align(r.ID, r.Seq); got != want {
+			t.Fatalf("read %d: Align at band %d = %+v, unbanded %+v", r.ID, w, got, want)
 		}
 	}
 	if flanks == 0 || longFlanks == 0 {
 		t.Fatalf("extended %d flanks, %d of them >= 500 bp; want both > 0", flanks, longFlanks)
 	}
+	t.Logf("band %d: %d of %d flanks (%d >= 500 bp) differ from the unbanded oracle, %d retried at %d",
+		w, moved, flanks, longFlanks, retried, 2*w)
 }

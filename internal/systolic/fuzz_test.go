@@ -11,7 +11,7 @@ import (
 // fuzzed ref/query pairs folded to 2-bit codes, with 1 to 128 PEs and
 // BWA-MEM scoring, the cycle-exact wavefront must score exactly like
 // the software DP in both modes (align.Local for ModeLocal,
-// align.ExtendReference without z-drop for ModeExtend), take exactly
+// align.ExtendReference without z-drop or band for ModeExtend), take exactly
 // Formula 3's cycles, and keep a PE busy for exactly one cycle per
 // matrix cell. The seed corpus holds tie-heavy and degenerate shapes:
 // mono-base repeats (maximal score ties), all-mismatch extension, a
@@ -48,7 +48,7 @@ func FuzzSystolicVsSoftwareDP(f *testing.F) {
 			if mode == ModeLocal {
 				want = align.Local(ref, query, sc).Score
 			} else {
-				want, _, _, _ = align.ExtendReference(ref, query, sc, int(init), -1)
+				want, _, _, _, _ = align.ExtendReference(ref, query, sc, int(init), -1, -1)
 			}
 			if got.Score != want {
 				t.Fatalf("mode %d p=%d init=%d: array score %d, software DP %d (ref=%v query=%v)",

@@ -9,7 +9,7 @@
 // functionally exact, which is how the paper's no-loss-of-accuracy
 // property is verified: its scores equal the software dynamic
 // programming in package align (align.Local in ModeLocal,
-// align.ExtendReference without z-drop in ModeExtend), pinned by
+// align.ExtendReference without z-drop or band in ModeExtend), pinned by
 // FuzzSystolicVsSoftwareDP.
 //
 // The simulator does not run the array per task. The EUs charge the

@@ -209,7 +209,7 @@ func TestRunFastAdversarial(t *testing.T) {
 		if tc.mode == ModeLocal {
 			want = align.Local(tc.ref, tc.query, sc).Score
 		} else {
-			want, _, _, _ = align.ExtendReference(tc.ref, tc.query, sc, tc.init, -1)
+			want, _, _, _, _ = align.ExtendReference(tc.ref, tc.query, sc, tc.init, -1, -1)
 		}
 		r, q := len(tc.ref), len(tc.query)
 		if got.Score != want {

@@ -40,6 +40,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	if asm.Len() == 0 {
+		fail(fmt.Errorf("reference %s has no bases", *refPath))
+	}
 	// The aligner indexes the concatenation; outputs are translated
 	// back to per-chromosome coordinates.
 	ref := &genome.Reference{Name: asm.Chroms[0].Name, Seq: asm.Concat()}

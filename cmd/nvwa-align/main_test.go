@@ -66,10 +66,12 @@ func TestExitCodes(t *testing.T) {
 	fq := filepath.Join(dir, "reads.fq")
 	fewer := filepath.Join(dir, "fewer.fq")
 	empty := filepath.Join(dir, "empty.fa")
+	noBases := filepath.Join(dir, "no-bases.fa")
 	writeTo(t, fa, func(f *os.File) error { return genome.WriteFASTA(f, ref) })
 	writeTo(t, fq, func(f *os.File) error { return genome.WriteFASTQ(f, reads) })
 	writeTo(t, fewer, func(f *os.File) error { return genome.WriteFASTQ(f, reads[:5]) })
 	writeTo(t, empty, func(*os.File) error { return nil })
+	writeTo(t, noBases, func(f *os.File) error { _, err := f.WriteString(">r\n\n"); return err })
 
 	cases := []struct {
 		name string
@@ -82,6 +84,7 @@ func TestExitCodes(t *testing.T) {
 		{"missing -reads", []string{"-ref", fa}, 2},
 		{"missing file", []string{"-ref", filepath.Join(dir, "no-such.fa"), "-reads", fq}, 1},
 		{"fasta without records", []string{"-ref", empty, "-reads", fq}, 1},
+		{"fasta without bases", []string{"-ref", noBases, "-reads", fq}, 1},
 		{"mate count differs", []string{"-ref", fa, "-reads", fq, "-reads2", fewer}, 1},
 	}
 	for _, tc := range cases {

@@ -9,8 +9,8 @@ import (
 	"log"
 
 	"nvwa"
-	"nvwa/internal/extsched"
 	"nvwa/internal/experiments"
+	"nvwa/internal/extsched"
 	"nvwa/internal/systolic"
 )
 

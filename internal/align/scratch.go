@@ -340,8 +340,8 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 				sub[k] = sc.sub(ri, b)
 			}
 		}
-		rowBest, arg, hLeft, f := extendRow(cells[beg:endRow+1], sub, hDiag, hLeft, goe, ge)
-		rowArg := beg + arg
+		rowBest, hLeft, f := extendRow(cells[beg:endRow+1], sub, hDiag, hLeft, goe, ge)
+		rowArg := 0 // a spill column, or 0 for the window's maximum
 		endRowValid := endRow
 		if shrinking && endRow < n {
 			// F spill: the insertion state can carry value rightwards
@@ -374,6 +374,14 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 			}
 		}
 		if rowBest > best {
+			if rowArg == 0 {
+				// The row's first cell holding the window maximum: the
+				// argmax is found only on rows that raise best.
+				rowArg = beg
+				for cells[rowArg].h != rowBest {
+					rowArg++
+				}
+			}
 			best, bi, bj = rowBest, i, rowArg
 			maxOff = max(maxOff, i-rowArg, rowArg-i)
 		}
@@ -427,12 +435,12 @@ func buildProfile(prof []int, ref, read []byte, sc Scoring) bool {
 // row's, sub[k] is the substitution score of cells[k]'s column, hDiag
 // is the previous row's H one column left of the window, and hLeft is
 // this row's H there. It returns the window's maximum H (negInf if none
-// exceeds it) with the offset of its first occurrence, and the H and F
-// of the window's last column for the F spill. Kept out of line so its
-// loop-carried state stays in registers.
+// exceeds it), and the H and F of the window's last column for the F
+// spill; the caller locates the maximum only when it raises the best.
+// Kept out of line so its loop-carried state stays in registers.
 //
 //go:noinline
-func extendRow(cells []cell, sub []int, hDiag, hLeft, goe, ge int) (rowBest, arg, hLast, f int) {
+func extendRow(cells []cell, sub []int, hDiag, hLeft, goe, ge int) (rowBest, hLast, f int) {
 	f, rowBest = negInf, negInf
 	cells = cells[:len(sub)]
 	for k, sk := range sub {
@@ -455,11 +463,9 @@ func extendRow(cells []cell, sub []int, hDiag, hLeft, goe, ge int) (rowBest, arg
 		}
 		c.h, c.e = hv, eNew
 		hLeft = hv
-		if hv > rowBest {
-			rowBest, arg = hv, k
-		}
+		rowBest = max(rowBest, hv)
 	}
-	return rowBest, arg, hLeft, f
+	return rowBest, hLeft, f
 }
 
 // shrink trims the window [beg..end] of the row just computed for the

@@ -72,12 +72,12 @@ func (r Fig2Result) Format() string {
 // Fig5Result compares Read-in-Batch against One-Cycle scheduling on a
 // toy workload (paper Fig. 5).
 type Fig5Result struct {
-	Durations         []int
-	Units             int
-	BatchMakespan     int
-	OneCycleMakespan  int
-	BatchUtilization  float64
-	OneCycleUtilized  float64
+	Durations        []int
+	Units            int
+	BatchMakespan    int
+	OneCycleMakespan int
+	BatchUtilization float64
+	OneCycleUtilized float64
 }
 
 // Fig5 schedules the given task durations on the given number of SUs

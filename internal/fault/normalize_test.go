@@ -11,10 +11,10 @@ func TestNormalizeCanonicalizesDuplicates(t *testing.T) {
 	p := &Plan{Events: []Event{
 		{Kind: SUFail, Cycle: 500, Unit: 3},
 		{Kind: SUStall, Cycle: 100, Unit: 3, Dur: 50},
-		{Kind: SUFail, Cycle: 200, Unit: 3},  // earliest failure wins
-		{Kind: SUFail, Cycle: 500, Unit: 3},  // re-failure: no-op
+		{Kind: SUFail, Cycle: 200, Unit: 3}, // earliest failure wins
+		{Kind: SUFail, Cycle: 500, Unit: 3}, // re-failure: no-op
 		{Kind: EUFail, Cycle: 900, Unit: 7},
-		{Kind: EUFail, Cycle: 900, Unit: 7},  // exact duplicate
+		{Kind: EUFail, Cycle: 900, Unit: 7}, // exact duplicate
 		{Kind: MemTimeout, Cycle: 50, Unit: -1, Dur: 10},
 	}}
 	n, err := p.Normalize()

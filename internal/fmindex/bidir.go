@@ -1,29 +1,35 @@
 package fmindex
 
-// BiIndex is a bidirectional FM-index: one index over the text and one
-// over its reverse, kept in lockstep so a pattern interval can be
-// extended by a base on either side. This is the textbook equivalent of
-// the FMD-index BWA-MEM uses for SMEM seeding.
+// BiIndex is the FMD-index BWA-MEM seeds on: one FM-index over
+// U = T·revcomp(T). U is its own reverse complement, so the SA interval
+// of revcomp(P) tracks the interval of P in the same BWT, and one
+// rank evaluation extends a pattern by a base on either side (BWA's
+// bwt_extend).
 type BiIndex struct {
-	fwd *Index // index of U
-	rev *Index // index of reverse(U)
+	idx *Index // index of U
 }
 
-// NewBi builds a bidirectional index of t.
+// NewBi builds the FMD-index of t·revcomp(t) from the 2-bit coded t.
 func NewBi(t []byte) *BiIndex {
-	r := make([]byte, len(t))
-	for i, b := range t {
-		r[len(t)-1-i] = b
-	}
-	return &BiIndex{fwd: New(t), rev: New(r)}
+	return &BiIndex{idx: New(withRC(t))}
 }
 
-// Fwd exposes the forward index (used for locating occurrences).
-func (b *BiIndex) Fwd() *Index { return b.fwd }
+// withRC returns t·revcomp(t) for 2-bit coded t.
+func withRC(t []byte) []byte {
+	u := make([]byte, 2*len(t))
+	copy(u, t)
+	for i, b := range t {
+		u[2*len(t)-1-i] = 3 - (b & 3)
+	}
+	return u
+}
 
-// BiInterval pairs the SA interval of pattern P in the forward index
-// with the SA interval of reverse(P) in the reverse index. The two
-// always have the same size.
+// Fwd exposes the index of U (used for locating occurrences).
+func (b *BiIndex) Fwd() *Index { return b.idx }
+
+// BiInterval pairs the SA interval of pattern P with the SA interval
+// of revcomp(P), both in the index of U. The two always have the same
+// size.
 type BiInterval struct {
 	Fwd, Rev Interval
 }
@@ -37,9 +43,10 @@ func (iv BiInterval) Empty() bool { return iv.Fwd.Empty() }
 // Single returns the bi-interval of the single-base pattern a. It is
 // served from the C table and charges no occurrence-table access.
 func (b *BiIndex) Single(a byte) BiInterval {
+	c := &b.idx.c
 	return BiInterval{
-		Fwd: Interval{b.fwd.c[a], b.fwd.c[a+1]},
-		Rev: Interval{b.rev.c[a], b.rev.c[a+1]},
+		Fwd: Interval{c[a], c[a+1]},
+		Rev: Interval{c[3-a], c[4-a]},
 	}
 }
 
@@ -52,17 +59,18 @@ func (b *BiIndex) ExtendLeft(iv BiInterval, a byte, st *Stats) BiInterval {
 		st.OccAccesses += 2
 	}
 	var out BiInterval
-	out.Fwd, out.Rev = extendFast(b.fwd, iv.Fwd, iv.Rev, a)
+	out.Fwd, out.Rev = b.idx.extendFast(iv.Fwd, iv.Rev, a)
 	return out
 }
 
-// ExtendRight turns the interval of P into the interval of Pa,
-// charging the same two table accesses as ExtendLeft.
+// ExtendRight turns the interval of P into the interval of Pa, charging
+// the same two table accesses as ExtendLeft: revcomp(Pa) is
+// comp(a)·revcomp(P), a left extension of the swapped pair.
 func (b *BiIndex) ExtendRight(iv BiInterval, a byte, st *Stats) BiInterval {
 	if st != nil {
 		st.OccAccesses += 2
 	}
 	var out BiInterval
-	out.Rev, out.Fwd = extendFast(b.rev, iv.Rev, iv.Fwd, a)
+	out.Rev, out.Fwd = b.idx.extendFast(iv.Rev, iv.Fwd, 3-a)
 	return out
 }

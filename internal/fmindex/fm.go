@@ -5,9 +5,14 @@ import (
 	"math/bits"
 )
 
-// saSampleRate is the suffix-array sampling used by Locate. One LF
-// walk averages saSampleRate/2 steps.
+// saSampleRate is the modeled suffix-array sampling: Locate charges
+// the LF walk to the nearest SA value divisible by it, which averages
+// saSampleRate/2 steps.
 const saSampleRate = 32
+
+// softSARate is the software index's denser sampling. It divides
+// saSampleRate, so every modeled sample is also a software one.
+const softSARate = 8
 
 const basesPerWord = 32 // 2-bit bases in a uint64
 
@@ -19,7 +24,10 @@ const basesPerWord = 32 // 2-bit bases in a uint64
 // evaluation. The software index underneath keeps a denser per-word
 // checkpoint (one [4]int32 every 32 bases) so rank queries are O(1)
 // instead of scanning up to four words; the modeled traffic is charged
-// per call, so the cost model is unaffected.
+// per call, so the cost model is unaffected. Likewise the modeled
+// suffix array is sampled every saSampleRate (32) text positions, while
+// the software index samples every softSARate (8): Locate walks the
+// shorter software path and charges the LF steps of the modeled one.
 type Stats struct {
 	// OccAccesses counts occurrence-table block reads (one 128-base
 	// checkpointed block per Occ evaluation) served from SU table SRAM.
@@ -89,10 +97,12 @@ func New(t []byte) *Index {
 		idx.c[a] = idx.c[a-1] + freq[a-1]
 	}
 
-	// Sampled suffix array with per-word rank checkpoints.
+	// Sampled suffix array with per-word rank checkpoints. SA values
+	// run over [0, n), so n/softSARate rounded up of them are sampled.
 	idx.saMask = make([]uint64, (n+63)/64)
+	idx.saVals = make([]int32, 0, (n+softSARate-1)/softSARate)
 	for i, s := range sa {
-		if s%saSampleRate == 0 {
+		if s%softSARate == 0 {
 			idx.saMask[i/64] |= 1 << uint(i%64)
 			idx.saVals = append(idx.saVals, s)
 		}

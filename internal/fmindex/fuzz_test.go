@@ -91,7 +91,7 @@ func FuzzSMEMvsNaive(f *testing.F) {
 		bi := NewBi(text)
 		var st Stats
 		got := bi.FindSMEMsWS(new(Workspace), r, minLen, &st)
-		want := bruteSMEMs(text, r, minLen)
+		want := bruteSMEMs(withRC(text), r, minLen)
 
 		if len(got) != len(want) {
 			t.Fatalf("minLen %d: %d SMEMs, want %d\n got=%v\nwant=%v\ntext=%v\nread=%v",
@@ -109,7 +109,7 @@ func FuzzSMEMvsNaive(f *testing.F) {
 				t.Fatalf("SMEM [%d,%d) shorter than minLen %d", s.ReadBeg, s.ReadEnd, minLen)
 			}
 			// Interval sizes must equal the true occurrence count.
-			if gotN, wantN := s.Iv.Size(), bruteCount(text, r[s.ReadBeg:s.ReadEnd]); gotN != wantN {
+			if gotN, wantN := s.Iv.Size(), bruteCount(withRC(text), r[s.ReadBeg:s.ReadEnd]); gotN != wantN {
 				t.Fatalf("SMEM [%d,%d): interval size %d, want %d occurrences",
 					s.ReadBeg, s.ReadEnd, gotN, wantN)
 			}

@@ -103,7 +103,7 @@ func (s *Seeder) SeedsReference(r []byte, minLen, maxOcc, maxMemIntv int, st *St
 	var out []Seed
 	for _, m := range smems {
 		l := m.Len()
-		for _, pos := range s.bi.fwd.LocateAll(m.Iv.Fwd, maxOcc, st) {
+		for _, pos := range s.bi.idx.LocateAll(m.Iv.Fwd, maxOcc, st) {
 			switch {
 			case pos+l <= s.n:
 				out = append(out, Seed{ReadBeg: m.ReadBeg, ReadEnd: m.ReadEnd, RefPos: pos, Rev: false, Count: m.Iv.Size()})

@@ -109,7 +109,7 @@ func TestRepeatSeedsProperties(t *testing.T) {
 		// The reported interval must match a brute-force count of the
 		// seed's text occurrences (forward or reverse strand of the
 		// index text).
-		if got, want := s.Iv.Size(), bruteCount(text, read[s.ReadBeg:s.ReadEnd]); got != want {
+		if got, want := s.Iv.Size(), bruteCount(withRC(text), read[s.ReadBeg:s.ReadEnd]); got != want {
 			t.Errorf("seed %d: interval %d != brute count %d", i, got, want)
 		}
 		// Seeds do not overlap (the scan restarts after each emit).

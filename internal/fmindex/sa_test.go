@@ -81,6 +81,39 @@ func TestBuildSuffixArrayRepetitiveText(t *testing.T) {
 	}
 }
 
+// TestBuildSuffixArraySortedAcrossKeyWidths checks texts on both sides
+// of every initial key width change (5^q <= len+1 for q = 2..8): the
+// result must be a permutation whose adjacent suffixes are in order.
+func TestBuildSuffixArraySortedAcrossKeyWidths(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(2))
+	suffixLess := func(text []byte, a, b int32) bool {
+		for ; int(a) < len(text) && int(b) < len(text); a, b = a+1, b+1 {
+			if text[a] != text[b] {
+				return text[a] < text[b]
+			}
+		}
+		return int(a) == len(text) // the sentinel sorts first
+	}
+	for p := 25; p <= 390625; p *= 5 {
+		for _, n := range []int{p - 2, p - 1} {
+			for _, text := range [][]byte{randomText(rng, n), repeatText(rng, n)} {
+				sa := BuildSuffixArray(text)
+				seen := make([]bool, len(sa))
+				for i, s := range sa {
+					if seen[s] {
+						t.Fatalf("len %d: suffix %d listed twice", n, s)
+					}
+					seen[s] = true
+					if i > 0 && !suffixLess(text, sa[i-1], s) {
+						t.Fatalf("len %d: sa[%d] = %d sorts after sa[%d] = %d", n, i-1, sa[i-1], i, s)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBuildSuffixArrayIsPermutation(t *testing.T) {
 	t.Parallel()
 	f := func(raw []byte) bool {

@@ -1,26 +1,21 @@
 package fmindex
 
 // Seeder performs end-to-end seeding of a read against a reference:
-// it indexes T·revcomp(T) so SMEMs are found on both strands
-// simultaneously, exactly as BWA-MEM's FMD-index does, and converts
-// located occurrences back to forward-strand reference coordinates.
+// its FMD-index over T·revcomp(T) finds SMEMs on both strands
+// simultaneously, as BWA-MEM's does, and it converts located
+// occurrences back to forward-strand reference coordinates.
 type Seeder struct {
 	bi *BiIndex
 	n  int // reference length (T only)
 }
 
-// NewSeeder indexes the 2-bit coded reference t (and its reverse
-// complement) for seeding.
+// NewSeeder builds the FMD-index of the 2-bit coded reference t for
+// seeding.
 func NewSeeder(t []byte) *Seeder {
-	u := make([]byte, 2*len(t))
-	copy(u, t)
-	for i, b := range t {
-		u[2*len(t)-1-i] = 3 - (b & 3)
-	}
-	return &Seeder{bi: NewBi(u), n: len(t)}
+	return &Seeder{bi: NewBi(t), n: len(t)}
 }
 
-// Bi exposes the underlying bidirectional index.
+// Bi exposes the underlying FMD-index.
 func (s *Seeder) Bi() *BiIndex { return s.bi }
 
 // Seed is one located seed occurrence: read[ReadBeg:ReadEnd) matches

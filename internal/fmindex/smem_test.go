@@ -51,7 +51,7 @@ func TestFindSMEMsMatchesBruteForce(t *testing.T) {
 		for _, minLen := range []int{1, 5, 10} {
 			var st Stats
 			got := bi.FindSMEMsWS(new(Workspace), r, minLen, &st)
-			want := bruteSMEMs(text, r, minLen)
+			want := bruteSMEMs(withRC(text), r, minLen)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d minLen %d: %d SMEMs, want %d\n got=%v\n want=%v",
 					trial, minLen, len(got), len(want), smemPairs(got), want)
@@ -89,7 +89,7 @@ func TestFindSMEMsIntervalSizes(t *testing.T) {
 		t.Fatal("exact substring yielded no SMEMs")
 	}
 	for _, s := range smems {
-		if got, want := s.Iv.Size(), bruteCount(text, r[s.ReadBeg:s.ReadEnd]); got != want {
+		if got, want := s.Iv.Size(), bruteCount(withRC(text), r[s.ReadBeg:s.ReadEnd]); got != want {
 			t.Errorf("SMEM [%d,%d): interval size %d, want %d", s.ReadBeg, s.ReadEnd, got, want)
 		}
 	}
@@ -103,7 +103,7 @@ func TestBiExtendConsistency(t *testing.T) {
 		bi := NewBi(text)
 		for q := 0; q < 25; q++ {
 			p := randomText(rng, 1+rng.Intn(10))
-			want := bruteCount(text, p)
+			want := bruteCount(withRC(text), p)
 			// Build the interval via left extensions, then via right
 			// extensions.
 			iv := bi.Single(p[len(p)-1])
@@ -136,7 +136,7 @@ func TestBiMixedExtensionOrder(t *testing.T) {
 	bi := NewBi(text)
 	for trial := 0; trial < 30; trial++ {
 		p := randomText(rng, 2+rng.Intn(8))
-		want := bruteCount(text, p)
+		want := bruteCount(withRC(text), p)
 		// Random split point: extend left part leftwards, right part rightwards.
 		mid := rng.Intn(len(p))
 		iv := bi.Single(p[mid])

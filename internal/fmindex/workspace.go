@@ -265,7 +265,7 @@ func (s *Seeder) SeedsWS(ws *Workspace, r []byte, minLen, maxOcc, maxMemIntv int
 	out := ws.seeds[:0]
 	for _, m := range smems {
 		l := m.Len()
-		pos := s.bi.fwd.LocateAllInto(ws.pos[:0], m.Iv.Fwd, maxOcc, st)
+		pos := s.bi.idx.LocateAllInto(ws.pos[:0], m.Iv.Fwd, maxOcc, st)
 		ws.pos = pos
 		for _, p := range pos {
 			switch {

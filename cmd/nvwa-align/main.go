@@ -24,7 +24,6 @@ func main() {
 	threads := flag.Int("threads", 0, "worker threads (0 = all cores)")
 	cigar := flag.Bool("cigar", false, "emit a CIGAR column (slower: full traceback per read)")
 	sam := flag.Bool("sam", false, "emit SAM (with header, flags, MAPQ, CIGAR) instead of TSV")
-	reads2Path := flag.String("reads2", "", "mate FASTQ: align read pairs (R1 from -reads, R2 from -reads2) and emit paired SAM")
 	flag.Parse()
 	if *refPath == "" || *readsPath == "" {
 		flag.Usage()
@@ -61,25 +60,6 @@ func main() {
 	}
 
 	aligner := pipeline.New(ref.Seq, pipeline.DefaultOptions())
-
-	if *reads2Path != "" {
-		qf2, err := os.Open(*reads2Path)
-		if err != nil {
-			fail(err)
-		}
-		mates, err := genome.ReadFASTQ(qf2)
-		qf2.Close()
-		if err != nil {
-			fail(err)
-		}
-		if len(mates) != len(reads) {
-			fail(fmt.Errorf("%d mates for %d reads", len(mates), len(reads)))
-		}
-		if err := alignPairs(aligner, ref, reads, mates); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	seqs := make([]seq.Seq, len(reads))
 	for i, r := range reads {
@@ -138,58 +118,6 @@ func main() {
 		aligned, len(reads), ref.Name, len(ref.Seq), tput)
 }
 
-// alignPairs resolves read pairs and emits paired SAM records with
-// proper-pair flags and template lengths.
-func alignPairs(aligner *pipeline.Aligner, ref *genome.Reference, r1s, r2s []genome.Read) error {
-	w, err := pipeline.NewSAMWriter(os.Stdout, ref.Name, len(ref.Seq))
-	if err != nil {
-		return err
-	}
-	po := pipeline.DefaultPairOptions()
-	proper := 0
-	for i := range r1s {
-		res := aligner.AlignPair(i, r1s[i].Seq, r2s[i].Seq, po)
-		if res.Proper {
-			proper++
-		}
-		tlen := 0
-		if res.Proper {
-			tlen = res.Insert
-		}
-		for side, rd := range []genome.Read{r1s[i], r2s[i]} {
-			own, mate := res.R1, res.R2
-			flag := pipeline.FlagPaired | pipeline.FlagFirstInPair
-			signedTLen := tlen
-			if side == 1 {
-				own, mate = res.R2, res.R1
-				flag = pipeline.FlagPaired | pipeline.FlagSecondInPair
-				signedTLen = -tlen
-			}
-			if res.Proper {
-				flag |= pipeline.FlagProperPair
-			}
-			if !mate.Found {
-				flag |= pipeline.FlagMateUnmapped
-			} else if mate.Rev {
-				flag |= pipeline.FlagMateReverse
-			}
-			cig := ""
-			if own.Found {
-				if tb, err := aligner.Cigar(rd.Seq, own); err == nil {
-					cig = tb.Cigar.String()
-				}
-			}
-			rec := own
-			_ = rec
-			if err := w.WritePaired(rd.Name, rd.Seq, rd.Qual, own, mate, flag, signedTLen, cig); err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Fprintf(os.Stderr, "paired %d reads: %d proper pairs\n", 2*len(r1s), proper)
-	return w.Flush()
-}
-
 // writeSAM emits full SAM records with traceback CIGARs, MAPQ from
 // best-vs-second-best scores, and per-chromosome coordinates.
 func writeSAM(aligner *pipeline.Aligner, asm *genome.Assembly, reads []genome.Read, results []pipeline.Result) error {
@@ -227,8 +155,7 @@ func writeSAM(aligner *pipeline.Aligner, asm *genome.Assembly, reads []genome.Re
 				best, second := pipeline.SecondBest(scores)
 				rec.MapQ = pipeline.MapQ(best, second, len(scores), aligner.Options().Scoring.Match)
 				if res.Rev {
-					rec.Flag |= pipeline.FlagReverse
-					rec.Seq = reads[i].Seq.RevComp().String()
+					rec.Reverse(reads[i].Seq)
 				}
 			}
 		}

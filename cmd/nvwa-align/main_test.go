@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"nvwa/internal/genome"
+	"nvwa/internal/seq"
 )
 
 // runMainArg, as the first argument of the test binary, makes it run
@@ -64,12 +68,10 @@ func TestExitCodes(t *testing.T) {
 	reads := genome.Simulate(ref, 6, genome.ShortReadConfig(4))
 	fa := filepath.Join(dir, "ref.fa")
 	fq := filepath.Join(dir, "reads.fq")
-	fewer := filepath.Join(dir, "fewer.fq")
 	empty := filepath.Join(dir, "empty.fa")
 	noBases := filepath.Join(dir, "no-bases.fa")
 	writeTo(t, fa, func(f *os.File) error { return genome.WriteFASTA(f, ref) })
 	writeTo(t, fq, func(f *os.File) error { return genome.WriteFASTQ(f, reads) })
-	writeTo(t, fewer, func(f *os.File) error { return genome.WriteFASTQ(f, reads[:5]) })
 	writeTo(t, empty, func(*os.File) error { return nil })
 	writeTo(t, noBases, func(f *os.File) error { _, err := f.WriteString(">r\n\n"); return err })
 
@@ -85,7 +87,7 @@ func TestExitCodes(t *testing.T) {
 		{"missing file", []string{"-ref", filepath.Join(dir, "no-such.fa"), "-reads", fq}, 1},
 		{"fasta without records", []string{"-ref", empty, "-reads", fq}, 1},
 		{"fasta without bases", []string{"-ref", noBases, "-reads", fq}, 1},
-		{"mate count differs", []string{"-ref", fa, "-reads", fq, "-reads2", fewer}, 1},
+		{"retired -reads2", []string{"-ref", fa, "-reads", fq, "-reads2", fq}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,5 +99,61 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("no alignment summary; output:\n%s", out)
 			}
 		})
+	}
+}
+
+// TestSAMRecords pins the -sam records of a forward, a reverse-strand
+// and an unmappable read: POS is 1-based, a reverse-strand record
+// stores SEQ reverse-complemented and QUAL reversed with it (SAM spec
+// §1.4), and an unmapped record keeps the read's own orientation.
+func TestSAMRecords(t *testing.T) {
+	dir := t.TempDir()
+	ref := genome.Generate(genome.HumanLike(), 5000, 3)
+	rng := rand.New(rand.NewSource(5))
+	junk := make(seq.Seq, 101)
+	for i := range junk {
+		junk[i] = byte(rng.Intn(4))
+	}
+	qual := make([]byte, 101)
+	for i := range qual {
+		qual[i] = byte('!' + i%40)
+	}
+	reads := []genome.Read{
+		{Name: "fwd", Seq: ref.Seq[1000:1101], Qual: qual},
+		{Name: "rev", Seq: ref.Seq[3000:3101].RevComp(), Qual: qual},
+		{Name: "junk", Seq: junk, Qual: qual},
+	}
+	fa := filepath.Join(dir, "ref.fa")
+	fq := filepath.Join(dir, "reads.fq")
+	writeTo(t, fa, func(f *os.File) error { return genome.WriteFASTA(f, ref) })
+	writeTo(t, fq, func(f *os.File) error { return genome.WriteFASTQ(f, reads) })
+
+	code, out := runMain(t, "-ref", fa, "-reads", fq, "-sam")
+	if code != 0 {
+		t.Fatalf("exit code %d; output:\n%s", code, out)
+	}
+	got := map[string][]string{}
+	for _, l := range strings.Split(string(out), "\n") {
+		if f := strings.Split(l, "\t"); len(f) == 11 && !strings.HasPrefix(l, "@") {
+			got[f[0]] = f
+		}
+	}
+	reversed := slices.Clone(qual)
+	slices.Reverse(reversed)
+	want := map[string][]string{
+		// QNAME, FLAG, RNAME, POS, SEQ, QUAL
+		"fwd":  {"0", ref.Name, "1001", ref.Seq[1000:1101].String(), string(qual)},
+		"rev":  {"16", ref.Name, "3001", ref.Seq[3000:3101].String(), string(reversed)},
+		"junk": {"4", "*", "0", junk.String(), string(qual)},
+	}
+	for name, w := range want {
+		f, ok := got[name]
+		if !ok {
+			t.Errorf("no record for %s; output:\n%s", name, out)
+			continue
+		}
+		if g := []string{f[1], f[2], f[3], f[9], f[10]}; !slices.Equal(g, w) {
+			t.Errorf("%s: FLAG RNAME POS SEQ QUAL = %q, want %q", name, g, w)
+		}
 	}
 }

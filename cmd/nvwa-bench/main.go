@@ -98,11 +98,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write a JSON metrics snapshot of the fig12 NvWa run to FILE")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the bench to FILE")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to FILE")
-	kernels := flag.Bool("kernels", false, "benchmark the optimized kernels against their retained reference implementations")
-	kernelsOut := flag.String("kernels-out", "BENCH_kernels.json", "output file for -kernels")
-	kernelsCheck := flag.String("kernels-check", "", "re-measure the kernel suite and compare against this committed baseline instead of writing a file (implies -kernels)")
-	kernelsTol := flag.Float64("kernels-tol", 0.20, "with -kernels-check: allowed fractional drop in per-kernel speedup")
-	kernelFilter := flag.String("kernel", "", "with -kernels/-kernels-check: only measure kernels whose id contains this substring (filtered -kernels prints without writing the baseline file)")
 	shards := flag.Int("shards", 1, "simulate S independent chips over a partitioned read set and merge Reports deterministically (1 = unsharded)")
 	shardPolicy := flag.String("shard-policy", "contiguous", "read partitioning policy for -shards: contiguous, interleaved, or balanced")
 	scaleoutOut := flag.String("scaleout-json", "", "sweep shard counts serial vs parallel and write the BENCH_scaleout.json artifact to this file")
@@ -118,19 +113,6 @@ func main() {
 	}
 	if *reads < 1 {
 		usage(fmt.Errorf("-reads must be >= 1, got %d", *reads))
-	}
-
-	if *kernels || *kernelsCheck != "" || *kernelFilter != "" {
-		var err error
-		if *kernelsCheck != "" {
-			err = checkKernelBench(*kernelsCheck, *kernelsTol, *kernelFilter)
-		} else {
-			err = runKernelBench(*kernelsOut, *kernelFilter)
-		}
-		if err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	if *cpuprofile != "" {

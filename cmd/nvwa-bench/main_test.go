@@ -39,6 +39,7 @@ func TestExitCodes(t *testing.T) {
 		{"reference shorter than reads", []string{"-reflen", "50"}, 2},
 		{"negative reads", []string{"-reads", "-5"}, 2},
 		{"zero reads", []string{"-exp", "fig11", "-reads", "0"}, 2},
+		{"retired kernel harness", []string{"-kernels"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -238,10 +238,13 @@ func TestMergeAccMatchesReference(t *testing.T) {
 }
 
 // TestMergeAccSteadyStateZeroAlloc pins the merge hot path (Reset +
-// Add) at zero allocations once the scratch is warm.
+// Add) at zero allocations once the scratch is warm, and a whole merge
+// (Reset + Add + Merged) at mergedAllocCeiling: Merged allocates only
+// the Report it returns and that Report's own slices.
 func TestMergeAccSteadyStateZeroAlloc(t *testing.T) {
 	a, reads := testWorkload(t, 160, 13)
-	sys, err := NewSharded(a, ShardedOptions{Options: smallOpts(), Shards: 4})
+	o := smallOpts()
+	sys, err := NewSharded(a, ShardedOptions{Options: o, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +265,17 @@ func TestMergeAccSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("merge hot path allocates %.1f allocs/op, want 0", allocs)
+	}
+	const mergedAllocCeiling = 6
+	allocs = testing.AllocsPerRun(100, func() {
+		acc.Reset()
+		for _, p := range parts {
+			acc.Add(p)
+		}
+		acc.Merged(o.Config.ClockGHz)
+	})
+	if allocs > mergedAllocCeiling {
+		t.Errorf("whole merge allocates %.1f allocs/op, want <= %d", allocs, mergedAllocCeiling)
 	}
 }
 

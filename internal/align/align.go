@@ -320,8 +320,8 @@ func Extend(ref, read []byte, sc Scoring, initScore, zdrop int) (score, refEnd, 
 }
 
 // ExtendReference is the full-row extension kernel, retained as the
-// oracle for ExtendWithScratch and, through ExtendBandReference, as
-// the "before" baseline in the kernel benchmarks. With w >= 0 it
+// oracle for ExtendWithScratch, directly and through
+// ExtendBandReference. With w >= 0 it
 // computes only the cells with |i-j| <= w, every other cell reading as
 // -inf, and makes one pass: it does not retry at 2w. maxOff is
 // BWA-MEM's max_off, the largest |i-j| of a row maximum that raised

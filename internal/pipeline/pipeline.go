@@ -514,7 +514,6 @@ func selectBest(hits []core.Hit, exts []Extended) Result {
 	if best < 0 {
 		return Result{Hits: len(hits)}
 	}
-	res := resultFrom(exts[best].Ext(hits[best]))
-	res.Hits = len(hits)
-	return res
+	e := exts[best].Ext(hits[best])
+	return Result{Found: true, Score: e.Score, RefBeg: e.RefBeg, RefEnd: e.RefEnd, Rev: e.Rev, Hits: len(hits)}
 }

@@ -10,14 +10,8 @@ import (
 
 // SAM flag bits (SAM spec v1).
 const (
-	FlagPaired       = 0x1
-	FlagProperPair   = 0x2
-	FlagUnmapped     = 0x4
-	FlagMateUnmapped = 0x8
-	FlagReverse      = 0x10
-	FlagMateReverse  = 0x20
-	FlagFirstInPair  = 0x40
-	FlagSecondInPair = 0x80
+	FlagUnmapped = 0x4
+	FlagReverse  = 0x10
 )
 
 // MapQ estimates a Phred-scaled mapping quality from the best and
@@ -77,20 +71,20 @@ func (r SAMRecord) String() string {
 		r.QName, r.Flag, r.RName, r.Pos, r.MapQ, r.Cigar, r.RNext, r.PNext, r.TLen, r.Seq, r.Qual)
 }
 
-// SAMWriter emits a SAM header and records.
-type SAMWriter struct {
-	w       *bufio.Writer
-	refName string
+// Reverse marks r as a reverse-strand alignment of read. The SAM spec
+// stores SEQ and QUAL in reference orientation, so SEQ becomes read's
+// reverse complement and QUAL, when present, is reversed with it.
+func (r *SAMRecord) Reverse(read seq.Seq) {
+	r.Flag |= FlagReverse
+	r.Seq = read.RevComp().String()
+	if r.Qual != "*" {
+		r.Qual = reverseString(r.Qual)
+	}
 }
 
-// NewSAMWriter writes the @HD/@SQ/@PG header for a single-sequence
-// reference and returns the writer.
-func NewSAMWriter(w io.Writer, refName string, refLen int) (*SAMWriter, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "@HD\tVN:1.6\tSO:unknown\n@SQ\tSN:%s\tLN:%d\n@PG\tID:nvwa\tPN:nvwa-align\n", refName, refLen); err != nil {
-		return nil, err
-	}
-	return &SAMWriter{w: bw, refName: refName}, nil
+// SAMWriter emits a SAM header and records.
+type SAMWriter struct {
+	w *bufio.Writer
 }
 
 // Flush flushes buffered records.
@@ -118,48 +112,6 @@ func SecondBest(scores []int) (best, second int) {
 		}
 	}
 	return
-}
-
-// WritePaired writes one end of a read pair: flags must already carry
-// the pairing bits; own/mate supply positions, and tlen is the signed
-// template length (0 when not proper).
-func (s *SAMWriter) WritePaired(name string, read seq.Seq, qual []byte, own, mate Result, flag, tlen int, cigar string) error {
-	rec := SAMRecord{
-		QName: name,
-		Flag:  flag,
-		RName: "*",
-		Cigar: "*",
-		RNext: "*",
-		Seq:   read.String(),
-		Qual:  "*",
-	}
-	if len(qual) == len(read) && len(qual) > 0 {
-		rec.Qual = string(qual)
-	}
-	if !own.Found {
-		rec.Flag |= FlagUnmapped
-	} else {
-		rec.RName = s.refName
-		rec.Pos = own.RefBeg + 1
-		rec.MapQ = MapQ(own.Score, 0, own.Hits, 1)
-		if cigar != "" {
-			rec.Cigar = cigar
-		}
-		if own.Rev {
-			rec.Flag |= FlagReverse
-			rec.Seq = read.RevComp().String()
-			if rec.Qual != "*" {
-				rec.Qual = reverseString(rec.Qual)
-			}
-		}
-	}
-	if mate.Found {
-		rec.RNext = "="
-		rec.PNext = mate.RefBeg + 1
-		rec.TLen = tlen
-	}
-	_, err := fmt.Fprintln(s.w, rec.String())
-	return err
 }
 
 // SQ is one reference sequence of a SAM header.

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -41,40 +42,65 @@ func TestSecondBest(t *testing.T) {
 	}
 }
 
+// samRecord is a read's record at res, placed on target rname the way
+// nvwa-align places it: POS 1-based, reverse strand via Reverse.
+func samRecord(r genome.Read, rname string, res Result, cigar string) SAMRecord {
+	rec := SAMRecord{QName: r.Name, RName: "*", Cigar: "*", RNext: "*", Seq: r.Seq.String(), Qual: "*"}
+	if len(r.Qual) == len(r.Seq) && len(r.Qual) > 0 {
+		rec.Qual = string(r.Qual)
+	}
+	if !res.Found {
+		rec.Flag = FlagUnmapped
+		return rec
+	}
+	rec.RName, rec.Pos, rec.Cigar = rname, res.RefBeg+1, cigar
+	if res.Rev {
+		rec.Reverse(r.Seq)
+	}
+	return rec
+}
+
 func TestSAMWriterRoundTrip(t *testing.T) {
 	a, ref := testAligner(t, 40000, 31)
 	reads := genome.Simulate(ref, 30, genome.ShortReadConfig(32))
 	var buf bytes.Buffer
-	w, err := NewSAMWriter(&buf, ref.Name, len(ref.Seq))
+	w, err := NewSAMWriterTargets(&buf, []SQ{{Name: ref.Name, Len: len(ref.Seq)}, {Name: "chrM", Len: 16569}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mapped := 0
 	for _, r := range reads {
 		res := a.Align(r.ID, r.Seq)
-		cigar := ""
+		cigar := "*"
 		if res.Found {
 			if tb, err := a.Cigar(r.Seq, res); err == nil {
 				cigar = tb.Cigar.String()
 			}
 			mapped++
 		}
-		if err := w.WritePaired(r.Name, r.Seq, r.Qual, res, Result{}, 0, 0, cigar); err != nil {
+		if err := w.WriteRecord(samRecord(r, ref.Name, res, cigar)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if !strings.HasPrefix(lines[0], "@HD") || !strings.HasPrefix(lines[1], "@SQ") {
-		t.Fatalf("missing header:\n%s", lines[0])
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	wantHeader := []string{
+		"@HD\tVN:1.6\tSO:unknown",
+		fmt.Sprintf("@SQ\tSN:%s\tLN:%d", ref.Name, len(ref.Seq)),
+		"@SQ\tSN:chrM\tLN:16569",
+		"@PG\tID:nvwa\tPN:nvwa-align",
 	}
-	if len(lines) != 3+len(reads) {
-		t.Fatalf("%d lines, want %d", len(lines), 3+len(reads))
+	if len(lines) != len(wantHeader)+len(reads) {
+		t.Fatalf("%d lines, want %d", len(lines), len(wantHeader)+len(reads))
 	}
-	for _, l := range lines[3:] {
+	for i, h := range wantHeader {
+		if lines[i] != h {
+			t.Errorf("header line %d = %q, want %q", i, lines[i], h)
+		}
+	}
+	for _, l := range lines[len(wantHeader):] {
 		f := strings.Split(l, "\t")
 		if len(f) != 11 {
 			t.Fatalf("SAM record has %d fields: %s", len(f), l)
@@ -87,68 +113,33 @@ func TestSAMWriterRoundTrip(t *testing.T) {
 
 func TestSAMRecordUnmappedAndReverse(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewSAMWriter(&buf, "chr", 1000)
-	read := genome.Read{Name: "u", Seq: []byte{0, 1, 2, 3}}
-	if err := w.WritePaired(read.Name, read.Seq, nil, Result{}, Result{}, 0, 0, ""); err != nil {
+	w, _ := NewSAMWriterTargets(&buf, []SQ{{Name: "chr", Len: 1000}})
+	u := genome.Read{Name: "u", Seq: []byte{0, 1, 2, 3}}
+	if err := w.WriteRecord(samRecord(u, "chr", Result{}, "")); err != nil {
 		t.Fatal(err)
 	}
-	rev := Result{Found: true, Rev: true, RefBeg: 9, RefEnd: 13, Score: 4}
-	if err := w.WritePaired("r", read.Seq, []byte("IIII"), rev, Result{}, 0, 0, "4M"); err != nil {
+	rev := Result{Found: true, Rev: true, RefBeg: 9, RefEnd: 12, Score: 3}
+	r := genome.Read{Name: "r", Seq: []byte{0, 0, 1}, Qual: []byte("ABC")}
+	if err := w.WriteRecord(samRecord(r, "chr", rev, "3M")); err != nil {
 		t.Fatal(err)
 	}
-	w.Flush()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	u := strings.Split(lines[3], "\t")
-	if u[1] != "4" || u[2] != "*" || u[3] != "0" {
-		t.Errorf("unmapped record wrong: %v", u)
-	}
-	r := strings.Split(lines[4], "\t")
-	if r[1] != "16" {
-		t.Errorf("reverse flag wrong: %v", r[1])
-	}
-	if r[3] != "10" {
-		t.Errorf("1-based pos wrong: %v", r[3])
-	}
-	// Sequence must be reverse-complemented: ACGT -> ACGT is its own
-	// revcomp here; use a clearer read.
-	var buf2 bytes.Buffer
-	w2, _ := NewSAMWriter(&buf2, "chr", 1000)
-	w2.WritePaired("r2", []byte{0, 0, 1}, []byte("ABC"), rev, Result{}, 0, 0, "3M")
-	w2.Flush()
-	f := strings.Split(strings.Split(strings.TrimSpace(buf2.String()), "\n")[3], "\t")
-	if f[9] != "GTT" {
-		t.Errorf("reverse seq = %s, want GTT", f[9])
-	}
-	if f[10] != "CBA" {
-		t.Errorf("reverse qual = %s, want CBA", f[10])
-	}
-}
-
-func TestWritePaired(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewSAMWriter(&buf, "chr", 10000)
-	own := Result{Found: true, RefBeg: 100, RefEnd: 201, Score: 101}
-	mate := Result{Found: true, Rev: true, RefBeg: 400, RefEnd: 501, Score: 99}
-	flag := FlagPaired | FlagFirstInPair | FlagProperPair | FlagMateReverse
-	if err := w.WritePaired("p/1", make([]byte, 101), nil, own, mate, flag, 401, "101M"); err != nil {
-		t.Fatal(err)
-	}
-	// Unmapped end with mapped mate.
-	if err := w.WritePaired("p/2", make([]byte, 101), nil, Result{}, own,
-		FlagPaired|FlagSecondInPair|FlagMateUnmapped, 0, ""); err != nil {
+	// Without qualities QUAL stays "*" on the reverse strand.
+	if err := w.WriteRecord(samRecord(genome.Read{Name: "n", Seq: r.Seq}, "chr", rev, "3M")); err != nil {
 		t.Fatal(err)
 	}
 	w.Flush()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	f1 := strings.Split(lines[3], "\t")
-	if f1[1] != "99" { // 1+64+2+32
-		t.Errorf("flag = %s, want 99", f1[1])
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[3:]
+	want := []string{
+		"u\t4\t*\t0\t0\t*\t*\t0\t0\tACGT\t*",
+		"r\t16\tchr\t10\t0\t3M\t*\t0\t0\tGTT\tCBA",
+		"n\t16\tchr\t10\t0\t3M\t*\t0\t0\tGTT\t*",
 	}
-	if f1[6] != "=" || f1[7] != "401" || f1[8] != "401" {
-		t.Errorf("mate fields = %v", f1[6:9])
+	if len(lines) != len(want) {
+		t.Fatalf("%d records, want %d:\n%s", len(lines), len(want), buf.String())
 	}
-	f2 := strings.Split(lines[4], "\t")
-	if f2[2] != "*" || f2[6] != "=" {
-		t.Errorf("unmapped-with-mate fields wrong: %v", f2[:8])
+	for i := range want {
+		if lines[i] != want[i] {
+			t.Errorf("record %d = %q, want %q", i, lines[i], want[i])
+		}
 	}
 }

@@ -65,10 +65,10 @@ func main() {
 	for i, r := range reads {
 		seqs[i] = r.Seq
 	}
-	results, tput := aligner.AlignAll(seqs, *threads)
+	results, mapq, tput := aligner.AlignAll(seqs, *threads)
 
 	if *sam {
-		if err := writeSAM(aligner, asm, reads, results); err != nil {
+		if err := writeSAM(aligner, asm, reads, results, mapq); err != nil {
 			fail(err)
 		}
 		aligned := 0
@@ -118,9 +118,9 @@ func main() {
 		aligned, len(reads), ref.Name, len(ref.Seq), tput)
 }
 
-// writeSAM emits full SAM records with traceback CIGARs, MAPQ from
-// best-vs-second-best scores, and per-chromosome coordinates.
-func writeSAM(aligner *pipeline.Aligner, asm *genome.Assembly, reads []genome.Read, results []pipeline.Result) error {
+// writeSAM emits full SAM records with traceback CIGARs, the MAPQ
+// AlignAll estimated, and per-chromosome coordinates.
+func writeSAM(aligner *pipeline.Aligner, asm *genome.Assembly, reads []genome.Read, results []pipeline.Result, mapq []int) error {
 	var targets []pipeline.SQ
 	for _, c := range asm.Chroms {
 		targets = append(targets, pipeline.SQ{Name: c.Name, Len: len(c.Seq)})
@@ -151,9 +151,7 @@ func writeSAM(aligner *pipeline.Aligner, asm *genome.Assembly, reads []genome.Re
 				if tb, err := aligner.Cigar(reads[i].Seq, res); err == nil {
 					rec.Cigar = tb.Cigar.String()
 				}
-				_, scores := aligner.AlignScores(i, reads[i].Seq)
-				best, second := pipeline.SecondBest(scores)
-				rec.MapQ = pipeline.MapQ(best, second, len(scores), aligner.Options().Scoring.Match)
+				rec.MapQ = mapq[i]
 				if res.Rev {
 					rec.Reverse(reads[i].Seq)
 				}

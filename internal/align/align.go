@@ -86,6 +86,9 @@ type Result struct {
 
 const negInf = int(-1) << 30
 
+// negInf32 is negInf in the extension kernel's int32 rows.
+const negInf32 = int32(negInf)
+
 // traceback direction encoding, packed one byte per cell:
 // bits 0-1: H source (0 stop, 1 diagonal, 2 from E/del, 3 from F/ins)
 // bit 2: E extends an existing deletion
@@ -103,7 +106,14 @@ const (
 // workspace.
 func Local(ref, read []byte, sc Scoring) Result {
 	var s Scratch
-	return localBandedWS(&s, ref, read, sc, -1)
+	return LocalWithScratch(&s, ref, read, sc)
+}
+
+// LocalWithScratch is Local using s for its DP matrices, so a warm
+// Scratch allocates nothing. The Result's Cigar aliases s: it is valid
+// until the next call that uses s.
+func LocalWithScratch(s *Scratch, ref, read []byte, sc Scoring) Result {
+	return localBandedWS(s, ref, read, sc, -1)
 }
 
 // LocalBanded computes a banded local alignment: cells with

@@ -2,8 +2,8 @@
 // (Local, LocalBanded, Extend) allocate their DP state on every call;
 // at the simulator's scale those matrices are rebuilt thousands of
 // times per figure, so the hot paths thread a reusable Scratch through
-// ExtendWithScratch instead. The wrappers keep the original signatures
-// and semantics by passing a fresh Scratch.
+// ExtendWithScratch and LocalWithScratch instead. The wrappers keep
+// the original signatures and semantics by passing a fresh Scratch.
 //
 // All scratch-backed kernels tolerate dirty scratch memory: every cell
 // a kernel reads is written first (absolute stores, no |= into stale
@@ -11,27 +11,30 @@
 // without clearing.
 package align
 
+import (
+	"fmt"
+	"math"
+)
+
 // Scratch is a reusable, grow-only workspace for the DP kernels. The
 // zero value is ready to use. A Scratch is not safe for concurrent
 // use; share via a sync.Pool or keep one per goroutine.
 //
-// A Result's Cigar from localBandedWS aliases the Scratch's internal
-// buffer: it is valid until the next call that uses the same Scratch.
+// A Result's Cigar from LocalWithScratch aliases the Scratch's
+// internal buffer: it is valid until the next call that uses the same
+// Scratch.
 type Scratch struct {
 	h, e, f []int
 	tb      []byte
 	rev     Cigar
 	cig     Cigar
 
-	// cells is the extension DP's rolling row, H and E interleaved so
-	// one cell's state shares a cache line; prof is its query profile.
-	cells []cell
-	prof  []int
+	// rowH and rowE are the extension DP's rolling row, H and E as
+	// int32 structure-of-arrays so the row kernel loads eight columns
+	// of each per vector; prof is its int32 query profile.
+	rowH, rowE []int32
+	prof       []int32
 }
-
-// cell is one column of the extension DP's rolling row: H and E of the
-// most recently computed row.
-type cell struct{ h, e int }
 
 // grow returns buf with length n, reusing capacity when possible.
 // Contents are unspecified (dirty).
@@ -228,19 +231,26 @@ done:
 // non-negative (gaps never gain); otherwise each row computes its whole
 // band, still allocation-free.
 //
-// Each row's window is computed by extendRow over a substitution slice:
-// a row of the query profile when both sequences are 2-bit base codes
-// (every byte in 0..3), otherwise a one-row slice filled for that
-// reference base.
+// Each row's window is computed by extendRow over an int32
+// substitution slice: a row of the query profile when both sequences
+// are 2-bit base codes (every byte in 0..3), otherwise a one-row slice
+// filled for that reference base. The rows are int32, which is exact
+// only while every value fits; headroom checks that once per call and
+// the call panics when it does not hold, which no read the pipeline
+// can deliver reaches (see headroom).
 func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdrop, w int) (score, refEnd, readEnd, rows int) {
 	m, n := len(ref), len(read)
 	if m == 0 || n == 0 {
 		return initScore, 0, 0, 0
 	}
+	if !headroom(m, n, sc, initScore) {
+		panic(fmt.Sprintf("align: extension of %d x %d cells under %+v from score %d overflows int32 rows", m, n, sc, initScore))
+	}
 	if w >= m && w >= n {
 		w = -1 // no cell lies outside the band
 	}
-	s.cells = grow(s.cells, n+1)
+	s.rowH = grow(s.rowH, n+1)
+	s.rowE = grow(s.rowE, n+1)
 	s.prof = grow(s.prof, 4*n)
 	twoBit := buildProfile(s.prof, ref, read, sc)
 	score, refEnd, readEnd, rows, maxOff := extendPass(s, ref, read, sc, twoBit, initScore, zdrop, w)
@@ -248,6 +258,32 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 		score, refEnd, readEnd, rows, _ = extendPass(s, ref, read, sc, twoBit, initScore, zdrop, 2*w)
 	}
 	return score, refEnd, readEnd, rows
+}
+
+// headroom reports whether an m x n extension from initScore keeps
+// every value the int32 rows hold, and every intermediate of the row
+// kernel, inside int32. Each value is a maximum of path sums that
+// start at initScore (the anchor and its gap-open boundary) or at
+// negInf = -2^30 (cells outside the band or window) and add one term
+// per row or column crossed: a substitution score, -GapExtend or
+// -(GapOpen+GapExtend). Dead cells therefore fall at most one such
+// term per row or column below -2^30. A path crosses at most m+n rows
+// and columns, and the row kernel's scan adds at most eight GapExtend
+// decays and one gap open on top, so with c the largest term
+// magnitude every value lies within (m+n+10)*c of its base, and the
+// bound max(|initScore|, 2^30) + (m+n+10)*c <= MaxInt32 suffices.
+//
+// Under BWAMEM (c = 7) every read the pipeline can deliver passes:
+// ReadFASTQ caps a line at 2^26 bases, so the query has n <= 2^26
+// bases, the pipeline's reference window m <= n+8 (its ExtBand), and
+// the anchor |initScore| <= 2^26 (one point per read base), giving
+// 2^30 + (2^27+18)*7 = 2,013,266,046 < 2^31-1.
+// The bound is computed in float64 so it cannot itself overflow.
+func headroom(m, n int, sc Scoring, initScore int) bool {
+	c := max(math.Abs(float64(sc.Match)), math.Abs(float64(sc.Mismatch)),
+		math.Abs(float64(sc.GapOpen))+math.Abs(float64(sc.GapExtend)))
+	base := max(math.Abs(float64(initScore)), -float64(negInf))
+	return base+(float64(m)+float64(n)+10)*c <= math.MaxInt32
 }
 
 // bandRetry reports whether a pass at band w whose best cells strayed
@@ -262,11 +298,14 @@ func bandRetry(w, maxOff int) bool {
 // row maximum that raised the running best.
 func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore, zdrop, w int) (best, bi, bj, rows, maxOff int) {
 	m, n := len(ref), len(read)
-	cells, prof := s.cells, s.prof
+	h, e, prof := s.rowH, s.rowE, s.prof
 
 	gapO, ge := sc.GapOpen, sc.GapExtend
 	goe := gapO + ge
 	shrinking := zdrop >= 0 && gapO >= 0 && ge >= 0
+	// The vector row needs GapOpen >= 0 for its F identity and
+	// GapExtend >= 0 for its unmasked scan (see rowAVX2).
+	vector := useAVX2 && gapO >= 0 && ge >= 0
 	stepGain := sc.Match
 	if -sc.Mismatch > stepGain {
 		stepGain = -sc.Mismatch
@@ -283,12 +322,12 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 	if w >= 0 && w < n {
 		endValid = w
 	}
-	cells[0] = cell{initScore, negInf}
+	h[0], e[0] = int32(initScore), negInf32
 	for j := 1; j <= endValid; j++ {
-		cells[j] = cell{initScore - gapO - j*ge, negInf}
+		h[j], e[j] = int32(initScore-gapO-j*ge), negInf32
 	}
 	if shrinking && endValid >= beg {
-		beg, endValid = shrink(cells, beg, endValid, best-zdrop, m-1, stepGain)
+		beg, endValid = shrink(h, e, beg, endValid, best-zdrop, m-1, stepGain)
 		if beg > endValid {
 			// Row 1 has no cell that can reach best-zdrop: the
 			// reference computes it, observes rowBest < best-zdrop,
@@ -307,7 +346,7 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 			// that column was outside the previous row's window (and,
 			// since that window ended by column i-1+w, is in the band).
 			endRow++
-			cells[endRow] = cell{negInf, negInf}
+			h[endRow], e[endRow] = negInf32, negInf32
 		}
 		if beg > endRow {
 			// The band has left the read: this row and every later one
@@ -318,18 +357,18 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 			}
 			break
 		}
-		hBound := negInf
+		hBound := negInf32
 		if w < 0 || i <= w {
-			hBound = initScore - gapO - i*ge
+			hBound = int32(initScore - gapO - i*ge)
 		}
-		// cells[beg-1] still holds the previous row's value; column
+		// h[beg-1] still holds the previous row's value; column
 		// beg-1 >= i-1-w lay in that row's band.
-		hDiag, hLeft := cells[beg-1].h, negInf // negInf: excluded column
+		hDiag, hLeft := h[beg-1], negInf32 // negInf: excluded column
 		if beg == 1 {
-			cells[0].h = hBound
+			h[0] = hBound
 			hLeft = hBound
 		}
-		var sub []int
+		var sub []int32
 		if twoBit {
 			off := int(ref[i-1]) * n
 			sub = prof[off+beg-1 : off+endRow]
@@ -337,10 +376,11 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 			sub = prof[beg-1 : endRow]
 			ri := ref[i-1]
 			for k, b := range read[beg-1 : endRow] {
-				sub[k] = sc.sub(ri, b)
+				sub[k] = int32(sc.sub(ri, b))
 			}
 		}
-		rowBest, hLeft, f := extendRow(cells[beg:endRow+1], sub, hDiag, hLeft, goe, ge)
+		rb, hl, fl := extendRow(h[beg:endRow+1], e[beg:endRow+1], sub, hDiag, hLeft, int32(goe), int32(ge), vector)
+		rowBest := int(rb)
 		rowArg := 0 // a spill column, or 0 for the window's maximum
 		endRowValid := endRow
 		if shrinking && endRow < n {
@@ -353,6 +393,7 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 			if w >= 0 && i+w < n {
 				last = i + w
 			}
+			f, hLeft := int(fl), int(hl)
 			for j := endRow + 1; j <= last; j++ {
 				f -= ge
 				if fo := hLeft - goe; fo > f {
@@ -365,7 +406,7 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 				if f+rem*stepGain < T {
 					break
 				}
-				cells[j] = cell{f, negInf}
+				h[j], e[j] = int32(f), negInf32
 				hLeft = f
 				if f > rowBest {
 					rowBest, rowArg = f, j
@@ -378,7 +419,7 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 				// The row's first cell holding the window maximum: the
 				// argmax is found only on rows that raise best.
 				rowArg = beg
-				for cells[rowArg].h != rowBest {
+				for int(h[rowArg]) != rowBest {
 					rowArg++
 				}
 			}
@@ -391,7 +432,7 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 		}
 		endValid = endRowValid
 		if shrinking && i < m {
-			beg, endValid = shrink(cells, beg, endValid, best-zdrop, m-i-1, stepGain)
+			beg, endValid = shrink(h, e, beg, endValid, best-zdrop, m-i-1, stepGain)
 			if beg > endValid {
 				// Next row has no viable cell: the reference computes
 				// it (all its true values are below best-zdrop),
@@ -409,7 +450,7 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 // read base, and reports true. When ref or read holds a byte outside
 // 0..3 it fills nothing and reports false: the caller then fills one
 // row per reference base instead.
-func buildProfile(prof []int, ref, read []byte, sc Scoring) bool {
+func buildProfile(prof []int32, ref, read []byte, sc Scoring) bool {
 	var or byte
 	for _, b := range ref {
 		or |= b
@@ -424,44 +465,41 @@ func buildProfile(prof []int, ref, read []byte, sc Scoring) bool {
 	for b := 0; b < 4; b++ {
 		row := prof[b*n : (b+1)*n]
 		for j, rb := range read {
-			row[j] = sc.sub(byte(b), rb)
+			row[j] = int32(sc.sub(byte(b), rb))
 		}
 	}
 	return true
 }
 
 // extendRow computes one row of the extension recurrence over a window
-// of columns: cells holds the previous row's H/E and receives this
-// row's, sub[k] is the substitution score of cells[k]'s column, hDiag
-// is the previous row's H one column left of the window, and hLeft is
-// this row's H there. It returns the window's maximum H (negInf if none
+// of columns: h and e hold the previous row's H and E and receive this
+// row's, sub[k] is the substitution score of column k, hDiag is the
+// previous row's H one column left of the window, and hLeft is this
+// row's H there. It returns the window's maximum H (negInf if none
 // exceeds it), and the H and F of the window's last column for the F
 // spill; the caller locates the maximum only when it raises the best.
-// Kept out of line so its loop-carried state stays in registers.
+//
+// With vector set (which requires GapOpen >= 0 and GapExtend >= 0)
+// rowAVX2 computes the leading multiple of eight columns and the
+// scalar loop below finishes the tail from the state it hands back;
+// otherwise the scalar loop runs the whole window. Both compute the
+// same values. Kept out of line so the scalar loop's carried state
+// stays in registers.
 //
 //go:noinline
-func extendRow(cells []cell, sub []int, hDiag, hLeft, goe, ge int) (rowBest, hLast, f int) {
-	f, rowBest = negInf, negInf
-	cells = cells[:len(sub)]
+func extendRow(h, e, sub []int32, hDiag, hLeft, goe, ge int32, vector bool) (rowBest, hLast, f int32) {
+	f, rowBest = negInf32, negInf32
+	if k := len(sub) &^ 7; vector && k > 0 {
+		rowBest, hDiag, hLeft, f = rowAVX2(h[:k], e[:k], sub[:k], hDiag, hLeft, goe, ge)
+		h, e, sub = h[k:], e[k:], sub[k:]
+	}
+	h, e = h[:len(sub)], e[:len(sub)]
 	for k, sk := range sub {
-		c := &cells[k]
-		eNew := c.e - ge
-		if eo := c.h - goe; eo > eNew {
-			eNew = eo
-		}
-		f -= ge
-		if fo := hLeft - goe; fo > f {
-			f = fo
-		}
-		hv := hDiag + sk
-		hDiag = c.h
-		if eNew > hv {
-			hv = eNew
-		}
-		if f > hv {
-			hv = f
-		}
-		c.h, c.e = hv, eNew
+		eNew := max(e[k]-ge, h[k]-goe)
+		f = max(f-ge, hLeft-goe)
+		hv := max(hDiag+sk, eNew, f)
+		hDiag = h[k]
+		h[k], e[k] = hv, eNew
 		hLeft = hv
 		rowBest = max(rowBest, hv)
 	}
@@ -475,17 +513,10 @@ func extendRow(cells []cell, sub []int, hDiag, hLeft, goe, ge int) (rowBest, hLa
 // potential cannot reach T. Stored (possibly already-excluded)
 // neighbours are valid sources for the bound because an excluded
 // cell's descendants are themselves below T by induction.
-func shrink(cells []cell, beg, end, T, remR, stepGain int) (int, int) {
-	n := len(cells) - 1
+func shrink(h, e []int32, beg, end, T, remR, stepGain int) (int, int) {
+	n := len(h) - 1
 	for end >= beg {
-		c := cells[end]
-		b := c.h
-		if c.e > b {
-			b = c.e
-		}
-		if h := cells[end-1].h; h > b {
-			b = h
-		}
+		b := int(max(h[end], e[end], h[end-1]))
 		rem := remR
 		if n-end < rem {
 			rem = n - end
@@ -493,18 +524,11 @@ func shrink(cells []cell, beg, end, T, remR, stepGain int) (int, int) {
 		if b+stepGain+rem*stepGain >= T {
 			break
 		}
-		cells[end] = cell{negInf, negInf}
+		h[end], e[end] = negInf32, negInf32
 		end--
 	}
 	for beg <= end {
-		c := cells[beg]
-		b := c.h
-		if c.e > b {
-			b = c.e
-		}
-		if h := cells[beg-1].h; h > b {
-			b = h
-		}
+		b := int(max(h[beg], e[beg], h[beg-1]))
 		rem := remR
 		if n-beg < rem {
 			rem = n - beg
@@ -512,7 +536,7 @@ func shrink(cells []cell, beg, end, T, remR, stepGain int) (int, int) {
 		if b+stepGain+rem*stepGain >= T {
 			break
 		}
-		cells[beg] = cell{negInf, negInf}
+		h[beg], e[beg] = negInf32, negInf32
 		beg++
 	}
 	return beg, end

@@ -258,8 +258,9 @@ func TestLocalScratchMatches(t *testing.T) {
 // pipeline relies on: a warm Scratch performs no heap allocations per
 // extension at the pipeline's band, cycled across a short-read flank, a
 // long-read flank (both 2-bit, the query-profile path), an ACGT-letter
-// pair (the per-row substitution fill) and a flank whose first pass
-// triggers the 2w retry.
+// pair (the per-row substitution fill), a flank whose first pass
+// triggers the 2w retry, and flanks whose windows are shorter than one
+// 8-column vector or end in a partial one (the scalar tail).
 func TestExtendScratchZeroAlloc(t *testing.T) {
 	const w = 100
 	rng := rand.New(rand.NewSource(5))
@@ -270,7 +271,10 @@ func TestExtendScratchZeroAlloc(t *testing.T) {
 	if _, _, _, _, off := ExtendReference(retry, retryRead, BWAMEM(), 20, 100, w); off < w>>1+w>>2 {
 		t.Fatalf("insertion flank's max_off = %d; it must trigger the retry", off)
 	}
-	pairs := [][2][]byte{{short, shortRead}, {long, longRead}, {ascii, asciiRead}, {retry, retryRead}}
+	tiny, tinyRead := homologousCodes(rng, 9, 5, 3)
+	odd, oddRead := homologousCodes(rng, 45, 37, 6)
+	pairs := [][2][]byte{{short, shortRead}, {long, longRead}, {ascii, asciiRead}, {retry, retryRead},
+		{tiny, tinyRead}, {odd, oddRead}}
 	sc := BWAMEM()
 	var s Scratch
 	for _, p := range pairs { // warm
@@ -284,6 +288,27 @@ func TestExtendScratchZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ExtendWithScratch allocates %v per run with warm scratch, want 0", allocs)
 	}
+}
+
+// TestExtendHeadroom pins the int32 headroom bound: every extension a
+// read from ReadFASTQ (at most 2^26 bases) can produce under BWAMEM
+// passes, a query twice that long does not, and ExtendWithScratch
+// panics rather than compute rows that would overflow.
+func TestExtendHeadroom(t *testing.T) {
+	const maxRead = 1 << 26
+	if !headroom(maxRead+8, maxRead, BWAMEM(), maxRead) {
+		t.Fatalf("a %d-base read under BWAMEM fails the headroom bound", maxRead)
+	}
+	if headroom(2*maxRead+8, 2*maxRead, BWAMEM(), 0) {
+		t.Fatalf("a %d-base read under BWAMEM passes the headroom bound", 2*maxRead)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ExtendWithScratch with a 2^28 match score did not panic")
+		}
+	}()
+	var s Scratch
+	ExtendWithScratch(&s, codes([]byte("ACGT")), codes([]byte("ACGT")), Scoring{Match: 1 << 28, Mismatch: 4, GapOpen: 6, GapExtend: 1}, 0, 100, 100)
 }
 
 // TestLocalBandedScratchZeroAlloc asserts the same for the banded

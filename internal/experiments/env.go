@@ -189,6 +189,6 @@ func (e *Env) softwareRPS(r *Runner) float64 {
 	if r != nil && r.swRPS > 0 {
 		return r.swRPS
 	}
-	_, rps := e.Aligner.AlignAll(e.Reads, 0)
+	_, _, rps := e.Aligner.AlignAll(e.Reads, 0)
 	return rps
 }

@@ -5,6 +5,7 @@ import (
 
 	"nvwa/internal/align"
 	"nvwa/internal/genome"
+	"nvwa/internal/seq"
 )
 
 func TestCigarRoundTrip(t *testing.T) {
@@ -70,5 +71,39 @@ func TestCigarPerfectRead(t *testing.T) {
 	}
 	if tb.Cigar.String() != "101M" {
 		t.Errorf("perfect read cigar = %s", tb.Cigar)
+	}
+}
+
+// TestCigarWarmAllocs: a warm Cigar runs its traceback DP in pooled
+// scratch, so it allocates only the CIGAR it returns, one per call, on
+// forward and reverse-strand results alike.
+func TestCigarWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch at random under the race detector")
+	}
+	a, ref := testAligner(t, 50000, 23)
+	var reads []seq.Seq
+	var results []Result
+	rev := 0
+	for _, r := range genome.Simulate(ref, 40, genome.ShortReadConfig(24)) {
+		if res := a.Align(r.ID, r.Seq); res.Found {
+			reads, results = append(reads, r.Seq), append(results, res)
+			if res.Rev {
+				rev++
+			}
+		}
+	}
+	if rev == 0 || rev == len(results) {
+		t.Fatalf("%d of %d results on the reverse strand; want both strands", rev, len(results))
+	}
+	perPass := testing.AllocsPerRun(5, func() {
+		for i, r := range reads {
+			if _, err := a.Cigar(r, results[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perPass != float64(len(reads)) {
+		t.Fatalf("warm Cigar allocates %.0f times over %d calls, want one per call", perPass, len(reads))
 	}
 }

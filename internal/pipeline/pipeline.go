@@ -100,6 +100,7 @@ type alnScratch struct {
 	qrev, rrev seq.Seq
 	rc         seq.Seq    // the read's reverse complement
 	exts       []Extended // Finish's records
+	scores     []int      // alignMapQ's extension scores
 }
 
 func (a *Aligner) getScratch() *alnScratch {
@@ -122,6 +123,15 @@ func reverseInto(dst *seq.Seq, s seq.Seq) seq.Seq {
 		out[len(s)-1-i] = b
 	}
 	return out
+}
+
+// revComp returns read's reverse complement, built into s.rc.
+func (s *alnScratch) revComp(read seq.Seq) seq.Seq {
+	rc := reverseInto(&s.rc, read)
+	for i, b := range rc {
+		rc[i] = seq.Complement(b)
+	}
+	return rc
 }
 
 // New indexes the reference and returns an aligner.
@@ -372,10 +382,7 @@ func (a *Aligner) extendAll(scr *alnScratch, read seq.Seq, hits []core.Hit, dst 
 		oriented := read
 		if h.Rev {
 			if rc == nil {
-				rc = reverseInto(&scr.rc, read)
-				for i, b := range rc {
-					rc[i] = seq.Complement(b)
-				}
+				rc = scr.revComp(read)
 			}
 			oriented = rc
 		}
@@ -455,16 +462,19 @@ func (a *Aligner) Align(readIdx int, read seq.Seq) Result {
 	return a.Finish(read, hits)
 }
 
-// AlignScores is Align plus the score of every extended hit, the input
-// to mapping-quality estimation (best versus second-best).
-func (a *Aligner) AlignScores(readIdx int, read seq.Seq) (Result, []int) {
+// alignMapQ is Align plus the read's mapping quality, estimated from
+// the best and second-best scores of the same pass's extensions.
+func (a *Aligner) alignMapQ(readIdx int, read seq.Seq) (Result, int) {
 	hits, _ := a.SeedAndChain(readIdx, read)
-	exts := a.ExtendAll(read, hits, nil)
-	scores := make([]int, len(exts))
-	for i, e := range exts {
-		scores[i] = int(e.Score)
+	scr := a.getScratch()
+	defer a.putScratch(scr)
+	scr.exts = a.extendAll(scr, read, hits, scr.exts[:0])
+	scr.scores = scr.scores[:0]
+	for _, e := range scr.exts {
+		scr.scores = append(scr.scores, int(e.Score))
 	}
-	return selectBest(hits, exts), scores
+	best, second := SecondBest(scr.scores)
+	return selectBest(hits, scr.exts), MapQ(best, second, len(scr.scores), a.opts.Scoring.Match)
 }
 
 // Finish extends the given hits and selects the best result; split out
@@ -481,7 +491,8 @@ func (a *Aligner) Finish(read seq.Seq, hits []core.Hit) Result {
 // running full Smith-Waterman with traceback over the result's
 // reference window — the same post-processing real aligners use to
 // emit SAM records. It returns the path with reference coordinates
-// rebased to the full reference.
+// rebased to the full reference. The DP runs in pooled scratch; only
+// the returned CIGAR is allocated.
 func (a *Aligner) Cigar(read seq.Seq, res Result) (align.Result, error) {
 	if !res.Found {
 		return align.Result{}, fmt.Errorf("pipeline: no alignment to trace back")
@@ -493,8 +504,14 @@ func (a *Aligner) Cigar(read seq.Seq, res Result) (align.Result, error) {
 	if hi > len(a.ref) {
 		hi = len(a.ref)
 	}
-	oriented := Orient(read, res.Rev)
-	out := align.Local(a.ref[lo:hi], oriented, a.opts.Scoring)
+	scr := a.getScratch()
+	defer a.putScratch(scr)
+	oriented := read
+	if res.Rev {
+		oriented = scr.revComp(read)
+	}
+	out := align.LocalWithScratch(&scr.dp, a.ref[lo:hi], oriented, a.opts.Scoring)
+	out.Cigar = slices.Clone(out.Cigar) // it aliases scr.dp
 	out.RefBeg += lo
 	out.RefEnd += lo
 	return out, nil

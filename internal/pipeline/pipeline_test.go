@@ -222,7 +222,7 @@ func TestAlignAllMatchesSequential(t *testing.T) {
 	for i, r := range reads {
 		seqs[i] = r.Seq
 	}
-	par, tput := a.AlignAll(seqs, 4)
+	par, mapq, tput := a.AlignAll(seqs, 4)
 	if tput <= 0 {
 		t.Error("non-positive throughput")
 	}
@@ -230,6 +230,15 @@ func TestAlignAllMatchesSequential(t *testing.T) {
 		want := a.Align(i, r.Seq)
 		if par[i] != want {
 			t.Fatalf("read %d: parallel %+v != sequential %+v", i, par[i], want)
+		}
+		hits, _ := a.SeedAndChain(i, r.Seq)
+		var scores []int
+		for _, e := range a.ExtendAll(r.Seq, hits, nil) {
+			scores = append(scores, int(e.Score))
+		}
+		best, second := SecondBest(scores)
+		if q := MapQ(best, second, len(scores), a.Options().Scoring.Match); mapq[i] != q {
+			t.Fatalf("read %d: MAPQ %d, want %d from a separate extension pass", i, mapq[i], q)
 		}
 	}
 }

@@ -54,14 +54,16 @@ func (a *Aligner) Profile(reads []seq.Seq) []PhaseProfile {
 }
 
 // AlignAll aligns reads on the given number of threads (0 = GOMAXPROCS)
-// and returns the results plus the measured throughput in reads/sec —
-// the repository's stand-in for the paper's 16-thread BWA-MEM CPU
-// baseline.
-func (a *Aligner) AlignAll(reads []seq.Seq, threads int) ([]Result, float64) {
+// and returns the results, each read's mapping quality (MapQ over its
+// best and second-best extension scores, from the same pass), and the
+// measured throughput in reads/sec — the repository's stand-in for the
+// paper's 16-thread BWA-MEM CPU baseline.
+func (a *Aligner) AlignAll(reads []seq.Seq, threads int) ([]Result, []int, float64) {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
 	results := make([]Result, len(reads))
+	mapq := make([]int, len(reads))
 	var next int64
 	var mu sync.Mutex
 	start := time.Now()
@@ -78,7 +80,7 @@ func (a *Aligner) AlignAll(reads []seq.Seq, threads int) ([]Result, float64) {
 				if i >= len(reads) {
 					return
 				}
-				results[i] = a.Align(i, reads[i])
+				results[i], mapq[i] = a.alignMapQ(i, reads[i])
 			}
 		}()
 	}
@@ -87,7 +89,7 @@ func (a *Aligner) AlignAll(reads []seq.Seq, threads int) ([]Result, float64) {
 	if elapsed <= 0 {
 		elapsed = 1e-9
 	}
-	return results, float64(len(reads)) / elapsed
+	return results, mapq, float64(len(reads)) / elapsed
 }
 
 // HitLengths collects the extension lengths (the paper's hit_len) of

@@ -32,6 +32,7 @@ var reachAllow = map[string]string{
 	"fault.Plan.Normalize":          "facade: nvwa.FaultPlan re-exports fault.Plan",
 	"accel.ApplySteals":             "oracle: replays a StealLog; tests and FuzzStealSchedule check PlanBalanced's partition against it",
 	"align.ScoreCigar":              "oracle: recomputes a path's score; tests check Local and ExtendWithScratch CIGARs against it",
+	"align.Local":                   "oracle: the full local DP with a private workspace; FuzzSystolicVsSoftwareDP and systolic's tests check the wavefront's scores against it",
 	"align.ExtendBandReference":     "oracle: the full-row DP at band w with the 2w retry; FuzzExtendBandedVsFull and pipeline's refkernels tests check ExtendWithScratch against it",
 	"fmindex.Seeder.SeedsReference": "oracle: allocating three-pass seeding; fmindex's fuzz and workspace tests and pipeline's TestReferenceKernelsIdentical check SeedsWS against it",
 	"systolic.Array":                "oracle: the cycle-by-cycle wavefront; FuzzSystolicVsSoftwareDP checks Formula 3 (Latency) and align's DP against it",

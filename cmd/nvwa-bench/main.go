@@ -4,23 +4,27 @@
 //
 //	nvwa-bench [-exp all|fig2|fig5|fig6|fig8|fig9|fig11|fig12|fig13a|fig13b|fig14|tab1|tab2|chaos|scaleout|recovery]
 //	           [-reads N] [-reflen N] [-seed N] [-chaos-seeds N]
-//	           [-parallel] [-j N] [-json BENCH_parallel.json]
+//	           [-j N] [-json BENCH_parallel.json]
 //	           [-shards S] [-shard-policy contiguous|interleaved|balanced]
 //	           [-scaleout-json BENCH_scaleout.json] [-scaleout-check]
 //
 // Each experiment prints the rows or series of the corresponding paper
 // artifact; EXPERIMENTS.md records paper-versus-measured values.
 //
-// -parallel (or -j > 1) fans the independent configurations of the
-// multi-config experiments (fig11, fig13a, fig13b, fig14, frontend)
-// across a worker pool and replays the shared functional memo cache;
-// the output is byte-identical to the serial run (the only exception
-// is the measured software-pipeline throughput, which is a wall-clock
+// Every simulation replays the workload's one functional memo cache
+// (accel.Memo): seeding and extension run once per read, and each
+// configuration simulates only the cycle model.
+//
+// -j N fans the independent configurations of the multi-config
+// experiments (fig11, fig13a, fig13b, fig14, frontend) across N
+// workers (default 1; 0 means GOMAXPROCS); the output is
+// byte-identical to the one-worker run (the only exception is the
+// measured software-pipeline throughput, which is a wall-clock
 // measurement either way).
 //
-// -json FILE times every parallelizable experiment twice — serial and
-// parallel — and writes per-experiment wall-clock rows with speedups
-// (plus a determinism check of the two outputs) to FILE.
+// -json FILE times every parallelizable experiment twice — one worker
+// and -j workers — and writes per-experiment wall-clock rows with
+// speedups (plus a determinism check of the two outputs) to FILE.
 //
 // -trace FILE and -metrics FILE attach the observability layer to the
 // fig12 NvWa run (select it with -exp fig12 or -exp all) and export a
@@ -66,7 +70,7 @@
 //
 // Exit codes: 0 success; 1 runtime failure (including a chaos
 // conservation violation or watchdog abort); 2 usage error (unknown
-// flag or unknown experiment id).
+// flag, unknown experiment id, negative -j).
 package main
 
 import (
@@ -91,9 +95,8 @@ func main() {
 	reads := flag.Int("reads", 4000, "number of simulated reads for system experiments")
 	refLen := flag.Int("reflen", 200000, "synthetic reference length (bp)")
 	seed := flag.Int64("seed", 42, "random seed")
-	parallel := flag.Bool("parallel", false, "fan independent experiment configurations across a worker pool")
-	jobs := flag.Int("j", 0, "worker count for -parallel (0 = GOMAXPROCS; >1 implies -parallel)")
-	jsonOut := flag.String("json", "", "time serial vs parallel for each multi-config experiment and write JSON rows to this file")
+	jobs := flag.Int("j", 1, "fan independent experiment configurations across N workers (0 = GOMAXPROCS)")
+	jsonOut := flag.String("json", "", "time one worker vs -j workers for each multi-config experiment and write JSON rows to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of the fig12 NvWa run to FILE")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics snapshot of the fig12 NvWa run to FILE")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the bench to FILE")
@@ -113,6 +116,9 @@ func main() {
 	}
 	if *reads < 1 {
 		usage(fmt.Errorf("-reads must be >= 1, got %d", *reads))
+	}
+	if *jobs < 0 {
+		usage(fmt.Errorf("-j must be >= 0, got %d", *jobs))
 	}
 
 	if *cpuprofile != "" {
@@ -139,10 +145,7 @@ func main() {
 		}()
 	}
 
-	runner := experiments.Serial()
-	if *parallel || *jobs > 1 {
-		runner = experiments.NewRunner(*jobs)
-	}
+	runner := experiments.NewRunner(*jobs)
 	if *shards > 1 {
 		runner = runner.WithShards(*shards, pol)
 	}
@@ -368,7 +371,8 @@ func usage(err error) {
 	os.Exit(2)
 }
 
-// benchRow is one serial-versus-parallel timing comparison.
+// benchRow is one one-worker-versus-pool timing comparison; both
+// sides replay the workload's Memo.
 type benchRow struct {
 	Experiment string `json:"experiment"`
 	Workers    int    `json:"workers"`
@@ -433,8 +437,8 @@ type benchWork struct {
 	Seed       int64 `json:"seed"`
 }
 
-// runParallelBench times each selected multi-config experiment under
-// the serial and parallel policies and writes the JSON report. The
+// runParallelBench times each selected multi-config experiment on one
+// worker and on the runner's pool and writes the JSON report. The
 // software-pipeline throughput is pinned so both outputs are
 // deterministic and comparable byte for byte.
 func runParallelBench(path string, need func(string) bool, getEnv func() *experiments.Env,
@@ -490,6 +494,9 @@ func runParallelBench(path string, need func(string) bool, getEnv func() *experi
 		Host:        hostInfo(),
 		Workload:    benchWork{RefLen: refLen, Reads: len(getEnv().Reads), Fig14Reads: fig14Reads, Seed: seed},
 	}
+	// Both sides replay the shared workload's Memo; build it before
+	// timing so that neither column pays for it.
+	getEnv().Memo()
 	fmt.Printf("%-10s %7s %12s %12s %9s %s\n", "experiment", "shards", "serial(ms)", "parallel(ms)", "speedup", "identical")
 	for _, j := range jobs {
 		if !need(j.id) {

@@ -40,6 +40,8 @@ func TestExitCodes(t *testing.T) {
 		{"negative reads", []string{"-reads", "-5"}, 2},
 		{"zero reads", []string{"-exp", "fig11", "-reads", "0"}, 2},
 		{"retired kernel harness", []string{"-kernels"}, 2},
+		{"negative workers", []string{"-j", "-1"}, 2},
+		{"retired -parallel", []string{"-parallel"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,13 +6,14 @@
 //
 //	nvwa-dse [-reads N] [-reflen N] [-seed N]
 //	         [-depths 64,256,1024,4096] [-intervals 1,2,4,8]
-//	         [-parallel] [-j N]
+//	         [-j N]
 //	         [-shards S] [-shard-policy contiguous|interleaved|balanced]
 //	         [-checkpoint-every N]
 //
-// -parallel (or -j > 1) fans the independent design points across a
-// worker pool backed by the shared functional memo cache; the CSV is
-// byte-identical to the serial sweep.
+// Every design point replays the workload's one functional memo cache
+// (accel.Memo), so each point simulates only the cycle model. -j N
+// fans the independent design points across N workers (default 1; 0
+// means GOMAXPROCS); the CSV is byte-identical to the one-worker sweep.
 //
 // -shards S routes every design-point simulation through the sharded
 // scale-out engine (S chips over a partitioned read set, reports
@@ -24,7 +25,8 @@
 // rows are identical with it on or off.
 //
 // Exit codes: 0 success; 2 usage error (unknown flag, malformed or
-// non-positive sweep values, a -reflen too short for the reads).
+// non-positive sweep values, a negative -j, a -reflen too short for
+// the reads).
 package main
 
 import (
@@ -46,8 +48,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	depths := flag.String("depths", "64,256,1024,4096", "hits-buffer depths to sweep")
 	intervals := flag.String("intervals", "1,2,4,8", "interval counts to sweep")
-	parallel := flag.Bool("parallel", false, "fan independent design points across a worker pool")
-	jobs := flag.Int("j", 0, "worker count for -parallel (0 = GOMAXPROCS; >1 implies -parallel)")
+	jobs := flag.Int("j", 1, "fan independent design points across N workers (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 1, "simulate S independent chips per design point and merge reports (1 = unsharded)")
 	shardPolicy := flag.String("shard-policy", "contiguous", "read partitioning policy for -shards: contiguous, interleaved, or balanced")
 	ckptEvery := flag.Int64("checkpoint-every", 0, "with -shards: snapshot every shard at each multiple of N cycles (0 = off; figures are unchanged either way)")
@@ -70,10 +71,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	runner := experiments.Serial()
-	if *parallel || *jobs > 1 {
-		runner = experiments.NewRunner(*jobs)
+	if *jobs < 0 {
+		fail(fmt.Errorf("nvwa-dse: -j must be >= 0, got %d", *jobs))
 	}
+	runner := experiments.NewRunner(*jobs)
 	if *shards < 1 {
 		fail(fmt.Errorf("nvwa-dse: -shards must be >= 1, got %d", *shards))
 	}

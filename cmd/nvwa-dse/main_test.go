@@ -37,6 +37,8 @@ func TestExitCodes(t *testing.T) {
 		{"reference shorter than reads", []string{"-reflen", "50"}, 2},
 		{"unknown shard policy", []string{"-shard-policy", "bogus"}, 2},
 		{"checkpoints without shards", []string{"-checkpoint-every", "5"}, 2},
+		{"negative workers", []string{"-j", "-1"}, 2},
+		{"retired -parallel", []string{"-parallel"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -312,57 +312,66 @@ func TestWatchdogDiagnosesTightBudget(t *testing.T) {
 	}
 }
 
-// TestMemoMissesUnderFaultPlan is the replay-cache regression test: a
-// memo warmed fault-free (plan hash 0) must NOT be consumed by a
-// system configured with a fault plan, while the same memo re-keyed to
-// the plan's hash is.
-func TestMemoMissesUnderFaultPlan(t *testing.T) {
+// TestFaultedReplayEqualsLive: a read's record depends only on the
+// workload, so a memo built fault-free and replayed under a fault plan
+// gives the live run's Report and watchdog diagnosis. The sharded case
+// replays each shard's view under that shard's slice of the plan.
+func TestFaultedReplayEqualsLive(t *testing.T) {
 	t.Parallel()
-	a, reads := testWorkload(t, 40, 31)
+	a, reads := testWorkload(t, 200, 31)
 	memo := BuildMemo(a, nil, reads, 2)
-	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.EUFail, Cycle: 500, Unit: 1}}}
-
-	o := smallOpts()
-	o.Memo = memo
-	sys, err := New(a, o)
+	base, err := New(a, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.memo == nil {
-		t.Fatal("fault-free system rejected a fault-free memo")
+	horizon := base.Run(reads).Cycles
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
 	}
-
-	o = smallOpts()
-	o.Memo = memo
-	o.Faults = plan
-	sys, err = New(a, o)
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 2} {
+		for seed := int64(1); seed <= 6; seed++ {
+			o := smallOpts()
+			spec := fault.DefaultSpec(seed)
+			spec.Horizon = horizon
+			o.Faults = spec.Generate(o.Config.NumSUs*shards, o.Config.TotalEUs()*shards)
+			o.Watchdog = &sim.Watchdog{MaxCycles: 20 * horizon}
+			run := func(m *Memo) (*Report, error) {
+				o := o
+				o.Memo = m
+				if shards == 1 {
+					sys, err := New(a, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (sys.memo != nil) != (m != nil) {
+						t.Fatalf("seed %d: memo attached %v, replaying %v", seed, m != nil, sys.memo != nil)
+					}
+					return sys.RunChecked(reads)
+				}
+				ss, err := NewSharded(a, ShardedOptions{Options: o, Shards: shards, Policy: ShardContiguous, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ss.RunChecked(reads)
+			}
+			live, liveErr := run(nil)
+			replay, replayErr := run(memo)
+			if live.Faults == nil || live.Faults.Injected == 0 {
+				t.Fatalf("S=%d seed %d: the plan injected nothing", shards, seed)
+			}
+			if errText(liveErr) != errText(replayErr) {
+				t.Fatalf("S=%d seed %d: live error %v, replayed error %v", shards, seed, liveErr, replayErr)
+			}
+			if !reflect.DeepEqual(live, replay) {
+				t.Fatalf("S=%d seed %d: replayed faulted Report diverges from the live one", shards, seed)
+			}
+		}
 	}
-	if sys.memo != nil {
-		t.Fatal("memo warmed fault-free was served to a faulted configuration")
-	}
-
-	o = smallOpts()
-	o.Memo = keyedMemo(BuildMemo(a, nil, reads, 2), plan.Hash())
-	o.Faults = plan
-	sys, err = New(a, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.memo == nil {
-		t.Fatal("memo keyed to the plan hash was rejected")
-	}
-
-	// And the re-keyed memo must no longer serve the fault-free path.
-	o = smallOpts()
-	o.Memo = keyedMemo(BuildMemo(a, nil, reads, 2), plan.Hash())
-	sys, err = New(a, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.memo != nil {
-		t.Fatal("plan-keyed memo served a fault-free configuration")
+	if memo.shards.views[shardViewKey{pol: ShardContiguous, s: 2}] == nil {
+		t.Fatal("the sharded runs never derived per-shard memo views")
 	}
 }
 
@@ -411,11 +420,4 @@ func TestRetryBackoffClamped(t *testing.T) {
 		}
 		prev = d
 	}
-}
-
-// keyedMemo re-keys m to a fault-plan hash, as NewSharded does for
-// each shard's view.
-func keyedMemo(m *Memo, planHash uint64) *Memo {
-	m.planHash = planHash
-	return m
 }

@@ -18,8 +18,9 @@ import (
 // per hit — computed ahead of time.
 //
 // The insight is that a read's record depends only on the workload,
-// never on the hardware configuration being simulated: every Fig. 11
-// ablation, Fig. 13 sweep point, and front-end row would refill the
+// never on the hardware configuration being simulated or the faults
+// injected into it: every Fig. 11 ablation, Fig. 13 sweep point,
+// front-end row and chaos schedule would refill the
 // exact same SMEM searches and banded DP extensions inside its
 // single-threaded event loop. A Memo fills them once per workload — in
 // parallel across reads, through fillRead, the function a System runs
@@ -31,8 +32,10 @@ import (
 // Report to a direct run. The cached records are exactly what the
 // System would have filled (same function, run once), and the cycle
 // model consumes only those records, so the event schedule cannot
-// diverge. The golden tests in internal/experiments enforce this end
-// to end.
+// diverge. A fault plan changes when and where records are charged,
+// never what they hold, so the same holds under faults. The golden
+// tests in internal/experiments and the faulted-replay tests here
+// enforce this end to end.
 //
 // After Build returns, a Memo is immutable and safe for unsynchronised
 // concurrent use. Callers must not modify the returned slices.
@@ -41,12 +44,6 @@ type Memo struct {
 	ext   *pipeline.Aligner // the extension engine the cache was built over
 	reads []seq.Seq
 	per   []memoRead
-	// planHash keys the cache to the fault plan it was warmed for
-	// (fault.Plan.Hash; 0 = fault-free). New consults it so a memo
-	// warmed fault-free can never be replayed into a faulted
-	// configuration — degraded runs must refill through the live
-	// path rather than inherit fault-free results.
-	planHash uint64
 	// resumeHash keys the cache to a checkpoint-resume identity
 	// (ckpt.Checkpoint.Hash; 0 = fresh run). A resumed System carries a
 	// nonzero Options.ResumeHash, so a memo warmed for a fresh run can
@@ -151,19 +148,12 @@ func BuildMemo(aligner *pipeline.Aligner, front su.Seeding, reads []seq.Seq, wor
 // different Seeder must not consume this cache.
 func (m *Memo) Replays(front su.Seeding) bool { return m != nil && m.front == front }
 
-// CoversPlan reports whether the memo is keyed to the given fault-plan
-// hash. A fresh BuildMemo is keyed fault-free (hash 0); a sharded
-// system keys each shard's view to that shard's plan. The gate is
-// deliberately conservative: even though the functional results are
-// plan-invariant, a replay cache must never be a channel by which a
-// faulted configuration inherits fault-free state it did not earn.
-func (m *Memo) CoversPlan(planHash uint64) bool { return m != nil && m.planHash == planHash }
-
 // CoversResume reports whether the memo is keyed to the given
-// checkpoint-resume hash (Options.ResumeHash; 0 = fresh run). Same
-// conservatism as CoversPlan: the functional results are
-// resume-invariant, but a resumed run must never silently consume a
-// cache warmed for a different execution identity.
+// checkpoint-resume hash (Options.ResumeHash; 0 = fresh run). The
+// functional results are resume-invariant, but a resumed run consumes
+// a cache only when the caller re-keyed it to that resume identity
+// (KeyedToResume), so a fresh run's cache never aliases a resumed one
+// by accident.
 func (m *Memo) CoversResume(resumeHash uint64) bool { return m != nil && m.resumeHash == resumeHash }
 
 // KeyedToResume re-keys the memo to a checkpoint-resume hash and
@@ -247,8 +237,8 @@ func (m *Memo) hashReads(reads []seq.Seq) uint64 {
 // per-read payloads (hits are copied for the remap; stats and
 // extension records, which carry no ReadIdx, alias the parent) and are
 // memoized per (pol, s), so repeated sharded runs over one memo pay the
-// derivation once. The returned views carry the parent's plan keying;
-// callers re-key shallow copies per shard plan.
+// derivation once. The returned views carry the parent's resume
+// keying.
 //
 // Concurrency: safe for concurrent use after BuildMemo, like every
 // other Memo method. nil for s <= 1 or a memo not built by BuildMemo.
@@ -265,7 +255,7 @@ func (m *Memo) ShardViews(pol ShardPolicy, s int, parts [][]int) []*Memo {
 	views := make([]*Memo, s)
 	for i, part := range parts {
 		v := &Memo{
-			front: m.front, ext: m.ext, planHash: m.planHash, resumeHash: m.resumeHash,
+			front: m.front, ext: m.ext, resumeHash: m.resumeHash,
 			reads: make([]seq.Seq, len(part)),
 			per:   make([]memoRead, len(part)),
 			wl:    &memoHash{},

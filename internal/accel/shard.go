@@ -277,12 +277,10 @@ func (ss *ShardedSystem) RunDetailed(reads []seq.Seq) (*Report, []*Report, error
 	}
 	plans := fault.PartitionPlan(rest, s, o.Config.NumSUs, o.Config.TotalEUs())
 
-	// Per-shard memo views: derived only when the parent memo covers
-	// this exact workload and fault plan, so the plan-keying discipline
-	// (a cache never serves a configuration it was not warmed for)
-	// survives sharding.
+	// Per-shard memo views, derived only when the parent memo covers
+	// this workload.
 	var views []*Memo
-	if o.Memo != nil && len(o.Memo.Reads()) == len(reads) && o.Memo.CoversPlan(rest.Hash()) {
+	if o.Memo != nil && len(o.Memo.Reads()) == len(reads) {
 		views = o.Memo.ShardViews(o.Policy, s, parts)
 	}
 
@@ -328,12 +326,7 @@ func (ss *ShardedSystem) RunDetailed(reads []seq.Seq) (*Report, []*Report, error
 				so.Faults = plans[i]
 				so.Memo = nil
 				if views != nil {
-					// Shallow per-run copy keyed to the shard's plan, so
-					// the cached view itself is never mutated (it is
-					// shared across runs and shards).
-					v := *views[i]
-					v.planHash = plans[i].Hash()
-					so.Memo = &v
+					so.Memo = views[i]
 				}
 				if crs := crashCycles[i]; len(crs) > 0 || o.CheckpointEvery > 0 {
 					rep, fo, runErr := runRecovered(ss.aligner, so, o.Obs, i, shardReads[i], crs, o.CheckpointEvery)

@@ -71,12 +71,9 @@ type Options struct {
 	// Memo optionally supplies the workload's per-read records ahead
 	// of time (see BuildMemo). Without it the system fills each read's
 	// record at the read's seeding event, with the same function. It is
-	// consumed only when it was built over the same seeding front end
-	// this system runs, so attaching a default FM-index memo to a
-	// minimizer-seeded system is a harmless no-op, and only for reads
-	// it holds with identical sequences. Replayed runs produce
-	// byte-identical Reports to direct runs; the cache only removes
-	// redundant recomputation from the event loop.
+	// consumed only when it was built over the seeding front end this
+	// system runs, and only for reads it holds with identical
+	// sequences.
 	Memo *Memo
 	// Obs optionally attaches the observability layer: a metrics
 	// registry, a Chrome trace_event timeline, and the scheduler
@@ -252,13 +249,10 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 	if opts.Seeder != nil {
 		s.front = opts.Seeder
 	}
-	if opts.Memo.Replays(s.front) && opts.Memo.CoversPlan(opts.Faults.Hash()) && opts.Memo.CoversResume(opts.ResumeHash) {
+	if opts.Memo.Replays(s.front) && opts.Memo.CoversResume(opts.ResumeHash) {
 		// Replay mode: reads take their records from the memo and the
-		// event loop models only cycle costs. The memo is keyed to a
-		// fault-plan hash as well as its front end, so a cache warmed
-		// fault-free can never serve a faulted configuration. Reads
-		// the memo does not hold are filled over the aligner the cache
-		// was built with.
+		// event loop models only cycle costs. Reads the memo does not
+		// hold are filled over the aligner the cache was built with.
 		s.memo = opts.Memo
 		s.ext = s.memo.ext
 	}

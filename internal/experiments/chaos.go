@@ -182,14 +182,13 @@ func chaosRun(env *Env, strat coordinator.Strategy, spec fault.Spec, baseline, f
 	// Rows already fan across the runner's worker pool, so each row's
 	// shards run on a single worker; the merged Report is invariant to
 	// that choice.
-	sys, err := accel.NewSharded(env.Aligner, accel.ShardedOptions{
+	rep, _, runErr := env.simulate(accel.ShardedOptions{
 		Options: o, Shards: shards, Policy: r.ShardPolicy(), Workers: 1,
 	})
-	if err != nil {
-		row.RunErr = err.Error()
+	if rep == nil {
+		row.RunErr = runErr.Error()
 		return row
 	}
-	rep, runErr := sys.RunChecked(env.Reads)
 	row.Cycles = rep.Cycles
 	if rep.Faults != nil {
 		row.Faults = *rep.Faults

@@ -86,6 +86,23 @@ func TestChaosDeterministicAcrossRunners(t *testing.T) {
 	}
 }
 
+// TestChaosReplayEqualsLive: a fault plan never changes a read's
+// record, so chaos rows replayed over the Env's Memo equal the rows of
+// the same workload with no Memo, baselines and degraded runs alike.
+func TestChaosReplayEqualsLive(t *testing.T) {
+	t.Parallel()
+	env := getEnv(t)
+	cfg := DefaultChaosConfig()
+	cfg.Seeds = 2
+	cfg.Template.Seed = 3
+	replayed := Chaos(env, cfg, NewRunner(0))
+	live := Chaos(liveEnv(env), cfg, NewRunner(0))
+	if !reflect.DeepEqual(replayed, live) {
+		t.Errorf("chaos rows differ with the Memo attached:\nreplayed:\n%s\nlive:\n%s",
+			replayed.Format(), live.Format())
+	}
+}
+
 // TestChaosNilPlanByteIdentical is the zero-overhead differential,
 // quantified over every allocator strategy: a system carrying an empty
 // fault plan and a watchdog produces a Report byte-identical to the

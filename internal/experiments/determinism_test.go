@@ -1,19 +1,47 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"nvwa/internal/accel"
 )
 
-// The golden determinism suite is the contract the parallel experiment
-// engine ships under: for the same workload, (1) re-running an
-// experiment serially reproduces the formatted output byte for byte,
-// and (2) the parallel runner — worker-pool fan-out plus memo replay —
-// reproduces the serial bytes and result structs exactly. Wall-clock
-// software-throughput measurement, the one legitimately nondeterministic
-// input, is pinned via WithSoftwareRPS.
+// The golden determinism suite is the contract the experiment engine
+// ships under: for the same workload, (1) re-running an experiment
+// serially reproduces the formatted output byte for byte, (2) the
+// parallel runner's worker-pool fan-out reproduces the serial bytes
+// and result structs exactly, and (3) every configuration, replayed
+// over the Env's Memo, gives the Report of the live, memo-less
+// accel.New(...).Run — the oracle. Wall-clock software-throughput
+// measurement, the one legitimately nondeterministic input, is pinned
+// via WithSoftwareRPS.
 
 const goldenRPS = 1e6
+
+// liveEnv returns env's workload without a Memo: every simulation on
+// it fills each read's record live, as the oracle does.
+func liveEnv(env *Env) *Env {
+	e := &Env{Ref: env.Ref, Aligner: env.Aligner, Reads: env.Reads, Records: env.Records, Classes: env.Classes}
+	e.memoOnce.Do(func() {})
+	return e
+}
+
+// assertReplayEqualsLive checks the oracle for one configuration: the
+// experiments' run path, which replays env's Memo, gives the Report of
+// a live accel.New(...).Run built with no Memo.
+func assertReplayEqualsLive(t *testing.T, env *Env, o accel.Options, what string) {
+	t.Helper()
+	sys, err := accel.New(env.Aligner, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := sys.Run(env.Reads)
+	if replay := env.runWith(o, Serial()); !reflect.DeepEqual(live, replay) {
+		t.Fatalf("%s: replayed Report diverges from the live one (cycles %d, live %d)", what, replay.Cycles, live.Cycles)
+	}
+}
 
 // goldenSeeds drives the table: the shared test env seed plus extra
 // fresh-workload seeds that only run without -short.
@@ -57,6 +85,9 @@ func TestGoldenFig11SerialAndParallelIdentical(t *testing.T) {
 		if !reflect.DeepEqual(first, parallel) {
 			t.Fatalf("seed %d: parallel Fig11 structs diverge from serial", seed)
 		}
+		for i, o := range fig11Configs(env) {
+			assertReplayEqualsLive(t, env, o, fmt.Sprintf("seed %d: Fig11 config %d", seed, i))
+		}
 	}
 }
 
@@ -79,6 +110,11 @@ func TestGoldenFig13aSerialAndParallelIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(first, parallel) {
 			t.Fatalf("seed %d: parallel Fig13a rows diverge from serial", seed)
+		}
+		for _, d := range depths {
+			o := env.NvWaOptions()
+			o.Config.HitsBufferDepth = d
+			assertReplayEqualsLive(t, env, o, fmt.Sprintf("seed %d: Fig13a depth %d", seed, d))
 		}
 	}
 }
@@ -114,15 +150,22 @@ func TestGoldenFig14SerialAndParallelIdentical(t *testing.T) {
 }
 
 // TestGoldenReportEquivalence pins the Report-level contract inside the
-// experiments layer: the exact same accel.Options run with and without
-// the env's memo produce deeply equal Reports.
+// experiments layer: the same accel.Options built directly, with and
+// without the env's memo, produce deeply equal Reports.
 func TestGoldenReportEquivalence(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
+	run := func(o accel.Options) *accel.Report {
+		sys, err := accel.New(env.Aligner, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.Run(env.Reads)
+	}
 	o := env.NvWaOptions()
-	direct := env.run(o)
+	direct := run(o)
 	o.Memo = env.Memo()
-	replay := env.run(o)
+	replay := run(o)
 	if !reflect.DeepEqual(direct, replay) {
 		t.Fatal("memo-replayed Report diverges from direct Report")
 	}
@@ -151,5 +194,12 @@ func TestGoldenFrontEndsParallel(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, parallel) {
 		t.Fatal("front-end row structs diverge")
+	}
+	names, configs, err := frontEndConfigs(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range configs {
+		assertReplayEqualsLive(t, env, o, names[i])
 	}
 }

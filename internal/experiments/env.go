@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -25,7 +26,8 @@ import (
 // experiments share an Env where possible. An Env is safe for
 // concurrent use: the aligner and index are read-only after
 // construction (AlignAll already exercises them from many goroutines),
-// and every simulation builds a private accel.System.
+// and every simulation builds a private accel.System that replays the
+// Env's one Memo.
 type Env struct {
 	// Ref is the synthetic reference genome.
 	Ref *genome.Reference
@@ -85,35 +87,10 @@ func (e *Env) NvWaOptions() accel.Options {
 func (e *Env) BaselineOptions() accel.Options { return accel.BaselineOptions() }
 
 // RunNvWa simulates the full NvWa system on the workload.
-func (e *Env) RunNvWa() *accel.Report { return e.run(e.NvWaOptions()) }
+func (e *Env) RunNvWa() *accel.Report { return e.runWith(e.NvWaOptions(), nil) }
 
 // RunBaseline simulates the SUs+EUs baseline on the workload.
-func (e *Env) RunBaseline() *accel.Report { return e.run(e.BaselineOptions()) }
-
-func (e *Env) run(o accel.Options) *accel.Report {
-	// Under `go test`, every experiment simulation carries the scheduler
-	// invariant checker (hit conservation, round soundness, buffer
-	// bounds, monotone time), so a regression in any figure's code path
-	// fails loudly instead of skewing numbers. Observation never changes
-	// Reports, so the figures are identical either way.
-	var inv *obs.Invariants
-	if o.Obs == nil && testing.Testing() {
-		ob := obs.NewInvariantsOnly()
-		o.Obs = ob
-		inv = ob.Inv
-	}
-	sys, err := accel.New(e.Aligner, o)
-	if err != nil {
-		panic(err) // options are constructed internally; invalid means a bug
-	}
-	rep := sys.Run(e.Reads)
-	if inv != nil {
-		if err := inv.Err(); err != nil {
-			panic(fmt.Sprintf("experiments: scheduler invariant violated (%s): %v", sys.Describe(), err))
-		}
-	}
-	return rep
-}
+func (e *Env) RunBaseline() *accel.Report { return e.runWith(e.BaselineOptions(), nil) }
 
 // RunNvWaObserved simulates the full NvWa system with an explicit
 // observer attached (metrics, trace, invariants), for the CLI's
@@ -121,7 +98,7 @@ func (e *Env) run(o accel.Options) *accel.Report {
 func (e *Env) RunNvWaObserved(ob *obs.Observer) *accel.Report {
 	o := e.NvWaOptions()
 	o.Obs = ob
-	return e.run(o)
+	return e.runWith(o, nil)
 }
 
 // Memo returns the workload's shared functional-replay cache, building
@@ -135,60 +112,75 @@ func (e *Env) Memo() *accel.Memo {
 	return e.memo
 }
 
-// runWith simulates one configuration under the runner's policy:
-// memo-replay runs attach the shared cache, the serial policy runs the
-// unmodified path, and a sharded policy (Runner.WithShards) routes the
-// whole simulation through the scale-out engine. Memo replay and the
-// unsharded serial path produce byte-identical Reports; sharded runs
-// produce the deterministic merged Report, invariant to worker count.
+// runWith simulates one configuration under the runner's policy: a
+// sharded policy (Runner.WithShards) splits it across chips on the
+// runner's workers, and a nil Runner runs it unsharded. Options are
+// constructed internally, so an error is a bug.
 func (e *Env) runWith(o accel.Options, r *Runner) *accel.Report {
-	if r.UseMemo() && o.Seeder == nil {
-		o.Memo = e.Memo()
-	}
-	if r.Shards() > 1 {
-		return e.runSharded(o, r)
-	}
-	return e.run(o)
-}
-
-// runSharded simulates one configuration on the sharded scale-out
-// engine, carrying the same under-test invariant checking as run: the
-// per-shard checkers merge into the parent and the cross-shard
-// conservation equation is closed after the merge.
-func (e *Env) runSharded(o accel.Options, r *Runner) *accel.Report {
-	var inv *obs.Invariants
-	if o.Obs == nil && testing.Testing() {
-		ob := obs.NewInvariantsOnly()
-		o.Obs = ob
-		inv = ob.Inv
-	}
-	so := accel.ShardedOptions{
+	rep, _, err := e.simulate(accel.ShardedOptions{
 		Options:         o,
 		Shards:          r.Shards(),
 		Policy:          r.ShardPolicy(),
 		Workers:         r.Workers(),
 		CheckpointEvery: r.CheckpointEvery(),
-	}
-	sys, err := accel.NewSharded(e.Aligner, so)
+	})
 	if err != nil {
-		panic(err) // options are constructed internally; invalid means a bug
-	}
-	rep := sys.Run(e.Reads)
-	if inv != nil {
-		if err := inv.Err(); err != nil {
-			panic(fmt.Sprintf("experiments: scheduler invariant violated (%s): %v", sys.Describe(), err))
-		}
+		panic(err)
 	}
 	return rep
 }
 
+// simulate is where every Env-backed simulation runs: on the scale-out
+// engine (one shard is the plain System) over the workload, replaying
+// the Env's Memo. Under `go test` a run without its own observer
+// carries the scheduler invariant checker (hit conservation, round
+// soundness, buffer bounds, monotone time, and the cross-shard
+// conservation equation after a merge), so a regression in any
+// figure's code path fails loudly instead of skewing numbers.
+// Observation never changes Reports. It returns the merged Report, the
+// per-shard Reports (nil unsharded) and the construction or watchdog
+// error.
+func (e *Env) simulate(so accel.ShardedOptions) (*accel.Report, []*accel.Report, error) {
+	so.Memo = e.Memo()
+	var inv *obs.Invariants
+	if so.Obs == nil && testing.Testing() {
+		ob := obs.NewInvariantsOnly()
+		so.Obs = ob
+		inv = ob.Inv
+	}
+	sys, err := accel.NewSharded(e.Aligner, so)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, parts, err := sys.RunDetailed(e.Reads)
+	if inv != nil {
+		if ierr := inv.Err(); ierr != nil {
+			panic(fmt.Sprintf("experiments: scheduler invariant violated (%s): %v", sys.Describe(), ierr))
+		}
+	}
+	return rep, parts, err
+}
+
+// hostPasses is k, the number of timed passes behind every host-timed
+// figure: the software baseline is the median of k passes, and Fig. 2
+// keeps each read's minimum over k passes. One pass on a shared host
+// swings these figures by a quarter between identical runs.
+const hostPasses = 3
+
 // softwareRPS returns the software-pipeline throughput under the
 // runner's policy: the pinned deterministic value when set, otherwise
-// the measured multi-threaded wall-clock rate.
+// the median multi-threaded wall-clock rate of hostPasses passes. The
+// passes are warm: every caller first simulates the workload, and the
+// Memo build behind that ran the same seeding and extension over every
+// read.
 func (e *Env) softwareRPS(r *Runner) float64 {
 	if r != nil && r.swRPS > 0 {
 		return r.swRPS
 	}
-	_, _, rps := e.Aligner.AlignAll(e.Reads, 0)
-	return rps
+	rps := make([]float64, hostPasses)
+	for i := range rps {
+		_, _, rps[i] = e.Aligner.AlignAll(e.Reads, 0)
+	}
+	sort.Float64s(rps)
+	return rps[hostPasses/2]
 }

@@ -21,29 +21,16 @@ type FrontEndRow struct {
 // system level: the same schedulers, Coordinator, and EUs host two
 // different seeding algorithms — the FM-index three-pass pipeline and
 // the minimap2-style minimizer seed-and-chain — through the Table III
-// unified interface. Under the runner's execution policy the
-// front-end rows are independent systems and fan across the runner's
-// workers. The minimizer row configures its own Seeder, so the shared
-// FM-index memo is (correctly) not consumed there — accel.System
-// refuses a memo built over a different front end.
+// unified interface. The front-end rows are independent systems and
+// fan across the runner's workers.
 func FrontEndsWith(env *Env, rn *Runner) ([]FrontEndRow, error) {
-	ms, err := pipeline.NewMinimizerSeeder(env.Aligner, 10, 15)
+	names, configs, err := frontEndConfigs(env)
 	if err != nil {
 		return nil, err
 	}
-	configs := []struct {
-		name string
-		mut  func(*accel.Options)
-	}{
-		{"FM-index (BWA-MEM three-pass)", func(o *accel.Options) {}},
-		{"minimizer seed-and-chain (minimap2-style)", func(o *accel.Options) { o.Seeder = ms }},
-	}
 	rows := make([]FrontEndRow, len(configs))
 	rn.Map(len(configs), func(i int) {
-		c := configs[i]
-		o := env.NvWaOptions()
-		c.mut(&o)
-		rep := env.runWith(o, rn)
+		rep := env.runWith(configs[i], rn)
 		aligned := 0
 		for _, r := range rep.Results {
 			if r.Found {
@@ -51,7 +38,7 @@ func FrontEndsWith(env *Env, rn *Runner) ([]FrontEndRow, error) {
 			}
 		}
 		rows[i] = FrontEndRow{
-			Name:             c.name,
+			Name:             names[i],
 			ThroughputKReads: rep.ThroughputReadsPerSec / 1000,
 			SUUtil:           rep.SUUtil,
 			EUUtil:           rep.EUUtil,
@@ -60,6 +47,20 @@ func FrontEndsWith(env *Env, rn *Runner) ([]FrontEndRow, error) {
 		}
 	})
 	return rows, nil
+}
+
+// frontEndConfigs returns the front-end rows' names and NvWa
+// configurations: the default FM-index front end and the minimizer
+// seeder.
+func frontEndConfigs(env *Env) ([]string, []accel.Options, error) {
+	ms, err := pipeline.NewMinimizerSeeder(env.Aligner, 10, 15)
+	if err != nil {
+		return nil, nil, err
+	}
+	minimizer := env.NvWaOptions()
+	minimizer.Seeder = ms
+	return []string{"FM-index (BWA-MEM three-pass)", "minimizer seed-and-chain (minimap2-style)"},
+		[]accel.Options{env.NvWaOptions(), minimizer}, nil
 }
 
 // FormatFrontEnds renders the comparison.

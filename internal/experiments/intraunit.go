@@ -37,7 +37,7 @@ func IntraUnit(env *Env) []IntraUnitRow {
 		o := env.NvWaOptions()
 		o.SeedStrategy = c.seed
 		o.SUCost.SerializeDRAM = c.serialize
-		rep := env.run(o)
+		rep := env.runWith(o, nil)
 		rows = append(rows, IntraUnitRow{
 			Name:             c.name,
 			Cycles:           rep.Cycles,

@@ -211,14 +211,11 @@ func recoveryRun(env *Env, pol accel.ShardPolicy, shards int, crashes []fault.Ev
 	if len(crashes) > 0 {
 		o.Faults = &fault.Plan{Events: crashes}
 	}
-	sys, err := accel.NewSharded(env.Aligner, accel.ShardedOptions{
+	rep, _, err := env.simulate(accel.ShardedOptions{
 		Options: o, Shards: shards, Policy: pol, Workers: 1,
 		CheckpointEvery: every,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return sys.RunChecked(env.Reads)
+	return rep, err
 }
 
 func recoveryReportBytes(rep *accel.Report) []byte {

@@ -12,8 +12,7 @@ import (
 // Runner is the experiment-execution policy: how many workers fan the
 // independent artifacts of an experiment (Fig. 11's ablation configs,
 // Fig. 13's sweep points, Fig. 14's dataset rows, the front-end rows)
-// across the host, and whether the shared functional-replay memo cache
-// (accel.Memo) backs the simulated Systems.
+// across the host, and whether each simulation is sharded.
 //
 // Determinism contract: for any Runner, every experiment produces
 // byte-identical formatted output and identical result structs to the
@@ -25,26 +24,22 @@ import (
 // The golden tests in determinism_test.go enforce the contract.
 type Runner struct {
 	workers   int
-	memo      bool
 	swRPS     float64
 	shards    int
 	policy    accel.ShardPolicy
 	ckptEvery int64
 }
 
-// Serial returns the bisection-friendly reference policy: one worker,
-// no memo replay — exactly the code path the repository shipped with.
+// Serial returns the one-worker policy.
 func Serial() *Runner { return &Runner{workers: 1} }
 
 // NewRunner returns a policy with the given worker count (0 or
-// negative means runtime.GOMAXPROCS). More than one worker enables
-// memo replay, since sharing the precomputed functional results is
-// what makes the fan-out profitable.
+// negative means runtime.GOMAXPROCS).
 func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{workers: workers, memo: workers > 1}
+	return &Runner{workers: workers}
 }
 
 // WithSoftwareRPS pins the software-pipeline throughput (reads/sec)
@@ -82,9 +77,9 @@ func (r *Runner) WithCheckpointEvery(n int64) *Runner {
 }
 
 // CheckpointEvery returns the configured checkpoint interval in
-// cycles (0 = no periodic checkpoints).
+// cycles (0 = no periodic checkpoints, always so when unsharded).
 func (r *Runner) CheckpointEvery() int64 {
-	if r == nil || r.ckptEvery < 0 {
+	if r == nil || r.ckptEvery < 0 || r.Shards() <= 1 {
 		return 0
 	}
 	return r.ckptEvery
@@ -117,20 +112,11 @@ func (r *Runner) Workers() int {
 // Parallel reports whether the policy fans work out.
 func (r *Runner) Parallel() bool { return r.Workers() > 1 }
 
-// UseMemo reports whether Env-backed runs should replay the memo.
-func (r *Runner) UseMemo() bool { return r != nil && r.memo }
-
 // String names the policy for logs and bench rows.
 func (r *Runner) String() string {
-	var s string
-	if !r.Parallel() {
-		s = "serial"
-	} else {
-		memo := "memo"
-		if !r.UseMemo() {
-			memo = "no-memo"
-		}
-		s = fmt.Sprintf("parallel(j=%d,%s)", r.Workers(), memo)
+	s := "serial"
+	if r.Parallel() {
+		s = fmt.Sprintf("parallel(j=%d)", r.Workers())
 	}
 	if r.Shards() > 1 {
 		s += fmt.Sprintf(",shards=%d(%s)", r.Shards(), r.ShardPolicy())

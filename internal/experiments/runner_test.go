@@ -76,8 +76,8 @@ func TestRunnerMapPanicsPropagate(t *testing.T) {
 
 func TestRunnerPolicies(t *testing.T) {
 	t.Parallel()
-	if Serial().Parallel() || Serial().UseMemo() {
-		t.Fatal("Serial must be one worker without memo")
+	if Serial().Parallel() {
+		t.Fatal("Serial must be one worker")
 	}
 	if Serial().String() != "serial" {
 		t.Fatalf("Serial name %q", Serial().String())
@@ -87,8 +87,8 @@ func TestRunnerPolicies(t *testing.T) {
 		t.Fatalf("default workers %d", r.Workers())
 	}
 	four := NewRunner(4)
-	if !four.Parallel() || !four.UseMemo() {
-		t.Fatal("multi-worker runner should enable memo replay")
+	if !four.Parallel() {
+		t.Fatal("four-worker runner must fan out")
 	}
 	if !strings.Contains(four.String(), "j=4") {
 		t.Fatalf("name %q", four.String())
@@ -97,7 +97,7 @@ func TestRunnerPolicies(t *testing.T) {
 		t.Fatal("WithSoftwareRPS must copy, not mutate")
 	}
 	var nilRunner *Runner
-	if nilRunner.Workers() != 1 || nilRunner.UseMemo() {
+	if nilRunner.Workers() != 1 {
 		t.Fatal("nil runner must behave serially")
 	}
 }

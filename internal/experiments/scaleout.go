@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"testing"
 
 	"nvwa/internal/accel"
-	"nvwa/internal/obs"
 )
 
 // DefaultScaleoutCounts is the shard sweep of the scale-out artifact.
@@ -64,30 +62,11 @@ func Scaleout(env *Env, counts []int, pol accel.ShardPolicy, r *Runner) Scaleout
 
 // scaleoutRun simulates one shard count and reduces its row.
 func scaleoutRun(env *Env, shards int, pol accel.ShardPolicy, r *Runner) ScaleoutRow {
-	o := env.NvWaOptions()
-	if r.UseMemo() {
-		o.Memo = env.Memo()
-	}
-	var inv *obs.Invariants
-	if testing.Testing() {
-		ob := obs.NewInvariantsOnly()
-		o.Obs = ob
-		inv = ob.Inv
-	}
-	sys, err := accel.NewSharded(env.Aligner, accel.ShardedOptions{
-		Options: o, Shards: shards, Policy: pol, Workers: r.Workers(),
+	merged, parts, err := env.simulate(accel.ShardedOptions{
+		Options: env.NvWaOptions(), Shards: shards, Policy: pol, Workers: r.Workers(),
 	})
 	if err != nil {
-		panic(err) // options are constructed internally; invalid means a bug
-	}
-	merged, parts, runErr := sys.RunDetailed(env.Reads)
-	if runErr != nil {
-		panic(fmt.Sprintf("experiments: scaleout S=%d: %v", shards, runErr))
-	}
-	if inv != nil {
-		if err := inv.Err(); err != nil {
-			panic(fmt.Sprintf("experiments: scaleout S=%d invariant violated: %v", shards, err))
-		}
+		panic(fmt.Sprintf("experiments: scaleout S=%d: %v", shards, err))
 	}
 	row := ScaleoutRow{
 		Shards:                shards,

@@ -45,34 +45,13 @@ type Fig11Result struct {
 }
 
 // Fig11With runs the simulated comparison and ablations on the
-// workload under an explicit execution policy: the six
-// independent accelerator configurations (baseline, the cumulative
-// build-up, the add-one-in ablations, full NvWa) fan across the
-// runner's worker pool, and memo replay removes the redundant
-// per-config functional recomputation. Output is byte-identical to
-// the serial policy.
+// workload under an explicit execution policy: the six independent
+// accelerator configurations (baseline, the cumulative build-up, the
+// add-one-in ablations, full NvWa) fan across the runner's worker
+// pool. Output is byte-identical for any worker count.
 func Fig11With(env *Env, r *Runner) Fig11Result {
 	res := Fig11Result{Ablations: map[string]float64{}, AddOne: map[string]float64{}}
-
-	// The five ablation configs plus full NvWa are independent systems
-	// over the same workload — exactly the paper's Fig. 11 columns.
-	withHUS := env.BaselineOptions()
-	withHUS.Config.EUClasses = env.Classes
-	withOCRA := withHUS
-	withOCRA.SeedStrategy = accel.OneCycle
-	ocraOnly := env.BaselineOptions()
-	ocraOnly.SeedStrategy = accel.OneCycle
-	haOnly := env.BaselineOptions()
-	haOnly.AllocStrategy = coordinator.Grouped
-
-	configs := []accel.Options{
-		env.BaselineOptions(), // base
-		env.NvWaOptions(),     // full
-		withHUS,
-		withOCRA,
-		ocraOnly,
-		haOnly,
-	}
+	configs := fig11Configs(env)
 	reps := make([]*accel.Report, len(configs))
 	r.Map(len(configs), func(i int) { reps[i] = env.runWith(configs[i], r) })
 	base, full, hus, ocra := reps[0], reps[1], reps[2], reps[3]
@@ -110,6 +89,22 @@ func Fig11With(env *Env, r *Runner) Fig11Result {
 		})
 	}
 	return res
+}
+
+// fig11Configs returns the five ablation configs plus full NvWa:
+// independent systems over the same workload, exactly the paper's
+// Fig. 11 columns, in the order base, full, +HUS, +HUS+OCRA,
+// OCRA alone, HA alone.
+func fig11Configs(env *Env) []accel.Options {
+	withHUS := env.BaselineOptions()
+	withHUS.Config.EUClasses = env.Classes
+	withOCRA := withHUS
+	withOCRA.SeedStrategy = accel.OneCycle
+	ocraOnly := env.BaselineOptions()
+	ocraOnly.SeedStrategy = accel.OneCycle
+	haOnly := env.BaselineOptions()
+	haOnly.AllocStrategy = coordinator.Grouped
+	return []accel.Options{env.BaselineOptions(), env.NvWaOptions(), withHUS, withOCRA, ocraOnly, haOnly}
 }
 
 // Format renders the comparison table.

@@ -4,9 +4,8 @@
 //
 //	nvwa-bench [-exp all|fig2|fig5|fig6|fig8|fig9|fig11|fig12|fig13a|fig13b|fig14|tab1|tab2|chaos|scaleout|recovery]
 //	           [-reads N] [-reflen N] [-seed N] [-chaos-seeds N]
-//	           [-j N] [-json BENCH_parallel.json]
-//	           [-shards S] [-shard-policy contiguous|interleaved|balanced]
-//	           [-scaleout-json BENCH_scaleout.json] [-scaleout-check]
+//	           [-j N] [-trace FILE] [-metrics FILE]
+//	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // Each experiment prints the rows or series of the corresponding paper
 // artifact; EXPERIMENTS.md records paper-versus-measured values.
@@ -22,10 +21,6 @@
 // measured software-pipeline throughput, which is a wall-clock
 // measurement either way).
 //
-// -json FILE times every parallelizable experiment twice — one worker
-// and -j workers — and writes per-experiment wall-clock rows with
-// speedups (plus a determinism check of the two outputs) to FILE.
-//
 // -trace FILE and -metrics FILE attach the observability layer to the
 // fig12 NvWa run (select it with -exp fig12 or -exp all) and export a
 // Chrome trace_event timeline and a JSON metrics snapshot. Observation
@@ -38,18 +33,8 @@
 // checker attached. It is excluded from -exp all (it simulates
 // degraded hardware, not a paper figure); select it explicitly. The
 // bench exits 1 if any chaos run hangs past its budget or leaks a hit.
-// Combined with -shards, each chaos schedule is generated over the
-// aggregate S-chip machine and partitioned per shard.
-//
-// -shards S routes every Env-backed simulation through the sharded
-// scale-out engine (S independent chips over a partitioned read set,
-// Reports merged deterministically; see DESIGN.md "Scale-out
-// sharding"). -shard-policy picks contiguous (default), interleaved,
-// or balanced partitioning (balanced = deterministic work stealing
-// over seed-density cost estimates). The -json bench additionally re-chunks the fig11 and
-// fig14 jobs at S=4 on both the serial and parallel side, so their
-// single large simulations scale with -j while the byte-identity
-// check still compares like with like.
+// The sweep runs on one chip and on two; at two, each schedule is
+// generated over the aggregate machine and partitioned per shard.
 //
 // -exp recovery runs the crash-recovery smoke sweep: seeded chip-crash
 // schedules across all three partition policies and checkpoint
@@ -58,15 +43,13 @@
 // overheads tabulated. Excluded from -exp all for the same reason as
 // chaos; the bench exits 1 if any recovered Report diverges.
 //
-// -exp scaleout sweeps shard counts S ∈ {1,2,4,8,16} and prints
-// aggregate throughput and makespan versus S; it is excluded from
-// -exp all (scale-out across chips is beyond the paper's single-chip
-// scope). -scaleout-json FILE additionally times each shard count
-// serial versus parallel and writes the BENCH_scaleout.json artifact.
-// -scaleout-check runs the machine-independent scale-out guardrail
-// (merged makespan == max shard makespan, aggregate throughput grows
-// with S, zero allocations in the merge reduction hot path, optimized
-// merge == reference merge) and exits non-zero on violation.
+// -exp scaleout sweeps the three read-partitioning policies
+// (contiguous, interleaved, balanced work stealing; see DESIGN.md
+// "Scale-out sharding") across shard counts S ∈ {1,2,4,8,16} and
+// prints one table per policy: makespan, min/max shard, aggregate
+// throughput, both utilization pairs and steals versus S. It is
+// excluded from -exp all (scale-out across chips is beyond the paper's
+// single-chip scope).
 //
 // Exit codes: 0 success; 1 runtime failure (including a chaos
 // conservation violation or watchdog abort); 2 usage error (unknown
@@ -74,16 +57,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
-	"nvwa/internal/accel"
 	"nvwa/internal/experiments"
 	"nvwa/internal/genome"
 	"nvwa/internal/obs"
@@ -96,24 +76,12 @@ func main() {
 	refLen := flag.Int("reflen", 200000, "synthetic reference length (bp)")
 	seed := flag.Int64("seed", 42, "random seed")
 	jobs := flag.Int("j", 1, "fan independent experiment configurations across N workers (0 = GOMAXPROCS)")
-	jsonOut := flag.String("json", "", "time one worker vs -j workers for each multi-config experiment and write JSON rows to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of the fig12 NvWa run to FILE")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics snapshot of the fig12 NvWa run to FILE")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the bench to FILE")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to FILE")
-	shards := flag.Int("shards", 1, "simulate S independent chips over a partitioned read set and merge Reports deterministically (1 = unsharded)")
-	shardPolicy := flag.String("shard-policy", "contiguous", "read partitioning policy for -shards: contiguous, interleaved, or balanced")
-	scaleoutOut := flag.String("scaleout-json", "", "sweep shard counts serial vs parallel and write the BENCH_scaleout.json artifact to this file")
-	scaleoutCheck := flag.Bool("scaleout-check", false, "run the machine-independent scale-out guardrail and exit non-zero on violation")
 	flag.Parse()
 
-	pol, err := accel.ParseShardPolicy(*shardPolicy)
-	if err != nil {
-		usage(err)
-	}
-	if *shards < 1 {
-		usage(fmt.Errorf("-shards must be >= 1, got %d", *shards))
-	}
 	if *reads < 1 {
 		usage(fmt.Errorf("-reads must be >= 1, got %d", *reads))
 	}
@@ -146,9 +114,6 @@ func main() {
 	}
 
 	runner := experiments.NewRunner(*jobs)
-	if *shards > 1 {
-		runner = runner.WithShards(*shards, pol)
-	}
 
 	known := map[string]bool{"all": true}
 	for _, id := range []string{
@@ -192,35 +157,6 @@ func main() {
 			env = experiments.NewEnv(*refLen, *reads, *seed)
 		}
 		return env
-	}
-	fig14Reads := func() int {
-		n := *reads / 2
-		if n < 500 {
-			n = 500
-		}
-		return n
-	}
-
-	if *scaleoutCheck {
-		if err := runScaleoutCheck(getEnv(), pol); err != nil {
-			fail(err)
-		}
-		fmt.Println("scaleout-check: ok")
-		return
-	}
-	if *scaleoutOut != "" {
-		if err := runScaleoutBench(*scaleoutOut, getEnv(), *refLen, *seed, runner); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *jsonOut != "" {
-		if err := runParallelBench(*jsonOut, need, getEnv, *refLen, fig14Reads(), *seed, runner); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	ran := 0
@@ -272,7 +208,8 @@ func main() {
 		ran++
 	}
 	if need("fig14") {
-		fmt.Println(experiments.FormatFig14(experiments.Fig14With(*refLen, fig14Reads(), *seed, runner)))
+		fig14Reads := max(*reads/2, 500)
+		fmt.Println(experiments.FormatFig14(experiments.Fig14With(*refLen, fig14Reads, *seed, runner)))
 		ran++
 	}
 	if need("seeding") {
@@ -313,7 +250,7 @@ func main() {
 		ran++
 	}
 	if need("scaleout") {
-		fmt.Println(experiments.Scaleout(getEnv(), nil, pol, runner).Format())
+		fmt.Println(experiments.Scaleout(getEnv(), nil, runner).Format())
 		ran++
 	}
 	if need("recovery") {
@@ -369,171 +306,4 @@ func usage(err error) {
 	fmt.Fprintln(os.Stderr, "nvwa-bench:", err)
 	flag.Usage()
 	os.Exit(2)
-}
-
-// benchRow is one one-worker-versus-pool timing comparison; both
-// sides replay the workload's Memo.
-type benchRow struct {
-	Experiment string `json:"experiment"`
-	Workers    int    `json:"workers"`
-	// Shards is the sharded scale-out chunking applied to both sides of
-	// the comparison (0 = unsharded). Sharding lets a single large
-	// simulation — not just a fan of independent variants — scale with
-	// the worker count.
-	Shards     int     `json:"shards,omitempty"`
-	SerialMS   float64 `json:"serial_ms"`
-	ParallelMS float64 `json:"parallel_ms"`
-	Speedup    float64 `json:"speedup"`
-	// OutputIdentical is the determinism check: with the measured
-	// software throughput pinned, the two runs must format to the same
-	// bytes.
-	OutputIdentical bool `json:"output_identical"`
-}
-
-// benchFile is the BENCH_parallel.json schema.
-type benchFile struct {
-	GeneratedAt string     `json:"generated_at"`
-	Host        benchHost  `json:"host"`
-	Workload    benchWork  `json:"workload"`
-	Rows        []benchRow `json:"rows"`
-}
-
-type benchHost struct {
-	// GOMAXPROCS is the effective worker parallelism at measurement
-	// time; NumCPU is the host's logical CPU count. When they differ,
-	// speedups must be read against GOMAXPROCS, not NumCPU.
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	GoVersion  string `json:"go_version"`
-	// Note flags measurement conditions that bound the achievable
-	// speedup (e.g. a single-core host, where parallel ≈ serial by
-	// construction and speedup rows carry no signal).
-	Note string `json:"note,omitempty"`
-	// GC is the host runtime's memory/collector snapshot at emission
-	// time, so every benchmark file records the GC context its numbers
-	// were measured under (see obs.HostGC).
-	GC obs.HostGC `json:"gc"`
-}
-
-// hostInfo captures the bench host honestly at measurement time.
-func hostInfo() benchHost {
-	h := benchHost{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		GC:         obs.ReadHostGC(),
-	}
-	if h.NumCPU == 1 || h.GOMAXPROCS == 1 {
-		h.Note = "single-core host: parallel speedups are bounded at ~1.0x; " +
-			"re-run on a multi-core host for meaningful scaling rows"
-	}
-	return h
-}
-
-type benchWork struct {
-	RefLen     int   `json:"reflen"`
-	Reads      int   `json:"reads"`
-	Fig14Reads int   `json:"fig14_reads"`
-	Seed       int64 `json:"seed"`
-}
-
-// runParallelBench times each selected multi-config experiment on one
-// worker and on the runner's pool and writes the JSON report. The
-// software-pipeline throughput is pinned so both outputs are
-// deterministic and comparable byte for byte.
-func runParallelBench(path string, need func(string) bool, getEnv func() *experiments.Env,
-	refLen, fig14Reads int, seed int64, runner *experiments.Runner) error {
-	const pinnedRPS = 1e6 // deterministic stand-in for the measured CPU baseline
-	if !runner.Parallel() {
-		runner = experiments.NewRunner(runtime.NumCPU())
-	}
-	par := runner.WithSoftwareRPS(pinnedRPS)
-	ser := experiments.Serial().WithSoftwareRPS(pinnedRPS)
-
-	// fig11 and fig14 are dominated by a handful of large simulations
-	// (six configs, four datasets), which caps their fan-out speedup.
-	// Re-chunk both sides of the comparison through the sharded
-	// scale-out engine at S=4 so each large simulation splits into four
-	// concurrently runnable shards; serial and parallel shard
-	// identically, so the byte-identity check still compares like with
-	// like (the merged Report is invariant to the worker count).
-	const benchShards = 4
-	ser4 := ser.WithShards(benchShards, accel.ShardContiguous)
-	par4 := par.WithShards(benchShards, accel.ShardContiguous)
-
-	type job struct {
-		id       string
-		shards   int
-		ser, par *experiments.Runner
-		run      func(r *experiments.Runner) string
-	}
-	jobs := []job{
-		{"fig11", benchShards, ser4, par4, func(r *experiments.Runner) string {
-			return experiments.Fig11With(getEnv(), r).Format()
-		}},
-		{"fig13a", 0, ser, par, func(r *experiments.Runner) string {
-			return experiments.FormatFig13a(experiments.Fig13aWith(getEnv(), nil, r))
-		}},
-		{"fig13b", 0, ser, par, func(r *experiments.Runner) string {
-			return experiments.FormatFig13b(experiments.Fig13bWith(getEnv(), nil, r))
-		}},
-		{"fig14", benchShards, ser4, par4, func(r *experiments.Runner) string {
-			return experiments.FormatFig14(experiments.Fig14With(refLen, fig14Reads, seed, r))
-		}},
-		{"frontend", 0, ser, par, func(r *experiments.Runner) string {
-			rows, err := experiments.FrontEndsWith(getEnv(), r)
-			if err != nil {
-				panic(err)
-			}
-			return experiments.FormatFrontEnds(rows)
-		}},
-	}
-
-	out := benchFile{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Host:        hostInfo(),
-		Workload:    benchWork{RefLen: refLen, Reads: len(getEnv().Reads), Fig14Reads: fig14Reads, Seed: seed},
-	}
-	// Both sides replay the shared workload's Memo; build it before
-	// timing so that neither column pays for it.
-	getEnv().Memo()
-	fmt.Printf("%-10s %7s %12s %12s %9s %s\n", "experiment", "shards", "serial(ms)", "parallel(ms)", "speedup", "identical")
-	for _, j := range jobs {
-		if !need(j.id) {
-			continue
-		}
-		t0 := time.Now()
-		serOut := j.run(j.ser)
-		serialMS := float64(time.Since(t0).Microseconds()) / 1000
-		t1 := time.Now()
-		parOut := j.run(j.par)
-		parallelMS := float64(time.Since(t1).Microseconds()) / 1000
-		row := benchRow{
-			Experiment:      j.id,
-			Workers:         par.Workers(),
-			Shards:          j.shards,
-			SerialMS:        serialMS,
-			ParallelMS:      parallelMS,
-			OutputIdentical: serOut == parOut,
-		}
-		if parallelMS > 0 {
-			row.Speedup = serialMS / parallelMS
-		}
-		out.Rows = append(out.Rows, row)
-		fmt.Printf("%-10s %7d %12.1f %12.1f %8.2fx %v\n",
-			row.Experiment, row.Shards, row.SerialMS, row.ParallelMS, row.Speedup, row.OutputIdentical)
-	}
-	if out.Host.Note != "" {
-		fmt.Fprintln(os.Stderr, "note:", out.Host.Note)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d experiments, j=%d)\n", path, len(out.Rows), par.Workers())
-	return nil
 }

@@ -34,7 +34,6 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"one small experiment", nil, 0},
 		{"unknown experiment", []string{"-exp", "fig99"}, 2},
-		{"zero shards", []string{"-shards", "0"}, 2},
 		{"zero chaos seeds", []string{"-chaos-seeds", "0"}, 2},
 		{"reference shorter than reads", []string{"-reflen", "50"}, 2},
 		{"negative reads", []string{"-reads", "-5"}, 2},
@@ -42,6 +41,11 @@ func TestExitCodes(t *testing.T) {
 		{"retired kernel harness", []string{"-kernels"}, 2},
 		{"negative workers", []string{"-j", "-1"}, 2},
 		{"retired -parallel", []string{"-parallel"}, 2},
+		{"retired -json", []string{"-json", "x"}, 2},
+		{"retired -scaleout-json", []string{"-scaleout-json", "x"}, 2},
+		{"retired -scaleout-check", []string{"-scaleout-check"}, 2},
+		{"retired -shards", []string{"-shards", "2"}, 2},
+		{"retired -shard-policy", []string{"-shard-policy", "balanced"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

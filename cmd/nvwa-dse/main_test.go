@@ -35,10 +35,11 @@ func TestExitCodes(t *testing.T) {
 		{"normal sweep", nil, 0},
 		{"zero depth", []string{"-depths", "0"}, 2},
 		{"reference shorter than reads", []string{"-reflen", "50"}, 2},
-		{"unknown shard policy", []string{"-shard-policy", "bogus"}, 2},
-		{"checkpoints without shards", []string{"-checkpoint-every", "5"}, 2},
 		{"negative workers", []string{"-j", "-1"}, 2},
 		{"retired -parallel", []string{"-parallel"}, 2},
+		{"retired -shards", []string{"-shards", "2"}, 2},
+		{"retired -shard-policy", []string{"-shard-policy", "contiguous"}, 2},
+		{"retired -checkpoint-every", []string{"-checkpoint-every", "5"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,12 +14,12 @@ import (
 // Dynamic shard rebalancing: the "balanced" partitioning policy.
 //
 // The static policies leave the slowest shard dominating the scale-out
-// makespan (the BENCH_scaleout.json falloff): contiguous partitioning
-// equalizes read counts, not read costs, and per-read seeding cost is
-// diverse by construction (the paper's Challenge-1). The balanced
-// policy closes the gap with work stealing — idle shards steal trailing
-// read ranges from the heaviest shard — while preserving the engine's
-// determinism contract.
+// makespan (the utilization falloff in `nvwa-bench -exp scaleout`):
+// contiguous partitioning equalizes read counts, not read costs, and
+// per-read seeding cost is diverse by construction (the paper's
+// Challenge-1). The balanced policy closes the gap with work stealing
+// — idle shards steal trailing read ranges from the heaviest shard —
+// while preserving the engine's determinism contract.
 //
 // The key observation making the steal protocol deterministic is that
 // every quantity it consumes is computable before any shard starts

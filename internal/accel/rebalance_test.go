@@ -78,21 +78,29 @@ func TestPlanBalancedCoverProperties(t *testing.T) {
 	costs := lcgCosts(512, 99)
 	for _, s := range []int{2, 4, 8} {
 		parts, _ := PlanBalanced(costs, s)
-		var total, maxPart float64
-		for _, p := range parts {
-			var sum float64
-			for _, g := range p {
-				sum += costs[g]
-			}
-			total += sum
-			if sum > maxPart {
-				maxPart = sum
-			}
-		}
-		if ratio := maxPart / (total / float64(s)); ratio > 1.10 {
-			t.Errorf("S=%d: estimated-work balance %.3f exceeds 1.10", s, ratio)
+		if ratio := balanceRatio(costs, parts); ratio > balanceFloor {
+			t.Errorf("S=%d: estimated-work balance %.3f exceeds %.2f", s, ratio, balanceFloor)
 		}
 	}
+}
+
+// balanceFloor bounds the balanced planner's max-shard/mean-shard
+// estimated work.
+const balanceFloor = 1.10
+
+// balanceRatio is the max-shard/mean-shard estimated work of a
+// partition.
+func balanceRatio(costs []float64, parts [][]int) float64 {
+	var total, maxPart float64
+	for _, p := range parts {
+		var sum float64
+		for _, g := range p {
+			sum += costs[g]
+		}
+		total += sum
+		maxPart = max(maxPart, sum)
+	}
+	return maxPart / (total / float64(len(parts)))
 }
 
 // TestApplyStealsReproducesPlan pins the StealLog's meaning: replaying
@@ -225,6 +233,9 @@ func TestShardedBalancedDifferential(t *testing.T) {
 	planParts, planLog := PlanBalanced(costs, s)
 	if !reflect.DeepEqual(merged.StealLog, planLog) {
 		t.Error("merged StealLog differs from the planner's schedule")
+	}
+	if ratio := balanceRatio(costs, planParts); ratio > balanceFloor {
+		t.Errorf("S=%d: estimated-work balance %.3f of real read costs exceeds %.2f", s, ratio, balanceFloor)
 	}
 	for i, p := range parts {
 		if p.Reads != len(planParts[i]) {

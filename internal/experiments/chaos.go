@@ -12,16 +12,20 @@ import (
 )
 
 // ChaosConfig parameterises the chaos harness: how many seeded fault
-// schedules to sweep, which Hits Allocator strategies to sweep them
-// across, the fault-mix template each seed instantiates, and how much
-// slack the watchdog grants a degraded run over its fault-free
-// baseline before diagnosing a hang.
+// schedules to sweep, which Hits Allocator strategies and machine
+// widths to sweep them across, the fault-mix template each seed
+// instantiates, and how much slack the watchdog grants a degraded run
+// over its fault-free baseline before diagnosing a hang.
 type ChaosConfig struct {
 	// Seeds is the number of generated fault schedules per strategy.
 	Seeds int
 	// Strategies lists the allocator variants under test (default: all
 	// four — Grouped, Exclusive, Shared, FIFO).
 	Strategies []coordinator.Strategy
+	// Shards lists the machine widths swept, in chips (default: 1 and
+	// 2). At S > 1 each schedule is generated over the aggregate S-chip
+	// machine and partitioned per shard (contiguous read partitioning).
+	Shards []int
 	// Template is the fault mix each schedule draws from; its Seed
 	// field is overridden per row, and a zero Horizon auto-scales to
 	// each strategy's fault-free makespan (so faults actually land
@@ -35,7 +39,8 @@ type ChaosConfig struct {
 }
 
 // DefaultChaosConfig returns the smoke-level sweep: four seeds across
-// all four allocator strategies under the default mixed-fault template.
+// all four allocator strategies on one and two chips under the default
+// mixed-fault template.
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
 		Seeds: 4,
@@ -43,6 +48,7 @@ func DefaultChaosConfig() ChaosConfig {
 			coordinator.Grouped, coordinator.Exclusive,
 			coordinator.Shared, coordinator.FIFO,
 		},
+		Shards:       []int{1, 2},
 		Template:     chaosTemplate(0),
 		BudgetFactor: 20,
 	}
@@ -63,6 +69,9 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if len(c.Strategies) == 0 {
 		c.Strategies = DefaultChaosConfig().Strategies
 	}
+	if len(c.Shards) == 0 {
+		c.Shards = DefaultChaosConfig().Shards
+	}
 	zero := fault.Spec{}
 	if c.Template == zero {
 		c.Template = chaosTemplate(0)
@@ -75,6 +84,8 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 
 // ChaosRow is one seeded degraded run.
 type ChaosRow struct {
+	// Shards is the machine width in chips.
+	Shards int
 	// Strategy is the Hits Allocator variant under test.
 	Strategy coordinator.Strategy
 	// Seed generated the fault schedule.
@@ -110,49 +121,55 @@ type ChaosResult struct {
 func (r ChaosResult) Err() error {
 	for _, row := range r.Rows {
 		if row.RunErr != "" {
-			return fmt.Errorf("chaos: alloc=%s seed=%d: watchdog: %s", row.Strategy, row.Seed, row.RunErr)
+			return fmt.Errorf("chaos: shards=%d alloc=%s seed=%d: watchdog: %s", row.Shards, row.Strategy, row.Seed, row.RunErr)
 		}
 		if row.Violation != "" {
-			return fmt.Errorf("chaos: alloc=%s seed=%d: %s", row.Strategy, row.Seed, row.Violation)
+			return fmt.Errorf("chaos: shards=%d alloc=%s seed=%d: %s", row.Shards, row.Strategy, row.Seed, row.Violation)
 		}
 	}
 	return nil
 }
 
-// Chaos sweeps seeded fault schedules across allocator strategies on
-// the workload. Each row builds a private system with the schedule's
-// fault plan, the invariant checker, and a watchdog budgeted from the
-// strategy's fault-free baseline, then records the degradation
-// accounting. Rows fan across the runner's worker pool; collection
-// order is program order, so output is deterministic for any Runner.
+// Chaos sweeps seeded fault schedules across machine widths and
+// allocator strategies on the workload. Each row builds a private
+// system with the schedule's fault plan, the invariant checker, and a
+// watchdog budgeted from the (width, strategy) fault-free baseline,
+// then records the degradation accounting. Rows fan across the
+// runner's worker pool; collection order is program order, so output
+// is deterministic for any Runner.
 func Chaos(env *Env, cfg ChaosConfig, r *Runner) ChaosResult {
 	cfg = cfg.withDefaults()
+	nst := len(cfg.Strategies)
 
-	// Fault-free baselines, one per strategy, set the watchdog budgets.
-	baselines := make([]int64, len(cfg.Strategies))
-	r.Map(len(cfg.Strategies), func(i int) {
+	// Fault-free baselines, one per (width, strategy), set the watchdog
+	// budgets.
+	baselines := make([]int64, len(cfg.Shards)*nst)
+	r.Map(len(baselines), func(i int) {
 		o := env.NvWaOptions()
-		o.AllocStrategy = cfg.Strategies[i]
-		baselines[i] = env.runWith(o, r).Cycles
+		o.AllocStrategy = cfg.Strategies[i%nst]
+		rep, _, err := env.simulate(accel.ShardedOptions{Options: o, Shards: cfg.Shards[i/nst], Workers: 1})
+		if err != nil {
+			panic(err)
+		}
+		baselines[i] = rep.Cycles
 	})
 
-	res := ChaosResult{Rows: make([]ChaosRow, len(cfg.Strategies)*cfg.Seeds)}
+	res := ChaosResult{Rows: make([]ChaosRow, len(baselines)*cfg.Seeds)}
 	r.Map(len(res.Rows), func(i int) {
-		si, ki := i/cfg.Seeds, i%cfg.Seeds
+		bi, ki := i/cfg.Seeds, i%cfg.Seeds
 		spec := cfg.Template
 		spec.Seed = cfg.Template.Seed + int64(ki)
-		res.Rows[i] = chaosRun(env, cfg.Strategies[si], spec, baselines[si], cfg.BudgetFactor, r)
+		res.Rows[i] = chaosRun(env, cfg.Shards[bi/nst], cfg.Strategies[bi%nst], spec, baselines[bi], cfg.BudgetFactor)
 	})
 	return res
 }
 
-// chaosRun executes one seeded degraded run and audits it. Under a
-// sharded runner the fault schedule is generated over the aggregate
+// chaosRun executes one seeded degraded run and audits it. On more
+// than one chip the fault schedule is generated over the aggregate
 // machine shape (S×NumSUs, S×TotalEUs) and partitioned per shard with
-// unit-id remapping inside the scale-out engine, so chaos sweeps
-// compose with sharding; the merged fault ledger is audited with the
-// same terminal-conservation check.
-func chaosRun(env *Env, strat coordinator.Strategy, spec fault.Spec, baseline, factor int64, r *Runner) ChaosRow {
+// unit-id remapping inside the scale-out engine; the merged fault
+// ledger is audited with the same terminal-conservation check.
+func chaosRun(env *Env, shards int, strat coordinator.Strategy, spec fault.Spec, baseline, factor int64) ChaosRow {
 	o := env.NvWaOptions()
 	o.AllocStrategy = strat
 	if spec.Horizon <= 0 {
@@ -161,7 +178,6 @@ func chaosRun(env *Env, strat coordinator.Strategy, spec fault.Spec, baseline, f
 		// after it.
 		spec.Horizon = max(baseline, 1000)
 	}
-	shards := r.Shards()
 	plan := spec.Generate(o.Config.NumSUs*shards, o.Config.TotalEUs()*shards)
 	budget := baseline * factor
 	if budget < 1_000_000 {
@@ -173,6 +189,7 @@ func chaosRun(env *Env, strat coordinator.Strategy, spec fault.Spec, baseline, f
 	o.Watchdog = &sim.Watchdog{MaxCycles: budget}
 
 	row := ChaosRow{
+		Shards:         shards,
 		Strategy:       strat,
 		Seed:           spec.Seed,
 		PlanEvents:     plan.Len(),
@@ -182,9 +199,7 @@ func chaosRun(env *Env, strat coordinator.Strategy, spec fault.Spec, baseline, f
 	// Rows already fan across the runner's worker pool, so each row's
 	// shards run on a single worker; the merged Report is invariant to
 	// that choice.
-	rep, _, runErr := env.simulate(accel.ShardedOptions{
-		Options: o, Shards: shards, Policy: r.ShardPolicy(), Workers: 1,
-	})
+	rep, _, runErr := env.simulate(accel.ShardedOptions{Options: o, Shards: shards, Workers: 1})
 	if rep == nil {
 		row.RunErr = runErr.Error()
 		return row
@@ -219,7 +234,10 @@ func (r ChaosResult) Format() string {
 	fmt.Fprintf(&b, "  %-10s %5s %6s %9s %9s %6s %4s/%-4s %4s %4s %4s %4s  %s\n",
 		"alloc", "seed", "events", "base-cyc", "cycles", "slow",
 		"inj", "abs", "rq", "rt", "dl", "shed", "status")
-	for _, row := range r.Rows {
+	for i, row := range r.Rows {
+		if i == 0 || row.Shards != r.Rows[i-1].Shards {
+			fmt.Fprintf(&b, "  shards=%d\n", row.Shards)
+		}
 		slow := 0.0
 		if row.BaselineCycles > 0 {
 			slow = float64(row.Cycles) / float64(row.BaselineCycles)

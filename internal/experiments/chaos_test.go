@@ -33,7 +33,7 @@ func TestChaosTerminatesWithConservation(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatalf("chaos sweep failed: %v\n%s", err, res.Format())
 	}
-	if want := len(chaosStrategies) * cfg.Seeds; len(res.Rows) != want {
+	if want := len(cfg.Shards) * len(chaosStrategies) * cfg.Seeds; len(res.Rows) != want {
 		t.Fatalf("%d rows, want %d", len(res.Rows), want)
 	}
 	seen := map[coordinator.Strategy]bool{}
@@ -78,7 +78,7 @@ func TestChaosDeterministicAcrossRunners(t *testing.T) {
 	cfg.Seeds = 1
 	cfg.Strategies = []coordinator.Strategy{coordinator.Grouped, coordinator.FIFO}
 	cfg.Template.Seed = 11
-	serial := Chaos(env, cfg, Serial())
+	serial := Chaos(env, cfg, NewRunner(1))
 	parallel := Chaos(env, cfg, NewRunner(0))
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("chaos rows differ between runners:\nserial:\n%s\nparallel:\n%s",

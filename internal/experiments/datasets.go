@@ -68,7 +68,7 @@ func Fig14With(refLen, numReads int, seed int64, r *Runner) []Fig14Row {
 func fig14Row(env, hwEnv *Env, name string, long bool, r *Runner) Fig14Row {
 	o := env.NvWaOptions()
 	o.Config.EUClasses = hwEnv.Classes // hardware fixed from NA12878-like stats
-	rep := env.runWith(o, r)
+	rep := env.run(o)
 	sw := env.softwareRPS(r)
 	row := Fig14Row{
 		Dataset:          name,

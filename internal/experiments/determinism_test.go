@@ -16,9 +16,16 @@ import (
 // over the Env's Memo, gives the Report of the live, memo-less
 // accel.New(...).Run — the oracle. Wall-clock software-throughput
 // measurement, the one legitimately nondeterministic input, is pinned
-// via WithSoftwareRPS.
+// through the Runner (see pinned).
 
 const goldenRPS = 1e6
+
+// pinned fixes r's software-pipeline throughput at goldenRPS, so the
+// experiments that report it format deterministically.
+func pinned(r *Runner) *Runner {
+	r.swRPS = goldenRPS
+	return r
+}
 
 // liveEnv returns env's workload without a Memo: every simulation on
 // it fills each read's record live, as the oracle does.
@@ -38,7 +45,7 @@ func assertReplayEqualsLive(t *testing.T, env *Env, o accel.Options, what string
 		t.Fatal(err)
 	}
 	live := sys.Run(env.Reads)
-	if replay := env.runWith(o, Serial()); !reflect.DeepEqual(live, replay) {
+	if replay := env.run(o); !reflect.DeepEqual(live, replay) {
 		t.Fatalf("%s: replayed Report diverges from the live one (cycles %d, live %d)", what, replay.Cycles, live.Cycles)
 	}
 }
@@ -62,29 +69,33 @@ func goldenEnv(t *testing.T, seed int64) *Env {
 	return NewEnv(60000, 800, seed)
 }
 
+// assertSerialParallel is the golden check for one multi-config
+// experiment: a second one-worker run and a four-worker run must give
+// the first one-worker run's structs and formatted bytes. It returns
+// that first result.
+func assertSerialParallel[T any](t *testing.T, what string, run func(*Runner) T, format func(T) string) T {
+	t.Helper()
+	first := run(pinned(NewRunner(1)))
+	again := run(pinned(NewRunner(1)))
+	if format(first) != format(again) || !reflect.DeepEqual(first, again) {
+		t.Fatalf("%s: serial run is not reproducible", what)
+	}
+	parallel := run(pinned(NewRunner(4)))
+	if got, want := format(parallel), format(first); got != want {
+		t.Fatalf("%s: parallel output diverges from serial\n--- serial ---\n%s--- parallel ---\n%s", what, want, got)
+	}
+	if !reflect.DeepEqual(first, parallel) {
+		t.Fatalf("%s: parallel structs diverge from serial", what)
+	}
+	return first
+}
+
 func TestGoldenFig11SerialAndParallelIdentical(t *testing.T) {
 	t.Parallel()
 	for _, seed := range goldenSeeds(t) {
-		ser := Serial().WithSoftwareRPS(goldenRPS)
-		par := NewRunner(4).WithSoftwareRPS(goldenRPS)
 		env := goldenEnv(t, seed)
-
-		first := Fig11With(env, ser)
-		again := Fig11With(env, ser)
-		if first.Format() != again.Format() {
-			t.Fatalf("seed %d: serial Fig11 is not reproducible", seed)
-		}
-		if !reflect.DeepEqual(first, again) {
-			t.Fatalf("seed %d: serial Fig11 structs differ between runs", seed)
-		}
-
-		parallel := Fig11With(env, par)
-		if got, want := parallel.Format(), first.Format(); got != want {
-			t.Fatalf("seed %d: parallel Fig11 output diverges from serial\n--- serial ---\n%s--- parallel ---\n%s", seed, want, got)
-		}
-		if !reflect.DeepEqual(first, parallel) {
-			t.Fatalf("seed %d: parallel Fig11 structs diverge from serial", seed)
-		}
+		assertSerialParallel(t, fmt.Sprintf("seed %d: Fig11", seed),
+			func(r *Runner) Fig11Result { return Fig11With(env, r) }, Fig11Result.Format)
 		for i, o := range fig11Configs(env) {
 			assertReplayEqualsLive(t, env, o, fmt.Sprintf("seed %d: Fig11 config %d", seed, i))
 		}
@@ -95,26 +106,31 @@ func TestGoldenFig13aSerialAndParallelIdentical(t *testing.T) {
 	t.Parallel()
 	depths := []int{16, 64, 256, 1024}
 	for _, seed := range goldenSeeds(t) {
-		ser := Serial().WithSoftwareRPS(goldenRPS)
-		par := NewRunner(4).WithSoftwareRPS(goldenRPS)
 		env := goldenEnv(t, seed)
-
-		first := Fig13aWith(env, depths, ser)
-		again := Fig13aWith(env, depths, ser)
-		if FormatFig13a(first) != FormatFig13a(again) {
-			t.Fatalf("seed %d: serial Fig13a is not reproducible", seed)
-		}
-		parallel := Fig13aWith(env, depths, par)
-		if got, want := FormatFig13a(parallel), FormatFig13a(first); got != want {
-			t.Fatalf("seed %d: parallel Fig13a output diverges from serial\n--- serial ---\n%s--- parallel ---\n%s", seed, want, got)
-		}
-		if !reflect.DeepEqual(first, parallel) {
-			t.Fatalf("seed %d: parallel Fig13a rows diverge from serial", seed)
-		}
+		assertSerialParallel(t, fmt.Sprintf("seed %d: Fig13a", seed),
+			func(r *Runner) []Fig13aRow { return Fig13aWith(env, depths, r) }, FormatFig13a)
 		for _, d := range depths {
 			o := env.NvWaOptions()
 			o.Config.HitsBufferDepth = d
 			assertReplayEqualsLive(t, env, o, fmt.Sprintf("seed %d: Fig13a depth %d", seed, d))
+		}
+	}
+}
+
+func TestGoldenFig13bSerialAndParallelIdentical(t *testing.T) {
+	t.Parallel()
+	counts := []int{1, 2, 4, 8}
+	for _, seed := range goldenSeeds(t) {
+		env := goldenEnv(t, seed)
+		rows := assertSerialParallel(t, fmt.Sprintf("seed %d: Fig13b", seed),
+			func(r *Runner) []Fig13bRow { return Fig13bWith(env, counts, r) }, FormatFig13b)
+		if len(rows) != len(counts) {
+			t.Fatalf("seed %d: Fig13b gave %d rows, want %d", seed, len(rows), len(counts))
+		}
+		for _, row := range rows {
+			o := env.NvWaOptions()
+			o.Config.EUClasses = compactClasses(row.Classes)
+			assertReplayEqualsLive(t, env, o, fmt.Sprintf("seed %d: Fig13b %d intervals", seed, row.Intervals))
 		}
 	}
 }
@@ -126,8 +142,8 @@ func TestGoldenFig14SerialAndParallelIdentical(t *testing.T) {
 		refLen, nReads = 20000, 80
 	}
 	for _, seed := range goldenSeeds(t) {
-		ser := Serial().WithSoftwareRPS(goldenRPS)
-		par := NewRunner(4).WithSoftwareRPS(goldenRPS)
+		ser := pinned(NewRunner(1))
+		par := pinned(NewRunner(4))
 
 		first := Fig14With(refLen, nReads, seed, ser)
 		parallel := Fig14With(refLen, nReads, seed, par)
@@ -179,8 +195,8 @@ func TestGoldenReportEquivalence(t *testing.T) {
 func TestGoldenFrontEndsParallel(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
-	ser := Serial().WithSoftwareRPS(goldenRPS)
-	par := NewRunner(2).WithSoftwareRPS(goldenRPS)
+	ser := pinned(NewRunner(1))
+	par := pinned(NewRunner(2))
 	first, err := FrontEndsWith(env, ser)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func TestReportDigestsPinned(t *testing.T) {
 		want uint64
 	}{
 		{"short-read NvWa", short.RunNvWa(), 0xe74f3c2b99d2d273},
-		{"1 kbp NvWa", long.runWith(longOpts, nil), 0x11c37662a71e2a9d},
+		{"1 kbp NvWa", long.run(longOpts), 0x11c37662a71e2a9d},
 	} {
 		b, err := json.Marshal(tc.rep)
 		if err != nil {

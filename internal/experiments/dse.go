@@ -30,7 +30,7 @@ func Fig13aWith(env *Env, depths []int, r *Runner) []Fig13aRow {
 	r.Map(len(depths), func(i int) {
 		o := env.NvWaOptions()
 		o.Config.HitsBufferDepth = depths[i]
-		rep := env.runWith(o, r)
+		rep := env.run(o)
 		rows[i] = Fig13aRow{
 			Depth:            depths[i],
 			ThroughputKReads: rep.ThroughputReadsPerSec / 1000,
@@ -102,7 +102,7 @@ func Fig13bWith(env *Env, counts []int, r *Runner) []Fig13bRow {
 		}
 		o := env.NvWaOptions()
 		o.Config.EUClasses = compactClasses(classes)
-		rep := env.runWith(o, r)
+		rep := env.run(o)
 		bw, lw := energy.CoordinatorPower(n, o.Config.HitsBufferDepth)
 		slots[i] = &Fig13bRow{
 			Intervals:        n,

@@ -87,10 +87,10 @@ func (e *Env) NvWaOptions() accel.Options {
 func (e *Env) BaselineOptions() accel.Options { return accel.BaselineOptions() }
 
 // RunNvWa simulates the full NvWa system on the workload.
-func (e *Env) RunNvWa() *accel.Report { return e.runWith(e.NvWaOptions(), nil) }
+func (e *Env) RunNvWa() *accel.Report { return e.run(e.NvWaOptions()) }
 
 // RunBaseline simulates the SUs+EUs baseline on the workload.
-func (e *Env) RunBaseline() *accel.Report { return e.runWith(e.BaselineOptions(), nil) }
+func (e *Env) RunBaseline() *accel.Report { return e.run(e.BaselineOptions()) }
 
 // RunNvWaObserved simulates the full NvWa system with an explicit
 // observer attached (metrics, trace, invariants), for the CLI's
@@ -98,7 +98,7 @@ func (e *Env) RunBaseline() *accel.Report { return e.runWith(e.BaselineOptions()
 func (e *Env) RunNvWaObserved(ob *obs.Observer) *accel.Report {
 	o := e.NvWaOptions()
 	o.Obs = ob
-	return e.runWith(o, nil)
+	return e.run(o)
 }
 
 // Memo returns the workload's shared functional-replay cache, building
@@ -112,18 +112,10 @@ func (e *Env) Memo() *accel.Memo {
 	return e.memo
 }
 
-// runWith simulates one configuration under the runner's policy: a
-// sharded policy (Runner.WithShards) splits it across chips on the
-// runner's workers, and a nil Runner runs it unsharded. Options are
+// run simulates one configuration on one chip. Options are
 // constructed internally, so an error is a bug.
-func (e *Env) runWith(o accel.Options, r *Runner) *accel.Report {
-	rep, _, err := e.simulate(accel.ShardedOptions{
-		Options:         o,
-		Shards:          r.Shards(),
-		Policy:          r.ShardPolicy(),
-		Workers:         r.Workers(),
-		CheckpointEvery: r.CheckpointEvery(),
-	})
+func (e *Env) run(o accel.Options) *accel.Report {
+	rep, _, err := e.simulate(accel.ShardedOptions{Options: o, Shards: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -167,12 +159,11 @@ func (e *Env) simulate(so accel.ShardedOptions) (*accel.Report, []*accel.Report,
 // swings these figures by a quarter between identical runs.
 const hostPasses = 3
 
-// softwareRPS returns the software-pipeline throughput under the
-// runner's policy: the pinned deterministic value when set, otherwise
-// the median multi-threaded wall-clock rate of hostPasses passes. The
-// passes are warm: every caller first simulates the workload, and the
-// Memo build behind that ran the same seeding and extension over every
-// read.
+// softwareRPS returns the software-pipeline throughput: the runner's
+// pinned deterministic value when set, otherwise the median
+// multi-threaded wall-clock rate of hostPasses passes. The passes are
+// warm: every caller first simulates the workload, and the Memo build
+// behind that ran the same seeding and extension over every read.
 func (e *Env) softwareRPS(r *Runner) float64 {
 	if r != nil && r.swRPS > 0 {
 		return r.swRPS

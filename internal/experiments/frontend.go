@@ -30,7 +30,7 @@ func FrontEndsWith(env *Env, rn *Runner) ([]FrontEndRow, error) {
 	}
 	rows := make([]FrontEndRow, len(configs))
 	rn.Map(len(configs), func(i int) {
-		rep := env.runWith(configs[i], rn)
+		rep := env.run(configs[i])
 		aligned := 0
 		for _, r := range rep.Results {
 			if r.Found {

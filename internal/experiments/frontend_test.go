@@ -7,7 +7,7 @@ import (
 
 func TestFrontEnds(t *testing.T) {
 	env := getEnv(t)
-	rows, err := FrontEndsWith(env, Serial())
+	rows, err := FrontEndsWith(env, NewRunner(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func IntraUnit(env *Env) []IntraUnitRow {
 		o := env.NvWaOptions()
 		o.SeedStrategy = c.seed
 		o.SUCost.SerializeDRAM = c.serialize
-		rep := env.runWith(o, nil)
+		rep := env.run(o)
 		rows = append(rows, IntraUnitRow{
 			Name:             c.name,
 			Cycles:           rep.Cycles,

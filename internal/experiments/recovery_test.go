@@ -60,7 +60,7 @@ func TestRecoveryDeterministicAcrossRunners(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
 	cfg.Seeds = 1
 	cfg.Intervals = []int64{4000}
-	serial := Recovery(env, cfg, Serial())
+	serial := Recovery(env, cfg, NewRunner(1))
 	parallel := Recovery(env, cfg, NewRunner(0))
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("recovery rows differ between runners:\nserial:\n%s\nparallel:\n%s",

@@ -45,14 +45,14 @@ func TestRunnerMapRunsEachIndexOnce(t *testing.T) {
 func TestRunnerMapEmptyAndSerial(t *testing.T) {
 	t.Parallel()
 	ran := 0
-	Serial().Map(0, func(int) { ran++ })
+	NewRunner(1).Map(0, func(int) { ran++ })
 	NewRunner(4).Map(0, func(int) { ran++ })
 	if ran != 0 {
 		t.Fatal("Map(0) ran the function")
 	}
 	// Serial Map must execute in program order on the calling goroutine.
 	var order []int
-	Serial().Map(5, func(i int) { order = append(order, i) })
+	NewRunner(1).Map(5, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("serial order %v", order)
@@ -76,28 +76,26 @@ func TestRunnerMapPanicsPropagate(t *testing.T) {
 
 func TestRunnerPolicies(t *testing.T) {
 	t.Parallel()
-	if Serial().Parallel() {
-		t.Fatal("Serial must be one worker")
+	one := NewRunner(1)
+	if one.size() != 1 {
+		t.Fatal("NewRunner(1) must be one worker")
 	}
-	if Serial().String() != "serial" {
-		t.Fatalf("Serial name %q", Serial().String())
+	if one.String() != "serial" {
+		t.Fatalf("one-worker name %q", one.String())
 	}
 	r := NewRunner(0)
-	if r.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("default workers %d", r.Workers())
+	if r.size() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default workers %d", r.size())
 	}
 	four := NewRunner(4)
-	if !four.Parallel() {
+	if four.size() != 4 {
 		t.Fatal("four-worker runner must fan out")
 	}
 	if !strings.Contains(four.String(), "j=4") {
 		t.Fatalf("name %q", four.String())
 	}
-	if p := four.WithSoftwareRPS(5e5); p.swRPS != 5e5 || four.swRPS != 0 {
-		t.Fatal("WithSoftwareRPS must copy, not mutate")
-	}
 	var nilRunner *Runner
-	if nilRunner.Workers() != 1 {
+	if nilRunner.size() != 1 {
 		t.Fatal("nil runner must behave serially")
 	}
 }

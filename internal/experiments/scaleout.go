@@ -7,8 +7,14 @@ import (
 	"nvwa/internal/accel"
 )
 
-// DefaultScaleoutCounts is the shard sweep of the scale-out artifact.
-var DefaultScaleoutCounts = []int{1, 2, 4, 8, 16}
+// scaleoutCounts is the shard sweep of the scale-out experiment.
+var scaleoutCounts = []int{1, 2, 4, 8, 16}
+
+// scaleoutPolicies are the partitionings the sweep compares: both
+// static partitionings plus the work-stealing rebalancer.
+var scaleoutPolicies = []accel.ShardPolicy{
+	accel.ShardContiguous, accel.ShardInterleaved, accel.ShardBalanced,
+}
 
 // ScaleoutRow is one shard count's outcome: the merged makespan (the
 // max shard cycle count — all chips run concurrently from cycle 0),
@@ -19,7 +25,7 @@ type ScaleoutRow struct {
 	Shards int
 	Policy accel.ShardPolicy
 	// Cycles is the merged makespan; MaxShardCycles == Cycles by
-	// construction (pinned by the perf guardrail), MinShardCycles
+	// construction (pinned by TestScaleoutRows), MinShardCycles
 	// exposes the skew the interleaved policy is there to fight.
 	Cycles, MaxShardCycles, MinShardCycles int64
 	// ThroughputReadsPerSec is the merged aggregate throughput.
@@ -37,25 +43,28 @@ type ScaleoutRow struct {
 	Steals int
 }
 
-// ScaleoutResult is the scale-out sweep: one row per shard count, all
-// over the same workload and per-chip configuration.
+// ScaleoutResult is the scale-out sweep: one row per (policy, shard
+// count), policy-major, all over the same workload and per-chip
+// configuration.
 type ScaleoutResult struct {
-	Policy accel.ShardPolicy
-	Rows   []ScaleoutRow
+	Rows []ScaleoutRow
 }
 
-// Scaleout sweeps shard counts over the workload: for each S the full
-// NvWa configuration is replicated S ways, the read set is partitioned
-// under pol, and the S chips are simulated on the runner's worker pool
-// (the merged Reports are invariant to that pool's size — serial and
-// parallel sweeps are identical, pinned by the golden tests).
-func Scaleout(env *Env, counts []int, pol accel.ShardPolicy, r *Runner) ScaleoutResult {
+// Scaleout sweeps every partitioning policy across shard counts over
+// the workload: for each (policy, S) the full NvWa configuration is
+// replicated S ways, the read set is partitioned under the policy, and
+// the S chips are simulated on the runner's worker pool (the merged
+// Reports are invariant to that pool's size — serial and parallel
+// sweeps are identical, pinned by the golden tests).
+func Scaleout(env *Env, counts []int, r *Runner) ScaleoutResult {
 	if len(counts) == 0 {
-		counts = DefaultScaleoutCounts
+		counts = scaleoutCounts
 	}
-	res := ScaleoutResult{Policy: pol, Rows: make([]ScaleoutRow, len(counts))}
-	for i, s := range counts {
-		res.Rows[i] = scaleoutRun(env, s, pol, r)
+	var res ScaleoutResult
+	for _, pol := range scaleoutPolicies {
+		for _, s := range counts {
+			res.Rows = append(res.Rows, scaleoutRun(env, s, pol, r))
+		}
 	}
 	return res
 }
@@ -63,7 +72,7 @@ func Scaleout(env *Env, counts []int, pol accel.ShardPolicy, r *Runner) Scaleout
 // scaleoutRun simulates one shard count and reduces its row.
 func scaleoutRun(env *Env, shards int, pol accel.ShardPolicy, r *Runner) ScaleoutRow {
 	merged, parts, err := env.simulate(accel.ShardedOptions{
-		Options: env.NvWaOptions(), Shards: shards, Policy: pol, Workers: r.Workers(),
+		Options: env.NvWaOptions(), Shards: shards, Policy: pol, Workers: r.size(),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: scaleout S=%d: %v", shards, err))
@@ -92,23 +101,27 @@ func scaleoutRun(env *Env, shards int, pol accel.ShardPolicy, r *Runner) Scaleou
 	return row
 }
 
-// Format renders the sweep table.
+// Format renders one sweep table per policy; each block's speedup
+// column is relative to the block's first row.
 func (r ScaleoutResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Scale-out — aggregate throughput vs shard count (%s partitioning)\n", r.Policy)
-	fmt.Fprintf(&b, "  %6s %10s %10s %10s %6s %12s %7s %7s %7s %7s %6s\n",
-		"shards", "makespan", "min-shard", "max-shard", "skew", "reads/s",
-		"su-util", "eu-util", "su-mksp", "eu-mksp", "steals")
 	var base float64
-	for _, row := range r.Rows {
+	for i, row := range r.Rows {
+		if i == 0 || row.Policy != r.Rows[i-1].Policy {
+			if i > 0 {
+				b.WriteString("\n")
+			}
+			fmt.Fprintf(&b, "Scale-out — aggregate throughput vs shard count (%s partitioning)\n", row.Policy)
+			fmt.Fprintf(&b, "  %6s %10s %10s %10s %6s %12s %7s %7s %7s %7s %6s\n",
+				"shards", "makespan", "min-shard", "max-shard", "skew", "reads/s",
+				"su-util", "eu-util", "su-mksp", "eu-mksp", "steals")
+			base = row.ThroughputReadsPerSec
+		}
 		skew := 1.0
 		if row.MinShardCycles > 0 {
 			skew = float64(row.MaxShardCycles) / float64(row.MinShardCycles)
 		}
 		speed := 1.0
-		if base == 0 {
-			base = row.ThroughputReadsPerSec
-		}
 		if base > 0 {
 			speed = row.ThroughputReadsPerSec / base
 		}

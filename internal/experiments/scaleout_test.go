@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nvwa/internal/accel"
@@ -9,103 +11,98 @@ import (
 
 // TestScaleoutDeterministic pins the scale-out sweep to the golden
 // determinism contract: serial and parallel runners produce identical
-// result structs and formatted bytes, under both partitioning policies.
+// result structs and formatted bytes, under every partitioning policy.
 func TestScaleoutDeterministic(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
 	counts := []int{1, 2, 4}
-	for _, pol := range []accel.ShardPolicy{accel.ShardContiguous, accel.ShardInterleaved, accel.ShardBalanced} {
-		ser := Scaleout(env, counts, pol, Serial())
-		par := Scaleout(env, counts, pol, NewRunner(4))
-		if !reflect.DeepEqual(ser, par) {
-			t.Errorf("%s: serial and parallel scale-out sweeps differ", pol)
+	ser := Scaleout(env, counts, NewRunner(1))
+	par := Scaleout(env, counts, NewRunner(4))
+	if !reflect.DeepEqual(ser, par) {
+		t.Error("serial and parallel scale-out sweeps differ")
+	}
+	if ser.Format() != par.Format() {
+		t.Error("formatted sweep output differs")
+	}
+	if want := len(scaleoutPolicies) * len(counts); len(ser.Rows) != want {
+		t.Fatalf("%d rows, want %d", len(ser.Rows), want)
+	}
+	for i, row := range ser.Rows {
+		if pol := scaleoutPolicies[i/len(counts)]; row.Policy != pol || row.Shards != counts[i%len(counts)] {
+			t.Errorf("row %d is %s S=%d, want %s S=%d", i, row.Policy, row.Shards, pol, counts[i%len(counts)])
 		}
-		if ser.Format() != par.Format() {
-			t.Errorf("%s: formatted sweep output differs", pol)
+	}
+	for _, pol := range scaleoutPolicies {
+		if head := fmt.Sprintf("(%s partitioning)", pol); !strings.Contains(ser.Format(), head) {
+			t.Errorf("formatted sweep lacks the %s table", pol)
 		}
 	}
 }
 
 // TestScaleoutRows checks the sweep's internal consistency: makespan
 // equals the max shard makespan by construction, aggregate throughput
-// never decreases with the shard count, and S=1 matches the unsharded
-// system.
+// never decreases with the shard count under a static policy, S=4
+// beats S=1 under every policy, and S=1 matches the unsharded system.
 func TestScaleoutRows(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
-	res := Scaleout(env, []int{1, 2, 4, 8}, accel.ShardContiguous, Serial())
-	if len(res.Rows) != 4 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
+	counts := []int{1, 2, 4, 8}
+	res := Scaleout(env, counts, NewRunner(1))
 	base := env.RunNvWa()
-	if res.Rows[0].Cycles != base.Cycles {
-		t.Errorf("S=1 makespan %d != unsharded %d", res.Rows[0].Cycles, base.Cycles)
-	}
-	prev := 0.0
-	for _, row := range res.Rows {
-		if row.Cycles != row.MaxShardCycles {
-			t.Errorf("S=%d: merged makespan %d != max shard %d",
-				row.Shards, row.Cycles, row.MaxShardCycles)
+	for p, pol := range scaleoutPolicies {
+		rows := res.Rows[p*len(counts) : (p+1)*len(counts)]
+		if rows[0].Cycles != base.Cycles {
+			t.Errorf("%s S=1 makespan %d != unsharded %d", pol, rows[0].Cycles, base.Cycles)
 		}
-		if row.MinShardCycles > row.MaxShardCycles {
-			t.Errorf("S=%d: min shard %d above max %d",
-				row.Shards, row.MinShardCycles, row.MaxShardCycles)
+		if rows[2].ThroughputReadsPerSec <= rows[0].ThroughputReadsPerSec {
+			t.Errorf("%s: S=4 throughput %.0f <= S=1 throughput %.0f",
+				pol, rows[2].ThroughputReadsPerSec, rows[0].ThroughputReadsPerSec)
 		}
-		if row.ThroughputReadsPerSec < prev {
-			t.Errorf("S=%d: aggregate throughput %.0f fell below S'=%d's %.0f",
-				row.Shards, row.ThroughputReadsPerSec, row.Shards/2, prev)
+		prev := 0.0
+		for _, row := range rows {
+			if row.Cycles != row.MaxShardCycles {
+				t.Errorf("%s S=%d: merged makespan %d != max shard %d",
+					pol, row.Shards, row.Cycles, row.MaxShardCycles)
+			}
+			if row.MinShardCycles > row.MaxShardCycles {
+				t.Errorf("%s S=%d: min shard %d above max %d",
+					pol, row.Shards, row.MinShardCycles, row.MaxShardCycles)
+			}
+			if pol == accel.ShardContiguous && row.ThroughputReadsPerSec < prev {
+				t.Errorf("S=%d: aggregate throughput %.0f fell below S'=%d's %.0f",
+					row.Shards, row.ThroughputReadsPerSec, row.Shards/2, prev)
+			}
+			prev = row.ThroughputReadsPerSec
 		}
-		prev = row.ThroughputReadsPerSec
-	}
-}
-
-// TestRunWithShardsRoutesExperiments pins the runner-level routing: a
-// sharded runner sends every Env-backed simulation through the
-// scale-out engine, deterministically across worker counts.
-func TestRunWithShardsRoutesExperiments(t *testing.T) {
-	t.Parallel()
-	env := getEnv(t)
-	shardSer := Serial().WithShards(4, accel.ShardContiguous).WithSoftwareRPS(goldenRPS)
-	shardPar := NewRunner(4).WithShards(4, accel.ShardContiguous).WithSoftwareRPS(goldenRPS)
-	ser := Fig11With(env, shardSer)
-	par := Fig11With(env, shardPar)
-	if !reflect.DeepEqual(ser, par) {
-		t.Errorf("sharded fig11 differs between serial and parallel runners")
-	}
-	if ser.Format() != par.Format() {
-		t.Errorf("sharded fig11 formatted output differs")
-	}
-	// Sharded fig11 simulates a different (4-chip) machine, so its rows
-	// must differ from the single-chip figure — routing actually routed.
-	plain := Fig11With(env, Serial().WithSoftwareRPS(goldenRPS))
-	if reflect.DeepEqual(plain, ser) {
-		t.Errorf("sharded runner produced single-chip fig11 rows; routing inert")
 	}
 }
 
 // TestChaosWithShardsConserves is the chaos×shards differential: the
-// chaos harness on a sharded runner generates aggregate-machine fault
-// plans, partitions them per shard, and the merged ledgers must close
-// exactly as the unsharded harness's do.
+// chaos harness on two chips generates aggregate-machine fault plans,
+// partitions them per shard, and the merged ledgers must close exactly
+// as the one-chip harness's do.
 func TestChaosWithShardsConserves(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
 	cfg := DefaultChaosConfig()
 	cfg.Seeds = 2
+	cfg.Shards = []int{2}
 	cfg.Template.Seed = 11
-	r := NewRunner(2).WithShards(2, accel.ShardContiguous)
-	res := Chaos(env, cfg, r)
+	res := Chaos(env, cfg, NewRunner(2))
 	if err := res.Err(); err != nil {
 		t.Fatalf("sharded chaos sweep failed: %v\n%s", err, res.Format())
 	}
 	for _, row := range res.Rows {
+		if row.Shards != 2 {
+			t.Errorf("alloc=%s seed=%d: row ran on %d chips, want 2", row.Strategy, row.Seed, row.Shards)
+		}
 		if f := row.Faults; f.Requeued != f.Retried+f.DeadLettered {
 			t.Errorf("alloc=%s seed=%d: merged retry ledger open: %d != %d + %d",
 				row.Strategy, row.Seed, f.Requeued, f.Retried, f.DeadLettered)
 		}
 	}
 	// Determinism across runner worker counts for the sharded sweep.
-	again := Chaos(env, cfg, Serial().WithShards(2, accel.ShardContiguous))
+	again := Chaos(env, cfg, NewRunner(1))
 	if !reflect.DeepEqual(res, again) {
 		t.Errorf("sharded chaos sweep not deterministic across runners")
 	}

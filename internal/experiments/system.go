@@ -53,7 +53,7 @@ func Fig11With(env *Env, r *Runner) Fig11Result {
 	res := Fig11Result{Ablations: map[string]float64{}, AddOne: map[string]float64{}}
 	configs := fig11Configs(env)
 	reps := make([]*accel.Report, len(configs))
-	r.Map(len(configs), func(i int) { reps[i] = env.runWith(configs[i], r) })
+	r.Map(len(configs), func(i int) { reps[i] = env.run(configs[i]) })
 	base, full, hus, ocra := reps[0], reps[1], reps[2], reps[3]
 
 	res.TotalSpeedup = float64(base.Cycles) / float64(full.Cycles)

@@ -31,6 +31,7 @@ var reachAllow = map[string]string{
 	"accel.System.Step":             "facade: nvwa.Accelerator re-exports accel.System",
 	"fault.Plan.Normalize":          "facade: nvwa.FaultPlan re-exports fault.Plan",
 	"accel.ApplySteals":             "oracle: replays a StealLog; tests and FuzzStealSchedule check PlanBalanced's partition against it",
+	"accel.MergeReportsReference":   "oracle: the specification merge; TestMergeAccMatchesReference checks MergeAcc's merged Report against it",
 	"align.ScoreCigar":              "oracle: recomputes a path's score; tests check Local and ExtendWithScratch CIGARs against it",
 	"align.Local":                   "oracle: the full local DP with a private workspace; FuzzSystolicVsSoftwareDP and systolic's tests check the wavefront's scores against it",
 	"align.ExtendBandReference":     "oracle: the full-row DP at band w with the 2w retry; FuzzExtendBandedVsFull and pipeline's refkernels tests check ExtendWithScratch against it",

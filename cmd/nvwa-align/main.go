@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"nvwa/internal/fmindex"
 	"nvwa/internal/genome"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
@@ -41,6 +42,9 @@ func main() {
 	}
 	if asm.Len() == 0 {
 		fail(fmt.Errorf("reference %s has no bases", *refPath))
+	}
+	if asm.Len() > fmindex.MaxTextLen {
+		fail(fmt.Errorf("reference %s (%d bp) exceeds the index limit of %d bp", *refPath, asm.Len(), fmindex.MaxTextLen))
 	}
 	// The aligner indexes the concatenation; outputs are translated
 	// back to per-chromosome coordinates.

@@ -9,7 +9,9 @@ type BiIndex struct {
 	idx *Index // index of U
 }
 
-// NewBi builds the FMD-index of t·revcomp(t) from the 2-bit coded t.
+// NewBi builds the FMD-index of t·revcomp(t) from the 2-bit coded t,
+// which is at most MaxTextLen bases long (BuildSuffixArray panics on
+// a longer one).
 func NewBi(t []byte) *BiIndex {
 	return &BiIndex{idx: New(withRC(t))}
 }

@@ -62,51 +62,48 @@ type Index struct {
 }
 
 // New builds an FM-index of t (2-bit codes). It retains no reference
-// to t.
+// to t. One pass over the suffix array fills the packed BWT words,
+// their occurrence checkpoints, the sentinel's row and the sampled
+// suffix array.
 func New(t []byte) *Index {
 	sa := BuildSuffixArray(t)
-	bwtBytes, primary := BWTFromSA(t, sa)
-	n := len(bwtBytes)
+	n := len(sa)
 
-	idx := &Index{textLen: len(t), primary: primary}
-
-	// Pack the BWT into blocks, each with its word's checkpoint.
+	idx := &Index{textLen: len(t)}
 	nw := (n + basesPerWord - 1) / basesPerWord
 	idx.blocks = make([]occBlock, nw+1)
+	// SA values run over [0, n), so n/softSARate rounded up of them are
+	// sampled.
+	idx.saMask = make([]uint64, (n+63)/64)
+	idx.saVals = make([]int32, 0, (n+softSARate-1)/softSARate)
 	var running [4]int32
-	for i, b := range bwtBytes {
+	for i, s := range sa {
 		w := i / basesPerWord
 		if i%basesPerWord == 0 {
 			idx.blocks[w].cnt = running
 		}
-		idx.blocks[w].word |= uint64(b&3) << uint((i%basesPerWord)*2)
-		if i != primary {
-			running[b&3]++
+		if s == 0 {
+			idx.primary = i // the sentinel, stored as 0 and counted nowhere
+		} else {
+			b := t[s-1] & 3
+			idx.blocks[w].word |= uint64(b) << uint((i%basesPerWord)*2)
+			running[b]++
 		}
-	}
-	idx.blocks[nw].cnt = running
-
-	// C table: counts of symbols smaller than a. Sentinel counts as the
-	// single smallest symbol.
-	var freq [4]int
-	for _, b := range t {
-		freq[b&3]++
-	}
-	idx.c[0] = 1
-	for a := 1; a < 5; a++ {
-		idx.c[a] = idx.c[a-1] + freq[a-1]
-	}
-
-	// Sampled suffix array with per-word rank checkpoints. SA values
-	// run over [0, n), so n/softSARate rounded up of them are sampled.
-	idx.saMask = make([]uint64, (n+63)/64)
-	idx.saVals = make([]int32, 0, (n+softSARate-1)/softSARate)
-	for i, s := range sa {
 		if s%softSARate == 0 {
 			idx.saMask[i/64] |= 1 << uint(i%64)
 			idx.saVals = append(idx.saVals, s)
 		}
 	}
+	idx.blocks[nw].cnt = running
+
+	// C table: counts of symbols smaller than a. Sentinel counts as the
+	// single smallest symbol; running now holds each base's total.
+	idx.c[0] = 1
+	for a := 1; a < 5; a++ {
+		idx.c[a] = idx.c[a-1] + int(running[a-1])
+	}
+
+	// Per-word rank checkpoints of the sampled rows.
 	idx.saRank = make([]int32, len(idx.saMask)+1)
 	for w, word := range idx.saMask {
 		idx.saRank[w+1] = idx.saRank[w] + int32(bits.OnesCount64(word))

@@ -1,6 +1,10 @@
 package fmindex
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // FuzzSeedsWSVsReference drives the production seeding path — the
 // Workspace passes with sorted-sweep dedup — against the
@@ -112,6 +116,70 @@ func FuzzSMEMvsNaive(f *testing.F) {
 			if gotN, wantN := s.Iv.Size(), bruteCount(withRC(text), r[s.ReadBeg:s.ReadEnd]); gotN != wantN {
 				t.Fatalf("SMEM [%d,%d): interval size %d, want %d occurrences",
 					s.ReadBeg, s.ReadEnd, gotN, wantN)
+			}
+		}
+	})
+}
+
+// FuzzSuffixArrayVsDoubling checks SA-IS against the prefix-doubling
+// oracle on 2-bit texts of up to 4,000 bases in four shapes: random
+// text, single-base runs, periodic text (period 1–8, which keeps LMS
+// names repeating through the recursion) and T·revcomp(T) of a random
+// T, the shape NewBi indexes. raw supplies the bases; a PRNG seeded
+// from seed extends it to the drawn length.
+func FuzzSuffixArrayVsDoubling(f *testing.F) {
+	f.Add(byte(0), uint16(100), int64(1), []byte{0x1b, 0xe4})
+	f.Add(byte(1), uint16(300), int64(2), []byte{7, 1, 40, 2})
+	f.Add(byte(2), uint16(4000), int64(3), []byte{5, 0x9c})
+	f.Add(byte(2), uint16(999), int64(4), []byte{0})
+	f.Add(byte(3), uint16(2000), int64(5), []byte{})
+	f.Fuzz(func(t *testing.T, shape byte, length uint16, seed int64, raw []byte) {
+		n := int(length) % 4001
+		rng := rand.New(rand.NewSource(seed))
+		next := func() byte { // raw's bytes first, then the PRNG
+			if len(raw) > 0 {
+				b := raw[0]
+				raw = raw[1:]
+				return b
+			}
+			return byte(rng.Intn(256))
+		}
+		text := make([]byte, 0, n)
+		switch shape % 4 {
+		case 0: // random text, four bases per byte
+			for len(text) < n {
+				b := next()
+				for k := 0; k < 4 && len(text) < n; k++ {
+					text = append(text, b>>(2*k)&3)
+				}
+			}
+		case 1: // runs of one base, 1 to 64 long
+			for len(text) < n {
+				b := next()
+				for k := 0; k <= int(b>>2) && len(text) < n; k++ {
+					text = append(text, b&3)
+				}
+			}
+		case 2: // a unit of 1 to 8 bases, repeated
+			unit := make([]byte, 1+next()%8)
+			for i := range unit {
+				unit[i] = next() & 3
+			}
+			for len(text) < n {
+				text = append(text, unit[len(text)%len(unit)])
+			}
+		default: // T·revcomp(T)
+			for len(text) < n/2 {
+				text = append(text, next()&3)
+			}
+			text = withRC(text)
+		}
+		got, want := BuildSuffixArray(text), buildSuffixArrayDoubling(text)
+		if !slices.Equal(got, want) {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("shape %d len %d: sa[%d] = %d, want %d (text %v)", shape%4, len(text), i, got[i], want[i], text)
+				}
 			}
 		}
 	})

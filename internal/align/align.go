@@ -86,8 +86,9 @@ type Result struct {
 
 const negInf = int(-1) << 30
 
-// negInf32 is negInf in the extension kernel's int32 rows.
-const negInf32 = int32(negInf)
+// negInf16 is the dead value of the extension kernel's int16 rows, as
+// negInf is of its int32 rows (see deadOf).
+const negInf16 = -1 << 14
 
 // traceback direction encoding, packed one byte per cell:
 // bits 0-1: H source (0 stop, 1 diagonal, 2 from E/del, 3 from F/ins)

@@ -6,7 +6,8 @@ import "testing"
 // extension kernel: on arbitrary sequences, scoring schemes, anchor
 // scores, z-drop thresholds and bands, ExtendWithScratch must return
 // the same (score, refEnd, readEnd, rows) tuple as the full-row oracle
-// at that band with BWA-MEM's 2w retry composed over it. rows is
+// at that band with BWA-MEM's 2w retry composed over it, and so must
+// its int32 rows, which it takes only past narrow's bound. rows is
 // included because the EU cost model charges for it — the kernel must
 // terminate on exactly the same row.
 //
@@ -44,11 +45,13 @@ func FuzzExtendBandedVsFull(f *testing.F) {
 			w = 100
 		}
 		var s Scratch
-		ws, wi, wj, wrows := ExtendWithScratch(&s, ref, read, sc, int(init), zd, w)
 		rs, ri, rj, rrows, _ := ExtendBandReference(ref, read, sc, int(init), zd, w)
-		if ws != rs || wi != ri || wj != rj || wrows != rrows {
-			t.Fatalf("kernel=(%d,%d,%d,%d) reference=(%d,%d,%d,%d) sc=%+v init=%d zdrop=%d w=%d ref=%q read=%q",
-				ws, wi, wj, wrows, rs, ri, rj, rrows, sc, init, zd, w, ref, read)
+		for _, int32Rows := range []bool{false, true} {
+			ws, wi, wj, wrows := extendRows(&s, int32Rows, ref, read, sc, int(init), zd, w)
+			if ws != rs || wi != ri || wj != rj || wrows != rrows {
+				t.Fatalf("kernel (int32 rows %v)=(%d,%d,%d,%d) reference=(%d,%d,%d,%d) sc=%+v init=%d zdrop=%d w=%d ref=%q read=%q",
+					int32Rows, ws, wi, wj, wrows, rs, ri, rj, rrows, sc, init, zd, w, ref, read)
+			}
 		}
 	})
 }
@@ -63,61 +66,72 @@ func fold2Bit(s []byte) []byte {
 }
 
 // FuzzExtendRowVector is the differential fuzz target for the vector
-// row: on windows of 0-80 columns, extendRow with the AVX2 kernel (and
+// rows: on windows of 0-80 columns, extendRow with the AVX2 kernel (and
 // its scalar tail) must leave the same H and E rows and return the
-// same (rowBest, hLast, f) as the scalar loop alone. Each column's
+// same (rowBest, hLast, f) as the scalar loop alone, in int32 rows
+// (rowAVX2, tails of 1-7 columns) and in int16 rows (rowAVX2w16, whose
+// 8-lane step and scalar loop finish tails of 1-15). Each column's
 // previous-row H and E, and the boundary hDiag and hLeft, are either
-// live scores or dead values just below negInf, where the kernel's
-// decays run closest to the int32 floor; GapOpen and GapExtend are
-// drawn non-negative, the vector row's domain.
+// live scores or dead values up to 127 below the width's dead value,
+// where the kernel's decays run closest to its floor; GapOpen and
+// GapExtend are drawn non-negative, the vector row's domain.
 func FuzzExtendRowVector(f *testing.F) {
 	f.Add(uint8(17), uint8(6), uint8(1), int16(20), int16(-3), false, false, []byte{1, 2, 3, 200, 7, 9, 4, 130, 66})
 	f.Add(uint8(8), uint8(0), uint8(0), int16(0), int16(0), true, true, []byte{255, 255, 255})
 	f.Add(uint8(80), uint8(11), uint8(4), int16(90), int16(90), false, true, []byte{40, 10, 1, 41, 11, 2, 200, 201, 3})
+	f.Add(uint8(31), uint8(5), uint8(2), int16(7), int16(60), true, false, []byte{180, 3, 250, 20, 140, 9, 1})
 	f.Fuzz(func(t *testing.T, width, gapO, gapE uint8, hDiag, hLeft int16, deadDiag, deadLeft bool, cells []byte) {
 		if !useAVX2 {
 			t.Skip("no AVX2 row kernel on this host")
 		}
 		n := int(width) % 81
-		ge := int32(gapE % 5)
-		goe := int32(gapO%12) + ge
-		// val maps a byte to a live score in -32..95 or, with its top
-		// bit set, a dead value up to 127 below negInf.
-		val := func(b byte) int32 {
-			if b&0x80 != 0 {
-				return negInf32 - int32(b&0x7f)
-			}
-			return int32(b) - 32
-		}
-		boundary := func(x int16, dead bool) int32 {
-			if dead {
-				return negInf32 - int32(uint16(x)%128)
-			}
-			return int32(x)
-		}
-		h, e, sub := make([]int32, n), make([]int32, n), make([]int32, n)
-		for k := 0; k < n; k++ {
-			var b [3]byte
-			for i := range b {
-				if len(cells) > 0 {
-					b[i] = cells[(3*k+i)%len(cells)] + byte(k)
-				}
-			}
-			h[k], e[k], sub[k] = val(b[0]), val(b[1]), int32(int8(b[2]))%16
-		}
-		hv, ev := append([]int32(nil), h...), append([]int32(nil), e...)
-		hD, hL := boundary(hDiag, deadDiag), boundary(hLeft, deadLeft)
-		vb, vh, vf := extendRow(hv, ev, sub, hD, hL, goe, ge, true)
-		sb, sh, sf := extendRow(h, e, sub, hD, hL, goe, ge, false)
-		if vb != sb || vh != sh || vf != sf {
-			t.Fatalf("n=%d goe=%d ge=%d hDiag=%d hLeft=%d: vector (best, hLast, f) = (%d,%d,%d), scalar (%d,%d,%d)",
-				n, goe, ge, hD, hL, vb, vh, vf, sb, sh, sf)
-		}
-		for k := range h {
-			if hv[k] != h[k] || ev[k] != e[k] {
-				t.Fatalf("n=%d goe=%d ge=%d: column %d vector (H, E) = (%d,%d), scalar (%d,%d)",
-					n, goe, ge, k, hv[k], ev[k], h[k], e[k])
-			}
-		}
+		ge := gapE % 5
+		goe := gapO%12 + ge
+		checkRowVector[int32](t, n, goe, ge, hDiag, hLeft, deadDiag, deadLeft, cells)
+		checkRowVector[int16](t, n, goe, ge, hDiag, hLeft, deadDiag, deadLeft, cells)
 	})
+}
+
+// checkRowVector is one FuzzExtendRowVector case in rows of width L.
+func checkRowVector[L lane](t *testing.T, n int, goe, ge uint8, hDiag, hLeft int16, deadDiag, deadLeft bool, cells []byte) {
+	t.Helper()
+	dead := deadOf[L]()
+	// val maps a byte to a live score in -32..95 or, with its top bit
+	// set, a dead value up to 127 below the dead value.
+	val := func(b byte) L {
+		if b&0x80 != 0 {
+			return dead - L(b&0x7f)
+		}
+		return L(b) - 32
+	}
+	boundary := func(x int16, isDead bool) L {
+		if isDead {
+			return dead - L(uint16(x)%128)
+		}
+		return L(x)
+	}
+	h, e, sub := make([]L, n), make([]L, n), make([]L, n)
+	for k := 0; k < n; k++ {
+		var b [3]byte
+		for i := range b {
+			if len(cells) > 0 {
+				b[i] = cells[(3*k+i)%len(cells)] + byte(k)
+			}
+		}
+		h[k], e[k], sub[k] = val(b[0]), val(b[1]), L(int8(b[2])%16)
+	}
+	hv, ev := append([]L(nil), h...), append([]L(nil), e...)
+	hD, hL := boundary(hDiag, deadDiag), boundary(hLeft, deadLeft)
+	vb, vh, vf := extendRow(hv, ev, sub, hD, hL, L(goe), L(ge), true)
+	sb, sh, sf := extendRow(h, e, sub, hD, hL, L(goe), L(ge), false)
+	if vb != sb || vh != sh || vf != sf {
+		t.Fatalf("%T n=%d goe=%d ge=%d hDiag=%d hLeft=%d: vector (best, hLast, f) = (%d,%d,%d), scalar (%d,%d,%d)",
+			dead, n, goe, ge, hD, hL, vb, vh, vf, sb, sh, sf)
+	}
+	for k := range h {
+		if hv[k] != h[k] || ev[k] != e[k] {
+			t.Fatalf("%T n=%d goe=%d ge=%d: column %d vector (H, E) = (%d,%d), scalar (%d,%d)",
+				dead, n, goe, ge, k, hv[k], ev[k], h[k], e[k])
+		}
+	}
 }

@@ -29,6 +29,19 @@ func hasAVX2() bool {
 //go:noescape
 func rowAVX2(h, e, sub []int32, hDiag, hLeft, goe, ge int32) (best, diag, last, f int32)
 
+// rowAVX2w16 is rowAVX2 over int16 rows, sixteen columns per vector:
+// len(h) is a positive multiple of eight, and an odd eighth runs as one
+// 8-lane step.
+//
+//go:noescape
+func rowAVX2w16(h, e, sub []int16, hDiag, hLeft, goe, ge int16) (best, diag, last, f int16)
+
+// firstEq16 returns the first k with h[k] == v, or len(h) if there is
+// none.
+//
+//go:noescape
+func firstEq16(h []int16, v int16) int
+
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 
 func xgetbv() (lo uint32)

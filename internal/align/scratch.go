@@ -14,6 +14,7 @@ package align
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Scratch is a reusable, grow-only workspace for the DP kernels. The
@@ -30,10 +31,21 @@ type Scratch struct {
 	cig     Cigar
 
 	// rowH and rowE are the extension DP's rolling row, H and E as
-	// int32 structure-of-arrays so the row kernel loads eight columns
-	// of each per vector; prof is its int32 query profile.
-	rowH, rowE []int32
-	prof       []int32
+	// structure-of-arrays so the row kernel loads a vector of columns
+	// of each at a time; prof is its query profile. Each comes in two
+	// widths: int16 (sixteen columns per vector) for the calls narrow
+	// admits, int32 (eight) for the rest.
+	rowH16, rowE16, prof16 []int16
+	rowH, rowE, prof       []int32
+}
+
+// lane is the element type of the extension rows.
+type lane interface{ int16 | int32 }
+
+// deadOf is the dead value of L's rows: negInf16 for int16, negInf
+// for int32.
+func deadOf[L lane]() L {
+	return -1 << (8*unsafe.Sizeof(L(0)) - 2)
 }
 
 // grow returns buf with length n, reusing capacity when possible.
@@ -231,42 +243,52 @@ done:
 // non-negative (gaps never gain); otherwise each row computes its whole
 // band, still allocation-free.
 //
-// Each row's window is computed by extendRow over an int32
-// substitution slice: a row of the query profile when both sequences
-// are 2-bit base codes (every byte in 0..3), otherwise a one-row slice
-// filled for that reference base. The rows are int32, which is exact
-// only while every value fits; headroom checks that once per call and
-// the call panics when it does not hold, which no read the pipeline
-// can deliver reaches (see headroom).
+// Each row's window is computed by extendRow over a substitution
+// slice: a row of the query profile when both sequences are 2-bit base
+// codes (every byte in 0..3), otherwise a one-row slice filled for that
+// reference base. The rows are int16 when narrow admits the call and
+// int32 otherwise; the width follows from that bound alone. int32 rows
+// are exact only while every value fits; headroom checks that once per
+// call and the call panics when it does not hold, which no read the
+// pipeline can deliver reaches (see headroom).
 func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdrop, w int) (score, refEnd, readEnd, rows int) {
 	m, n := len(ref), len(read)
 	if m == 0 || n == 0 {
 		return initScore, 0, 0, 0
 	}
+	if narrow(m, n, sc, initScore, zdrop) {
+		return extend(&s.rowH16, &s.rowE16, &s.prof16, ref, read, sc, initScore, zdrop, w)
+	}
 	if !headroom(m, n, sc, initScore) {
 		panic(fmt.Sprintf("align: extension of %d x %d cells under %+v from score %d overflows int32 rows", m, n, sc, initScore))
 	}
+	return extend(&s.rowH, &s.rowE, &s.prof, ref, read, sc, initScore, zdrop, w)
+}
+
+// extend is ExtendWithScratch on non-empty sequences in the rows *h and
+// *e and the profile *prof of one width, grown to fit.
+func extend[L lane](h, e, prof *[]L, ref, read []byte, sc Scoring, initScore, zdrop, w int) (score, refEnd, readEnd, rows int) {
+	m, n := len(ref), len(read)
 	if w >= m && w >= n {
 		w = -1 // no cell lies outside the band
 	}
-	s.rowH = grow(s.rowH, n+1)
-	s.rowE = grow(s.rowE, n+1)
-	s.prof = grow(s.prof, 4*n)
-	twoBit := buildProfile(s.prof, ref, read, sc)
-	score, refEnd, readEnd, rows, maxOff := extendPass(s, ref, read, sc, twoBit, initScore, zdrop, w)
+	*h, *e, *prof = grow(*h, n+1), grow(*e, n+1), grow(*prof, 4*n)
+	twoBit := buildProfile(*prof, ref, read, sc)
+	score, refEnd, readEnd, rows, maxOff := extendPass(*h, *e, *prof, ref, read, sc, twoBit, initScore, zdrop, w)
 	if bandRetry(w, maxOff) {
-		score, refEnd, readEnd, rows, _ = extendPass(s, ref, read, sc, twoBit, initScore, zdrop, 2*w)
+		score, refEnd, readEnd, rows, _ = extendPass(*h, *e, *prof, ref, read, sc, twoBit, initScore, zdrop, 2*w)
 	}
 	return score, refEnd, readEnd, rows
 }
 
 // headroom reports whether an m x n extension from initScore keeps
 // every value the int32 rows hold, and every intermediate of the row
-// kernel, inside int32. Each value is a maximum of path sums that
-// start at initScore (the anchor and its gap-open boundary) or at
-// negInf = -2^30 (cells outside the band or window) and add one term
-// per row or column crossed: a substitution score, -GapExtend or
-// -(GapOpen+GapExtend). Dead cells therefore fall at most one such
+// kernel, inside int32; ExtendWithScratch takes int32 rows only where
+// narrow, the int16 rows' bound, fails. Each value is a maximum of
+// path sums that start at initScore (the anchor and its gap-open
+// boundary) or at negInf = -2^30 (cells outside the band or window)
+// and add one term per row or column crossed: a substitution score,
+// -GapExtend or -(GapOpen+GapExtend). Dead cells therefore fall at most one such
 // term per row or column below -2^30. A path crosses at most m+n rows
 // and columns, and the row kernel's scan adds at most eight GapExtend
 // decays and one gap open on top, so with c the largest term
@@ -280,10 +302,37 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 // 2^30 + (2^27+18)*7 = 2,013,266,046 < 2^31-1.
 // The bound is computed in float64 so it cannot itself overflow.
 func headroom(m, n int, sc Scoring, initScore int) bool {
+	return max(math.Abs(float64(initScore)), -float64(negInf))+span(m, n, sc) <= math.MaxInt32
+}
+
+// narrow reports whether an m x n extension from initScore under
+// zdrop runs exactly in int16 rows, whose dead value is -2^14. Two
+// bounds must hold. The first is headroom's, with that floor:
+// max(|initScore|, 2^14) + (m+n+10)*c <= 32767, so no stored value,
+// nor the scalar row's one-term intermediates, leaves int16; the
+// vector row saturates, clamping its deeper scan intermediates to
+// -32768, below every stored value. The second keeps every value
+// reached from a dead cell, at most -2^14 + (m+n+10)*c, strictly below
+// initScore and below the z-drop threshold initScore - zdrop, the
+// lowest best - zdrop can be: max(zdrop, 0) - initScore + (m+n+10)*c <
+// 2^14. Every comparison
+// the pass makes (a new best, the z-drop, the shrink and spill bounds)
+// then treats dead-derived values as it would at -2^30, so the result
+// is the int32 rows' own; without it a negative anchor can end the
+// pass on another row. Under BWAMEM (c = 7) with zdrop = 100 and a
+// non-negative anchor this admits m+n <= 2,316.
+func narrow(m, n int, sc Scoring, initScore, zdrop int) bool {
+	s := span(m, n, sc)
+	return max(math.Abs(float64(initScore)), -float64(negInf16))+s <= math.MaxInt16 &&
+		float64(max(zdrop, 0))-float64(initScore)+s < -float64(negInf16)
+}
+
+// span is (m+n+10)*c, with c the largest magnitude of one DP term:
+// |Match|, |Mismatch| or |GapOpen|+|GapExtend|.
+func span(m, n int, sc Scoring) float64 {
 	c := max(math.Abs(float64(sc.Match)), math.Abs(float64(sc.Mismatch)),
 		math.Abs(float64(sc.GapOpen))+math.Abs(float64(sc.GapExtend)))
-	base := max(math.Abs(float64(initScore)), -float64(negInf))
-	return base+(float64(m)+float64(n)+10)*c <= math.MaxInt32
+	return (float64(m) + float64(n) + 10) * c
 }
 
 // bandRetry reports whether a pass at band w whose best cells strayed
@@ -293,12 +342,12 @@ func bandRetry(w, maxOff int) bool {
 	return w > 0 && maxOff >= w>>1+w>>2
 }
 
-// extendPass is one banded pass of ExtendWithScratch over the profile
-// already in s. maxOff is BWA-MEM's max_off: the largest |i-j| of a
-// row maximum that raised the running best.
-func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore, zdrop, w int) (best, bi, bj, rows, maxOff int) {
+// extendPass is one banded pass of ExtendWithScratch over rows h and
+// e and the profile already in prof. maxOff is BWA-MEM's max_off: the
+// largest |i-j| of a row maximum that raised the running best.
+func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit bool, initScore, zdrop, w int) (best, bi, bj, rows, maxOff int) {
 	m, n := len(ref), len(read)
-	h, e, prof := s.rowH, s.rowE, s.prof
+	dead := deadOf[L]()
 
 	gapO, ge := sc.GapOpen, sc.GapExtend
 	goe := gapO + ge
@@ -322,9 +371,9 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 	if w >= 0 && w < n {
 		endValid = w
 	}
-	h[0], e[0] = int32(initScore), negInf32
+	h[0], e[0] = L(initScore), dead
 	for j := 1; j <= endValid; j++ {
-		h[j], e[j] = int32(initScore-gapO-j*ge), negInf32
+		h[j], e[j] = L(initScore-gapO-j*ge), dead
 	}
 	if shrinking && endValid >= beg {
 		beg, endValid = shrink(h, e, beg, endValid, best-zdrop, m-1, stepGain)
@@ -346,7 +395,7 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 			// that column was outside the previous row's window (and,
 			// since that window ended by column i-1+w, is in the band).
 			endRow++
-			h[endRow], e[endRow] = negInf32, negInf32
+			h[endRow], e[endRow] = dead, dead
 		}
 		if beg > endRow {
 			// The band has left the read: this row and every later one
@@ -357,18 +406,18 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 			}
 			break
 		}
-		hBound := negInf32
+		hBound := dead
 		if w < 0 || i <= w {
-			hBound = int32(initScore - gapO - i*ge)
+			hBound = L(initScore - gapO - i*ge)
 		}
 		// h[beg-1] still holds the previous row's value; column
 		// beg-1 >= i-1-w lay in that row's band.
-		hDiag, hLeft := h[beg-1], negInf32 // negInf: excluded column
+		hDiag, hLeft := h[beg-1], dead // dead: excluded column
 		if beg == 1 {
 			h[0] = hBound
 			hLeft = hBound
 		}
-		var sub []int32
+		var sub []L
 		if twoBit {
 			off := int(ref[i-1]) * n
 			sub = prof[off+beg-1 : off+endRow]
@@ -376,10 +425,10 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 			sub = prof[beg-1 : endRow]
 			ri := ref[i-1]
 			for k, b := range read[beg-1 : endRow] {
-				sub[k] = int32(sc.sub(ri, b))
+				sub[k] = L(sc.sub(ri, b))
 			}
 		}
-		rb, hl, fl := extendRow(h[beg:endRow+1], e[beg:endRow+1], sub, hDiag, hLeft, int32(goe), int32(ge), vector)
+		rb, hl, fl := extendRow(h[beg:endRow+1], e[beg:endRow+1], sub, hDiag, hLeft, L(goe), L(ge), vector)
 		rowBest := int(rb)
 		rowArg := 0 // a spill column, or 0 for the window's maximum
 		endRowValid := endRow
@@ -406,7 +455,7 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 				if f+rem*stepGain < T {
 					break
 				}
-				h[j], e[j] = int32(f), negInf32
+				h[j], e[j] = L(f), dead
 				hLeft = f
 				if f > rowBest {
 					rowBest, rowArg = f, j
@@ -418,10 +467,7 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 			if rowArg == 0 {
 				// The row's first cell holding the window maximum: the
 				// argmax is found only on rows that raise best.
-				rowArg = beg
-				for int(h[rowArg]) != rowBest {
-					rowArg++
-				}
+				rowArg = beg + firstIndex(h[beg:endRow+1], L(rowBest))
 			}
 			best, bi, bj = rowBest, i, rowArg
 			maxOff = max(maxOff, i-rowArg, rowArg-i)
@@ -450,7 +496,7 @@ func extendPass(s *Scratch, ref, read []byte, sc Scoring, twoBit bool, initScore
 // read base, and reports true. When ref or read holds a byte outside
 // 0..3 it fills nothing and reports false: the caller then fills one
 // row per reference base instead.
-func buildProfile(prof []int32, ref, read []byte, sc Scoring) bool {
+func buildProfile[L lane](prof []L, ref, read []byte, sc Scoring) bool {
 	var or byte
 	for _, b := range ref {
 		or |= b
@@ -465,7 +511,7 @@ func buildProfile(prof []int32, ref, read []byte, sc Scoring) bool {
 	for b := 0; b < 4; b++ {
 		row := prof[b*n : (b+1)*n]
 		for j, rb := range read {
-			row[j] = int32(sc.sub(byte(b), rb))
+			row[j] = L(sc.sub(byte(b), rb))
 		}
 	}
 	return true
@@ -475,22 +521,30 @@ func buildProfile(prof []int32, ref, read []byte, sc Scoring) bool {
 // of columns: h and e hold the previous row's H and E and receive this
 // row's, sub[k] is the substitution score of column k, hDiag is the
 // previous row's H one column left of the window, and hLeft is this
-// row's H there. It returns the window's maximum H (negInf if none
-// exceeds it), and the H and F of the window's last column for the F
-// spill; the caller locates the maximum only when it raises the best.
+// row's H there. It returns the window's maximum H (the dead value if
+// none exceeds it), and the H and F of the window's last column for
+// the F spill; the caller locates the maximum (firstIndex) only when
+// it raises the best.
 //
-// With vector set (which requires GapOpen >= 0 and GapExtend >= 0)
-// rowAVX2 computes the leading multiple of eight columns and the
-// scalar loop below finishes the tail from the state it hands back;
-// otherwise the scalar loop runs the whole window. Both compute the
-// same values. Kept out of line so the scalar loop's carried state
-// stays in registers.
+// With vector set (which requires GapOpen >= 0 and GapExtend >= 0) the
+// AVX2 kernel of the row's width (rowAVX2w16 or rowAVX2) computes the
+// leading multiple of eight columns and the scalar loop below finishes
+// the tail of at most seven from the state it hands back; otherwise
+// the scalar loop runs the whole window. Both compute the same values.
+// Kept out of line so the scalar loop's carried state stays in
+// registers.
 //
 //go:noinline
-func extendRow(h, e, sub []int32, hDiag, hLeft, goe, ge int32, vector bool) (rowBest, hLast, f int32) {
-	f, rowBest = negInf32, negInf32
+func extendRow[L lane](h, e, sub []L, hDiag, hLeft, goe, ge L, vector bool) (rowBest, hLast, f L) {
+	f, rowBest = deadOf[L](), deadOf[L]()
 	if k := len(sub) &^ 7; vector && k > 0 {
-		rowBest, hDiag, hLeft, f = rowAVX2(h[:k], e[:k], sub[:k], hDiag, hLeft, goe, ge)
+		if h16, ok := any(h).([]int16); ok {
+			b, d, l, x := rowAVX2w16(h16[:k], any(e).([]int16)[:k], any(sub).([]int16)[:k], int16(hDiag), int16(hLeft), int16(goe), int16(ge))
+			rowBest, hDiag, hLeft, f = L(b), L(d), L(l), L(x)
+		} else {
+			b, d, l, x := rowAVX2(any(h).([]int32)[:k], any(e).([]int32)[:k], any(sub).([]int32)[:k], int32(hDiag), int32(hLeft), int32(goe), int32(ge))
+			rowBest, hDiag, hLeft, f = L(b), L(d), L(l), L(x)
+		}
 		h, e, sub = h[k:], e[k:], sub[k:]
 	}
 	h, e = h[:len(sub)], e[:len(sub)]
@@ -513,8 +567,9 @@ func extendRow(h, e, sub []int32, hDiag, hLeft, goe, ge int32, vector bool) (row
 // potential cannot reach T. Stored (possibly already-excluded)
 // neighbours are valid sources for the bound because an excluded
 // cell's descendants are themselves below T by induction.
-func shrink(h, e []int32, beg, end, T, remR, stepGain int) (int, int) {
+func shrink[L lane](h, e []L, beg, end, T, remR, stepGain int) (int, int) {
 	n := len(h) - 1
+	dead := deadOf[L]()
 	for end >= beg {
 		b := int(max(h[end], e[end], h[end-1]))
 		rem := remR
@@ -524,7 +579,7 @@ func shrink(h, e []int32, beg, end, T, remR, stepGain int) (int, int) {
 		if b+stepGain+rem*stepGain >= T {
 			break
 		}
-		h[end], e[end] = negInf32, negInf32
+		h[end], e[end] = dead, dead
 		end--
 	}
 	for beg <= end {
@@ -536,8 +591,23 @@ func shrink(h, e []int32, beg, end, T, remR, stepGain int) (int, int) {
 		if b+stepGain+rem*stepGain >= T {
 			break
 		}
-		h[beg], e[beg] = negInf32, negInf32
+		h[beg], e[beg] = dead, dead
 		beg++
 	}
 	return beg, end
+}
+
+// firstIndex returns the first k with h[k] == v, or len(h) if there is
+// none: by vector compare (firstEq16) on int16 rows where AVX2 runs,
+// by a scalar scan otherwise.
+func firstIndex[L lane](h []L, v L) int {
+	if h16, ok := any(h).([]int16); ok && useAVX2 {
+		return firstEq16(h16, int16(v))
+	}
+	for k, x := range h {
+		if x == v {
+			return k
+		}
+	}
+	return len(h)
 }

@@ -77,6 +77,16 @@ func homologousCodes(rng *rand.Rand, refLen, readLen, div int) (ref, read []byte
 	return ref, read
 }
 
+// extendRows is ExtendWithScratch, or with int32Rows set the same
+// extension in int32 rows whatever narrow says, so tests reach both
+// widths on small inputs.
+func extendRows(s *Scratch, int32Rows bool, ref, read []byte, sc Scoring, initScore, zdrop, w int) (score, refEnd, readEnd, rows int) {
+	if !int32Rows || len(ref) == 0 || len(read) == 0 {
+		return ExtendWithScratch(s, ref, read, sc, initScore, zdrop, w)
+	}
+	return extend(&s.rowH, &s.rowE, &s.prof, ref, read, sc, initScore, zdrop, w)
+}
+
 func randScoring(rng *rand.Rand) Scoring {
 	return Scoring{
 		Match:     1 + rng.Intn(5),
@@ -92,8 +102,9 @@ func randScoring(rng *rand.Rand) Scoring {
 // substitution fill) and as 2-bit codes (the query profile). Every
 // trial runs unbanded against the unbanded oracle and at a drawn band
 // narrow enough to bind against the banded oracle with the retry
-// composed over it. All four outputs (score, refEnd, readEnd, rows)
-// must be byte-identical — the rows value feeds the EU cost model, so
+// composed over it, in the int16 rows ExtendWithScratch picks for
+// these sizes and in int32 rows. All four outputs (score, refEnd,
+// readEnd, rows) must be byte-identical — the rows value feeds the EU cost model, so
 // even the termination row must be preserved.
 func TestExtendMatchesReference(t *testing.T) {
 	t.Parallel()
@@ -113,11 +124,13 @@ func TestExtendMatchesReference(t *testing.T) {
 		}
 		for _, w := range []int{-1, rng.Intn(40)} {
 			for _, p := range [][2][]byte{{ref, read}, {codes(ref), codes(read)}} {
-				ws, wi, wj, wrows := ExtendWithScratch(&s, p[0], p[1], sc, initScore, zdrop, w)
 				rs, ri, rj, rrows, _ := ExtendBandReference(p[0], p[1], sc, initScore, zdrop, w)
-				if ws != rs || wi != ri || wj != rj || wrows != rrows {
-					t.Fatalf("trial %d: Extend mismatch (sc=%+v init=%d zdrop=%d w=%d |ref|=%d |read|=%d 2-bit=%v):\n kernel    = (%d,%d,%d,%d)\n reference = (%d,%d,%d,%d)",
-						trial, sc, initScore, zdrop, w, len(ref), len(read), p[0][0] < 4, ws, wi, wj, wrows, rs, ri, rj, rrows)
+				for _, int32Rows := range []bool{false, true} {
+					ws, wi, wj, wrows := extendRows(&s, int32Rows, p[0], p[1], sc, initScore, zdrop, w)
+					if ws != rs || wi != ri || wj != rj || wrows != rrows {
+						t.Fatalf("trial %d: Extend mismatch (sc=%+v init=%d zdrop=%d w=%d |ref|=%d |read|=%d 2-bit=%v int32 rows=%v):\n kernel    = (%d,%d,%d,%d)\n reference = (%d,%d,%d,%d)",
+							trial, sc, initScore, zdrop, w, len(ref), len(read), p[0][0] < 4, int32Rows, ws, wi, wj, wrows, rs, ri, rj, rrows)
+					}
 				}
 			}
 		}
@@ -259,8 +272,9 @@ func TestLocalScratchMatches(t *testing.T) {
 // extension at the pipeline's band, cycled across a short-read flank, a
 // long-read flank (both 2-bit, the query-profile path), an ACGT-letter
 // pair (the per-row substitution fill), a flank whose first pass
-// triggers the 2w retry, and flanks whose windows are shorter than one
-// 8-column vector or end in a partial one (the scalar tail).
+// triggers the 2w retry, flanks whose windows are shorter than one
+// 8-column vector or end in a partial one (the scalar tail), and a
+// flank too long for int16 rows.
 func TestExtendScratchZeroAlloc(t *testing.T) {
 	const w = 100
 	rng := rand.New(rand.NewSource(5))
@@ -273,8 +287,12 @@ func TestExtendScratchZeroAlloc(t *testing.T) {
 	}
 	tiny, tinyRead := homologousCodes(rng, 9, 5, 3)
 	odd, oddRead := homologousCodes(rng, 45, 37, 6)
+	wide, wideRead := homologousCodes(rng, 1308, 1300, 11)
+	if narrow(len(wide), len(wideRead), BWAMEM(), 20, 100) {
+		t.Fatal("the 1,300 bp flank passes narrow; it must take int32 rows")
+	}
 	pairs := [][2][]byte{{short, shortRead}, {long, longRead}, {ascii, asciiRead}, {retry, retryRead},
-		{tiny, tinyRead}, {odd, oddRead}}
+		{tiny, tinyRead}, {odd, oddRead}, {wide, wideRead}}
 	sc := BWAMEM()
 	var s Scratch
 	for _, p := range pairs { // warm
@@ -309,6 +327,89 @@ func TestExtendHeadroom(t *testing.T) {
 	}()
 	var s Scratch
 	ExtendWithScratch(&s, codes([]byte("ACGT")), codes([]byte("ACGT")), Scoring{Match: 1 << 28, Mismatch: 4, GapOpen: 6, GapExtend: 1}, 0, 100, 100)
+}
+
+// TestExtendWidthBoundary runs extensions at the largest m+n narrow
+// admits and one past it, under BWAMEM and a wider scheme, with the
+// z-drop on (narrow's separation bound binds) and off (the int16 range
+// binds), and from a negative anchor (the separation bound binds far
+// below the range); two cases meet a bound with equality, so an
+// off-by-one comparison fails them. The first must take int16 rows
+// and the second int32 rows, and both must equal the banded oracle on a homologous
+// flank and an unrelated one, whose scores fall furthest toward the
+// int16 floor.
+func TestExtendWidthBoundary(t *testing.T) {
+	t.Parallel()
+	wider := Scoring{Match: 2, Mismatch: 8, GapOpen: 12, GapExtend: 2}
+	cases := []struct {
+		name                    string
+		sc                      Scoring
+		initScore, zdrop, bound int
+	}{
+		{"bwamem/zdrop", BWAMEM(), 19, 100, 2318}, // 100-19+2329*7 = 2^14
+		{"bwamem/no-zdrop", BWAMEM(), 20, -1, 2330},
+		{"bwamem/negative-anchor", BWAMEM(), -8000, 100, 1173},
+		{"wider/zdrop", wider, 20, 100, 1154},
+		{"wider/no-zdrop", wider, 20, -1, 1160},
+		{"c3/no-zdrop", Scoring{Match: 1, Mismatch: 3, GapOpen: 2, GapExtend: 1}, 20, -1, 5451}, // 2^14+5461*3 = 32767
+	}
+	rng := rand.New(rand.NewSource(17))
+	var s Scratch
+	for _, c := range cases {
+		for _, mn := range []int{c.bound, c.bound + 1} {
+			m := mn/2 + 4
+			n := mn - m
+			if got, want := narrow(m, n, c.sc, c.initScore, c.zdrop), mn == c.bound; got != want {
+				t.Fatalf("%s: narrow(%d, %d) = %v, want %v", c.name, m, n, got, want)
+			}
+			homRef, homRead := homologousCodes(rng, m, n, 7)
+			unrelated, unrelatedRead := homologousCodes(rng, m, n, 1)
+			for _, p := range [][2][]byte{{homRef, homRead}, {unrelated, unrelatedRead}} {
+				for _, w := range []int{100, -1} {
+					ws, wi, wj, wrows := ExtendWithScratch(&s, p[0], p[1], c.sc, c.initScore, c.zdrop, w)
+					rs, ri, rj, rrows, _ := ExtendBandReference(p[0], p[1], c.sc, c.initScore, c.zdrop, w)
+					if ws != rs || wi != ri || wj != rj || wrows != rrows {
+						t.Fatalf("%s m+n=%d w=%d: kernel = (%d,%d,%d,%d), reference = (%d,%d,%d,%d)",
+							c.name, mn, w, ws, wi, wj, wrows, rs, ri, rj, rrows)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFirstIndexTies pins the argmax scan on rows with tied maxima:
+// the first column holding the value wins, whether it lies in a
+// 16-column vector of an int16 row, in the scalar tail, or in an int32
+// row, and a value the row lacks returns len(h).
+func TestFirstIndexTies(t *testing.T) {
+	t.Parallel()
+	const top = 7
+	for n := 1; n <= 70; n++ {
+		h16, h32 := make([]int16, n), make([]int32, n)
+		for first := 0; first < n; first++ {
+			for k := range h16 {
+				h16[k] = int16(k%5) - 3
+			}
+			for _, k := range []int{first, first + 1, first + 15, first + 16, n - 1} {
+				if k < n {
+					h16[k] = top
+				}
+			}
+			for k, x := range h16 {
+				h32[k] = int32(x)
+			}
+			if got := firstIndex(h16, top); got != first {
+				t.Fatalf("int16 n=%d: firstIndex = %d, want %d", n, got, first)
+			}
+			if got := firstIndex(h32, top); got != first {
+				t.Fatalf("int32 n=%d: firstIndex = %d, want %d", n, got, first)
+			}
+		}
+		if got := firstIndex(h16, top+1); got != n {
+			t.Fatalf("int16 n=%d: firstIndex of an absent value = %d, want %d", n, got, n)
+		}
+	}
 }
 
 // TestLocalBandedScratchZeroAlloc asserts the same for the banded

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"nvwa"
-	"nvwa/internal/ckpt"
 )
 
 // runMainArg, as the first argument of the test binary, makes it run
@@ -49,8 +48,8 @@ func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	unwritable := filepath.Join(dir, "no-such-dir", "trace.json")
 
-	// A checkpoint of this run with an impossible feed log, re-signed
-	// by WriteCheckpoint so it passes every checksum.
+	// A checkpoint of this run with an impossible fired-event count,
+	// re-signed by WriteCheckpoint so it passes every checksum.
 	if code, out := runMain(t, append(small, "-checkpoint-every", "2000", "-checkpoint-dir", dir)...); code != 0 {
 		t.Fatalf("checkpointed run: exit code %d; output:\n%s", code, out)
 	}
@@ -58,9 +57,9 @@ func TestExitCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.FeedLog = []ckpt.FeedRec{{N: -1}, {N: 51}}
-	badFeed := filepath.Join(dir, "bad-feed.ckpt")
-	if err := nvwa.WriteCheckpoint(badFeed, ck); err != nil {
+	ck.Fired = -1
+	badFired := filepath.Join(dir, "bad-fired.ckpt")
+	if err := nvwa.WriteCheckpoint(badFired, ck); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,7 +74,7 @@ func TestExitCodes(t *testing.T) {
 		{"zero shards", []string{"-shards", "0"}, 2},
 		{"reference shorter than reads", []string{"-reflen", "50"}, 2},
 		{"unwritable trace", []string{"-trace", unwritable}, 1},
-		{"malformed feed log", []string{"-resume", badFeed}, 1},
+		{"impossible fired count", []string{"-resume", badFired}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

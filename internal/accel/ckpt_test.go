@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"nvwa/internal/ckpt"
@@ -36,14 +37,32 @@ func mustJSON(tb testing.TB, r *Report) []byte {
 	return b
 }
 
-// finishFrom restores a system from a checkpoint and drives it to the
-// final report through the incremental Step interface.
+// stepper slices a run into StepUntil calls budget cycles apart. Its
+// horizon is monotone rather than now+budget: a slice that fires no
+// event does not advance the clock, so the horizon is what lets
+// repeated small slices make progress across an event gap.
+type stepper struct {
+	sys     *System
+	horizon int64
+}
+
+func (st *stepper) step(budget int64) (bool, error) {
+	if now := st.sys.Now(); st.horizon < now {
+		st.horizon = now
+	}
+	st.horizon += budget
+	return st.sys.StepUntil(st.horizon)
+}
+
+// finishFrom drives a (restored) system to the final report in
+// StepUntil slices.
 func finishFrom(t *testing.T, sys *System) *Report {
 	t.Helper()
+	st := stepper{sys: sys}
 	for {
-		done, err := sys.Step(5000)
+		done, err := st.step(5000)
 		if err != nil {
-			t.Fatalf("Step: %v", err)
+			t.Fatalf("StepUntil: %v", err)
 		}
 		if done {
 			break
@@ -56,7 +75,7 @@ func finishFrom(t *testing.T, sys *System) *Report {
 	return rep
 }
 
-// The tentpole contract: restoring a checkpoint taken at any Step
+// The tentpole contract: restoring a checkpoint taken at any StepUntil
 // boundary and running to completion is byte-identical to the
 // uninterrupted run. Swept across all four allocator strategies ×
 // {fault-free, seeded fault plan}; the sharded axis lives in the shard
@@ -100,11 +119,12 @@ func TestResumeByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				sys.Feed(reads)
+				st := stepper{sys: sys}
 				var cks []*ckpt.Checkpoint
 				for {
-					done, err := sys.Step(2500)
+					done, err := st.step(2500)
 					if err != nil {
-						t.Fatalf("Step: %v", err)
+						t.Fatalf("StepUntil: %v", err)
 					}
 					ck, err := sys.Snapshot()
 					if err != nil {
@@ -165,10 +185,11 @@ func TestResumeEverySyncPointByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Feed(reads)
+	st := stepper{sys: sys}
 	var cks []*ckpt.Checkpoint
 	lastFired := int64(-1)
 	for {
-		done, err := sys.Step(1)
+		done, err := st.step(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,68 +219,6 @@ func TestResumeEverySyncPointByteIdentical(t *testing.T) {
 	}
 }
 
-// Incremental feeding is exact: splitting the workload across
-// mid-run Feed calls produces the same Report as feeding everything
-// up front, and checkpoints taken between feeds replay the feed log
-// correctly.
-func TestIncrementalFeedByteIdentical(t *testing.T) {
-	t.Parallel()
-	a, reads := testWorkload(t, 90, 55)
-	mk := func() *System {
-		sys, err := New(a, smallOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	base := mk()
-	want := reportBytes(t, base.Run(reads))
-
-	sys := mk()
-	sys.Feed(reads[:30])
-	var mid *ckpt.Checkpoint
-	for i := 0; ; i++ {
-		done, err := sys.Step(400)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch i {
-		case 2:
-			sys.Feed(reads[30:70])
-		case 5:
-			sys.Feed(reads[70:])
-			ck, err := sys.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			mid = ck
-		}
-		if done && i > 5 {
-			break
-		}
-	}
-	rep, err := sys.DrainChecked()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reportBytes(t, rep); string(got) != string(want) {
-		t.Fatal("incrementally fed run diverges from up-front feed")
-	}
-	if mid == nil {
-		t.Fatal("run quiesced before the feed schedule completed")
-	}
-	if len(mid.FeedLog) != 3 {
-		t.Fatalf("feed log = %v, want 3 records", mid.FeedLog)
-	}
-	r, err := Restore(a, smallOpts(), reads, mid)
-	if err != nil {
-		t.Fatalf("Restore across feed log: %v", err)
-	}
-	if got := reportBytes(t, finishFrom(t, r)); string(got) != string(want) {
-		t.Fatal("resume across multi-feed log diverges")
-	}
-}
-
 // Restore must refuse checkpoints that do not bind to the rebuilt
 // system: wrong workload, wrong configuration, wrong fault plan,
 // corrupted wire bytes.
@@ -271,7 +230,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Feed(reads)
-	if _, err := sys.Step(2000); err != nil {
+	if _, err := sys.StepUntil(2000); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := sys.Snapshot()
@@ -296,38 +255,40 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 }
 
-// A checksum-valid checkpoint whose feed log is impossible must be
-// refused with an error before anything is fed, never a panic. Each
-// mutated log goes through Encode and Decode, so it passes the FNV
-// gates exactly as a re-signed file would.
-func TestRestoreRejectsMalformedFeedLog(t *testing.T) {
+// A checksum-valid checkpoint whose engine position is impossible
+// must be refused with an error, never a panic. Each mutated
+// checkpoint goes through Encode and Decode, so it passes the FNV gates
+// exactly as a re-signed file would.
+func TestRestoreRejectsHostilePosition(t *testing.T) {
 	t.Parallel()
 	a, reads := testWorkload(t, 20, 11)
+	base, err := New(a, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Run(reads)
+	last := base.eng.Fired() // the run's last event
 	sys, err := New(a, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Feed(reads)
-	if _, err := sys.Step(2000); err != nil {
+	if _, err := sys.StepUntil(2000); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := sys.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := int64(len(reads))
-	if ck.Fired < 2 {
-		t.Fatalf("snapshot at %d fired events; the cases need at least 2", ck.Fired)
-	}
-	restore := func(log []ckpt.FeedRec) (err error) {
+	restore := func(mut func(c *ckpt.Checkpoint)) (err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("panic: %v", p)
-				t.Errorf("Restore panicked on feed log %v: %v", log, p)
+				t.Errorf("Restore panicked: %v", p)
 			}
 		}()
 		c := *ck
-		c.FeedLog = log
+		mut(&c)
 		dec, err := ckpt.Decode(c.Encode())
 		if err != nil {
 			t.Fatalf("re-signed checkpoint rejected by Decode: %v", err)
@@ -335,22 +296,65 @@ func TestRestoreRejectsMalformedFeedLog(t *testing.T) {
 		_, err = Restore(a, smallOpts(), reads, dec)
 		return err
 	}
-	if err := restore(ck.FeedLog); err != nil {
-		t.Fatalf("re-signed valid feed log refused: %v", err)
+	if err := restore(func(*ckpt.Checkpoint) {}); err != nil {
+		t.Fatalf("re-signed valid checkpoint refused: %v", err)
 	}
 	for _, tc := range []struct {
 		name string
-		log  []ckpt.FeedRec
+		mut  func(c *ckpt.Checkpoint)
 	}{
-		{"negative count", []ckpt.FeedRec{{N: -1}, {N: n + 1}}},
-		{"count overflow", []ckpt.FeedRec{{N: math.MaxInt64}, {N: math.MaxInt64}, {N: n + 2}}},
-		{"negative fired", []ckpt.FeedRec{{Fired: -1, N: n}}},
-		{"decreasing fired", []ckpt.FeedRec{{Fired: 2, N: 1}, {Fired: 1, N: n - 1}}},
-		{"fired beyond checkpoint", []ckpt.FeedRec{{Fired: ck.Fired + 1, N: n}}},
+		{"negative fired", func(c *ckpt.Checkpoint) { c.Fired = -1 }},
+		{"fired past the last event", func(c *ckpt.Checkpoint) { c.Fired = last + 1 }},
+		{"fired at max", func(c *ckpt.Checkpoint) { c.Fired = math.MaxInt64 }},
+		{"cycle changed", func(c *ckpt.Checkpoint) { c.Cycle++ }},
+		{"cycle negative", func(c *ckpt.Checkpoint) { c.Cycle = -1 }},
+		{"seq changed", func(c *ckpt.Checkpoint) { c.Seq++ }},
+		{"seq behind fired", func(c *ckpt.Checkpoint) { c.Seq = c.Fired - 1 }},
 	} {
-		if err := restore(tc.log); err == nil {
-			t.Errorf("%s: feed log %v accepted", tc.name, tc.log)
+		if err := restore(tc.mut); err == nil {
+			t.Errorf("%s: checkpoint accepted", tc.name)
 		}
+	}
+}
+
+// A System is fed once: a second Feed panics naming the misuse, and
+// a Snapshot before the first Feed is an error rather than a
+// checkpoint of no workload.
+func TestFeedOnceAndSnapshotAfterFeed(t *testing.T) {
+	t.Parallel()
+	a, reads := testWorkload(t, 10, 11)
+	for _, strat := range []SeedStrategy{OneCycle, ReadInBatch} {
+		o := smallOpts()
+		o.SeedStrategy = strat
+		sys, err := New(a, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck, err := sys.Snapshot(); err == nil {
+			t.Errorf("%v: Snapshot before Feed returned %+v, want an error", strat, ck)
+		}
+		sys.Feed(reads)
+		if _, err := sys.Snapshot(); err != nil {
+			t.Errorf("%v: Snapshot after Feed: %v", strat, err)
+		}
+		func() {
+			defer func() {
+				p := recover()
+				if msg, _ := p.(string); !strings.Contains(msg, "Feed called twice") {
+					t.Errorf("%v: second Feed: recovered %v, want a panic naming the misuse", strat, p)
+				}
+			}()
+			sys.Feed(reads)
+		}()
+	}
+	// An empty read set is still a Feed.
+	sys, err := New(a, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Feed(nil)
+	if _, err := sys.Snapshot(); err != nil {
+		t.Errorf("Snapshot after an empty Feed: %v", err)
 	}
 }
 
@@ -381,7 +385,7 @@ func TestMemoResumeCrossKeying(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Feed(reads)
-	if _, err := sys.Step(3000); err != nil {
+	if _, err := sys.StepUntil(3000); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := sys.Snapshot()
@@ -448,10 +452,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		sys.Feed(reads)
+		st := stepper{sys: sys}
 		slices := int(stopAfter)
 		done := false
 		for i := 0; i <= slices && !done; i++ {
-			done, err = sys.Step(budget)
+			done, err = st.step(budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -471,8 +476,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if string(ck.Encode()) != string(ck2.Encode()) {
 			t.Fatal("snapshot → restore → snapshot is not byte-identical")
 		}
+		rst := stepper{sys: restored}
 		for !done {
-			done, err = restored.Step(1_000_000)
+			done, err = rst.step(1_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,9 +59,10 @@ type faultState struct {
 	retryPending int              // requeued, not yet re-dispatched or dead-lettered
 	inFlight     int              // extensions currently committed/executing
 	attempts     map[core.Hit]int // scheduling attempts per requeued hit
+	retryFree    []*retryTask     // freelist of pooled retry events
 
 	// hadHits[i]: read i produced at least one hit (for the
-	// ReadsAbandoned accounting; sized at Run).
+	// ReadsAbandoned accounting; sized at Feed).
 	hadHits []bool
 }
 
@@ -195,10 +196,7 @@ func (s *System) suFailedMidTask(u *su.Unit, idx int) {
 	case OneCycle:
 		s.kickSeeding()
 	case ReadInBatch:
-		s.idleSUs++
-		if s.idleSUs == len(s.sus) {
-			s.eng.After(1, s.issueBatch)
-		}
+		s.leaveBatch()
 	}
 }
 
@@ -251,7 +249,35 @@ func (s *System) scheduleRetry(h core.Hit) {
 		return
 	}
 	s.flt.attempts[h] = n + 1
-	s.eng.After(retryBackoff(n+1), func() { s.retryFire(h) })
+	s.eng.At(s.eng.Now()+retryBackoff(n+1), s.getRetryTask(h))
+}
+
+// retryTask is the pooled event payload for one backoff-delayed
+// re-dispatch attempt of a hit requeued off a failed EU.
+type retryTask struct {
+	s *System
+	h core.Hit
+}
+
+// TaskKind implements sim.Task.
+func (t *retryTask) TaskKind() string { return "retry" }
+
+// Fire implements sim.Task.
+func (t *retryTask) Fire() {
+	s, h := t.s, t.h
+	s.flt.retryFree = append(s.flt.retryFree, t)
+	s.retryFire(h)
+}
+
+// getRetryTask takes a task from the freelist or allocates one.
+func (s *System) getRetryTask(h core.Hit) *retryTask {
+	if n := len(s.flt.retryFree); n > 0 {
+		t := s.flt.retryFree[n-1]
+		s.flt.retryFree = s.flt.retryFree[:n-1]
+		t.h = h
+		return t
+	}
+	return &retryTask{s: s, h: h}
 }
 
 // deadLetter abandons h after attempts retries: the loss is explicit,

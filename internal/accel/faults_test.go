@@ -200,7 +200,7 @@ func TestBufferPressureSheds(t *testing.T) {
 	if f.Shed == 0 {
 		t.Fatal("permanent pressure window over a tiny buffer shed nothing")
 	}
-	if got := ob.Inv.Shed(); got != int64(f.Shed) {
+	if got := ob.Inv.Ledger().Shed; got != int64(f.Shed) {
 		t.Fatalf("summary shed %d != ledger shed %d", f.Shed, got)
 	}
 }

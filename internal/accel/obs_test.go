@@ -157,13 +157,14 @@ func TestInvariantsHoldAcrossConfigurations(t *testing.T) {
 			if err := ob.Inv.Err(); err != nil {
 				t.Errorf("%v/%v: invariant violation: %v", seed, alloc, err)
 			}
-			if ob.Inv.Pushed() != int64(rep.TotalHits) {
+			l := ob.Inv.Ledger()
+			if l.Pushed != int64(rep.TotalHits) {
 				t.Errorf("%v/%v: ledger pushed %d, report says %d hits",
-					seed, alloc, ob.Inv.Pushed(), rep.TotalHits)
+					seed, alloc, l.Pushed, rep.TotalHits)
 			}
-			if got := ob.Inv.Assigned() + ob.Inv.Dropped(); got != ob.Inv.Pushed() {
+			if got := l.Assigned + l.Dropped; got != l.Pushed {
 				t.Errorf("%v/%v: conservation after drain: assigned %d + dropped %d != pushed %d",
-					seed, alloc, ob.Inv.Assigned(), ob.Inv.Dropped(), ob.Inv.Pushed())
+					seed, alloc, l.Assigned, l.Dropped, l.Pushed)
 			}
 		}
 	}
@@ -199,12 +200,12 @@ func TestExclusiveEmptyClassDropsWithReason(t *testing.T) {
 	if rep.TotalHits == 0 {
 		t.Fatal("workload produced no hits")
 	}
-	if ob.Inv.Dropped() == 0 {
+	if ob.Inv.Ledger().Dropped == 0 {
 		t.Fatal("no hits dropped — expected short hits to be unallocatable under Exclusive")
 	}
-	if ob.Metrics.Counter("alloc.dropped.unallocatable").Value() != ob.Inv.Dropped() {
+	if ob.Metrics.Counter("alloc.dropped.unallocatable").Value() != ob.Inv.Ledger().Dropped {
 		t.Errorf("dropped metric %d disagrees with ledger %d",
-			ob.Metrics.Counter("alloc.dropped.unallocatable").Value(), ob.Inv.Dropped())
+			ob.Metrics.Counter("alloc.dropped.unallocatable").Value(), ob.Inv.Ledger().Dropped)
 	}
 }
 
@@ -232,8 +233,8 @@ func TestSubThresholdTailIsDrained(t *testing.T) {
 	if rep.TotalHits == 0 {
 		t.Fatal("workload produced no hits")
 	}
-	if ob.Inv.Assigned() != int64(rep.TotalHits) {
-		t.Errorf("assigned %d of %d hits — tail stranded", ob.Inv.Assigned(), rep.TotalHits)
+	if ob.Inv.Ledger().Assigned != int64(rep.TotalHits) {
+		t.Errorf("assigned %d of %d hits — tail stranded", ob.Inv.Ledger().Assigned, rep.TotalHits)
 	}
 	if ob.Metrics.Counter("coordinator.forced_switches").Value() == 0 {
 		t.Error("no forced switch recorded — the tail cannot have drained via the threshold")
@@ -290,8 +291,9 @@ func TestObservedRoundZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Feed(reads)
+		st := stepper{sys: s}
 		for s.buffer.PBRemaining() == 0 || s.idleEUs == 0 || s.roundActive {
-			done, err := s.Step(1)
+			done, err := st.step(1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,12 +10,15 @@ import (
 	"nvwa/internal/seq"
 )
 
-// runRecovered simulates one shard under a chip-crash schedule with
-// periodic checkpointing: the system steps to each checkpoint
-// boundary (every cycles apart; 0 disables) and snapshots; a crash at
-// cycle c kills the shard just before c fires, and the shard restarts
-// from its last checkpoint (or from scratch when none was taken yet)
-// and re-simulates the lost span. Because Restore is proven
+// runRecovered simulates one shard of a sharded run — every shard of
+// an S >= 2 run goes through it, so the shard index stamps each
+// checkpoint the shard takes, OnAbort's included. Under a chip-crash
+// schedule with periodic checkpointing the system steps to each
+// checkpoint boundary (every cycles apart; 0 disables) and snapshots;
+// with neither it runs straight to quiescence. A crash at cycle c
+// kills the shard just before c fires, and the shard restarts from
+// its last checkpoint (or from scratch when none was taken yet) and
+// re-simulates the lost span. Because Restore is proven
 // byte-identical to the uninterrupted run, the recovered shard's
 // Report equals the crash-free shard's — only the Recovery ledger
 // (crash count, replayed cycles, checkpoint traffic) records that
@@ -38,7 +41,7 @@ func runRecovered(aligner *pipeline.Aligner, so Options, parentObs *obs.Observer
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", shard, err)
 		}
-		sys.setShard(shard)
+		sys.shard = shard
 		sys.Feed(reads)
 		return sys, nil
 	}
@@ -95,8 +98,7 @@ func runRecovered(aligner *pipeline.Aligner, so Options, parentObs *obs.Observer
 				if err != nil {
 					return nil, nil, fmt.Errorf("shard %d: recovery from crash at cycle %d: %w", shard, crashAt, err)
 				}
-				rs.setShard(shard)
-				sys = rs
+				sys = rs // stamped with shard by the checkpoint it restored
 			} else {
 				sys, err = build()
 				if err != nil {

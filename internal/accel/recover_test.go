@@ -6,10 +6,12 @@ import (
 	"sync"
 	"testing"
 
+	"nvwa/internal/ckpt"
 	"nvwa/internal/fault"
 	"nvwa/internal/genome"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
+	"nvwa/internal/sim"
 )
 
 // stripRecovery marshals a Report with the Recovery ledger cleared, so
@@ -284,4 +286,65 @@ func TestNewShardedRejectsBadCrashSchedules(t *testing.T) {
 	if _, err := New(a, badOpts); err == nil {
 		t.Error("System.New accepted a chip-crash plan")
 	}
+}
+
+// An uncheckpointed, crash-free sharded run whose watchdog trips hands
+// OnAbort one checkpoint per tripped shard, stamped with that shard's
+// index, and each restores over its shard's reads to finish exactly as
+// the shard does without a watchdog.
+func TestShardedAbortCheckpointsStampShard(t *testing.T) {
+	t.Parallel()
+	a, reads := testWorkload(t, 80, 23)
+	base := ShardedOptions{Options: smallOpts(), Shards: 2, Policy: ShardContiguous, Workers: 2}
+	ss, err := NewSharded(a, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := ss.RunDetailed(reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	got := map[int32]*ckpt.Checkpoint{}
+	tight := base
+	tight.Watchdog = &sim.Watchdog{MaxCycles: 3000}
+	tight.OnAbort = func(ck *ckpt.Checkpoint) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := got[ck.Shard]; dup {
+			t.Errorf("two abort checkpoints stamped shard %d", ck.Shard)
+		}
+		got[ck.Shard] = ck
+	}
+	ss, err = NewSharded(a, tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.RunChecked(reads); err == nil {
+		t.Fatal("a 3000-cycle budget did not trip")
+	}
+	if len(got) != 2 || got[0] == nil || got[1] == nil {
+		t.Fatalf("abort checkpoints stamped shards %v, want 0 and 1", shardKeys(got))
+	}
+	for i, part := range PartitionReads(len(reads), 2, ShardContiguous) {
+		r, err := Restore(a, smallOpts(), reads[part[0]:part[len(part)-1]+1], got[int32(i)])
+		if err != nil {
+			t.Fatalf("shard %d: Restore: %v", i, err)
+		}
+		if r.shard != i {
+			t.Errorf("shard %d: restored system stamps shard %d", i, r.shard)
+		}
+		if string(reportBytes(t, finishFrom(t, r))) != string(reportBytes(t, want[i])) {
+			t.Errorf("shard %d: resumed abort checkpoint diverges from the shard's run", i)
+		}
+	}
+}
+
+func shardKeys(m map[int32]*ckpt.Checkpoint) []int32 {
+	var ks []int32
+	for k := range m {
+		ks = append(ks, k)
+	}
+	return ks
 }

@@ -1,7 +1,8 @@
 package accel
 
 import (
-	"nvwa/internal/ckpt"
+	"math"
+
 	"nvwa/internal/coordinator"
 	"nvwa/internal/core"
 	"nvwa/internal/eu"
@@ -33,109 +34,55 @@ func (s *System) Run(reads []seq.Seq) *Report {
 // no-progress abort, and the report covers only the simulated prefix
 // (its FaultSummary carries the same diagnosis).
 //
-// RunChecked is a thin wrapper over the incremental engine: one Feed,
-// a run to quiescence, then DrainChecked — byte-identical to the
-// historical run-to-completion loop.
+// RunChecked is Feed, a run to quiescence, then DrainChecked; callers
+// that pause the run (to checkpoint it) make the same three calls with
+// StepUntil slices in between.
 func (s *System) RunChecked(reads []seq.Seq) (*Report, error) {
 	s.Feed(reads)
-	s.runEngine()
+	s.StepUntil(math.MaxInt64)
 	return s.DrainChecked()
 }
 
-// Feed appends reads to the system's input. The first Feed schedules
-// the seeding-phase init events; later Feeds wake any seeding units
-// that had parked on exhausted input, so a simulation can be fed
-// incrementally — between Step slices — instead of all at once. Each
-// Feed is recorded at the engine's exact fired-event position, which
-// is what lets a checkpoint replay mid-run feeds at precisely the
-// right point in the event schedule.
+// Feed hands the system its whole read set and schedules the seeding
+// phase's cycle-0 start events. A System is fed exactly once, before
+// it runs: a second Feed panics.
 func (s *System) Feed(reads []seq.Seq) {
-	s.feedLog = append(s.feedLog, ckpt.FeedRec{Fired: s.eng.Fired(), N: int64(len(reads))})
-	s.reads = append(s.reads, reads...)
-	s.exts = append(s.exts, make([][]pipeline.Extended, len(reads))...)
-	for range reads {
-		s.results = append(s.results, pipeline.Result{})
-		s.bestHit = append(s.bestHit, -1)
+	if s.fed() {
+		panic("accel: System.Feed called twice: a System takes its whole read set in one Feed")
+	}
+	s.reads = reads
+	s.exts = make([][]pipeline.Extended, len(reads))
+	s.results = make([]pipeline.Result, len(reads))
+	s.bestHit = make([]int, len(reads))
+	for i := range s.bestHit {
+		s.bestHit[i] = -1
 	}
 	if s.flt != nil {
-		s.flt.hadHits = append(s.flt.hadHits, make([]bool, len(reads))...)
+		s.flt.hadHits = make([]bool, len(reads))
 	}
-	if !s.started {
-		s.started = true
-		switch s.opts.SeedStrategy {
-		case OneCycle:
-			for _, u := range s.sus {
-				uu := u
-				s.eng.At(0, func() { s.startOneCycle(uu) })
-			}
-		case ReadInBatch:
-			s.eng.At(0, s.issueBatch)
-		}
-		return
-	}
-	s.wakeSeeding()
-}
-
-// wakeSeeding revives seeding after a mid-run Feed: units that
-// stopped because input looked exhausted pick the new reads up. A
-// woken unit that loses the race for a read simply parks again, so
-// waking is always safe; what matters for determinism is that the
-// wake decisions are a pure function of (unit states, feed position),
-// which replay reproduces exactly.
-func (s *System) wakeSeeding() {
 	switch s.opts.SeedStrategy {
 	case OneCycle:
-		for _, u := range s.sus {
-			if u.State() != core.Stopped {
-				continue
-			}
-			if s.flt != nil && s.flt.inj.SUFailed(u.ID()) {
-				continue
-			}
-			s.startOneCycle(u)
+		starts := make([]suStart, len(s.sus))
+		for i, u := range s.sus {
+			starts[i] = suStart{s: s, u: u}
+			s.eng.At(0, &starts[i])
 		}
 	case ReadInBatch:
-		// The batch barrier re-arms only when every unit has parked;
-		// if any unit is still busy the open barrier will collect the
-		// new reads on its own.
-		healthy := false
-		stopped := true
-		for _, u := range s.sus {
-			if u.State() != core.Stopped {
-				stopped = false
-			}
-			if s.flt == nil || !s.flt.inj.SUFailed(u.ID()) {
-				healthy = true
-			}
-		}
-		if stopped && healthy {
-			s.eng.After(1, s.issueBatch)
-		}
+		s.eng.At(0, (*batchTask)(s))
 	}
 }
 
-// Step advances the simulation by budget cycles (events scheduled
-// beyond the stepped-to horizon stay queued) and reports whether the
-// event queue is empty — i.e. the run has reached quiescence and
-// DrainChecked may finalize it. The horizon is a monotone cursor, not
-// now+budget: firing no events does not advance the clock, so the
-// cursor is what lets repeated small steps make progress across an
-// event gap. A watchdog abort surfaces as the error and latches:
-// further Steps are no-ops. Watchdog budgets accumulate across Steps
-// exactly as they would across one continuous run.
-func (s *System) Step(budget int64) (bool, error) {
-	if budget < 1 {
-		budget = 1
-	}
-	if now := s.eng.Now(); s.stepCursor < now {
-		s.stepCursor = now
-	}
-	s.stepCursor += budget
-	return s.StepUntil(s.stepCursor)
-}
+// fed reports whether Feed has run. Feed schedules at least one start
+// event and nothing is scheduled before it, so the engine's sequence
+// counter tells.
+func (s *System) fed() bool { return s.eng.Seq() > 0 }
 
 // StepUntil advances the simulation up to and including the given
-// cycle; see Step.
+// cycle (events scheduled later stay queued) and reports whether the
+// event queue is empty — i.e. the run has reached quiescence and
+// DrainChecked may finalize it. A watchdog abort surfaces as the error
+// and latches: further calls are no-ops. Watchdog budgets accumulate
+// across calls exactly as they would across one continuous run.
 func (s *System) StepUntil(cycle int64) (bool, error) {
 	if s.wdErr == nil {
 		if err := s.eng.RunBounded(cycle, -1, s.opts.Watchdog, &s.wdState); err != nil {
@@ -146,17 +93,12 @@ func (s *System) StepUntil(cycle int64) (bool, error) {
 	return s.eng.Pending() == 0, s.wdErr
 }
 
-// Pending returns the number of queued simulation events; 0 means the
-// main phase has reached quiescence.
-func (s *System) Pending() int { return s.eng.Pending() }
-
 // Now returns the current simulation cycle.
 func (s *System) Now() int64 { return s.eng.Now() }
 
-// DrainChecked finalizes an incrementally-driven run: it enforces the
-// end-of-input drain contract, parks every unit, and builds the
-// Report. It is the tail of the historical run-to-completion path;
-// RunChecked ≡ Feed + run-to-quiescence + DrainChecked.
+// DrainChecked finalizes a run that has reached quiescence (or
+// aborted): it enforces the end-of-input drain contract, parks every
+// unit, and builds the Report.
 func (s *System) DrainChecked() (*Report, error) {
 	if s.wdErr == nil {
 		s.drain()
@@ -176,18 +118,6 @@ func (s *System) DrainChecked() (*Report, error) {
 	// interned hit was dispatched, dropped, or released here.
 	s.buffer.ReleaseAll()
 	return s.report(end), s.wdErr
-}
-
-// runEngine drives the main phase to quiescence, under the configured
-// watchdog when one is set. The first watchdog trip is latched in
-// wdErr and stops all further processing. The persistent wdState
-// makes the budgets identical whether the phase runs in one call here
-// or sliced through Step.
-func (s *System) runEngine() {
-	if err := s.eng.RunBounded(-1, -1, s.opts.Watchdog, &s.wdState); err != nil {
-		s.wdErr = err
-		s.fireAbort()
-	}
 }
 
 // drainEngine drives one drain-loop iteration's events. Each
@@ -228,7 +158,7 @@ type suTask struct {
 	started bool
 }
 
-// TaskKind implements sim.TaskKind for diagnostics.
+// TaskKind implements sim.Task.
 func (t *suTask) TaskKind() string { return "su" }
 
 // Fire implements sim.Task.
@@ -246,7 +176,7 @@ func (t *suTask) Fire() {
 		}
 		t.hits = hits
 		t.started = true
-		s.eng.AtTask(done, t)
+		s.eng.At(done, t)
 		return
 	}
 	u, idx, hits := t.u, t.idx, t.hits
@@ -288,6 +218,73 @@ func (s *System) getSUTask(u *su.Unit, idx int) *suTask {
 	return &suTask{s: s, u: u, idx: idx}
 }
 
+// suStart is one SU's cycle-0 start under One-Cycle seeding; Feed
+// makes all of them in one slice.
+type suStart struct {
+	s *System
+	u *su.Unit
+}
+
+// TaskKind implements sim.Task.
+func (t *suStart) TaskKind() string { return "su-start" }
+
+// Fire implements sim.Task.
+func (t *suStart) Fire() { t.s.startOneCycle(t.u) }
+
+// suResume is the pooled event payload for an SU suspended on a full
+// Store Buffer: it holds the unit's unpushed hits until a buffer
+// switch frees space, then resumes the push.
+type suResume struct {
+	s     *System
+	u     *su.Unit
+	hits  []core.Hit
+	since int64 // suspension start cycle, for the stall-span trace
+}
+
+// TaskKind implements sim.Task.
+func (t *suResume) TaskKind() string { return "su-resume" }
+
+// Fire implements sim.Task.
+func (t *suResume) Fire() {
+	s, u, hits := t.s, t.u, t.hits
+	if o := s.opts.Obs; o != nil {
+		o.SUStall(u.ID(), t.since, s.eng.Now())
+	}
+	t.u, t.hits = nil, nil
+	s.resumeFree = append(s.resumeFree, t)
+	s.finishPush(u, hits)
+}
+
+// getResume takes a task from the freelist or allocates one.
+func (s *System) getResume(u *su.Unit, hits []core.Hit, since int64) *suResume {
+	if n := len(s.resumeFree); n > 0 {
+		t := s.resumeFree[n-1]
+		s.resumeFree = s.resumeFree[:n-1]
+		t.u, t.hits, t.since = u, hits, since
+		return t
+	}
+	return &suResume{s: s, u: u, hits: hits, since: since}
+}
+
+// batchTask issues the next Read-in-Batch batch and roundTry runs one
+// allocation round. Neither carries a payload, so each is the System
+// itself under another type: scheduling one allocates nothing.
+type batchTask System
+
+// TaskKind implements sim.Task.
+func (t *batchTask) TaskKind() string { return "batch" }
+
+// Fire implements sim.Task.
+func (t *batchTask) Fire() { (*System)(t).issueBatch() }
+
+type roundTry System
+
+// TaskKind implements sim.Task.
+func (t *roundTry) TaskKind() string { return "round-try" }
+
+// Fire implements sim.Task.
+func (t *roundTry) Fire() { (*System)(t).tryRound() }
+
 // startOneCycle allocates the next read to an idle SU one cycle after
 // it frees (the One-Cycle Read Allocator's behaviour: every idle unit
 // is refilled in a single cycle). Under faults, failed units park and
@@ -305,7 +302,7 @@ func (s *System) startOneCycle(u *su.Unit) {
 	}
 	ready := s.readReadyAt(now, idx)
 	u.SetBusy(now + 1)
-	s.eng.AtTask(ready, s.getSUTask(u, idx))
+	s.eng.At(ready, s.getSUTask(u, idx))
 }
 
 // issueBatch implements Read-in-Batch: all SUs receive reads together,
@@ -338,7 +335,7 @@ func (s *System) issueBatch() {
 		}
 		ready := s.readReadyAt(now, idx)
 		u.SetBusy(now + 1)
-		s.eng.AtTask(ready, s.getSUTask(u, idx))
+		s.eng.At(ready, s.getSUTask(u, idx))
 	}
 }
 
@@ -371,7 +368,7 @@ func (s *System) finishPush(u *su.Unit, hits []core.Hit) {
 		}
 		if !s.buffer.Push(hits[0]) {
 			u.SetIdle(now) // suspended: not doing useful seeding work
-			s.blocked = append(s.blocked, blockedSU{unit: u, hits: hits, since: now})
+			s.blocked = append(s.blocked, s.getResume(u, hits, now))
 			s.maybeSwitch()
 			return
 		}
@@ -389,10 +386,17 @@ func (s *System) suIdle(u *su.Unit) {
 	case OneCycle:
 		s.startOneCycle(u)
 	case ReadInBatch:
-		s.idleSUs++
-		if s.idleSUs == len(s.sus) {
-			s.eng.After(1, s.issueBatch)
-		}
+		s.leaveBatch()
+	}
+}
+
+// leaveBatch counts one more SU out of the current Read-in-Batch
+// batch; once every unit is out, the barrier closes and the next batch
+// issues a cycle later.
+func (s *System) leaveBatch() {
+	s.idleSUs++
+	if s.idleSUs == len(s.sus) {
+		s.eng.At(s.eng.Now()+1, (*batchTask)(s))
 	}
 }
 
@@ -407,16 +411,10 @@ func (s *System) maybeSwitch() {
 	// Space freed: resume suspended SUs.
 	blocked := s.blocked
 	s.blocked = nil
-	for _, b := range blocked {
-		bb := b
-		s.eng.At(now+1, func() {
-			if o := s.opts.Obs; o != nil {
-				o.SUStall(bb.unit.ID(), bb.since, s.eng.Now())
-			}
-			s.finishPush(bb.unit, bb.hits)
-		})
+	for _, r := range blocked {
+		s.eng.At(now+1, r)
 	}
-	s.eng.At(now+1, s.tryRound)
+	s.eng.At(now+1, (*roundTry)(s))
 }
 
 // setEUBusy, setEUIdle and stopEU move an extension unit between
@@ -536,7 +534,7 @@ func (s *System) tryRound() {
 	// asg aliases the system's round scratch; safe to carry into the
 	// completion event because roundActive blocks the next round until
 	// this task has consumed it.
-	s.eng.AtTask(now+coordinator.RoundLatency(len(window)), s.getRoundTask(asg))
+	s.eng.At(now+coordinator.RoundLatency(len(window)), s.getRoundTask(asg))
 }
 
 // windowDigest digests the hits an ID window names, for the obs window
@@ -557,7 +555,7 @@ type roundTask struct {
 	assigned []coordinator.Assignment
 }
 
-// TaskKind implements sim.TaskKind for diagnostics.
+// TaskKind implements sim.Task.
 func (t *roundTask) TaskKind() string { return "round" }
 
 // Fire implements sim.Task.
@@ -690,7 +688,7 @@ func (s *System) extend(u *eu.Unit, h *core.Hit) {
 			done += d
 		}
 	}
-	s.eng.AtTask(done, t)
+	s.eng.At(done, t)
 }
 
 // euTask is the pooled event payload for one extension's completion.
@@ -700,7 +698,7 @@ type euTask struct {
 	ext core.Extension
 }
 
-// TaskKind implements sim.TaskKind for diagnostics.
+// TaskKind implements sim.Task.
 func (t *euTask) TaskKind() string { return "eu" }
 
 // Fire implements sim.Task. The task returns to the freelist only after

@@ -235,7 +235,9 @@ func (ss *ShardedSystem) RunDetailed(reads []seq.Seq) (*Report, []*Report, error
 
 	if o.Shards <= 1 {
 		if len(crashEvs) == 0 && o.CheckpointEvery <= 0 {
-			// Legacy direct path: byte-identical to New + RunChecked.
+			// Direct path: byte-identical to New + RunChecked, with
+			// the observer written directly rather than merged from a
+			// shard-prefixed mirror.
 			sys, err := New(ss.aligner, o.Options)
 			if err != nil {
 				return nil, nil, err
@@ -328,23 +330,7 @@ func (ss *ShardedSystem) RunDetailed(reads []seq.Seq) (*Report, []*Report, error
 				if views != nil {
 					so.Memo = views[i]
 				}
-				if crs := crashCycles[i]; len(crs) > 0 || o.CheckpointEvery > 0 {
-					rep, fo, runErr := runRecovered(ss.aligner, so, o.Obs, i, shardReads[i], crs, o.CheckpointEvery)
-					reps[i], shardObs[i], errs[i] = rep, fo, runErr
-					continue
-				}
-				so.Obs = obs.Mirror(o.Obs)
-				shardObs[i] = so.Obs
-				sys, err := New(ss.aligner, so)
-				if err != nil {
-					errs[i] = fmt.Errorf("shard %d: %w", i, err)
-					continue
-				}
-				rep, runErr := sys.RunChecked(shardReads[i])
-				reps[i] = rep
-				if runErr != nil {
-					errs[i] = fmt.Errorf("shard %d: %w", i, runErr)
-				}
+				reps[i], shardObs[i], errs[i] = runRecovered(ss.aligner, so, o.Obs, i, shardReads[i], crashCycles[i], o.CheckpointEvery)
 			}
 		}()
 	}

@@ -13,19 +13,23 @@ import (
 )
 
 // Snapshot captures the system at its current synchronization point
-// (between fired events). The event heap holds closures and pooled
-// task structs, so state cannot be byte-serialized directly; instead
-// the checkpoint records the engine position (cycle, fired count,
-// next seq), the feed log, and a canonical hash-guarded inventory of
-// every component's scheduler state. Restore re-derives the live
-// state by deterministic replay to the exact fired-event count and
-// proves equivalence by re-snapshotting and byte-comparing against
-// this inventory.
+// (between fired events). The event heap holds task structs whose
+// payloads point at live units, so state cannot be byte-serialized
+// directly; instead the checkpoint records the engine position
+// (cycle, fired count, next seq) and a canonical hash-guarded
+// inventory of every component's scheduler state. Restore re-derives
+// the live state by deterministic replay to the exact fired-event
+// count and proves equivalence by re-snapshotting and byte-comparing
+// against this inventory.
 //
-// Snapshot is valid at any point where the caller holds the event
-// loop — between Step slices, inside OnAbort, or before the first
-// Feed — but not from inside an event body.
+// Snapshot is valid at any point after Feed where the caller holds the
+// event loop — between StepUntil slices or inside OnAbort — but not
+// from inside an event body. Before Feed there is no workload to bind
+// to, and Snapshot returns an error.
 func (s *System) Snapshot() (*ckpt.Checkpoint, error) {
+	if !s.fed() {
+		return nil, errors.New("accel: Snapshot before Feed: a checkpoint binds to the fed read set")
+	}
 	var enc ckpt.Encoder
 	s.encodeState(&enc)
 	state := append([]byte(nil), enc.Bytes()...)
@@ -38,20 +42,18 @@ func (s *System) Snapshot() (*ckpt.Checkpoint, error) {
 		WorkloadHash: s.workloadHash(),
 		OptionsHash:  hashOptions(&s.opts),
 		PlanHash:     s.opts.Faults.Hash(),
-		FeedLog:      append([]ckpt.FeedRec(nil), s.feedLog...),
 		State:        state,
 		StateHash:    enc.Sum64(),
 	}, nil
 }
 
-// workloadHash returns HashReads(s.reads), cached across snapshots:
-// Feed only appends, so the digest is stable for a given length. The
-// attached Memo supplies its once-computed digest when it holds exactly
-// the fed reads.
+// workloadHash returns HashReads(s.reads), computed on the first
+// snapshot and cached: the read set is fixed once fed. The attached
+// Memo supplies its once-computed digest when it holds exactly the
+// fed reads.
 func (s *System) workloadHash() uint64 {
-	if !s.wlHashOK || s.wlHashLen != len(s.reads) {
+	if !s.wlHashOK {
 		s.wlHash = s.opts.Memo.hashReads(s.reads)
-		s.wlHashLen = len(s.reads)
 		s.wlHashOK = true
 	}
 	return s.wlHash
@@ -59,12 +61,12 @@ func (s *System) workloadHash() uint64 {
 
 // Restore rebuilds a system from a checkpoint by deterministic
 // replay: it verifies the checkpoint binds to exactly this (aligner
-// workload, options, fault plan), constructs a fresh System, replays
-// the feed log with each Feed at its recorded fired-event position,
-// runs to the checkpoint's fired count, and then re-snapshots and
-// byte-compares the state inventory. A successful Restore therefore
-// guarantees the resumed run is byte-identical to the uninterrupted
-// run — by construction, not by hope.
+// workload, options, fault plan), constructs a fresh System, feeds it
+// the reads, runs to the checkpoint's fired count, and then checks
+// the engine position and byte-compares the re-encoded state
+// inventory. A successful Restore therefore guarantees the resumed
+// run is byte-identical to the uninterrupted run — by construction,
+// not by hope.
 //
 // The restored system carries Options.ResumeHash = ck.Hash(), so an
 // attached Memo is consumed only if explicitly keyed to this resume
@@ -86,38 +88,18 @@ func Restore(aligner *pipeline.Aligner, opts Options, reads []seq.Seq, ck *ckpt.
 	if got := opts.Memo.hashReads(reads); got != ck.WorkloadHash {
 		return nil, fmt.Errorf("accel: checkpoint was taken over a different workload (reads hash %#x, given %#x)", ck.WorkloadHash, got)
 	}
-	// Validate the whole feed log before anything is fed: a
-	// checksum-valid log can still hold impossible records.
-	var fed, fired int64
-	for i, f := range ck.FeedLog {
-		if f.N < 0 || f.N > int64(len(reads))-fed {
-			return nil, fmt.Errorf("accel: checkpoint feed %d appends %d reads, %d of %d left", i, f.N, int64(len(reads))-fed, len(reads))
-		}
-		if f.Fired < fired || f.Fired > ck.Fired {
-			return nil, fmt.Errorf("accel: checkpoint feed %d at fired event %d is outside [%d, %d]", i, f.Fired, fired, ck.Fired)
-		}
-		fed += f.N
-		fired = f.Fired
-	}
-	if fed != int64(len(reads)) {
-		return nil, fmt.Errorf("accel: checkpoint feed log covers %d reads, %d given", fed, len(reads))
-	}
 	opts.ResumeHash = ck.Hash()
 	s, err := New(aligner, opts)
 	if err != nil {
 		return nil, err
 	}
 	s.shard = int(ck.Shard)
-	off := int64(0)
-	for _, f := range ck.FeedLog {
-		if err := s.stepToFired(f.Fired); err != nil {
-			return nil, err
-		}
-		s.Feed(reads[off : off+f.N])
-		off += f.N
-	}
+	s.Feed(reads)
 	if err := s.stepToFired(ck.Fired); err != nil {
 		return nil, err
+	}
+	if s.eng.Now() != ck.Cycle || s.eng.Seq() != ck.Seq {
+		return nil, fmt.Errorf("accel: replay to %d fired events reached cycle %d, seq %d; checkpoint records cycle %d, seq %d: refusing to resume", ck.Fired, s.eng.Now(), s.eng.Seq(), ck.Cycle, ck.Seq)
 	}
 	var enc ckpt.Encoder
 	s.encodeState(&enc)
@@ -163,15 +145,13 @@ func (s *System) encodeState(enc *ckpt.Encoder) {
 	s.buffer.EncodeState(enc)
 
 	enc.Section("accel.System")
-	enc.PutBool(s.started)
 	enc.PutInt(s.nextRead)
 	enc.PutInt(s.idleSUs)
 	enc.PutBool(s.roundActive)
 	enc.PutInt(s.totalHits)
-	enc.PutI64(s.stallCycles)
 	enc.PutInt(len(s.blocked))
 	for _, b := range s.blocked {
-		enc.PutInt(b.unit.ID())
+		enc.PutInt(b.u.ID())
 		enc.PutI64(b.since)
 		enc.PutInt(len(b.hits))
 		var d ckpt.Digest

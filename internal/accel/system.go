@@ -157,38 +157,26 @@ type System struct {
 	// order, from its seeding event on (see fill).
 	exts [][]pipeline.Extended
 
-	// Incremental-run state: started latches the first Feed (which
-	// schedules the seeding init events); feedLog records every Feed
-	// at its exact fired-event position for checkpoint replay; wdState
-	// carries the watchdog's budgets across Step slices so a stepped
-	// run trips exactly where a continuous one would; shard stamps
-	// checkpoints taken inside a sharded worker.
-	started bool
-	feedLog []ckpt.FeedRec
+	// wdState carries the watchdog's budgets across StepUntil slices,
+	// so a paused run trips exactly where a continuous one would;
+	// shard stamps checkpoints taken inside a sharded worker.
 	wdState sim.GuardState
 	shard   int
-	// stepCursor is Step's monotone horizon; a driver-side convenience
-	// only — the event schedule (and so the checkpoint inventory) never
-	// depends on it.
-	stepCursor int64
-	// wlHash caches HashReads over the fed read set (valid while
-	// wlHashOK and wlHashLen == len(reads); Feed only appends), so
+	// wlHash caches HashReads over the fed read set once wlHashOK, so
 	// periodic snapshots don't re-digest the whole workload each time.
-	wlHash    uint64
-	wlHashLen int
-	wlHashOK  bool
+	wlHash   uint64
+	wlHashOK bool
 
 	// runtime state
 	nextRead    int
 	idleSUs     int
-	idleEUs     int // EUs in core.Idle; see setEUBusy
-	blocked     []blockedSU
+	idleEUs     int         // EUs in core.Idle; see setEUBusy
+	blocked     []*suResume // SUs suspended on a full Store Buffer
 	roundActive bool
 	results     []pipeline.Result
 	bestHit     []int // hit index of each read's current best, for tie-breaks
 	hitLens     []int
 	totalHits   int
-	stallCycles int64
 
 	// Event-loop scratch reused across allocation rounds — the idle
 	// pool, the ID list handed to CommitIDs, the materialized
@@ -206,12 +194,7 @@ type System struct {
 	suFree      []*suTask
 	euFree      []*euTask
 	roundFree   []*roundTask
-}
-
-type blockedSU struct {
-	unit  *su.Unit
-	hits  []core.Hit
-	since int64 // suspension start cycle, for the stall-span trace
+	resumeFree  []*suResume
 }
 
 // New builds a system over an existing aligner (which owns the index).
@@ -310,10 +293,6 @@ func newStatsAllocator(opts Options) *coordinator.Allocator {
 	a.SetStatsSizes(extsched.PowerOfTwoSizes(4, 16))
 	return a
 }
-
-// setShard stamps the shard index carried in checkpoints taken by
-// this system (0 for unsharded runs).
-func (s *System) setShard(i int) { s.shard = i }
 
 // Describe summarises the instance for logs.
 func (s *System) Describe() string {

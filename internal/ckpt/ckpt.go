@@ -34,22 +34,13 @@ const (
 	// change to the state inventory or encoding layout; there is no
 	// cross-version migration — determinism across versions cannot be
 	// guaranteed, so old checkpoints are rejected rather than misread.
-	Version = 2
+	Version = 3
 )
 
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
-
-// FeedRec records one Feed call: N reads were appended when the
-// engine had fired exactly Fired events. Replay re-issues each feed
-// at the same fired-event position, which makes mid-cycle feeds exact
-// (cycle alone cannot order a feed between two same-cycle events).
-type FeedRec struct {
-	Fired int64
-	N     int64
-}
 
 // Checkpoint is one snapshot of a System. The three hashes bind the
 // checkpoint to its inputs: WorkloadHash to the fed reads,
@@ -74,10 +65,6 @@ type Checkpoint struct {
 	OptionsHash  uint64
 	PlanHash     uint64
 
-	// FeedLog replays incremental Feed calls at their exact
-	// fired-event positions.
-	FeedLog []FeedRec
-
 	// State is the canonical encoded state inventory; StateHash is
 	// its FNV-1a digest (redundant with the trailer, but lets callers
 	// compare inventories without re-hashing).
@@ -98,11 +85,6 @@ func (c *Checkpoint) Encode() []byte {
 	e.PutU64(c.WorkloadHash)
 	e.PutU64(c.OptionsHash)
 	e.PutU64(c.PlanHash)
-	e.PutI64(int64(len(c.FeedLog)))
-	for _, f := range c.FeedLog {
-		e.PutI64(f.Fired)
-		e.PutI64(f.N)
-	}
 	e.PutI64(int64(len(c.State)))
 	e.raw(c.State)
 	e.PutU64(c.StateHash)
@@ -174,13 +156,6 @@ func Decode(b []byte) (*Checkpoint, error) {
 	c.WorkloadHash = d.u64()
 	c.OptionsHash = d.u64()
 	c.PlanHash = d.u64()
-	nFeed := d.i64()
-	if d.err == nil && (nFeed < 0 || nFeed > int64(len(body))) {
-		return nil, fmt.Errorf("ckpt: implausible feed-log length %d", nFeed)
-	}
-	for i := int64(0); i < nFeed && d.err == nil; i++ {
-		c.FeedLog = append(c.FeedLog, FeedRec{Fired: d.i64(), N: d.i64()})
-	}
 	nState := d.i64()
 	if d.err == nil && (nState < 0 || nState > int64(len(body))) {
 		return nil, fmt.Errorf("ckpt: implausible state length %d", nState)

@@ -202,8 +202,8 @@ func TestForcedSwitchDrainsSubThresholdTail(t *testing.T) {
 	if err := o.Inv.Err(); err != nil {
 		t.Fatalf("conservation broken across forced drain: %v", err)
 	}
-	if o.Inv.Pushed() != 5 || o.Inv.Assigned() != 5 {
-		t.Fatalf("ledger = pushed %d assigned %d, want 5/5", o.Inv.Pushed(), o.Inv.Assigned())
+	if l := o.Inv.Ledger(); l.Pushed != 5 || l.Assigned != 5 {
+		t.Fatalf("ledger = pushed %d assigned %d, want 5/5", l.Pushed, l.Assigned)
 	}
 }
 
@@ -233,8 +233,8 @@ func TestHitsBufferDrop(t *testing.T) {
 	if err := o.Inv.Err(); err != nil {
 		t.Fatalf("drop ledger unbalanced: %v", err)
 	}
-	if o.Inv.Dropped() != 4 {
-		t.Fatalf("Dropped = %d, want 4", o.Inv.Dropped())
+	if o.Inv.Ledger().Dropped != 4 {
+		t.Fatalf("Dropped = %d, want 4", o.Inv.Ledger().Dropped)
 	}
 }
 

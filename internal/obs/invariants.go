@@ -23,17 +23,7 @@ type Invariants struct {
 
 	violations []string
 
-	// hit-conservation ledger
-	pushed, assigned, dropped int64
-
-	// fault-extension ledger: the degraded-mode flows added by the
-	// fault-injection layer. All stay zero on fault-free runs, so the
-	// classic conservation equation is unchanged there.
-	completed    int64 // extensions that finished on a healthy EU
-	requeued     int64 // hits pulled back from a failed EU
-	retried      int64 // re-dispatches that reached a healthy EU
-	deadLettered int64 // hits abandoned after the retry budget
-	shed         int64 // hits shed by backpressure before entering the SB
+	ledger Ledger
 
 	lastNow  int64
 	checked  int64 // number of Check* calls, for test sanity
@@ -42,6 +32,39 @@ type Invariants struct {
 	// unitMarks is CheckRound's per-unit scratch, indexed by unit ID
 	// and all zero between rounds.
 	unitMarks []uint8
+}
+
+// Ledger is one invariant checker's conservation counts. The first
+// three close the classic hit-conservation equation; the rest are the
+// degraded-mode flows added by the fault-injection layer, all zero on
+// fault-free runs, so the classic equation is unchanged there.
+type Ledger struct {
+	Pushed, Assigned, Dropped int64
+	Completed                 int64 // extensions that finished on a healthy EU
+	Requeued                  int64 // hits pulled back from a failed EU
+	Retried                   int64 // re-dispatches that reached a healthy EU
+	DeadLettered              int64 // hits abandoned after the retry budget
+	Shed                      int64 // hits shed by backpressure before entering the SB
+}
+
+// add sums o into l field by field.
+func (l *Ledger) add(o Ledger) {
+	l.Pushed += o.Pushed
+	l.Assigned += o.Assigned
+	l.Dropped += o.Dropped
+	l.Completed += o.Completed
+	l.Requeued += o.Requeued
+	l.Retried += o.Retried
+	l.DeadLettered += o.DeadLettered
+	l.Shed += o.Shed
+}
+
+// Ledger returns the checker's conservation counts (zero for nil).
+func (v *Invariants) Ledger() Ledger {
+	if v == nil {
+		return Ledger{}
+	}
+	return v.ledger
 }
 
 // NewInvariants returns an accumulating invariant checker.
@@ -67,14 +90,14 @@ func (v *Invariants) violate(format string, args ...any) {
 // RecordPush accounts n hits entering the Coordinator's Store Buffer.
 func (v *Invariants) RecordPush(n int) {
 	if v != nil {
-		v.pushed += int64(n)
+		v.ledger.Pushed += int64(n)
 	}
 }
 
 // RecordAssigned accounts n hits committed to extension units.
 func (v *Invariants) RecordAssigned(n int) {
 	if v != nil {
-		v.assigned += int64(n)
+		v.ledger.Assigned += int64(n)
 	}
 }
 
@@ -88,37 +111,13 @@ func (v *Invariants) RecordDropped(n int, reason string) {
 	if reason == "" {
 		v.violate("dropped %d hits without a reason", n)
 	}
-	v.dropped += int64(n)
-}
-
-// Pushed returns the hits accounted as pushed.
-func (v *Invariants) Pushed() int64 {
-	if v == nil {
-		return 0
-	}
-	return v.pushed
-}
-
-// Assigned returns the hits accounted as assigned.
-func (v *Invariants) Assigned() int64 {
-	if v == nil {
-		return 0
-	}
-	return v.assigned
-}
-
-// Dropped returns the hits accounted as dropped-with-reason.
-func (v *Invariants) Dropped() int64 {
-	if v == nil {
-		return 0
-	}
-	return v.dropped
+	v.ledger.Dropped += int64(n)
 }
 
 // RecordCompleted accounts n extensions finishing on a healthy unit.
 func (v *Invariants) RecordCompleted(n int) {
 	if v != nil {
-		v.completed += int64(n)
+		v.ledger.Completed += int64(n)
 	}
 }
 
@@ -126,14 +125,14 @@ func (v *Invariants) RecordCompleted(n int) {
 // extension unit for re-dispatch.
 func (v *Invariants) RecordRequeued(n int) {
 	if v != nil {
-		v.requeued += int64(n)
+		v.ledger.Requeued += int64(n)
 	}
 }
 
 // RecordRetried accounts n re-dispatches that reached a healthy unit.
 func (v *Invariants) RecordRetried(n int) {
 	if v != nil {
-		v.retried += int64(n)
+		v.ledger.Retried += int64(n)
 	}
 }
 
@@ -141,7 +140,7 @@ func (v *Invariants) RecordRetried(n int) {
 // ledger after exhausting their retry budget.
 func (v *Invariants) RecordDeadLettered(n int) {
 	if v != nil {
-		v.deadLettered += int64(n)
+		v.ledger.DeadLettered += int64(n)
 	}
 }
 
@@ -150,48 +149,8 @@ func (v *Invariants) RecordDeadLettered(n int) {
 // conservation equation closes over offered = pushed + shed.
 func (v *Invariants) RecordShed(n int) {
 	if v != nil {
-		v.shed += int64(n)
+		v.ledger.Shed += int64(n)
 	}
-}
-
-// Completed returns the extensions accounted as completed.
-func (v *Invariants) Completed() int64 {
-	if v == nil {
-		return 0
-	}
-	return v.completed
-}
-
-// Requeued returns the hits accounted as requeued off failed units.
-func (v *Invariants) Requeued() int64 {
-	if v == nil {
-		return 0
-	}
-	return v.requeued
-}
-
-// Retried returns the re-dispatches accounted as retried.
-func (v *Invariants) Retried() int64 {
-	if v == nil {
-		return 0
-	}
-	return v.retried
-}
-
-// DeadLettered returns the hits accounted as dead-lettered.
-func (v *Invariants) DeadLettered() int64 {
-	if v == nil {
-		return 0
-	}
-	return v.deadLettered
-}
-
-// Shed returns the hits accounted as shed by backpressure.
-func (v *Invariants) Shed() int64 {
-	if v == nil {
-		return 0
-	}
-	return v.shed
 }
 
 // CheckTime asserts the engine clock is monotone non-decreasing.
@@ -302,9 +261,9 @@ func (v *Invariants) CheckConservation(now int64, pending int64, context string)
 		return
 	}
 	v.checked++
-	if v.assigned+pending+v.dropped != v.pushed {
+	if l := v.ledger; l.Assigned+pending+l.Dropped != l.Pushed {
 		v.violate("cycle %d (%s): hit conservation broken: pushed %d != assigned %d + pending %d + dropped %d",
-			now, context, v.pushed, v.assigned, pending, v.dropped)
+			now, context, l.Pushed, l.Assigned, pending, l.Dropped)
 	}
 }
 
@@ -321,23 +280,17 @@ func (v *Invariants) CheckFaultLedger(now int64, retryPending, inFlight int64) {
 		return
 	}
 	v.checked++
-	if got := v.requeued - v.retried - v.deadLettered; got != retryPending {
+	l := v.ledger
+	if got := l.Requeued - l.Retried - l.DeadLettered; got != retryPending {
 		v.violate("cycle %d: retry ledger broken: requeued %d - retried %d - deadLettered %d = %d, caller pending %d",
-			now, v.requeued, v.retried, v.deadLettered, got, retryPending)
+			now, l.Requeued, l.Retried, l.DeadLettered, got, retryPending)
 	}
-	if got := v.assigned + v.retried - v.completed - v.requeued; got != inFlight {
+	if got := l.Assigned + l.Retried - l.Completed - l.Requeued; got != inFlight {
 		v.violate("cycle %d: in-flight ledger broken: assigned %d + retried %d - completed %d - requeued %d = %d, caller in-flight %d",
-			now, v.assigned, v.retried, v.completed, v.requeued, got, inFlight)
+			now, l.Assigned, l.Retried, l.Completed, l.Requeued, got, inFlight)
 	}
 }
 
-// CheckDrained asserts the end-of-run state: no hits pending anywhere,
-// so pushed == assigned + dropped. A stranded sub-threshold Store
-// Buffer fails here.
-//
-// When the fault-extension ledger was used (any of completed /
-// requeued / retried / deadLettered non-zero), it additionally closes
-// the extended conservation equation: every hit offered to the
 // CheckTraceback validates one task's modeled traceback cost: the
 // cycles charged must cover at least the alignment's path length. Any
 // monotone path over a refSpan × readSpan alignment takes at least
@@ -365,6 +318,13 @@ func (v *Invariants) CheckTraceback(now, cycles int64, refSpan, readSpan int) {
 	}
 }
 
+// CheckDrained asserts the end-of-run state: no hits pending anywhere,
+// so pushed == assigned + dropped. A stranded sub-threshold Store
+// Buffer fails here.
+//
+// When the fault-extension ledger was used (any of completed /
+// requeued / retried / deadLettered non-zero), it additionally closes
+// the extended conservation equation: every hit offered to the
 // Coordinator must terminate as completed, dead-lettered, dropped, or
 // shed — offered = pushed + shed and pushed == completed +
 // deadLettered + dropped — with zero retry-pending and in-flight
@@ -378,11 +338,11 @@ func (v *Invariants) CheckDrained(now int64, sbLen, pbRemaining, blocked int) {
 		v.violate("cycle %d: drain incomplete: SB=%d PB=%d blocked SUs=%d", now, sbLen, pbRemaining, blocked)
 	}
 	v.CheckConservation(now, int64(sbLen+pbRemaining), "drain")
-	if v.completed != 0 || v.requeued != 0 || v.retried != 0 || v.deadLettered != 0 {
+	if l := v.ledger; l.Completed != 0 || l.Requeued != 0 || l.Retried != 0 || l.DeadLettered != 0 {
 		v.CheckFaultLedger(now, 0, 0)
-		if v.completed+v.deadLettered+v.dropped != v.pushed {
+		if l.Completed+l.DeadLettered+l.Dropped != l.Pushed {
 			v.violate("cycle %d: terminal conservation broken: pushed %d != completed %d + deadLettered %d + dropped %d (shed %d held out of SB)",
-				now, v.pushed, v.completed, v.deadLettered, v.dropped, v.shed)
+				now, l.Pushed, l.Completed, l.DeadLettered, l.Dropped, l.Shed)
 		}
 	}
 }

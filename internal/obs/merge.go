@@ -119,26 +119,6 @@ func (t *Trace) Absorb(part *Trace, shard int) {
 	}
 }
 
-// Ledger is one invariant checker's conservation counts, exported for
-// cross-shard conservation checks.
-type Ledger struct {
-	Pushed, Assigned, Dropped    int64
-	Completed, Requeued, Retried int64
-	DeadLettered, Shed           int64
-}
-
-// Ledger snapshots the checker's conservation counts (zero for nil).
-func (v *Invariants) Ledger() Ledger {
-	if v == nil {
-		return Ledger{}
-	}
-	return Ledger{
-		Pushed: v.pushed, Assigned: v.assigned, Dropped: v.dropped,
-		Completed: v.completed, Requeued: v.requeued, Retried: v.retried,
-		DeadLettered: v.deadLettered, Shed: v.shed,
-	}
-}
-
 // AbsorbShard folds one shard's invariant state into v: ledger counts
 // sum, shard violations carry over with a "shard N:" prefix, the check
 // count accumulates, and the merged clock is the max across shards.
@@ -146,14 +126,7 @@ func (v *Invariants) AbsorbShard(part *Invariants, shard int) {
 	if v == nil || part == nil {
 		return
 	}
-	v.pushed += part.pushed
-	v.assigned += part.assigned
-	v.dropped += part.dropped
-	v.completed += part.completed
-	v.requeued += part.requeued
-	v.retried += part.retried
-	v.deadLettered += part.deadLettered
-	v.shed += part.shed
+	v.ledger.add(part.ledger)
 	v.checked += part.checked
 	if part.lastNow > v.lastNow {
 		v.lastNow = part.lastNow
@@ -179,16 +152,9 @@ func (v *Invariants) CheckShardConservation(totalHits int64, parts []Ledger) {
 	v.checked++
 	var sum Ledger
 	for _, l := range parts {
-		sum.Pushed += l.Pushed
-		sum.Assigned += l.Assigned
-		sum.Dropped += l.Dropped
-		sum.Completed += l.Completed
-		sum.Requeued += l.Requeued
-		sum.Retried += l.Retried
-		sum.DeadLettered += l.DeadLettered
-		sum.Shed += l.Shed
+		sum.add(l)
 	}
-	if got := v.Ledger(); got != sum {
+	if got := v.ledger; got != sum {
 		v.violate("shard merge: merged ledger %+v != Σ shard ledgers %+v", got, sum)
 	}
 	if sum.Pushed+sum.Shed != totalHits {

@@ -18,7 +18,7 @@ type calFireRec struct {
 // the production Engine (calendar queue) and heapEngine (the oracle).
 type scheduler interface {
 	Now() int64
-	AtTask(cycle int64, t Task)
+	At(cycle int64, t Task)
 }
 
 // heapEngine is the differential oracle: the engine's scheduling
@@ -32,7 +32,7 @@ type heapEngine struct {
 
 func (e *heapEngine) Now() int64 { return e.now }
 
-func (e *heapEngine) AtTask(cycle int64, t Task) {
+func (e *heapEngine) At(cycle int64, t Task) {
 	e.h.push(event{at: cycle, seq: e.seq, task: t})
 	e.seq++
 }
@@ -59,8 +59,8 @@ func (e *heapEngine) RunUntil(cycle int64) {
 	}
 }
 
-// calRecTask records its firing; the pooled no-alloc analogue of the
-// closures the differential driver schedules.
+// calRecTask records its firing: one per logical event of a
+// differential schedule.
 type calRecTask struct {
 	e   scheduler
 	id  int
@@ -94,7 +94,7 @@ type calDriver struct {
 }
 
 func (d *calDriver) push(cycle int64) {
-	d.e.AtTask(cycle, &calRecTask{e: d.e, id: d.nextID, log: d.log})
+	d.e.At(cycle, &calRecTask{e: d.e, id: d.nextID, log: d.log})
 	d.nextID++
 }
 
@@ -113,7 +113,7 @@ func (d *calDriver) Fire() {
 		}
 	}
 	if d.pos < len(d.ops) {
-		d.e.AtTask(d.e.Now()+1+d.ops[d.pos].delta%4, d)
+		d.e.At(d.e.Now()+1+d.ops[d.pos].delta%4, d)
 	}
 }
 
@@ -130,7 +130,7 @@ type calRun struct {
 func runCalEngine(ops []calOp) calRun {
 	var e Engine
 	var r calRun
-	e.AtTask(0, &calDriver{e: &e, ops: ops, log: &r.log})
+	e.At(0, &calDriver{e: &e, ops: ops, log: &r.log})
 	e.Run()
 	r.now, r.seq, r.fired = e.Now(), e.Seq(), e.Fired()
 	return r
@@ -140,7 +140,7 @@ func runCalEngine(ops []calOp) calRun {
 func runCalOracle(ops []calOp) calRun {
 	var e heapEngine
 	var r calRun
-	e.AtTask(0, &calDriver{e: &e, ops: ops, log: &r.log})
+	e.At(0, &calDriver{e: &e, ops: ops, log: &r.log})
 	e.Run()
 	r.now, r.seq, r.fired = e.now, e.seq, e.fired
 	return r
@@ -209,7 +209,7 @@ func TestCalendarOverflowOrdering(t *testing.T) {
 	var log []calFireRec
 	for i := 20; i >= 0; i-- {
 		at := int64(i) * (calWindow / 2)
-		e.AtTask(at, &calRecTask{e: &e, id: i, log: &log})
+		e.At(at, &calRecTask{e: &e, id: i, log: &log})
 	}
 	e.Run()
 	if len(log) != 21 {
@@ -229,19 +229,19 @@ func TestCalendarPendingParity(t *testing.T) {
 	ops := randCalOps(rand.New(rand.NewSource(7)), 40)
 	var cal Engine
 	var calLog []calFireRec
-	cal.AtTask(0, &calDriver{e: &cal, ops: ops, log: &calLog})
+	cal.At(0, &calDriver{e: &cal, ops: ops, log: &calLog})
 	if err := cal.RunBounded(25, -1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var heap heapEngine
 	var heapLog []calFireRec
-	heap.AtTask(0, &calDriver{e: &heap, ops: ops, log: &heapLog})
+	heap.At(0, &calDriver{e: &heap, ops: ops, log: &heapLog})
 	heap.RunUntil(25)
 
 	ce := cal.PendingEvents()
 	he := make([]PendingEvent, len(heap.h))
 	for i, ev := range heap.h {
-		he[i] = PendingEvent{At: ev.at, Seq: ev.seq, Kind: eventKind(ev)}
+		he[i] = PendingEvent{At: ev.at, Seq: ev.seq, Kind: ev.task.TaskKind()}
 	}
 	sort.Slice(he, func(i, j int) bool {
 		if he[i].At != he[j].At {
@@ -273,7 +273,7 @@ func TestCalendarPushPopZeroAlloc(t *testing.T) {
 	var n nopTask
 	round := func() {
 		for i := 0; i < 12; i++ {
-			e.AtTask(e.Now()+int64(i%3), &n)
+			e.At(e.Now()+int64(i%3), &n)
 		}
 		e.Run()
 	}

@@ -13,8 +13,8 @@ import (
 	"nvwa/internal/ckpt"
 )
 
-// Engine is a deterministic discrete-event simulator. Events scheduled
-// for the same cycle fire in scheduling order.
+// Engine is a deterministic discrete-event simulator over Tasks.
+// Events scheduled for the same cycle fire in scheduling order.
 type Engine struct {
 	now    int64
 	seq    int64
@@ -41,29 +41,19 @@ type Engine struct {
 	OnAdvance func(now int64)
 }
 
-// Task is a schedulable unit of work. Hot paths schedule pooled Task
-// values via AtTask instead of closures, so steady-state event traffic
-// performs no per-event allocation: the task struct carries its
-// payload and is recycled by its owner after Fire.
+// Task is a schedulable unit of work: the only thing the engine
+// schedules. A task struct carries its own payload and is recycled by
+// its owner after Fire, so steady-state event traffic performs no
+// per-event allocation; payload-free tasks are pointer conversions of
+// their owner. TaskKind names the task in diagnostics (watchdog heap
+// dumps) and in the checkpoint state inventory.
 type Task interface {
 	Fire()
+	TaskKind() string
 }
 
-// funcTask adapts a closure scheduled via At to the Task interface.
-// Func values are pointer-shaped, so the conversion into the interface
-// never allocates — the closure itself is At's only allocation.
-type funcTask func()
-
-// Fire implements Task.
-func (f funcTask) Fire() { f() }
-
-// TaskKind implements TaskKind: closure events report as "fn" in
-// diagnostics and checkpoint inventories.
-func (funcTask) TaskKind() string { return "fn" }
-
 // event is one queue entry: 32 bytes, so heap sifts and bucket appends
-// move two words of payload besides the (at, seq) key. Closures ride
-// in task too, wrapped as funcTask.
+// move two words of payload besides the (at, seq) key.
 type event struct {
 	at   int64
 	seq  int64
@@ -94,7 +84,7 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // release fn/task references
+	s[n] = event{} // release the task reference
 	*h = s[:n]
 	if n > 0 {
 		h.siftDown(0)
@@ -156,20 +146,11 @@ func (e *Engine) clampCycle(cycle int64) int64 {
 	return cycle
 }
 
-// At schedules fn to run at the given cycle. Scheduling in the past
-// runs fn at the current cycle, after already-queued same-cycle
-// events; see clampCycle for the clamp policy.
-func (e *Engine) At(cycle int64, fn func()) {
-	cycle = e.clampCycle(cycle)
-	e.cal.push(event{at: cycle, seq: e.seq, task: funcTask(fn)}, e.now)
-	e.seq++
-}
-
-// AtTask schedules t.Fire to run at the given cycle, with the same
-// clamp policy as At. Unlike At with a fresh closure, AtTask performs
-// no allocation beyond amortized heap growth, so completion paths can
-// recycle task structs across events.
-func (e *Engine) AtTask(cycle int64, t Task) {
+// At schedules t.Fire to run at the given cycle. Scheduling in the
+// past runs t at the current cycle, after already-queued same-cycle
+// events; see clampCycle for the clamp policy. At performs no
+// allocation beyond amortized queue growth.
+func (e *Engine) At(cycle int64, t Task) {
 	cycle = e.clampCycle(cycle)
 	e.cal.push(event{at: cycle, seq: e.seq, task: t}, e.now)
 	e.seq++
@@ -177,9 +158,6 @@ func (e *Engine) AtTask(cycle int64, t Task) {
 
 // Clamps returns how many past-cycle schedules were clamped to now.
 func (e *Engine) Clamps() int64 { return e.clamps }
-
-// After schedules fn delay cycles from now.
-func (e *Engine) After(delay int64, fn func()) { e.At(e.now+delay, fn) }
 
 // fire advances time to the event and runs it.
 func (e *Engine) fire(ev event) {
@@ -215,25 +193,11 @@ func (e *Engine) Fired() int64 { return e.fired }
 // deterministic schedule.
 func (e *Engine) Seq() int64 { return e.seq }
 
-// TaskKind is optionally implemented by Tasks to name themselves in
-// diagnostics (watchdog heap dumps, checkpoint inventories). Closure
-// events report as "fn", anonymous tasks as "task".
-type TaskKind interface {
-	TaskKind() string
-}
-
 // PendingEvent describes one queued event without its payload.
 type PendingEvent struct {
 	At   int64
 	Seq  int64
 	Kind string
-}
-
-func eventKind(ev event) string {
-	if k, ok := ev.task.(TaskKind); ok {
-		return k.TaskKind()
-	}
-	return "task"
 }
 
 // PendingEvents returns descriptors for every queued event, sorted by
@@ -242,7 +206,7 @@ func (e *Engine) PendingEvents() []PendingEvent {
 	evs := e.cal.appendEvents(nil)
 	out := make([]PendingEvent, len(evs))
 	for i, ev := range evs {
-		out[i] = PendingEvent{At: ev.at, Seq: ev.seq, Kind: eventKind(ev)}
+		out[i] = PendingEvent{At: ev.at, Seq: ev.seq, Kind: ev.task.TaskKind()}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].At != out[j].At {
@@ -298,8 +262,8 @@ func (e *Engine) pendingNote() string {
 }
 
 // EncodeState writes the engine's canonical state inventory: position
-// counters plus a descriptor of every pending event. Payloads
-// (closures, task structs) are not serializable — restore re-derives
+// counters plus a descriptor of every pending event. Task payloads
+// point at live units and are not serializable — restore re-derives
 // them by replay — but the descriptor set proves the replayed heap
 // reached the identical shape.
 func (e *Engine) EncodeState(enc *ckpt.Encoder) {
@@ -316,6 +280,3 @@ func (e *Engine) EncodeState(enc *ckpt.Encoder) {
 		enc.PutStr(ev.Kind)
 	}
 }
-
-// Len keeps eventHeap's length accessor for internal callers.
-func (h eventHeap) Len() int { return len(h) }

@@ -7,13 +7,20 @@ import (
 	"testing"
 )
 
+// fn adapts a closure to Task for these tests; production code
+// schedules typed tasks only.
+type fn func()
+
+func (f fn) Fire()          { f() }
+func (fn) TaskKind() string { return "fn" }
+
 func TestEngineOrdering(t *testing.T) {
 	var e Engine
 	var got []int
-	e.At(5, func() { got = append(got, 5) })
-	e.At(1, func() { got = append(got, 1) })
-	e.At(3, func() { got = append(got, 3) })
-	e.At(3, func() { got = append(got, 30) }) // same cycle: scheduling order
+	e.At(5, fn(func() { got = append(got, 5) }))
+	e.At(1, fn(func() { got = append(got, 1) }))
+	e.At(3, fn(func() { got = append(got, 3) }))
+	e.At(3, fn(func() { got = append(got, 30) })) // same cycle: scheduling order
 	end := e.Run()
 	if end != 5 {
 		t.Errorf("final cycle = %d", end)
@@ -32,10 +39,10 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineAfterAndNesting(t *testing.T) {
 	var e Engine
 	var fired []int64
-	e.At(10, func() {
-		e.After(5, func() { fired = append(fired, e.Now()) })
-		e.After(0, func() { fired = append(fired, e.Now()) })
-	})
+	e.At(10, fn(func() {
+		e.At(e.Now()+5, fn(func() { fired = append(fired, e.Now()) }))
+		e.At(e.Now(), fn(func() { fired = append(fired, e.Now()) }))
+	}))
 	e.Run()
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
 		t.Errorf("fired = %v", fired)
@@ -45,14 +52,14 @@ func TestEngineAfterAndNesting(t *testing.T) {
 func TestEnginePastSchedulingClamps(t *testing.T) {
 	var e Engine
 	ran := false
-	e.At(10, func() {
-		e.At(3, func() { // in the past: runs now
+	e.At(10, fn(func() {
+		e.At(3, fn(func() { // in the past: runs now
 			if e.Now() != 10 {
 				t.Errorf("past event ran at %d", e.Now())
 			}
 			ran = true
-		})
-	})
+		}))
+	}))
 	e.Run()
 	if !ran {
 		t.Error("past-scheduled event never ran")
@@ -65,7 +72,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var e Engine
 	count := 0
 	for i := int64(1); i <= 10; i++ {
-		e.At(i*10, func() { count++ })
+		e.At(i*10, fn(func() { count++ }))
 	}
 	if err := e.RunBounded(50, -1, nil, nil); err != nil {
 		t.Fatal(err)
@@ -93,7 +100,7 @@ func TestEngineRandomizedOrdering(t *testing.T) {
 	for i := range times {
 		times[i] = int64(rng.Intn(1000))
 		at := times[i]
-		e.At(at, func() { fired = append(fired, at) })
+		e.At(at, fn(func() { fired = append(fired, at) }))
 	}
 	e.Run()
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
@@ -113,11 +120,13 @@ type countTask struct {
 	step  int64
 }
 
+func (c *countTask) TaskKind() string { return "count" }
+
 func (c *countTask) Fire() {
 	c.fired = append(c.fired, c.e.Now())
 	if c.left > 0 {
 		c.left--
-		c.e.AtTask(c.e.Now()+c.step, c)
+		c.e.At(c.e.Now()+c.step, c)
 	}
 }
 
@@ -125,9 +134,9 @@ func TestEngineTaskScheduling(t *testing.T) {
 	var e Engine
 	c := &countTask{e: &e, left: 3, step: 7}
 	order := []string{}
-	e.At(7, func() { order = append(order, "fn@7") })
-	e.AtTask(0, c)
-	e.At(0, func() { order = append(order, "fn@0") })
+	e.At(7, fn(func() { order = append(order, "fn@7") }))
+	e.At(0, c)
+	e.At(0, fn(func() { order = append(order, "fn@0") }))
 	end := e.Run()
 	if end != 21 {
 		t.Errorf("final cycle = %d, want 21", end)
@@ -141,18 +150,18 @@ func TestEngineTaskScheduling(t *testing.T) {
 			t.Fatalf("task fired at %v, want %v", c.fired, want)
 		}
 	}
-	// Tasks and closures interleave in (at, seq) order: the task's
+	// Task kinds interleave in (at, seq) order: the task's
 	// reschedule to cycle 7 has a higher seq than fn@7, so fn@7 fires
 	// first.
 	if order[0] != "fn@0" || order[1] != "fn@7" {
-		t.Errorf("closure order = %v", order)
+		t.Errorf("fn order = %v", order)
 	}
 }
 
 func TestEngineTaskClampAndStrict(t *testing.T) {
 	var e Engine
 	c := &countTask{e: &e}
-	e.At(10, func() { e.AtTask(4, c) }) // past: clamps to 10
+	e.At(10, fn(func() { e.At(4, c) })) // past: clamps to 10
 	e.Run()
 	if e.Clamps() != 1 {
 		t.Errorf("Clamps() = %d, want 1", e.Clamps())
@@ -163,14 +172,14 @@ func TestEngineTaskClampAndStrict(t *testing.T) {
 
 	var es Engine
 	es.Strict = true
-	es.At(10, func() {
+	es.At(10, fn(func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("strict mode absorbed a past-cycle AtTask")
+				t.Error("strict mode absorbed a past-cycle task")
 			}
 		}()
-		es.AtTask(6, c)
-	})
+		es.At(6, c)
+	}))
 	es.Run()
 }
 
@@ -204,8 +213,8 @@ func TestEventHeapMatchesSortOracle(t *testing.T) {
 					iter, got.at, got.seq, want.at, want.seq)
 			}
 		}
-		if h.Len() != len(oracle) {
-			t.Fatalf("iter %d: heap len %d, oracle len %d", iter, h.Len(), len(oracle))
+		if len(h) != len(oracle) {
+			t.Fatalf("iter %d: heap len %d, oracle len %d", iter, len(h), len(oracle))
 		}
 	}
 	for len(oracle) > 0 {
@@ -236,7 +245,7 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	}
 	warm := func() {
 		for i, c := range tasks {
-			e.AtTask(e.Now()+int64(i%3), c)
+			e.At(e.Now()+int64(i%3), c)
 		}
 		e.Run()
 	}
@@ -258,7 +267,7 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	var n nopTask
 	warmNop := func() {
 		for i := 0; i < 16; i++ {
-			e.AtTask(e.Now()+int64(i%3), &n)
+			e.At(e.Now()+int64(i%3), &n)
 		}
 		e.Run()
 	}
@@ -272,7 +281,8 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 
 type nopTask struct{}
 
-func (nopTask) Fire() {}
+func (nopTask) Fire()            {}
+func (nopTask) TaskKind() string { return "nop" }
 
 func TestBusyTrackerBasics(t *testing.T) {
 	var b BusyTracker
@@ -359,10 +369,10 @@ func TestEngineClampCounterAndHooks(t *testing.T) {
 	var advances []int64
 	e.OnClamp = func(d int64) { clampDeltas = append(clampDeltas, d) }
 	e.OnAdvance = func(now int64) { advances = append(advances, now) }
-	e.At(10, func() {
-		e.At(3, func() {})  // 7 cycles in the past
-		e.At(10, func() {}) // current cycle: NOT a clamp
-	})
+	e.At(10, fn(func() {
+		e.At(3, fn(func() {}))  // 7 cycles in the past
+		e.At(10, fn(func() {})) // current cycle: NOT a clamp
+	}))
 	e.Run()
 	if e.Clamps() != 1 {
 		t.Errorf("Clamps() = %d, want 1", e.Clamps())
@@ -379,7 +389,7 @@ func TestEngineClampCounterAndHooks(t *testing.T) {
 func TestEngineStrictPanicsOnPastSchedule(t *testing.T) {
 	var e Engine
 	e.Strict = true
-	e.At(10, func() {
+	e.At(10, fn(func() {
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -391,8 +401,8 @@ func TestEngineStrictPanicsOnPastSchedule(t *testing.T) {
 				t.Errorf("panic message lacks the offending delta: %v", r)
 			}
 		}()
-		e.At(6, func() {})
-	})
+		e.At(6, fn(func() {}))
+	}))
 	e.Run()
 	if e.Clamps() != 1 {
 		t.Errorf("strict panic must still count the clamp: Clamps() = %d", e.Clamps())
@@ -403,8 +413,8 @@ func TestEngineRunUntilFiresOnAdvance(t *testing.T) {
 	var e Engine
 	var advances []int64
 	e.OnAdvance = func(now int64) { advances = append(advances, now) }
-	e.At(5, func() {})
-	e.At(50, func() {})
+	e.At(5, fn(func() {}))
+	e.At(50, fn(func() {}))
 	if err := e.RunBounded(20, -1, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ func TestRunGuardedNilIsRun(t *testing.T) {
 	t.Parallel()
 	var e Engine
 	fired := 0
-	e.At(10, func() { fired++ })
-	e.At(20, func() { fired++ })
+	e.At(10, fn(func() { fired++ }))
+	e.At(20, fn(func() { fired++ }))
 	end, err := runGuarded(&e, nil)
 	if err != nil || end != 20 || fired != 2 {
 		t.Fatalf("nil watchdog: end=%d err=%v fired=%d", end, err, fired)
@@ -22,7 +22,7 @@ func TestRunGuardedHealthyRunPasses(t *testing.T) {
 	var e Engine
 	var fired int
 	for i := int64(0); i < 100; i++ {
-		e.At(i, func() { fired++ })
+		e.At(i, fn(func() { fired++ }))
 	}
 	end, err := runGuarded(&e, &Watchdog{MaxCycles: 1000})
 	if err != nil {
@@ -36,8 +36,8 @@ func TestRunGuardedHealthyRunPasses(t *testing.T) {
 func TestRunGuardedCycleBudget(t *testing.T) {
 	t.Parallel()
 	var e Engine
-	e.At(5, func() {})
-	e.At(5000, func() { t.Fatal("event beyond budget fired") })
+	e.At(5, fn(func() {}))
+	e.At(5000, fn(func() { t.Fatal("event beyond budget fired") }))
 	end, err := runGuarded(&e, &Watchdog{MaxCycles: 100})
 	if err == nil {
 		t.Fatal("cycle budget not enforced")
@@ -57,8 +57,8 @@ func TestRunGuardedLivelock(t *testing.T) {
 	t.Parallel()
 	var e Engine
 	var respawn func()
-	respawn = func() { e.At(e.Now(), respawn) } // classic same-cycle livelock
-	e.At(7, respawn)
+	respawn = func() { e.At(e.Now(), fn(respawn)) } // classic same-cycle livelock
+	e.At(7, fn(respawn))
 	_, err := runGuarded(&e, &Watchdog{MaxCycles: 1000, MaxEventsPerCycle: 1000})
 	if err == nil {
 		t.Fatal("livelock not detected")
@@ -73,8 +73,8 @@ func TestRunGuardedEventBudget(t *testing.T) {
 	var e Engine
 	var tick func()
 	n := int64(0)
-	tick = func() { n++; e.After(1, tick) } // unbounded but always progressing
-	e.At(0, tick)
+	tick = func() { n++; e.At(e.Now()+1, fn(tick)) } // unbounded but always progressing
+	e.At(0, fn(tick))
 	_, err := runGuarded(&e, &Watchdog{MaxEvents: 500})
 	if err == nil {
 		t.Fatal("event budget not enforced")
@@ -93,8 +93,8 @@ func TestRunGuardedPerCycleCounterResets(t *testing.T) {
 	// 50 events at each of two cycles with a tight per-cycle limit of
 	// 60: must pass because the counter resets when time advances.
 	for i := 0; i < 50; i++ {
-		e.At(1, func() {})
-		e.At(2, func() {})
+		e.At(1, fn(func() {}))
+		e.At(2, fn(func() {}))
 	}
 	if _, err := runGuarded(&e, &Watchdog{MaxEventsPerCycle: 60}); err != nil {
 		t.Fatalf("per-cycle counter leaked across cycles: %v", err)

@@ -28,7 +28,6 @@ import (
 var reachAllow = map[string]string{
 	"coordinator.unitsByID.Less":    "interface: sort.Interface, called by sort.Sort",
 	"coordinator.unitsByID.Swap":    "interface: sort.Interface, called by sort.Sort",
-	"accel.System.Step":             "facade: nvwa.Accelerator re-exports accel.System",
 	"fault.Plan.Normalize":          "facade: nvwa.FaultPlan re-exports fault.Plan",
 	"accel.ApplySteals":             "oracle: replays a StealLog; tests and FuzzStealSchedule check PlanBalanced's partition against it",
 	"accel.MergeReportsReference":   "oracle: the specification merge; TestMergeAccMatchesReference checks MergeAcc's merged Report against it",

@@ -9,8 +9,8 @@ import (
 var extendSink int
 
 // BenchmarkExtendWithScratch times the extension kernel on flanks shaped
-// like the pipeline's at its band, w = 100: a 2-bit read of 101 bp or
-// 1 kbp copied from its reference window (8 bases longer, the
+// like the pipeline's at its band, w = 100: a 2-bit read of 101 bp,
+// 1 kbp or 3 kbp (past narrow's bound, so int32 rows) copied from its reference window (8 bases longer, the
 // pipeline's ExtBand) with 5% substitutions and 2% indels, extended
 // from a seed score of 20 with z-drop 100 under BWAMEM. Each op is one
 // extension, cycling over 64 flanks on one warm Scratch; ns/cell
@@ -23,7 +23,7 @@ func BenchmarkExtendWithScratch(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		n    int
-	}{{"101bp", 101}, {"1kbp", 1000}} {
+	}{{"101bp", 101}, {"1kbp", 1000}, {"3kbp", 3000}} {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			pairs := make([][2][]byte, flanks)

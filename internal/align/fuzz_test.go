@@ -1,6 +1,9 @@
 package align
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzExtendBandedVsFull is the CI differential fuzz target for the
 // extension kernel: on arbitrary sequences, scoring schemes, anchor
@@ -65,16 +68,15 @@ func fold2Bit(s []byte) []byte {
 	return out
 }
 
-// FuzzExtendRowVector is the differential fuzz target for the vector
-// rows: on windows of 0-80 columns, extendRow with the AVX2 kernel (and
-// its scalar tail) must leave the same H and E rows and return the
-// same (rowBest, hLast, f) as the scalar loop alone, in int32 rows
-// (rowAVX2, tails of 1-7 columns) and in int16 rows (rowAVX2w16, whose
-// 8-lane step and scalar loop finish tails of 1-15). Each column's
-// previous-row H and E, and the boundary hDiag and hLeft, are either
-// live scores or dead values up to 127 below the width's dead value,
+// FuzzExtendRowVector is the differential fuzz target for the int32
+// vector row: on windows of 0-80 columns, extendRow with rowAVX2 (and
+// its scalar tail of 1-7 columns) must leave the same H and E rows and
+// return the same (rowBest, hLast, f) as the scalar loop alone. Each
+// column's previous-row H and E, and the boundary hDiag and hLeft, are
+// either live scores or dead values up to 127 below the dead value,
 // where the kernel's decays run closest to its floor; GapOpen and
-// GapExtend are drawn non-negative, the vector row's domain.
+// GapExtend are drawn non-negative, the vector row's domain. The int16
+// row runs only inside a fused pass, which FuzzExtendPassFused covers.
 func FuzzExtendRowVector(f *testing.F) {
 	f.Add(uint8(17), uint8(6), uint8(1), int16(20), int16(-3), false, false, []byte{1, 2, 3, 200, 7, 9, 4, 130, 66})
 	f.Add(uint8(8), uint8(0), uint8(0), int16(0), int16(0), true, true, []byte{255, 255, 255})
@@ -88,7 +90,6 @@ func FuzzExtendRowVector(f *testing.F) {
 		ge := gapE % 5
 		goe := gapO%12 + ge
 		checkRowVector[int32](t, n, goe, ge, hDiag, hLeft, deadDiag, deadLeft, cells)
-		checkRowVector[int16](t, n, goe, ge, hDiag, hLeft, deadDiag, deadLeft, cells)
 	})
 }
 
@@ -134,4 +135,79 @@ func checkRowVector[L lane](t *testing.T, n int, goe, ge uint8, hDiag, hLeft int
 				dead, n, goe, ge, k, hv[k], ev[k], h[k], e[k])
 		}
 	}
+}
+
+// FuzzExtendPassFused is the differential fuzz target for the fused
+// int16 pass: on 2-bit pairs of up to 300 bases, passAVX2w16 (through
+// extendPass with fused set) must return the same (best, bi, bj, rows,
+// maxOff) as extendPass's own row loop over the same int16 rows and as
+// one ExtendReference pass at w, and leave byte-identical H and E rows
+// to the row loop's. Both passes start from the same dirty rows, left
+// by an earlier extension of the pair swapped. band selects w from
+// {-1, 0..8, 300}: unbanded, bands that bind, and one at least as wide
+// as the pair; zdrop runs negative (no z-drop, no shrink) to positive;
+// scoring keeps both gap penalties non-negative, the fused pass's
+// domain, and draws that narrow rejects are skipped.
+func FuzzExtendPassFused(f *testing.F) {
+	f.Add([]byte("ACGTACGTACGTACGTACGTACGT"), []byte("ACGTACGTACGTACGGACGT"), uint8(1), uint8(4), uint8(6), uint8(1), int16(19), int16(50), uint8(0))
+	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), []byte("CCCCCCCCCCCCCCCCCCCCCCCC"), uint8(2), uint8(3), uint8(0), uint8(2), int16(40), int16(0), uint8(3))
+	f.Add([]byte("GATTACAGATTACAGATTACAGATTACAGATTACA"), []byte("GATTACAGATTTTTTTTTTTTACA"), uint8(5), uint8(0), uint8(7), uint8(3), int16(0), int16(-1), uint8(9))
+	f.Add([]byte("ACGTTTTTTTTACGTACGTACGTTTGACCA"), []byte("ACGTACGTACGTACGTACGGTACCAGGA"), uint8(1), uint8(4), uint8(6), uint8(1), int16(-300), int16(30), uint8(4))
+	// Flanks long enough for whole sixteen-column vectors, odd eighths
+	// and shrinking windows: 5% substitutions and 2% indels at 101 and
+	// 250 bases.
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{101, 250} {
+		ref := randomSeq(rng, n+8)
+		read := mutatedCopy(rng, ref[:n], n*5/100, n*2/100)
+		f.Add(ref, read, uint8(1), uint8(4), uint8(6), uint8(1), int16(20), int16(100), uint8(10))
+		f.Add(ref, read, uint8(1), uint8(4), uint8(6), uint8(1), int16(20), int16(5), uint8(7))
+	}
+	f.Fuzz(func(t *testing.T, ref, read []byte, match, mis, gapO, gapE uint8, init, zdrop int16, band uint8) {
+		if !useAVX2 {
+			t.Skip("no AVX2 fused pass on this host")
+		}
+		if len(ref) == 0 || len(read) == 0 || len(ref) > 300 || len(read) > 300 {
+			return
+		}
+		ref, read = fold2Bit(ref), fold2Bit(read)
+		sc := Scoring{
+			Match:     1 + int(match)%8,
+			Mismatch:  int(mis) % 10,
+			GapOpen:   int(gapO) % 12,
+			GapExtend: int(gapE) % 5,
+		}
+		zd := int(zdrop) % 200
+		w := int(band)%11 - 1
+		if w == 9 {
+			w = 300
+		}
+		m, n := len(ref), len(read)
+		if !narrow(m, n, sc, int(init), zd) || !narrow(n, m, sc, int(init), zd) {
+			return
+		}
+		var s Scratch
+		ExtendWithScratch(&s, read, ref, sc, int(init), zd, w) // leaves dirty rows
+		h, e, prof := grow(s.rowH16, n+16)[:n+1], grow(s.rowE16, n+1), grow(s.prof16, 4*n)
+		if !buildProfile(prof, ref, read, sc) {
+			t.Fatal("2-bit pair has no profile")
+		}
+		hRef, eRef := append([]int16(nil), h...), append([]int16(nil), e...)
+		fb, fi, fj, frows, foff := extendPass(h, e, prof, ref, read, sc, true, true, int(init), zd, w)
+		rb, ri, rj, rrows, roff := extendPass(hRef, eRef, prof, ref, read, sc, true, false, int(init), zd, w)
+		if fb != rb || fi != ri || fj != rj || frows != rrows || foff != roff {
+			t.Fatalf("fused (best, bi, bj, rows, maxOff) = (%d,%d,%d,%d,%d), row loop (%d,%d,%d,%d,%d); sc=%+v init=%d zdrop=%d w=%d ref=%v read=%v",
+				fb, fi, fj, frows, foff, rb, ri, rj, rrows, roff, sc, init, zd, w, ref, read)
+		}
+		if os, oi, oj, orows, ooff := ExtendReference(ref, read, sc, int(init), zd, w); fb != os || fi != oi || fj != oj || frows != orows || foff != ooff {
+			t.Fatalf("fused (best, bi, bj, rows, maxOff) = (%d,%d,%d,%d,%d), ExtendReference (%d,%d,%d,%d,%d); sc=%+v init=%d zdrop=%d w=%d ref=%v read=%v",
+				fb, fi, fj, frows, foff, os, oi, oj, orows, ooff, sc, init, zd, w, ref, read)
+		}
+		for j := range h {
+			if h[j] != hRef[j] || e[j] != eRef[j] {
+				t.Fatalf("column %d: fused (H, E) = (%d,%d), row loop (%d,%d); sc=%+v init=%d zdrop=%d w=%d ref=%v read=%v",
+					j, h[j], e[j], hRef[j], eRef[j], sc, init, zd, w, ref, read)
+			}
+		}
+	})
 }

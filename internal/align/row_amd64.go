@@ -1,7 +1,7 @@
 package align
 
-// useAVX2 selects rowAVX2 for the extension row: the CPU has AVX2 and
-// the OS saves the YMM registers.
+// useAVX2 selects the AVX2 extension kernels (rowAVX2, passAVX2w16):
+// the CPU has AVX2 and the OS saves the YMM registers.
 var useAVX2 = hasAVX2()
 
 func hasAVX2() bool {
@@ -29,18 +29,17 @@ func hasAVX2() bool {
 //go:noescape
 func rowAVX2(h, e, sub []int32, hDiag, hLeft, goe, ge int32) (best, diag, last, f int32)
 
-// rowAVX2w16 is rowAVX2 over int16 rows, sixteen columns per vector:
-// len(h) is a positive multiple of eight, and an odd eighth runs as one
-// 8-lane step.
+// passAVX2w16 runs rows 1..p.m of an int16 extension pass, the loop
+// of extendPass with extendRow's recurrence in sixteen int16 lanes, in
+// one call: per row the band step and one-column window growth, the
+// row (vector, then a scalar tail of at most seven columns), the F
+// spill, the first row-major argmax with max_off, the z-drop test and
+// shrink. It reads the constants, parameters and window from p and
+// leaves the pass's result there. It requires GapOpen >= 0 and
+// GapExtend >= 0.
 //
 //go:noescape
-func rowAVX2w16(h, e, sub []int16, hDiag, hLeft, goe, ge int16) (best, diag, last, f int16)
-
-// firstEq16 returns the first k with h[k] == v, or len(h) if there is
-// none.
-//
-//go:noescape
-func firstEq16(h []int16, v int16) int
+func passAVX2w16(p *pass16)
 
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 

@@ -243,14 +243,17 @@ done:
 // non-negative (gaps never gain); otherwise each row computes its whole
 // band, still allocation-free.
 //
-// Each row's window is computed by extendRow over a substitution
-// slice: a row of the query profile when both sequences are 2-bit base
-// codes (every byte in 0..3), otherwise a one-row slice filled for that
-// reference base. The rows are int16 when narrow admits the call and
-// int32 otherwise; the width follows from that bound alone. int32 rows
-// are exact only while every value fits; headroom checks that once per
-// call and the call panics when it does not hold, which no read the
-// pipeline can deliver reaches (see headroom).
+// The substitution scores come from a query profile when both
+// sequences are 2-bit base codes (every byte in 0..3), otherwise from a
+// one-row slice filled per reference base. The rows are int16 when
+// narrow admits the call and int32 otherwise; the width follows from
+// that bound alone. An int16 pass over a profile runs in one assembly
+// call on AVX2 hosts when both gap penalties are non-negative
+// (passAVX2w16: rows, spill, argmax, z-drop and shrink); every other
+// pass runs extendPass's Go row loop, one extendRow call per row. int32
+// rows are exact only while every value fits; headroom checks that
+// once per call and the call panics when it does not hold, which no
+// read the pipeline can deliver reaches (see headroom).
 func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdrop, w int) (score, refEnd, readEnd, rows int) {
 	m, n := len(ref), len(read)
 	if m == 0 || n == 0 {
@@ -272,11 +275,14 @@ func extend[L lane](h, e, prof *[]L, ref, read []byte, sc Scoring, initScore, zd
 	if w >= m && w >= n {
 		w = -1 // no cell lies outside the band
 	}
-	*h, *e, *prof = grow(*h, n+1), grow(*e, n+1), grow(*prof, 4*n)
+	// h keeps 15 spare columns of capacity, which passAVX2w16 reads.
+	*h, *e, *prof = grow(*h, n+16)[:n+1], grow(*e, n+1), grow(*prof, 4*n)
 	twoBit := buildProfile(*prof, ref, read, sc)
-	score, refEnd, readEnd, rows, maxOff := extendPass(*h, *e, *prof, ref, read, sc, twoBit, initScore, zdrop, w)
+	_, int16Rows := any(*h).([]int16)
+	fused := int16Rows && twoBit && useAVX2 && sc.GapOpen >= 0 && sc.GapExtend >= 0
+	score, refEnd, readEnd, rows, maxOff := extendPass(*h, *e, *prof, ref, read, sc, twoBit, fused, initScore, zdrop, w)
 	if bandRetry(w, maxOff) {
-		score, refEnd, readEnd, rows, _ = extendPass(*h, *e, *prof, ref, read, sc, twoBit, initScore, zdrop, 2*w)
+		score, refEnd, readEnd, rows, _ = extendPass(*h, *e, *prof, ref, read, sc, twoBit, fused, initScore, zdrop, 2*w)
 	}
 	return score, refEnd, readEnd, rows
 }
@@ -345,7 +351,12 @@ func bandRetry(w, maxOff int) bool {
 // extendPass is one banded pass of ExtendWithScratch over rows h and
 // e and the profile already in prof. maxOff is BWA-MEM's max_off: the
 // largest |i-j| of a row maximum that raised the running best.
-func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit bool, initScore, zdrop, w int) (best, bi, bj, rows, maxOff int) {
+//
+// Row 0's boundary and its shrink run here; with fused set (int16
+// rows, a 2-bit profile, AVX2 and non-negative gap penalties) rows
+// 1..m then run in one passAVX2w16 call, otherwise in the loop below,
+// one extendRow call per row, which is also that call's test oracle.
+func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit, fused bool, initScore, zdrop, w int) (best, bi, bj, rows, maxOff int) {
 	m, n := len(ref), len(read)
 	dead := deadOf[L]()
 
@@ -383,6 +394,10 @@ func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit boo
 			// and stops with rows=1.
 			return best, bi, bj, 1, 0
 		}
+	}
+	if fused {
+		return fusedPass(any(h).([]int16), any(e).([]int16), any(prof).([]int16), ref, n, sc, shrinking,
+			initScore, zdrop, w, stepGain, beg, endValid)
 	}
 
 	for i := 1; i <= m; i++ {
@@ -493,9 +508,10 @@ func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit boo
 
 // buildProfile fills prof (4*len(read) entries) with the query profile,
 // row b holding the substitution score of reference base b against each
-// read base, and reports true. When ref or read holds a byte outside
-// 0..3 it fills nothing and reports false: the caller then fills one
-// row per reference base instead.
+// read base, looked up in a 4x4 table of sc.sub computed once per
+// call, and reports true. When ref or read holds a byte outside 0..3 it
+// fills nothing and reports false: the caller then fills one row per
+// reference base instead.
 func buildProfile[L lane](prof []L, ref, read []byte, sc Scoring) bool {
 	var or byte
 	for _, b := range ref {
@@ -507,11 +523,17 @@ func buildProfile[L lane](prof []L, ref, read []byte, sc Scoring) bool {
 	if or > 3 {
 		return false
 	}
+	var table [4][4]L
+	for a := range table {
+		for b := range table[a] {
+			table[a][b] = L(sc.sub(byte(a), byte(b)))
+		}
+	}
 	n := len(read)
-	for b := 0; b < 4; b++ {
-		row := prof[b*n : (b+1)*n]
-		for j, rb := range read {
-			row[j] = L(sc.sub(byte(b), rb))
+	for a := range table {
+		row, sub := prof[a*n:(a+1)*n], &table[a]
+		for j, b := range read {
+			row[j] = sub[b&3]
 		}
 	}
 	return true
@@ -526,25 +548,22 @@ func buildProfile[L lane](prof []L, ref, read []byte, sc Scoring) bool {
 // the F spill; the caller locates the maximum (firstIndex) only when
 // it raises the best.
 //
-// With vector set (which requires GapOpen >= 0 and GapExtend >= 0) the
-// AVX2 kernel of the row's width (rowAVX2w16 or rowAVX2) computes the
-// leading multiple of eight columns and the scalar loop below finishes
-// the tail of at most seven from the state it hands back; otherwise
-// the scalar loop runs the whole window. Both compute the same values.
+// With vector set (which requires GapOpen >= 0 and GapExtend >= 0),
+// int32 rows run rowAVX2 over the leading multiple of eight columns and
+// the scalar loop below finishes the tail of at most seven from the
+// state it hands back; otherwise the scalar loop runs the whole window.
+// Both compute the same values. int16 rows take the scalar loop here:
+// where their vector row applies, the pass is fused (passAVX2w16).
 // Kept out of line so the scalar loop's carried state stays in
 // registers.
 //
 //go:noinline
 func extendRow[L lane](h, e, sub []L, hDiag, hLeft, goe, ge L, vector bool) (rowBest, hLast, f L) {
 	f, rowBest = deadOf[L](), deadOf[L]()
-	if k := len(sub) &^ 7; vector && k > 0 {
-		if h16, ok := any(h).([]int16); ok {
-			b, d, l, x := rowAVX2w16(h16[:k], any(e).([]int16)[:k], any(sub).([]int16)[:k], int16(hDiag), int16(hLeft), int16(goe), int16(ge))
-			rowBest, hDiag, hLeft, f = L(b), L(d), L(l), L(x)
-		} else {
-			b, d, l, x := rowAVX2(any(h).([]int32)[:k], any(e).([]int32)[:k], any(sub).([]int32)[:k], int32(hDiag), int32(hLeft), int32(goe), int32(ge))
-			rowBest, hDiag, hLeft, f = L(b), L(d), L(l), L(x)
-		}
+	if h32, ok := any(h).([]int32); ok && vector && len(sub) >= 8 {
+		k := len(sub) &^ 7
+		b, d, l, x := rowAVX2(h32[:k], any(e).([]int32)[:k], any(sub).([]int32)[:k], int32(hDiag), int32(hLeft), int32(goe), int32(ge))
+		rowBest, hDiag, hLeft, f = L(b), L(d), L(l), L(x)
 		h, e, sub = h[k:], e[k:], sub[k:]
 	}
 	h, e = h[:len(sub)], e[:len(sub)]
@@ -598,16 +617,65 @@ func shrink[L lane](h, e []L, beg, end, T, remR, stepGain int) (int, int) {
 }
 
 // firstIndex returns the first k with h[k] == v, or len(h) if there is
-// none: by vector compare (firstEq16) on int16 rows where AVX2 runs,
-// by a scalar scan otherwise.
+// none.
 func firstIndex[L lane](h []L, v L) int {
-	if h16, ok := any(h).([]int16); ok && useAVX2 {
-		return firstEq16(h16, int16(v))
-	}
 	for k, x := range h {
 		if x == v {
 			return k
 		}
 	}
 	return len(h)
+}
+
+// pass16 is one fused int16 pass (passAVX2w16): the row kernel's
+// constants, one sixteen-lane vector each, built once per pass so no
+// row rebuilds them; the pass's parameters; the window row 0 left
+// (endRow is the kernel's own per-row scratch); and the running
+// result, which the kernel updates in place.
+type pass16 struct {
+	kGE, kGE2, kGE4 [16]int16 // ge, 2ge, 4ge
+	kJoin           [16]int16 // ge*(lane-7) in the high half, 0 in the low
+	kLane           [16]int16 // ge*(lane+1)
+	kGOE, kGapO     [16]int16
+	kMin            [16]int16 // -32768, the scan's shift-in
+	kDead           [16]int16 // negInf16
+	kShuf           [16]int16 // VPSHUFB mask broadcasting word 7 of each half
+
+	h, e, prof *int16
+	ref        *byte
+	shrinking  bool
+
+	m, n, w, zdrop, stepGain int
+	ge, goe, gapO, hBase     int // hBase = initScore - GapOpen
+
+	beg, endValid, endRow int
+
+	best, bi, bj, rows, maxOff int
+}
+
+// fusedPass runs rows 1..m of an int16 pass of extendPass in one
+// passAVX2w16 call, from the window [beg..endValid] row 0 left, over
+// the 2-bit profile prof of a read of n bases. The kernel loads each
+// row's diagonal a vector ahead, up to 15 columns past the row, so h
+// must have that much spare capacity.
+func fusedPass(h, e, prof []int16, ref []byte, n int, sc Scoring, shrinking bool, initScore, zdrop, w, stepGain, beg, endValid int) (best, bi, bj, rows, maxOff int) {
+	_ = h[:n+16]
+	ge, goe := sc.GapExtend, sc.GapOpen+sc.GapExtend
+	p := pass16{
+		h: &h[0], e: &e[0], prof: &prof[0], ref: &ref[0], shrinking: shrinking,
+		m: len(ref), n: n, w: w, zdrop: zdrop, stepGain: stepGain,
+		ge: ge, goe: goe, gapO: sc.GapOpen, hBase: initScore - sc.GapOpen,
+		beg: beg, endValid: endValid, best: initScore,
+	}
+	for l := range 16 {
+		p.kGE[l], p.kGE2[l], p.kGE4[l] = int16(ge), int16(2*ge), int16(4*ge)
+		p.kJoin[l] = int16(max(l-7, 0) * ge)
+		p.kLane[l] = int16((l + 1) * ge)
+		p.kGOE[l], p.kGapO[l] = int16(goe), int16(sc.GapOpen)
+		p.kMin[l] = math.MinInt16
+		p.kDead[l] = negInf16
+		p.kShuf[l] = 0x0f0e
+	}
+	passAVX2w16(&p)
+	return p.best, p.bi, p.bj, p.rows, p.maxOff
 }

@@ -274,7 +274,9 @@ func TestLocalScratchMatches(t *testing.T) {
 // pair (the per-row substitution fill), a flank whose first pass
 // triggers the 2w retry, flanks whose windows are shorter than one
 // 8-column vector or end in a partial one (the scalar tail), and a
-// flank too long for int16 rows.
+// flank too long for int16 rows. The 2-bit int16 flanks then run each
+// int16 pass on its own, the fused one (on AVX2 hosts) and extendPass's
+// Go row loop, and neither may allocate either.
 func TestExtendScratchZeroAlloc(t *testing.T) {
 	const w = 100
 	rng := rand.New(rand.NewSource(5))
@@ -305,6 +307,23 @@ func TestExtendScratchZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ExtendWithScratch allocates %v per run with warm scratch, want 0", allocs)
+	}
+	int16Pairs := [][2][]byte{{short, shortRead}, {long, longRead}, {retry, retryRead}, {tiny, tinyRead}, {odd, oddRead}}
+	for _, fused := range []bool{false, true} {
+		if fused && !useAVX2 {
+			continue
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, p := range int16Pairs {
+				n := len(p[1])
+				h, e, prof := s.rowH16[:n+1], s.rowE16[:n+1], s.prof16[:4*n]
+				buildProfile(prof, p[0], p[1], sc)
+				extendPass(h, e, prof, p[0], p[1], sc, true, fused, 20, 100, w)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("int16 pass (fused %v) allocates %v per run with warm rows, want 0", fused, allocs)
+		}
 	}
 }
 
@@ -378,10 +397,10 @@ func TestExtendWidthBoundary(t *testing.T) {
 	}
 }
 
-// TestFirstIndexTies pins the argmax scan on rows with tied maxima:
-// the first column holding the value wins, whether it lies in a
-// 16-column vector of an int16 row, in the scalar tail, or in an int32
-// row, and a value the row lacks returns len(h).
+// TestFirstIndexTies pins the Go row loop's argmax scan on rows with
+// tied maxima: the first column holding the value wins, in int16 and
+// int32 rows, and a value the row lacks returns len(h). The fused
+// pass's vector scan is held to the same order by FuzzExtendPassFused.
 func TestFirstIndexTies(t *testing.T) {
 	t.Parallel()
 	const top = 7

@@ -7,7 +7,10 @@
 // the code space.
 package seq
 
-import "strings"
+import (
+	"bytes"
+	"strings"
+)
 
 // Base is a 2-bit encoded nucleotide: A=0, C=1, G=2, T=3.
 type Base = byte
@@ -80,14 +83,4 @@ func (s Seq) Clone() Seq {
 }
 
 // Equal reports whether two sequences contain the same bases.
-func (s Seq) Equal(t Seq) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
+func (s Seq) Equal(t Seq) bool { return bytes.Equal(s, t) }

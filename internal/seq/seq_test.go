@@ -77,3 +77,26 @@ func TestClone(t *testing.T) {
 		t.Fatal("Clone aliases original")
 	}
 }
+
+// TestEqual pins Seq.Equal on equal sequences (empty and nil among
+// them), unequal lengths that share a prefix, and a difference in the
+// last base only.
+func TestEqual(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		a, b Seq
+		want bool
+	}{
+		{Encode("ACGT"), Encode("ACGT"), true},
+		{nil, Seq{}, true},
+		{Encode("ACG"), Encode("ACGT"), false},
+		{Encode("ACGT"), Encode("ACG"), false},
+		{Encode("ACGT"), Encode("ACGA"), false},
+		{Encode("T"), Encode("G"), false},
+	}
+	for _, c := range cases {
+		if got := c.a.Equal(c.b); got != c.want {
+			t.Errorf("%q.Equal(%q) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}

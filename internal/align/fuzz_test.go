@@ -71,7 +71,7 @@ func fold2Bit(s []byte) []byte {
 // FuzzExtendRowVector is the differential fuzz target for the int32
 // vector row: on windows of 0-80 columns, extendRow with rowAVX2 (and
 // its scalar tail of 1-7 columns) must leave the same H and E rows and
-// return the same (rowBest, hLast, f) as the scalar loop alone. Each
+// return the same row maximum as the scalar loop alone. Each
 // column's previous-row H and E, and the boundary hDiag and hLeft, are
 // either live scores or dead values up to 127 below the dead value,
 // where the kernel's decays run closest to its floor; GapOpen and
@@ -123,11 +123,11 @@ func checkRowVector[L lane](t *testing.T, n int, goe, ge uint8, hDiag, hLeft int
 	}
 	hv, ev := append([]L(nil), h...), append([]L(nil), e...)
 	hD, hL := boundary(hDiag, deadDiag), boundary(hLeft, deadLeft)
-	vb, vh, vf := extendRow(hv, ev, sub, hD, hL, L(goe), L(ge), true)
-	sb, sh, sf := extendRow(h, e, sub, hD, hL, L(goe), L(ge), false)
-	if vb != sb || vh != sh || vf != sf {
-		t.Fatalf("%T n=%d goe=%d ge=%d hDiag=%d hLeft=%d: vector (best, hLast, f) = (%d,%d,%d), scalar (%d,%d,%d)",
-			dead, n, goe, ge, hD, hL, vb, vh, vf, sb, sh, sf)
+	vb := extendRow(hv, ev, sub, hD, hL, L(goe), L(ge), true)
+	sb := extendRow(h, e, sub, hD, hL, L(goe), L(ge), false)
+	if vb != sb {
+		t.Fatalf("%T n=%d goe=%d ge=%d hDiag=%d hLeft=%d: vector row maximum %d, scalar %d",
+			dead, n, goe, ge, hD, hL, vb, sb)
 	}
 	for k := range h {
 		if hv[k] != h[k] || ev[k] != e[k] {
@@ -139,7 +139,7 @@ func checkRowVector[L lane](t *testing.T, n int, goe, ge uint8, hDiag, hLeft int
 
 // FuzzExtendPassFused is the differential fuzz target for the fused
 // int16 pass: on 2-bit pairs of up to 300 bases, passAVX2w16 (through
-// extendPass with fused set) must return the same (best, bi, bj, rows,
+// extendPass with a pass16) must return the same (best, bi, bj, rows,
 // maxOff) as extendPass's own row loop over the same int16 rows and as
 // one ExtendReference pass at w, and leave byte-identical H and E rows
 // to the row loop's. Both passes start from the same dirty rows, left
@@ -147,7 +147,9 @@ func checkRowVector[L lane](t *testing.T, n int, goe, ge uint8, hDiag, hLeft int
 // {-1, 0..8, 300}: unbanded, bands that bind, and one at least as wide
 // as the pair; zdrop runs negative (no z-drop, no shrink) to positive;
 // scoring keeps both gap penalties non-negative, the fused pass's
-// domain, and draws that narrow rejects are skipped.
+// domain, and draws that narrow rejects are skipped. The seeds cover
+// every row-end remainder, rows narrower than one vector, and shrinks
+// that drop more than sixteen columns at either end at once.
 func FuzzExtendPassFused(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGTACGT"), []byte("ACGTACGTACGTACGGACGT"), uint8(1), uint8(4), uint8(6), uint8(1), int16(19), int16(50), uint8(0))
 	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), []byte("CCCCCCCCCCCCCCCCCCCCCCCC"), uint8(2), uint8(3), uint8(0), uint8(2), int16(40), int16(0), uint8(3))
@@ -162,6 +164,31 @@ func FuzzExtendPassFused(f *testing.F) {
 		read := mutatedCopy(rng, ref[:n], n*5/100, n*2/100)
 		f.Add(ref, read, uint8(1), uint8(4), uint8(6), uint8(1), int16(20), int16(100), uint8(10))
 		f.Add(ref, read, uint8(1), uint8(4), uint8(6), uint8(1), int16(20), int16(5), uint8(7))
+	}
+	// Reads of 1-31 bases, unbanded and without z-drop, so every row's
+	// window is the whole read: rows narrower than sixteen columns, and
+	// one whole vector followed by each remainder 0-15.
+	for n := 1; n < 32; n++ {
+		ref := randomSeq(rng, n+8)
+		f.Add(ref, mutatedCopy(rng, ref[:n], n/8, 0), uint8(1), uint8(4), uint8(6), uint8(1), int16(20), int16(-1), uint8(0))
+	}
+	// Unrelated pairs whose shrink drops more than sixteen columns of a
+	// row at once: at the left end (twice), then at the right (twice).
+	for _, c := range []struct {
+		seed                   int64
+		m, n                   int
+		match, mis, gapO, gapE uint8
+		init, zdrop            int16
+		band                   uint8
+	}{
+		{21, 39, 80, 141, 42, 50, 85, 135, 8, 10},
+		{273, 92, 113, 95, 239, 83, 50, 38, 26, 10},
+		{396, 44, 103, 186, 253, 94, 76, 116, 30, 0},
+		{1755, 47, 114, 134, 24, 208, 78, 30, 13, 0},
+	} {
+		r := rand.New(rand.NewSource(c.seed))
+		ref := randomSeq(r, c.m)
+		f.Add(ref, randomSeq(r, c.n), c.match, c.mis, c.gapO, c.gapE, c.init, c.zdrop, c.band)
 	}
 	f.Fuzz(func(t *testing.T, ref, read []byte, match, mis, gapO, gapE uint8, init, zdrop int16, band uint8) {
 		if !useAVX2 {
@@ -187,14 +214,15 @@ func FuzzExtendPassFused(f *testing.F) {
 			return
 		}
 		var s Scratch
-		ExtendWithScratch(&s, read, ref, sc, int(init), zd, w) // leaves dirty rows
-		h, e, prof := grow(s.rowH16, n+16)[:n+1], grow(s.rowE16, n+1), grow(s.prof16, 4*n)
-		if !buildProfile(prof, ref, read, sc) {
+		ExtendWithScratch(&s, read, ref, sc, int(init), zd, w) // leaves dirty rows; sets s's tables for sc
+		fit(&s.rowH16, &s.rowE16, &s.prof16, n)
+		h, e, prof := s.rowH16, s.rowE16, s.prof16
+		if !buildProfile(prof, ref, read, &s.sub) {
 			t.Fatal("2-bit pair has no profile")
 		}
 		hRef, eRef := append([]int16(nil), h...), append([]int16(nil), e...)
-		fb, fi, fj, frows, foff := extendPass(h, e, prof, ref, read, sc, true, true, int(init), zd, w)
-		rb, ri, rj, rrows, roff := extendPass(hRef, eRef, prof, ref, read, sc, true, false, int(init), zd, w)
+		fb, fi, fj, frows, foff := extendPass(h, e, prof, ref, read, sc, true, &s.pass, int(init), zd, w)
+		rb, ri, rj, rrows, roff := extendPass(hRef, eRef, prof, ref, read, sc, true, nil, int(init), zd, w)
 		if fb != rb || fi != ri || fj != rj || frows != rrows || foff != roff {
 			t.Fatalf("fused (best, bi, bj, rows, maxOff) = (%d,%d,%d,%d,%d), row loop (%d,%d,%d,%d,%d); sc=%+v init=%d zdrop=%d w=%d ref=%v read=%v",
 				fb, fi, fj, frows, foff, rb, ri, rj, rrows, roff, sc, init, zd, w, ref, read)

@@ -32,11 +32,12 @@ func rowAVX2(h, e, sub []int32, hDiag, hLeft, goe, ge int32) (best, diag, last, 
 // passAVX2w16 runs rows 1..p.m of an int16 extension pass, the loop
 // of extendPass with extendRow's recurrence in sixteen int16 lanes, in
 // one call: per row the band step and one-column window growth, the
-// row (vector, then a scalar tail of at most seven columns), the F
-// spill, the first row-major argmax with max_off, the z-drop test and
-// shrink. It reads the constants, parameters and window from p and
-// leaves the pass's result there. It requires GapOpen >= 0 and
-// GapExtend >= 0.
+// row (whole vectors, then its last 1-15 columns as one masked
+// sixteen-lane step), the first row-major argmax with max_off, the
+// z-drop test and the shrink, sixteen columns per compare at each end.
+// It reads the constants, parameters and window from p and leaves the
+// pass's result there. It requires GapOpen >= 0 and GapExtend >= 0, and
+// h, e and the profile rows must hold 15 columns past n (see fit).
 //
 //go:noescape
 func passAVX2w16(p *pass16)

@@ -129,29 +129,64 @@ loop:
 	VZEROUPPER
 	RET
 
+// SCAN leaves in Y0 the decayed inclusive prefix max of the X in Y1,
+// max over k <= lane of X[k] - ge*(lane-k), using Y2.
+#define SCAN \
+	VPALIGNR $14, Y15, Y1, Y2; \
+	VPSUBSW Y14, Y2, Y2; \
+	VPMAXSW Y2, Y1, Y0; \
+	VPALIGNR $12, Y15, Y0, Y2; \
+	VPSUBSW Y13, Y2, Y2; \
+	VPMAXSW Y2, Y0, Y0; \
+	VPALIGNR $8, Y15, Y0, Y2; \
+	VPSUBSW Y12, Y2, Y2; \
+	VPMAXSW Y2, Y0, Y0; \
+	VPSHUFB Y4, Y0, Y2; \
+	VPERM2I128 $0x20, Y2, Y15, Y2; \
+	VPSUBSW Y11, Y2, Y2; \
+	VPMAXSW Y2, Y0, Y0
+
+// ALLOW leaves in Y0 the shrink's allowance of columns DI..DI+15,
+// (min(remR, n-col)+1)*stepGain, from Y6 = (remR+1)*stepGain, using AX.
+#define ALLOW \
+	MOVQ R14, AX; \
+	SUBQ DI, AX; \
+	INCQ AX; \
+	IMULQ pass16_stepGain(R8), AX; \
+	VMOVD AX, X0; \
+	VPBROADCASTW X0, Y0; \
+	VPSUBW pass16_kStep(R8), Y0, Y0; \
+	VPMINSW Y6, Y0, Y0
+
 // func passAVX2w16(p *pass16)
 //
 // extendPass's row loop over int16 rows, rows 1..p.m, in one call.
-// Registers across rows: R8 = p, R11 = i, R12 = beg, R13 = endValid
-// (endRow within a row); R9, R10 and R14 hold h, e and n except inside
-// the row, which reloads them. The constants stay in Y4, Y7 and
-// Y9..Y15 for the whole pass.
+// Registers across rows: R8 = p, R9 = h, R10 = e, R11 = i, R12 = beg,
+// R13 = endValid (endRow within a row), R14 = n and R15 = the column-0
+// boundary hBase - i*ge. The constants stay in Y4, Y7 and Y9..Y15 for
+// the whole pass.
 //
 // The row is rowAVX2's recurrence in sixteen lanes, in a shift-free
 // form: F'[j] = F[j+1] + goe = max(F'[j-1] - ge, X[j]) is a decayed
 // inclusive prefix max of X, and H = max(X, F' - GapOpen). The
 // diagonal H is an unaligned load one column left (D), made a vector
-// ahead, before the vector's H is stored; h must hold 15 columns
-// past n. Adds and subtracts saturate, so the -32768 fill and deep
-// decays clamp instead of wrapping; narrow keeps every value the row
-// stores above -32768. The scan runs in each 128-bit half with
-// VPALIGNR filled from -32768 (shifts 1, 2, 4), then one
-// VPSHUFB+VPERM2I128 step joins the halves: lanes 8..15 take
-// max(S, S[7] - ge*(lane-7)). The F' carry, the previous vector's
-// lane 15 broadcast by VPSHUFB+VPERMQ, enters as cF' - ge*(lane+1),
-// off the scan's chain. An odd eighth runs as one 8-lane step and the
-// last count%8 columns as scalar code, which computes in 64 bits the
-// values extendRow computes in int16.
+// ahead, before the vector's H is stored. Adds and subtracts saturate,
+// so the -32768 fill and deep decays clamp instead of wrapping; narrow
+// keeps every value the row stores above -32768. The scan runs in each
+// 128-bit half with VPALIGNR filled from -32768 (shifts 1, 2, 4), then
+// one VPSHUFB+VPERM2I128 step joins the halves: lanes 8..15 take
+// max(S, S[7] - ge*(lane-7)). The F' carry, the previous vector's lane
+// 15 broadcast by VPSHUFB+VPERMQ, enters as cF' - ge*(lane+1), off the
+// scan's chain. The row's last 1-15 columns run as one more sixteen-lane
+// step whose lanes past endRow keep their old H and E and are dead to
+// the row maximum, so h, e and each profile row must hold 15 columns
+// past n. No F state leaves the row (see extendPass).
+//
+// The shrink tests sixteen columns per compare against T = best - zdrop
+// with the per-lane allowance; from the right every column reads its own
+// left neighbour, from the left only the first does (the rest follow a
+// dropped, dead column), and it loops over vectors only while all
+// sixteen drop.
 TEXT ·passAVX2w16(SB), NOSPLIT, $0-8
 	MOVQ p+0(FP), R8
 	VMOVDQU pass16_kMin(R8), Y15
@@ -163,17 +198,19 @@ TEXT ·passAVX2w16(SB), NOSPLIT, $0-8
 	VMOVDQU pass16_kGOE(R8), Y9
 	VMOVDQU pass16_kShuf(R8), Y4
 	VMOVDQU pass16_kGapO(R8), Y7
+	MOVQ pass16_h(R8), R9
+	MOVQ pass16_e(R8), R10
 	XORQ R11, R11
 	MOVQ pass16_beg(R8), R12
 	MOVQ pass16_endValid(R8), R13
+	MOVQ pass16_n(R8), R14
+	MOVQ pass16_hBase(R8), R15
 
 row:
-	MOVQ pass16_h(R8), R9
-	MOVQ pass16_e(R8), R10
-	MOVQ pass16_n(R8), R14
 	INCQ R11
 	CMPQ R11, pass16_m(R8)
 	JGT  done
+	SUBQ pass16_ge(R8), R15
 
 	// Band: beg = max(beg, i-w).
 	MOVQ pass16_w(R8), AX
@@ -195,68 +232,50 @@ grow:
 bounds:
 	CMPQ R12, R13
 	JGT  bandLeft
-	MOVQ R13, pass16_endRow(R8)
 
-	// hBound = hBase - i*ge inside the band's first column, else dead.
+	// D (Y8) = h[beg-1..beg+14], the first vector's diagonal H, read
+	// before h[0] takes hLeft (AX): dead unless beg = 1, where it is the
+	// boundary inside the band (w < 0 or i <= w) and dead past it.
+	LEAQ (R9)(R12*2), DI               // &h[beg]
+	LEAQ (R10)(R12*2), SI              // &e[beg]
+	VMOVDQU -2(DI), Y8
 	MOVQ $const_negInf16, AX
+	CMPQ R12, $1
+	JNE  operands
 	MOVQ pass16_w(R8), BX
 	TESTQ BX, BX
 	JS   bound
 	CMPQ R11, BX
-	JGT  boundDone
+	JGT  left
 
 bound:
-	MOVQ R11, AX
-	IMULQ pass16_ge(R8), AX
-	NEGQ AX
-	ADDQ pass16_hBase(R8), AX
+	MOVQ R15, AX
 
-boundDone:
-	// hDiag = h[beg-1] (BX), and D (Y8) = h[beg-1..beg+14], the first
-	// vector's diagonal H, both read before h[0] takes hBound at column
-	// 1; hLeft (AX) = hBound there, else dead.
-	LEAQ (R9)(R12*2), DI               // &h[beg]
-	LEAQ (R10)(R12*2), SI              // &e[beg]
-	MOVWQSX -2(DI), BX
-	VMOVDQU -2(DI), Y8
-	CMPQ R12, $1
-	JNE  leftDead
+left:
 	MOVW AX, (R9)
-	JMP  operands
-
-leftDead:
-	MOVQ $const_negInf16, AX
 
 operands:
 	MOVQ pass16_ref(R8), DX
 	MOVBQZX -1(DX)(R11*1), DX          // ref[i-1]
-	IMULQ R14, DX
-	ADDQ R12, DX
-	MOVQ pass16_prof(R8), CX
-	LEAQ -2(CX)(DX*2), DX              // &prof[ref[i-1]*n + beg-1]
-	MOVQ R13, CX
-	SUBQ R12, CX
-	INCQ CX                            // columns
-	MOVQ CX, R15
-	ANDQ $7, R15                       // scalar tail
-	MOVQ $const_negInf16, R14          // row maximum
-	MOVQ $const_negInf16, R13          // F
-	SHRQ $3, CX
-	JZ   tail
+	MOVQ pass16_prof(R8)(DX*8), DX
+	LEAQ -2(DX)(R12*2), DX             // &prof[ref[i-1]][beg-1]
 
 	// The F carry into the first column, F(beg)+goe = max(dead-ge,
 	// hLeft-goe)+goe.
-	MOVQ pass16_gapO(R8), R9
-	ADDQ $const_negInf16, R9
-	CMPQ AX, R9
-	CMOVQGT AX, R9
-	VMOVD R9, X6
+	MOVQ pass16_gapO(R8), BX
+	ADDQ $const_negInf16, BX
+	CMPQ AX, BX
+	CMOVQGT AX, BX
+	VMOVD BX, X6
 	VPBROADCASTW X6, Y6                // cF'
 	VMOVDQU pass16_kDead(R8), Y5       // row maximum
+	MOVQ R13, CX
+	SUBQ R12, CX
+	INCQ CX                            // columns
 	MOVQ CX, BX
-	ANDQ $1, BX                        // odd eighth
-	SHRQ $1, CX
-	JZ   half
+	ANDQ $15, BX                       // columns after the whole vectors
+	SHRQ $4, CX
+	JZ   last
 
 vec:
 	VPSUBSW Y10, Y6, Y3                // cF' - ge*(lane+1)
@@ -269,19 +288,7 @@ vec:
 	VPADDSW (DX), Y8, Y2
 	VMOVDQU 30(DI), Y8                 // next D, read before H is stored
 	VPMAXSW Y2, Y1, Y1                 // X
-	VPALIGNR $14, Y15, Y1, Y2
-	VPSUBSW Y14, Y2, Y2
-	VPMAXSW Y2, Y1, Y0
-	VPALIGNR $12, Y15, Y0, Y2
-	VPSUBSW Y13, Y2, Y2
-	VPMAXSW Y2, Y0, Y0
-	VPALIGNR $8, Y15, Y0, Y2
-	VPSUBSW Y12, Y2, Y2
-	VPMAXSW Y2, Y0, Y0                 // prefix max in each half
-	VPSHUFB Y4, Y0, Y2
-	VPERM2I128 $0x20, Y2, Y15, Y2
-	VPSUBSW Y11, Y2, Y2
-	VPMAXSW Y2, Y0, Y0                 // prefix max
+	SCAN
 	VPMAXSW Y3, Y0, Y0                 // F' = F(next column) + goe
 	VPSHUFB Y4, Y0, Y6
 	VPERMQ $0xff, Y6, Y6               // cF'
@@ -295,209 +302,71 @@ vec:
 	DECQ CX
 	JNZ  vec
 
-half:
-	// X8 holds the next eight columns' D; word 7 of X1 is the last H
-	// so far.
-	VEXTRACTI128 $1, Y5, X0
-	VPMAXSW X0, X5, X5
-	VEXTRACTI128 $1, Y1, X1
+last:
+	// The last BX columns as one sixteen-lane step; Y6 marks the lanes
+	// past endRow.
 	TESTQ BX, BX
 	JZ   reduce
-	VPSUBSW X10, X6, X3
-	VMOVDQU (DI), X0
-	VPSUBSW X9, X0, X1
-	VMOVDQU (SI), X2
-	VPSUBSW X14, X2, X2
-	VPMAXSW X2, X1, X1
-	VMOVDQU X1, (SI)
-	VPADDSW (DX), X8, X2
-	VMOVDQU 14(DI), X8
-	VPMAXSW X2, X1, X1
-	VPALIGNR $14, X15, X1, X2
-	VPSUBSW X14, X2, X2
-	VPMAXSW X2, X1, X0
-	VPALIGNR $12, X15, X0, X2
-	VPSUBSW X13, X2, X2
-	VPMAXSW X2, X0, X0
-	VPALIGNR $8, X15, X0, X2
-	VPSUBSW X12, X2, X2
-	VPMAXSW X2, X0, X0
-	VPMAXSW X3, X0, X0
-	VPSHUFB X4, X0, X6
-	VPSUBSW X7, X0, X0
-	VPMAXSW X0, X1, X1
-	VMOVDQU X1, (DI)
-	VPMAXSW X1, X5, X5
-	ADDQ $16, DI
-	ADDQ $16, SI
-	ADDQ $16, DX
+	VPSUBSW Y10, Y6, Y3
+	NEGQ BX
+	VMOVDQU pass16_kMask+32(R8)(BX*2), Y6
+	VMOVDQU (DI), Y0
+	VPSUBSW Y9, Y0, Y1
+	VMOVDQU (SI), Y2
+	VPSUBSW Y14, Y2, Y2
+	VPMAXSW Y2, Y1, Y1                 // E
+	VPBLENDVB Y6, (SI), Y1, Y2
+	VMOVDQU Y2, (SI)
+	VPADDSW (DX), Y8, Y2
+	VPMAXSW Y2, Y1, Y1                 // X
+	SCAN
+	VPMAXSW Y3, Y0, Y0
+	VPSUBSW Y7, Y0, Y0
+	VPMAXSW Y0, Y1, Y1                 // H
+	VPBLENDVB Y6, (DI), Y1, Y0
+	VMOVDQU Y0, (DI)
+	VPBLENDVB Y6, pass16_kDead(R8), Y1, Y1
+	VPMAXSW Y1, Y5, Y5
 
 reduce:
-	// The scalar state after the last vector column: hDiag its old H
-	// (word 0 of D), hLeft its H, and, for F, F(next column) + ge,
-	// which the next F step maps to F(next column) as F itself would.
+	VEXTRACTI128 $1, Y5, X0
+	VPMAXSW X0, X5, X5
 	VPSHUFD $0x4e, X5, X0
 	VPMAXSW X0, X5, X5
 	VPSHUFD $0xb1, X5, X0
 	VPMAXSW X0, X5, X5
 	VPSRLD $16, X5, X0
 	VPMAXSW X0, X5, X5
-	VPEXTRW $0, X5, AX
-	MOVWQSX AX, R14                    // row maximum
-	VPEXTRW $0, X8, AX
-	MOVWQSX AX, BX                     // hDiag
-	VPEXTRW $0, X6, AX
-	MOVWQSX AX, R13
-	SUBQ pass16_gapO(R8), R13          // F
-	VPEXTRW $7, X1, AX
-	MOVWQSX AX, AX                     // hLeft
-	TESTQ R15, R15
-	JZ   spill
+	VMOVD X5, AX
+	MOVWQSX AX, AX                     // row maximum
 
-tail:
-	// The last count%8 columns; BX = hDiag, AX = hLeft, R13 = F.
-	MOVWQSX (DI), R9                   // Hp
-	MOVWQSX (SI), R10
-	SUBQ pass16_ge(R8), R10
-	MOVQ R9, CX
-	SUBQ pass16_goe(R8), CX
-	CMPQ CX, R10
-	CMOVQGT CX, R10                    // E
-	MOVW R10, (SI)
-	SUBQ pass16_ge(R8), R13
-	MOVQ AX, CX
-	SUBQ pass16_goe(R8), CX
-	CMPQ CX, R13
-	CMOVQGT CX, R13                    // F
-	MOVWQSX (DX), CX
-	ADDQ BX, CX
-	CMPQ R10, CX
-	CMOVQGT R10, CX
-	CMPQ R13, CX
-	CMOVQGT R13, CX                    // H
-	MOVQ R9, BX
-	MOVW CX, (DI)
-	MOVQ CX, AX
-	CMPQ CX, R14
-	CMOVQGT CX, R14
-	ADDQ $2, DI
-	ADDQ $2, SI
-	ADDQ $2, DX
-	DECQ R15
-	JNZ  tail
-
-spill:
-	// R14 = rowBest, AX = H and R13 = F of column endRow (or the
-	// stand-in the vectors leave, which the spill maps alike). The F spill
-	// follows the insertion state right of the window, up to the
-	// band's edge, while it can still reach T = max(best, rowBest) -
-	// zdrop. R15 = rowArg (0: the window's maximum), CX ends as the
-	// last valid column.
-	MOVQ pass16_h(R8), R9
-	MOVQ pass16_e(R8), R10
-	XORQ R15, R15
-	MOVQ pass16_endRow(R8), CX
-	CMPB pass16_shrinking(R8), $0
-	JEQ  argmax
-	CMPQ CX, pass16_n(R8)
-	JGE  argmax
-	MOVQ pass16_best(R8), SI
-	CMPQ R14, SI
-	CMOVQGT R14, SI
-	SUBQ pass16_zdrop(R8), SI          // T
-	MOVQ pass16_m(R8), DX
-	SUBQ R11, DX                       // remR
-	MOVQ pass16_n(R8), DI              // last
-	MOVQ pass16_w(R8), BX
-	TESTQ BX, BX
-	JS   spillFrom
-	ADDQ R11, BX
-	CMPQ BX, DI
-	CMOVQLT BX, DI
-
-spillFrom:
-	INCQ CX
-
-spillCol:
-	CMPQ CX, DI
-	JGT  spillEnd
-	SUBQ pass16_ge(R8), R13
-	MOVQ AX, BX
-	SUBQ pass16_goe(R8), BX
-	CMPQ BX, R13
-	CMOVQGT BX, R13                    // F
-	MOVQ pass16_n(R8), BX
-	SUBQ CX, BX
-	CMPQ DX, BX
-	CMOVQLT DX, BX                     // rem
-	IMULQ pass16_stepGain(R8), BX
-	ADDQ R13, BX
-	CMPQ BX, SI
-	JLT  spillEnd
-	MOVW R13, (R9)(CX*2)
-	MOVW $const_negInf16, (R10)(CX*2)
-	MOVQ R13, AX
-	CMPQ R13, R14
-	JLE  spillNext
-	MOVQ R13, R14
-	MOVQ CX, R15
-
-spillNext:
-	INCQ CX
-	JMP  spillCol
-
-spillEnd:
-	DECQ CX
-
-argmax:
-	// A row maximum above best moves the best cell: the spill column
-	// that holds it, else the window's first column holding it, found
-	// sixteen columns per VPCMPEQW.
-	CMPQ R14, pass16_best(R8)
+	// A row maximum above best moves the best cell to the first column
+	// holding it, found sixteen columns per VPCMPEQW; the window holds
+	// one, so the scan ends by endRow.
+	CMPQ AX, pass16_best(R8)
 	JLE  zdrop
-	TESTQ R15, R15
-	JNZ  raise
-	VMOVD R14, X0
-	VPBROADCASTW X0, Y0
-	MOVQ R12, R15
-	MOVQ pass16_endRow(R8), DX
+	VPBROADCASTW X5, Y0
+	MOVQ R12, CX
 
-scanVec:
-	LEAQ 15(R15), BX
-	CMPQ BX, DX
-	JGT  scanCol
-	VPCMPEQW (R9)(R15*2), Y0, Y1
+scan:
+	VPCMPEQW (R9)(CX*2), Y0, Y1
 	VPMOVMSKB Y1, BX
 	TESTL BX, BX
-	JNZ  scanHit
-	ADDQ $16, R15
-	JMP  scanVec
+	JNZ  hit
+	ADDQ $16, CX
+	JMP  scan
 
-scanHit:
+hit:
 	BSFL BX, BX
 	SHRQ $1, BX
-	ADDQ BX, R15
-	JMP  raise
-
-scanCol:
-	CMPQ R15, DX
-	JGT  raise
-	MOVWQSX (R9)(R15*2), BX
-	CMPQ BX, R14
-	JEQ  raise
-	INCQ R15
-	JMP  scanCol
-
-raise:
-	MOVQ R14, pass16_best(R8)
+	ADDQ BX, CX                        // rowArg
+	MOVQ AX, pass16_best(R8)
 	MOVQ R11, pass16_bi(R8)
-	MOVQ R15, pass16_bj(R8)
-	MOVQ R11, BX
-	SUBQ R15, BX
-	MOVQ BX, DX
-	NEGQ DX
-	CMPQ BX, DX
-	CMOVQLT DX, BX                     // |i - rowArg|
+	MOVQ CX, pass16_bj(R8)
+	SUBQ R11, CX
+	MOVQ CX, BX
+	NEGQ BX
+	CMOVQLT CX, BX                     // |i - rowArg|
 	CMPQ BX, pass16_maxOff(R8)
 	JLE  zdrop
 	MOVQ BX, pass16_maxOff(R8)
@@ -506,77 +375,99 @@ zdrop:
 	MOVQ R11, pass16_rows(R8)
 	MOVQ pass16_zdrop(R8), BX
 	TESTQ BX, BX
-	JS   next
+	JS   row                           // no z-drop, and so no shrink
 	MOVQ pass16_best(R8), DX
-	SUBQ BX, DX
-	CMPQ R14, DX
+	SUBQ BX, DX                        // T
+	CMPQ AX, DX
 	JLT  done
-
-next:
-	MOVQ CX, R13                       // endValid
 	CMPB pass16_shrinking(R8), $0
 	JEQ  row
-	MOVQ pass16_m(R8), DX
-	CMPQ R11, DX
+	CMPQ R11, pass16_m(R8)
 	JGE  row
 
-	// Shrink the window for the next row against T = best - zdrop
-	// (SI) with remR = m-i-1 rows after it (DX): drop a column while
-	// max(h, e, h to its left) plus (min(remR, n-col)+1)*stepGain
-	// cannot reach T, from the right end, then from the left.
-	SUBQ R11, DX
-	DECQ DX
-	MOVQ pass16_best(R8), SI
-	SUBQ pass16_zdrop(R8), SI
-	MOVQ pass16_n(R8), R14
+	// Shrink the window for the next row against T (Y5) with remR =
+	// m-i-1 rows after it: a column drops when max(h, e, h to its left)
+	// + (min(remR, n-col)+1)*stepGain < T.
+	VMOVD DX, X5
+	VPBROADCASTW X5, Y5
+	MOVQ pass16_m(R8), AX
+	SUBQ R11, AX
+	IMULQ pass16_stepGain(R8), AX
+	VMOVD AX, X6
+	VPBROADCASTW X6, Y6                // (remR+1)*stepGain
 
 shrinkEnd:
+	// Columns p..endValid, p = beg + 16k, the last vector of the row: the
+	// new end is the last column kept. Dropped columns keep their values;
+	// the next row stores dead into the column it grows by.
 	CMPQ R13, R12
-	JLT  shrinkBeg
-	MOVWQSX (R9)(R13*2), BX
-	MOVWQSX (R10)(R13*2), DI
-	CMPQ DI, BX
-	CMOVQGT DI, BX
-	MOVWQSX -2(R9)(R13*2), DI
-	CMPQ DI, BX
-	CMOVQGT DI, BX
-	MOVQ R14, DI
-	SUBQ R13, DI
-	CMPQ DX, DI
-	CMOVQLT DX, DI
-	INCQ DI
-	IMULQ pass16_stepGain(R8), DI
-	ADDQ DI, BX
-	CMPQ BX, SI
-	JGE  shrinkBeg
-	MOVW $const_negInf16, (R9)(R13*2)
-	MOVW $const_negInf16, (R10)(R13*2)
-	DECQ R13
-	JMP  shrinkEnd
+	JLT  shrunk
+	MOVQ R13, DI
+	SUBQ R12, DI
+	ANDQ $-16, DI
+	ADDQ R12, DI
+	ALLOW
+	VMOVDQU (R9)(DI*2), Y1
+	VMOVDQU (R10)(DI*2), Y2
+	VPMAXSW Y2, Y1, Y3
+	VPBROADCASTW -2(R9)(DI*2), Y8
+	VPERM2I128 $0x20, Y1, Y8, Y8
+	VPALIGNR $14, Y8, Y1, Y8           // h one column left
+	VPMAXSW Y8, Y3, Y3
+	VPADDSW Y0, Y3, Y3
+	VPCMPGTW Y3, Y5, Y3                // dropped
+	MOVQ DI, BX
+	SUBQ R13, BX
+	VPOR pass16_kMask+30(R8)(BX*2), Y3, Y3 // or past endValid
+	VPMOVMSKB Y3, AX
+	NOTL AX
+	SHLQ $2, AX
+	ORQ  $2, AX
+	BSRQ AX, AX
+	SHRQ $1, AX                        // the last lane kept + 1, or 0
+	LEAQ -1(DI)(AX*1), R13
+	TESTQ AX, AX
+	JZ   shrinkEnd                     // all dropped: the sixteen before
 
 shrinkBeg:
+	// Columns beg..beg+15 up to endValid: the new beg is the first
+	// column kept, and the ones before it are dead.
+	MOVQ R12, DI
+	ALLOW
+	VMOVDQU (R9)(DI*2), Y1
+	VMOVDQU (R10)(DI*2), Y2
+	VPMAXSW Y2, Y1, Y3
+	VPBROADCASTW -2(R9)(DI*2), Y8
+	VPBLENDW $1, Y8, Y15, Y8
+	VPBLENDD $0x0f, Y8, Y15, Y8        // h[beg-1] in lane 0 only
+	VPMAXSW Y8, Y3, Y3
+	VPADDSW Y0, Y3, Y3
+	VPCMPGTW Y3, Y5, Y3                // dropped
+	MOVQ DI, BX
+	SUBQ R13, BX
+	MOVQ $-15, CX
+	CMPQ BX, CX
+	CMOVQLT CX, BX
+	VMOVDQU pass16_kMask+30(R8)(BX*2), Y0 // lanes past endValid
+	VPANDN Y3, Y0, Y3                  // dropped, up to endValid
+	VPMOVMSKB Y3, AX
+	NOTL AX
+	BTSQ $32, AX
+	BSFQ AX, AX
+	SHRQ $1, AX                        // the first lane kept or past endValid, or 16
+	JZ   row
+	ADDQ AX, R12
+	NEGQ AX
+	VMOVDQU pass16_kMask+64(R8)(AX*2), Y3
+	VPBLENDVB Y3, pass16_kDead(R8), Y1, Y1
+	VMOVDQU Y1, (R9)(DI*2)
+	VPBLENDVB Y3, pass16_kDead(R8), Y2, Y2
+	VMOVDQU Y2, (R10)(DI*2)
 	CMPQ R12, R13
 	JGT  shrunk
-	MOVWQSX (R9)(R12*2), BX
-	MOVWQSX (R10)(R12*2), DI
-	CMPQ DI, BX
-	CMOVQGT DI, BX
-	MOVWQSX -2(R9)(R12*2), DI
-	CMPQ DI, BX
-	CMOVQGT DI, BX
-	MOVQ R14, DI
-	SUBQ R12, DI
-	CMPQ DX, DI
-	CMOVQLT DX, DI
-	INCQ DI
-	IMULQ pass16_stepGain(R8), DI
-	ADDQ DI, BX
-	CMPQ BX, SI
-	JGE  row
-	MOVW $const_negInf16, (R9)(R12*2)
-	MOVW $const_negInf16, (R10)(R12*2)
-	INCQ R12
-	JMP  shrinkBeg
+	CMPQ AX, $-16
+	JEQ  shrinkBeg                     // all sixteen dropped: the next sixteen
+	JMP  row
 
 shrunk:
 	// The next row has no viable cell: the reference computes it,

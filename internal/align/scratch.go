@@ -12,6 +12,7 @@
 package align
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"unsafe"
@@ -37,6 +38,15 @@ type Scratch struct {
 	// admits, int32 (eight) for the rest.
 	rowH16, rowE16, prof16 []int16
 	rowH, rowE, prof       []int32
+
+	// sub is the 4x4 substitution table of scoring and pass the fused
+	// int16 pass's constants for it, both rebuilt by setScoring only
+	// when a call's Scoring differs from the last one's (scored
+	// reports that they were built at all).
+	scoring Scoring
+	scored  bool
+	sub     [4][4]int32
+	pass    pass16
 }
 
 // lane is the element type of the extension rows.
@@ -249,8 +259,11 @@ done:
 // narrow admits the call and int32 otherwise; the width follows from
 // that bound alone. An int16 pass over a profile runs in one assembly
 // call on AVX2 hosts when both gap penalties are non-negative
-// (passAVX2w16: rows, spill, argmax, z-drop and shrink); every other
-// pass runs extendPass's Go row loop, one extendRow call per row. int32
+// (passAVX2w16: rows, argmax, z-drop and shrink); every other pass runs
+// extendPass's Go row loop, one extendRow call per row. The Scratch
+// keeps the substitution table and the fused pass's constants for the
+// last Scoring it saw, so a run of calls under one Scoring builds them
+// once. int32
 // rows are exact only while every value fits; headroom checks that
 // once per call and the call panics when it does not hold, which no
 // read the pipeline can deliver reaches (see headroom).
@@ -259,32 +272,58 @@ func ExtendWithScratch(s *Scratch, ref, read []byte, sc Scoring, initScore, zdro
 	if m == 0 || n == 0 {
 		return initScore, 0, 0, 0
 	}
+	s.setScoring(sc)
 	if narrow(m, n, sc, initScore, zdrop) {
-		return extend(&s.rowH16, &s.rowE16, &s.prof16, ref, read, sc, initScore, zdrop, w)
+		return extend(s, &s.rowH16, &s.rowE16, &s.prof16, ref, read, sc, initScore, zdrop, w)
 	}
 	if !headroom(m, n, sc, initScore) {
 		panic(fmt.Sprintf("align: extension of %d x %d cells under %+v from score %d overflows int32 rows", m, n, sc, initScore))
 	}
-	return extend(&s.rowH, &s.rowE, &s.prof, ref, read, sc, initScore, zdrop, w)
+	return extend(s, &s.rowH, &s.rowE, &s.prof, ref, read, sc, initScore, zdrop, w)
 }
 
 // extend is ExtendWithScratch on non-empty sequences in the rows *h and
-// *e and the profile *prof of one width, grown to fit.
-func extend[L lane](h, e, prof *[]L, ref, read []byte, sc Scoring, initScore, zdrop, w int) (score, refEnd, readEnd, rows int) {
+// *e and the profile *prof of one width, grown to fit, with s's tables
+// already set for sc.
+func extend[L lane](s *Scratch, h, e, prof *[]L, ref, read []byte, sc Scoring, initScore, zdrop, w int) (score, refEnd, readEnd, rows int) {
 	m, n := len(ref), len(read)
 	if w >= m && w >= n {
 		w = -1 // no cell lies outside the band
 	}
-	// h keeps 15 spare columns of capacity, which passAVX2w16 reads.
-	*h, *e, *prof = grow(*h, n+16)[:n+1], grow(*e, n+1), grow(*prof, 4*n)
-	twoBit := buildProfile(*prof, ref, read, sc)
-	_, int16Rows := any(*h).([]int16)
-	fused := int16Rows && twoBit && useAVX2 && sc.GapOpen >= 0 && sc.GapExtend >= 0
-	score, refEnd, readEnd, rows, maxOff := extendPass(*h, *e, *prof, ref, read, sc, twoBit, fused, initScore, zdrop, w)
+	fit(h, e, prof, n)
+	twoBit := buildProfile(*prof, ref, read, &s.sub)
+	var p *pass16
+	if _, int16Rows := any(*h).([]int16); int16Rows && twoBit && useAVX2 && sc.GapOpen >= 0 && sc.GapExtend >= 0 {
+		p = &s.pass
+	}
+	score, refEnd, readEnd, rows, maxOff := extendPass(*h, *e, *prof, ref, read, sc, twoBit, p, initScore, zdrop, w)
 	if bandRetry(w, maxOff) {
-		score, refEnd, readEnd, rows, _ = extendPass(*h, *e, *prof, ref, read, sc, twoBit, fused, initScore, zdrop, 2*w)
+		score, refEnd, readEnd, rows, _ = extendPass(*h, *e, *prof, ref, read, sc, twoBit, p, initScore, zdrop, 2*w)
 	}
 	return score, refEnd, readEnd, rows
+}
+
+// fit grows the rows *h and *e to n+1 columns and the profile *prof to
+// 4n entries, each with 15 spare columns of capacity: passAVX2w16
+// runs a row's last 1-15 columns as one sixteen-lane step, which reads
+// up to 15 columns past the row's end.
+func fit[L lane](h, e, prof *[]L, n int) {
+	*h, *e, *prof = grow(*h, n+16)[:n+1], grow(*e, n+16)[:n+1], grow(*prof, 4*n+15)[:4*n]
+}
+
+// setScoring builds s.sub and the constants of s.pass for sc, unless
+// they already hold sc's.
+func (s *Scratch) setScoring(sc Scoring) {
+	if s.scored && s.scoring == sc {
+		return
+	}
+	s.scoring, s.scored = sc, true
+	for a := range s.sub {
+		for b := range s.sub[a] {
+			s.sub[a][b] = int32(sc.sub(byte(a), byte(b)))
+		}
+	}
+	s.pass.setScoring(sc)
 }
 
 // headroom reports whether an m x n extension from initScore keeps
@@ -322,7 +361,7 @@ func headroom(m, n int, sc Scoring, initScore int) bool {
 // initScore and below the z-drop threshold initScore - zdrop, the
 // lowest best - zdrop can be: max(zdrop, 0) - initScore + (m+n+10)*c <
 // 2^14. Every comparison
-// the pass makes (a new best, the z-drop, the shrink and spill bounds)
+// the pass makes (a new best, the z-drop and the shrink bound)
 // then treats dead-derived values as it would at -2^30, so the result
 // is the int32 rows' own; without it a negative anchor can end the
 // pass on another row. Under BWAMEM (c = 7) with zdrop = 100 and a
@@ -352,11 +391,33 @@ func bandRetry(w, maxOff int) bool {
 // e and the profile already in prof. maxOff is BWA-MEM's max_off: the
 // largest |i-j| of a row maximum that raised the running best.
 //
-// Row 0's boundary and its shrink run here; with fused set (int16
-// rows, a 2-bit profile, AVX2 and non-negative gap penalties) rows
-// 1..m then run in one passAVX2w16 call, otherwise in the loop below,
-// one extendRow call per row, which is also that call's test oracle.
-func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit, fused bool, initScore, zdrop, w int) (best, bi, bj, rows, maxOff int) {
+// Row 0's boundary and its shrink run here; with p set (int16 rows, a
+// 2-bit profile, AVX2 and non-negative gap penalties; p holds the
+// constants of sc) rows 1..m then run in one passAVX2w16 call,
+// otherwise in the loop below, one extendRow call per row, which is
+// also that call's test oracle.
+//
+// Neither pass follows the F (insertion) state past the window's right
+// end, because under the shrink (GapOpen, GapExtend >= 0, so goe >= ge)
+// it cannot reach T = best - zdrop there. Let c = endRow(i), g =
+// stepGain, and P(i) the claim F(i, c+1) + min(m-i, n-c-1)*g < T.
+// Column c lay outside row i-1's window for one of three reasons:
+//
+//   - (a) it lies past that row's band edge, c = i+w, and c+1 past
+//     row i's;
+//   - (b) the shrink after row i-1 dropped it: A = max(h[c], e[c],
+//     h[c-1]) of row i-1 has A + (min(m-i, n-c)+1)*g < T;
+//   - (c) row i-1's window ended at c-1, and P(i-1) holds: B = F(i-1,
+//     c) has B + min(m-i+1, n-c)*g < T.
+//
+// Row i-1's F chain gives h[k] <= A + goe + (c-2-k)*ge for every column
+// k < c-1 of its window (h[k] <= A at c-1 and c), or h[k] <= B + goe +
+// (c-1-k)*ge; E <= H in every cell; and row i has E[k] <= h[k]-ge and
+// X[k] <= max(h[k-1]+g, E[k]). So F(i, c+1), the maximum over k of
+// X[k] - goe - (c-k)*ge, is at most A + g - ge, or B + g, and P(i)
+// follows. T never falls between rows; int16 saturation only clamps
+// upward from -32768, which narrow keeps below T.
+func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit bool, p *pass16, initScore, zdrop, w int) (best, bi, bj, rows, maxOff int) {
 	m, n := len(ref), len(read)
 	dead := deadOf[L]()
 
@@ -366,13 +427,7 @@ func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit, fu
 	// The vector row needs GapOpen >= 0 for its F identity and
 	// GapExtend >= 0 for its unmasked scan (see rowAVX2).
 	vector := useAVX2 && gapO >= 0 && ge >= 0
-	stepGain := sc.Match
-	if -sc.Mismatch > stepGain {
-		stepGain = -sc.Mismatch
-	}
-	if stepGain < 0 {
-		stepGain = 0
-	}
+	stepGain := stepGainOf(sc)
 
 	// [beg..endValid] is the window of columns holding exact values for
 	// the previous row; columns outside are stored as negInf or never
@@ -395,9 +450,9 @@ func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit, fu
 			return best, bi, bj, 1, 0
 		}
 	}
-	if fused {
-		return fusedPass(any(h).([]int16), any(e).([]int16), any(prof).([]int16), ref, n, sc, shrinking,
-			initScore, zdrop, w, stepGain, beg, endValid)
+	if p != nil {
+		return p.run(any(h).([]int16), any(e).([]int16), any(prof).([]int16), ref, n, shrinking,
+			initScore, zdrop, w, beg, endValid)
 	}
 
 	for i := 1; i <= m; i++ {
@@ -443,47 +498,11 @@ func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit, fu
 				sub[k] = L(sc.sub(ri, b))
 			}
 		}
-		rb, hl, fl := extendRow(h[beg:endRow+1], e[beg:endRow+1], sub, hDiag, hLeft, L(goe), L(ge), vector)
-		rowBest := int(rb)
-		rowArg := 0 // a spill column, or 0 for the window's maximum
-		endRowValid := endRow
-		if shrinking && endRow < n {
-			// F spill: the insertion state can carry value rightwards
-			// past the window, up to the band's edge; follow it while
-			// it can still reach T.
-			T := max(best, rowBest) - zdrop
-			remR := m - i
-			last := n
-			if w >= 0 && i+w < n {
-				last = i + w
-			}
-			f, hLeft := int(fl), int(hl)
-			for j := endRow + 1; j <= last; j++ {
-				f -= ge
-				if fo := hLeft - goe; fo > f {
-					f = fo
-				}
-				rem := remR
-				if n-j < rem {
-					rem = n - j
-				}
-				if f+rem*stepGain < T {
-					break
-				}
-				h[j], e[j] = L(f), dead
-				hLeft = f
-				if f > rowBest {
-					rowBest, rowArg = f, j
-				}
-				endRowValid = j
-			}
-		}
+		rowBest := int(extendRow(h[beg:endRow+1], e[beg:endRow+1], sub, hDiag, hLeft, L(goe), L(ge), vector))
 		if rowBest > best {
-			if rowArg == 0 {
-				// The row's first cell holding the window maximum: the
-				// argmax is found only on rows that raise best.
-				rowArg = beg + firstIndex(h[beg:endRow+1], L(rowBest))
-			}
+			// The row's first cell holding the maximum: the argmax is
+			// found only on rows that raise best.
+			rowArg := beg + firstIndex(h[beg:endRow+1], L(rowBest))
 			best, bi, bj = rowBest, i, rowArg
 			maxOff = max(maxOff, i-rowArg, rowArg-i)
 		}
@@ -491,7 +510,7 @@ func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit, fu
 		if zdrop >= 0 && rowBest < best-zdrop {
 			break
 		}
-		endValid = endRowValid
+		endValid = endRow
 		if shrinking && i < m {
 			beg, endValid = shrink(h, e, beg, endValid, best-zdrop, m-i-1, stepGain)
 			if beg > endValid {
@@ -506,37 +525,42 @@ func extendPass[L lane](h, e, prof []L, ref, read []byte, sc Scoring, twoBit, fu
 	return best, bi, bj, rows, maxOff
 }
 
+// stepGainOf is the most one diagonal step can gain under sc:
+// max(Match, -Mismatch, 0).
+func stepGainOf(sc Scoring) int {
+	return max(sc.Match, -sc.Mismatch, 0)
+}
+
 // buildProfile fills prof (4*len(read) entries) with the query profile,
 // row b holding the substitution score of reference base b against each
-// read base, looked up in a 4x4 table of sc.sub computed once per
-// call, and reports true. When ref or read holds a byte outside 0..3 it
-// fills nothing and reports false: the caller then fills one row per
-// reference base instead.
-func buildProfile[L lane](prof []L, ref, read []byte, sc Scoring) bool {
-	var or byte
-	for _, b := range ref {
-		or |= b
-	}
-	for _, b := range read {
-		or |= b
-	}
-	if or > 3 {
+// read base, looked up in the 4x4 table sub, and reports true. When ref
+// or read holds a byte outside 0..3 it fills nothing and reports false:
+// the caller then fills one row per reference base instead.
+func buildProfile[L lane](prof []L, ref, read []byte, sub *[4][4]int32) bool {
+	if !isTwoBit(ref) || !isTwoBit(read) {
 		return false
 	}
-	var table [4][4]L
-	for a := range table {
-		for b := range table[a] {
-			table[a][b] = L(sc.sub(byte(a), byte(b)))
-		}
-	}
 	n := len(read)
-	for a := range table {
-		row, sub := prof[a*n:(a+1)*n], &table[a]
-		for j, b := range read {
-			row[j] = sub[b&3]
-		}
+	p0, p1, p2, p3 := prof[:n], prof[n:2*n], prof[2*n:3*n], prof[3*n:4*n]
+	for j, b := range read {
+		b &= 3
+		p0[j], p1[j], p2[j], p3[j] = L(sub[0][b]), L(sub[1][b]), L(sub[2][b]), L(sub[3][b])
 	}
 	return true
+}
+
+// isTwoBit reports whether every byte of s is a 2-bit code, 0..3, testing
+// eight bytes per step.
+func isTwoBit(s []byte) bool {
+	var or uint64
+	for len(s) >= 8 {
+		or |= binary.LittleEndian.Uint64(s)
+		s = s[8:]
+	}
+	for _, b := range s {
+		or |= uint64(b)
+	}
+	return or&^0x0303030303030303 == 0
 }
 
 // extendRow computes one row of the extension recurrence over a window
@@ -544,9 +568,8 @@ func buildProfile[L lane](prof []L, ref, read []byte, sc Scoring) bool {
 // row's, sub[k] is the substitution score of column k, hDiag is the
 // previous row's H one column left of the window, and hLeft is this
 // row's H there. It returns the window's maximum H (the dead value if
-// none exceeds it), and the H and F of the window's last column for
-// the F spill; the caller locates the maximum (firstIndex) only when
-// it raises the best.
+// none exceeds it); the caller locates it (firstIndex) only when it
+// raises the best.
 //
 // With vector set (which requires GapOpen >= 0 and GapExtend >= 0),
 // int32 rows run rowAVX2 over the leading multiple of eight columns and
@@ -558,8 +581,8 @@ func buildProfile[L lane](prof []L, ref, read []byte, sc Scoring) bool {
 // registers.
 //
 //go:noinline
-func extendRow[L lane](h, e, sub []L, hDiag, hLeft, goe, ge L, vector bool) (rowBest, hLast, f L) {
-	f, rowBest = deadOf[L](), deadOf[L]()
+func extendRow[L lane](h, e, sub []L, hDiag, hLeft, goe, ge L, vector bool) (rowBest L) {
+	f, rowBest := deadOf[L](), deadOf[L]()
 	if h32, ok := any(h).([]int32); ok && vector && len(sub) >= 8 {
 		k := len(sub) &^ 7
 		b, d, l, x := rowAVX2(h32[:k], any(e).([]int32)[:k], any(sub).([]int32)[:k], int32(hDiag), int32(hLeft), int32(goe), int32(ge))
@@ -576,16 +599,20 @@ func extendRow[L lane](h, e, sub []L, hDiag, hLeft, goe, ge L, vector bool) (row
 		hLeft = hv
 		rowBest = max(rowBest, hv)
 	}
-	return rowBest, hLeft, f
+	return rowBest
 }
 
 // shrink trims the window [beg..end] of the row just computed for the
 // next row against the threshold T = best - zdrop, with remR rows left
-// after that next row: a column is dropped (stored as negInf) when even
-// one maximal step into the next row plus the full remaining diagonal
-// potential cannot reach T. Stored (possibly already-excluded)
-// neighbours are valid sources for the bound because an excluded
-// cell's descendants are themselves below T by induction.
+// after that next row: a column is dropped when even one maximal step
+// into the next row plus the full remaining diagonal potential cannot
+// reach T. Stored (possibly already-excluded) neighbours are valid
+// sources for the bound because an excluded cell's descendants are
+// themselves below T by induction. Columns dropped at the left end are
+// stored as the dead value, since the next row reads the one left of
+// its window; those dropped at the right end keep their values, since
+// no row reads past its window until it grows by a column, which it
+// first stores as dead.
 func shrink[L lane](h, e []L, beg, end, T, remR, stepGain int) (int, int) {
 	n := len(h) - 1
 	dead := deadOf[L]()
@@ -598,7 +625,6 @@ func shrink[L lane](h, e []L, beg, end, T, remR, stepGain int) (int, int) {
 		if b+stepGain+rem*stepGain >= T {
 			break
 		}
-		h[end], e[end] = dead, dead
 		end--
 	}
 	for beg <= end {
@@ -627,11 +653,12 @@ func firstIndex[L lane](h []L, v L) int {
 	return len(h)
 }
 
-// pass16 is one fused int16 pass (passAVX2w16): the row kernel's
-// constants, one sixteen-lane vector each, built once per pass so no
-// row rebuilds them; the pass's parameters; the window row 0 left
-// (endRow is the kernel's own per-row scratch); and the running
-// result, which the kernel updates in place.
+// pass16 is one fused int16 pass (passAVX2w16). Its leading block
+// holds the row kernel's constants, one sixteen-lane vector each (kMask
+// three), with the scalars they derive from; setScoring builds them once
+// per Scoring, and a Scratch keeps them across calls. Then come the
+// pass's parameters, the window row 0 left, and the running result,
+// which the kernel updates in place.
 type pass16 struct {
 	kGE, kGE2, kGE4 [16]int16 // ge, 2ge, 4ge
 	kJoin           [16]int16 // ge*(lane-7) in the high half, 0 in the low
@@ -640,42 +667,55 @@ type pass16 struct {
 	kMin            [16]int16 // -32768, the scan's shift-in
 	kDead           [16]int16 // negInf16
 	kShuf           [16]int16 // VPSHUFB mask broadcasting word 7 of each half
+	kStep           [16]int16 // stepGain*lane
+	// kMask is sixteen 0s, sixteen -1s and sixteen 0s: the sixteen words
+	// from word 16-k set lanes k..15, those from word 32-k lanes 0..k-1.
+	kMask [48]int16
 
-	h, e, prof *int16
-	ref        *byte
-	shrinking  bool
+	ge, gapO, stepGain int
 
-	m, n, w, zdrop, stepGain int
-	ge, goe, gapO, hBase     int // hBase = initScore - GapOpen
+	h, e      *int16
+	prof      [4]*int16 // the profile row of each reference base
+	ref       *byte
+	shrinking bool
 
-	beg, endValid, endRow int
+	m, n, w, zdrop, hBase int // hBase = initScore - GapOpen
+	beg, endValid         int
 
 	best, bi, bj, rows, maxOff int
 }
 
-// fusedPass runs rows 1..m of an int16 pass of extendPass in one
-// passAVX2w16 call, from the window [beg..endValid] row 0 left, over
-// the 2-bit profile prof of a read of n bases. The kernel loads each
-// row's diagonal a vector ahead, up to 15 columns past the row, so h
-// must have that much spare capacity.
-func fusedPass(h, e, prof []int16, ref []byte, n int, sc Scoring, shrinking bool, initScore, zdrop, w, stepGain, beg, endValid int) (best, bi, bj, rows, maxOff int) {
-	_ = h[:n+16]
-	ge, goe := sc.GapExtend, sc.GapOpen+sc.GapExtend
-	p := pass16{
-		h: &h[0], e: &e[0], prof: &prof[0], ref: &ref[0], shrinking: shrinking,
-		m: len(ref), n: n, w: w, zdrop: zdrop, stepGain: stepGain,
-		ge: ge, goe: goe, gapO: sc.GapOpen, hBase: initScore - sc.GapOpen,
-		beg: beg, endValid: endValid, best: initScore,
-	}
+// setScoring builds p's constants for sc.
+func (p *pass16) setScoring(sc Scoring) {
+	ge, sg := sc.GapExtend, stepGainOf(sc)
+	p.ge, p.gapO, p.stepGain = ge, sc.GapOpen, sg
 	for l := range 16 {
 		p.kGE[l], p.kGE2[l], p.kGE4[l] = int16(ge), int16(2*ge), int16(4*ge)
 		p.kJoin[l] = int16(max(l-7, 0) * ge)
 		p.kLane[l] = int16((l + 1) * ge)
-		p.kGOE[l], p.kGapO[l] = int16(goe), int16(sc.GapOpen)
+		p.kGOE[l], p.kGapO[l] = int16(sc.GapOpen+ge), int16(sc.GapOpen)
 		p.kMin[l] = math.MinInt16
 		p.kDead[l] = negInf16
 		p.kShuf[l] = 0x0f0e
+		p.kStep[l] = int16(l * sg)
+		p.kMask[16+l] = -1
 	}
-	passAVX2w16(&p)
+}
+
+// run runs rows 1..m of an int16 pass of extendPass in one passAVX2w16
+// call, from the window [beg..endValid] row 0 left, over the 2-bit
+// profile prof of a read of n bases, with p's constants set for the
+// pass's Scoring. h, e and prof must have the spare capacity fit
+// gives them.
+func (p *pass16) run(h, e, prof []int16, ref []byte, n int, shrinking bool, initScore, zdrop, w, beg, endValid int) (best, bi, bj, rows, maxOff int) {
+	_, _, _ = h[:n+16], e[:n+16], prof[:4*n+15]
+	p.h, p.e, p.ref, p.shrinking = &h[0], &e[0], &ref[0], shrinking
+	for b := range p.prof {
+		p.prof[b] = &prof[b*n]
+	}
+	p.m, p.n, p.w, p.zdrop, p.hBase = len(ref), n, w, zdrop, initScore-p.gapO
+	p.beg, p.endValid = beg, endValid
+	p.best, p.bi, p.bj, p.rows, p.maxOff = initScore, 0, 0, 0, 0
+	passAVX2w16(p)
 	return p.best, p.bi, p.bj, p.rows, p.maxOff
 }

@@ -84,7 +84,8 @@ func extendRows(s *Scratch, int32Rows bool, ref, read []byte, sc Scoring, initSc
 	if !int32Rows || len(ref) == 0 || len(read) == 0 {
 		return ExtendWithScratch(s, ref, read, sc, initScore, zdrop, w)
 	}
-	return extend(&s.rowH, &s.rowE, &s.prof, ref, read, sc, initScore, zdrop, w)
+	s.setScoring(sc)
+	return extend(s, &s.rowH, &s.rowE, &s.prof, ref, read, sc, initScore, zdrop, w)
 }
 
 func randScoring(rng *rand.Rand) Scoring {
@@ -313,16 +314,40 @@ func TestExtendScratchZeroAlloc(t *testing.T) {
 		if fused && !useAVX2 {
 			continue
 		}
+		var pass *pass16
+		if fused {
+			pass = &s.pass
+		}
 		allocs := testing.AllocsPerRun(20, func() {
 			for _, p := range int16Pairs {
 				n := len(p[1])
 				h, e, prof := s.rowH16[:n+1], s.rowE16[:n+1], s.prof16[:4*n]
-				buildProfile(prof, p[0], p[1], sc)
-				extendPass(h, e, prof, p[0], p[1], sc, true, fused, 20, 100, w)
+				buildProfile(prof, p[0], p[1], &s.sub)
+				extendPass(h, e, prof, p[0], p[1], sc, true, pass, 20, 100, w)
 			}
 		})
 		if allocs != 0 {
 			t.Fatalf("int16 pass (fused %v) allocates %v per run with warm rows, want 0", fused, allocs)
+		}
+	}
+}
+
+// TestExtendScratchScoringCache alternates two scorings on one Scratch,
+// whose substitution table and fused-pass constants are kept per
+// Scoring: each call must return what a fresh Scratch returns.
+func TestExtendScratchScoringCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ref, read := homologousCodes(rng, 208, 200, 15)
+	scorings := []Scoring{BWAMEM(), {Match: 2, Mismatch: 3, GapOpen: 5, GapExtend: 2}}
+	var s Scratch
+	for k := range 6 {
+		sc := scorings[k%2]
+		var fresh Scratch
+		ws, wi, wj, wrows := ExtendWithScratch(&s, ref, read, sc, 20, 100, 100)
+		fs, fi, fj, frows := ExtendWithScratch(&fresh, ref, read, sc, 20, 100, 100)
+		if ws != fs || wi != fi || wj != fj || wrows != frows {
+			t.Fatalf("call %d under %+v: reused Scratch (%d,%d,%d,%d), fresh Scratch (%d,%d,%d,%d)",
+				k, sc, ws, wi, wj, wrows, fs, fi, fj, frows)
 		}
 	}
 }

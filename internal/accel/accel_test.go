@@ -174,7 +174,7 @@ func TestUtilizationBounds(t *testing.T) {
 		}
 	}
 	for _, s := range [][]float64{rep.SUSeries, rep.EUSeries} {
-		if len(s) != sys.opts.TraceBuckets {
+		if len(s) != traceBuckets {
 			t.Fatalf("series length %d", len(s))
 		}
 		for _, v := range s {

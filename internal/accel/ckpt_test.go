@@ -375,10 +375,10 @@ func TestMemoResumeCrossKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.memo == nil {
-		t.Fatal("fresh run did not consume the memo")
-	}
 	want := reportBytes(t, base.Run(reads))
+	if base.memo == nil {
+		t.Fatal("fresh run did not bind the memo")
+	}
 
 	sys, err := New(a, mkOpts())
 	if err != nil {
@@ -405,10 +405,9 @@ func TestMemoResumeCrossKeying(t *testing.T) {
 		t.Fatal("live-path resume diverges")
 	}
 
-	// Explicitly re-keyed shallow copy: replay mode engages again.
-	keyed := *memo
+	// Explicitly re-keyed copy: replay mode engages again.
 	o2 := smallOpts()
-	o2.Memo = (&keyed).KeyedToResume(ck.Hash())
+	o2.Memo = memo.KeyedToResume(ck.Hash())
 	r2, err := Restore(a, o2, reads, ck)
 	if err != nil {
 		t.Fatal(err)

@@ -346,10 +346,11 @@ func TestFaultedReplayEqualsLive(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					rep, err := sys.RunChecked(reads)
 					if (sys.memo != nil) != (m != nil) {
 						t.Fatalf("seed %d: memo attached %v, replaying %v", seed, m != nil, sys.memo != nil)
 					}
-					return sys.RunChecked(reads)
+					return rep, err
 				}
 				ss, err := NewSharded(a, ShardedOptions{Options: o, Shards: shards, Policy: ShardContiguous, Workers: 2})
 				if err != nil {

@@ -37,17 +37,19 @@ import (
 // tests in internal/experiments and the faulted-replay tests here
 // enforce this end to end.
 //
-// After Build returns, a Memo is immutable and safe for unsynchronised
-// concurrent use. Callers must not modify the returned slices.
+// A System binds a Memo once, when it is fed (see serves): either the
+// Memo holds every record of the run, or the run fills every record
+// live. After BuildMemo returns, a Memo is immutable and safe for
+// unsynchronised concurrent use; KeyedToResume returns a keyed copy.
 type Memo struct {
 	front su.Seeding        // the front end the cache was built over
 	ext   *pipeline.Aligner // the extension engine the cache was built over
 	reads []seq.Seq
 	per   []memoRead
 	// resumeHash keys the cache to a checkpoint-resume identity
-	// (ckpt.Checkpoint.Hash; 0 = fresh run). A resumed System carries a
-	// nonzero Options.ResumeHash, so a memo warmed for a fresh run can
-	// never alias into a resumed one (or vice versa) — the replayed
+	// (ckpt.Checkpoint.Hash; 0 = fresh run). Restore gives the System
+	// it rebuilds a nonzero identity, so a memo warmed for a fresh run
+	// can never alias into a resumed one (or vice versa) — the replayed
 	// prefix must refill through the same path the original took.
 	resumeHash uint64
 	// shards caches the balanced policy's read-cost estimates and the
@@ -143,42 +145,27 @@ func BuildMemo(aligner *pipeline.Aligner, front su.Seeding, reads []seq.Seq, wor
 	return m
 }
 
-// Replays reports whether the memo was built over the given front end
-// and can therefore replay its results. A System configured with a
-// different Seeder must not consume this cache.
-func (m *Memo) Replays(front su.Seeding) bool { return m != nil && m.front == front }
-
-// CoversResume reports whether the memo is keyed to the given
-// checkpoint-resume hash (Options.ResumeHash; 0 = fresh run). The
-// functional results are resume-invariant, but a resumed run consumes
-// a cache only when the caller re-keyed it to that resume identity
-// (KeyedToResume), so a fresh run's cache never aliases a resumed one
-// by accident.
-func (m *Memo) CoversResume(resumeHash uint64) bool { return m != nil && m.resumeHash == resumeHash }
-
-// KeyedToResume re-keys the memo to a checkpoint-resume hash and
-// returns it, so a resumed run can deliberately reuse a warmed cache:
-// memo.KeyedToResume(ck.Hash()).
+// KeyedToResume returns a copy of the memo keyed to a checkpoint-resume
+// hash, so a resumed run can deliberately reuse a warmed cache:
+// memo.KeyedToResume(ck.Hash()). The receiver is left as it was, so a
+// shared memo keeps serving fresh runs; the copy shares its records and
+// caches.
 func (m *Memo) KeyedToResume(resumeHash uint64) *Memo {
-	if m != nil {
-		m.resumeHash = resumeHash
+	if m == nil {
+		return nil
 	}
-	return m
+	k := *m
+	k.resumeHash = resumeHash
+	return &k
 }
 
-// Reads returns the workload the memo was built for.
-func (m *Memo) Reads() []seq.Seq { return m.reads }
-
-// record returns the cached record of read i, or nil for a nil memo or
-// when the memo does not hold read i with exactly this sequence — a
-// read outside the built workload, which the System fills itself. The
-// record is shared by every System replaying the memo and must not be
-// modified.
-func (m *Memo) record(i int, read seq.Seq) *memoRead {
-	if m != nil && i >= 0 && i < len(m.per) && m.reads[i].Equal(read) {
-		return &m.per[i]
-	}
-	return nil
+// serves reports whether the memo stands in for every record of a run
+// over the given front end, resume identity (0 = fresh run) and reads:
+// it was built over that front end, is keyed to that identity, and
+// holds exactly those reads. It is the one replay decision, made by
+// Feed; a memo that does not serve a run is not consulted at all.
+func (m *Memo) serves(front su.Seeding, resumeHash uint64, reads []seq.Seq) bool {
+	return m != nil && m.front == front && m.resumeHash == resumeHash && m.holds(reads)
 }
 
 // holds reports whether the memo holds exactly these reads: the same

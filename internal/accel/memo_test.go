@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nvwa/internal/ckpt"
+	"nvwa/internal/obs"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
 )
@@ -40,10 +41,10 @@ func TestMemoReplayByteIdenticalReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if replay.memo == nil {
-			t.Fatalf("%s: memo not consumed", tc.name)
-		}
 		replayRep := replay.Run(reads)
+		if replay.memo == nil {
+			t.Fatalf("%s: memo not bound", tc.name)
+		}
 
 		if !reflect.DeepEqual(directRep, replayRep) {
 			t.Errorf("%s: replayed Report diverges from direct Report", tc.name)
@@ -75,11 +76,11 @@ func TestMemoForeignSeederIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.memo != nil {
-		t.Fatal("memo built for the FM-index front end was consumed by a minimizer-seeded system")
-	}
 	// The run must still complete correctly off the live seeder.
 	rep := sys.Run(reads)
+	if sys.memo != nil {
+		t.Fatal("memo built for the FM-index front end was bound by a minimizer-seeded system")
+	}
 	if rep.Reads != len(reads) {
 		t.Fatalf("processed %d reads", rep.Reads)
 	}
@@ -124,33 +125,112 @@ func TestMemoSharedAcrossConcurrentSystems(t *testing.T) {
 	}
 }
 
-// TestMemoFallbackPaths exercises the cache-miss path: a memo over the
-// first 20 reads, attached to a run over 30, replays the reads it holds
-// and fills the other ten itself, and the Report equals the direct
-// run's.
+// memoCounters runs o over reads with a metrics registry attached and
+// returns the Report and the run's memo counters (absent when never
+// incremented).
+func memoCounters(t *testing.T, a *pipeline.Aligner, o Options, reads []seq.Seq) (*Report, map[string]int64) {
+	t.Helper()
+	o.Obs = &obs.Observer{Metrics: obs.NewRegistry()}
+	sys, err := New(a, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := sys.Run(reads)
+	c := map[string]int64{}
+	for _, name := range []string{"memo.hits", "memo.misses"} {
+		if v, ok := o.Obs.Metrics.Snapshot().Counters[name]; ok {
+			c[name] = v
+		}
+	}
+	return rep, c
+}
+
+// TestMemoFallbackPaths checks the binding at Feed: a memo that does
+// not hold exactly the fed reads — one over another read set of the
+// same size, or one over a prefix of the run — is not replayed at all.
+// The run fills every record live, so its Report equals the live
+// run's, every dispatch counts as a memo miss and none as a hit.
 func TestMemoFallbackPaths(t *testing.T) {
 	t.Parallel()
 	a, reads := testWorkload(t, 30, 41)
-	memo := BuildMemo(a, nil, reads[:20], 2)
-	if memo.record(3, reads[3]) == nil || memo.record(25, reads[25]) != nil || memo.record(3, reads[4]) != nil {
-		t.Fatal("memo serves a read it does not hold, or misses one it does")
+	_, others := testWorkload(t, 30, 43)
+	want, live := memoCounters(t, a, smallOpts(), reads)
+	if live["memo.misses"] == 0 || live["memo.hits"] != 0 {
+		t.Fatalf("live run counted %v; want misses only", live)
 	}
-	direct, err := New(a, smallOpts())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		memo *Memo
+	}{
+		{"another 30-read set", BuildMemo(a, nil, others, 2)},
+		{"the first 20 reads", BuildMemo(a, nil, reads[:20], 2)},
+	} {
+		o := smallOpts()
+		o.Memo = tc.memo
+		got, c := memoCounters(t, a, o, reads)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: Report diverges from the live run's", tc.name)
+		}
+		if _, ok := c["memo.hits"]; ok || c["memo.misses"] != live["memo.misses"] {
+			t.Errorf("%s: counted %v; want %d misses and no hits", tc.name, c, live["memo.misses"])
+		}
 	}
-	want := direct.Run(reads)
-	opts := smallOpts()
-	opts.Memo = memo
-	s, err := New(a, opts)
-	if err != nil {
-		t.Fatal(err)
+
+	// A memo over the fed reads is bound, also when they come in
+	// another slice: every dispatch is a hit.
+	o := smallOpts()
+	o.Memo = BuildMemo(a, nil, reads, 2)
+	if got, c := memoCounters(t, a, o, append([]seq.Seq(nil), reads...)); !reflect.DeepEqual(want, got) ||
+		c["memo.hits"] != live["memo.misses"] || c["memo.misses"] != 0 {
+		t.Errorf("own memo: counted %v, Report equal %v; want %d hits, no misses", c, reflect.DeepEqual(want, got), live["memo.misses"])
 	}
-	if s.memo == nil {
-		t.Fatal("memo not consumed")
+}
+
+// TestMemoKeyedCopyLeavesOriginal keys a copy taken from a shared
+// memo to a resume identity and checks that the original still serves
+// fresh runs: KeyedToResume must not mutate its receiver.
+func TestMemoKeyedCopyLeavesOriginal(t *testing.T) {
+	t.Parallel()
+	a, reads := testWorkload(t, 30, 47)
+	memo := BuildMemo(a, nil, reads, 2)
+	k := memo.KeyedToResume(7)
+	if k == memo || k.resumeHash != 7 || memo.resumeHash != 0 {
+		t.Fatalf("KeyedToResume: copy %p keyed %d, original %p keyed %d", k, k.resumeHash, memo, memo.resumeHash)
 	}
-	if got := s.Run(reads); !reflect.DeepEqual(want, got) {
-		t.Fatal("run over a partial memo diverges from the direct run")
+	o := smallOpts()
+	o.Memo = memo
+	if _, c := memoCounters(t, a, o, reads); c["memo.hits"] == 0 {
+		t.Fatalf("fresh run over the original memo counted %v; want memo hits", c)
+	}
+}
+
+// TestShardedForeignMemoDerivesNoViews attaches, to an S = 2 sharded
+// run, a memo over another read set of the same size: the run derives
+// no shard views from it and its Report equals the memo-less run's.
+func TestShardedForeignMemoDerivesNoViews(t *testing.T) {
+	t.Parallel()
+	a, reads := testWorkload(t, 30, 53)
+	_, others := testWorkload(t, 30, 59)
+	foreign := BuildMemo(a, nil, others, 2)
+	run := func(m *Memo) *Report {
+		o := smallOpts()
+		o.Memo = m
+		ss, err := NewSharded(a, ShardedOptions{Options: o, Shards: 2, Policy: ShardContiguous})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ss.RunChecked(reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want := run(nil)
+	if got := run(foreign); !reflect.DeepEqual(want, got) {
+		t.Error("sharded run over a foreign memo diverges from the memo-less run")
+	}
+	if n := len(foreign.shards.views); n != 0 {
+		t.Errorf("a foreign memo derived %d shard-view sets", n)
 	}
 }
 

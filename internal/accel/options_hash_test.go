@@ -12,12 +12,11 @@ import (
 // out, each with the reason a checkpoint may restore across a change
 // to it.
 var hashExempt = map[string]string{
-	"Memo":       "pure functional cache: replayed Reports are byte-identical to live ones",
-	"Obs":        "observation never changes the schedule",
-	"Faults":     "bound separately by the checkpoint's PlanHash",
-	"Watchdog":   "a run budget: an abort checkpoint restores under a larger one",
-	"OnAbort":    "a hook that must not mutate the system",
-	"ResumeHash": "set by Restore from the checkpoint's own identity",
+	"Memo":     "pure functional cache: replayed Reports are byte-identical to live ones",
+	"Obs":      "observation never changes the schedule",
+	"Faults":   "bound separately by the checkpoint's PlanHash",
+	"Watchdog": "a run budget: an abort checkpoint restores under a larger one",
+	"OnAbort":  "a hook that must not mutate the system",
 }
 
 // hashNonNil supplies a non-nil value for each interface field that

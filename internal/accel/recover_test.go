@@ -207,15 +207,10 @@ func benchWorkload() (*pipeline.Aligner, []seq.Seq) {
 // configuration. The EXPERIMENTS.md overhead note cites this pair.
 func BenchmarkCheckpoint(b *testing.B) {
 	a, reads := benchWorkload()
-	opts := func() Options {
-		o := NvWaOptions()
-		o.TraceBuckets = 4
-		return o
-	}
 	b.Run("uninterrupted", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sys, err := New(a, opts())
+			sys, err := New(a, NvWaOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -226,7 +221,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.ReportAllocs()
 		var bytes int64
 		for i := 0; i < b.N; i++ {
-			sys, err := New(a, opts())
+			sys, err := New(a, NvWaOptions())
 			if err != nil {
 				b.Fatal(err)
 			}

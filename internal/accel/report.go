@@ -38,7 +38,7 @@ type Report struct {
 	// carry identical values in both pairs.
 	SUUtilMakespan, EUUtilMakespan float64
 	// SUSeries and EUSeries are utilization time series (Fig. 12
-	// curves).
+	// curves) of traceBuckets equal spans of the run.
 	SUSeries, EUSeries []float64
 	// AllocStats reports optimal-assignment quality (Fig. 12 e/f).
 	AllocStats coordinator.Stats
@@ -123,6 +123,9 @@ type TracebackStats struct {
 	SpillCycles int64
 }
 
+// traceBuckets is the resolution of the utilization time series.
+const traceBuckets = 100
+
 func (s *System) report(end int64) *Report {
 	r := &Report{
 		Description: s.Describe(),
@@ -153,8 +156,8 @@ func (s *System) report(end int64) *Report {
 	// cycle-weighted and makespan-normalized figures coincide.
 	r.SUUtilMakespan = r.SUUtil
 	r.EUUtilMakespan = r.EUUtil
-	r.SUSeries = sim.GroupSeries(suT, end, s.opts.TraceBuckets)
-	r.EUSeries = sim.GroupSeries(euT, end, s.opts.TraceBuckets)
+	r.SUSeries = sim.GroupSeries(suT, end, traceBuckets)
+	r.EUSeries = sim.GroupSeries(euT, end, traceBuckets)
 
 	if est, err := energy.EstimateRun(energy.RunStats{
 		Cycles:      end,

@@ -43,14 +43,20 @@ func (s *System) RunChecked(reads []seq.Seq) (*Report, error) {
 	return s.DrainChecked()
 }
 
-// Feed hands the system its whole read set and schedules the seeding
-// phase's cycle-0 start events. A System is fed exactly once, before
-// it runs: a second Feed panics.
+// Feed hands the system its whole read set, binds the Options' Memo
+// when it serves exactly this run (Memo.serves), and schedules the
+// seeding phase's cycle-0 start events. A System is fed exactly once,
+// before it runs: a second Feed panics.
 func (s *System) Feed(reads []seq.Seq) {
 	if s.fed() {
 		panic("accel: System.Feed called twice: a System takes its whole read set in one Feed")
 	}
 	s.reads = reads
+	if s.opts.Memo.serves(s.front, s.resumeHash, reads) {
+		// Replay mode: reads take their records from the memo and the
+		// event loop models only cycle costs.
+		s.memo = s.opts.Memo
+	}
 	s.exts = make([][]pipeline.Extended, len(reads))
 	s.results = make([]pipeline.Result, len(reads))
 	s.bestHit = make([]int, len(reads))
@@ -191,15 +197,17 @@ func (t *suTask) Fire() {
 	s.suDone(u, hits)
 }
 
-// fill takes read idx's record at its seeding event: from the memo
-// when it holds the read, otherwise from fillRead, the function
-// BuildMemo runs per read. It keeps the extension records for the
-// read's hits to be charged from and returns what the SU charges for.
-// A read reseeded after an SU failure is filled again, to the same
-// record.
+// fill takes read idx's record at its seeding event: from the bound
+// memo, otherwise from fillRead, the function BuildMemo runs per read.
+// It keeps the extension records for the read's hits to be charged
+// from and returns what the SU charges for. A read reseeded after an
+// SU failure is filled again, to the same record. A memo record is
+// shared by every System replaying the memo and is never modified.
 func (s *System) fill(idx int) ([]core.Hit, fmindex.Stats) {
-	r := s.memo.record(idx, s.reads[idx])
-	if r == nil {
+	var r *memoRead
+	if s.memo != nil {
+		r = &s.memo.per[idx]
+	} else {
 		rec := fillRead(s.front, s.ext, idx, s.reads[idx])
 		r = &rec
 	}

@@ -279,10 +279,11 @@ func (ss *ShardedSystem) RunDetailed(reads []seq.Seq) (*Report, []*Report, error
 	}
 	plans := fault.PartitionPlan(rest, s, o.Config.NumSUs, o.Config.TotalEUs())
 
-	// Per-shard memo views, derived only when the parent memo covers
-	// this workload.
+	// Per-shard memo views, derived only when the parent memo holds
+	// exactly this workload; each shard System still binds its view at
+	// Feed.
 	var views []*Memo
-	if o.Memo != nil && len(o.Memo.Reads()) == len(reads) {
+	if o.Memo.holds(reads) {
 		views = o.Memo.ShardViews(o.Policy, s, parts)
 	}
 

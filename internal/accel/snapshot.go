@@ -68,10 +68,10 @@ func (s *System) workloadHash() uint64 {
 // run is byte-identical to the uninterrupted run — by construction,
 // not by hope.
 //
-// The restored system carries Options.ResumeHash = ck.Hash(), so an
-// attached Memo is consumed only if explicitly keyed to this resume
-// identity (Memo.KeyedToResume); a fresh run's cache never aliases a
-// resumed one.
+// The restored system carries the resume identity ck.Hash(), so Feed
+// binds an attached Memo only if it was explicitly keyed to it
+// (Memo.KeyedToResume); a fresh run's cache never aliases a resumed
+// one.
 func Restore(aligner *pipeline.Aligner, opts Options, reads []seq.Seq, ck *ckpt.Checkpoint) (*System, error) {
 	if ck == nil {
 		return nil, errors.New("accel: nil checkpoint")
@@ -88,11 +88,11 @@ func Restore(aligner *pipeline.Aligner, opts Options, reads []seq.Seq, ck *ckpt.
 	if got := opts.Memo.hashReads(reads); got != ck.WorkloadHash {
 		return nil, fmt.Errorf("accel: checkpoint was taken over a different workload (reads hash %#x, given %#x)", ck.WorkloadHash, got)
 	}
-	opts.ResumeHash = ck.Hash()
 	s, err := New(aligner, opts)
 	if err != nil {
 		return nil, err
 	}
+	s.resumeHash = ck.Hash()
 	s.shard = int(ck.Shard)
 	s.Feed(reads)
 	if err := s.stepToFired(ck.Fired); err != nil {
@@ -276,11 +276,12 @@ func foldResult(d *ckpt.Digest, r pipeline.Result) {
 }
 
 // hashOptions digests every Options field that shapes the event
-// schedule. Observation-side fields (Obs, Memo, Watchdog, OnAbort)
-// and ResumeHash itself are excluded: they never change scheduling
-// (Reports are pinned byte-identical with or without them), so a
-// checkpoint taken with observation on restores into a system with it
-// off — and an abort checkpoint restores under a larger budget.
+// schedule. The Memo and the observation-side fields (Obs, Watchdog,
+// OnAbort) are excluded: they never change scheduling (Reports are
+// pinned byte-identical with or without them), so a checkpoint taken
+// with observation on restores into a system with it off — and an
+// abort checkpoint restores under a larger budget. Faults are bound
+// separately, by the checkpoint's PlanHash.
 func hashOptions(o *Options) uint64 {
 	var d ckpt.Digest
 	c := o.Config
@@ -294,8 +295,6 @@ func hashOptions(o *Options) uint64 {
 	d.F64(c.SwitchThreshold)
 	d.F64(c.IdleEUTrigger)
 	d.I64(int64(c.AllocBatch))
-	d.I64(int64(c.MinSeedLen))
-	d.I64(int64(c.MaxSeedOcc))
 	d.F64(c.ClockGHz)
 	d.I64(int64(o.SeedStrategy))
 	d.I64(int64(o.AllocStrategy))
@@ -305,13 +304,6 @@ func hashOptions(o *Options) uint64 {
 	d.I64(sc.FixedOverhead)
 	d.I64(int64(sc.SARecordBytes))
 	d.I64(boolI64(sc.SerializeDRAM))
-	ec := o.EUCost
-	d.I64(ec.LoadCycles)
-	d.I64(int64(ec.Traceback.BitsPerCell))
-	d.I64(int64(ec.Traceback.SRAMBytes))
-	d.I64(int64(ec.Traceback.SpillReadBits))
-	d.I64(int64(ec.Traceback.StepsPerCycle))
-	d.I64(int64(o.TraceBuckets))
 	// The Seeder's identity cannot be hashed (it is an interface), but
 	// its presence changes the schedule; a resumed run must attach the
 	// same front end, which the state byte-compare then proves.

@@ -62,18 +62,15 @@ type Options struct {
 	// interface hosts any front end producing hit records, e.g.
 	// pipeline.MinimizerSeeder.
 	Seeder su.Seeding
-	// SUCost and EUCost are the unit cycle models.
+	// SUCost is the seeding-unit cycle model. Every EU is built with
+	// eu.DefaultCostModel().
 	SUCost su.CostModel
-	// EUCost is the extension-unit fixed-cost model.
-	EUCost eu.CostModel
-	// TraceBuckets is the resolution of utilization time series.
-	TraceBuckets int
 	// Memo optionally supplies the workload's per-read records ahead
-	// of time (see BuildMemo). Without it the system fills each read's
-	// record at the read's seeding event, with the same function. It is
-	// consumed only when it was built over the seeding front end this
-	// system runs, and only for reads it holds with identical
-	// sequences.
+	// of time (see BuildMemo). Feed binds it when it serves the run:
+	// built over the seeding front end this system runs, keyed to its
+	// resume identity, and holding exactly the fed reads. Otherwise
+	// the system fills each read's record at the read's seeding event,
+	// with the same function, so the Report is the same either way.
 	Memo *Memo
 	// Obs optionally attaches the observability layer: a metrics
 	// registry, a Chrome trace_event timeline, and the scheduler
@@ -101,13 +98,6 @@ type Options struct {
 	// it under a larger budget and the run continues from right before
 	// the abort. The hook must not mutate the system.
 	OnAbort func(*ckpt.Checkpoint)
-	// ResumeHash marks this system as restored from the checkpoint
-	// with that identity (ckpt.Checkpoint.Hash). It is set by Restore,
-	// not by callers. A non-zero ResumeHash changes no simulation
-	// behaviour, but it keys caches: an attached Memo is consumed only
-	// if it was explicitly keyed to the same resume identity, so a
-	// resumed run can never alias a fresh run's cache entries.
-	ResumeHash uint64
 }
 
 // NvWaOptions returns the full NvWa system (all three mechanisms on).
@@ -117,8 +107,6 @@ func NvWaOptions() Options {
 		SeedStrategy:  OneCycle,
 		AllocStrategy: coordinator.Grouped,
 		SUCost:        su.DefaultCostModel(),
-		EUCost:        eu.DefaultCostModel(),
-		TraceBuckets:  100,
 	}
 }
 
@@ -148,7 +136,7 @@ type System struct {
 	trigger *extsched.Trigger
 	prefet  *seedsched.ReadSPM
 	eng     sim.Engine
-	memo    *Memo       // non-nil in replay mode
+	memo    *Memo       // the bound Memo (see Feed); nil fills live
 	flt     *faultState // non-nil when a fault plan is attached
 	wdErr   error       // latched watchdog diagnosis
 
@@ -162,6 +150,12 @@ type System struct {
 	// shard stamps checkpoints taken inside a sharded worker.
 	wdState sim.GuardState
 	shard   int
+	// resumeHash is the identity (ckpt.Checkpoint.Hash) of the
+	// checkpoint Restore rebuilt this system from; 0 for a fresh run.
+	// It changes no simulation behaviour, but it keys the Memo: Feed
+	// binds only a Memo keyed to the same identity (KeyedToResume), so
+	// a resumed run never aliases a fresh run's cache.
+	resumeHash uint64
 	// wlHash caches HashReads over the fed read set once wlHashOK, so
 	// periodic snapshots don't re-digest the whole workload each time.
 	wlHash   uint64
@@ -212,9 +206,6 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 			}
 		}
 	}
-	if opts.TraceBuckets <= 0 {
-		opts.TraceBuckets = 100
-	}
 	s := &System{
 		opts:    opts,
 		front:   aligner,
@@ -232,20 +223,14 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 	if opts.Seeder != nil {
 		s.front = opts.Seeder
 	}
-	if opts.Memo.Replays(s.front) && opts.Memo.CoversResume(opts.ResumeHash) {
-		// Replay mode: reads take their records from the memo and the
-		// event loop models only cycle costs. Reads the memo does not
-		// hold are filled over the aligner the cache was built with.
-		s.memo = opts.Memo
-		s.ext = s.memo.ext
-	}
 	for i := 0; i < opts.Config.NumSUs; i++ {
 		s.sus = append(s.sus, su.New(i, s.hbm, opts.SUCost))
 	}
+	euCost := eu.DefaultCostModel()
 	id := 0
 	for ci, cl := range opts.Config.EUClasses {
 		for k := 0; k < cl.Count; k++ {
-			s.eus = append(s.eus, eu.New(id, ci, cl.PEs, opts.EUCost))
+			s.eus = append(s.eus, eu.New(id, ci, cl.PEs, euCost))
 			id++
 		}
 	}

@@ -123,7 +123,9 @@ type EUClass struct {
 	Count int
 }
 
-// Config is the NvWa system configuration (paper Table I and Sec. V-A).
+// Config is the NvWa system configuration (paper Table I and Sec. V-A):
+// the hardware a simulated chip is built from. Seeding parameters are
+// not hardware; the SUs' front end takes them from pipeline.Options.
 type Config struct {
 	// NumSUs is the number of seeding units (paper: 128).
 	NumSUs int
@@ -141,10 +143,6 @@ type Config struct {
 	IdleEUTrigger float64
 	// AllocBatch is the number of hits one allocation round examines.
 	AllocBatch int
-	// MinSeedLen is the minimum SMEM seed length (BWA-MEM default 19).
-	MinSeedLen int
-	// MaxSeedOcc caps located occurrences per SMEM (repeat masking).
-	MaxSeedOcc int
 	// ClockGHz is the accelerator clock (paper: 1 GHz).
 	ClockGHz float64
 }
@@ -163,8 +161,6 @@ func DefaultConfig() Config {
 		SwitchThreshold: 0.75,
 		IdleEUTrigger:   0.15,
 		AllocBatch:      16,
-		MinSeedLen:      19,
-		MaxSeedOcc:      16,
 		ClockGHz:        1.0,
 	}
 }
@@ -217,9 +213,6 @@ func (c Config) Validate() error {
 	}
 	if c.AllocBatch <= 0 {
 		return fmt.Errorf("core: AllocBatch = %d", c.AllocBatch)
-	}
-	if c.MinSeedLen <= 0 {
-		return fmt.Errorf("core: MinSeedLen = %d", c.MinSeedLen)
 	}
 	return nil
 }

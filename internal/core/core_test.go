@@ -43,7 +43,6 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.SwitchThreshold = 1.5 },
 		func(c *Config) { c.IdleEUTrigger = -0.1 },
 		func(c *Config) { c.AllocBatch = 0 },
-		func(c *Config) { c.MinSeedLen = 0 },
 	}
 	for i, mut := range mutations {
 		c := base

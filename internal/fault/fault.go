@@ -404,9 +404,11 @@ func (p *Plan) Normalize() (*Plan, error) {
 
 // Hash is a stable FNV-1a digest of the canonicalized plan. A nil or
 // empty plan hashes to 0, so "no faults" always keys identically
-// regardless of how the absence is expressed. The hash is part of the
-// accel.Memo cache key: replay caches warmed under one plan can never
-// serve a different one.
+// regardless of how the absence is expressed. The hash binds a
+// checkpoint to its plan (ckpt.Checkpoint.PlanHash: accel.Restore
+// refuses a different one) and identifies the plan in every fault
+// ledger (Summary.PlanHash, stamped on a sharded run's merged ledger
+// with the hash of the plan left after its chip crashes).
 func (p *Plan) Hash() uint64 {
 	if p.Len() == 0 {
 		return 0

@@ -110,12 +110,11 @@ func TestAblationExclusiveAllocatorUnderperforms(t *testing.T) {
 
 func TestFragmentationCompactionKeepsPipelineLive(t *testing.T) {
 	t.Parallel()
-	// With a batch window larger than the EU pool, every round leaves
-	// unallocated hits; the compaction path must still drain everything.
+	// With a batch window larger than the EU pool (core.AllocWindow hits
+	// against smallOpts' 10 EUs), every round leaves unallocated hits;
+	// the compaction path must still drain everything.
 	a, reads := testWorkload(t, 300, 39)
-	o := smallOpts()
-	o.Config.AllocBatch = 64 // much larger than the 10-EU pool
-	sys, err := New(a, o)
+	sys, err := New(a, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

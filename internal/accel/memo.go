@@ -53,8 +53,8 @@ type Memo struct {
 	// prefix must refill through the same path the original took.
 	resumeHash uint64
 	// shards caches the balanced policy's read-cost estimates and the
-	// derived per-shard views, keyed on (policy, shard count). Behind a
-	// pointer so Memo stays shallow-copyable.
+	// derived per-shard views, keyed on (policy, shard count, resume
+	// key). Behind a pointer so Memo stays shallow-copyable.
 	shards *memoShardCache
 	// wl is HashReads over reads, computed on first use; behind a
 	// pointer so a shallow copy shares it.
@@ -77,8 +77,9 @@ type memoShardCache struct {
 }
 
 type shardViewKey struct {
-	pol ShardPolicy
-	s   int
+	pol        ShardPolicy
+	s          int
+	resumeHash uint64
 }
 
 // memoRead is one read's record, the Table III data of its whole
@@ -115,34 +116,39 @@ func BuildMemo(aligner *pipeline.Aligner, front su.Seeding, reads []seq.Seq, wor
 		shards: &memoShardCache{views: map[shardViewKey][]*Memo{}},
 		wl:     &memoHash{},
 	}
+	fanOut(len(reads), workers, func(i int) {
+		m.per[i] = fillRead(m.front, m.ext, i, reads[i])
+	})
+	return m
+}
+
+// fanOut calls fn(i) for every i in [0, n) across workers goroutines
+// (<= 0 means GOMAXPROCS, and never more than n) and returns when all
+// calls have. Each index is handed to exactly one call, so fn may
+// write slot i of a shared slice without locking.
+func fanOut(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(reads) {
-		workers = len(reads)
+	if workers > n {
+		workers = n
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(reads) {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				// Each index is owned by exactly one worker, so no
-				// locking is needed.
-				m.per[i] = fillRead(m.front, m.ext, i, reads[i])
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return m
 }
 
 // KeyedToResume returns a copy of the memo keyed to a checkpoint-resume
@@ -217,15 +223,16 @@ func (m *Memo) hashReads(reads []seq.Seq) uint64 {
 // remapped accordingly, so a shard System replays exactly as an
 // unsharded System replays the full cache. The caller supplies the
 // partition because the balanced policy's parts are cost-derived
-// (PlanBalanced), not index-derived; memoization stays keyed on
-// (pol, s) alone, which is sound because every policy's partition —
+// (PlanBalanced), not index-derived; the partition is not part of the
+// cache key, which is sound because every policy's partition —
 // balanced included — is a pure function of (workload, pol, s) and the
 // memo is pinned to one workload. Views share the parent's immutable
 // per-read payloads (hits are copied for the remap; stats and
 // extension records, which carry no ReadIdx, alias the parent) and are
-// memoized per (pol, s), so repeated sharded runs over one memo pay the
-// derivation once. The returned views carry the parent's resume
-// keying.
+// memoized per (pol, s, resume key), so repeated sharded runs over one
+// memo pay the derivation once. The returned views carry the
+// receiver's resume key; a KeyedToResume copy shares the cache with
+// its original, so the key is part of the cache key.
 //
 // Concurrency: safe for concurrent use after BuildMemo, like every
 // other Memo method. nil for s <= 1 or a memo not built by BuildMemo.
@@ -235,7 +242,7 @@ func (m *Memo) ShardViews(pol ShardPolicy, s int, parts [][]int) []*Memo {
 	}
 	m.shards.mu.Lock()
 	defer m.shards.mu.Unlock()
-	key := shardViewKey{pol: pol, s: s}
+	key := shardViewKey{pol: pol, s: s, resumeHash: m.resumeHash}
 	if v, ok := m.shards.views[key]; ok {
 		return v
 	}

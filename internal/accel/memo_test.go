@@ -204,6 +204,34 @@ func TestMemoKeyedCopyLeavesOriginal(t *testing.T) {
 	}
 }
 
+// TestShardViewsKeyedPerResume runs S = 2 over a resume-keyed copy of
+// a memo, then over the original, which shares the copy's view cache:
+// the second run must get views keyed to a fresh run and replay every
+// dispatch from them.
+func TestShardViewsKeyedPerResume(t *testing.T) {
+	t.Parallel()
+	a, reads := testWorkload(t, 30, 47)
+	memo := BuildMemo(a, nil, reads, 2)
+	run := func(m *Memo) map[string]int64 {
+		o := smallOpts()
+		o.Memo = m
+		o.Obs = &obs.Observer{Metrics: obs.NewRegistry()}
+		ss, err := NewSharded(a, ShardedOptions{Options: o, Shards: 2, Policy: ShardContiguous})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ss.RunChecked(reads); err != nil {
+			t.Fatal(err)
+		}
+		return o.Obs.Metrics.Snapshot().Counters
+	}
+	run(memo.KeyedToResume(7))
+	if c := run(memo); c["memo.hits"] == 0 || c["memo.misses"] != 0 {
+		t.Errorf("S = 2 over the original memo after a keyed copy counted memo.hits=%d memo.misses=%d; want hits only",
+			c["memo.hits"], c["memo.misses"])
+	}
+}
+
 // TestShardedForeignMemoDerivesNoViews attaches, to an S = 2 sharded
 // run, a memo over another read set of the same size: the run derives
 // no shard views from it and its Report equals the memo-less run's.

@@ -246,9 +246,9 @@ func TestSubThresholdTailIsDrained(t *testing.T) {
 	}
 }
 
-// TestStrictEngineAcrossStrategies runs the simulator with the strict
-// engine (panic on any past-cycle schedule) to prove no cost model
-// produces negative latencies in a normal run.
+// TestStrictEngineAcrossStrategies proves no cost model produces
+// negative latencies in a normal run: the engine clamps no past-cycle
+// schedule.
 func TestStrictEngineAcrossStrategies(t *testing.T) {
 	t.Parallel()
 	a, reads := testWorkload(t, 50, 29)
@@ -258,10 +258,12 @@ func TestStrictEngineAcrossStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.eng.Strict = true
-		rep := sys.Run(reads) // panics on a clamp
+		rep := sys.Run(reads)
 		if rep.Reads != 50 {
 			t.Fatalf("reads = %d", rep.Reads)
+		}
+		if n := sys.eng.Clamps(); n != 0 {
+			t.Errorf("%d past-cycle schedules clamped", n)
 		}
 	}
 }
@@ -305,7 +307,7 @@ func TestObservedRoundZeroAlloc(t *testing.T) {
 		var asg []coordinator.Assignment
 		round := func() { // tryRound's steps up to the commit
 			idle := s.idlePool()
-			window := s.buffer.WindowIDs(o.Config.AllocBatch)
+			window := s.buffer.WindowIDs(core.AllocWindow)
 			before := s.windowDigest(window)
 			assigned, un := s.alloc.AllocateIDs(s.arena, window, idle)
 			asg = asg[:0]

@@ -1,10 +1,7 @@
 package accel
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"nvwa/internal/fmindex"
 	"nvwa/internal/pipeline"
@@ -86,31 +83,9 @@ const (
 func EstimateReadCosts(a *pipeline.Aligner, reads []seq.Seq, workers int) []float64 {
 	idx := a.Seeder().Bi()
 	costs := make([]float64, len(reads))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(reads) {
-		workers = len(reads)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(reads) {
-					return
-				}
-				costs[i] = probeReadCost(idx, reads[i])
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(len(reads), workers, func(i int) {
+		costs[i] = probeReadCost(idx, reads[i])
+	})
 	return costs
 }
 

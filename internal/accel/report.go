@@ -7,6 +7,7 @@ import (
 	"nvwa/internal/energy"
 	"nvwa/internal/fault"
 	"nvwa/internal/mem"
+	"nvwa/internal/obs"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/sim"
 )
@@ -192,22 +193,25 @@ func (s *System) report(end int64) *Report {
 		r.EUPEUtil = peBusy / peTotal
 	}
 	s.faultSummary(r)
-	s.finalizeObs(r, end)
+	if o := s.opts.Obs; o != nil {
+		exportHeadline(o.Metrics, r)
+		o.Metrics.Gauge("sim.clamped_schedules_total").Set(float64(s.eng.Clamps()))
+	}
 	return r
 }
 
-// finalizeObs exports the run's headline figures into the metrics
-// registry so a -metrics snapshot carries the same SU/EU utilizations
-// as the Report (they are the same values, so they agree exactly).
-// The Report itself is never touched by observation: it is
-// byte-identical with Obs set or nil.
-func (s *System) finalizeObs(r *Report, end int64) {
-	o := s.opts.Obs
-	if o == nil || o.Metrics == nil {
+// exportHeadline exports a Report's headline figures as gauges, so a
+// -metrics snapshot carries the same SU/EU utilizations as the Report
+// (they are the same values, so they agree exactly). An unsharded run
+// exports its own Report, a sharded run the merged one (each shard's
+// figures remain under its shard<N>. prefix). The Report itself is
+// never touched by observation: it is byte-identical with Obs set or
+// nil. A nil registry exports nothing.
+func exportHeadline(m *obs.Registry, r *Report) {
+	if m == nil {
 		return
 	}
-	m := o.Metrics
-	m.Gauge("sim.cycles").Set(float64(end))
+	m.Gauge("sim.cycles").Set(float64(r.Cycles))
 	m.Gauge("throughput.reads_per_sec").Set(r.ThroughputReadsPerSec)
 	m.Gauge("su.utilization").Set(r.SUUtil)
 	m.Gauge("eu.utilization").Set(r.EUUtil)
@@ -219,5 +223,4 @@ func (s *System) finalizeObs(r *Report, end int64) {
 	m.Gauge("hbm.bytes").Set(float64(r.HBM.Bytes))
 	m.Gauge("hbm.accesses").Set(float64(r.HBM.Accesses))
 	m.Gauge("coordinator.switches_total").Set(float64(r.Switches))
-	m.Gauge("sim.clamped_schedules_total").Set(float64(s.eng.Clamps()))
 }

@@ -500,7 +500,7 @@ func (s *System) tryRound() {
 		return
 	}
 	idle := s.idlePool()
-	window := s.buffer.WindowIDs(s.opts.Config.AllocBatch)
+	window := s.buffer.WindowIDs(core.AllocWindow)
 	o := s.opts.Obs
 	var winBefore obs.WindowDigest
 	if o != nil && o.Inv != nil {
@@ -662,7 +662,7 @@ func (s *System) drain() {
 			// No event moved anything: the window at the PB offset is
 			// unallocatable under the configured strategy even with the
 			// whole pool idle. Drop it with a reason and keep draining.
-			n := s.buffer.WindowLen(s.opts.Config.AllocBatch)
+			n := s.buffer.WindowLen(core.AllocWindow)
 			if s.buffer.Drop(n, "unallocatable") == 0 {
 				// Nothing droppable either (e.g. a buffer switch is
 				// impossible because input never ended): leave the rest

@@ -3,9 +3,6 @@ package accel
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"nvwa/internal/fault"
 	"nvwa/internal/obs"
@@ -255,7 +252,7 @@ func (ss *ShardedSystem) RunDetailed(reads []seq.Seq) (*Report, []*Report, error
 			parent.Metrics.Absorb(fo.Metrics, 0)
 			parent.Trace.Absorb(fo.Trace, 0)
 			parent.Inv.AbsorbShard(fo.Inv, 0)
-			finalizeMergedObs(parent, rep)
+			exportHeadline(parent.Metrics, rep)
 		}
 		return rep, nil, runErr
 	}
@@ -304,38 +301,15 @@ func (ss *ShardedSystem) RunDetailed(reads []seq.Seq) (*Report, []*Report, error
 	errs := make([]error, s)
 	shardObs := make([]*obs.Observer, s)
 
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > s {
-		workers = s
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= s {
-					return
-				}
-				so := o.Options
-				so.Faults = plans[i]
-				so.Memo = nil
-				if views != nil {
-					so.Memo = views[i]
-				}
-				reps[i], shardObs[i], errs[i] = runRecovered(ss.aligner, so, o.Obs, i, shardReads[i], crashCycles[i], o.CheckpointEvery)
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(s, o.Workers, func(i int) {
+		so := o.Options
+		so.Faults = plans[i]
+		so.Memo = nil
+		if views != nil {
+			so.Memo = views[i]
+		}
+		reps[i], shardObs[i], errs[i] = runRecovered(ss.aligner, so, o.Obs, i, shardReads[i], crashCycles[i], o.CheckpointEvery)
+	})
 
 	for i, rep := range reps {
 		if rep == nil {
@@ -446,29 +420,7 @@ func (ss *ShardedSystem) merge(reads []seq.Seq, reps []*Report, parts [][]int,
 			}
 			parent.Inv.CheckShardCover(int64(len(reads)), assigned, executed)
 		}
-		finalizeMergedObs(parent, merged)
+		exportHeadline(parent.Metrics, merged)
 	}
 	return merged
-}
-
-// finalizeMergedObs exports the merged headline figures into the
-// parent registry under the same gauge names the unsharded path uses
-// (per-shard values remain available under their shard<N>. prefixes).
-func finalizeMergedObs(o *obs.Observer, r *Report) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	m := o.Metrics
-	m.Gauge("sim.cycles").Set(float64(r.Cycles))
-	m.Gauge("throughput.reads_per_sec").Set(r.ThroughputReadsPerSec)
-	m.Gauge("su.utilization").Set(r.SUUtil)
-	m.Gauge("eu.utilization").Set(r.EUUtil)
-	m.Gauge("eu.pe_utilization").Set(r.EUPEUtil)
-	m.Gauge("alloc.optimal_fraction").Set(r.AllocStats.OptimalFraction())
-	for ci, u := range r.PerClassEUUtil {
-		m.Gauge(fmt.Sprintf("eu.class%d.utilization", ci)).Set(u)
-	}
-	m.Gauge("hbm.bytes").Set(float64(r.HBM.Bytes))
-	m.Gauge("hbm.accesses").Set(float64(r.HBM.Accesses))
-	m.Gauge("coordinator.switches_total").Set(float64(r.Switches))
 }

@@ -292,18 +292,10 @@ func hashOptions(o *Options) uint64 {
 		d.I64(int64(cl.Count))
 	}
 	d.I64(int64(c.HitsBufferDepth))
-	d.F64(c.SwitchThreshold)
-	d.F64(c.IdleEUTrigger)
-	d.I64(int64(c.AllocBatch))
 	d.F64(c.ClockGHz)
 	d.I64(int64(o.SeedStrategy))
 	d.I64(int64(o.AllocStrategy))
-	sc := o.SUCost
-	d.I64(sc.OccCycles)
-	d.I64(sc.ChainCyclesPerSeed)
-	d.I64(sc.FixedOverhead)
-	d.I64(int64(sc.SARecordBytes))
-	d.I64(boolI64(sc.SerializeDRAM))
+	d.I64(boolI64(o.SerializeDRAM))
 	// The Seeder's identity cannot be hashed (it is an interface), but
 	// its presence changes the schedule; a resumed run must attach the
 	// same front end, which the state byte-compare then proves.

@@ -22,11 +22,7 @@ func TestPathologicalConfigs(t *testing.T) {
 		{"single EU", func(o *Options) {
 			o.Config.EUClasses = []core.EUClass{{PEs: 64, Count: 1}}
 		}},
-		{"alloc batch 1", func(o *Options) { o.Config.AllocBatch = 1 }},
 		{"buffer depth 1", func(o *Options) { o.Config.HitsBufferDepth = 1 }},
-		{"huge alloc batch", func(o *Options) { o.Config.AllocBatch = 4096 }},
-		{"trigger 100%", func(o *Options) { o.Config.IdleEUTrigger = 1.0 }},
-		{"switch threshold 100%", func(o *Options) { o.Config.SwitchThreshold = 1.0 }},
 		{"two classes only", func(o *Options) {
 			o.Config.EUClasses = []core.EUClass{{PEs: 16, Count: 3}, {PEs: 128, Count: 2}}
 		}},

@@ -49,7 +49,10 @@ func (s SeedStrategy) String() string {
 	return "read-in-batch"
 }
 
-// Options configures a system instance.
+// Options configures a system instance. It holds only what some caller
+// varies: values every caller shares are constants (core.AllocWindow
+// and the other Coordinator parameters) or default cost models
+// (su.DefaultCostModel, eu.DefaultCostModel).
 type Options struct {
 	// Config is the hardware configuration (Table I).
 	Config core.Config
@@ -62,9 +65,11 @@ type Options struct {
 	// interface hosts any front end producing hit records, e.g.
 	// pipeline.MinimizerSeeder.
 	Seeder su.Seeding
-	// SUCost is the seeding-unit cycle model. Every EU is built with
-	// eu.DefaultCostModel().
-	SUCost su.CostModel
+	// SerializeDRAM builds SUs without intra-unit context switching:
+	// each suffix-array HBM access is exposed serially (the Sec. IV-B
+	// baseline; see su.CostModel). Otherwise every SU is built with
+	// su.DefaultCostModel(), and every EU with eu.DefaultCostModel().
+	SerializeDRAM bool
 	// Memo optionally supplies the workload's per-read records ahead
 	// of time (see BuildMemo). Feed binds it when it serves the run:
 	// built over the seeding front end this system runs, keyed to its
@@ -106,7 +111,6 @@ func NvWaOptions() Options {
 		Config:        core.DefaultConfig(),
 		SeedStrategy:  OneCycle,
 		AllocStrategy: coordinator.Grouped,
-		SUCost:        su.DefaultCostModel(),
 	}
 }
 
@@ -211,9 +215,9 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 		front:   aligner,
 		ext:     aligner,
 		hbm:     mem.NewHBM(mem.HBM1()),
-		buffer:  coordinator.NewHitsBuffer(opts.Config.HitsBufferDepth, opts.Config.SwitchThreshold),
+		buffer:  coordinator.NewHitsBuffer(opts.Config.HitsBufferDepth, core.BufferSwitchFill),
 		alloc:   newStatsAllocator(opts),
-		trigger: extsched.NewTrigger(opts.Config.TotalEUs(), opts.Config.IdleEUTrigger),
+		trigger: extsched.NewTrigger(opts.Config.TotalEUs(), core.TriggerIdleFraction),
 	}
 	s.arena = s.buffer.Arena()
 	if opts.Faults != nil {
@@ -223,8 +227,10 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 	if opts.Seeder != nil {
 		s.front = opts.Seeder
 	}
+	suCost := su.DefaultCostModel()
+	suCost.SerializeDRAM = opts.SerializeDRAM
 	for i := 0; i < opts.Config.NumSUs; i++ {
-		s.sus = append(s.sus, su.New(i, s.hbm, opts.SUCost))
+		s.sus = append(s.sus, su.New(i, s.hbm, suCost))
 	}
 	euCost := eu.DefaultCostModel()
 	id := 0

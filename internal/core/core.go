@@ -124,8 +124,10 @@ type EUClass struct {
 }
 
 // Config is the NvWa system configuration (paper Table I and Sec. V-A):
-// the hardware a simulated chip is built from. Seeding parameters are
-// not hardware; the SUs' front end takes them from pipeline.Options.
+// the hardware a simulated chip is built from, and of it only what some
+// caller sizes. The Coordinator's fixed parameters are the constants
+// below. Seeding parameters are not hardware; the SUs' front end takes
+// them from pipeline.Options.
 type Config struct {
 	// NumSUs is the number of seeding units (paper: 128).
 	NumSUs int
@@ -135,17 +137,26 @@ type Config struct {
 	// HitsBufferDepth is the Coordinator's Store/Processing buffer
 	// depth in hits (paper DSE optimum: 1024).
 	HitsBufferDepth int
-	// SwitchThreshold is the Store Buffer fill fraction that triggers a
-	// buffer switch (paper: 0.75).
-	SwitchThreshold float64
-	// IdleEUTrigger is the idle-EU fraction at which the Allocate
-	// Trigger requests a scheduling round (paper: 0.15).
-	IdleEUTrigger float64
-	// AllocBatch is the number of hits one allocation round examines.
-	AllocBatch int
-	// ClockGHz is the accelerator clock (paper: 1 GHz).
+	// ClockGHz is the accelerator clock (paper: 1 GHz). No caller
+	// varies it, but perfbench reads it to convert cycles to seconds.
 	ClockGHz float64
 }
+
+// The Coordinator's fixed parameters. The paper fixes the first two in
+// Sec. IV-D, and its design-space exploration (Fig. 13) varies only the
+// EU pool and the Hits Buffer depth, so they are constants of the
+// model, not Config fields.
+const (
+	// BufferSwitchFill is the Store Buffer fill fraction that triggers
+	// a buffer switch (Sec. IV-D: 75%).
+	BufferSwitchFill = 0.75
+	// TriggerIdleFraction is the idle-EU fraction at which the
+	// Allocate Trigger requests a scheduling round (Sec. IV-D: 15%).
+	TriggerIdleFraction = 0.15
+	// AllocWindow is the number of hits one allocation round examines
+	// (Fig. 10 step 1), a choice of this model.
+	AllocWindow = 16
+)
 
 // DefaultConfig returns the paper's Table I NvWa configuration.
 func DefaultConfig() Config {
@@ -158,9 +169,6 @@ func DefaultConfig() Config {
 			{PEs: 128, Count: 6},
 		},
 		HitsBufferDepth: 1024,
-		SwitchThreshold: 0.75,
-		IdleEUTrigger:   0.15,
-		AllocBatch:      16,
 		ClockGHz:        1.0,
 	}
 }
@@ -204,15 +212,6 @@ func (c Config) Validate() error {
 	}
 	if c.HitsBufferDepth <= 0 {
 		return fmt.Errorf("core: HitsBufferDepth = %d", c.HitsBufferDepth)
-	}
-	if c.SwitchThreshold <= 0 || c.SwitchThreshold > 1 {
-		return fmt.Errorf("core: SwitchThreshold = %v out of (0,1]", c.SwitchThreshold)
-	}
-	if c.IdleEUTrigger < 0 || c.IdleEUTrigger > 1 {
-		return fmt.Errorf("core: IdleEUTrigger = %v out of [0,1]", c.IdleEUTrigger)
-	}
-	if c.AllocBatch <= 0 {
-		return fmt.Errorf("core: AllocBatch = %d", c.AllocBatch)
 	}
 	return nil
 }

@@ -25,8 +25,11 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if c.HitsBufferDepth != 1024 {
 		t.Errorf("HitsBufferDepth = %d, want 1024 (Fig. 13a)", c.HitsBufferDepth)
 	}
-	if c.SwitchThreshold != 0.75 || c.IdleEUTrigger != 0.15 {
+	if BufferSwitchFill != 0.75 || TriggerIdleFraction != 0.15 {
 		t.Error("thresholds do not match Sec. IV-D")
+	}
+	if AllocWindow != 16 {
+		t.Errorf("AllocWindow = %d, want 16", AllocWindow)
 	}
 }
 
@@ -39,10 +42,6 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.EUClasses = []EUClass{{32, 1}, {16, 1}} }, // not increasing
 		func(c *Config) { c.EUClasses = []EUClass{{16, 0}} },          // zero units
 		func(c *Config) { c.HitsBufferDepth = 0 },
-		func(c *Config) { c.SwitchThreshold = 0 },
-		func(c *Config) { c.SwitchThreshold = 1.5 },
-		func(c *Config) { c.IdleEUTrigger = -0.1 },
-		func(c *Config) { c.AllocBatch = 0 },
 	}
 	for i, mut := range mutations {
 		c := base

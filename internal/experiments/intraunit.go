@@ -36,7 +36,7 @@ func IntraUnit(env *Env) []IntraUnitRow {
 	for _, c := range configs {
 		o := env.NvWaOptions()
 		o.SeedStrategy = c.seed
-		o.SUCost.SerializeDRAM = c.serialize
+		o.SerializeDRAM = c.serialize
 		rep := env.run(o)
 		rows = append(rows, IntraUnitRow{
 			Name:             c.name,

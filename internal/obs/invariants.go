@@ -15,24 +15,23 @@ import (
 // booked units, buffer overflow, time travel) into failures.
 //
 // A nil *Invariants is a no-op, so the checks cost one pointer test in
-// production runs. Set Strict to panic on the first violation instead
-// of accumulating — useful when bisecting with a debugger.
+// production runs. A checker keeps the first maxViolations messages,
+// and Err reports them.
 type Invariants struct {
-	// Strict panics on the first violation instead of accumulating.
-	Strict bool
-
 	violations []string
 
 	ledger Ledger
 
-	lastNow  int64
-	checked  int64 // number of Check* calls, for test sanity
-	maxAccum int   // cap on stored violations (default 64)
+	lastNow int64
+	checked int64 // number of Check* calls, for test sanity
 
 	// unitMarks is CheckRound's per-unit scratch, indexed by unit ID
 	// and all zero between rounds.
 	unitMarks []uint8
 }
+
+// maxViolations caps the violation messages one checker stores.
+const maxViolations = 64
 
 // Ledger is one invariant checker's conservation counts. The first
 // three close the classic hit-conservation equation; the rest are the
@@ -74,16 +73,8 @@ func (v *Invariants) violate(format string, args ...any) {
 	if v == nil {
 		return
 	}
-	msg := fmt.Sprintf(format, args...)
-	if v.Strict {
-		panic("obs: invariant violated: " + msg)
-	}
-	max := v.maxAccum
-	if max == 0 {
-		max = 64
-	}
-	if len(v.violations) < max {
-		v.violations = append(v.violations, msg)
+	if len(v.violations) < maxViolations {
+		v.violations = append(v.violations, fmt.Sprintf(format, args...))
 	}
 }
 

@@ -27,7 +27,7 @@ func Mirror(parent *Observer) *Observer {
 		m.Trace = NewTrace()
 	}
 	if parent.Inv != nil {
-		m.Inv = &Invariants{Strict: parent.Inv.Strict}
+		m.Inv = NewInvariants()
 	}
 	return m
 }

@@ -18,13 +18,13 @@ func TestMirror(t *testing.T) {
 	if m.Metrics == parent.Metrics || m.Trace == parent.Trace || m.Inv == parent.Inv {
 		t.Error("mirror aliases parent state")
 	}
-	partial := &Observer{Inv: &Invariants{Strict: true}}
+	partial := NewInvariantsOnly()
 	pm := Mirror(partial)
 	if pm.Metrics != nil || pm.Trace != nil {
 		t.Error("mirror enabled facilities the parent lacks")
 	}
-	if pm.Inv == nil || !pm.Inv.Strict {
-		t.Error("mirror dropped invariant strictness")
+	if pm.Inv == nil || pm.Inv == partial.Inv {
+		t.Error("mirror dropped the parent's invariant checker or aliases it")
 	}
 }
 

@@ -231,17 +231,6 @@ func TestInvariantsCleanRunHasNoViolations(t *testing.T) {
 	}
 }
 
-func TestInvariantsStrictPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("strict mode did not panic")
-		}
-	}()
-	v := &Invariants{Strict: true}
-	v.CheckTime(5)
-	v.CheckTime(1)
-}
-
 func TestNilInvariantsAreNoOps(t *testing.T) {
 	var v *Invariants
 	v.CheckTime(1)

@@ -25,11 +25,6 @@ type Engine struct {
 	// (at, seq) order.
 	cal calendarQueue
 
-	// Strict makes At panic when asked to schedule strictly in the
-	// past instead of silently clamping to now. Tests run strict so
-	// latent negative-latency bugs in cost models surface with the
-	// offending delta instead of being absorbed.
-	Strict bool
 	// OnClamp, when set, is invoked with the clamped delta (how many
 	// cycles in the past the event was requested) before the event is
 	// rescheduled to now. The observability layer counts clamps here.
@@ -126,20 +121,16 @@ func (h eventHeap) siftDown(i int) {
 func (e *Engine) Now() int64 { return e.now }
 
 // clampCycle applies the past-cycle scheduling policy: clamps are
-// counted (Clamps) and reported through OnClamp, and panic in Strict
-// mode — a past-cycle schedule is always a cost-model bug, silently
-// absorbed otherwise. Scheduling at the current cycle is normal and
-// not a clamp.
+// counted (Clamps) and reported through OnClamp, where the invariant
+// checker flags each one — a past-cycle schedule is always a
+// cost-model bug. Scheduling at the current cycle is normal and not a
+// clamp.
 func (e *Engine) clampCycle(cycle int64) int64 {
 	if cycle < e.now {
 		delta := e.now - cycle
 		e.clamps++
 		if e.OnClamp != nil {
 			e.OnClamp(delta)
-		}
-		if e.Strict {
-			panic(fmt.Sprintf("sim: strict mode: schedule %d cycles in the past (cycle %d, now %d)",
-				delta, cycle, e.now))
 		}
 		cycle = e.now
 	}

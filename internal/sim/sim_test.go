@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -169,18 +168,6 @@ func TestEngineTaskClampAndStrict(t *testing.T) {
 	if len(c.fired) != 1 || c.fired[0] != 10 {
 		t.Errorf("clamped task fired at %v, want [10]", c.fired)
 	}
-
-	var es Engine
-	es.Strict = true
-	es.At(10, fn(func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("strict mode absorbed a past-cycle task")
-			}
-		}()
-		es.At(6, c)
-	}))
-	es.Run()
 }
 
 // TestEventHeapMatchesSortOracle drives the hand-rolled sift heap with
@@ -383,29 +370,6 @@ func TestEngineClampCounterAndHooks(t *testing.T) {
 	// Three events fired (the root and both children), each advancing.
 	if len(advances) != 3 || advances[0] != 10 || advances[1] != 10 || advances[2] != 10 {
 		t.Errorf("OnAdvance = %v, want [10 10 10]", advances)
-	}
-}
-
-func TestEngineStrictPanicsOnPastSchedule(t *testing.T) {
-	var e Engine
-	e.Strict = true
-	e.At(10, fn(func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Error("strict mode absorbed a past-cycle schedule")
-				return
-			}
-			msg, _ := r.(string)
-			if !strings.Contains(msg, "4 cycles in the past") {
-				t.Errorf("panic message lacks the offending delta: %v", r)
-			}
-		}()
-		e.At(6, fn(func() {}))
-	}))
-	e.Run()
-	if e.Clamps() != 1 {
-		t.Errorf("strict panic must still count the clamp: Clamps() = %d", e.Clamps())
 	}
 }
 

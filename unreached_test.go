@@ -108,6 +108,16 @@ func scanReach(dir string) (*reachScan, error) {
 		refs: map[string]bool{},
 		sels: map[string]map[string]bool{},
 	}
+	if err := walkNonTest(dir, s.addFile); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// walkNonTest calls fn with the path, and the slash-separated path
+// relative to dir, of every non-test .go file under the reach roots of
+// the module rooted at dir.
+func walkNonTest(dir string, fn func(p, rel string) error) error {
 	for _, root := range reachRoots {
 		err := filepath.WalkDir(filepath.Join(dir, root), func(p string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -126,13 +136,13 @@ func scanReach(dir string) (*reachScan, error) {
 			if err != nil {
 				return err
 			}
-			return s.addFile(p, filepath.ToSlash(rel))
+			return fn(p, filepath.ToSlash(rel))
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return s, nil
+	return nil
 }
 
 func (s *reachScan) addFile(p, rel string) error {
@@ -312,4 +322,161 @@ func (s *reachScan) reached(d reachDecl) bool {
 		}
 	}
 	return false
+}
+
+// setterStructs are the option structs whose every field some caller
+// must set. setterDefaults are the functions that build their defaults:
+// a field set only there takes one value everywhere, so it belongs in
+// a constant, not an option.
+var (
+	setterStructs  = []string{"accel.Options", "core.Config", "accel.ShardedOptions"}
+	setterDefaults = []string{"core.DefaultConfig", "accel.NvWaOptions"}
+)
+
+// setterAllow exempts fields, keyed "pkg.Type.Field", that no non-test
+// file sets outside setterDefaults, each with the reason it stays a
+// field. An entry whose field is now set, or no longer declared, fails
+// the guard.
+var setterAllow = map[string]string{
+	"core.Config.ClockGHz": "perfbench reads opts.Config.ClockGHz to convert cycles to seconds",
+}
+
+// TestEveryOptionIsSet fails on every field of setterStructs that no
+// non-test file sets outside setterDefaults, unless setterAllow exempts
+// it. A field is set by a key of a composite literal of its struct
+// (ShardedOptions{Shards: s}, including literals whose type a slice or
+// map literal elides), or by naming it in a selector on the left of an
+// assignment (o.Config.NumSUs = n sets NumSUs and Config). The scan is
+// syntactic, so an assignment matches fields by name alone.
+func TestEveryOptionIsSet(t *testing.T) {
+	structs := map[string][]string{} // setterStructs key -> field names
+	for _, k := range setterStructs {
+		structs[k] = nil
+	}
+	defaults := map[string]bool{}
+	for _, k := range setterDefaults {
+		defaults[k] = false // true once declared
+	}
+	keyed := map[string]bool{}    // pkg.Type.Field keys of struct literals
+	assigned := map[string]bool{} // field names selected on an assignment's left
+	err := walkNonTest(".", func(p, rel string) error {
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := path.Base(reachModule + "/" + path.Dir(rel))
+		imports := map[string]string{} // local name -> package name
+		for _, im := range f.Imports {
+			ip := strings.Trim(im.Path.Value, `"`)
+			local := path.Base(ip)
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			imports[local] = path.Base(ip)
+		}
+		typeKey := func(e ast.Expr) string {
+			switch x := e.(type) {
+			case *ast.Ident:
+				return pkg + "." + x.Name
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok {
+					return imports[id.Name] + "." + x.Sel.Name
+				}
+			}
+			return ""
+		}
+		// lit records the keys of a composite literal of type typ, and
+		// of the element literals whose type it elides.
+		var lit func(cl *ast.CompositeLit, typ ast.Expr)
+		lit = func(cl *ast.CompositeLit, typ ast.Expr) {
+			if st, ok := typ.(*ast.StarExpr); ok {
+				typ = st.X
+			}
+			var elt ast.Expr
+			switch t := typ.(type) {
+			case *ast.ArrayType:
+				elt = t.Elt
+			case *ast.MapType:
+				elt = t.Value
+			}
+			key := typeKey(typ)
+			for _, e := range cl.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && elt == nil {
+						keyed[key+"."+id.Name] = true
+					}
+					e = kv.Value
+				}
+				if c, ok := e.(*ast.CompositeLit); ok && c.Type == nil && elt != nil {
+					lit(c, elt)
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				if _, ok := defaults[pkg+"."+x.Name.Name]; ok && x.Recv == nil {
+					defaults[pkg+"."+x.Name.Name] = true
+					return false
+				}
+			case *ast.TypeSpec:
+				key := pkg + "." + x.Name.Name
+				st, ok := x.Type.(*ast.StructType)
+				if _, checked := structs[key]; !ok || !checked {
+					return true
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						structs[key] = append(structs[key], id.Name)
+					}
+					if len(fl.Names) == 0 { // embedded: named by its type
+						structs[key] = append(structs[key], recvName(fl.Type))
+					}
+				}
+			case *ast.CompositeLit:
+				if x.Type != nil {
+					lit(x, x.Type)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					for sel, ok := lhs.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
+						assigned[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, ok := range defaults {
+		if !ok {
+			t.Errorf("setterDefaults names %s, which is not a declared function", k)
+		}
+	}
+	declared := map[string]bool{}
+	for _, st := range setterStructs {
+		if len(structs[st]) == 0 {
+			t.Errorf("setterStructs names %s, which is not a declared struct", st)
+		}
+		for _, name := range structs[st] {
+			key := st + "." + name
+			declared[key] = true
+			isSet := assigned[name] || keyed[key]
+			_, allowed := setterAllow[key]
+			switch {
+			case isSet && allowed:
+				t.Errorf("stale setter allow-list entry: %s (set)", key)
+			case !isSet && !allowed:
+				t.Errorf("never set: %s takes its default everywhere; make it a constant", key)
+			}
+		}
+	}
+	for k := range setterAllow {
+		if !declared[k] {
+			t.Errorf("stale setter allow-list entry: %s (no longer declared)", k)
+		}
+	}
 }

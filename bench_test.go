@@ -55,7 +55,7 @@ func BenchmarkFig2ExecutionBreakdown(b *testing.B) {
 func BenchmarkFig5SchedulingToy(b *testing.B) {
 	var res experiments.Fig5Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Fig5(nil, 4)
+		res = experiments.Fig5()
 	}
 	b.ReportMetric(float64(res.BatchMakespan)/float64(res.OneCycleMakespan), "one-cycle-speedup")
 }

@@ -165,7 +165,7 @@ func main() {
 		ran++
 	}
 	if need("fig5") {
-		fmt.Println(experiments.Fig5(nil, 4).Format())
+		fmt.Println(experiments.Fig5().Format())
 		ran++
 	}
 	if need("fig6") {
@@ -239,10 +239,7 @@ func main() {
 		ran++
 	}
 	if need("chaos") {
-		cfg := experiments.DefaultChaosConfig()
-		cfg.Seeds = *chaosSeeds
-		cfg.Template.Seed = *seed
-		res := experiments.Chaos(getEnv(), cfg, runner)
+		res := experiments.Chaos(getEnv(), experiments.ChaosConfig{Seeds: *chaosSeeds, Seed: *seed}, runner)
 		fmt.Println(res.Format())
 		if err := res.Err(); err != nil {
 			fail(err)
@@ -250,11 +247,11 @@ func main() {
 		ran++
 	}
 	if need("scaleout") {
-		fmt.Println(experiments.Scaleout(getEnv(), nil, runner).Format())
+		fmt.Println(experiments.Scaleout(getEnv(), runner).Format())
 		ran++
 	}
 	if need("recovery") {
-		res := experiments.Recovery(getEnv(), experiments.DefaultRecoveryConfig(), runner)
+		res := experiments.Recovery(getEnv(), runner)
 		fmt.Println(res.Format())
 		if err := res.Err(); err != nil {
 			fail(err)

@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("status %v, next read 4 -> allocation %v, next %d (paper Fig. 5(b))\n", busy, alloc, next)
 
 	// The toy schedule of Fig. 5.
-	fmt.Println(experiments.Fig5(nil, 4).Format())
+	fmt.Println(experiments.Fig5().Format())
 
 	// Full-system effect: same workload, both strategies.
 	ref := nvwa.GenerateReference(nvwa.HumanLikeProfile(), 100000, 7)

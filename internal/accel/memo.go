@@ -1,12 +1,11 @@
 package accel
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"nvwa/internal/core"
 	"nvwa/internal/fmindex"
+	"nvwa/internal/par"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
 	"nvwa/internal/su"
@@ -116,39 +115,10 @@ func BuildMemo(aligner *pipeline.Aligner, front su.Seeding, reads []seq.Seq, wor
 		shards: &memoShardCache{views: map[shardViewKey][]*Memo{}},
 		wl:     &memoHash{},
 	}
-	fanOut(len(reads), workers, func(i int) {
+	par.For(len(reads), workers, func(i int) {
 		m.per[i] = fillRead(m.front, m.ext, i, reads[i])
 	})
 	return m
-}
-
-// fanOut calls fn(i) for every i in [0, n) across workers goroutines
-// (<= 0 means GOMAXPROCS, and never more than n) and returns when all
-// calls have. Each index is handed to exactly one call, so fn may
-// write slot i of a shared slice without locking.
-func fanOut(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // KeyedToResume returns a copy of the memo keyed to a checkpoint-resume

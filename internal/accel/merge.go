@@ -5,15 +5,13 @@ import (
 	"nvwa/internal/mem"
 )
 
-// MergeAcc is the zero-alloc reduction over per-shard Reports: Reset,
-// Add each shard report, then Merged. Every reduction is exact and
-// order-independent — sums, maxima, and cycle-weighted means whose
-// numerators and denominators are accumulated separately — so the
-// merged Report is identical for any shard ordering and any worker
-// count. The vector scratch (utilization series, per-class counters)
-// is sized lazily on the first Add and retained across Reset, so the
-// steady-state Add path performs no allocations (pinned by tests and
-// the perf guardrail).
+// MergeAcc is the reduction over per-shard Reports: NewMergeAcc, Add
+// each shard report, then Merged; one accumulator serves one merge.
+// Every reduction is exact and order-independent — sums, maxima, and
+// cycle-weighted means whose numerators and denominators are
+// accumulated separately — so the merged Report is identical for any
+// shard ordering and any worker count. The vector scratch (utilization
+// series, per-class counters) is sized on the first Add.
 //
 // Merge semantics per Report field:
 //   - Reads, TotalHits, Switches, AllocStats, HBM: exact sums.
@@ -66,35 +64,6 @@ type MergeAcc struct {
 // NewMergeAcc returns an empty accumulator.
 func NewMergeAcc() *MergeAcc { return &MergeAcc{} }
 
-// Reset zeroes the accumulator in place, retaining vector capacity.
-func (a *MergeAcc) Reset() {
-	a.reads, a.totalHits, a.switches = 0, 0, 0
-	a.shards = 0
-	a.maxCycles = 0
-	a.cycleSum = 0
-	a.suUtilW, a.euUtilW = 0, 0
-	a.peUtilW, a.peWTotal = 0, 0
-	for i := range a.suSeries {
-		a.suSeries[i] = 0
-	}
-	for i := range a.euSeries {
-		a.euSeries[i] = 0
-	}
-	a.allocOptimal, a.allocNear = 0, 0
-	for i := range a.perClassOpt {
-		a.perClassOpt[i] = 0
-	}
-	for i := range a.perClassTot {
-		a.perClassTot[i] = 0
-	}
-	for i := range a.perClassW {
-		a.perClassW[i] = 0
-	}
-	a.traceback = TracebackStats{}
-	a.hbm = mem.Stats{}
-	a.energyStatic, a.energyDynamic, a.energyHBM, a.energyTotal = 0, 0, 0, 0
-}
-
 // grow ensures a float64 scratch slice has at least n entries.
 func growF(s []float64, n int) []float64 {
 	for len(s) < n {
@@ -111,8 +80,7 @@ func growI(s []int, n int) []int {
 	return s
 }
 
-// Add folds one shard report into the accumulator. Steady-state calls
-// (after the scratch is sized) allocate nothing.
+// Add folds one shard report into the accumulator.
 func (a *MergeAcc) Add(rep *Report) {
 	if rep == nil {
 		return
@@ -173,9 +141,8 @@ func (a *MergeAcc) Add(rep *Report) {
 }
 
 // Merged materialises the aggregate Report from the accumulated state.
-// The returned Report does not alias accumulator scratch, so the
-// accumulator can be Reset and reused. Description, Results, HitLens,
-// and Faults are left for the caller.
+// The returned Report does not alias accumulator scratch. Description,
+// Results, HitLens, and Faults are left for the caller.
 func (a *MergeAcc) Merged(clockGHz float64) *Report {
 	r := &Report{
 		Reads:     a.reads,

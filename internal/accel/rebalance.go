@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"nvwa/internal/fmindex"
+	"nvwa/internal/par"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
 )
@@ -83,7 +84,7 @@ const (
 func EstimateReadCosts(a *pipeline.Aligner, reads []seq.Seq, workers int) []float64 {
 	idx := a.Seeder().Bi()
 	costs := make([]float64, len(reads))
-	fanOut(len(reads), workers, func(i int) {
+	par.For(len(reads), workers, func(i int) {
 		costs[i] = probeReadCost(idx, reads[i])
 	})
 	return costs

@@ -6,6 +6,7 @@ import (
 
 	"nvwa/internal/fault"
 	"nvwa/internal/obs"
+	"nvwa/internal/par"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
 )
@@ -147,7 +148,6 @@ type ShardedOptions struct {
 type ShardedSystem struct {
 	opts    ShardedOptions
 	aligner *pipeline.Aligner
-	acc     *MergeAcc
 }
 
 // NewSharded builds a sharded system over an existing aligner.
@@ -185,7 +185,7 @@ func NewSharded(aligner *pipeline.Aligner, opts ShardedOptions) (*ShardedSystem,
 			return nil, fmt.Errorf("accel: duplicate %s kills shard %d twice at cycle %d", ev.Kind, ev.Unit, ev.Cycle)
 		}
 	}
-	return &ShardedSystem{opts: opts, aligner: aligner, acc: NewMergeAcc()}, nil
+	return &ShardedSystem{opts: opts, aligner: aligner}, nil
 }
 
 // Describe summarises the sharded configuration.
@@ -301,7 +301,7 @@ func (ss *ShardedSystem) RunDetailed(reads []seq.Seq) (*Report, []*Report, error
 	errs := make([]error, s)
 	shardObs := make([]*obs.Observer, s)
 
-	fanOut(s, o.Workers, func(i int) {
+	par.For(s, o.Workers, func(i int) {
 		so := o.Options
 		so.Faults = plans[i]
 		so.Memo = nil
@@ -329,8 +329,7 @@ func (ss *ShardedSystem) RunDetailed(reads []seq.Seq) (*Report, []*Report, error
 func (ss *ShardedSystem) merge(reads []seq.Seq, reps []*Report, parts [][]int,
 	stealLog []StealEvent, shardObs []*obs.Observer, runErr error) *Report {
 	o := ss.opts
-	acc := ss.acc
-	acc.Reset()
+	acc := NewMergeAcc()
 	for _, rep := range reps {
 		acc.Add(rep)
 	}

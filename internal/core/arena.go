@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // HitID is a dense index into a HitArena slab. The Coordinator's hot
 // path (buffer push, window snapshot, allocation-round sort, commit)
 // moves these 4-byte IDs instead of 64-byte Hit records: the sort key
@@ -90,12 +88,3 @@ func (a *HitArena) Free(id HitID) {
 // must report 0 — every interned hit was either dispatched or
 // dropped, and its generation released.
 func (a *HitArena) Live() int { return a.live }
-
-// CheckDrained returns an error unless every issued ID has been freed
-// — the arena's conservation check, run at end of simulation.
-func (a *HitArena) CheckDrained() error {
-	if a.live != 0 {
-		return fmt.Errorf("core: hit arena leaked %d live IDs (slab %d)", a.live, len(a.slab))
-	}
-	return nil
-}

@@ -55,9 +55,6 @@ func (h Hit) Fold(d *ckpt.Digest) {
 	d.I64(int64(h.SeedScore))
 }
 
-// SeedLen returns the exact-match length of the hit.
-func (h Hit) SeedLen() int { return h.ReadEnd - h.ReadBeg }
-
 // SchedLen is the paper's hit_len: "the difference between the end
 // coordinate and the start coordinate of the read_pos" (Fig. 10 step
 // 2) — the hit's read span. It is what the Coordinator sorts and
@@ -100,20 +97,6 @@ const (
 	Busy
 	Stopped
 )
-
-// String renders the state name.
-func (s UnitState) String() string {
-	switch s {
-	case Idle:
-		return "idle"
-	case Busy:
-		return "busy"
-	case Stopped:
-		return "stop"
-	default:
-		return fmt.Sprintf("UnitState(%d)", int(s))
-	}
-}
 
 // EUClass describes one class of extension units in the hybrid pool.
 type EUClass struct {

@@ -55,17 +55,8 @@ func TestValidateRejects(t *testing.T) {
 
 func TestHitSeedLen(t *testing.T) {
 	h := Hit{ReadBeg: 20, ReadEnd: 60, ReadLen: 101}
-	if h.SeedLen() != 40 {
-		t.Errorf("SeedLen = %d", h.SeedLen())
-	}
-}
-
-func TestUnitStateString(t *testing.T) {
-	if Idle.String() != "idle" || Busy.String() != "busy" || Stopped.String() != "stop" {
-		t.Error("state names do not match the Table III control interface")
-	}
-	if UnitState(9).String() == "" {
-		t.Error("unknown state should still render")
+	if h.SchedLen() != 40 {
+		t.Errorf("SchedLen = %d", h.SchedLen())
 	}
 }
 

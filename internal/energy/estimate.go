@@ -76,11 +76,3 @@ func EstimateRun(rs RunStats) (Estimate, error) {
 	e.AvgPowerW = e.TotalJ / e.Seconds
 	return e, nil
 }
-
-// Format renders the estimate.
-func (e Estimate) Format() string {
-	return fmt.Sprintf(
-		"energy: %.3g J total over %.3g s (%.2f W avg)\n"+
-			"  static %.3g J, dynamic %.3g J, HBM %.3g J; %.3g J/read\n",
-		e.TotalJ, e.Seconds, e.AvgPowerW, e.StaticJ, e.DynamicJ, e.HBMJ, e.PerReadJ)
-}

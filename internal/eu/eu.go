@@ -147,11 +147,11 @@ func (u *Unit) Charge(now int64, ext *core.Extension, cost pipeline.ExtendCost) 
 	// the z-drop heuristic actually processed). This is what makes
 	// Formula 3 with R=Q=hit_len the right sizing rule, exactly as the
 	// paper applies it in Fig. 8/9.
-	fill := int64(systolic.Latency(r, h.SeedLen(), u.pes))
+	fill := int64(systolic.Latency(r, h.SchedLen(), u.pes))
 	u.fillCycles += fill
 	// PE-occupancy accounting: processed DP cells over the array-time
 	// the task held. Each computed cell also banks a traceback pointer.
-	cells := cost.LeftRows*cost.LeftQ + cost.RightRows*cost.RightQ + h.SeedLen()
+	cells := cost.LeftRows*cost.LeftQ + cost.RightRows*cost.RightQ + h.SchedLen()
 	u.busyPECycles += int64(cells)
 	// Traceback walks the task's final alignment path — the *aligned*
 	// spans, not the seed span: a z-dropped secondary traces only its

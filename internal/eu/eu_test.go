@@ -47,7 +47,7 @@ func TestExecuteMatchesSoftwareExtension(t *testing.T) {
 	for i := range exts {
 		u := units[i%len(units)]
 		r, _ := costs[i].TaskDims(exts[i].Hit)
-		floor := u.cost.LoadCycles + int64(systolic.Latency(r, exts[i].Hit.SeedLen(), u.PEs()))
+		floor := u.cost.LoadCycles + int64(systolic.Latency(r, exts[i].Hit.SchedLen(), u.PEs()))
 		if done := u.Charge(0, &exts[i], costs[i]); done < floor {
 			t.Fatalf("task %d on %d PEs: completion %d below load + fill %d", i, u.PEs(), done, floor)
 		}
@@ -72,7 +72,7 @@ func TestExecuteLatencyFollowsFormula3(t *testing.T) {
 		h := exts[i].Hit
 		// The charged fill covers at least the seed span streaming
 		// through the array (Formula 3 with R=Q=span).
-		minFill := int64(systolic.Latency(h.SeedLen(), h.SeedLen(), 16))
+		minFill := int64(systolic.Latency(h.SchedLen(), h.SchedLen(), 16))
 		doneSmall := small.Charge(0, &exts[i], costs[i])
 		doneLarge := large.Charge(0, &exts[i], costs[i])
 		if doneSmall < minFill {
@@ -118,15 +118,15 @@ func TestUnitStateAndAccessors(t *testing.T) {
 		t.Error("accessors wrong")
 	}
 	u.SetBusy(5)
-	if u.State().String() != "busy" {
+	if u.State() != core.Busy {
 		t.Error("SetBusy failed")
 	}
 	u.SetIdle(9)
-	if u.State().String() != "idle" {
+	if u.State() != core.Idle {
 		t.Error("SetIdle failed")
 	}
 	u.Stop()
-	if u.State().String() != "stop" {
+	if u.State() != core.Stopped {
 		t.Error("Stop failed")
 	}
 	if u.PEUtilization() != 0 {

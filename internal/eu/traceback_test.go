@@ -43,7 +43,7 @@ func TestExecuteTracebackChargesAlignedReadSpan(t *testing.T) {
 	uFull := New(0, 3, 128, CostModel{})
 	done := charge(uFull, 0, h, fullExt, fullCost)
 	// Task: 19-base seed + 40 + 41 flank rows = 100 rows, Q = seed.
-	fill := int64(systolic.Latency(100, h.SeedLen(), 128))
+	fill := int64(systolic.Latency(100, h.SchedLen(), 128))
 	if wantFill := int64(227); fill != wantFill {
 		t.Fatalf("fill precondition drifted: %d, want %d", fill, wantFill)
 	}
@@ -58,7 +58,7 @@ func TestExecuteTracebackChargesAlignedReadSpan(t *testing.T) {
 
 	uStub := New(1, 3, 128, CostModel{})
 	done = charge(uStub, 0, h, stubExt, stubCost)
-	fill = int64(systolic.Latency(23, h.SeedLen(), 128))
+	fill = int64(systolic.Latency(23, h.SchedLen(), 128))
 	if want := fill + int64(23+23); done != want {
 		t.Fatalf("z-dropped completion %d, want %d", done, want)
 	}
@@ -69,7 +69,7 @@ func TestExecuteTracebackChargesAlignedReadSpan(t *testing.T) {
 
 	// The buggy charge (refSpan + seed length) for the full-coverage
 	// case would have been 119 — assert we are nowhere near it.
-	if c := uFull.TracebackCycles(); c == int64(100+h.SeedLen()) {
+	if c := uFull.TracebackCycles(); c == int64(100+h.SchedLen()) {
 		t.Fatalf("traceback still charges the seed length (%d cycles)", c)
 	}
 }
@@ -92,7 +92,7 @@ func TestExecuteTracebackSpillsLargeMatrices(t *testing.T) {
 	if u.TracebackSpills() != 1 {
 		t.Fatalf("large matrix did not spill (spills=%d)", u.TracebackSpills())
 	}
-	cells := 300*300 + 300*300 + h.SeedLen()
+	cells := 300*300 + 300*300 + h.SchedLen()
 	want := m.Cost(cells, 1000+1000)
 	if u.TracebackSpillCycles() != want.SpillCycles || want.SpillCycles == 0 {
 		t.Fatalf("spill read-out charged %d cycles, want %d (non-zero)",
@@ -101,7 +101,7 @@ func TestExecuteTracebackSpillsLargeMatrices(t *testing.T) {
 	if u.TracebackCycles() != want.Cycles {
 		t.Fatalf("traceback charged %d cycles, want %d", u.TracebackCycles(), want.Cycles)
 	}
-	fill := int64(systolic.Latency(h.SeedLen()+600, h.SeedLen(), 128))
+	fill := int64(systolic.Latency(h.SchedLen()+600, h.SchedLen(), 128))
 	if done != fill+want.Cycles {
 		t.Fatalf("completion %d, want fill %d + traceback %d", done, fill, want.Cycles)
 	}
@@ -128,7 +128,7 @@ func TestExecuteOccupancyMatchesBusyInterval(t *testing.T) {
 		t.Fatalf("occupancy %d != sum of busy intervals %d", u.occupancy, total)
 	}
 	// PEUtilization normalizes by that same occupancy.
-	cells := 3 * (40*40 + 41*41 + h.SeedLen())
+	cells := 3 * (40*40 + 41*41 + h.SchedLen())
 	want := float64(cells) / float64(128*total)
 	if got := u.PEUtilization(); got != want {
 		t.Fatalf("PEUtilization %v, want cells/(PEs×occupancy) = %v", got, want)

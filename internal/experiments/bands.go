@@ -46,7 +46,7 @@ func BandPressure(env *Env, nReads int) []BandRow {
 			if rq == 0 || rr == 0 {
 				continue
 			}
-			seedRefEnd := h.RefPos + h.SeedLen()
+			seedRefEnd := h.RefPos + h.SchedLen()
 			tk := task{
 				ref:       env.Aligner.Ref()[seedRefEnd : seedRefEnd+rr],
 				query:     oriented[h.ReadEnd : h.ReadEnd+rq],

@@ -12,75 +12,32 @@ import (
 )
 
 // ChaosConfig parameterises the chaos harness: how many seeded fault
-// schedules to sweep, which Hits Allocator strategies and machine
-// widths to sweep them across, the fault-mix template each seed
-// instantiates, and how much slack the watchdog grants a degraded run
-// over its fault-free baseline before diagnosing a hang.
+// schedules to sweep per (machine width, allocator strategy) cell, and
+// the seed of the first. Every schedule instantiates fault.DefaultSpec
+// with its horizon auto-scaled to the cell's fault-free makespan, so
+// faults land inside the run regardless of workload size.
 type ChaosConfig struct {
-	// Seeds is the number of generated fault schedules per strategy.
+	// Seeds is the number of generated fault schedules per cell.
 	Seeds int
-	// Strategies lists the allocator variants under test (default: all
-	// four — Grouped, Exclusive, Shared, FIFO).
-	Strategies []coordinator.Strategy
-	// Shards lists the machine widths swept, in chips (default: 1 and
-	// 2). At S > 1 each schedule is generated over the aggregate S-chip
-	// machine and partitioned per shard (contiguous read partitioning).
-	Shards []int
-	// Template is the fault mix each schedule draws from; its Seed
-	// field is overridden per row, and a zero Horizon auto-scales to
-	// each strategy's fault-free makespan (so faults actually land
-	// inside the run regardless of workload size). Zero value means
-	// fault.DefaultSpec with an auto-scaled horizon.
-	Template fault.Spec
-	// BudgetFactor scales each strategy's fault-free makespan into the
-	// watchdog cycle budget (default 20x). A degraded run exceeding the
-	// budget is a diagnosed failure, never a hang.
-	BudgetFactor int64
+	// Seed seeds the first schedule; schedule k draws from Seed+k.
+	Seed int64
 }
 
-// DefaultChaosConfig returns the smoke-level sweep: four seeds across
-// all four allocator strategies on one and two chips under the default
-// mixed-fault template.
-func DefaultChaosConfig() ChaosConfig {
-	return ChaosConfig{
-		Seeds: 4,
-		Strategies: []coordinator.Strategy{
-			coordinator.Grouped, coordinator.Exclusive,
-			coordinator.Shared, coordinator.FIFO,
-		},
-		Shards:       []int{1, 2},
-		Template:     chaosTemplate(0),
-		BudgetFactor: 20,
-	}
+// chaosStrategies are the allocator variants under test: all four.
+var chaosStrategies = []coordinator.Strategy{
+	coordinator.Grouped, coordinator.Exclusive,
+	coordinator.Shared, coordinator.FIFO,
 }
 
-// chaosTemplate is fault.DefaultSpec with the horizon left open for
-// per-strategy auto-scaling.
-func chaosTemplate(seed int64) fault.Spec {
-	sp := fault.DefaultSpec(seed)
-	sp.Horizon = 0
-	return sp
-}
+// chaosShards are the machine widths swept, in chips. At S > 1 each
+// schedule is generated over the aggregate S-chip machine and
+// partitioned per shard (contiguous read partitioning).
+var chaosShards = []int{1, 2}
 
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Seeds <= 0 {
-		c.Seeds = 4
-	}
-	if len(c.Strategies) == 0 {
-		c.Strategies = DefaultChaosConfig().Strategies
-	}
-	if len(c.Shards) == 0 {
-		c.Shards = DefaultChaosConfig().Shards
-	}
-	zero := fault.Spec{}
-	if c.Template == zero {
-		c.Template = chaosTemplate(0)
-	}
-	if c.BudgetFactor <= 0 {
-		c.BudgetFactor = 20
-	}
-	return c
-}
+// chaosBudgetFactor scales each cell's fault-free makespan into the
+// watchdog cycle budget. A degraded run exceeding the budget is a
+// diagnosed failure, never a hang.
+const chaosBudgetFactor = 20
 
 // ChaosRow is one seeded degraded run.
 type ChaosRow struct {
@@ -138,16 +95,15 @@ func (r ChaosResult) Err() error {
 // runner's worker pool; collection order is program order, so output
 // is deterministic for any Runner.
 func Chaos(env *Env, cfg ChaosConfig, r *Runner) ChaosResult {
-	cfg = cfg.withDefaults()
-	nst := len(cfg.Strategies)
+	nst := len(chaosStrategies)
 
 	// Fault-free baselines, one per (width, strategy), set the watchdog
 	// budgets.
-	baselines := make([]int64, len(cfg.Shards)*nst)
+	baselines := make([]int64, len(chaosShards)*nst)
 	r.Map(len(baselines), func(i int) {
 		o := env.NvWaOptions()
-		o.AllocStrategy = cfg.Strategies[i%nst]
-		rep, _, err := env.simulate(accel.ShardedOptions{Options: o, Shards: cfg.Shards[i/nst], Workers: 1})
+		o.AllocStrategy = chaosStrategies[i%nst]
+		rep, _, err := env.simulate(accel.ShardedOptions{Options: o, Shards: chaosShards[i/nst], Workers: 1})
 		if err != nil {
 			panic(err)
 		}
@@ -157,9 +113,7 @@ func Chaos(env *Env, cfg ChaosConfig, r *Runner) ChaosResult {
 	res := ChaosResult{Rows: make([]ChaosRow, len(baselines)*cfg.Seeds)}
 	r.Map(len(res.Rows), func(i int) {
 		bi, ki := i/cfg.Seeds, i%cfg.Seeds
-		spec := cfg.Template
-		spec.Seed = cfg.Template.Seed + int64(ki)
-		res.Rows[i] = chaosRun(env, cfg.Shards[bi/nst], cfg.Strategies[bi%nst], spec, baselines[bi], cfg.BudgetFactor)
+		res.Rows[i] = chaosRun(env, chaosShards[bi/nst], chaosStrategies[bi%nst], cfg.Seed+int64(ki), baselines[bi])
 	})
 	return res
 }
@@ -169,17 +123,15 @@ func Chaos(env *Env, cfg ChaosConfig, r *Runner) ChaosResult {
 // machine shape (S×NumSUs, S×TotalEUs) and partitioned per shard with
 // unit-id remapping inside the scale-out engine; the merged fault
 // ledger is audited with the same terminal-conservation check.
-func chaosRun(env *Env, shards int, strat coordinator.Strategy, spec fault.Spec, baseline, factor int64) ChaosRow {
+func chaosRun(env *Env, shards int, strat coordinator.Strategy, seed, baseline int64) ChaosRow {
 	o := env.NvWaOptions()
 	o.AllocStrategy = strat
-	if spec.Horizon <= 0 {
-		// Auto-scale: draw fault cycles from the strategy's fault-free
-		// makespan so the schedule exercises the run instead of landing
-		// after it.
-		spec.Horizon = max(baseline, 1000)
-	}
+	// Draw fault cycles from the strategy's fault-free makespan so the
+	// schedule exercises the run instead of landing after it.
+	spec := fault.DefaultSpec(seed)
+	spec.Horizon = max(baseline, 1000)
 	plan := spec.Generate(o.Config.NumSUs*shards, o.Config.TotalEUs()*shards)
-	budget := baseline * factor
+	budget := baseline * chaosBudgetFactor
 	if budget < 1_000_000 {
 		budget = 1_000_000
 	}

@@ -12,13 +12,6 @@ import (
 	"nvwa/internal/sim"
 )
 
-// chaosStrategies is the full allocator matrix the chaos properties
-// quantify over.
-var chaosStrategies = []coordinator.Strategy{
-	coordinator.Grouped, coordinator.Exclusive,
-	coordinator.Shared, coordinator.FIFO,
-}
-
 // TestChaosTerminatesWithConservation is the tentpole property: every
 // seeded fault schedule, across all four Hits Allocator strategies,
 // terminates inside its watchdog budget with the scheduler invariants
@@ -26,14 +19,12 @@ var chaosStrategies = []coordinator.Strategy{
 func TestChaosTerminatesWithConservation(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
-	cfg := DefaultChaosConfig()
-	cfg.Seeds = 2
-	cfg.Template.Seed = 7
+	cfg := ChaosConfig{Seeds: 2, Seed: 7}
 	res := Chaos(env, cfg, NewRunner(0))
 	if err := res.Err(); err != nil {
 		t.Fatalf("chaos sweep failed: %v\n%s", err, res.Format())
 	}
-	if want := len(cfg.Shards) * len(chaosStrategies) * cfg.Seeds; len(res.Rows) != want {
+	if want := len(chaosShards) * len(chaosStrategies) * cfg.Seeds; len(res.Rows) != want {
 		t.Fatalf("%d rows, want %d", len(res.Rows), want)
 	}
 	seen := map[coordinator.Strategy]bool{}
@@ -74,10 +65,7 @@ func TestChaosTerminatesWithConservation(t *testing.T) {
 func TestChaosDeterministicAcrossRunners(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
-	cfg := DefaultChaosConfig()
-	cfg.Seeds = 1
-	cfg.Strategies = []coordinator.Strategy{coordinator.Grouped, coordinator.FIFO}
-	cfg.Template.Seed = 11
+	cfg := ChaosConfig{Seeds: 1, Seed: 11}
 	serial := Chaos(env, cfg, NewRunner(1))
 	parallel := Chaos(env, cfg, NewRunner(0))
 	if !reflect.DeepEqual(serial, parallel) {
@@ -92,9 +80,7 @@ func TestChaosDeterministicAcrossRunners(t *testing.T) {
 func TestChaosReplayEqualsLive(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
-	cfg := DefaultChaosConfig()
-	cfg.Seeds = 2
-	cfg.Template.Seed = 3
+	cfg := ChaosConfig{Seeds: 2, Seed: 3}
 	replayed := Chaos(env, cfg, NewRunner(0))
 	live := Chaos(liveEnv(env), cfg, NewRunner(0))
 	if !reflect.DeepEqual(replayed, live) {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"nvwa/internal/seedsched"
 )
 
 // testEnv builds a small-but-representative workload once per test
@@ -44,7 +46,7 @@ func TestFig2ShowsDiversity(t *testing.T) {
 
 func TestFig5OneCycleWins(t *testing.T) {
 	t.Parallel()
-	res := Fig5(nil, 4)
+	res := Fig5()
 	if res.OneCycleMakespan >= res.BatchMakespan {
 		t.Errorf("one-cycle %d not faster than batch %d", res.OneCycleMakespan, res.BatchMakespan)
 	}
@@ -60,9 +62,11 @@ func TestFig5CustomDurations(t *testing.T) {
 	t.Parallel()
 	// Uniform durations: both strategies are equivalent (one-cycle may
 	// only win by batch boundary effects).
-	res := Fig5([]int{10, 10, 10, 10}, 4)
-	if res.BatchMakespan != res.OneCycleMakespan {
-		t.Errorf("uniform durations should tie: %d vs %d", res.BatchMakespan, res.OneCycleMakespan)
+	durations := []int{10, 10, 10, 10}
+	batch, _ := simulateToy(seedsched.NewBatchAllocator(4).Allocate, durations, 4)
+	oneCycle, _ := simulateToy(seedsched.NewOneCycleAllocator(4).Allocate, durations, 4)
+	if batch != oneCycle {
+		t.Errorf("uniform durations should tie: %d vs %d", batch, oneCycle)
 	}
 }
 

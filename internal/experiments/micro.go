@@ -88,19 +88,17 @@ type Fig5Result struct {
 	OneCycleUtilized float64
 }
 
-// Fig5 schedules the given task durations on the given number of SUs
-// under both strategies. With nil durations it uses a skewed default
-// like the paper's example.
-func Fig5(durations []int, units int) Fig5Result {
-	if len(durations) == 0 {
-		durations = []int{90, 35, 35, 20, 60, 25, 45, 30, 80, 20, 30, 40}
-	}
-	if units <= 0 {
-		units = 4
-	}
-	res := Fig5Result{Durations: durations, Units: units}
-	res.BatchMakespan, res.BatchUtilization = simulateToy(seedsched.NewBatchAllocator(units).Allocate, durations, units)
-	res.OneCycleMakespan, res.OneCycleUtilized = simulateToy(seedsched.NewOneCycleAllocator(units).Allocate, durations, units)
+// fig5Durations is a skewed toy workload like the paper's example, and
+// fig5Units the number of SUs it runs on.
+var fig5Durations = []int{90, 35, 35, 20, 60, 25, 45, 30, 80, 20, 30, 40}
+
+const fig5Units = 4
+
+// Fig5 schedules the toy workload under both strategies.
+func Fig5() Fig5Result {
+	res := Fig5Result{Durations: fig5Durations, Units: fig5Units}
+	res.BatchMakespan, res.BatchUtilization = simulateToy(seedsched.NewBatchAllocator(fig5Units).Allocate, fig5Durations, fig5Units)
+	res.OneCycleMakespan, res.OneCycleUtilized = simulateToy(seedsched.NewOneCycleAllocator(fig5Units).Allocate, fig5Durations, fig5Units)
 	return res
 }
 

@@ -10,58 +10,23 @@ import (
 	"nvwa/internal/fault"
 )
 
-// RecoveryConfig parameterises the crash-recovery smoke sweep: seeded
-// chip-crash schedules across shard-partition policies and checkpoint
-// intervals, each asserted byte-identical to its crash-free baseline.
-type RecoveryConfig struct {
-	// Seeds is the number of generated crash schedules per (policy,
-	// interval) cell.
-	Seeds int
-	// Shards is the scale-out width under test.
-	Shards int
-	// Policies lists the partition policies swept (default: contiguous,
-	// interleaved, balanced).
-	Policies []accel.ShardPolicy
-	// Intervals lists the checkpoint intervals swept, in cycles. 0 means
-	// no periodic checkpoints: crashed shards restart from scratch.
-	Intervals []int64
-	// Crashes is the number of chip-crash events per schedule.
-	Crashes int
+// The crash-recovery smoke sweep: recoverySeeds crash schedules of
+// recoveryCrashes chip crashes each, on a recoveryShards-chip machine,
+// across every partition policy and checkpoint interval.
+const (
+	recoverySeeds   = 2
+	recoveryShards  = 4
+	recoveryCrashes = 3
+)
+
+// recoveryPolicies are the partition policies swept.
+var recoveryPolicies = []accel.ShardPolicy{
+	accel.ShardContiguous, accel.ShardInterleaved, accel.ShardBalanced,
 }
 
-// DefaultRecoveryConfig returns the smoke-level sweep: two seeds across
-// three policies and two checkpoint intervals on a 4-shard machine.
-func DefaultRecoveryConfig() RecoveryConfig {
-	return RecoveryConfig{
-		Seeds:  2,
-		Shards: 4,
-		Policies: []accel.ShardPolicy{
-			accel.ShardContiguous, accel.ShardInterleaved, accel.ShardBalanced,
-		},
-		Intervals: []int64{0, 5000},
-		Crashes:   3,
-	}
-}
-
-func (c RecoveryConfig) withDefaults() RecoveryConfig {
-	d := DefaultRecoveryConfig()
-	if c.Seeds <= 0 {
-		c.Seeds = d.Seeds
-	}
-	if c.Shards <= 0 {
-		c.Shards = d.Shards
-	}
-	if len(c.Policies) == 0 {
-		c.Policies = d.Policies
-	}
-	if len(c.Intervals) == 0 {
-		c.Intervals = d.Intervals
-	}
-	if c.Crashes <= 0 {
-		c.Crashes = d.Crashes
-	}
-	return c
-}
+// recoveryIntervals are the checkpoint intervals swept, in cycles. 0
+// means no periodic checkpoints: crashed shards restart from scratch.
+var recoveryIntervals = []int64{0, 5000}
 
 // crashSchedule draws n distinct (shard, cycle) chip-crash events over
 // [1, horizon] from a private deterministic stream. It is generated
@@ -148,9 +113,7 @@ func (r RecoveryResult) Err() error {
 // stripping the Recovery ledger, recording the replayed-cycle and
 // checkpoint-traffic overheads. Rows fan across the runner's worker
 // pool; collection order is program order, so output is deterministic.
-func Recovery(env *Env, cfg RecoveryConfig, r *Runner) RecoveryResult {
-	cfg = cfg.withDefaults()
-
+func Recovery(env *Env, r *Runner) RecoveryResult {
 	// Crash-free baselines, one per policy: the crash schedules draw
 	// their cycles from the baseline makespan so crashes land inside the
 	// run, and the recovered Reports are compared against these bytes.
@@ -159,9 +122,9 @@ func Recovery(env *Env, cfg RecoveryConfig, r *Runner) RecoveryResult {
 		bytes  []byte
 		err    string
 	}
-	baselines := make([]baseline, len(cfg.Policies))
-	r.Map(len(cfg.Policies), func(i int) {
-		rep, err := recoveryRun(env, cfg.Policies[i], cfg.Shards, nil, 0)
+	baselines := make([]baseline, len(recoveryPolicies))
+	r.Map(len(recoveryPolicies), func(i int) {
+		rep, err := recoveryRun(env, recoveryPolicies[i], nil, 0)
 		if err != nil {
 			baselines[i].err = err.Error()
 			return
@@ -169,16 +132,16 @@ func Recovery(env *Env, cfg RecoveryConfig, r *Runner) RecoveryResult {
 		baselines[i] = baseline{cycles: rep.Cycles, bytes: recoveryReportBytes(rep)}
 	})
 
-	perPolicy := cfg.Seeds * len(cfg.Intervals)
-	res := RecoveryResult{Rows: make([]RecoveryRow, len(cfg.Policies)*perPolicy)}
+	perPolicy := recoverySeeds * len(recoveryIntervals)
+	res := RecoveryResult{Rows: make([]RecoveryRow, len(recoveryPolicies)*perPolicy)}
 	r.Map(len(res.Rows), func(i int) {
 		pi := i / perPolicy
-		ii := (i % perPolicy) / cfg.Seeds
-		ki := i % cfg.Seeds
+		ii := (i % perPolicy) / recoverySeeds
+		ki := i % recoverySeeds
 		row := RecoveryRow{
-			Policy:   cfg.Policies[pi],
+			Policy:   recoveryPolicies[pi],
 			Seed:     int64(ki),
-			Interval: cfg.Intervals[ii],
+			Interval: recoveryIntervals[ii],
 		}
 		b := baselines[pi]
 		if b.err != "" {
@@ -187,8 +150,8 @@ func Recovery(env *Env, cfg RecoveryConfig, r *Runner) RecoveryResult {
 			return
 		}
 		row.BaselineCycles = b.cycles
-		crashes := crashSchedule(row.Seed, cfg.Crashes, cfg.Shards, b.cycles)
-		rep, err := recoveryRun(env, row.Policy, cfg.Shards, crashes, row.Interval)
+		crashes := crashSchedule(row.Seed, recoveryCrashes, recoveryShards, b.cycles)
+		rep, err := recoveryRun(env, row.Policy, crashes, row.Interval)
 		if err != nil {
 			row.RunErr = err.Error()
 			res.Rows[i] = row
@@ -206,13 +169,13 @@ func Recovery(env *Env, cfg RecoveryConfig, r *Runner) RecoveryResult {
 	return res
 }
 
-func recoveryRun(env *Env, pol accel.ShardPolicy, shards int, crashes []fault.Event, every int64) (*accel.Report, error) {
+func recoveryRun(env *Env, pol accel.ShardPolicy, crashes []fault.Event, every int64) (*accel.Report, error) {
 	o := env.NvWaOptions()
 	if len(crashes) > 0 {
 		o.Faults = &fault.Plan{Events: crashes}
 	}
 	rep, _, err := env.simulate(accel.ShardedOptions{
-		Options: o, Shards: shards, Policy: pol, Workers: 1,
+		Options: o, Shards: recoveryShards, Policy: pol, Workers: 1,
 		CheckpointEvery: every,
 	})
 	return rep, err

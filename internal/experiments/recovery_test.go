@@ -15,12 +15,11 @@ import (
 func TestRecoverySmoke(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
-	cfg := DefaultRecoveryConfig()
-	res := Recovery(env, cfg, NewRunner(0))
+	res := Recovery(env, NewRunner(0))
 	if err := res.Err(); err != nil {
 		t.Fatalf("recovery sweep failed: %v\n%s", err, res.Format())
 	}
-	if want := len(cfg.Policies) * len(cfg.Intervals) * cfg.Seeds; len(res.Rows) != want {
+	if want := len(recoveryPolicies) * len(recoveryIntervals) * recoverySeeds; len(res.Rows) != want {
 		t.Fatalf("%d rows, want %d", len(res.Rows), want)
 	}
 	crashed := 0
@@ -36,7 +35,7 @@ func TestRecoverySmoke(t *testing.T) {
 		}
 		// Replay is bounded: each crash re-simulates at most the span
 		// back to cycle 0, so the total is at most crashes × baseline.
-		if max := int64(cfg.Crashes) * row.BaselineCycles; row.Recovery.ReplayedCycles > max {
+		if max := int64(recoveryCrashes) * row.BaselineCycles; row.Recovery.ReplayedCycles > max {
 			t.Errorf("policy=%s seed=%d every=%d: replayed %d cycles > bound %d",
 				row.Policy, row.Seed, row.Interval, row.Recovery.ReplayedCycles, max)
 		}
@@ -57,11 +56,8 @@ func TestRecoverySmoke(t *testing.T) {
 func TestRecoveryDeterministicAcrossRunners(t *testing.T) {
 	t.Parallel()
 	env := getEnv(t)
-	cfg := DefaultRecoveryConfig()
-	cfg.Seeds = 1
-	cfg.Intervals = []int64{4000}
-	serial := Recovery(env, cfg, NewRunner(1))
-	parallel := Recovery(env, cfg, NewRunner(0))
+	serial := Recovery(env, NewRunner(1))
+	parallel := Recovery(env, NewRunner(0))
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("recovery rows differ between runners:\nserial:\n%s\nparallel:\n%s",
 			serial.Format(), parallel.Format())

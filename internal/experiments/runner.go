@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"nvwa/internal/par"
 )
 
 // Runner is the experiment-execution policy: how many workers fan the
@@ -59,54 +59,4 @@ func (r *Runner) String() string {
 // result collection order-preserving regardless of completion order.
 // A panic in any fn is re-raised on the caller's goroutine after the
 // pool drains, so a failing experiment behaves like its serial self.
-func (r *Runner) Map(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers := r.size()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		next     int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if p := recover(); p != nil {
-							panicMu.Lock()
-							if panicked == nil {
-								panicked = p
-							}
-							panicMu.Unlock()
-							// Drain remaining work so the pool exits fast.
-							atomic.StoreInt64(&next, int64(n))
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
+func (r *Runner) Map(n int, fn func(i int)) { par.For(n, r.size(), fn) }

@@ -56,13 +56,10 @@ type ScaleoutResult struct {
 // the S chips are simulated on the runner's worker pool (the merged
 // Reports are invariant to that pool's size — serial and parallel
 // sweeps are identical, pinned by the golden tests).
-func Scaleout(env *Env, counts []int, r *Runner) ScaleoutResult {
-	if len(counts) == 0 {
-		counts = scaleoutCounts
-	}
+func Scaleout(env *Env, r *Runner) ScaleoutResult {
 	var res ScaleoutResult
 	for _, pol := range scaleoutPolicies {
-		for _, s := range counts {
+		for _, s := range scaleoutCounts {
 			res.Rows = append(res.Rows, scaleoutRun(env, s, pol, r))
 		}
 	}

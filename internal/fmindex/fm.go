@@ -1,9 +1,6 @@
 package fmindex
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // saSampleRate is the modeled suffix-array sampling: Locate charges
 // the LF walk to the nearest SA value divisible by it, which averages
@@ -175,19 +172,4 @@ func (x *Index) LocateAll(iv Interval, max int, st *Stats) []int {
 		out = append(out, x.Locate(i, st))
 	}
 	return out
-}
-
-// Validate performs internal consistency checks, for tests.
-func (x *Index) Validate() error {
-	if x.primary < 0 || x.primary >= x.size() {
-		return fmt.Errorf("fmindex: primary %d out of range", x.primary)
-	}
-	total := 0
-	for a := byte(0); a < 4; a++ {
-		total += x.occRaw(a, x.size())
-	}
-	if total != x.textLen {
-		return fmt.Errorf("fmindex: occ total %d != text length %d", total, x.textLen)
-	}
-	return nil
 }

@@ -29,9 +29,6 @@ type Seed struct {
 	Count            int
 }
 
-// Len returns the seed length.
-func (s Seed) Len() int { return s.ReadEnd - s.ReadBeg }
-
 // Seeds finds all seeds of r with length >= minLen using the full
 // three-pass BWA-MEM strategy — SMEMs, re-seeding (split length
 // 1.5 x minLen, split width 10), and the LAST-like repeat-seed pass

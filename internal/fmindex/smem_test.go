@@ -171,7 +171,7 @@ func TestSeederFindsTrueLocation(t *testing.T) {
 			if !s.Rev && s.RefPos == off+s.ReadBeg {
 				found = true
 			}
-			if s.RefPos < 0 || s.RefPos+s.Len() > len(text) {
+			if s.RefPos < 0 || s.RefPos+(s.ReadEnd-s.ReadBeg) > len(text) {
 				t.Fatalf("seed out of range: %+v", s)
 			}
 		}
@@ -204,7 +204,7 @@ func TestSeederReverseStrand(t *testing.T) {
 			if s.Rev {
 				// Read interval [ReadBeg, ReadEnd) of rc maps to reference
 				// [RefPos, RefPos+len). Verify the bases actually match.
-				refFrag := text[s.RefPos : s.RefPos+s.Len()]
+				refFrag := text[s.RefPos : s.RefPos+(s.ReadEnd-s.ReadBeg)]
 				readFrag := rc[s.ReadBeg:s.ReadEnd]
 				ok := true
 				for i := range refFrag {

@@ -80,19 +80,6 @@ func (x *Index) hashOf(p []byte) int {
 	return h
 }
 
-// Count returns the occurrence count of the k-mer at the front of p
-// without touching the position table.
-func (x *Index) Count(p []byte, st *Stats) int {
-	if len(p) < x.k {
-		return 0
-	}
-	h := x.hashOf(p)
-	if st != nil {
-		st.PointerAccesses += 2
-	}
-	return int(x.ptr[h+1] - x.ptr[h])
-}
-
 // Seed is one k-mer anchor of a read on the reference.
 type Seed struct {
 	ReadPos int

@@ -33,8 +33,10 @@ func Mirror(parent *Observer) *Observer {
 }
 
 // Absorb folds one shard's registry into r. Counters sum into the same
-// names (exact, order-independent); histograms with matching bounds
-// merge bucket-wise; gauges and series — whose values are per-chip
+// names (exact, order-independent); histograms merge bucket by bucket
+// into the same names (every histogram comes from Observer.hist's
+// fixed histBounds catalog, so same-name histograms share bounds);
+// gauges and series — whose values are per-chip
 // observations, not global sums — are kept under a "shard<N>." prefix
 // so no per-shard signal is lost and nothing is averaged dishonestly.
 // A nil r or part is a no-op.
@@ -53,31 +55,11 @@ func (r *Registry) Absorb(part *Registry, shard int) {
 	}
 	for name, h := range part.histograms {
 		dst := r.Histogram(name, h.bounds)
-		if len(dst.bounds) == len(h.bounds) {
-			ok := true
-			for i := range dst.bounds {
-				if dst.bounds[i] != h.bounds[i] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				for i, c := range h.counts {
-					dst.counts[i] += c
-				}
-				dst.sum += h.sum
-				dst.n += h.n
-				continue
-			}
-		}
-		// Bound mismatch: keep the shard's histogram under its prefix
-		// rather than merging incompatible bucketings.
-		pr := r.Histogram(prefix+name, h.bounds)
 		for i, c := range h.counts {
-			pr.counts[i] += c
+			dst.counts[i] += c
 		}
-		pr.sum += h.sum
-		pr.n += h.n
+		dst.sum += h.sum
+		dst.n += h.n
 	}
 	for name, s := range part.series {
 		dst := r.Series(prefix + name)

@@ -62,14 +62,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Value returns the last value set (0 for a nil or never-set Gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram counts observations into fixed upper-bound buckets (the
 // last bucket is +Inf). A nil Histogram ignores observations.
 type Histogram struct {
@@ -88,22 +80,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.n++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // SeriesPoint is one (cycle, value) sample of a time series.

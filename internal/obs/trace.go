@@ -111,22 +111,6 @@ func (t *Trace) CounterSample(pid int, name string, at int64, values map[string]
 	})
 }
 
-// Len returns the number of recorded events.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.events)
-}
-
-// Events returns the recorded events.
-func (t *Trace) Events() []TraceEvent {
-	if t == nil {
-		return nil
-	}
-	return t.events
-}
-
 // traceFile is the Chrome trace JSON object form.
 type traceFile struct {
 	TraceEvents     []TraceEvent `json:"traceEvents"`

@@ -23,7 +23,9 @@ func TestCigarRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		traced++
-		// The path must be internally consistent and score-checkable.
+		// The path must be internally consistent and score-checkable:
+		// ScoreCigar also checks that it consumes exactly the aligned
+		// read and reference spans.
 		oriented := Orient(r.Seq, res.Rev)
 		if got, err := align.ScoreCigar(a.Ref(), oriented, tb, a.Options().Scoring); err != nil {
 			t.Fatalf("read %d: invalid path: %v", r.ID, err)
@@ -38,10 +40,6 @@ func TestCigarRoundTrip(t *testing.T) {
 		slack := sc.GapOpen + a.Options().ChainBand*sc.GapExtend
 		if tb.Score < res.Score-slack {
 			t.Fatalf("read %d: traceback score %d far below pipeline score %d", r.ID, tb.Score, res.Score)
-		}
-		// CIGAR consumes the aligned read span.
-		if tb.Cigar.ReadLen() != tb.ReadEnd-tb.ReadBeg {
-			t.Fatalf("read %d: cigar consumes %d read bases, span %d", r.ID, tb.Cigar.ReadLen(), tb.ReadEnd-tb.ReadBeg)
 		}
 	}
 	if traced < 50 {

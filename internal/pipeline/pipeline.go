@@ -302,7 +302,7 @@ func (a *Aligner) ExtendDims(h core.Hit) (leftR, leftQ, rightR, rightQ int) {
 	if leftR > h.RefPos {
 		leftR = h.RefPos
 	}
-	seedRefEnd := h.RefPos + h.SeedLen()
+	seedRefEnd := h.RefPos + h.SchedLen()
 	rightR = rightQ + a.opts.ExtBand
 	if seedRefEnd+rightR > len(a.ref) {
 		rightR = len(a.ref) - seedRefEnd
@@ -329,8 +329,8 @@ type ExtendCost struct {
 // seed span plus whatever each flank extension processed before
 // terminating.
 func (c ExtendCost) TaskDims(h core.Hit) (refLen, queryLen int) {
-	refLen = h.SeedLen() + c.LeftRows + c.RightRows
-	queryLen = h.SeedLen() + c.LeftQ + c.RightQ
+	refLen = h.SchedLen() + c.LeftRows + c.RightRows
+	queryLen = h.SchedLen() + c.LeftQ + c.RightQ
 	return
 }
 
@@ -353,7 +353,7 @@ type Extended struct {
 // Ext expands the record of hit h into the full extension result.
 func (e Extended) Ext(h core.Hit) core.Extension {
 	return core.Extension{Hit: h, Score: int(e.Score),
-		RefBeg: h.RefPos - int(e.LeftRef), RefEnd: h.RefPos + h.SeedLen() + int(e.RightRef),
+		RefBeg: h.RefPos - int(e.LeftRef), RefEnd: h.RefPos + h.SchedLen() + int(e.RightRef),
 		ReadBeg: h.ReadBeg - int(e.LeftRead), ReadEnd: h.ReadEnd + int(e.RightRead)}
 }
 
@@ -435,7 +435,7 @@ func (a *Aligner) flanks(scr *alnScratch, oriented seq.Seq, h core.Hit) (lr, lq,
 		lr = reverseInto(&scr.rrev, a.ref[h.RefPos-leftR:h.RefPos])
 	}
 	if rightQ > 0 && rightR > 0 {
-		refEnd := h.RefPos + h.SeedLen()
+		refEnd := h.RefPos + h.SchedLen()
 		rq = oriented[h.ReadEnd : h.ReadEnd+rightQ]
 		rr = a.ref[refEnd : refEnd+rightR]
 	}

@@ -95,7 +95,7 @@ func TestSeedAndChainProducesValidHits(t *testing.T) {
 			if h.ReadBeg < 0 || h.ReadEnd > len(r.Seq) || h.ReadBeg >= h.ReadEnd {
 				t.Fatalf("bad read span [%d,%d)", h.ReadBeg, h.ReadEnd)
 			}
-			if h.RefPos < 0 || h.RefPos+h.SeedLen() > len(ref.Seq) {
+			if h.RefPos < 0 || h.RefPos+h.SchedLen() > len(ref.Seq) {
 				t.Fatalf("bad ref pos %d", h.RefPos)
 			}
 			if h.ReadLen != len(r.Seq) {
@@ -107,7 +107,7 @@ func TestSeedAndChainProducesValidHits(t *testing.T) {
 			// contiguous run of matches somewhere in the span.
 			oriented := Orient(r.Seq, h.Rev)
 			run, best := 0, 0
-			for i := 0; i < h.SeedLen(); i++ {
+			for i := 0; i < h.SchedLen(); i++ {
 				if oriented[h.ReadBeg+i] == a.ref[h.RefPos+i] {
 					run++
 					if run > best {
@@ -118,8 +118,8 @@ func TestSeedAndChainProducesValidHits(t *testing.T) {
 				}
 			}
 			want := 12
-			if h.SeedLen() < want {
-				want = h.SeedLen()
+			if h.SchedLen() < want {
+				want = h.SchedLen()
 			}
 			if best < want {
 				t.Fatalf("chain span [%d,%d) has no %d-base exact anchor (best run %d)",

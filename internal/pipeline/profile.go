@@ -1,10 +1,9 @@
 package pipeline
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
+	"nvwa/internal/par"
 	"nvwa/internal/seq"
 )
 
@@ -59,32 +58,12 @@ func (a *Aligner) Profile(reads []seq.Seq) []PhaseProfile {
 // measured throughput in reads/sec — the repository's stand-in for the
 // paper's 16-thread BWA-MEM CPU baseline.
 func (a *Aligner) AlignAll(reads []seq.Seq, threads int) ([]Result, []int, float64) {
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
 	results := make([]Result, len(reads))
 	mapq := make([]int, len(reads))
-	var next int64
-	var mu sync.Mutex
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := int(next)
-				next++
-				mu.Unlock()
-				if i >= len(reads) {
-					return
-				}
-				results[i], mapq[i] = a.alignMapQ(i, reads[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(reads), threads, func(i int) {
+		results[i], mapq[i] = a.alignMapQ(i, reads[i])
+	})
 	elapsed := time.Since(start).Seconds()
 	if elapsed <= 0 {
 		elapsed = 1e-9

@@ -60,9 +60,6 @@ func NewOneCycleAllocator(n int) *OneCycleAllocator {
 	return a
 }
 
-// Units returns the number of units the allocator serves.
-func (a *OneCycleAllocator) Units() int { return a.n }
-
 // TreeDepth returns the depth of the PopCount reduction tree, the
 // critical path of the design: 6 for 64 units, 9 for 512 (paper
 // Sec. IV-B).

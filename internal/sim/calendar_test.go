@@ -131,7 +131,7 @@ func runCalEngine(ops []calOp) calRun {
 	var e Engine
 	var r calRun
 	e.At(0, &calDriver{e: &e, ops: ops, log: &r.log})
-	e.Run()
+	drain(&e)
 	r.now, r.seq, r.fired = e.Now(), e.Seq(), e.Fired()
 	return r
 }
@@ -211,7 +211,7 @@ func TestCalendarOverflowOrdering(t *testing.T) {
 		at := int64(i) * (calWindow / 2)
 		e.At(at, &calRecTask{e: &e, id: i, log: &log})
 	}
-	e.Run()
+	drain(&e)
 	if len(log) != 21 {
 		t.Fatalf("fired %d events, want 21", len(log))
 	}
@@ -275,7 +275,7 @@ func TestCalendarPushPopZeroAlloc(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			e.At(e.Now()+int64(i%3), &n)
 		}
-		e.Run()
+		drain(&e)
 	}
 	// Each round advances now by 2 cycles; warm all the way around the
 	// ring so every slot's bucket has grown to peak occupancy before

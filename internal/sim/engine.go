@@ -160,15 +160,6 @@ func (e *Engine) fire(ev event) {
 	ev.task.Fire()
 }
 
-// Run processes events until the queue is empty and returns the final
-// cycle.
-func (e *Engine) Run() int64 {
-	for e.cal.len() > 0 {
-		e.fire(e.cal.pop())
-	}
-	return e.now
-}
-
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return e.cal.len() }
 

@@ -13,6 +13,13 @@ type fn func()
 func (f fn) Fire()          { f() }
 func (fn) TaskKind() string { return "fn" }
 
+// drain runs e until its queue is empty, unbounded, and returns the
+// final cycle.
+func drain(e *Engine) int64 {
+	e.RunBounded(-1, -1, nil, nil)
+	return e.Now()
+}
+
 func TestEngineOrdering(t *testing.T) {
 	var e Engine
 	var got []int
@@ -20,7 +27,7 @@ func TestEngineOrdering(t *testing.T) {
 	e.At(1, fn(func() { got = append(got, 1) }))
 	e.At(3, fn(func() { got = append(got, 3) }))
 	e.At(3, fn(func() { got = append(got, 30) })) // same cycle: scheduling order
-	end := e.Run()
+	end := drain(&e)
 	if end != 5 {
 		t.Errorf("final cycle = %d", end)
 	}
@@ -42,7 +49,7 @@ func TestEngineAfterAndNesting(t *testing.T) {
 		e.At(e.Now()+5, fn(func() { fired = append(fired, e.Now()) }))
 		e.At(e.Now(), fn(func() { fired = append(fired, e.Now()) }))
 	}))
-	e.Run()
+	drain(&e)
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
 		t.Errorf("fired = %v", fired)
 	}
@@ -59,7 +66,7 @@ func TestEnginePastSchedulingClamps(t *testing.T) {
 			ran = true
 		}))
 	}))
-	e.Run()
+	drain(&e)
 	if !ran {
 		t.Error("past-scheduled event never ran")
 	}
@@ -85,7 +92,7 @@ func TestEngineRunUntil(t *testing.T) {
 	if e.Now() != 50 {
 		t.Errorf("now = %d, want 50", e.Now())
 	}
-	e.Run()
+	drain(&e)
 	if count != 10 {
 		t.Errorf("count = %d after Run", count)
 	}
@@ -101,7 +108,7 @@ func TestEngineRandomizedOrdering(t *testing.T) {
 		at := times[i]
 		e.At(at, fn(func() { fired = append(fired, at) }))
 	}
-	e.Run()
+	drain(&e)
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	for i := range times {
 		if fired[i] != times[i] {
@@ -136,7 +143,7 @@ func TestEngineTaskScheduling(t *testing.T) {
 	e.At(7, fn(func() { order = append(order, "fn@7") }))
 	e.At(0, c)
 	e.At(0, fn(func() { order = append(order, "fn@0") }))
-	end := e.Run()
+	end := drain(&e)
 	if end != 21 {
 		t.Errorf("final cycle = %d, want 21", end)
 	}
@@ -161,7 +168,7 @@ func TestEngineTaskClampAndStrict(t *testing.T) {
 	var e Engine
 	c := &countTask{e: &e}
 	e.At(10, fn(func() { e.At(4, c) })) // past: clamps to 10
-	e.Run()
+	drain(&e)
 	if e.Clamps() != 1 {
 		t.Errorf("Clamps() = %d, want 1", e.Clamps())
 	}
@@ -234,7 +241,7 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		for i, c := range tasks {
 			e.At(e.Now()+int64(i%3), c)
 		}
-		e.Run()
+		drain(&e)
 	}
 	// Each round advances now by 2 cycles, so the measured rounds keep
 	// landing on fresh calendar ring slots: warm all the way around the
@@ -256,7 +263,7 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			e.At(e.Now()+int64(i%3), &n)
 		}
-		e.Run()
+		drain(&e)
 	}
 	for i := 0; i < 600; i++ { // wrap the ring (see warm above)
 		warmNop()
@@ -288,8 +295,8 @@ func TestBusyTrackerBasics(t *testing.T) {
 	if got := b.Utilization(20, 30); got != 0 {
 		t.Errorf("utilization of idle window = %v", got)
 	}
-	if len(b.Intervals()) != 2 {
-		t.Errorf("intervals = %v", b.Intervals())
+	if len(b.intervals) != 2 {
+		t.Errorf("intervals = %v", b.intervals)
 	}
 }
 
@@ -311,14 +318,14 @@ func TestBusyTrackerSeries(t *testing.T) {
 	var b BusyTracker
 	b.SetBusy(0)
 	b.SetIdle(50)
-	s := b.Series(100, 4)
+	s := GroupSeries([]*BusyTracker{&b}, 100, 4)
 	want := []float64{1, 1, 0, 0}
 	for i := range want {
 		if s[i] != want[i] {
 			t.Fatalf("series = %v, want %v", s, want)
 		}
 	}
-	if got := b.Series(0, 3); len(got) != 3 {
+	if got := GroupSeries([]*BusyTracker{&b}, 0, 3); len(got) != 3 {
 		t.Error("zero-end series must still have n entries")
 	}
 }
@@ -360,7 +367,7 @@ func TestEngineClampCounterAndHooks(t *testing.T) {
 		e.At(3, fn(func() {}))  // 7 cycles in the past
 		e.At(10, fn(func() {})) // current cycle: NOT a clamp
 	}))
-	e.Run()
+	drain(&e)
 	if e.Clamps() != 1 {
 		t.Errorf("Clamps() = %d, want 1", e.Clamps())
 	}

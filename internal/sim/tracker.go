@@ -88,21 +88,9 @@ func (t *BusyTracker) EncodeState(enc *ckpt.Encoder) {
 	enc.PutU64(d.Sum())
 }
 
-// Intervals returns the recorded busy intervals (excluding an open one).
-func (t *BusyTracker) Intervals() []Interval { return t.intervals }
-
-// Series buckets [0, end) into n windows and returns the busy fraction
-// of each, producing the time-series of the Fig. 12 plots. It equals
-// Utilization over each window, bit for bit, in one merged pass over
-// the intervals; the output slice is its only allocation.
-func (t *BusyTracker) Series(end int64, n int) []float64 {
-	out := make([]float64, n)
-	t.addSeries(out, end)
-	return out
-}
-
 // addSeries adds the busy fraction of each of len(out) windows over
-// [0, end) to out. Intervals are appended in time order (the engine's
+// [0, end) to out, the time series of the Fig. 12 plots. Each window's
+// fraction equals Utilization over it, bit for bit. Intervals are appended in time order (the engine's
 // clock never runs backwards), and the windows ascend too, so one
 // cursor walks both: an interval ending at or before a window's start
 // can reach no later window, and the first interval starting at or
@@ -156,7 +144,9 @@ func GroupUtilization(ts []*BusyTracker, beg, end int64) float64 {
 	return sum / float64(len(ts))
 }
 
-// GroupSeries averages Series across trackers.
+// GroupSeries buckets [0, end) into n windows and returns the busy
+// fraction of each, averaged across trackers, in one merged pass over
+// each tracker's intervals; the output slice is its only allocation.
 func GroupSeries(ts []*BusyTracker, end int64, n int) []float64 {
 	out := make([]float64, n)
 	if len(ts) == 0 {

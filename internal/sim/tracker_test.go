@@ -70,8 +70,8 @@ func sameSeries(a, b []float64) bool {
 	return true
 }
 
-// FuzzSeriesVsUtilization pins the merged-sweep Series, and GroupSeries
-// built on it, against the per-window Utilization oracle with exact
+// FuzzSeriesVsUtilization pins the merged-sweep GroupSeries, over one
+// tracker and over three, against the per-window Utilization oracle with exact
 // float equality. The seeds cover an open interval running past end,
 // more windows than cycles (empty windows), no windows at all, and
 // intervals straddling window boundaries.
@@ -91,8 +91,8 @@ func FuzzSeriesVsUtilization(f *testing.F) {
 		nw := int(n % 512)
 		sc := int64(scale) + 1
 		tr := trackerFrom(ops, sc)
-		if got, want := tr.Series(end, nw), seriesOracle(tr, end, nw); !sameSeries(got, want) {
-			t.Fatalf("Series(%d, %d) = %v, oracle %v (intervals %v, open=%v)", end, nw, got, want, tr.Intervals(), tr.Busy())
+		if got, want := GroupSeries([]*BusyTracker{tr}, end, nw), seriesOracle(tr, end, nw); !sameSeries(got, want) {
+			t.Fatalf("GroupSeries of one (%d, %d) = %v, oracle %v (intervals %v, open=%v)", end, nw, got, want, tr.intervals, tr.Busy())
 		}
 		group := []*BusyTracker{trackerFrom(ops[:len(ops)/2], sc), tr, trackerFrom(ops[len(ops)/2:], sc)}
 		if got, want := GroupSeries(group, end, nw), groupSeriesOracle(group, end, nw); !sameSeries(got, want) {
@@ -103,9 +103,9 @@ func FuzzSeriesVsUtilization(f *testing.F) {
 
 var seriesSink []float64
 
-// TestSeriesOneAlloc checks that Series on a tracker of 250 intervals,
-// and GroupSeries over several such trackers (the path Report runs),
-// each allocate only their output slice.
+// TestSeriesOneAlloc checks that GroupSeries over one tracker of 250
+// intervals, and over several such trackers (the path Report runs),
+// allocates only its output slice.
 func TestSeriesOneAlloc(t *testing.T) {
 	group := make([]*BusyTracker, 8)
 	for k := range group {
@@ -117,16 +117,16 @@ func TestSeriesOneAlloc(t *testing.T) {
 		tr.SetBusy(250 * 40)
 		group[k] = tr
 	}
-	tr := group[0]
+	one := group[:1]
 	end := int64(251 * 40)
-	if !sameSeries(tr.Series(end, 100), seriesOracle(tr, end, 100)) {
-		t.Fatal("Series diverges from the per-window oracle")
+	if !sameSeries(GroupSeries(one, end, 100), seriesOracle(one[0], end, 100)) {
+		t.Fatal("GroupSeries of one tracker diverges from the per-window oracle")
 	}
 	if !sameSeries(GroupSeries(group, end, 100), groupSeriesOracle(group, end, 100)) {
 		t.Fatal("GroupSeries diverges from the per-window oracle")
 	}
-	if got := testing.AllocsPerRun(100, func() { seriesSink = tr.Series(end, 100) }); got != 1 {
-		t.Fatalf("Series allocates %v times per call, want 1 (the output slice)", got)
+	if got := testing.AllocsPerRun(100, func() { seriesSink = GroupSeries(one, end, 100) }); got != 1 {
+		t.Fatalf("GroupSeries of one tracker allocates %v times per call, want 1 (the output slice)", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { seriesSink = GroupSeries(group, end, 100) }); got != 1 {
 		t.Fatalf("GroupSeries allocates %v times per call, want 1 (the output slice)", got)

@@ -16,19 +16,14 @@ type Watchdog struct {
 	// MaxCycles aborts the run before firing any event scheduled
 	// beyond this cycle. 0 disables the cycle budget.
 	MaxCycles int64
-	// MaxEventsPerCycle aborts when more than this many events fire
-	// at a single cycle without time advancing — a same-cycle
-	// rescheduling livelock. 0 uses DefaultMaxEventsPerCycle.
-	MaxEventsPerCycle int64
-	// MaxEvents aborts after this many total events. 0 disables.
-	MaxEvents int64
 }
 
-// DefaultMaxEventsPerCycle is the no-progress threshold used when
-// Watchdog.MaxEventsPerCycle is 0. It is far above anything a healthy
-// round can enqueue at one cycle (every SU + EU + round completion is
-// a few hundred events), yet cheap to hit for a genuine livelock.
-const DefaultMaxEventsPerCycle = 1 << 20
+// maxEventsPerCycle is the watchdog's no-progress bound: more events
+// than this at one cycle without time advancing is a same-cycle
+// rescheduling livelock. It is far above anything a healthy round can
+// enqueue at one cycle (every SU + EU + round completion is a few
+// hundred events), yet cheap to hit for a genuine livelock.
+const maxEventsPerCycle = 1 << 20
 
 // GuardState carries the watchdog's progress counters across bounded
 // runs. A preempted simulation steps the engine in slices; budgets
@@ -38,11 +33,11 @@ const DefaultMaxEventsPerCycle = 1 << 20
 type GuardState struct {
 	cycle   int64
 	atCycle int64
-	total   int64
 }
 
 // RunBounded processes events under optional cycle, fired-count and
-// watchdog bounds. Per iteration, in order: an empty heap returns
+// watchdog bounds; with -1, -1 and a nil watchdog it runs the queue
+// dry. Per iteration, in order: an empty heap returns
 // nil; if maxFired >= 0 and the engine has fired that many events it
 // returns nil (the replay stop used by checkpoint restore — checked
 // before the watchdog so replaying up to an aborted run's checkpoint
@@ -52,13 +47,6 @@ type GuardState struct {
 // the event fires. Watchdog errors carry a bounded pending-heap
 // summary.
 func (e *Engine) RunBounded(limitCycle, maxFired int64, w *Watchdog, st *GuardState) error {
-	perCycle := int64(0)
-	if w != nil {
-		perCycle = w.MaxEventsPerCycle
-		if perCycle <= 0 {
-			perCycle = DefaultMaxEventsPerCycle
-		}
-	}
 	for e.cal.len() > 0 {
 		if maxFired >= 0 && e.fired >= maxFired {
 			return nil
@@ -78,16 +66,10 @@ func (e *Engine) RunBounded(limitCycle, maxFired int64, w *Watchdog, st *GuardSt
 				st.atCycle = 0
 			}
 			st.atCycle++
-			if st.atCycle > perCycle {
+			if st.atCycle > maxEventsPerCycle {
 				return fmt.Errorf(
 					"sim: watchdog: no progress: %d events fired at cycle %d without advancing time (livelock)%s",
 					st.atCycle, st.cycle, e.pendingNote())
-			}
-			st.total++
-			if w.MaxEvents > 0 && st.total > w.MaxEvents {
-				return fmt.Errorf(
-					"sim: watchdog: event budget %d exceeded at cycle %d (%d events pending)%s",
-					w.MaxEvents, st.cycle, e.cal.len(), e.pendingNote())
 			}
 		}
 		e.fire(e.cal.pop())

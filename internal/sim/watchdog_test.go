@@ -59,7 +59,13 @@ func TestRunGuardedLivelock(t *testing.T) {
 	var respawn func()
 	respawn = func() { e.At(e.Now(), fn(respawn)) } // classic same-cycle livelock
 	e.At(7, fn(respawn))
-	_, err := runGuarded(&e, &Watchdog{MaxCycles: 1000, MaxEventsPerCycle: 1000})
+	// Start the per-cycle counter 1,000 events short of the bound, so
+	// the livelock trips it without firing a million events.
+	st := GuardState{cycle: 7, atCycle: maxEventsPerCycle - 1000}
+	err := e.RunBounded(-1, -1, &Watchdog{MaxCycles: 1000}, &st)
+	if e.Fired() != 1000 {
+		t.Errorf("fired %d events, want 1000 before the bound trips", e.Fired())
+	}
 	if err == nil {
 		t.Fatal("livelock not detected")
 	}
@@ -68,35 +74,18 @@ func TestRunGuardedLivelock(t *testing.T) {
 	}
 }
 
-func TestRunGuardedEventBudget(t *testing.T) {
-	t.Parallel()
-	var e Engine
-	var tick func()
-	n := int64(0)
-	tick = func() { n++; e.At(e.Now()+1, fn(tick)) } // unbounded but always progressing
-	e.At(0, fn(tick))
-	_, err := runGuarded(&e, &Watchdog{MaxEvents: 500})
-	if err == nil {
-		t.Fatal("event budget not enforced")
-	}
-	if !strings.Contains(err.Error(), "event budget") {
-		t.Fatalf("undiagnostic error: %v", err)
-	}
-	if n > 501 {
-		t.Fatalf("ran %d events past budget", n)
-	}
-}
-
 func TestRunGuardedPerCycleCounterResets(t *testing.T) {
 	t.Parallel()
 	var e Engine
-	// 50 events at each of two cycles with a tight per-cycle limit of
-	// 60: must pass because the counter resets when time advances.
+	// 50 events at each of two cycles, with the counter starting 60
+	// short of the bound at cycle 1: must pass because the counter
+	// resets when time advances.
 	for i := 0; i < 50; i++ {
 		e.At(1, fn(func() {}))
 		e.At(2, fn(func() {}))
 	}
-	if _, err := runGuarded(&e, &Watchdog{MaxEventsPerCycle: 60}); err != nil {
+	st := GuardState{cycle: 1, atCycle: maxEventsPerCycle - 60}
+	if err := e.RunBounded(-1, -1, &Watchdog{}, &st); err != nil {
 		t.Fatalf("per-cycle counter leaked across cycles: %v", err)
 	}
 }

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -79,26 +78,4 @@ func (h IntervalHistogram) Fractions() []float64 {
 		out[i] = float64(c) / float64(h.Total)
 	}
 	return out
-}
-
-// String renders the histogram as percentage buckets.
-func (h IntervalHistogram) String() string {
-	out := ""
-	lo := 0
-	for i, b := range h.Bounds {
-		label := fmt.Sprintf("(%d,%d]", lo, b)
-		if i == len(h.Bounds)-1 {
-			label = fmt.Sprintf("(%d,inf)", lo)
-		}
-		out += fmt.Sprintf("%-10s %6.1f%%  (%d)\n", label, 100*float64(h.Counts[i])/max1(h.Total), h.Counts[i])
-		lo = b
-	}
-	return out
-}
-
-func max1(n int) float64 {
-	if n == 0 {
-		return 1
-	}
-	return float64(n)
 }

@@ -86,9 +86,6 @@ type Unit struct {
 // emits a trace span and metric updates. A nil observer detaches.
 func (u *Unit) AttachObs(o *obs.Observer) { u.obs = o }
 
-// OccAccesses returns the unit's cumulative occurrence-table traffic.
-func (u *Unit) OccAccesses() int64 { return u.occTotal }
-
 // New builds a seeding unit over an HBM channel model.
 func New(id int, hbm *mem.HBM, cost CostModel) *Unit {
 	return &Unit{id: id, hbm: hbm, cost: cost}
@@ -114,12 +111,6 @@ func (u *Unit) SetIdle(now int64) {
 	u.state = core.Idle
 	u.Tracker.SetIdle(now)
 }
-
-// Reads returns how many reads the unit has seeded.
-func (u *Unit) Reads() int { return u.reads }
-
-// Hits returns how many hits the unit has produced.
-func (u *Unit) Hits() int { return u.hits }
 
 // Process books the seeding of read readIdx starting at cycle now,
 // given the read's hit count and the index traffic its search

@@ -3,6 +3,7 @@ package su
 import (
 	"testing"
 
+	"nvwa/internal/core"
 	"nvwa/internal/genome"
 	"nvwa/internal/mem"
 	"nvwa/internal/pipeline"
@@ -39,8 +40,8 @@ func TestProcessMatchesSoftwareHits(t *testing.T) {
 		}
 		total += len(hits)
 	}
-	if u.Reads() != 40 || u.Hits() != total {
-		t.Errorf("Reads = %d, Hits = %d; want 40, %d", u.Reads(), u.Hits(), total)
+	if u.reads != 40 || u.hits != total {
+		t.Errorf("reads = %d, hits = %d; want 40, %d", u.reads, u.hits, total)
 	}
 }
 
@@ -91,22 +92,22 @@ func TestUnitStateTransitions(t *testing.T) {
 	t.Parallel()
 	_, _, hbm := setup(t)
 	u := New(3, hbm, DefaultCostModel())
-	if u.State().String() != "idle" {
+	if u.State() != core.Idle {
 		t.Errorf("initial state = %v", u.State())
 	}
 	u.SetBusy(10)
-	if u.State().String() != "busy" || !u.Tracker.Busy() {
+	if u.State() != core.Busy || !u.Tracker.Busy() {
 		t.Error("SetBusy failed")
 	}
 	u.SetIdle(20)
-	if u.State().String() != "idle" || u.Tracker.Busy() {
+	if u.State() != core.Idle || u.Tracker.Busy() {
 		t.Error("SetIdle failed")
 	}
 	if got := u.Tracker.Utilization(0, 100); got != 0.1 {
 		t.Errorf("busy fraction of [0,100) = %v, want 0.1", got)
 	}
 	u.Stop()
-	if u.State().String() != "stop" {
+	if u.State() != core.Stopped {
 		t.Error("Stop failed")
 	}
 	if u.ID() != 3 {

@@ -59,14 +59,6 @@ type Result struct {
 	BusyPECycles int
 }
 
-// Utilization returns BusyPECycles / (P * Cycles) for an array of p PEs.
-func (r Result) Utilization(p int) float64 {
-	if r.Cycles == 0 || p == 0 {
-		return 0
-	}
-	return float64(r.BusyPECycles) / float64(p*r.Cycles)
-}
-
 // Array is a systolic array of P processing elements.
 type Array struct {
 	// PEs is the number of processing elements.

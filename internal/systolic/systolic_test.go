@@ -154,12 +154,13 @@ func TestUtilization(t *testing.T) {
 	// A query exactly filling the array and a long reference: high
 	// utilization. A 1-base query on a wide array: low.
 	a := &Array{PEs: 16, Scoring: sc}
+	util := func(r Result) float64 { return float64(r.BusyPECycles) / float64(a.PEs*r.Cycles) }
 	full := a.Run(randomSeq(rng, 200), randomSeq(rng, 16), ModeLocal, 0)
-	if u := full.Utilization(16); u < 0.85 || u > 1 {
+	if u := util(full); u < 0.85 || u > 1 {
 		t.Errorf("full-array utilization = %.3f, want high", u)
 	}
 	tiny := a.Run(randomSeq(rng, 200), randomSeq(rng, 1), ModeLocal, 0)
-	if u := tiny.Utilization(16); u > 0.10 {
+	if u := util(tiny); u > 0.10 {
 		t.Errorf("1-base query utilization = %.3f, want low", u)
 	}
 	// BusyPECycles must equal exactly R cycles per query base.

@@ -1,21 +1,27 @@
 package nvwa_test
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// reachAllow exempts exported names in internal/ that no non-test file
-// reaches. Keys are "pkg.Name" for top-level names and "pkg.Type.Method"
-// for methods. Every reason starts with one of four categories:
+// reachAllow exempts names in internal/ that no non-test file reaches.
+// Keys are "pkg.Name" for top-level names and "pkg.Type.Method" for
+// methods. Every reason starts with one of four categories:
 //
 //	interface: the method satisfies an interface the caller reaches
 //	           through the standard library or a type switch
@@ -26,9 +32,6 @@ import (
 // An entry whose name is now reached, or no longer exists, fails the
 // guard, so the list cannot go stale.
 var reachAllow = map[string]string{
-	"coordinator.unitsByID.Less":    "interface: sort.Interface, called by sort.Sort",
-	"coordinator.unitsByID.Swap":    "interface: sort.Interface, called by sort.Sort",
-	"fault.Plan.Normalize":          "facade: nvwa.FaultPlan re-exports fault.Plan",
 	"accel.ApplySteals":             "oracle: replays a StealLog; tests and FuzzStealSchedule check PlanBalanced's partition against it",
 	"accel.MergeReportsReference":   "oracle: the specification merge; TestMergeAccMatchesReference checks MergeAcc's merged Report against it",
 	"align.ScoreCigar":              "oracle: recomputes a path's score; tests check Local and ExtendWithScratch CIGARs against it",
@@ -36,48 +39,189 @@ var reachAllow = map[string]string{
 	"align.ExtendBandReference":     "oracle: the full-row DP at band w with the 2w retry; FuzzExtendBandedVsFull and pipeline's refkernels tests check ExtendWithScratch against it",
 	"fmindex.Seeder.SeedsReference": "oracle: allocating three-pass seeding; fmindex's fuzz and workspace tests and pipeline's TestReferenceKernelsIdentical check SeedsWS against it",
 	"systolic.Array":                "oracle: the cycle-by-cycle wavefront; FuzzSystolicVsSoftwareDP checks Formula 3 (Latency) and align's DP against it",
-	"core.HitArena.Live":            "invariant: accel's checkpoint tests assert a drained arena holds no live IDs",
+	"systolic.Array.Run":            "oracle: runs the wavefront systolic.Array models",
+	"core.HitArena.Live":            "invariant: accel's checkpoint tests and coordinator's oracle test assert a drained arena holds no live IDs",
 	"obs.Invariants.Checks":         "invariant: accel and experiments tests assert the checker actually ran",
 	"sim.BusyTracker.Busy":          "invariant: su's tests assert a unit's tracker follows its control state",
 }
 
 var reachCategories = []string{"interface:", "facade:", "oracle:", "invariant:"}
 
-// reachRoots are the trees the guard parses: internal/ is checked, and
+// reachRoots are the trees the guards load: internal/ is checked, and
 // every tree (internal/ included) can reach a name. perfbench is its own
 // module but imports internal/, so its callers count.
 var reachRoots = []string{"internal", "cmd", "examples", "perfbench", "nvwa.go"}
 
 const reachModule = "nvwa"
 
+// srcModule is a module's non-test source, type-checked from source in
+// import order; the standard library comes from its export data.
+type srcModule struct {
+	fset   *token.FileSet
+	module string
+	pkgs   map[string]*srcPkg // by import path
+	order  []*srcPkg          // dependencies first
+	std    types.Importer
+}
+
+type srcPkg struct {
+	path  string
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+	state int // 0 unchecked, 1 checking, 2 checked
+}
+
+var repoSrc = sync.OnceValues(func() (*srcModule, error) {
+	return loadModule(".", reachModule)
+})
+
+// loadModule parses the non-test .go files under the reach roots of the
+// module rooted at dir (a missing root holds none), skipping testdata
+// directories and files the host's build constraints exclude, and
+// type-checks every package.
+func loadModule(dir, module string) (*srcModule, error) {
+	m := &srcModule{fset: token.NewFileSet(), module: module, pkgs: map[string]*srcPkg{}, std: importer.Default()}
+	for _, root := range reachRoots {
+		if _, err := os.Stat(filepath.Join(dir, root)); errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		err := filepath.WalkDir(filepath.Join(dir, root), func(p string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if d.Name() == "testdata" {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return nil
+			}
+			if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+				return err
+			}
+			rel, err := filepath.Rel(dir, filepath.Dir(p))
+			if err != nil {
+				return err
+			}
+			ip := module
+			if rel = filepath.ToSlash(rel); rel != "." {
+				ip = module + "/" + rel
+			}
+			f, err := parser.ParseFile(m.fset, p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			pkg := m.pkgs[ip]
+			if pkg == nil {
+				pkg = &srcPkg{path: ip}
+				m.pkgs[ip] = pkg
+			}
+			pkg.files = append(pkg.files, f)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	paths := make([]string, 0, len(m.pkgs))
+	for ip := range m.pkgs {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := m.Import(ip); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// Import type-checks a module package on first use, after the packages
+// it imports; every other path is the standard library's.
+func (m *srcModule) Import(ip string) (*types.Package, error) {
+	pkg := m.pkgs[ip]
+	if pkg == nil {
+		return m.std.Import(ip)
+	}
+	switch pkg.state {
+	case 1:
+		return nil, fmt.Errorf("import cycle through %s", ip)
+	case 2:
+		return pkg.types, nil
+	}
+	pkg.state = 1
+	pkg.info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: m}
+	tp, err := conf.Check(ip, m.fset, pkg.files, pkg.info)
+	if err != nil {
+		return nil, err
+	}
+	pkg.types, pkg.state = tp, 2
+	m.order = append(m.order, pkg)
+	return tp, nil
+}
+
+// checked reports whether the guards check declarations in package ip.
+func (m *srcModule) checked(ip string) bool {
+	return strings.HasPrefix(ip, m.module+"/internal/")
+}
+
+// origin maps an instantiated function or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// span is a half-open source range.
+type span struct{ pos, end token.Pos }
+
+func within(p token.Pos, spans []span) bool {
+	for _, s := range spans {
+		if s.pos <= p && p < s.end {
+			return true
+		}
+	}
+	return false
+}
+
+// namedOf strips pointers and aliases down to a defined type.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := types.Unalias(t).(*types.Named)
+	return n
+}
+
 type reachDecl struct {
-	pos  token.Position
-	key  string // pkg.Name or pkg.Type.Method
-	pkg  string // import path of the declaring package
-	name string
-	recv string // receiver type name, "" for top-level names
+	obj   types.Object
+	key   string // pkg.Name or pkg.Type.Method
+	own   []span // its own declaration, and a type's methods
+	where token.Position
 }
 
-type reachScan struct {
-	fset  *token.FileSet
-	decls []reachDecl
-	// refs holds "importpath.Name" for every top-level name some
-	// non-test file names outside its own declaration.
-	refs map[string]bool
-	// sels holds, per selected name, the methods the selections occur
-	// in (keyed like reachDecl.key, "" outside methods).
-	sels map[string]map[string]bool
-}
-
-// TestNoUnreachedExports fails on every exported func, type, var, const
-// or method in internal/ that no non-test file reaches, unless
-// reachAllow exempts it. See DESIGN.md, "Reachability guard".
+// TestNoUnreachedExports fails on every exported name, and every
+// function or method, in internal/ that no non-test file reaches,
+// unless reachAllow exempts it. See DESIGN.md, "Reachability guard".
 func TestNoUnreachedExports(t *testing.T) {
-	s, err := scanReach(".")
+	m, err := repoSrc()
 	if err != nil {
 		t.Fatal(err)
 	}
-	unreached, stale := s.check(reachAllow)
+	unreached, stale := m.unreached(reachAllow)
 	for _, u := range unreached {
 		t.Errorf("unreached: %s", u)
 	}
@@ -100,207 +244,216 @@ func hasCategory(why string) bool {
 	return false
 }
 
-// scanReach parses every non-test .go file under the reach roots of the
-// module rooted at dir.
-func scanReach(dir string) (*reachScan, error) {
-	s := &reachScan{
-		fset: token.NewFileSet(),
-		refs: map[string]bool{},
-		sels: map[string]map[string]bool{},
-	}
-	if err := walkNonTest(dir, s.addFile); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// walkNonTest calls fn with the path, and the slash-separated path
-// relative to dir, of every non-test .go file under the reach roots of
-// the module rooted at dir.
-func walkNonTest(dir string, fn func(p, rel string) error) error {
-	for _, root := range reachRoots {
-		err := filepath.WalkDir(filepath.Join(dir, root), func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if d.Name() == "testdata" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-				return nil
-			}
-			rel, err := filepath.Rel(dir, p)
-			if err != nil {
-				return err
-			}
-			return fn(p, filepath.ToSlash(rel))
-		})
-		if err != nil {
-			return err
+// decls lists the checked declarations: exported names, and every
+// function and method.
+func (m *srcModule) decls() []reachDecl {
+	var out []reachDecl
+	for _, pkg := range m.order {
+		if !m.checked(pkg.path) {
+			continue
 		}
-	}
-	return nil
-}
-
-func (s *reachScan) addFile(p, rel string) error {
-	f, err := parser.ParseFile(s.fset, p, nil, parser.SkipObjectResolution)
-	if err != nil {
-		return err
-	}
-	pkg := reachModule
-	if d := path.Dir(rel); d != "." {
-		pkg = reachModule + "/" + d
-	}
-	imports := map[string]string{}
-	for _, im := range f.Imports {
-		ip := strings.Trim(im.Path.Value, `"`)
-		local := path.Base(ip)
-		if im.Name != nil {
-			local = im.Name.Name
-		}
-		imports[local] = ip
-	}
-	checked := strings.HasPrefix(rel, "internal/")
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			owners := map[string]bool{}
-			encl := ""
-			if d.Recv != nil {
-				recv := recvName(d.Recv.List[0].Type)
-				owners[recv] = true
-				encl = path.Base(pkg) + "." + recv + "." + d.Name.Name
-				if checked && ast.IsExported(d.Name.Name) {
-					s.declare(pkg, d.Name, recv)
-				}
-				s.walk(d.Recv, pkg, imports, owners, encl)
-			} else {
-				owners[d.Name.Name] = true
-				if checked && ast.IsExported(d.Name.Name) {
-					s.declare(pkg, d.Name, "")
-				}
-			}
-			s.walk(d.Type, pkg, imports, owners, encl)
-			if d.Body != nil {
-				s.walk(d.Body, pkg, imports, owners, encl)
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				owners := map[string]bool{}
-				switch sp := spec.(type) {
-				case *ast.TypeSpec:
-					owners[sp.Name.Name] = true
-					if checked && ast.IsExported(sp.Name.Name) {
-						s.declare(pkg, sp.Name, "")
+		base := path.Base(pkg.path)
+		methods := map[types.Object][]span{} // receiver type -> its methods
+		var ds []reachDecl
+		for _, f := range pkg.files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					obj := pkg.info.Defs[d.Name].(*types.Func)
+					key := base + "." + d.Name.Name
+					if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+						tn := namedOf(recv.Type()).Obj()
+						methods[tn] = append(methods[tn], span{d.Pos(), d.End()})
+						key = base + "." + tn.Name() + "." + d.Name.Name
+					} else if d.Name.Name == "init" || d.Name.Name == "main" {
+						continue
 					}
-					if sp.TypeParams != nil {
-						s.walk(sp.TypeParams, pkg, imports, owners, "")
-					}
-					s.walk(sp.Type, pkg, imports, owners, "")
-				case *ast.ValueSpec:
-					for _, n := range sp.Names {
-						owners[n.Name] = true
-						if checked && ast.IsExported(n.Name) {
-							s.declare(pkg, n, "")
+					ds = append(ds, reachDecl{obj: obj, key: key, own: []span{{d.Pos(), d.End()}}})
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							if sp.Name.IsExported() {
+								ds = append(ds, reachDecl{obj: pkg.info.Defs[sp.Name], key: base + "." + sp.Name.Name, own: []span{{sp.Pos(), sp.End()}}})
+							}
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								if n.IsExported() {
+									ds = append(ds, reachDecl{obj: pkg.info.Defs[n], key: base + "." + n.Name, own: []span{{sp.Pos(), sp.End()}}})
+								}
+							}
 						}
 					}
-					if sp.Type != nil {
-						s.walk(sp.Type, pkg, imports, owners, "")
-					}
-					for _, v := range sp.Values {
-						s.walk(v, pkg, imports, owners, "")
-					}
 				}
 			}
 		}
+		for _, d := range ds {
+			if _, ok := d.obj.(*types.TypeName); ok {
+				d.own = append(d.own, methods[d.obj]...)
+			}
+			d.where = m.fset.Position(d.obj.Pos())
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// reached returns the objects non-test code reaches, each with the
+// positions that reach it: every use, plus a position-free entry for
+// methods reached through an interface or the facade.
+func (m *srcModule) reached() map[types.Object][]token.Pos {
+	uses := map[types.Object][]token.Pos{}
+	reach := func(t types.Type, name string) {
+		if fn := methodOf(t, name); fn != nil {
+			uses[fn.Origin()] = append(uses[fn.Origin()], token.NoPos)
+		}
+	}
+	ifaceMethods := map[*types.Func]bool{} // interface methods non-test code calls
+	for _, pkg := range m.order {
+		for id, obj := range pkg.info.Uses {
+			obj = origin(obj)
+			uses[obj] = append(uses[obj], id.Pos())
+			if fn, ok := obj.(*types.Func); ok {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					ifaceMethods[fn] = true
+				}
+			}
+		}
+		for _, f := range pkg.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					// A concrete value handed to the standard library as an
+					// interface has that interface's methods called; one
+					// handed to fmt, its String or Error.
+					sig, ok := pkg.info.Types[x.Fun].Type.(*types.Signature)
+					callee := calleePkg(pkg.info, x.Fun)
+					if !ok || callee == nil || m.pkgs[callee.Path()] != nil {
+						return true
+					}
+					for i, a := range x.Args {
+						pt, at := paramType(sig, i), pkg.info.Types[a].Type
+						if pt == nil || at == nil || types.IsInterface(at) {
+							continue
+						}
+						if it, ok := pt.Underlying().(*types.Interface); ok {
+							for j := 0; j < it.NumMethods(); j++ {
+								reach(at, it.Method(j).Name())
+							}
+							if callee.Path() == "fmt" {
+								reach(at, "String")
+								reach(at, "Error")
+							}
+						}
+					}
+				case *ast.TypeSpec:
+					// The facade re-exports a type by alias: its methods
+					// are the public API.
+					if pkg.path == m.module && x.Assign.IsValid() {
+						if n := namedOf(pkg.info.Defs[x.Name].Type()); n != nil {
+							for i := 0; i < n.NumMethods(); i++ {
+								reach(n, n.Method(i).Name())
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, pkg := range m.order {
+		if !m.checked(pkg.path) {
+			continue
+		}
+		scope := pkg.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || types.IsInterface(tn.Type()) {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok || n.TypeParams() != nil {
+				continue
+			}
+			for im := range ifaceMethods {
+				it := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+				if types.Implements(n, it) || types.Implements(types.NewPointer(n), it) {
+					reach(n, im.Name())
+				}
+			}
+		}
+	}
+	return uses
+}
+
+// calleePkg returns the package declaring a called function or method,
+// or nil for conversions, builtins and function values.
+func calleePkg(info *types.Info, fun ast.Expr) *types.Package {
+	var id *ast.Ident
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	case *ast.IndexExpr:
+		return calleePkg(info, f.X)
+	}
+	if id == nil {
+		return nil
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return fn.Pkg()
 	}
 	return nil
 }
 
-func (s *reachScan) declare(pkg string, id *ast.Ident, recv string) {
-	key := path.Base(pkg) + "." + id.Name
-	if recv != "" {
-		key = path.Base(pkg) + "." + recv + "." + id.Name
+// paramType is the type of argument i of a call to sig.
+func paramType(sig *types.Signature, i int) types.Type {
+	ps := sig.Params()
+	if sig.Variadic() && i >= ps.Len()-1 {
+		return ps.At(ps.Len() - 1).Type().(*types.Slice).Elem()
 	}
-	s.decls = append(s.decls, reachDecl{pos: s.fset.Position(id.Pos()), key: key, pkg: pkg, name: id.Name, recv: recv})
+	if i < ps.Len() {
+		return ps.At(i).Type()
+	}
+	return nil
 }
 
-// recvName strips pointers and type arguments from a receiver type.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
+// methodOf returns the declared method name of t's method set (its
+// pointer's, for a defined non-pointer type), or nil.
+func methodOf(t types.Type, name string) *types.Func {
+	if n := namedOf(t); n != nil {
+		t = types.NewPointer(n)
 	}
+	sel := types.NewMethodSet(t).Lookup(nil, name)
+	if sel == nil {
+		return nil
+	}
+	fn, _ := sel.Obj().(*types.Func)
+	return fn
 }
 
-// walk records the references under n. owners are the same-package
-// names whose own declaration n belongs to; encl is the enclosing
-// method's key.
-func (s *reachScan) walk(n ast.Node, pkg string, imports map[string]string, owners map[string]bool, encl string) {
-	var visit func(ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				if ip, ok := imports[id.Name]; ok {
-					s.refs[ip+"."+x.Sel.Name] = true
-					return false
-				}
-			}
-			m := s.sels[x.Sel.Name]
-			if m == nil {
-				m = map[string]bool{}
-				s.sels[x.Sel.Name] = m
-			}
-			m[encl] = true
-			ast.Inspect(x.X, visit)
-			return false
-		case *ast.Field:
-			// Field, parameter and interface-method names declare, they
-			// do not refer; only the type can name something.
-			ast.Inspect(x.Type, visit)
-			return false
-		case *ast.Ident:
-			if !owners[x.Name] {
-				s.refs[pkg+"."+x.Name] = true
-			}
-		}
-		return true
-	}
-	ast.Inspect(n, visit)
-}
-
-// check returns the unreached, non-exempt declarations as
+// unreached returns the unreached, non-exempt declarations as
 // "file:line pkg.Name", and the allow-list keys that are stale.
-func (s *reachScan) check(allow map[string]string) (unreached, stale []string) {
+func (m *srcModule) unreached(allow map[string]string) (unreached, stale []string) {
+	uses := m.reached()
 	exists := map[string]bool{}
-	for _, d := range s.decls {
+	for _, d := range m.decls() {
 		exists[d.key] = true
-		if s.reached(d) {
-			if _, ok := allow[d.key]; ok {
-				stale = append(stale, d.key+" (reached)")
+		_, allowed := allow[d.key]
+		isReached := false
+		for _, p := range uses[d.obj] {
+			if !within(p, d.own) {
+				isReached = true
+				break
 			}
-			continue
 		}
-		if _, ok := allow[d.key]; ok {
-			continue
+		switch {
+		case isReached && allowed:
+			stale = append(stale, d.key+" (reached)")
+		case !isReached && !allowed:
+			unreached = append(unreached, fmt.Sprintf("%s:%d %s", d.where.Filename, d.where.Line, d.key))
 		}
-		unreached = append(unreached, fmt.Sprintf("%s:%d %s", d.pos.Filename, d.pos.Line, d.key))
 	}
 	for k := range allow {
 		if !exists[k] {
@@ -312,25 +465,16 @@ func (s *reachScan) check(allow map[string]string) (unreached, stale []string) {
 	return unreached, stale
 }
 
-func (s *reachScan) reached(d reachDecl) bool {
-	if d.recv == "" {
-		return s.refs[d.pkg+"."+d.name]
-	}
-	for encl := range s.sels[d.name] {
-		if encl != d.key {
-			return true
-		}
-	}
-	return false
-}
-
-// setterStructs are the option structs whose every field some caller
-// must set. setterDefaults are the functions that build their defaults:
-// a field set only there takes one value everywhere, so it belongs in
-// a constant, not an option.
+// setterStructs are the configuration structs whose every field some
+// caller must set. setterDefaults are the functions that build their
+// defaults: a field set only there takes one value everywhere, so it
+// belongs in a constant, not a field.
 var (
-	setterStructs  = []string{"accel.Options", "core.Config", "accel.ShardedOptions"}
-	setterDefaults = []string{"core.DefaultConfig", "accel.NvWaOptions"}
+	setterStructs = []string{
+		"accel.Options", "core.Config", "accel.ShardedOptions", "sim.Watchdog",
+		"experiments.ChaosConfig", "fault.Spec", "genome.SimulatorConfig",
+	}
+	setterDefaults = []string{"core.DefaultConfig", "accel.NvWaOptions", "fault.DefaultSpec"}
 )
 
 // setterAllow exempts fields, keyed "pkg.Type.Field", that no non-test
@@ -343,140 +487,202 @@ var setterAllow = map[string]string{
 
 // TestEveryOptionIsSet fails on every field of setterStructs that no
 // non-test file sets outside setterDefaults, unless setterAllow exempts
-// it. A field is set by a key of a composite literal of its struct
-// (ShardedOptions{Shards: s}, including literals whose type a slice or
-// map literal elides), or by naming it in a selector on the left of an
-// assignment (o.Config.NumSUs = n sets NumSUs and Config). The scan is
-// syntactic, so an assignment matches fields by name alone.
+// it. See DESIGN.md, "Reachability guard".
 func TestEveryOptionIsSet(t *testing.T) {
-	structs := map[string][]string{} // setterStructs key -> field names
-	for _, k := range setterStructs {
-		structs[k] = nil
-	}
-	defaults := map[string]bool{}
-	for _, k := range setterDefaults {
-		defaults[k] = false // true once declared
-	}
-	keyed := map[string]bool{}    // pkg.Type.Field keys of struct literals
-	assigned := map[string]bool{} // field names selected on an assignment's left
-	err := walkNonTest(".", func(p, rel string) error {
-		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := path.Base(reachModule + "/" + path.Dir(rel))
-		imports := map[string]string{} // local name -> package name
-		for _, im := range f.Imports {
-			ip := strings.Trim(im.Path.Value, `"`)
-			local := path.Base(ip)
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = path.Base(ip)
-		}
-		typeKey := func(e ast.Expr) string {
-			switch x := e.(type) {
-			case *ast.Ident:
-				return pkg + "." + x.Name
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok {
-					return imports[id.Name] + "." + x.Sel.Name
-				}
-			}
-			return ""
-		}
-		// lit records the keys of a composite literal of type typ, and
-		// of the element literals whose type it elides.
-		var lit func(cl *ast.CompositeLit, typ ast.Expr)
-		lit = func(cl *ast.CompositeLit, typ ast.Expr) {
-			if st, ok := typ.(*ast.StarExpr); ok {
-				typ = st.X
-			}
-			var elt ast.Expr
-			switch t := typ.(type) {
-			case *ast.ArrayType:
-				elt = t.Elt
-			case *ast.MapType:
-				elt = t.Value
-			}
-			key := typeKey(typ)
-			for _, e := range cl.Elts {
-				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok && elt == nil {
-						keyed[key+"."+id.Name] = true
-					}
-					e = kv.Value
-				}
-				if c, ok := e.(*ast.CompositeLit); ok && c.Type == nil && elt != nil {
-					lit(c, elt)
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				if _, ok := defaults[pkg+"."+x.Name.Name]; ok && x.Recv == nil {
-					defaults[pkg+"."+x.Name.Name] = true
-					return false
-				}
-			case *ast.TypeSpec:
-				key := pkg + "." + x.Name.Name
-				st, ok := x.Type.(*ast.StructType)
-				if _, checked := structs[key]; !ok || !checked {
-					return true
-				}
-				for _, fl := range st.Fields.List {
-					for _, id := range fl.Names {
-						structs[key] = append(structs[key], id.Name)
-					}
-					if len(fl.Names) == 0 { // embedded: named by its type
-						structs[key] = append(structs[key], recvName(fl.Type))
-					}
-				}
-			case *ast.CompositeLit:
-				if x.Type != nil {
-					lit(x, x.Type)
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range x.Lhs {
-					for sel, ok := lhs.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
-						assigned[sel.Sel.Name] = true
-					}
-				}
-			}
-			return true
-		})
-		return nil
-	})
+	m, err := repoSrc()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, ok := range defaults {
+	for _, e := range m.neverSet(setterStructs, setterDefaults, setterAllow) {
+		t.Error(e)
+	}
+}
+
+// neverSet returns the fields of structs that no non-test file sets
+// outside the defaults functions and the struct's own methods (a
+// withDefaults that fills zero fields sets nothing a caller chose), and
+// the declarations and allow-list entries that name nothing. A field is
+// set by a key of a composite literal (including one whose type an
+// enclosing literal elides, or that names the struct through an alias),
+// by a positional literal, or by selecting it on the left of an
+// assignment or increment or under &: o.Config.NumSUs = n sets NumSUs
+// and Config.
+func (m *srcModule) neverSet(structs, defaults []string, allow map[string]string) []string {
+	var errs []string
+	lookup := func(key string) types.Object {
+		dot := strings.Index(key, ".")
+		for _, pkg := range m.order {
+			if m.checked(pkg.path) && path.Base(pkg.path) == key[:dot] {
+				return pkg.types.Scope().Lookup(key[dot+1:])
+			}
+		}
+		return nil
+	}
+	// funcs returns the spans of the function declarations keep admits.
+	funcs := func(keep func(*types.Func) bool) []span {
+		var out []span
+		for _, pkg := range m.order {
+			for _, f := range pkg.files {
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && keep(pkg.info.Defs[fd.Name].(*types.Func)) {
+						out = append(out, span{fd.Pos(), fd.End()})
+					}
+				}
+			}
+		}
+		return out
+	}
+	isDefault := map[types.Object]bool{}
+	for _, k := range defaults {
+		fn, ok := lookup(k).(*types.Func)
 		if !ok {
-			t.Errorf("setterDefaults names %s, which is not a declared function", k)
+			errs = append(errs, fmt.Sprintf("setterDefaults names %s, which is not a declared function", k))
+			continue
+		}
+		isDefault[fn] = true
+	}
+	skip := funcs(func(fn *types.Func) bool { return isDefault[fn] })
+	sets := map[types.Object][]token.Pos{}
+	mark := func(obj types.Object, at token.Pos) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			sets[v.Origin()] = append(sets[v.Origin()], at)
+		}
+	}
+	for _, pkg := range m.order {
+		info := pkg.info
+		// lhs marks the fields an assigned expression selects.
+		lhs := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					if s := info.Selections[x]; s != nil {
+						mark(s.Obj(), x.Pos())
+					}
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range pkg.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CompositeLit:
+					t := info.Types[x].Type
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					st, isStruct := t.Underlying().(*types.Struct)
+					for i, e := range x.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								mark(info.Uses[id], x.Pos())
+							}
+						} else if isStruct {
+							mark(st.Field(i), x.Pos())
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range x.Lhs {
+						lhs(e)
+					}
+				case *ast.IncDecStmt:
+					lhs(x.X)
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						lhs(x.X)
+					}
+				}
+				return true
+			})
 		}
 	}
 	declared := map[string]bool{}
-	for _, st := range setterStructs {
-		if len(structs[st]) == 0 {
-			t.Errorf("setterStructs names %s, which is not a declared struct", st)
+	for _, k := range structs {
+		tn, _ := lookup(k).(*types.TypeName)
+		var st *types.Struct
+		if tn != nil {
+			st, _ = tn.Type().Underlying().(*types.Struct)
 		}
-		for _, name := range structs[st] {
-			key := st + "." + name
+		if st == nil {
+			errs = append(errs, fmt.Sprintf("setterStructs names %s, which is not a declared struct", k))
+			continue
+		}
+		own := append(funcs(func(fn *types.Func) bool {
+			recv := fn.Type().(*types.Signature).Recv()
+			return recv != nil && namedOf(recv.Type()).Obj() == tn
+		}), skip...)
+		for i := 0; i < st.NumFields(); i++ {
+			fld := st.Field(i)
+			key := k + "." + fld.Name()
 			declared[key] = true
-			isSet := assigned[name] || keyed[key]
-			_, allowed := setterAllow[key]
+			isSet := false
+			for _, p := range sets[fld] {
+				isSet = isSet || !within(p, own)
+			}
+			_, allowed := allow[key]
 			switch {
 			case isSet && allowed:
-				t.Errorf("stale setter allow-list entry: %s (set)", key)
+				errs = append(errs, fmt.Sprintf("stale setter allow-list entry: %s (set)", key))
 			case !isSet && !allowed:
-				t.Errorf("never set: %s takes its default everywhere; make it a constant", key)
+				errs = append(errs, fmt.Sprintf("never set: %s takes its default everywhere; make it a constant", key))
 			}
 		}
 	}
-	for k := range setterAllow {
+	for k := range allow {
 		if !declared[k] {
-			t.Errorf("stale setter allow-list entry: %s (no longer declared)", k)
+			errs = append(errs, fmt.Sprintf("stale setter allow-list entry: %s (no longer declared)", k))
 		}
+	}
+	sort.Strings(errs)
+	return errs
+}
+
+// TestGuardRules runs both guards over the fixture module in
+// testdata/guards, whose package a declares one case of each rule.
+func TestGuardRules(t *testing.T) {
+	m, err := loadModule(filepath.Join("testdata", "guards"), reachModule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreached, stale := m.unreached(nil)
+	if len(stale) != 0 {
+		t.Errorf("stale entries without an allow-list: %v", stale)
+	}
+	isUnreached := map[string]bool{}
+	for _, u := range unreached {
+		isUnreached[u[strings.LastIndex(u, " ")+1:]] = true
+	}
+	for _, c := range []struct {
+		rule, key string
+		want      bool // unreached
+	}{
+		{"a method named like another type's reached method is unreached", "a.Engine.Run", true},
+		{"a method named like a field is unreached", "a.Engine.Shared", true},
+		{"an unexported function nothing calls is unreached", "a.helper", true},
+		{"a called method is reached", "a.Other.Run", false},
+		{"an interface-dispatched method is reached", "a.Job.Fire", false},
+		{"a method on an alias-re-exported type is reached", "a.Thing.Facade", false},
+	} {
+		if isUnreached[c.key] != c.want {
+			t.Errorf("%s: %s unreached = %v, want %v", c.rule, c.key, !c.want, c.want)
+		}
+	}
+	if len(isUnreached) != 3 {
+		t.Errorf("unreached = %v, want exactly the three unreached cases", unreached)
+	}
+
+	got := m.neverSet([]string{"a.Conf"}, []string{"a.DefaultConf"}, nil)
+	// Set is assigned and Alias keyed through the nvwa.Conf alias;
+	// OnlyDefault is set only in the defaults function.
+	want := []string{"never set: a.Conf.OnlyDefault takes its default everywhere; make it a constant"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("setter guard reports %q, want %q", got, want)
 	}
 }
